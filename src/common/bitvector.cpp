@@ -1,5 +1,6 @@
 #include "common/bitvector.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace pima {
@@ -35,13 +36,37 @@ void BitVector::set_word(std::size_t w, std::uint64_t v) {
 
 void BitVector::copy_range_from(const BitVector& src, std::size_t lo) {
   PIMA_CHECK(lo + src.size() <= size_, "range copy overflows destination");
-  for (std::size_t i = 0; i < src.size(); ++i) set(lo + i, src.get(i));
+  const std::size_t shift = lo % 64;
+  std::size_t done = 0;  // bits of src written so far
+  for (std::size_t sw = 0; done < src.size(); ++sw) {
+    // Word sw of src covers bits [done, done+n) and lands at bit lo+done,
+    // which straddles at most two destination words.
+    const std::size_t n = std::min<std::size_t>(64, src.size() - done);
+    const std::uint64_t mask =
+        n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+    const std::uint64_t bits = src.words_[sw] & mask;
+    const std::size_t dw = (lo + done) / 64;
+    words_[dw] = (words_[dw] & ~(mask << shift)) | (bits << shift);
+    if (shift != 0 && shift + n > 64) {
+      const std::size_t up = 64 - shift;
+      words_[dw + 1] = (words_[dw + 1] & ~(mask >> up)) | (bits >> up);
+    }
+    done += n;
+  }
 }
 
 BitVector BitVector::slice(std::size_t lo, std::size_t len) const {
   PIMA_CHECK(lo + len <= size_, "slice out of range");
   BitVector out(len);
-  for (std::size_t i = 0; i < len; ++i) out.set(i, get(lo + i));
+  const std::size_t shift = lo % 64;
+  for (std::size_t w = 0; w < out.words_.size(); ++w) {
+    const std::size_t sw = lo / 64 + w;
+    std::uint64_t v = words_[sw] >> shift;
+    if (shift != 0 && sw + 1 < words_.size())
+      v |= words_[sw + 1] << (64 - shift);
+    out.words_[w] = v;
+  }
+  out.clear_tail();
   return out;
 }
 
@@ -50,16 +75,6 @@ std::string BitVector::to_string() const {
   for (std::size_t i = 0; i < size_; ++i)
     if (get(i)) s[i] = '1';
   return s;
-}
-
-void BitVector::clear_tail() {
-  const std::size_t rem = size_ % 64;
-  if (rem != 0 && !words_.empty())
-    words_.back() &= (std::uint64_t{1} << rem) - 1;
-}
-
-void BitVector::check_same_size(const BitVector& a, const BitVector& b) {
-  PIMA_CHECK(a.size() == b.size(), "bulk logic operands differ in size");
 }
 
 BitVector BitVector::bit_xnor(const BitVector& a, const BitVector& b) {

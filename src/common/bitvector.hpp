@@ -66,6 +66,13 @@ class BitVector {
   std::uint64_t word(std::size_t w) const { return words_[w]; }
   void set_word(std::size_t w, std::uint64_t v);
 
+  /// *this = src for an equal-sized src: a word copy into the existing
+  /// storage (never reallocates).
+  void assign(const BitVector& src) {
+    check_same_size(*this, src);
+    for (std::size_t w = 0; w < words_.size(); ++w) words_[w] = src.words_[w];
+  }
+
   /// Writes a bit range [lo, lo+src.size()) from `src` (src must fit).
   void copy_range_from(const BitVector& src, std::size_t lo);
 
@@ -90,9 +97,53 @@ class BitVector {
   static BitVector bit_maj3(const BitVector& a, const BitVector& b,
                             const BitVector& c);
 
+  // -- In-place forms of the bulk logic: *this = op(operands), with no
+  //    allocation. *this may alias any operand (each word is read before it
+  //    is written); all operands must have the size of *this. Defined here
+  //    because they are the per-command hot path of the sub-array model. --
+
+  void assign_xnor(const BitVector& a, const BitVector& b) {
+    check_same_size(*this, a);
+    check_same_size(a, b);
+    for (std::size_t w = 0; w < words_.size(); ++w)
+      words_[w] = ~(a.words_[w] ^ b.words_[w]);
+    clear_tail();
+  }
+  void assign_xor(const BitVector& a, const BitVector& b) {
+    check_same_size(*this, a);
+    check_same_size(a, b);
+    for (std::size_t w = 0; w < words_.size(); ++w)
+      words_[w] = a.words_[w] ^ b.words_[w];
+  }
+  /// *this = a XOR b XOR c (the sum-cycle / carry-save sum bit).
+  void assign_xor3(const BitVector& a, const BitVector& b,
+                   const BitVector& c) {
+    check_same_size(*this, a);
+    check_same_size(a, b);
+    check_same_size(b, c);
+    for (std::size_t w = 0; w < words_.size(); ++w)
+      words_[w] = a.words_[w] ^ b.words_[w] ^ c.words_[w];
+  }
+  void assign_maj3(const BitVector& a, const BitVector& b,
+                   const BitVector& c) {
+    check_same_size(*this, a);
+    check_same_size(a, b);
+    check_same_size(b, c);
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      const auto x = a.words_[w], y = b.words_[w], z = c.words_[w];
+      words_[w] = (x & y) | (y & z) | (x & z);
+    }
+  }
+
  private:
-  void clear_tail();
-  static void check_same_size(const BitVector& a, const BitVector& b);
+  void clear_tail() {
+    const std::size_t rem = size_ % 64;
+    if (rem != 0 && !words_.empty())
+      words_.back() &= (std::uint64_t{1} << rem) - 1;
+  }
+  static void check_same_size(const BitVector& a, const BitVector& b) {
+    PIMA_CHECK(a.size() == b.size(), "bulk logic operands differ in size");
+  }
 
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;

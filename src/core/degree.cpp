@@ -1,6 +1,8 @@
 #include "core/degree.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <functional>
 
 #include "common/error.hpp"
@@ -40,65 +42,67 @@ class RowAllocator {
   std::vector<dram::RowAddr> free_;
 };
 
-// A vertical multi-bit number: row addresses LSB-first.
-using Number = std::vector<dram::RowAddr>;
+// A vertical multi-bit number: row addresses LSB-first, held inline so the
+// reduction builds no per-number heap vector. Widths only grow along the
+// reduction (a number never outgrows the final sum it feeds), so a number
+// wider than the 32-bit degree readout is an error wherever it appears.
+class Number {
+ public:
+  static constexpr std::size_t kCapacity = 32;
 
-// XOR3 of three data rows into a fresh row: x1 ← a, x2 ← b, XOR → x1 holds
-// a⊕b; x2 ← c, XOR → dst.
-dram::RowAddr xor3(dram::Subarray& sa, RowAllocator& alloc, dram::RowAddr a,
-                   dram::RowAddr b, dram::RowAddr c) {
-  const auto x1 = sa.compute_row(0), x2 = sa.compute_row(1);
-  const auto dst = alloc.alloc();
-  sa.aap_copy(a, x1);
-  sa.aap_copy(b, x2);
-  sa.aap_xor(x1, x2, x1);  // x1 = x2 = a⊕b
-  sa.aap_copy(c, x2);
-  sa.aap_xor(x1, x2, dst);
-  return dst;
-}
+  Number() = default;
+  explicit Number(dram::RowAddr r) { push_back(r); }
 
-// MAJ3 of three data rows into a fresh row via TRA.
-dram::RowAddr maj3(dram::Subarray& sa, RowAllocator& alloc, dram::RowAddr a,
-                   dram::RowAddr b, dram::RowAddr c) {
-  const auto x1 = sa.compute_row(0), x2 = sa.compute_row(1),
-             x3 = sa.compute_row(2);
-  const auto dst = alloc.alloc();
-  sa.aap_copy(a, x1);
-  sa.aap_copy(b, x2);
-  sa.aap_copy(c, x3);
-  sa.aap_tra_carry(x1, x2, x3, dst);
-  return dst;
-}
+  std::size_t size() const { return size_; }
+  dram::RowAddr operator[](std::size_t i) const { return rows_[i]; }
+  const dram::RowAddr* begin() const { return rows_.data(); }
+  const dram::RowAddr* end() const { return rows_.data() + size_; }
 
-// 3:2 compression of three equal-width numbers: returns {sum, carry<<1}.
-std::pair<Number, Number> compress(dram::Subarray& sa, RowAllocator& alloc,
-                                   dram::RowAddr zero_row, const Number& a,
-                                   const Number& b, const Number& c) {
+  void push_back(dram::RowAddr r) {
+    PIMA_CHECK(size_ < kCapacity, "degree exceeds 32-bit readout");
+    rows_[size_++] = r;
+  }
+
+ private:
+  std::array<dram::RowAddr, kCapacity> rows_;
+  std::size_t size_ = 0;
+};
+
+// 3:2 compression of three numbers into `sum` and `carry` (carry<<1).
+// Each bit position costs one fused XOR3 (5 commands) and one fused MAJ3
+// (4 commands) into freshly allocated rows.
+void compress(dram::Subarray& sa, RowAllocator& alloc, dram::RowAddr zero_row,
+              const Number& a, const Number& b, const Number& c, Number& sum,
+              Number& carry) {
   const std::size_t w = std::max({a.size(), b.size(), c.size()});
   auto bit = [&](const Number& n, std::size_t i) {
     return i < n.size() ? n[i] : zero_row;
   };
-  Number sum, carry;
   carry.push_back(zero_row);  // carry has weight 2: shift left one bit
   for (std::size_t i = 0; i < w; ++i) {
-    sum.push_back(xor3(sa, alloc, bit(a, i), bit(b, i), bit(c, i)));
-    carry.push_back(maj3(sa, alloc, bit(a, i), bit(b, i), bit(c, i)));
+    const auto s = alloc.alloc();
+    sa.xor3_rows(bit(a, i), bit(b, i), bit(c, i), s);
+    sum.push_back(s);
+    const auto cy = alloc.alloc();
+    sa.maj3_rows(bit(a, i), bit(b, i), bit(c, i), cy);
+    carry.push_back(cy);
   }
-  return {std::move(sum), std::move(carry)};
 }
 
 // Bit-serial addition of two numbers via Subarray::add_vertical.
 Number add(dram::Subarray& sa, RowAllocator& alloc, dram::RowAddr zero_row,
            const Number& a, const Number& b) {
   const std::size_t w = std::max(a.size(), b.size());
-  Number ap = a, bp = b;
+  std::vector<dram::RowAddr> ap(a.begin(), a.end()), bp(b.begin(), b.end());
   ap.resize(w, zero_row);
   bp.resize(w, zero_row);
-  Number out = alloc.alloc_span(w);
+  const std::vector<dram::RowAddr> out = alloc.alloc_span(w);
   const auto carry_out = alloc.alloc();
   sa.add_vertical(ap, bp, out, carry_out);
-  out.push_back(carry_out);
-  return out;
+  Number sum;
+  for (const auto r : out) sum.push_back(r);
+  sum.push_back(carry_out);
+  return sum;
 }
 
 }  // namespace
@@ -115,36 +119,39 @@ std::vector<std::uint32_t> pim_column_sums(
   if (rows.empty()) return std::vector<std::uint32_t>(width, 0);
 
   // Map the adjacency rows in (paper "mapping" stage).
-  std::vector<Number> numbers;
+  std::vector<Number> numbers, next;
   numbers.reserve(rows.size());
+  next.reserve(rows.size());
   for (const auto& r : rows) {
     PIMA_CHECK(r.size() == width, "adjacency row width mismatch");
     const auto addr = alloc.alloc();
     sa.write_row(addr, r);
-    numbers.push_back(Number{addr});
+    numbers.emplace_back(addr);
   }
 
   // Carry-save reduction: 3 → 2 until two numbers remain. Consumed
   // operand rows are recycled immediately (the reserved-row budget of a
-  // sub-array is finite).
+  // sub-array is finite). A round never yields more numbers than it
+  // consumes, so `next` never outgrows its reservation and the references
+  // into it stay valid.
   auto free_number = [&](const Number& n) {
     for (const auto r : n)
       if (r != zero_row) alloc.free(r);
   };
   while (numbers.size() > 2) {
-    std::vector<Number> next;
+    next.clear();
     std::size_t i = 0;
     for (; i + 3 <= numbers.size(); i += 3) {
-      auto [s, c] = compress(sa, alloc, zero_row, numbers[i], numbers[i + 1],
-                             numbers[i + 2]);
+      Number& sum = next.emplace_back();
+      Number& carry = next.emplace_back();
+      compress(sa, alloc, zero_row, numbers[i], numbers[i + 1],
+               numbers[i + 2], sum, carry);
       free_number(numbers[i]);
       free_number(numbers[i + 1]);
       free_number(numbers[i + 2]);
-      next.push_back(std::move(s));
-      next.push_back(std::move(c));
     }
-    for (; i < numbers.size(); ++i) next.push_back(std::move(numbers[i]));
-    numbers = std::move(next);
+    for (; i < numbers.size(); ++i) next.push_back(numbers[i]);
+    numbers.swap(next);
   }
 
   // Final bit-serial addition.
@@ -155,13 +162,16 @@ std::vector<std::uint32_t> pim_column_sums(
     free_number(numbers[1]);
   }
 
-  // Read the vertical result out through the row buffer.
+  // Read the vertical result out through the row buffer, visiting only the
+  // set bits of each row (bits past the width are zero by invariant).
   std::vector<std::uint32_t> sums(width, 0);
   for (std::size_t bitpos = 0; bitpos < result.size(); ++bitpos) {
-    PIMA_CHECK(bitpos < 32, "degree exceeds 32-bit readout");
     const BitVector& row = sa.read_row(result[bitpos]);
-    for (std::size_t c = 0; c < width; ++c)
-      if (row.get(c)) sums[c] |= std::uint32_t{1} << bitpos;
+    const std::uint32_t weight = std::uint32_t{1} << bitpos;
+    for (std::size_t w = 0; w < row.word_count(); ++w)
+      for (auto bits = row.word(w); bits != 0; bits &= bits - 1)
+        sums[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))] |=
+            weight;
   }
   return sums;
 }

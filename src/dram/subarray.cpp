@@ -1,13 +1,18 @@
 #include "dram/subarray.hpp"
 
-#include <utility>
+#include <string>
 
 namespace pima::dram {
 
 Subarray::Subarray(const Geometry& geometry, const circuit::Technology& tech)
-    : geom_(geometry), tech_(tech), latch_(geometry.columns) {
+    : geom_(geometry), latch_(geometry.columns) {
   geom_.validate();
   rows_.assign(geom_.rows, BitVector(geom_.columns));
+  for (std::size_t k = 0; k < kCommandKindCount; ++k) {
+    const auto kind = static_cast<CommandKind>(k);
+    latency_[k] = command_latency_ns(kind, tech.timing);
+    energy_[k] = command_energy_pj(kind, geom_.columns, tech.energy);
+  }
 }
 
 RowAddr Subarray::compute_row(std::size_t i) const {
@@ -32,29 +37,35 @@ void Subarray::check_compute(RowAddr r, const char* what) const {
 
 void Subarray::record(CommandKind k, Opcode op, RowAddr a, RowAddr b,
                       RowAddr c, RowAddr dst, const BitVector* payload) {
-  if (fault_ != nullptr) {
-    // Retention process: one tick per executed command, occasionally
-    // decaying a stored data-row cell.
-    if (const auto cell = fault_->retention_target())
-      rows_[cell->row].set(cell->col, !rows_[cell->row].get(cell->col));
-  }
-  const double latency = command_latency_ns(k, tech_.timing);
-  const double energy = command_energy_pj(k, geom_.columns, tech_.energy);
-  if (trace_ != nullptr) {
-    TraceEntry e;
-    e.kind = k;
-    e.op = op;
-    e.row_a = a;
-    e.row_b = b;
-    e.row_c = c;
-    e.dst = dst;
-    e.start_ns = stats_.busy_ns;
-    e.latency_ns = latency;
-    e.energy_pj = energy;
-    if (payload != nullptr) e.payload = *payload;
-    trace_->record(e);
-  }
-  stats_.record(k, latency, energy);
+  if (fault_ != nullptr) retention_tick();
+  const auto i = static_cast<std::size_t>(k);
+  if (trace_ != nullptr) trace_command(k, op, a, b, c, dst, payload);
+  stats_.record(k, latency_[i], energy_[i]);
+}
+
+void Subarray::retention_tick() {
+  // Retention process: one tick per executed command, occasionally
+  // decaying a stored data-row cell.
+  if (const auto cell = fault_->retention_target())
+    rows_[cell->row].set(cell->col, !rows_[cell->row].get(cell->col));
+}
+
+void Subarray::trace_command(CommandKind k, Opcode op, RowAddr a, RowAddr b,
+                             RowAddr c, RowAddr dst,
+                             const BitVector* payload) {
+  const auto i = static_cast<std::size_t>(k);
+  TraceEntry e;
+  e.kind = k;
+  e.op = op;
+  e.row_a = a;
+  e.row_b = b;
+  e.row_c = c;
+  e.dst = dst;
+  e.start_ns = stats_.busy_ns;
+  e.latency_ns = latency_[i];
+  e.energy_pj = energy_[i];
+  if (payload != nullptr) e.payload = *payload;
+  trace_->record(e);
 }
 
 const BitVector& Subarray::read_row(RowAddr r) {
@@ -67,7 +78,7 @@ void Subarray::write_row(RowAddr r, const BitVector& bits) {
   check_row(r);
   PIMA_CHECK(bits.size() == geom_.columns, "row width mismatch");
   record(CommandKind::kRowWrite, Opcode::kRowWrite, r, 0, 0, 0, &bits);
-  rows_[r] = bits;
+  rows_[r].assign(bits);
 }
 
 const BitVector& Subarray::peek_row(RowAddr r) const {
@@ -94,7 +105,7 @@ void Subarray::aap_copy(RowAddr src, RowAddr dst) {
              "self-copy is a refresh, not a RowClone — issue it explicitly "
              "if that is what the controller means");
   record(CommandKind::kAapCopy, Opcode::kAapCopy, src, 0, 0, dst);
-  rows_[dst] = rows_[src];
+  rows_[dst].assign(rows_[src]);
 }
 
 void Subarray::aap_xnor(RowAddr xa, RowAddr xb, RowAddr dst) {
@@ -103,17 +114,16 @@ void Subarray::aap_xnor(RowAddr xa, RowAddr xb, RowAddr dst) {
   check_row(dst);
   PIMA_CHECK(xa != xb, "two-row activation needs two distinct rows");
   record(CommandKind::kAapTwoRow, Opcode::kAapXnor, xa, xb, 0, dst);
-  BitVector result = BitVector::bit_xnor(rows_[xa], rows_[xb]);
+  // Charge sharing destroys both operands and the SA restores the result,
+  // so the result is computed straight into xa and copied from there.
+  BitVector& result = rows_[xa];
+  result.assign_xnor(result, rows_[xb]);
   // A sensing fault corrupts what the SA drives — every copy of the result
   // (restored operands, destination) gets the same wrong bits.
   if (fault_ != nullptr)
     fault_->corrupt_activation(CommandKind::kAapTwoRow, {xa, xb}, result);
-  // Charge sharing destroys both operands; the SA restores the result.
-  // dst may alias an operand row — move into it only when it is distinct,
-  // or the dst store would read the just-overwritten operand.
-  rows_[xa] = result;
-  rows_[xb] = result;
-  if (dst != xa && dst != xb) rows_[dst] = std::move(result);
+  rows_[xb].assign(result);
+  if (dst != xa && dst != xb) rows_[dst].assign(result);
 }
 
 void Subarray::aap_xor(RowAddr xa, RowAddr xb, RowAddr dst) {
@@ -122,12 +132,12 @@ void Subarray::aap_xor(RowAddr xa, RowAddr xb, RowAddr dst) {
   check_row(dst);
   PIMA_CHECK(xa != xb, "two-row activation needs two distinct rows");
   record(CommandKind::kAapTwoRow, Opcode::kAapXor, xa, xb, 0, dst);
-  BitVector result = BitVector::bit_xor(rows_[xa], rows_[xb]);
+  BitVector& result = rows_[xa];
+  result.assign_xor(result, rows_[xb]);
   if (fault_ != nullptr)
     fault_->corrupt_activation(CommandKind::kAapTwoRow, {xa, xb}, result);
-  rows_[xa] = result;
-  rows_[xb] = result;
-  if (dst != xa && dst != xb) rows_[dst] = std::move(result);
+  rows_[xb].assign(result);
+  if (dst != xa && dst != xb) rows_[dst].assign(result);
 }
 
 void Subarray::aap_tra_carry(RowAddr xa, RowAddr xb, RowAddr xc, RowAddr dst) {
@@ -138,16 +148,16 @@ void Subarray::aap_tra_carry(RowAddr xa, RowAddr xb, RowAddr xc, RowAddr dst) {
   PIMA_CHECK(xa != xb && xb != xc && xa != xc,
              "TRA needs three distinct rows");
   record(CommandKind::kAapTra, Opcode::kAapTra, xa, xb, xc, dst);
-  BitVector maj = BitVector::bit_maj3(rows_[xa], rows_[xb], rows_[xc]);
+  BitVector& maj = rows_[xa];
+  maj.assign_maj3(maj, rows_[xb], rows_[xc]);
   if (fault_ != nullptr)
     fault_->corrupt_activation(CommandKind::kAapTra, {xa, xb, xc}, maj);
-  rows_[xa] = maj;
-  rows_[xb] = maj;
-  rows_[xc] = maj;
+  rows_[xb].assign(maj);
+  rows_[xc].assign(maj);
   // add_vertical issues TRA with dst == xc, so the alias case is routine
   // production traffic, not a controller error.
-  if (dst != xa && dst != xb && dst != xc) rows_[dst] = maj;
-  latch_ = std::move(maj);
+  if (dst != xa && dst != xb && dst != xc) rows_[dst].assign(maj);
+  latch_.assign(maj);
 }
 
 void Subarray::sum_cycle(RowAddr xa, RowAddr xb, RowAddr dst) {
@@ -156,13 +166,12 @@ void Subarray::sum_cycle(RowAddr xa, RowAddr xb, RowAddr dst) {
   check_row(dst);
   PIMA_CHECK(xa != xb, "two-row activation needs two distinct rows");
   record(CommandKind::kSumCycle, Opcode::kSum, xa, xb, 0, dst);
-  BitVector sum =
-      BitVector::bit_xor(BitVector::bit_xor(rows_[xa], rows_[xb]), latch_);
+  BitVector& sum = rows_[xa];
+  sum.assign_xor3(sum, rows_[xb], latch_);
   if (fault_ != nullptr)
     fault_->corrupt_activation(CommandKind::kSumCycle, {xa, xb}, sum);
-  rows_[xa] = sum;
-  rows_[xb] = sum;
-  if (dst != xa && dst != xb) rows_[dst] = std::move(sum);
+  rows_[xb].assign(sum);
+  if (dst != xa && dst != xb) rows_[dst].assign(sum);
 }
 
 void Subarray::reset_latch() {
@@ -220,6 +229,57 @@ void Subarray::compare_rows(RowAddr a, RowAddr b, RowAddr result_row) {
   aap_copy(a, x1);
   aap_copy(b, x2);
   aap_xnor(x1, x2, result_row);
+}
+
+void Subarray::check_operands(RowAddr a, RowAddr b, RowAddr c,
+                              RowAddr dst) const {
+  const RowAddr data = geom_.data_rows();
+  PIMA_CHECK(a < data && b < data && c < data,
+             "fused carry-save operands must be data rows");
+  check_row(dst);
+}
+
+void Subarray::xor3_rows(RowAddr a, RowAddr b, RowAddr c, RowAddr dst) {
+  check_operands(a, b, c, dst);
+  const RowAddr x1 = geom_.data_rows(), x2 = x1 + 1;
+  if (fault_ != nullptr) {
+    aap_copy(a, x1);
+    aap_copy(b, x2);
+    aap_xor(x1, x2, x1);  // x1 = x2 = a⊕b
+    aap_copy(c, x2);
+    aap_xor(x1, x2, dst);
+    return;
+  }
+  record(CommandKind::kAapCopy, Opcode::kAapCopy, a, 0, 0, x1);
+  record(CommandKind::kAapCopy, Opcode::kAapCopy, b, 0, 0, x2);
+  record(CommandKind::kAapTwoRow, Opcode::kAapXor, x1, x2, 0, x1);
+  record(CommandKind::kAapCopy, Opcode::kAapCopy, c, 0, 0, x2);
+  record(CommandKind::kAapTwoRow, Opcode::kAapXor, x1, x2, 0, dst);
+  BitVector& sum = rows_[dst];
+  sum.assign_xor3(rows_[a], rows_[b], rows_[c]);
+  rows_[x1].assign(sum);
+  rows_[x2].assign(sum);
+}
+
+void Subarray::maj3_rows(RowAddr a, RowAddr b, RowAddr c, RowAddr dst) {
+  check_operands(a, b, c, dst);
+  const RowAddr x1 = geom_.data_rows(), x2 = x1 + 1, x3 = x1 + 2;
+  if (fault_ != nullptr) {
+    aap_copy(a, x1);
+    aap_copy(b, x2);
+    aap_copy(c, x3);
+    aap_tra_carry(x1, x2, x3, dst);
+    return;
+  }
+  record(CommandKind::kAapCopy, Opcode::kAapCopy, a, 0, 0, x1);
+  record(CommandKind::kAapCopy, Opcode::kAapCopy, b, 0, 0, x2);
+  record(CommandKind::kAapCopy, Opcode::kAapCopy, c, 0, 0, x3);
+  record(CommandKind::kAapTra, Opcode::kAapTra, x1, x2, x3, dst);
+  latch_.assign_maj3(rows_[a], rows_[b], rows_[c]);
+  rows_[x1].assign(latch_);
+  rows_[x2].assign(latch_);
+  rows_[x3].assign(latch_);
+  rows_[dst].assign(latch_);
 }
 
 }  // namespace pima::dram

@@ -18,9 +18,13 @@
 // Multi-row activation is only legal on computation rows (x1..x8) — the
 // modified row decoder enforces this — while AAP copies may address any row.
 //
-// Every operation records its latency and energy into CommandStats.
+// Every operation records its latency and energy into CommandStats. The
+// per-kind costs are computed once, at construction, from the command cost
+// model (command.hpp); the primitives compute in place into the activated
+// rows and allocate nothing.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -131,6 +135,33 @@ class Subarray {
   /// result separately.
   void compare_rows(RowAddr a, RowAddr b, RowAddr result_row);
 
+  /// Carry-save sum bit of three data rows (paper Fig. 8): dst ← a⊕b⊕c.
+  /// Issues exactly the five commands
+  ///   AAP(a,x1) AAP(b,x2) XOR(x1,x2→x1) AAP(c,x2) XOR(x1,x2→dst)
+  /// and leaves x1 = x2 = dst = a⊕b⊕c. a, b and c must be data rows; dst
+  /// may be any row (including an operand).
+  void xor3_rows(RowAddr a, RowAddr b, RowAddr c, RowAddr dst);
+
+  /// Carry-save carry bit of three data rows: dst ← MAJ(a,b,c). Issues
+  ///   AAP(a,x1) AAP(b,x2) AAP(c,x3) TRA(x1,x2,x3→dst)
+  /// and leaves x1 = x2 = x3 = dst = latch = MAJ(a,b,c). Operand rules as
+  /// for xor3_rows.
+  ///
+  /// Both fused kernels record the same commands, in the same order, as the
+  /// sequence issued primitive by primitive, then write that sequence's
+  /// final state directly. With a fault injector attached they run the
+  /// sequence instead: retention ticks and sensing faults act per command.
+  void maj3_rows(RowAddr a, RowAddr b, RowAddr c, RowAddr dst);
+
+  /// Cached per-command cost of this sub-array: equal to
+  /// command_latency_ns / command_energy_pj for its technology and width.
+  double latency_ns(CommandKind k) const {
+    return latency_[static_cast<std::size_t>(k)];
+  }
+  double energy_pj(CommandKind k) const {
+    return energy_[static_cast<std::size_t>(k)];
+  }
+
   const CommandStats& stats() const { return stats_; }
   void clear_stats() { stats_ = CommandStats{}; }
 
@@ -141,14 +172,19 @@ class Subarray {
  private:
   void check_row(RowAddr r) const;
   void check_compute(RowAddr r, const char* what) const;
+  void check_operands(RowAddr a, RowAddr b, RowAddr c, RowAddr dst) const;
   void record(CommandKind k, Opcode op, RowAddr a = 0, RowAddr b = 0,
               RowAddr c = 0, RowAddr dst = 0,
               const BitVector* payload = nullptr);
+  void retention_tick();
+  void trace_command(CommandKind k, Opcode op, RowAddr a, RowAddr b,
+                     RowAddr c, RowAddr dst, const BitVector* payload);
 
   Geometry geom_;
-  circuit::Technology tech_;
   std::vector<BitVector> rows_;
   BitVector latch_;       ///< per-column carry latch
+  std::array<double, kCommandKindCount> latency_{};  ///< ns, per CommandKind
+  std::array<double, kCommandKindCount> energy_{};   ///< pJ, per CommandKind
   CommandStats stats_;
   TraceSink* trace_ = nullptr;
   std::shared_ptr<FaultInjector> fault_;

@@ -135,6 +135,113 @@ TEST(BitVector, CopyRangeAndSlice) {
   EXPECT_THROW(dst.slice(30, 4), PreconditionError);
 }
 
+BitVector random_bits(Rng& rng, std::size_t n) {
+  BitVector v(n);
+  for (std::size_t i = 0; i < n; ++i) v.set(i, rng.bernoulli(0.5));
+  return v;
+}
+
+TEST(BitVector, AssignFormsMatchAllocatingForms) {
+  Rng rng(77);
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 130u, 256u}) {
+    const auto a = random_bits(rng, n), b = random_bits(rng, n),
+               c = random_bits(rng, n);
+    BitVector r(n);
+    r.assign_xnor(a, b);
+    EXPECT_EQ(r, BitVector::bit_xnor(a, b)) << n;
+    r.assign_xor(a, b);
+    EXPECT_EQ(r, BitVector::bit_xor(a, b)) << n;
+    r.assign_xor3(a, b, c);
+    EXPECT_EQ(r, BitVector::bit_xor(BitVector::bit_xor(a, b), c)) << n;
+    r.assign_maj3(a, b, c);
+    EXPECT_EQ(r, BitVector::bit_maj3(a, b, c)) << n;
+  }
+}
+
+TEST(BitVector, AssignFormsAllowDestinationAliasing) {
+  Rng rng(78);
+  const std::size_t n = 150;
+  const auto a = random_bits(rng, n), b = random_bits(rng, n),
+             c = random_bits(rng, n);
+  BitVector r = a;
+  r.assign_xnor(r, b);
+  EXPECT_EQ(r, BitVector::bit_xnor(a, b));
+  r = b;
+  r.assign_xor(a, r);
+  EXPECT_EQ(r, BitVector::bit_xor(a, b));
+  r = c;
+  r.assign_xor3(a, b, r);
+  EXPECT_EQ(r, BitVector::bit_xor(BitVector::bit_xor(a, b), c));
+  r = a;
+  r.assign_maj3(r, b, c);
+  EXPECT_EQ(r, BitVector::bit_maj3(a, b, c));
+  // Every operand the destination itself.
+  r = a;
+  r.assign_maj3(r, r, r);
+  EXPECT_EQ(r, a);
+  r.assign_xor3(r, r, r);
+  EXPECT_EQ(r, a);
+  r.assign_xnor(r, r);
+  EXPECT_TRUE(r.all());
+  r.assign_xor(r, r);
+  EXPECT_TRUE(r.none());
+}
+
+TEST(BitVector, AssignFormsKeepTailClear) {
+  for (const std::size_t n : {1u, 70u, 129u}) {
+    BitVector zero(n), ones(n);
+    ones.fill(true);
+    BitVector r(n);
+    // popcount covers whole words, so popcount == n means a clear tail.
+    r.assign_xnor(zero, zero);  // ~(0^0): all ones
+    EXPECT_EQ(r.popcount(), n);
+    r.assign_xor(ones, zero);
+    EXPECT_EQ(r.popcount(), n);
+    r.assign_xor3(ones, zero, zero);
+    EXPECT_EQ(r.popcount(), n);
+    r.assign_maj3(ones, ones, zero);
+    EXPECT_EQ(r.popcount(), n);
+    EXPECT_TRUE(r.all());
+  }
+}
+
+TEST(BitVector, AssignFormsRejectSizeMismatch) {
+  BitVector a(64), b(65), r(64);
+  EXPECT_THROW(r.assign_xnor(a, b), PreconditionError);
+  EXPECT_THROW(r.assign_xor(b, a), PreconditionError);
+  EXPECT_THROW(r.assign_xor3(a, a, b), PreconditionError);
+  EXPECT_THROW(r.assign_maj3(b, a, a), PreconditionError);
+  // The destination must match too.
+  EXPECT_THROW(r.assign_xor(b, b), PreconditionError);
+  EXPECT_THROW(b.assign_maj3(a, a, a), PreconditionError);
+}
+
+// Property: the word-wise slice/copy_range_from agree with a bit-by-bit
+// reference on unaligned offsets and lengths, and never touch bits outside
+// the addressed range.
+TEST(BitVector, SliceAndCopyRangeMatchBitLoopReference) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 1 + rng.uniform(300);
+    const auto src = random_bits(rng, n);
+    const std::size_t lo = rng.uniform(n + 1);
+    const std::size_t len = rng.uniform(n - lo + 1);
+
+    BitVector want(len);
+    for (std::size_t i = 0; i < len; ++i) want.set(i, src.get(lo + i));
+    const auto got = src.slice(lo, len);
+    ASSERT_EQ(got, want) << "slice n=" << n << " lo=" << lo << " len=" << len;
+
+    const auto piece = random_bits(rng, len);
+    auto dst = random_bits(rng, n);
+    auto ref = dst;
+    for (std::size_t i = 0; i < len; ++i) ref.set(lo + i, piece.get(i));
+    dst.copy_range_from(piece, lo);
+    ASSERT_EQ(dst, ref) << "copy n=" << n << " lo=" << lo << " len=" << len;
+    ASSERT_EQ(dst.popcount(), ref.popcount());  // tail still clear
+  }
+}
+
 // Property: XNOR is an involution partner of XOR, MAJ3 is symmetric, and
 // De Morgan identities hold on random vectors.
 class BitVectorProperty : public ::testing::TestWithParam<std::uint64_t> {};

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <tuple>
+
 #include "common/rng.hpp"
 #include "dna/genome.hpp"
+#include "dram/fault.hpp"
+#include "dram/isa.hpp"
+#include "golden/golden.hpp"
 
 namespace pima::core {
 namespace {
@@ -99,6 +105,83 @@ TEST_P(ColumnSumProperty, MatchesSoftware) {
 
 INSTANTIATE_TEST_SUITE_P(RowCounts, ColumnSumProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 9, 16, 33, 64));
+
+// Fast-path oracle: the degree kernel on a plain sub-array (fused XOR3 /
+// MAJ3 kernels) against the same kernel on a sub-array carrying a zero-rate
+// fault injector (which injects nothing but forces the per-command path).
+// Rows, latch, CommandStats and the captured trace must agree exactly, and
+// the trace must replay through the golden model to the same state.
+class ColumnSumFastPath
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+};
+
+TEST_P(ColumnSumFastPath, FusedKernelsMatchPerCommandPathAndGolden) {
+  const auto [cols, n_rows] = GetParam();
+  dram::Geometry g = degree_geometry();
+  g.columns = cols;
+  dram::Subarray fused(g, circuit::default_technology());
+  dram::Subarray stepped(g, circuit::default_technology());
+  stepped.attach_fault_injector(std::make_shared<dram::FaultInjector>(
+      std::make_shared<const dram::FaultModel>(circuit::TechParams{},
+                                               dram::FaultConfig{}),
+      0, g));
+  dram::TraceSink fused_trace, stepped_trace;
+  fused.attach_trace(&fused_trace);
+  stepped.attach_trace(&stepped_trace);
+
+  // Random rows with duplicates (every fourth row repeats an earlier one)
+  // and some all-zero rows, so equal operands and zero-padded compressions
+  // both occur.
+  Rng rng(cols * 1000 + n_rows);
+  std::vector<BitVector> rows;
+  for (std::size_t r = 0; r < n_rows; ++r) {
+    if (r % 4 == 3) {
+      rows.push_back(rows[rng.uniform(r)]);
+      continue;
+    }
+    BitVector row(cols);
+    if (r % 9 != 5)
+      for (std::size_t c = 0; c < cols; ++c) row.set(c, rng.bernoulli(0.45));
+    rows.push_back(std::move(row));
+  }
+
+  const auto sums = pim_column_sums(fused, rows);
+  EXPECT_EQ(sums, pim_column_sums(stepped, rows));
+  EXPECT_EQ(sums, golden::column_sums(rows));
+
+  for (dram::RowAddr r = 0; r < g.rows; ++r)
+    ASSERT_EQ(fused.peek_row(r), stepped.peek_row(r)) << "row " << r;
+  EXPECT_EQ(fused.peek_latch(), stepped.peek_latch());
+  for (std::size_t k = 0; k < dram::kCommandKindCount; ++k)
+    EXPECT_EQ(fused.stats().counts[k], stepped.stats().counts[k]) << k;
+  EXPECT_EQ(fused.stats().busy_ns, stepped.stats().busy_ns);
+  EXPECT_EQ(fused.stats().energy_pj, stepped.stats().energy_pj);
+
+  ASSERT_EQ(fused_trace.size(), stepped_trace.size());
+  for (std::size_t i = 0; i < fused_trace.size(); ++i)
+    ASSERT_EQ(fused_trace.entries()[i].start_ns,
+              stepped_trace.entries()[i].start_ns)
+        << "entry " << i;
+  EXPECT_EQ(fused_trace.to_csv(), stepped_trace.to_csv());
+  const auto program = dram::program_from_trace(fused_trace.entries(), 0, cols);
+  EXPECT_EQ(dram::to_text(program),
+            dram::to_text(dram::program_from_trace(stepped_trace.entries(), 0,
+                                                   cols)));
+
+  golden::GoldenDevice replay(g);
+  golden::execute(replay, program);
+  const auto& gsa = replay.subarray(0);
+  for (dram::RowAddr r = 0; r < g.rows; ++r)
+    ASSERT_EQ(gsa.row_bits(r), fused.peek_row(r)) << "golden row " << r;
+  EXPECT_EQ(gsa.latch_bits(), fused.peek_latch());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WidthsAndRowCounts, ColumnSumFastPath,
+    ::testing::Combine(::testing::Values(std::size_t{37}, std::size_t{64},
+                                         std::size_t{100}, std::size_t{256}),
+                       ::testing::Values(std::size_t{3}, std::size_t{8},
+                                         std::size_t{40})));
 
 TEST(PimDegrees, MatchesGraphDegrees) {
   dna::GenomeParams gp;

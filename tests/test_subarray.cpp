@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "circuit/sense_amp.hpp"
 #include "common/rng.hpp"
+#include "dram/fault.hpp"
+#include "dram/isa.hpp"
 
 namespace pima::dram {
 namespace {
@@ -376,6 +380,112 @@ TEST(AddVerticalErrors, MismatchedSpansThrow) {
   EXPECT_THROW(sa.add_vertical({1, 2}, {3}, {4, 5}, 6),
                pima::PreconditionError);
   EXPECT_THROW(sa.add_vertical({}, {}, {}, 6), pima::PreconditionError);
+}
+
+// The per-kind cost tables cached at construction equal the cost model
+// exactly, for the default technology and for perturbed ones with
+// non-round timings and energies, at widths on and off the 64-bit grid.
+TEST(SubarrayCostTables, EqualCommandCostModelExactly) {
+  std::vector<circuit::Technology> techs{circuit::default_technology()};
+  circuit::Technology slow = circuit::default_technology();
+  slow.timing.t_ras_ns = 41.3;
+  slow.timing.t_rp_ns = 14.999;
+  slow.timing.t_bl_ns = 2.5;
+  slow.energy.e_activate_pj = 101.7;
+  slow.energy.e_multirow_extra_pj = 31.1;
+  slow.energy.e_read_col_pj = 1.9;
+  techs.push_back(slow);
+  circuit::Technology lean = slow;
+  lean.timing.t_rcd_ns = 11.1;
+  lean.energy.e_dpu_pj = 0.3;
+  lean.energy.e_write_col_pj = 3.33;
+  techs.push_back(lean);
+  for (const auto& tech : techs) {
+    for (const std::size_t cols : {37u, 64u, 256u, 1000u}) {
+      Geometry g = small_geometry();
+      g.columns = cols;
+      const Subarray sa(g, tech);
+      for (std::size_t k = 0; k < kCommandKindCount; ++k) {
+        const auto kind = static_cast<CommandKind>(k);
+        EXPECT_EQ(sa.latency_ns(kind), command_latency_ns(kind, tech.timing))
+            << to_string(kind) << " cols " << cols;
+        EXPECT_EQ(sa.energy_pj(kind),
+                  command_energy_pj(kind, cols, tech.energy))
+            << to_string(kind) << " cols " << cols;
+      }
+    }
+  }
+}
+
+// A zero-rate fault injector injects nothing but forces the fused kernels
+// onto their per-command path, so the pair below is an exact differential
+// between the fused and the primitive-by-primitive execution.
+std::shared_ptr<FaultInjector> zero_rate_injector(const Geometry& g) {
+  return std::make_shared<FaultInjector>(
+      std::make_shared<const FaultModel>(circuit::TechParams{},
+                                         FaultConfig{}),
+      0, g);
+}
+
+void expect_same_state(const Subarray& a, const Subarray& b) {
+  for (RowAddr r = 0; r < a.geometry().rows; ++r)
+    ASSERT_EQ(a.peek_row(r), b.peek_row(r)) << "row " << r;
+  EXPECT_EQ(a.peek_latch(), b.peek_latch());
+  for (std::size_t k = 0; k < kCommandKindCount; ++k)
+    EXPECT_EQ(a.stats().counts[k], b.stats().counts[k]) << k;
+  EXPECT_EQ(a.stats().busy_ns, b.stats().busy_ns);
+  EXPECT_EQ(a.stats().energy_pj, b.stats().energy_pj);
+}
+
+TEST(SubarrayFusedKernels, MatchPerCommandSequenceIncludingAliases) {
+  for (const std::size_t cols : {64u, 100u, 256u}) {
+    Geometry g = small_geometry();
+    g.columns = cols;
+    Subarray fused(g, circuit::default_technology());
+    Subarray stepped(g, circuit::default_technology());
+    stepped.attach_fault_injector(zero_rate_injector(g));
+    TraceSink fused_trace, stepped_trace;
+    fused.attach_trace(&fused_trace);
+    stepped.attach_trace(&stepped_trace);
+
+    Rng rng(500 + cols);
+    const std::size_t data = g.data_rows();
+    for (RowAddr r = 0; r < 8; ++r) {
+      const auto bits = random_row(rng, cols);
+      fused.write_row(r, bits);
+      stepped.write_row(r, bits);
+    }
+    for (int step = 0; step < 200; ++step) {
+      // Operands from a small pool so duplicates (a == b, a == b == c) are
+      // frequent; dst may alias an operand or a computation row.
+      const RowAddr a = rng.uniform(10), b = rng.uniform(10),
+                    c = step % 7 == 0 ? a : rng.uniform(10);
+      const RowAddr dst = step % 5 == 0   ? a
+                          : step % 11 == 0 ? fused.compute_row(rng.uniform(3))
+                                           : rng.uniform(data);
+      if (step % 2 == 0) {
+        fused.xor3_rows(a, b, c, dst);
+        stepped.xor3_rows(a, b, c, dst);
+      } else {
+        fused.maj3_rows(a, b, c, dst);
+        stepped.maj3_rows(a, b, c, dst);
+      }
+    }
+    expect_same_state(fused, stepped);
+    EXPECT_EQ(fused_trace.to_csv(), stepped_trace.to_csv());
+    EXPECT_EQ(to_text(program_from_trace(fused_trace.entries(), 0, cols)),
+              to_text(program_from_trace(stepped_trace.entries(), 0, cols)));
+  }
+}
+
+TEST(SubarrayFusedKernels, RejectComputationRowOperands) {
+  Subarray sa(small_geometry(), circuit::default_technology());
+  const auto x1 = sa.compute_row(0), x4 = sa.compute_row(3);
+  EXPECT_THROW(sa.xor3_rows(x1, 1, 2, 3), pima::PreconditionError);
+  EXPECT_THROW(sa.xor3_rows(1, 2, x4, 3), pima::PreconditionError);
+  EXPECT_THROW(sa.maj3_rows(1, x1, 2, 3), pima::PreconditionError);
+  EXPECT_THROW(sa.maj3_rows(1, 2, 3, 64), pima::PreconditionError);
+  EXPECT_EQ(sa.stats().total_commands(), 0u);  // checked before any command
 }
 
 // Cross-validation: the word-parallel functional kernels must agree with
