@@ -4,7 +4,9 @@
 // — k-mer routing, graph construction, partition choice, walks, every
 // stat/metric/trace fold — stays in the parent and is line-for-line the
 // in-process algorithm; only command *execution* crosses the process
-// boundary, as journaled NDJSON requests. That split is the determinism
+// boundary, as journaled NDJSON requests — batched per superstep, one
+// request per device, fanned out to every device before any response is
+// collected (ProcSupervisor::rpc_all). That split is the determinism
 // argument: a worker's device state is a pure function of its request
 // journal, so a crash + replay lands on the exact pre-crash state, and a
 // run with K worker crashes produces bit-identical contigs, per-stage
@@ -19,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/degree.hpp"
 #include "core/pipeline_detail.hpp"
 #include "core/shard_worker.hpp"
 #include "dram/isa.hpp"
@@ -51,22 +52,17 @@ net::Json make_op(const char* name) {
   return j;
 }
 
-// Barrier over every worker, drained in device index order. Rethrows the
-// first typed failure after all workers drained — the PoolRunner::drain
-// discipline (lowest device wins). A degraded pool aborts immediately:
-// there is nothing left to drain.
+// The same request for every device, as one fan-out.
+std::vector<net::Json> to_every(const runtime::ProcSupervisor& sup,
+                                const net::Json& request) {
+  return std::vector<net::Json>(sup.devices(), request);
+}
+
+// Barrier over every worker as one fan-out. rpc_all reads every response
+// before rethrowing the lowest device's typed failure — the
+// PoolRunner::drain discipline; a degraded pool aborts immediately.
 void drain_all(runtime::ProcSupervisor& sup) {
-  std::exception_ptr first;
-  for (std::size_t d = 0; d < sup.devices(); ++d) {
-    try {
-      sup.rpc(d, make_op("drain"));
-    } catch (const runtime::ProcPoolDegradedError&) {
-      throw;
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
+  (void)sup.rpc_all(to_every(sup, make_op("drain")));
 }
 
 struct FlatStats {
@@ -74,15 +70,15 @@ struct FlatStats {
   dram::CommandStats stats;
 };
 
-// One stats round-trip per worker. Workers emit their touched sub-arrays
-// in ascending flat order (shard_worker.cpp), which the folds below rely
-// on for their merge cursors.
+// One stats fan-out over every worker. Workers emit their touched
+// sub-arrays in ascending flat order (shard_worker.cpp), which the folds
+// below rely on for their merge cursors.
 std::vector<std::vector<FlatStats>> collect_stats(
     runtime::ProcSupervisor& sup) {
   std::vector<std::vector<FlatStats>> per(sup.devices());
+  const auto responses = sup.query_all(to_every(sup, make_op("stats")));
   for (std::size_t d = 0; d < sup.devices(); ++d) {
-    const net::Json resp = sup.query(d, make_op("stats"));
-    for (const auto& entry : resp.get("subarrays").items()) {
+    for (const auto& entry : responses[d].get("subarrays").items()) {
       FlatStats fs;
       fs.flat = static_cast<std::size_t>(entry.get_uint64("flat"));
       const auto& counts = entry.get("counts").items();
@@ -129,52 +125,135 @@ StageFold fold_stage(runtime::ProcSupervisor& sup, const runtime::ShardPlan& pla
 }
 
 void clear_all_stats(runtime::ProcSupervisor& sup) {
-  for (std::size_t d = 0; d < sup.devices(); ++d)
-    sup.rpc(d, make_op("clear_stats"));
+  (void)sup.rpc_all(to_every(sup, make_op("clear_stats")));
 }
 
 // Splits a program slice by owning device in program order and ships each
-// non-empty sub-stream as one `program` request — exactly the sub-streams
-// PoolRunner::submit_program's sequence-keyed Exchange produces, so per
-// sub-array command order is the single-device order.
+// non-empty sub-stream as one `program` request of a single fan-out —
+// exactly the sub-streams PoolRunner::submit_program's sequence-keyed
+// Exchange produces, so per sub-array command order is the single-device
+// order.
 void submit_program_sliced(runtime::ProcSupervisor& sup,
                            const runtime::ShardPlan& plan,
                            dram::Program program) {
   std::vector<dram::Program> per(sup.devices());
   for (auto& inst : program)
     per[plan.owner_of(inst.subarray)].push_back(std::move(inst));
+  std::vector<net::Json> requests(sup.devices());
   for (std::size_t d = 0; d < per.size(); ++d) {
     if (per[d].empty()) continue;
-    net::Json req = make_op("program");
-    req.set("text", dram::to_text(per[d]));
-    sup.rpc(d, req);
+    requests[d] = make_op("program");
+    requests[d].set("text", dram::to_text(per[d]));
   }
+  (void)sup.rpc_all(requests);
 }
+
+// Encoded size of one wire number: its decimal digits plus a separator.
+std::size_t encoded_size(std::uint64_t v) {
+  std::size_t n = 2;
+  for (; v >= 10; v /= 10) ++n;
+  return n;
+}
+
+// Collects each device's `degree_block` batch for one superstep. A batch
+// ships when the superstep ends, or earlier, alone, when the next block
+// would push its request line past kBudgetBytes. Blocks keep the order
+// they were added in, per device, so per sub-array order is unchanged.
+class DegreeBatcher {
+ public:
+  /// Far below LineChannel::kMaxLineBytes (64 MiB): one request per
+  /// device on any genome the geometry fits, a bounded line beyond that.
+  static constexpr std::size_t kBudgetBytes = 4u << 20;
+
+  DegreeBatcher(runtime::ProcSupervisor& sup, const runtime::ShardPlan& plan)
+      : sup_(sup),
+        plan_(plan),
+        blocks_(sup.devices(), net::Json::array()),
+        bytes_(sup.devices(), 0) {}
+
+  /// Appends [flat, n, (from, to, mult)...] to the batch of the sub-array's
+  /// owner; with `transposed`, each edge's from and to swap (the
+  /// out-degree block).
+  void add(std::size_t flat, std::size_t n, const EdgeBlock& block,
+           bool transposed) {
+    const std::size_t owner = plan_.owner_of(flat);
+    net::Json enc = net::Json::array();
+    std::size_t bytes = 2 + encoded_size(flat) + encoded_size(n);
+    enc.push_back(net::Json(static_cast<std::uint64_t>(flat)));
+    enc.push_back(net::Json(static_cast<std::uint64_t>(n)));
+    for (const auto& e : block.edges) {
+      const std::uint32_t from = transposed ? e.to : e.from;
+      const std::uint32_t to = transposed ? e.from : e.to;
+      for (const std::uint32_t v : {from, to, e.multiplicity}) {
+        enc.push_back(net::Json(static_cast<std::uint64_t>(v)));
+        bytes += encoded_size(v);
+      }
+    }
+    if (!blocks_[owner].items().empty() && bytes_[owner] + bytes > kBudgetBytes)
+      ship(owner);
+    blocks_[owner].push_back(std::move(enc));
+    bytes_[owner] += bytes;
+  }
+
+  /// Ships every pending batch as one fan-out.
+  void finish() { ship(sup_.devices()); }
+
+ private:
+  // Ships device `only`'s batch, or every batch when `only` is out of range.
+  void ship(std::size_t only) {
+    std::vector<net::Json> requests(sup_.devices());
+    for (std::size_t d = 0; d < requests.size(); ++d) {
+      if ((only < requests.size() && d != only) || blocks_[d].items().empty())
+        continue;
+      requests[d] = make_op("degree_block");
+      requests[d].set("blocks", std::move(blocks_[d]));
+      blocks_[d] = net::Json::array();
+      bytes_[d] = 0;
+    }
+    (void)sup_.rpc_all(requests);
+  }
+
+  runtime::ProcSupervisor& sup_;
+  const runtime::ShardPlan& plan_;
+  std::vector<net::Json> blocks_;
+  std::vector<std::size_t> bytes_;
+};
 
 // The isolated twin of submit_kmer_stream (pipeline.cpp): identical
 // routing — shard = hash(canonical) % shards, flat = shard, owner =
-// flat % devices, channel = flat % channels — and identical per-slot
-// batching, but a full batch becomes a `kmers` request instead of an
-// engine submit. Per-shard insert order is read-stream order either way.
+// flat % devices, channel = flat % channels — but batched per superstep:
+// once kSuperstep k-mers are pending, one `kmers` request per device
+// carries every channel's pending batch, fanned out to all devices.
+// Per-shard insert order is read-stream order either way.
 void submit_kmer_stream_isolated(runtime::ProcSupervisor& sup,
                                  const runtime::ShardPlan& plan,
                                  std::size_t channels, std::size_t hash_shards,
                                  const std::vector<dna::Sequence>& reads,
                                  std::size_t k,
                                  const runtime::CancelToken* cancel) {
-  constexpr std::size_t kKmerBatch = 128;
+  constexpr std::size_t kSuperstep = std::size_t{1} << 14;
   std::vector<std::vector<std::uint64_t>> pending(sup.devices() * channels);
-  auto flush = [&](std::size_t device, std::size_t channel) {
-    auto& batch = pending[device * channels + channel];
-    if (batch.empty()) return;
-    net::Json req = make_op("kmers");
-    req.set("channel", static_cast<std::uint64_t>(channel));
-    net::Json arr = net::Json::array();
-    for (const std::uint64_t packed : batch) arr.push_back(net::Json(packed));
-    req.set("kmers", std::move(arr));
-    sup.rpc(device, req);
-    batch.clear();
-    batch.reserve(kKmerBatch);
+  std::size_t pending_total = 0;
+  const auto superstep = [&] {
+    std::vector<net::Json> requests(sup.devices());
+    for (std::size_t d = 0; d < sup.devices(); ++d) {
+      net::Json batches = net::Json::array();
+      for (std::size_t c = 0; c < channels; ++c) {
+        auto& batch = pending[d * channels + c];
+        if (batch.empty()) continue;
+        net::Json arr = net::Json::array();
+        arr.push_back(net::Json(static_cast<std::uint64_t>(c)));
+        for (const std::uint64_t packed : batch)
+          arr.push_back(net::Json(packed));
+        batches.push_back(std::move(arr));
+        batch.clear();
+      }
+      if (batches.items().empty()) continue;
+      requests[d] = make_op("kmers");
+      requests[d].set("batches", std::move(batches));
+    }
+    pending_total = 0;
+    (void)sup.rpc_all(requests);
   };
 
   telemetry::Counter* reads_ctr = nullptr;
@@ -199,9 +278,8 @@ void submit_kmer_stream_isolated(runtime::ProcSupervisor& sup,
           static_cast<std::size_t>(window.hash() % hash_shards);
       const std::size_t device = plan.owner_of(flat);
       const std::size_t channel = flat % channels;
-      auto& batch = pending[device * channels + channel];
-      batch.push_back(window.packed());
-      if (batch.size() >= kKmerBatch) flush(device, channel);
+      pending[device * channels + channel].push_back(window.packed());
+      if (++pending_total >= kSuperstep) superstep();
       if (i + k >= read.size()) break;
       window = window.rolled(read.at(i + k));
     }
@@ -210,8 +288,7 @@ void submit_kmer_stream_isolated(runtime::ProcSupervisor& sup,
       kmers_ctr->add(static_cast<double>(read.size() - k + 1));
     }
   }
-  for (std::size_t d = 0; d < sup.devices(); ++d)
-    for (std::size_t c = 0; c < channels; ++c) flush(d, c);
+  superstep();
   drain_all(sup);
 }
 
@@ -358,26 +435,45 @@ PipelineResult run_pipeline_isolated(dram::Device& device,
     if (options.cancel != nullptr) options.cancel->throw_if_requested();
     submit_kmer_stream_isolated(sup, plan, channels, options.hash_shards,
                                 reads, options.k, options.cancel);
-    // K-mer count shuffle: each owner streams its shards back through the
-    // stage-boundary exchange, merged by shard index — identical to
-    // PimHashTable::extract() order for every device count.
+    // K-mer count shuffle: one extract fan-out returns every shard an owner
+    // holds; the stage-boundary exchange merges them by shard index —
+    // identical to PimHashTable::extract() order for every device count.
+    std::vector<std::vector<std::size_t>> owned(sup.devices());
+    for (std::size_t s = 0; s < options.hash_shards; ++s)
+      owned[plan.owner_of(s)].push_back(s);
+    std::vector<net::Json> requests(sup.devices());
+    for (std::size_t d = 0; d < sup.devices(); ++d) {
+      if (owned[d].empty()) continue;
+      net::Json shards = net::Json::array();
+      for (const std::size_t s : owned[d])
+        shards.push_back(net::Json(static_cast<std::uint64_t>(s)));
+      requests[d] = make_op("extract");
+      requests[d].set("shards", std::move(shards));
+    }
+    // Journaled, not a query: reading the table issues ROW_READs that the
+    // stage's stats fold counts, so a restarted worker must replay them.
+    const auto extracted = sup.rpc_all(requests);
     runtime::Exchange<std::pair<assembly::Kmer, std::uint32_t>> shuffle(
         options.devices);
-    for (std::size_t s = 0; s < options.hash_shards; ++s) {
-      const std::size_t owner = plan.owner_of(s);
-      net::Json req = make_op("extract");
-      req.set("shard", static_cast<std::uint64_t>(s));
-      const net::Json resp = sup.query(owner, req);
-      for (const auto& pair : resp.get("entries").items())
-        shuffle.push(owner, 0, s,
-                     {assembly::Kmer(pair.items()[0].as_uint64(), options.k),
-                      static_cast<std::uint32_t>(pair.items()[1].as_uint64())});
+    for (std::size_t d = 0; d < sup.devices(); ++d) {
+      if (owned[d].empty()) continue;
+      const auto& lists = extracted[d].get("shards").items();
+      PIMA_CHECK(lists.size() == owned[d].size(),
+                 "extract response does not match the requested shards");
+      for (std::size_t i = 0; i < lists.size(); ++i) {
+        const auto& flat = lists[i].items();
+        for (std::size_t e = 0; e + 1 < flat.size(); e += 2)
+          shuffle.push(d, 0, owned[d][i],
+                       {assembly::Kmer(flat[e].as_uint64(), options.k),
+                        static_cast<std::uint32_t>(flat[e + 1].as_uint64())});
+      }
     }
     entries = shuffle.gather(0);
     result.distinct_kmers = 0;
-    for (std::size_t d = 0; d < sup.devices(); ++d)
-      result.distinct_kmers += static_cast<std::size_t>(
-          sup.query(d, make_op("distinct")).get_uint64("value"));
+    for (const auto& resp :
+         sup.query_all(to_every(sup, make_op("distinct"))))
+      result.distinct_kmers +=
+          static_cast<std::size_t>(resp.get_uint64("value"));
     const StageFold fold = fold_stage(sup, plan, total);
     result.hashmap = {fold.device, "hashmap"};
     export_stage("hashmap", result.hashmap.device, fold.commands);
@@ -456,48 +552,37 @@ PipelineResult run_pipeline_isolated(dram::Device& device,
     if (options.cancel != nullptr) options.cancel->throw_if_requested();
     const GraphPartition partition =
         partition_fitting(graph, geometry, options.graph_intervals);
-    // The pim_degrees block walk (degree.cpp), with each block's kernel
-    // shipped as a `degree_block` request to the sub-array's owner. The
-    // parent does not need the sums — the pipeline discards them — but
-    // the workers run the full carry-save reduction, so the device
-    // traffic matches the in-process run command for command.
+    // The pim_degrees block walk (degree.cpp) as one superstep: blocks
+    // in (i, j) order, each appended to its sub-array owner's
+    // `degree_block` batch as edges, one request per device. The parent
+    // does not need the sums — the pipeline discards them — but the
+    // workers rebuild the adjacency rows and run the full carry-save
+    // reduction, so the device traffic matches the in-process run command
+    // for command.
     {
       const std::size_t width = geometry.columns;
       const auto m = partition.intervals;
+      DegreeBatcher batcher(sup, plan);
       for (std::uint32_t i = 0; i < m; ++i) {
         for (std::uint32_t j = 0; j < m; ++j) {
           const EdgeBlock& block = partition.block(i, j);
           if (block.edges.empty()) continue;
-          const auto& src_vertices = partition.interval_vertices[i];
-          const auto& dst_vertices = partition.interval_vertices[j];
-          PIMA_CHECK(dst_vertices.size() <= width,
+          const std::size_t n_src = partition.interval_vertices[i].size();
+          const std::size_t n_dst = partition.interval_vertices[j].size();
+          PIMA_CHECK(n_dst <= width,
                      "interval too wide for one sub-array row — increase M");
-          PIMA_CHECK(src_vertices.size() <= width,
+          PIMA_CHECK(n_src <= width,
                      "interval too wide for one sub-array row — increase M");
-          const auto ship = [&](std::size_t flat,
-                                const std::vector<BitVector>& rows) {
-            net::Json req = make_op("degree_block");
-            req.set("flat", static_cast<std::uint64_t>(flat));
-            net::Json arr = net::Json::array();
-            for (const auto& r : rows) arr.push_back(net::Json(r.to_string()));
-            req.set("rows", std::move(arr));
-            sup.rpc(plan.owner_of(flat), req);
-          };
           // In-degrees: column sums of the block's adjacency rows.
-          ship(runtime::block_subarray(total, i, j, m),
-               block_adjacency_rows(block, src_vertices.size(), width));
+          const std::size_t in_flat = runtime::block_subarray(total, i, j, m);
+          batcher.add(in_flat, n_src, block, false);
           // Out-degrees: column sums of the transposed block.
-          EdgeBlock transposed;
-          transposed.source_interval = j;
-          transposed.dest_interval = i;
-          transposed.edges.reserve(block.edges.size());
-          for (const auto& e : block.edges)
-            transposed.edges.push_back({e.to, e.from, e.multiplicity});
-          ship(runtime::block_subarray(total, j, i, m,
-                                       static_cast<std::size_t>(m) * m),
-               block_adjacency_rows(transposed, dst_vertices.size(), width));
+          const std::size_t out_flat = runtime::block_subarray(
+              total, j, i, m, static_cast<std::size_t>(m) * m);
+          batcher.add(out_flat, n_dst, block, true);
         }
       }
+      batcher.finish();
       drain_all(sup);
     }
     std::vector<dna::Sequence> walks =
@@ -552,9 +637,9 @@ PipelineResult run_pipeline_isolated(dram::Device& device,
     // per-sub-array replay programs, concatenated in logical flat order.
     std::vector<std::vector<std::pair<std::size_t, dram::Program>>> traces(
         sup.devices());
+    const auto responses = sup.query_all(to_every(sup, make_op("trace")));
     for (std::size_t d = 0; d < sup.devices(); ++d) {
-      const net::Json resp = sup.query(d, make_op("trace"));
-      for (const auto& entry : resp.get("programs").items()) {
+      for (const auto& entry : responses[d].get("programs").items()) {
         std::istringstream in(entry.get_string("text"));
         traces[d].emplace_back(
             static_cast<std::size_t>(entry.get_uint64("flat")),

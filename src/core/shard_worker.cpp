@@ -1,5 +1,6 @@
 #include "core/shard_worker.hpp"
 
+#include <cstdint>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -7,6 +8,7 @@
 #include "common/error.hpp"
 #include "core/degree.hpp"
 #include "dram/isa.hpp"
+#include "runtime/procpool.hpp"
 #include "telemetry/session.hpp"
 
 namespace pima::core {
@@ -23,21 +25,29 @@ net::Json ok_response() {
   throw InputFormatError("device worker request: " + why);
 }
 
-// Span names must be string literals (the trace ring stores pointers).
-const char* verb_span_name(const std::string& op) {
-  if (op == "kmers") return "devd:kmers";
-  if (op == "drain") return "devd:drain";
-  if (op == "extract") return "devd:extract";
-  if (op == "distinct") return "devd:distinct";
-  if (op == "program") return "devd:program";
-  if (op == "degree_block") return "devd:degree_block";
-  if (op == "stats") return "devd:stats";
-  if (op == "clear_stats") return "devd:clear_stats";
-  if (op == "trace") return "devd:trace";
-  if (op == "telemetry") return "devd:telemetry";
-  if (op == "ping") return "devd:ping";
-  if (op == "shutdown") return "devd:shutdown";
-  return "devd:rpc";
+// Submits through the engine with the pipeline's stage discipline: a
+// fail-fast submit after a poisoned channel surfaces the root failure
+// (quiesce, drain, rethrow); any other failure quiesces first.
+template <typename Submit>
+void submit_guarded(runtime::Engine& engine, Submit&& submit) {
+  try {
+    submit();
+  } catch (const SimulationError&) {
+    engine.quiesce();
+    engine.drain();
+    throw;
+  } catch (...) {
+    engine.quiesce();
+    throw;
+  }
+}
+
+// A wire array of unsigned integers ([flat, n, from, to, mult, ...] or
+// [channel, kmer, ...]); as_uint64 rejects anything else typed.
+const std::vector<net::Json>& uint_array(const net::Json& j,
+                                         const char* what) {
+  if (!j.is_array()) bad_request(std::string(what) + " must be an array");
+  return j.items();
 }
 
 }  // namespace
@@ -166,7 +176,7 @@ net::Json ShardWorkerCore::handle(const net::Json& request) {
   // One span per rpc verb; the controller stamps traced requests with a
   // `tel` flow id whose start point lives inside its own rpc:<op> span, so
   // Perfetto draws an arrow from the controller call to this execution.
-  telemetry::ScopedSpan span(verb_span_name(op));
+  telemetry::ScopedSpan span(runtime::wire_verb(op).devd_span);
   {
     telemetry::Tracer& tr = telemetry::tracer();
     const std::uint64_t flow = request.get_uint64("tel", 0);
@@ -193,28 +203,27 @@ net::Json ShardWorkerCore::handle(const net::Json& request) {
 }
 
 net::Json ShardWorkerCore::op_kmers(const net::Json& req) {
-  const std::size_t channel =
-      static_cast<std::size_t>(req.get_uint64("channel"));
-  if (!req.has("kmers") || !req.get("kmers").is_array())
-    bad_request("kmers needs a packed-kmer array");
-  std::vector<assembly::Kmer> batch;
-  batch.reserve(req.get("kmers").items().size());
-  for (const auto& item : req.get("kmers").items())
-    batch.emplace_back(item.as_uint64(), init_.k);
-  try {
-    engine_->submit(channel, [this, batch = std::move(batch)] {
-      for (const auto& kmer : batch) table_->insert_or_increment(kmer);
-    });
-  } catch (const SimulationError&) {
-    // Fail-fast submit after a poisoned channel: surface the root failure
-    // (mirrors the pipeline's stage-1 quiesce-drain-throw discipline).
-    engine_->quiesce();
-    engine_->drain();
-    throw;
-  } catch (...) {
-    engine_->quiesce();
-    throw;
+  // One superstep: every channel's pending batch, [channel, kmer, ...]
+  // each, in stream order. Parsed in full before anything is queued.
+  std::vector<std::pair<std::size_t, std::vector<assembly::Kmer>>> batches;
+  for (const auto& item : uint_array(req.get("batches"), "kmers batches")) {
+    const auto& values = uint_array(item, "a kmers batch");
+    if (values.empty()) bad_request("a kmers batch needs its channel");
+    const auto channel = static_cast<std::size_t>(values[0].as_uint64());
+    if (channel >= engine_->channels())
+      bad_request("kmers channel out of range");
+    std::vector<assembly::Kmer> kmers;
+    kmers.reserve(values.size() - 1);
+    for (std::size_t i = 1; i < values.size(); ++i)
+      kmers.emplace_back(values[i].as_uint64(), init_.k);
+    batches.emplace_back(channel, std::move(kmers));
   }
+  for (auto& [channel, kmers] : batches)
+    submit_guarded(*engine_, [&] {
+      engine_->submit(channel, [this, batch = std::move(kmers)] {
+        for (const auto& kmer : batch) table_->insert_or_increment(kmer);
+      });
+    });
   return ok_response();
 }
 
@@ -224,17 +233,24 @@ net::Json ShardWorkerCore::op_drain() {
 }
 
 net::Json ShardWorkerCore::op_extract(const net::Json& req) {
-  const std::size_t shard = static_cast<std::size_t>(req.get_uint64("shard"));
-  if (shard >= table_->shard_count()) bad_request("extract shard out of range");
-  net::Json entries = net::Json::array();
-  for (const auto& [kmer, freq] : table_->extract_shard(shard)) {
-    net::Json pair = net::Json::array();
-    pair.push_back(net::Json(kmer.packed()));
-    pair.push_back(net::Json(static_cast<std::uint64_t>(freq)));
-    entries.push_back(std::move(pair));
+  // Every requested shard's entries as one flat [kmer, freq, kmer, freq,
+  // ...] array, in request order.
+  const auto& shards = uint_array(req.get("shards"), "extract shards");
+  for (const auto& s : shards)
+    if (s.as_uint64() >= table_->shard_count())
+      bad_request("extract shard out of range");
+  net::Json out = net::Json::array();
+  for (const auto& s : shards) {
+    net::Json entries = net::Json::array();
+    for (const auto& [kmer, freq] :
+         table_->extract_shard(static_cast<std::size_t>(s.as_uint64()))) {
+      entries.push_back(net::Json(kmer.packed()));
+      entries.push_back(net::Json(static_cast<std::uint64_t>(freq)));
+    }
+    out.push_back(std::move(entries));
   }
   net::Json resp = ok_response();
-  resp.set("entries", std::move(entries));
+  resp.set("shards", std::move(out));
   return resp;
 }
 
@@ -254,42 +270,68 @@ net::Json ShardWorkerCore::op_program(const net::Json& req) {
     // point of view, not a worker bug.
     bad_request(std::string("unparseable program: ") + e.what());
   }
-  try {
-    engine_->submit_program(std::move(program));
-  } catch (const SimulationError&) {
-    engine_->quiesce();
-    engine_->drain();
-    throw;
-  } catch (...) {
-    engine_->quiesce();
-    throw;
-  }
+  submit_guarded(*engine_,
+                 [&] { engine_->submit_program(std::move(program)); });
   return ok_response();
 }
 
 net::Json ShardWorkerCore::op_degree_block(const net::Json& req) {
-  const std::size_t flat = static_cast<std::size_t>(req.get_uint64("flat"));
-  if (flat >= device_.geometry().total_subarrays())
-    bad_request("degree_block flat index out of range");
-  if (!req.has("rows") || !req.get("rows").is_array())
-    bad_request("degree_block needs adjacency rows");
-  std::vector<BitVector> rows;
-  rows.reserve(req.get("rows").items().size());
-  for (const auto& item : req.get("rows").items())
-    rows.push_back(BitVector::from_string(item.as_string()));
-  try {
-    engine_->submit_to_subarray(flat, [this, flat, rows = std::move(rows)] {
-      // Sums are discarded: the pipeline only keeps the device work (the
-      // in-process path discards DegreeResult the same way).
-      (void)pim_column_sums(device_.subarray(flat), rows);
+  // A batch of edge blocks, [flat, n_local_sources, (from, to, mult)...]
+  // each. The worker rebuilds the adjacency rows with the controller's own
+  // block_adjacency_rows, so the rows — and the sub-array's command
+  // stream — are those of the in-process run by construction. The whole
+  // batch is validated before any block touches the device.
+  const dram::Geometry& geom = device_.geometry();
+  const std::size_t width = geom.columns;
+  struct Job {
+    std::size_t flat = 0;
+    std::size_t n = 0;
+    EdgeBlock block;
+  };
+  std::vector<Job> jobs;
+  for (const auto& item :
+       uint_array(req.get("blocks"), "degree_block blocks")) {
+    const auto& v = uint_array(item, "a degree_block block");
+    if (v.size() < 2 || (v.size() - 2) % 3 != 0)
+      bad_request("a degree_block block is [flat, n, (from, to, mult)...]");
+    Job job;
+    job.flat = static_cast<std::size_t>(v[0].as_uint64());
+    job.n = static_cast<std::size_t>(v[1].as_uint64());
+    if (job.flat >= geom.total_subarrays())
+      bad_request("degree_block flat index out of range");
+    if (job.n > width)
+      bad_request("degree_block source count exceeds the row width");
+    // The kernel needs a zero row plus one row per edge instance; reject
+    // what cannot fit before allocating a row for it.
+    std::uint64_t rows = 1 + job.n;
+    job.block.edges.reserve((v.size() - 2) / 3);
+    for (std::size_t i = 2; i < v.size(); i += 3) {
+      const std::uint64_t from = v[i].as_uint64();
+      const std::uint64_t to = v[i + 1].as_uint64();
+      const std::uint64_t mult = v[i + 2].as_uint64();
+      if (from >= job.n) bad_request("degree_block edge source outside block");
+      if (to >= width) bad_request("degree_block edge destination outside row");
+      if (mult > UINT32_MAX) bad_request("degree_block multiplicity too large");
+      rows += mult > 1 ? mult - 1 : 0;
+      if (rows > geom.data_rows())
+        throw PreconditionError(
+            "degree_block: block needs more rows than a sub-array holds");
+      job.block.edges.push_back({static_cast<std::uint32_t>(from),
+                                 static_cast<std::uint32_t>(to),
+                                 static_cast<std::uint32_t>(mult)});
+    }
+    jobs.push_back(std::move(job));
+  }
+  for (auto& job : jobs) {
+    const std::size_t flat = job.flat;
+    submit_guarded(*engine_, [&] {
+      engine_->submit_to_subarray(flat, [this, width, job = std::move(job)] {
+        // Sums are discarded: the pipeline only keeps the device work (the
+        // in-process path discards DegreeResult the same way).
+        (void)pim_column_sums(device_.subarray(job.flat),
+                              block_adjacency_rows(job.block, job.n, width));
+      });
     });
-  } catch (const SimulationError&) {
-    engine_->quiesce();
-    engine_->drain();
-    throw;
-  } catch (...) {
-    engine_->quiesce();
-    throw;
   }
   return ok_response();
 }

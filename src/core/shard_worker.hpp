@@ -11,12 +11,16 @@
 // Verbs (one request object per line, one response object per request):
 //
 //   init          geometry + technology + engine/table configuration
-//   kmers         enqueue a k-mer batch on a channel (stage-1 insert path)
+//   kmers         enqueue one superstep's k-mer batches, one per channel
+//                 (stage-1 insert path): batches [[channel, kmer, ...], ...]
 //   drain         barrier: wait for queued work, surface typed failures
-//   extract       one hash shard's (k-mer, freq) entries in slot order
+//   extract       the (k-mer, freq) entries of the listed hash shards, in
+//                 slot order: shards [s, ...] → [[kmer, freq, ...], ...]
 //   distinct      controller-side distinct-key count
 //   program       parse + submit an AAP program slice (stages 2/3)
-//   degree_block  run pim_column_sums on one sub-array (stage-3 kernel)
+//   degree_block  rebuild each edge block's adjacency rows and run
+//                 pim_column_sums on its sub-array (stage-3 kernel):
+//                 blocks [[flat, n_local_sources, (from, to, mult)...], ...]
 //   stats         per-sub-array CommandStats of every touched sub-array
 //   clear_stats   stage-boundary statistics reset
 //   trace         per-sub-array replay programs (oracle capture)

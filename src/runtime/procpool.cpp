@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <thread>
 
@@ -26,20 +27,33 @@ namespace {
 
 constexpr const char* kSite = "procpool";
 
-// Span names must be string literals (the trace ring stores pointers).
-const char* rpc_span_name(const std::string& op) {
-  if (op == "kmers") return "rpc:kmers";
-  if (op == "drain") return "rpc:drain";
-  if (op == "extract") return "rpc:extract";
-  if (op == "distinct") return "rpc:distinct";
-  if (op == "program") return "rpc:program";
-  if (op == "degree_block") return "rpc:degree_block";
-  if (op == "stats") return "rpc:stats";
-  if (op == "clear_stats") return "rpc:clear_stats";
-  if (op == "trace") return "rpc:trace";
-  if (op == "telemetry") return "rpc:telemetry";
-  if (op == "ping") return "rpc:ping";
-  return "rpc";
+constexpr WireVerb kWireVerbs[] = {
+    {"kmers", "rpc:kmers", "devd:kmers"},
+    {"drain", "rpc:drain", "devd:drain"},
+    {"extract", "rpc:extract", "devd:extract"},
+    {"distinct", "rpc:distinct", "devd:distinct"},
+    {"program", "rpc:program", "devd:program"},
+    {"degree_block", "rpc:degree_block", "devd:degree_block"},
+    {"stats", "rpc:stats", "devd:stats"},
+    {"clear_stats", "rpc:clear_stats", "devd:clear_stats"},
+    {"trace", "rpc:trace", "devd:trace"},
+    {"telemetry", "rpc:telemetry", "devd:telemetry"},
+    {"ping", "rpc:ping", "devd:ping"},
+    {"shutdown", "rpc:shutdown", "devd:shutdown"},
+};
+constexpr WireVerb kOtherVerb = {"other", "rpc", "devd:rpc"};
+
+// Host-class wire accounting: bytes of every request line written and
+// every response line read by a fan-out, newline included.
+void count_wire_bytes(const WireVerb& verb, const char* dir,
+                      std::size_t bytes) {
+  if (!telemetry::metrics_enabled()) return;
+  telemetry::metrics()
+      .counter("pima_rpc_bytes_total",
+               "bytes on the device-worker wire per rpc verb and direction",
+               {{"verb", verb.op}, {"dir", dir}},
+               telemetry::MetricClass::kHost)
+      .add(static_cast<double>(bytes));
 }
 
 // Relays one child's raw stderr to the parent's, line-buffered and
@@ -83,6 +97,12 @@ std::vector<std::string> child_environment(const std::string& iofault) {
 }
 
 }  // namespace
+
+const WireVerb& wire_verb(std::string_view op) {
+  for (const WireVerb& v : kWireVerbs)
+    if (op == v.op) return v;
+  return kOtherVerb;
+}
 
 const char* to_string(WorkerExitClass c) {
   switch (c) {
@@ -241,16 +261,22 @@ void ProcSupervisor::spawn(std::size_t d) {
   ++w.spawn_count;
 }
 
-net::Json ProcSupervisor::transact(Worker& w, const std::string& line) {
-  w.channel->write_line(line);
+net::Json ProcSupervisor::read_response(Worker& w, std::size_t& bytes) {
   std::string response;
   for (;;) {
     if (!w.channel->read_line(response))
       throw IoError("device worker closed the stream mid-request");
     net::Json j = net::Json::parse(response);
     if (j.has("hb")) continue;  // heartbeat: read_line already re-armed
+    bytes = response.size() + 1;
     return j;
   }
+}
+
+net::Json ProcSupervisor::transact(Worker& w, const std::string& line) {
+  w.channel->write_line(line);
+  std::size_t bytes = 0;
+  return read_response(w, bytes);
 }
 
 void ProcSupervisor::respawn(std::size_t d) {
@@ -410,72 +436,158 @@ void ProcSupervisor::start() {
   }
 }
 
-net::Json ProcSupervisor::do_rpc(std::size_t device, const net::Json& request,
-                                 bool journaled) {
+std::vector<net::Json> ProcSupervisor::fan_out(
+    const std::vector<net::Json>& requests, bool journaled) {
   PIMA_CHECK(started_, "process pool not started");
-  PIMA_CHECK(device < workers_.size(), "device index out of range");
+  PIMA_CHECK(requests.size() == workers_.size(),
+             "fan-out needs one request slot per device");
   // Traced runs stamp each request with a flow id: the controller's
   // rpc:<op> span opens the flow, the worker's devd:<op> span finishes
   // it, and Perfetto draws the cross-process arrow. Journaled lines keep
   // their stamp — a replayed flow end is a harmless duplicate.
   telemetry::Tracer& tr = telemetry::tracer();
   const bool traced = tr.enabled();
-  std::uint64_t flow = 0;
-  std::string line;
-  if (traced) {
-    net::Json stamped = request;
-    flow = ++flow_seq_;
-    stamped.set("tel", flow);
-    line = stamped.dump();
-  } else {
-    line = request.dump();
-  }
-  for (;;) {
-    Worker& w = workers_[device];
-    bool sent = false;
-    net::Json response;
+  struct Call {
+    const WireVerb* verb = nullptr;  ///< null: no request for this device
+    std::string line;
+    std::uint64_t flow = 0;
     std::int64_t t_start = 0;
+    bool in_flight = false;  ///< written, response not read yet
+  };
+  std::vector<Call> calls(requests.size());
+  for (std::size_t d = 0; d < requests.size(); ++d) {
+    if (requests[d].is_null()) continue;
+    Call& c = calls[d];
+    c.verb = &wire_verb(requests[d].get_string("op"));
+    if (traced) {
+      net::Json stamped = requests[d];
+      c.flow = ++flow_seq_;
+      stamped.set("tel", c.flow);
+      c.line = stamped.dump();
+    } else {
+      c.line = requests[d].dump();
+    }
+  }
+  // Leaving with a response unread (degrade, a foreign shard checkpoint)
+  // would put that worker's stream out of step with its journal: reap it,
+  // so a later request respawns and replays it.
+  struct UnreadGuard {
+    ProcSupervisor& sup;
+    std::vector<Call>& calls;
+    ~UnreadGuard() {
+      for (std::size_t d = 0; d < calls.size(); ++d)
+        if (calls[d].in_flight) (void)sup.reap_worker(d, false);
+    }
+  } guard{*this, calls};
+
+  const auto send = [&](std::size_t d) {
+    if (!workers_[d].alive) respawn(d);
+    Call& c = calls[d];
+    c.t_start = traced ? tr.now_ns() : 0;
+    workers_[d].channel->write_line(c.line);
+    c.in_flight = true;
+    count_wire_bytes(*c.verb, "request", c.line.size() + 1);
+  };
+  // Runs one transport step for device d. A failure is classified, the
+  // worker reaped and (budget permitting) left for respawn: false.
+  const auto attempt = [&](std::size_t d, const auto& step) -> bool {
     try {
-      if (!w.alive) respawn(device);
-      t_start = traced ? tr.now_ns() : 0;
-      response = transact(w, line);
-      sent = true;
+      step();
+      return true;
     } catch (const DeadlineExceededError& e) {
-      on_worker_failure(device, true, e.what());
+      calls[d].in_flight = false;
+      on_worker_failure(d, true, e.what());
     } catch (const CorruptCheckpointError&) {
       throw;  // stale/foreign shard checkpoint: not survivable by restart
     } catch (const IoError& e) {
-      on_worker_failure(device, false, e.what());
+      calls[d].in_flight = false;
+      on_worker_failure(d, false, e.what());
     } catch (const InputFormatError& e) {
       // Garbage on the wire (undecodable response line) = torn protocol.
-      on_worker_failure(device, false, e.what());
+      calls[d].in_flight = false;
+      on_worker_failure(d, false, e.what());
     }
-    if (!sent) continue;  // restarted; replay done — retry the request
+    return false;
+  };
+
+  // Every line goes out before any response is read: the workers execute
+  // concurrently while the controller collects.
+  for (std::size_t d = 0; d < calls.size(); ++d)
+    if (calls[d].verb != nullptr) (void)attempt(d, [&] { send(d); });
+
+  // The rpc spans of one fan-out tile its wait instead of overlapping on
+  // the controller track: device d's span starts at its write or at the
+  // previous response, whichever is later. Summed `rpc:` time is then wall
+  // time spent waiting, and the spans nest properly in a stitched trace.
+  std::int64_t span_floor = 0;
+  std::vector<net::Json> responses(requests.size());
+  std::exception_ptr first_error;
+  for (std::size_t d = 0; d < calls.size(); ++d) {
+    Call& c = calls[d];
+    if (c.verb == nullptr) continue;
+    net::Json response;
+    std::size_t bytes = 0;
+    for (;;) {
+      // A dead worker is restarted, replayed and sent its request again.
+      if (!c.in_flight && !attempt(d, [&] { send(d); })) continue;
+      if (attempt(d, [&] { response = read_response(workers_[d], bytes); }))
+        break;
+    }
+    c.in_flight = false;
+    count_wire_bytes(*c.verb, "response", bytes);
     if (traced) {
-      tr.record_complete(rpc_span_name(request.get_string("op")), t_start,
-                         tr.now_ns() - t_start);
-      tr.record_flow("rpc", 's', flow, t_start);
+      const std::int64_t from = std::max(c.t_start, span_floor);
+      span_floor = tr.now_ns();
+      tr.record_complete(c.verb->rpc_span, from, span_floor - from);
+      tr.record_flow("rpc", 's', c.flow, c.t_start);
     }
     if (!response.get_bool("ok", false)) {
       // Deterministic child-side failure: no restart. A stalled engine
       // poisons the worker (it exits right after responding); mark it
       // dead so shutdown() does not handshake with it.
       if (response.get_string("error") == "EngineStalledError")
-        (void)reap_worker(device, false);
-      throw_worker_error(response);
+        (void)reap_worker(d, false);
+      if (!first_error) {
+        try {
+          throw_worker_error(response);
+        } catch (...) {
+          first_error = std::current_exception();
+        }
+      }
+      continue;
     }
-    w.consecutive_restarts = 0;
-    if (journaled) w.journal.push_back(line);
-    return response;
+    workers_[d].consecutive_restarts = 0;
+    if (journaled) workers_[d].journal.push_back(std::move(c.line));
+    responses[d] = std::move(response);
   }
+  if (first_error) std::rethrow_exception(first_error);
+  return responses;
+}
+
+net::Json ProcSupervisor::single(std::size_t device, const net::Json& request,
+                                 bool journaled) {
+  PIMA_CHECK(device < workers_.size(), "device index out of range");
+  std::vector<net::Json> requests(workers_.size());
+  requests[device] = request;
+  return std::move(fan_out(requests, journaled)[device]);
 }
 
 net::Json ProcSupervisor::rpc(std::size_t device, const net::Json& request) {
-  return do_rpc(device, request, true);
+  return single(device, request, true);
 }
 
 net::Json ProcSupervisor::query(std::size_t device, const net::Json& request) {
-  return do_rpc(device, request, false);
+  return single(device, request, false);
+}
+
+std::vector<net::Json> ProcSupervisor::rpc_all(
+    const std::vector<net::Json>& requests) {
+  return fan_out(requests, true);
+}
+
+std::vector<net::Json> ProcSupervisor::query_all(
+    const std::vector<net::Json>& requests) {
+  return fan_out(requests, false);
 }
 
 void ProcSupervisor::collect_telemetry() {
@@ -486,15 +598,19 @@ void ProcSupervisor::collect_telemetry() {
     j.set("op", "telemetry");
     return j;
   }();
+  // A dead worker's unflushed spans died with it — skip rather than
+  // respawn a process just to ask it for telemetry it no longer has. The
+  // fan-out runs the full failure machinery, so a worker that fails
+  // mid-harvest is restarted (losing its unflushed spans) rather than
+  // aborting the harvest. The incarnation snapshot below is taken AFTER
+  // the fan-out: pid/offset must describe the process that answered.
+  std::vector<net::Json> requests(workers_.size());
+  for (std::size_t d = 0; d < workers_.size(); ++d)
+    if (workers_[d].alive) requests[d] = telemetry_req;
+  const std::vector<net::Json> responses = query_all(requests);
   for (std::size_t d = 0; d < workers_.size(); ++d) {
-    // A dead worker's unflushed spans died with it — skip rather than
-    // respawn a process just to ask it for telemetry it no longer has.
-    if (!workers_[d].alive) continue;
-    // query() runs the full failure machinery, so a worker that fails
-    // mid-harvest is restarted (losing its unflushed spans) rather than
-    // aborting the harvest. The incarnation snapshot below is taken AFTER
-    // the query: pid/offset must describe the process that answered.
-    const net::Json resp = query(d, telemetry_req);
+    if (responses[d].is_null()) continue;
+    const net::Json& resp = responses[d];
     Worker& w = workers_[d];
     telemetry::ProcessTrace pt;
     pt.pid = static_cast<std::int64_t>(w.pid);

@@ -12,7 +12,8 @@
 //     by net::LineChannel, every byte through the fsio fault shim (site
 //     "wire" in the workers, "procpool" for spawn/reap/kill), so
 //     PIMA_IOFAULT chaos reaches the process boundary like every other
-//     I/O path;
+//     I/O path. Requests are batched per superstep and fanned out: every
+//     device's line is written before any response is read (rpc_all);
 //   * liveness: workers heartbeat (`{"hb":1}`) from a side thread that
 //     keeps beating while the engine watchdog runs, so a long in-memory
 //     stage does not trip the parent's deadline; the deadline bounds every
@@ -45,6 +46,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -67,6 +69,19 @@ enum class WorkerExitClass : std::uint8_t {
 };
 
 const char* to_string(WorkerExitClass c);
+
+/// One verb of the worker protocol: the request `op` plus the span names
+/// the controller (`rpc:`) and the worker (`devd:`) record for it. Span
+/// names are string literals because the trace ring stores pointers.
+struct WireVerb {
+  const char* op;
+  const char* rpc_span;
+  const char* devd_span;
+};
+
+/// The verb table entry for `op`; unknown verbs map to a catch-all entry
+/// (`other`, spans `rpc` / `devd:rpc`).
+const WireVerb& wire_verb(std::string_view op);
 
 /// Raised when the restart budget is exhausted: the signal to degrade to
 /// the in-process DevicePool. Carries the final crash's identity so the
@@ -151,6 +166,19 @@ class ProcSupervisor {
   /// Read-only request: same failure handling, not journaled.
   net::Json query(std::size_t device, const net::Json& request);
 
+  /// Fan-out: `requests[d]` goes to device d; a null entry skips the
+  /// device (its response slot stays null). Every request is written
+  /// before any response is read, then responses are read in device order,
+  /// each with the rpc() contract: span + flow id, journal append on ok,
+  /// and classify → restart → replay → resend for a worker that dies
+  /// mid-fan-out, without disturbing the other workers' responses. Typed
+  /// errors are collected until every response is in; the lowest device's
+  /// is rethrown. ProcPoolDegradedError aborts at once.
+  std::vector<net::Json> rpc_all(const std::vector<net::Json>& requests);
+
+  /// query() over every device: the fan-out of rpc_all, not journaled.
+  std::vector<net::Json> query_all(const std::vector<net::Json>& requests);
+
   /// Stage boundary: harvests worker span buffers (when the controller
   /// tracer is live), truncates journals (when enabled) and writes the
   /// per-device shard checkpoints.
@@ -188,11 +216,15 @@ class ProcSupervisor {
   void spawn(std::size_t d);
   void respawn(std::size_t d);
   net::Json transact(Worker& w, const std::string& line);
+  /// Reads the next non-heartbeat line; `bytes` gets its wire size.
+  net::Json read_response(Worker& w, std::size_t& bytes);
   /// Classify + reap + log; throws ProcPoolDegradedError past the budget,
   /// otherwise sleeps the backoff and leaves the worker dead for respawn.
   void on_worker_failure(std::size_t d, bool wedged, const std::string& what);
   WorkerExitClass reap_worker(std::size_t d, bool wedged) noexcept;
-  net::Json do_rpc(std::size_t device, const net::Json& request,
+  std::vector<net::Json> fan_out(const std::vector<net::Json>& requests,
+                                 bool journaled);
+  net::Json single(std::size_t device, const net::Json& request,
                    bool journaled);
 
   ProcPoolOptions options_;

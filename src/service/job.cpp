@@ -63,8 +63,8 @@ void JobSpec::validate() const {
                            isolation + "\"");
 }
 
-Json JobSpec::to_json() const {
-  Json j = Json::object();
+net::Json JobSpec::to_json() const {
+  net::Json j = net::Json::object();
   j.set("reads", reads_path);
   j.set("k", k);
   j.set("shards", hash_shards);
@@ -77,7 +77,7 @@ Json JobSpec::to_json() const {
   return j;
 }
 
-JobSpec JobSpec::from_json(const Json& j) {
+JobSpec JobSpec::from_json(const net::Json& j) {
   JobSpec spec;
   spec.reads_path = j.get_string("reads");
   spec.k = static_cast<std::size_t>(j.get_number("k", 17));
@@ -105,8 +105,8 @@ const char* JobRecord::current_stage() const {
   }
 }
 
-Json JobRecord::to_json() const {
-  Json j = Json::object();
+net::Json JobRecord::to_json() const {
+  net::Json j = net::Json::object();
   j.set("id", id);
   j.set("spec", spec.to_json());
   j.set("state", to_string(state));
@@ -126,7 +126,7 @@ Json JobRecord::to_json() const {
   return j;
 }
 
-JobRecord JobRecord::from_json(const Json& j) {
+JobRecord JobRecord::from_json(const net::Json& j) {
   JobRecord r;
   r.id = j.get_string("id");
   if (r.id.empty()) throw InputFormatError("job record: missing id");
@@ -160,7 +160,7 @@ JobRecord load_job_record(const std::string& dir) {
   if (!in) throw IoError("cannot open " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  return JobRecord::from_json(Json::parse(buf.str()));
+  return JobRecord::from_json(net::Json::parse(buf.str()));
 }
 
 }  // namespace pima::service

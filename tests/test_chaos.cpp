@@ -33,11 +33,11 @@
 #include "dna/fasta.hpp"
 #include "dna/genome.hpp"
 #include "dram/device.hpp"
+#include "net/json.hpp"
+#include "net/socket.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
 #include "service/job.hpp"
-#include "service/json.hpp"
-#include "service/socket.hpp"
 
 namespace pima {
 namespace {
@@ -236,8 +236,8 @@ struct SocketPair {
 
 TEST_F(ChaosTest, LineChannelSurvivesEintrStorm) {
   SocketPair sp;
-  service::LineChannel writer(sp.a);
-  service::LineChannel reader(sp.b);
+  net::LineChannel writer(sp.a);
+  net::LineChannel reader(sp.b);
   fsio::install_plan(fsio::FaultPlan::parse(
       "read@wire:nth=1:eintr=4;send@wire:nth=1:eintr=4"));
   writer.write_line("hello through the storm");
@@ -250,17 +250,17 @@ TEST_F(ChaosTest, LineChannelSurvivesEintrStorm) {
 
 TEST_F(ChaosTest, LineChannelPeerHangupIsTypedIoError) {
   SocketPair sp;
-  service::LineChannel writer(sp.a);
+  net::LineChannel writer(sp.a);
   fsio::install_plan(fsio::FaultPlan::parse("send@wire:nth=1:errno=EPIPE"));
   EXPECT_THROW(writer.write_line("into the void"), IoError);
 }
 
 TEST_F(ChaosTest, LineGuardRejectsOversizedLineTyped) {
   SocketPair sp;
-  service::LineChannel reader(sp.b);
+  net::LineChannel reader(sp.b);
   // Feed just over the 64 MiB guard with no newline from a writer thread
   // (the socket buffer is far smaller than the payload).
-  const std::size_t total = service::LineChannel::kMaxLineBytes + 8192;
+  const std::size_t total = net::LineChannel::kMaxLineBytes + 8192;
   std::thread writer([&] {
     const std::string chunk(1 << 20, 'a');
     std::size_t sent = 0;
@@ -280,7 +280,7 @@ TEST_F(ChaosTest, LineGuardRejectsOversizedLineTyped) {
 
 TEST_F(ChaosTest, ReadDeadlineThrowsDeadlineExceededMappedToExit9) {
   SocketPair sp;
-  service::LineChannel reader(sp.b);
+  net::LineChannel reader(sp.b);
   reader.set_deadline(0.05);  // 50 ms; the peer never writes
   const auto t0 = std::chrono::steady_clock::now();
   try {
@@ -301,7 +301,7 @@ TEST_F(ChaosTest, ConnectRefusedNamesTheServeCommand) {
       (fs::temp_directory_path() / "chaos_no_daemon.sock").string();
   fs::remove(missing);
   try {
-    (void)service::connect_unix(missing, 1.0);
+    (void)net::connect_unix(missing, 1.0);
     FAIL() << "expected IoError";
   } catch (const IoError& e) {
     EXPECT_NE(std::string(e.what()).find("pima_asm serve"), std::string::npos)
@@ -316,11 +316,11 @@ TEST_F(ChaosTest, InjectedConnectRefusalAlsoCarriesTheHint) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   const auto sock = dir + "/d.sock";
-  service::ScopedFd listener = service::listen_unix(sock);
+  net::ScopedFd listener = net::listen_unix(sock);
   fsio::install_plan(
       fsio::FaultPlan::parse("connect@connect:nth=1:errno=ECONNREFUSED"));
   try {
-    (void)service::connect_unix(sock, 1.0);
+    (void)net::connect_unix(sock, 1.0);
     FAIL() << "expected IoError";
   } catch (const IoError& e) {
     EXPECT_NE(std::string(e.what()).find("pima_asm serve"), std::string::npos);
@@ -559,22 +559,22 @@ class ChaosDaemon {
 
   const std::string& socket() const { return daemon_->options().socket_path; }
 
-  service::Json request(service::Json req) {
+  net::Json request(net::Json req) {
     return service::Client::connect_unix_socket(socket(), 30.0)
         .request(req);
   }
 
-  service::Json submit(const std::string& reads, const std::string& idem_key) {
-    service::Json req = service::Json::object();
+  net::Json submit(const std::string& reads, const std::string& idem_key) {
+    net::Json req = net::Json::object();
     req.set("verb", "submit").set("reads", reads).set("k", 15).set("shards", 8);
     if (!idem_key.empty()) req.set("idempotency_key", idem_key);
     return request(std::move(req));
   }
 
-  service::Json wait_terminal(const std::string& id) {
+  net::Json wait_terminal(const std::string& id) {
     const auto deadline = std::chrono::steady_clock::now() + 120s;
     while (std::chrono::steady_clock::now() < deadline) {
-      service::Json req = service::Json::object();
+      net::Json req = net::Json::object();
       req.set("verb", "status").set("job", id);
       const auto resp = request(std::move(req));
       if (resp.get_bool("ok", false) &&
@@ -584,7 +584,7 @@ class ChaosDaemon {
       std::this_thread::sleep_for(20ms);
     }
     ADD_FAILURE() << "job " << id << " never terminal";
-    return service::Json();
+    return net::Json();
   }
 
  private:
@@ -592,7 +592,7 @@ class ChaosDaemon {
     const auto deadline = std::chrono::steady_clock::now() + 10s;
     while (std::chrono::steady_clock::now() < deadline) {
       try {
-        service::Json req = service::Json::object();
+        net::Json req = net::Json::object();
         req.set("verb", "ping");
         (void)request(std::move(req));
         return;
@@ -634,7 +634,7 @@ TEST_F(ChaosTest, IdempotentSubmitDedupesToOneJobAndOneExecution) {
     EXPECT_TRUE(after.get_bool("deduped", false));
 
     // Exactly one job exists: the retries executed nothing.
-    service::Json list = service::Json::object();
+    net::Json list = net::Json::object();
     list.set("verb", "list");
     EXPECT_EQ(d.request(std::move(list)).get("jobs").items().size(), 1u);
 
@@ -708,21 +708,21 @@ TEST_F(ChaosTest, MalformedRequestCorpusGetsOneTypedErrorLineEach) {
       R"(12345)",
   };
   for (const auto& line : corpus) {
-    service::ScopedFd fd = service::connect_unix(d.socket(), 10.0);
-    service::LineChannel ch(fd.get());
+    net::ScopedFd fd = net::connect_unix(d.socket(), 10.0);
+    net::LineChannel ch(fd.get());
     ch.set_deadline(10.0);
     ch.write_line(line);
     std::string resp_line;
     ASSERT_TRUE(ch.read_line(resp_line)) << "no response for: " << line;
-    const auto resp = service::Json::parse(resp_line);  // must parse
+    const auto resp = net::Json::parse(resp_line);  // must parse
     EXPECT_FALSE(resp.get_bool("ok", true)) << line;
     EXPECT_FALSE(resp.get_string("error").empty()) << line;
     // The connection stays usable: a good request after a bad one works.
-    service::Json ping = service::Json::object();
+    net::Json ping = net::Json::object();
     ping.set("verb", "ping");
     ch.write_line(ping.dump());
     ASSERT_TRUE(ch.read_line(resp_line));
-    EXPECT_TRUE(service::Json::parse(resp_line).get_bool("ok", false));
+    EXPECT_TRUE(net::Json::parse(resp_line).get_bool("ok", false));
   }
   fs::remove_all(dir);
 }
@@ -734,13 +734,13 @@ TEST_F(ChaosTest, ClientDeadlineAgainstSilentPeerExitsNine) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   const auto sock = dir + "/silent.sock";
-  service::ScopedFd listener = service::listen_unix(sock);
+  net::ScopedFd listener = net::listen_unix(sock);
   std::thread accepter([&] {
-    service::ScopedFd conn = service::accept_connection(listener.get());
+    net::ScopedFd conn = net::accept_connection(listener.get());
     std::this_thread::sleep_for(2s);  // hold the socket open, say nothing
   });
   auto client = service::Client::connect_unix_socket(sock, 0.1);
-  service::Json ping = service::Json::object();
+  net::Json ping = net::Json::object();
   ping.set("verb", "ping");
   try {
     (void)client.request(ping);
@@ -764,7 +764,7 @@ TEST_F(ChaosTest, DaemonWireFaultsDoNotPoisonOtherConnections) {
   int served = 0;
   for (int i = 0; i < 20; ++i) {
     try {
-      service::Json ping = service::Json::object();
+      net::Json ping = net::Json::object();
       ping.set("verb", "ping");
       if (d.request(std::move(ping)).get_bool("ok", false)) ++served;
     } catch (const IoError&) {
@@ -774,7 +774,7 @@ TEST_F(ChaosTest, DaemonWireFaultsDoNotPoisonOtherConnections) {
   fsio::clear_plan();
   EXPECT_GT(served, 0) << "no request survived p=0.25 wire faults";
   // With the plan gone the daemon is fully healthy.
-  service::Json ping = service::Json::object();
+  net::Json ping = net::Json::object();
   ping.set("verb", "ping");
   EXPECT_TRUE(d.request(std::move(ping)).get_bool("ok", false));
   fs::remove_all(dir);

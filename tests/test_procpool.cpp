@@ -12,19 +12,26 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <random>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/degree.hpp"
+#include "core/graph_map.hpp"
 #include "core/pipeline.hpp"
 #include "core/shard_worker.hpp"
 #include "dna/genome.hpp"
 #include "dram/device.hpp"
+#include "dram/isa.hpp"
 #include "net/json.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/procpool.hpp"
@@ -87,7 +94,7 @@ struct RunOutput {
 RunOutput run_config(const std::vector<dna::Sequence>& reads, bool isolate,
                      std::size_t devices,
                      const core::PipelineOptions::IsolateOptions& iso = {},
-                     bool capture = false) {
+                     bool capture = false, bool use_multiplicity = false) {
   auto& session = telemetry::TelemetrySession::instance();
   session.reset();
   session.enable_metrics();
@@ -100,6 +107,7 @@ RunOutput run_config(const std::vector<dna::Sequence>& reads, bool isolate,
   opt.isolate = isolate;
   opt.isolate_opts = iso;
   opt.capture_trace = capture;
+  opt.use_multiplicity = use_multiplicity;
   RunOutput out;
   out.result = core::run_pipeline(device, reads, opt);
   out.model_snapshot = session.metrics().json_snapshot(/*model_only=*/true);
@@ -145,6 +153,33 @@ TEST(ProcPoolIdentity, CapturedTraceMatchesInProcess) {
   EXPECT_EQ(isolated.result.trace, pooled.result.trace);
 }
 
+TEST(ProcPoolIdentity, MultiplicityOnRepeatRichGenomeMatchesInProcess) {
+  // Planted repeats plus --multiplicity give edges with multiplicity > 1,
+  // so the workers rebuild duplicate adjacency rows from the edge triples.
+  dna::GenomeParams gp;
+  gp.length = 900;
+  gp.repeat_length = 60;
+  gp.repeat_count = 4;
+  gp.seed = 19;
+  dna::ReadSamplerParams rp;
+  rp.coverage = 3.0;
+  rp.read_length = 70;
+  rp.seed = 20;
+  const auto reads = dna::sample_reads(dna::generate_genome(gp), rp);
+  const auto pooled = run_config(reads, /*isolate=*/false, 3, {},
+                                 /*capture=*/true, /*use_multiplicity=*/true);
+  const auto isolated = run_config(reads, /*isolate=*/true, 3, {},
+                                   /*capture=*/true, /*use_multiplicity=*/true);
+  const auto& edges = isolated.result.graph.edges();
+  ASSERT_TRUE(std::any_of(edges.begin(), edges.end(),
+                          [](const auto& e) { return e.multiplicity > 1; }));
+  ASSERT_FALSE(isolated.result.contigs.empty());
+  expect_bit_identical(isolated.result, pooled.result);
+  EXPECT_EQ(isolated.model_snapshot, pooled.model_snapshot);
+  ASSERT_FALSE(isolated.result.trace.empty());
+  EXPECT_EQ(isolated.result.trace, pooled.result.trace);
+}
+
 // ---- kill-and-recover: every crash class, bit-identical output --------------
 
 TEST(ProcPoolRecovery, CrashedWorkersRestartAndOutputIsBitIdentical) {
@@ -156,8 +191,8 @@ TEST(ProcPoolRecovery, CrashedWorkersRestartAndOutputIsBitIdentical) {
   for (const char* action : {"sigkill", "segv", "exit86", "torn"}) {
     SCOPED_TRACE(action);
     const auto flag = (scratch / (std::string("flag_") + action)).string();
-    // Device 2 dies after its 8th request — mid stage 1 — then the flag
-    // file makes the respawned worker healthy.
+    // Device 2 dies after its 8th request — early in stage 2 on this
+    // input — then the flag file makes the respawned worker healthy.
     ScopedEnv hook("PIMA_DEVD_TEST_HOOK", std::string("dev=2:after=8:action=") +
                                               action + ":flag=" + flag);
     core::PipelineOptions::IsolateOptions iso;
@@ -166,6 +201,35 @@ TEST(ProcPoolRecovery, CrashedWorkersRestartAndOutputIsBitIdentical) {
     EXPECT_TRUE(fs::exists(flag)) << "hook never fired";
     expect_bit_identical(run.result, baseline.result);
     EXPECT_EQ(run.model_snapshot, baseline.model_snapshot);
+  }
+  fs::remove_all(scratch);
+}
+
+TEST(ProcPoolRecovery, KillOnTheDegreeBatchIsBitIdentical) {
+  // The crash lands on the batched stage itself: device 1 dies after
+  // executing its degree_block batch, before answering. Its peers'
+  // responses are already in flight; the supervisor restarts device 1,
+  // replays its journal and resends the batch.
+  const auto reads = workload_reads(18);
+  const auto baseline =
+      run_config(reads, /*isolate=*/false, 4, {}, /*capture=*/true);
+  const auto scratch = fs::temp_directory_path() / "procpool_degree_hook";
+  fs::remove_all(scratch);
+  fs::create_directories(scratch);
+  for (const char* action : {"sigkill", "torn"}) {
+    SCOPED_TRACE(action);
+    const auto flag = (scratch / (std::string("flag_") + action)).string();
+    ScopedEnv hook("PIMA_DEVD_TEST_HOOK",
+                   std::string("dev=1:op=degree_block:after=1:action=") +
+                       action + ":flag=" + flag);
+    core::PipelineOptions::IsolateOptions iso;
+    iso.allow_degrade = false;
+    const auto run =
+        run_config(reads, /*isolate=*/true, 4, iso, /*capture=*/true);
+    EXPECT_TRUE(fs::exists(flag)) << "hook never fired";
+    expect_bit_identical(run.result, baseline.result);
+    EXPECT_EQ(run.model_snapshot, baseline.model_snapshot);
+    EXPECT_EQ(run.result.trace, baseline.result.trace);
   }
   fs::remove_all(scratch);
 }
@@ -392,6 +456,197 @@ TEST(ProcPoolWire, TypedErrorsRoundTripThroughResponses) {
   EXPECT_EQ(roundtrip(InputFormatError("bad")), "InputFormatError");
   EXPECT_EQ(roundtrip(CorruptCheckpointError("crc")), "CorruptCheckpointError");
   EXPECT_EQ(roundtrip(SimulationError("boom")), "SimulationError");
+}
+
+// ---- the degree_block edge encoding ----------------------------------------
+
+core::WorkerInit degree_worker_init() {
+  core::WorkerInit init;
+  init.geometry = pipeline_geometry();
+  init.k = 15;
+  init.hash_shards = 4;
+  init.channels = 2;
+  init.capture_trace = true;
+  return init;
+}
+
+net::Json op_request(const char* op) {
+  net::Json j = net::Json::object();
+  j.set("op", op);
+  return j;
+}
+
+// [flat, n, (from, to, mult)...], the controller's block encoding.
+net::Json encode_block(std::size_t flat, std::size_t n,
+                       const core::EdgeBlock& block) {
+  net::Json enc = net::Json::array();
+  enc.push_back(net::Json(static_cast<std::uint64_t>(flat)));
+  enc.push_back(net::Json(static_cast<std::uint64_t>(n)));
+  for (const auto& e : block.edges)
+    for (const std::uint32_t v : {e.from, e.to, e.multiplicity})
+      enc.push_back(net::Json(static_cast<std::uint64_t>(v)));
+  return enc;
+}
+
+net::Json degree_batch(std::vector<net::Json> blocks) {
+  net::Json arr = net::Json::array();
+  for (auto& b : blocks) arr.push_back(std::move(b));
+  net::Json req = op_request("degree_block");
+  req.set("blocks", std::move(arr));
+  return req;
+}
+
+TEST(ProcPoolWire, DegreeBatchMatchesControllerBuiltRows) {
+  const dram::Geometry geom = pipeline_geometry();
+  const std::size_t width = geom.columns;
+  // Two blocks on two sub-arrays; multiplicities 2..5 append duplicate
+  // rows (block_adjacency_rows' extra-instance path).
+  core::EdgeBlock a;
+  a.edges = {{0, 3, 1}, {1, 3, 3}, {4, 0, 2}, {1, 200, 1}, {2, 255, 5}};
+  core::EdgeBlock b;
+  b.edges = {{0, 0, 1}, {2, 17, 4}, {2, 18, 1}};
+  const std::vector<std::tuple<std::size_t, std::size_t, core::EdgeBlock>>
+      blocks = {{9, 5, a}, {37, 3, b}};
+  ASSERT_GT(core::block_adjacency_rows(a, 5, width).size(), 5u);
+
+  core::ShardWorkerCore worker(core::worker_init_to_json(degree_worker_init()));
+  std::vector<net::Json> encoded;
+  for (const auto& [flat, n, block] : blocks)
+    encoded.push_back(encode_block(flat, n, block));
+  EXPECT_TRUE(worker.handle(degree_batch(std::move(encoded))).get_bool("ok"));
+  EXPECT_TRUE(worker.handle(op_request("drain")).get_bool("ok"));
+  const net::Json stats = worker.handle(op_request("stats"));
+  const net::Json trace = worker.handle(op_request("trace"));
+
+  dram::Device reference(geom);
+  reference.enable_tracing();
+  for (const auto& [flat, n, block] : blocks)
+    (void)core::pim_column_sums(reference.subarray(flat),
+                                core::block_adjacency_rows(block, n, width));
+
+  const auto& entries = stats.get("subarrays").items();
+  ASSERT_EQ(entries.size(), blocks.size());
+  const auto& programs = trace.get("programs").items();
+  ASSERT_EQ(programs.size(), blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const std::size_t flat = std::get<0>(blocks[i]);
+    SCOPED_TRACE(flat);
+    const dram::CommandStats& want = reference.subarray_if(flat)->stats();
+    EXPECT_EQ(entries[i].get_uint64("flat"), flat);
+    const auto& counts = entries[i].get("counts").items();
+    ASSERT_EQ(counts.size(), dram::kCommandKindCount);
+    for (std::size_t k = 0; k < counts.size(); ++k)
+      EXPECT_EQ(counts[k].as_uint64(), want.counts[k]);
+    EXPECT_EQ(entries[i].get_number("busy_ns"), want.busy_ns);
+    EXPECT_EQ(entries[i].get_number("energy_pj"), want.energy_pj);
+    EXPECT_EQ(programs[i].get_uint64("flat"), flat);
+    EXPECT_EQ(programs[i].get_string("text"),
+              dram::to_text(dram::program_from_trace(
+                  reference.trace_if(flat)->entries(), flat, width)));
+  }
+}
+
+TEST(ProcPoolWire, MalformedDegreeBatchesGetTypedErrors) {
+  const dram::Geometry geom = pipeline_geometry();
+  const std::size_t width = geom.columns;
+  const std::size_t total = geom.total_subarrays();
+  core::ShardWorkerCore worker(core::worker_init_to_json(degree_worker_init()));
+  // Each case corrupts one seeded valid block; the error must be typed and
+  // the batch must be rejected before any block touches the device.
+  const auto corrupt = [&](const char* what, std::mt19937_64& rng,
+                           std::vector<std::uint64_t>& v) -> bool {
+    const std::size_t n = v[1];
+    const std::size_t triple = 2 + 3 * (rng() % ((v.size() - 2) / 3));
+    const std::string w = what;
+    if (w == "truncated triple") v.pop_back();
+    if (w == "from >= n") v[triple] = n + rng() % 4;
+    if (w == "to >= width") v[triple + 1] = width + rng() % 4;
+    if (w == "n > columns") v[1] = width + 1 + rng() % 4;
+    if (w == "flat out of range") v[0] = total + rng() % 4;
+    return w != "non-array block";
+  };
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    std::mt19937_64 rng(seed);
+    for (const char* what : {"truncated triple", "from >= n", "to >= width",
+                             "n > columns", "flat out of range",
+                             "non-array block"}) {
+      SCOPED_TRACE(std::string(what) + " seed " + std::to_string(seed));
+      const std::size_t n = 1 + rng() % 40;
+      const std::size_t flat = rng() % total;
+      std::vector<std::uint64_t> v = {flat, n};
+      for (std::size_t e = 1 + rng() % 6; e > 0; --e) {
+        v.push_back(rng() % n);
+        v.push_back(rng() % width);
+        v.push_back(1 + rng() % 3);
+      }
+      net::Json bad = net::Json::array();
+      if (corrupt(what, rng, v)) {
+        for (const std::uint64_t x : v) bad.push_back(net::Json(x));
+      } else {
+        bad = net::Json("not a block");
+      }
+      // A valid block rides first: a rejected batch must not run it.
+      core::EdgeBlock good;
+      good.edges = {{0, 1, 1}, {1, 2, 2}};
+      const std::size_t good_flat = (flat + 1) % total;
+      net::Json response;
+      try {
+        (void)worker.handle(
+            degree_batch({encode_block(good_flat, 2, good), std::move(bad)}));
+        FAIL() << "malformed batch accepted";
+      } catch (const std::exception& e) {
+        response = core::worker_error_response(e);
+      }
+      const std::string type = response.get_string("error");
+      EXPECT_TRUE(type == "InputFormatError" || type == "PreconditionError")
+          << type;
+      EXPECT_TRUE(worker.handle(op_request("drain")).get_bool("ok"));
+      EXPECT_TRUE(
+          worker.handle(op_request("stats")).get("subarrays").items().empty());
+    }
+  }
+  // The worker still serves a valid batch afterwards.
+  core::EdgeBlock ok;
+  ok.edges = {{0, 5, 2}};
+  EXPECT_TRUE(worker.handle(degree_batch({encode_block(3, 1, ok)}))
+                  .get_bool("ok"));
+  EXPECT_TRUE(worker.handle(op_request("drain")).get_bool("ok"));
+  EXPECT_EQ(worker.handle(op_request("stats")).get("subarrays").items().size(),
+            1u);
+}
+
+TEST(ProcPoolWire, RpcAllRethrowsTheLowestDevicesTypedError) {
+  runtime::ProcPoolOptions opt;
+  opt.devices = 3;
+  runtime::ProcSupervisor sup(opt, [](std::size_t d) {
+    core::WorkerInit wi = degree_worker_init();
+    wi.device = d;
+    wi.devices = 3;
+    return core::worker_init_to_json(wi);
+  });
+  sup.start();
+  // An unknown verb is an InputFormatError; a block needing more rows than
+  // a sub-array holds is a PreconditionError.
+  core::EdgeBlock huge;
+  huge.edges = {{0, 0, 100000}};
+  const net::Json precondition = degree_batch({encode_block(0, 1, huge)});
+  const net::Json input_format = op_request("no_such_verb");
+  {
+    const std::vector<net::Json> requests = {op_request("ping"), input_format,
+                                             precondition};
+    EXPECT_THROW((void)sup.rpc_all(requests), InputFormatError);
+  }
+  {
+    const std::vector<net::Json> requests = {op_request("ping"), precondition,
+                                             input_format};
+    EXPECT_THROW((void)sup.rpc_all(requests), PreconditionError);
+  }
+  // Every response was consumed: the streams stay in step.
+  const auto pongs =
+      sup.query_all(std::vector<net::Json>(3, op_request("ping")));
+  for (const auto& pong : pongs) EXPECT_TRUE(pong.get_bool("ok", false));
+  EXPECT_EQ(sup.restarts_used(), 0u);
+  sup.shutdown();
 }
 
 // ---- shard checkpoints ------------------------------------------------------

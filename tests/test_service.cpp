@@ -23,11 +23,12 @@
 #include "core/pipeline.hpp"
 #include "dna/fasta.hpp"
 #include "dna/genome.hpp"
+#include "net/json.hpp"
+#include "net/socket.hpp"
 #include "service/admission.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
 #include "service/job.hpp"
-#include "service/json.hpp"
 
 namespace pima::service {
 namespace {
@@ -38,53 +39,54 @@ using namespace std::chrono_literals;
 // ---------------------------------------------------------------- Json --
 
 TEST(ServiceJson, RoundTripPreservesStructureAndOrder) {
-  Json inner = Json::object();
+  net::Json inner = net::Json::object();
   inner.set("b", 2).set("a", 1);
-  Json arr = Json::array();
-  arr.push_back(true).push_back(Json()).push_back("x");
-  Json j = Json::object();
+  net::Json arr = net::Json::array();
+  arr.push_back(true).push_back(net::Json()).push_back("x");
+  net::Json j = net::Json::object();
   j.set("num", 0.1).set("obj", inner).set("arr", std::move(arr));
   const std::string text = j.dump();
-  EXPECT_EQ(Json::parse(text).dump(), text);  // writer is deterministic
+  EXPECT_EQ(net::Json::parse(text).dump(), text);  // writer is deterministic
   // Keys keep insertion order, not sorted order.
   EXPECT_LT(text.find("\"b\""), text.find("\"a\""));
 }
 
 TEST(ServiceJson, NumbersRenderRoundTripExact) {
   for (const double v : {0.1, 1e-9, 1.0, 16777217.0, -2.5e300}) {
-    const Json parsed = Json::parse(Json(v).dump());
+    const net::Json parsed = net::Json::parse(net::Json(v).dump());
     EXPECT_EQ(parsed.as_number(), v);
   }
 }
 
 TEST(ServiceJson, EscapesAndUnicode) {
   const std::string raw = "line1\nline2\t\"quoted\" \\slash\x01";
-  const Json parsed = Json::parse(Json(raw).dump());
+  const net::Json parsed = net::Json::parse(net::Json(raw).dump());
   EXPECT_EQ(parsed.as_string(), raw);
-  EXPECT_EQ(Json::parse("\"\\u0041\\u00e9\"").as_string(), "A\xc3\xa9");
+  EXPECT_EQ(net::Json::parse("\"\\u0041\\u00e9\"").as_string(), "A\xc3\xa9");
 }
 
 TEST(ServiceJson, Uint64CountersExactAboveDoublePrecision) {
   // 2^53 + 1 is the first integer a double cannot represent; the exact
   // integer view must carry it (and everything up to 2^64 - 1) untouched.
   const std::uint64_t big = (1ULL << 53) + 1;
-  EXPECT_EQ(Json(big).dump(), "9007199254740993");
-  EXPECT_EQ(Json::parse(Json(big).dump()).as_uint64(), big);
-  EXPECT_EQ(Json::parse("18446744073709551615").as_uint64(),
+  EXPECT_EQ(net::Json(big).dump(), "9007199254740993");
+  EXPECT_EQ(net::Json::parse(net::Json(big).dump()).as_uint64(), big);
+  EXPECT_EQ(net::Json::parse("18446744073709551615").as_uint64(),
             ~std::uint64_t{0});
   // Small integers agree between the double and exact views.
-  EXPECT_EQ(Json::parse("42").as_uint64(), 42u);
-  EXPECT_EQ(Json::parse("42").as_number(), 42.0);
+  EXPECT_EQ(net::Json::parse("42").as_uint64(), 42u);
+  EXPECT_EQ(net::Json::parse("42").as_number(), 42.0);
   // Fractional and negative numbers have no exact u64 view.
-  EXPECT_THROW((void)Json(0.5).as_uint64(), InputFormatError);
-  EXPECT_THROW((void)Json::parse("-4").as_uint64(), InputFormatError);
+  EXPECT_THROW((void)net::Json(0.5).as_uint64(), InputFormatError);
+  EXPECT_THROW((void)net::Json::parse("-4").as_uint64(), InputFormatError);
 }
 
 TEST(ServiceJson, MalformedInputThrowsTyped) {
-  EXPECT_THROW((void)Json::parse("{"), InputFormatError);
-  EXPECT_THROW((void)Json::parse("{\"a\":1} trailing"), InputFormatError);
-  EXPECT_THROW((void)Json::parse("nul"), InputFormatError);
-  EXPECT_THROW((void)Json(1.0).as_string(), InputFormatError);  // type mismatch
+  EXPECT_THROW((void)net::Json::parse("{"), InputFormatError);
+  EXPECT_THROW((void)net::Json::parse("{\"a\":1} trailing"), InputFormatError);
+  EXPECT_THROW((void)net::Json::parse("nul"), InputFormatError);
+  // Type mismatch.
+  EXPECT_THROW((void)net::Json(1.0).as_string(), InputFormatError);
 }
 
 // ----------------------------------------------------------- job model --
@@ -360,34 +362,34 @@ class DaemonHarness {
 
   Client connect() { return Client::connect_unix_socket(socket()); }
 
-  Json request(Json req) { return connect().request(req); }
+  net::Json request(net::Json req) { return connect().request(req); }
 
   std::string submit(const std::string& reads_path, std::size_t k,
                      std::size_t shards, std::size_t threads,
                      int priority = 0) {
-    Json req = Json::object();
+    net::Json req = net::Json::object();
     req.set("verb", "submit")
         .set("reads", reads_path)
         .set("k", k)
         .set("shards", shards)
         .set("threads", threads)
         .set("priority", priority);
-    const Json resp = request(std::move(req));
+    const net::Json resp = request(std::move(req));
     EXPECT_TRUE(resp.get_bool("ok")) << resp.dump();
     return resp.get_string("job");
   }
 
-  Json status(const std::string& id) {
-    Json req = Json::object();
+  net::Json status(const std::string& id) {
+    net::Json req = net::Json::object();
     req.set("verb", "status").set("job", id);
     return request(std::move(req));
   }
 
-  Json wait_terminal(const std::string& id,
+  net::Json wait_terminal(const std::string& id,
                      std::chrono::seconds timeout = 120s) {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     while (std::chrono::steady_clock::now() < deadline) {
-      const Json resp = status(id);
+      const net::Json resp = status(id);
       if (resp.get_bool("ok") &&
           is_terminal(parse_job_state(resp.get_string("state"))))
         return resp;
@@ -398,9 +400,9 @@ class DaemonHarness {
   }
 
   std::string fetch_fasta(const std::string& id) {
-    Json req = Json::object();
+    net::Json req = net::Json::object();
     req.set("verb", "result").set("job", id).set("fetch", true);
-    const Json resp = request(std::move(req));
+    const net::Json resp = request(std::move(req));
     EXPECT_TRUE(resp.get_bool("ok")) << resp.dump();
     return resp.get_string("fasta");
   }
@@ -410,7 +412,7 @@ class DaemonHarness {
     const auto deadline = std::chrono::steady_clock::now() + 10s;
     while (std::chrono::steady_clock::now() < deadline) {
       try {
-        Json req = Json::object();
+        net::Json req = net::Json::object();
         req.set("verb", "ping");
         (void)Client::connect_unix_socket(socket()).request(req);
         return;
@@ -430,7 +432,7 @@ class DaemonHarness {
 /// response (head + body). The daemon closes after each response, so
 /// read-to-EOF frames it.
 std::string http_get(std::uint16_t port, const std::string& target) {
-  ScopedFd fd = connect_tcp(port);
+  net::ScopedFd fd = net::connect_tcp(port);
   const std::string req =
       "GET " + target + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
   std::size_t off = 0;
@@ -480,15 +482,15 @@ TEST(ServiceDaemon, HttpPlaneServesMetricsHealthzAndJobs) {
   // /metrics must be byte-identical to the NDJSON `metrics` verb — both
   // run the same deterministic fold over the same registries.
   const std::string http_metrics = http_body(http_get(port, "/metrics"));
-  Json req = Json::object();
+  net::Json req = net::Json::object();
   req.set("verb", "metrics");
-  const Json verb_resp = h.request(std::move(req));
+  const net::Json verb_resp = h.request(std::move(req));
   ASSERT_TRUE(verb_resp.get_bool("ok")) << verb_resp.dump();
   EXPECT_EQ(http_metrics, verb_resp.get_string("body"));
   EXPECT_NE(http_metrics.find("pima_reads_total"), std::string::npos);
 
   const std::string jobs_body = http_body(http_get(port, "/jobs"));
-  const Json jobs = Json::parse(jobs_body);
+  const net::Json jobs = net::Json::parse(jobs_body);
   ASSERT_TRUE(jobs.get_bool("ok"));
   ASSERT_TRUE(jobs.has("jobs"));
   ASSERT_EQ(jobs.get("jobs").items().size(), 1u);
@@ -514,7 +516,7 @@ TEST(ServiceDaemon, ThreeConcurrentJobsBitIdenticalToStandalone) {
   for (int i = 0; i < 3; ++i)
     ids.push_back(h.submit(reads, spec.k, spec.hash_shards, spec.channels));
   for (const auto& id : ids) {
-    const Json final_status = h.wait_terminal(id);
+    const net::Json final_status = h.wait_terminal(id);
     ASSERT_EQ(final_status.get_string("state"), "done") << final_status.dump();
     EXPECT_EQ(final_status.get_number("stages_done"), 3.0);
     EXPECT_EQ(h.fetch_fasta(id), golden) << "job " << id
@@ -523,7 +525,7 @@ TEST(ServiceDaemon, ThreeConcurrentJobsBitIdenticalToStandalone) {
 
   // The daemon-wide metrics fold carries every job's labelled series plus
   // the service counters.
-  Json req = Json::object();
+  net::Json req = net::Json::object();
   req.set("verb", "metrics").set("format", "prometheus");
   const std::string body = h.request(std::move(req)).get_string("body");
   EXPECT_NE(body.find("pima_service_jobs_submitted_total"), std::string::npos);
@@ -541,21 +543,21 @@ TEST(ServiceDaemon, SubmitBeyondQueueDepthRejectedTyped) {
   const std::string running = h.submit(reads, 17, 32, 1);
   const std::string queued = h.submit(reads, 17, 32, 1);
 
-  Json req = Json::object();
+  net::Json req = net::Json::object();
   req.set("verb", "submit").set("reads", reads).set("k", 17).set("shards", 32);
-  const Json rejected = h.request(std::move(req));
+  const net::Json rejected = h.request(std::move(req));
   EXPECT_FALSE(rejected.get_bool("ok"));
   EXPECT_EQ(rejected.get_string("error"), "AdmissionRejectedError");
 
   // A malformed spec is the input-format class, not admission.
-  Json bad = Json::object();
+  net::Json bad = net::Json::object();
   bad.set("verb", "submit").set("reads", reads).set("k", 3);
   EXPECT_EQ(h.request(std::move(bad)).get_string("error"), "InputFormatError");
 
   // Cancelling the queued job frees the slot and the next submit lands.
-  Json cancel = Json::object();
+  net::Json cancel = net::Json::object();
   cancel.set("verb", "cancel").set("job", queued);
-  const Json cancelled = h.request(std::move(cancel));
+  const net::Json cancelled = h.request(std::move(cancel));
   EXPECT_TRUE(cancelled.get_bool("ok")) << cancelled.dump();
   EXPECT_EQ(cancelled.get_string("state"), "cancelled");
   const std::string retry = h.submit(reads, 17, 32, 1);
@@ -570,9 +572,9 @@ TEST(ServiceDaemon, DrainRunsQueueDryThenStops) {
   const std::string a = h.submit(reads, 15, 8, 1);
   const std::string b = h.submit(reads, 15, 8, 1);
 
-  Json req = Json::object();
+  net::Json req = net::Json::object();
   req.set("verb", "drain");
-  const Json resp = h.request(std::move(req));
+  const net::Json resp = h.request(std::move(req));
   EXPECT_TRUE(resp.get_bool("ok")) << resp.dump();
   EXPECT_TRUE(resp.get_bool("drained"));
   EXPECT_EQ(resp.get_number("done"), 2.0) << resp.dump();
@@ -596,20 +598,20 @@ TEST(ServiceDaemon, FollowStreamsChangesAndSurvivesEarlyHangup) {
   // failed write ends the follow loop.
   const std::string id = h.submit(reads, 15, 8, 1);
   {
-    Json req = Json::object();
+    net::Json req = net::Json::object();
     req.set("verb", "status").set("job", id).set("follow", true);
     Client quitter = h.connect();
-    (void)quitter.stream(req, [](const Json&) { return false; });
+    (void)quitter.stream(req, [](const net::Json&) { return false; });
   }
   EXPECT_TRUE(h.status(id).get_bool("ok"));  // daemon still answering
 
   // A patient follower streams every observed change through to the
   // terminal state, then the daemon closes the stream.
   const std::string id2 = h.submit(reads, 15, 8, 1);
-  Json req = Json::object();
+  net::Json req = net::Json::object();
   req.set("verb", "status").set("job", id2).set("follow", true);
   std::vector<std::string> states;
-  const Json last = h.connect().stream(req, [&](const Json& line) {
+  const net::Json last = h.connect().stream(req, [&](const net::Json& line) {
     states.push_back(line.get_string("state"));
     return true;
   });
@@ -621,7 +623,7 @@ TEST(ServiceDaemon, FollowStreamsChangesAndSurvivesEarlyHangup) {
 
 TEST(ServiceDaemon, ConnectionCapRefusesThenReapsClosedSlots) {
   DaemonHarness h("conncap", policy(8, 1, 2), /*max_connections=*/2);
-  Json ping = Json::object();
+  net::Json ping = net::Json::object();
   ping.set("verb", "ping");
   {
     // Two live connections fill the cap (a completed request proves each
@@ -649,11 +651,11 @@ TEST(ServiceDaemon, ConnectionCapRefusesThenReapsClosedSlots) {
     }
     // The third is refused with the typed transport-admission error —
     // written unprompted, so read it without sending a request.
-    ScopedFd raw = connect_unix(h.socket());
-    LineChannel refused_channel(raw.get());
+    net::ScopedFd raw = net::connect_unix(h.socket());
+    net::LineChannel refused_channel(raw.get());
     std::string line;
     ASSERT_TRUE(refused_channel.read_line(line));
-    const Json refused = Json::parse(line);
+    const net::Json refused = net::Json::parse(line);
     EXPECT_FALSE(refused.get_bool("ok"));
     EXPECT_EQ(refused.get_string("error"), "AdmissionRejectedError");
   }
@@ -731,13 +733,13 @@ TEST(ServiceDaemon, KilledDaemonRestartResumesFromStageCheckpoint) {
     const auto deadline = std::chrono::steady_clock::now() + 10s;
     for (;;) {
       try {
-        Json req = Json::object();
+        net::Json req = net::Json::object();
         req.set("verb", "submit")
             .set("reads", reads)
             .set("k", spec.k)
             .set("shards", spec.hash_shards)
             .set("threads", spec.channels);
-        const Json resp =
+        const net::Json resp =
             Client::connect_unix_socket(socket_path).request(req);
         ASSERT_TRUE(resp.get_bool("ok")) << resp.dump();
         id = resp.get_string("job");
@@ -785,13 +787,14 @@ TEST(ServiceDaemon, KilledDaemonRestartResumesFromStageCheckpoint) {
       ASSERT_LT(std::chrono::steady_clock::now(), deadline)
           << "recovered job never finished";
       try {
-        Json req = Json::object();
+        net::Json req = net::Json::object();
         req.set("verb", "status").set("job", id);
-        const Json resp = Client::connect_unix_socket(socket_path).request(req);
+        const net::Json resp =
+            Client::connect_unix_socket(socket_path).request(req);
         if (resp.get_bool("ok") &&
             is_terminal(parse_job_state(resp.get_string("state")))) {
           ASSERT_EQ(resp.get_string("state"), "done") << resp.dump();
-          Json fetch = Json::object();
+          net::Json fetch = net::Json::object();
           fetch.set("verb", "result").set("job", id).set("fetch", true);
           fasta = Client::connect_unix_socket(socket_path)
                       .request(fetch)

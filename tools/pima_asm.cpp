@@ -591,7 +591,7 @@ service::Client connect_client(const Args& args) {
 /// and daemon-side errors arrive as ok=false responses, not exceptions.
 /// Callers must only route idempotent requests here — submits carry an
 /// idempotency_key, so a retry after an ambiguous failure cannot double-run.
-service::Json request_with_retries(const Args& args, const service::Json& req) {
+net::Json request_with_retries(const Args& args, const net::Json& req) {
   const std::size_t retries = get_bounded_size(args, "retries", 0, 0, 100);
   std::mt19937_64 rng{std::random_device{}()};
   for (std::size_t attempt = 0;; ++attempt) {
@@ -628,7 +628,7 @@ std::string generate_idempotency_key() {
 /// Maps a daemon error response to the documented process exit codes, so
 /// `pima_asm submit` against a full queue exits 8 exactly like an
 /// in-process AdmissionRejectedError would.
-int response_exit_code(const service::Json& response) {
+int response_exit_code(const net::Json& response) {
   if (response.get_bool("ok", false)) return 0;
   const std::string error = response.get_string("error");
   if (error == "AdmissionRejectedError") return kExitAdmissionRejected;
@@ -640,17 +640,17 @@ int response_exit_code(const service::Json& response) {
   return 1;
 }
 
-int print_response(const service::Json& response) {
+int print_response(const net::Json& response) {
   std::printf("%s\n", response.dump().c_str());
   return response_exit_code(response);
 }
 
 int follow_job(service::Client& client, const std::string& job_id) {
-  service::Json req = service::Json::object();
+  net::Json req = net::Json::object();
   req.set("verb", "status");
   req.set("job", job_id);
   req.set("follow", true);
-  const service::Json last = client.stream(req, [](const service::Json& line) {
+  const net::Json last = client.stream(req, [](const net::Json& line) {
     std::printf("%s\n", line.dump().c_str());
     std::fflush(stdout);
     return true;
@@ -663,7 +663,7 @@ int follow_job(service::Client& client, const std::string& job_id) {
 }
 
 int cmd_submit(const Args& args) {
-  service::Json req = service::Json::object();
+  net::Json req = net::Json::object();
   req.set("verb", "submit");
   // The daemon opens the file itself (shared host): submit an absolute
   // path so a daemon started from another directory resolves it.
@@ -688,7 +688,7 @@ int cmd_submit(const Args& args) {
   req.set("idempotency_key",
           args.get("idempotency-key").value_or(generate_idempotency_key()));
 
-  const service::Json response = request_with_retries(args, req);
+  const net::Json response = request_with_retries(args, req);
   const int code = print_response(response);
   if (code != 0 || !args.has("follow")) return code;
   auto client = connect_client(args);
@@ -700,31 +700,31 @@ int cmd_status(const Args& args) {
     auto client = connect_client(args);
     return follow_job(client, args.require("job"));
   }
-  service::Json req = service::Json::object();
+  net::Json req = net::Json::object();
   req.set("verb", "status");
   req.set("job", args.require("job"));
   return print_response(request_with_retries(args, req));
 }
 
 int cmd_result(const Args& args) {
-  service::Json req = service::Json::object();
+  net::Json req = net::Json::object();
   req.set("verb", "result");
   req.set("job", args.require("job"));
   const auto out = args.get("out");
   if (out) req.set("fetch", true);
-  service::Json response = request_with_retries(args, req);
+  net::Json response = request_with_retries(args, req);
   if (out && response.get_bool("ok", false)) {
     // Atomic: a crash (or injected fault) mid-save never leaves a
     // truncated contigs file where a previous good one stood.
     fsio::atomic_write_file(*out, response.get_string("fasta"), "artifact");
-    response.set("fasta", service::Json());  // don't echo the payload
+    response.set("fasta", net::Json());  // don't echo the payload
     response.set("saved_to", *out);
   }
   return print_response(response);
 }
 
 int cmd_cancel(const Args& args) {
-  service::Json req = service::Json::object();
+  net::Json req = net::Json::object();
   req.set("verb", "cancel");
   req.set("job", args.require("job"));
   // Cancel is idempotent (cancelling a terminal job is a no-op status
@@ -733,7 +733,7 @@ int cmd_cancel(const Args& args) {
 }
 
 int cmd_list(const Args& args) {
-  service::Json req = service::Json::object();
+  net::Json req = net::Json::object();
   req.set("verb", "list");
   return print_response(request_with_retries(args, req));
 }
@@ -741,14 +741,14 @@ int cmd_list(const Args& args) {
 int cmd_drain(const Args& args) {
   // NOT retried: drain initiates daemon shutdown — a retry after an
   // ambiguous failure would race the daemon it just stopped.
-  service::Json req = service::Json::object();
+  net::Json req = net::Json::object();
   req.set("verb", "drain");
   auto client = connect_client(args);
   return print_response(client.request(req));
 }
 
 int cmd_metrics(const Args& args) {
-  service::Json req = service::Json::object();
+  net::Json req = net::Json::object();
   req.set("verb", "metrics");
   req.set("format", args.get("format").value_or("prometheus"));
   // --watch N: clear the screen and re-poll every N seconds until
@@ -759,7 +759,7 @@ int cmd_metrics(const Args& args) {
     Args::fail("--watch and --out are mutually exclusive");
   if (watch_s > 0.0) install_termination_handlers();
   for (;;) {
-    const service::Json response = request_with_retries(args, req);
+    const net::Json response = request_with_retries(args, req);
     if (!response.get_bool("ok", false)) return print_response(response);
     const std::string body = response.get_string("body");
     if (const auto out = args.get("out")) {

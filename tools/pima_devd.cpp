@@ -13,10 +13,13 @@
 //   else exit_code_for() of whatever escaped main
 //
 // PIMA_DEVD_TEST_HOOK drives the kill-and-recover battery:
-//   dev=<D>:after=<N>:action=<sigkill|segv|exit86|torn>[:flag=<path>]
-// After handling N requests on device D the action fires — once, when a
-// flag path is given (the file is created before crashing, so a restarted
-// worker survives the same environment).
+//   dev=<D>:after=<N>:action=<sigkill|segv|exit86|torn>[:op=<verb>]
+//   [:flag=<path>]
+// After handling N requests on device D the action fires, before the Nth
+// response is written — once, when a flag path is given (the file is
+// created before crashing, so a restarted worker survives the same
+// environment). With op, only requests of that verb count, so a crash can
+// target one batched request (e.g. op=degree_block:after=1).
 #include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
@@ -52,6 +55,7 @@ struct TestHook {
   std::size_t device = 0;
   std::size_t after = 0;
   std::string action;
+  std::string op;    ///< only requests of this verb count; empty = all
   std::string flag;  ///< fire-once marker file; empty = fire every life
 };
 
@@ -76,6 +80,8 @@ TestHook parse_test_hook(const char* spec) {
       hook.after = static_cast<std::size_t>(std::stoull(value));
     else if (key == "action")
       hook.action = value;
+    else if (key == "op")
+      hook.op = value;
     else if (key == "flag")
       hook.flag = value;
     else
@@ -113,6 +119,13 @@ TestHook parse_test_hook(const char* spec) {
     ::_exit(0);
   }
   ::_exit(86);  // unreachable; raise() of a fatal signal does not return
+}
+
+// The request's verb, or "" when it has none (the hook must not throw).
+std::string request_op(const Json& request) {
+  if (!request.is_object()) return {};
+  const Json& op = request.get("op");
+  return op.is_string() ? op.as_string() : std::string{};
 }
 
 bool hook_already_fired(const TestHook& hook) {
@@ -224,8 +237,10 @@ int run(int fd, std::size_t device_arg) {
     } catch (const std::exception& e) {
       response = pima::core::worker_error_response(e);
     }
-    ++handled;
-    if (hook.armed && handled >= hook.after) fire_test_hook(hook, fd);
+    const bool counted = hook.op.empty() || request_op(request) == hook.op;
+    if (counted) ++handled;
+    if (hook.armed && counted && handled >= hook.after)
+      fire_test_hook(hook, fd);
     writer.write(response.dump());
     if (stalled) {
       // The engine is poisoned past a stall; report, then die with the

@@ -261,7 +261,7 @@ int run_service_fuzz(std::size_t seeds, std::uint64_t seed) {
   const auto ping_ok = [&]() -> bool {
     try {
       auto c = service::Client::connect_unix_socket(opt.socket_path, 10.0);
-      return c.request(service::Json::parse(R"({"verb":"ping"})"))
+      return c.request(net::Json::parse(R"({"verb":"ping"})"))
           .get_bool("ok", false);
     } catch (const std::exception&) {
       return false;
@@ -283,15 +283,15 @@ int run_service_fuzz(std::size_t seeds, std::uint64_t seed) {
       continue;
     bool ok = true;
     try {
-      service::ScopedFd fd =
-          service::connect_unix(opt.socket_path, 10.0);
-      service::LineChannel channel(fd.get());
+      net::ScopedFd fd =
+          net::connect_unix(opt.socket_path, 10.0);
+      net::LineChannel channel(fd.get());
       channel.set_deadline(10.0);
       channel.write_line(input);
       std::string line;
       if (channel.read_line(line)) {
-        service::Json response = service::Json::parse(line);  // must parse
-        if (response.type() != service::Json::Type::kObject) ok = false;
+        net::Json response = net::Json::parse(line);  // must parse
+        if (response.type() != net::Json::Type::kObject) ok = false;
       }
       // EOF without a response = clean hangup; acceptable for abuse lines.
     } catch (const std::exception& e) {
