@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <functional>
 
 #include "common/error.hpp"
-#include "runtime/shard.hpp"
 
 namespace pima::core {
 namespace {
@@ -176,136 +174,55 @@ std::vector<std::uint32_t> pim_column_sums(
   return sums;
 }
 
-namespace {
-
-// Shared body of the device- and pool-backed entry points: `resolve` maps
-// a logical flat index to its sub-array, `dispatch` routes a block kernel
-// to the owner (or runs it inline), `barrier` drains the runtime.
-DegreeResult pim_degrees_impl(
-    const dram::Geometry& geometry, const assembly::DeBruijnGraph& g,
-    const GraphPartition& partition,
-    const std::function<dram::Subarray&(std::size_t)>& resolve,
-    const std::function<void(std::size_t, runtime::Task)>& dispatch,
-    const std::function<void()>& barrier) {
-  const auto width = geometry.columns;
-  const auto total = geometry.total_subarrays();
-  DegreeResult result;
-  result.in_degree.assign(g.node_count(), 0);
-  result.out_degree.assign(g.node_count(), 0);
-
-  // Each block produces its partial column sums into its own slot; the
-  // controller accumulates them in block order after the barrier so the
-  // result is independent of channel interleaving.
-  const auto m = partition.intervals;
-  std::vector<std::vector<std::uint32_t>> in_sums(
-      static_cast<std::size_t>(m) * m);
-  std::vector<std::vector<std::uint32_t>> out_sums(
-      static_cast<std::size_t>(m) * m);
-
-  for (std::uint32_t i = 0; i < m; ++i) {
-    for (std::uint32_t j = 0; j < m; ++j) {
-      const EdgeBlock& block = partition.block(i, j);
-      if (block.edges.empty()) continue;
-      const auto& src_vertices = partition.interval_vertices[i];
-      const auto& dst_vertices = partition.interval_vertices[j];
-      PIMA_CHECK(dst_vertices.size() <= width,
-                 "interval too wide for one sub-array row — increase M");
-      PIMA_CHECK(src_vertices.size() <= width,
-                 "interval too wide for one sub-array row — increase M");
-      const std::size_t block_index = static_cast<std::size_t>(i) * m + j;
-
-      // In-degrees: column sums of the block's adjacency rows.
-      {
-        const std::size_t flat = runtime::block_subarray(total, i, j, m);
-        dispatch(flat, [&resolve, &block, &src_vertices, flat, width,
-                        sums = &in_sums[block_index]] {
-          const auto rows =
-              block_adjacency_rows(block, src_vertices.size(), width);
-          *sums = pim_column_sums(resolve(flat), rows);
-        });
-      }
-
-      // Out-degrees: column sums of the transposed block.
-      {
-        const std::size_t flat = runtime::block_subarray(
-            total, j, i, m, static_cast<std::size_t>(m) * m);
-        dispatch(flat, [&resolve, &block, i, j, &dst_vertices, flat, width,
-                        sums = &out_sums[block_index]] {
-          EdgeBlock transposed;
-          transposed.source_interval = j;
-          transposed.dest_interval = i;
-          transposed.edges.reserve(block.edges.size());
-          for (const auto& e : block.edges)
-            transposed.edges.push_back({e.to, e.from, e.multiplicity});
-          const auto rows =
-              block_adjacency_rows(transposed, dst_vertices.size(), width);
-          *sums = pim_column_sums(resolve(flat), rows);
-        });
-      }
-    }
-  }
-  barrier();
-
-  for (std::uint32_t i = 0; i < m; ++i) {
-    for (std::uint32_t j = 0; j < m; ++j) {
-      const std::size_t block_index = static_cast<std::size_t>(i) * m + j;
-      const auto& src_vertices = partition.interval_vertices[i];
-      const auto& dst_vertices = partition.interval_vertices[j];
-      if (!in_sums[block_index].empty()) {
-        const auto& sums = in_sums[block_index];
-        for (std::size_t c = 0; c < dst_vertices.size(); ++c)
-          result.in_degree[dst_vertices[c]] += sums[c];
-      }
-      if (!out_sums[block_index].empty()) {
-        const auto& sums = out_sums[block_index];
-        for (std::size_t c = 0; c < src_vertices.size(); ++c)
-          result.out_degree[src_vertices[c]] += sums[c];
-      }
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
 DegreeResult pim_degrees(dram::Device& device,
                          const assembly::DeBruijnGraph& g,
                          const GraphPartition& partition,
                          runtime::Engine* engine) {
-  return pim_degrees_impl(
-      device.geometry(), g, partition,
-      [&device](std::size_t flat) -> dram::Subarray& {
-        return device.subarray(flat);
-      },
-      [&](std::size_t flat, runtime::Task task) {
+  const std::size_t width = device.geometry().columns;
+  DegreeResult result;
+  result.in_degree.assign(g.node_count(), 0);
+  result.out_degree.assign(g.node_count(), 0);
+
+  // Each job produces its column sums into its own slot; the controller
+  // accumulates them in walk order after the barrier so the result is
+  // independent of channel interleaving. Reserved up front: running tasks
+  // hold pointers into the slots.
+  struct Slot {
+    const std::vector<assembly::NodeId>* columns;  ///< column → vertex
+    std::vector<std::uint32_t>* degrees;
+    std::vector<std::uint32_t> sums;
+  };
+  std::vector<Slot> slots;
+  slots.reserve(2 * partition.blocks.size());
+  for_each_degree_job(
+      partition, device.geometry(),
+      [&](std::size_t flat, std::size_t n, const EdgeBlock& block,
+          bool transposed) {
+        // In-degrees sum over the destination interval's columns,
+        // out-degrees (the transposed block) over the source interval's.
+        Slot& slot = slots.emplace_back();
+        slot.columns = &partition.interval_vertices[transposed
+                                                        ? block.source_interval
+                                                        : block.dest_interval];
+        slot.degrees = transposed ? &result.out_degree : &result.in_degree;
+        runtime::Task task = [&device, &block, &slot, flat, n, width,
+                              transposed] {
+          const auto rows =
+              transposed ? block_adjacency_rows(transpose(block), n, width)
+                         : block_adjacency_rows(block, n, width);
+          slot.sums = pim_column_sums(device.subarray(flat), rows);
+        };
         if (engine)
           engine->submit_to_subarray(flat, std::move(task));
         else
           task();
-      },
-      [&] {
-        if (engine) engine->drain();
       });
-}
+  if (engine) engine->drain();
 
-DegreeResult pim_degrees(runtime::DevicePool& pool,
-                         const assembly::DeBruijnGraph& g,
-                         const GraphPartition& partition,
-                         runtime::PoolRunner* runner) {
-  return pim_degrees_impl(
-      pool.geometry(), g, partition,
-      [&pool](std::size_t flat) -> dram::Subarray& {
-        return pool.subarray(flat);
-      },
-      [&](std::size_t flat, runtime::Task task) {
-        if (runner)
-          runner->submit_to_subarray(flat, std::move(task));
-        else
-          task();
-      },
-      [&] {
-        if (runner) runner->drain();
-      });
+  for (const Slot& slot : slots)
+    for (std::size_t c = 0; c < slot.columns->size(); ++c)
+      (*slot.degrees)[(*slot.columns)[c]] += slot.sums[c];
+  return result;
 }
 
 }  // namespace pima::core

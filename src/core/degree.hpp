@@ -13,15 +13,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/graph_map.hpp"
 #include "dram/device.hpp"
 #include "dram/subarray.hpp"
 #include "runtime/engine.hpp"
-
-namespace pima::runtime {
-class DevicePool;   // runtime/shard.hpp
-class PoolRunner;
-}  // namespace pima::runtime
 
 namespace pima::core {
 
@@ -51,13 +47,35 @@ DegreeResult pim_degrees(dram::Device& device,
                          const GraphPartition& partition,
                          runtime::Engine* engine = nullptr);
 
-/// Pool-backed variant: block sub-arrays resolve through the pool's owner
-/// routing and kernels dispatch through the pool runner (one engine per
-/// device), so the M² edge blocks spread over every device. Accumulation
-/// stays in block order — results are bit-identical for any device count.
-DegreeResult pim_degrees(runtime::DevicePool& pool,
-                         const assembly::DeBruijnGraph& g,
-                         const GraphPartition& partition,
-                         runtime::PoolRunner* runner = nullptr);
+/// The degree kernel's block walk, shared by pim_degrees and the pipeline:
+/// every non-empty block (i, j) of `partition`, in (i, j) order, yields two
+/// column-sum jobs — the in-degrees of its destinations on sub-array
+/// block_subarray(i, j), then the out-degrees of its sources (the
+/// transposed block) on block_subarray(j, i, M²). `job(flat, n, block,
+/// transposed)` gets the job's sub-array, the source count of the block it
+/// sums (its adjacency row count; both intervals are checked to fit a row)
+/// and the untransposed block.
+template <typename Job>
+void for_each_degree_job(const GraphPartition& partition,
+                         const dram::Geometry& geometry, Job&& job) {
+  const std::size_t width = geometry.columns;
+  const std::size_t total = geometry.total_subarrays();
+  const std::uint32_t m = partition.intervals;
+  for (std::uint32_t i = 0; i < m; ++i) {
+    for (std::uint32_t j = 0; j < m; ++j) {
+      const EdgeBlock& block = partition.block(i, j);
+      if (block.edges.empty()) continue;
+      const std::size_t n_src = partition.interval_vertices[i].size();
+      const std::size_t n_dst = partition.interval_vertices[j].size();
+      PIMA_CHECK(n_dst <= width,
+                 "interval too wide for one sub-array row — increase M");
+      PIMA_CHECK(n_src <= width,
+                 "interval too wide for one sub-array row — increase M");
+      job(runtime::block_subarray(total, i, j, m), n_src, block, false);
+      job(runtime::block_subarray(total, j, i, m, std::size_t{m} * m), n_dst,
+          block, true);
+    }
+  }
+}
 
 }  // namespace pima::core

@@ -49,6 +49,16 @@ std::size_t subarrays_for_vertices(std::size_t n_vertices,
   return (n_vertices + f - 1) / f;
 }
 
+EdgeBlock transpose(const EdgeBlock& block) {
+  EdgeBlock t;
+  t.source_interval = block.dest_interval;
+  t.dest_interval = block.source_interval;
+  t.edges.reserve(block.edges.size());
+  for (const auto& e : block.edges)
+    t.edges.push_back({e.to, e.from, e.multiplicity});
+  return t;
+}
+
 std::vector<BitVector> block_adjacency_rows(const EdgeBlock& block,
                                             std::size_t n_local_sources,
                                             std::size_t width) {

@@ -51,6 +51,10 @@ GraphPartition partition_graph(const assembly::DeBruijnGraph& g,
 std::size_t subarrays_for_vertices(std::size_t n_vertices,
                                    const dram::Geometry& geom);
 
+/// The block with every edge reversed and its intervals swapped: the
+/// out-degree view of a block (its column sums are source out-degrees).
+EdgeBlock transpose(const EdgeBlock& block);
+
 /// Renders a block as dense adjacency rows (paper "mapping" stage): row r
 /// holds the out-edges of local source vertex r; column c is set iff an
 /// edge (r → c) exists. `width` is the sub-array column count; blocks wider

@@ -105,9 +105,9 @@ class PimHashTable {
   /// deterministic (shard, slot) order. Costed as row reads.
   std::vector<std::pair<assembly::Kmer, std::uint32_t>> extract();
 
-  /// One shard's entries in slot order — the per-owner stream the sharded
-  /// pipeline feeds through its stage-boundary Exchange (k-mer count
-  /// shuffle). extract() is exactly the shard-order concatenation.
+  /// One shard's entries in slot order — what an isolated device worker
+  /// returns per owned shard. extract() is exactly the shard-order
+  /// concatenation.
   std::vector<std::pair<assembly::Kmer, std::uint32_t>> extract_shard(
       std::size_t shard);
 

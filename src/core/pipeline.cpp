@@ -1,19 +1,39 @@
+// One stage body, two transports (DESIGN.md §15). run_stages() below is
+// the whole controller — k-mer routing, graph construction, partition
+// choice, walks, checkpoints and every stat/metric fold — written once
+// against ShardBackend, the device operations the stages need. Where the
+// commands execute is the backend's business:
+//
+//   * InProcessShards: a DevicePool driven by a PoolRunner (one Engine per
+//     device) plus the optional fault RecoveryManager;
+//   * RpcShards (--isolate): every device shard in its own pima_devd child
+//     under the runtime::ProcSupervisor, driven by journaled NDJSON
+//     requests batched per superstep (ProcSupervisor::rpc_all). A worker's
+//     device state is a pure function of its request journal, so a crash
+//     + replay lands on the exact pre-crash state.
+//
+// Both fold statistics and traces in logical flat order, so contigs,
+// per-stage DeviceStats, model-class metrics and trace bytes are identical
+// across transports, device counts, channel counts and worker crashes.
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "core/degree.hpp"
 #include "core/graph_map.hpp"
-#include "core/pipeline_detail.hpp"
+#include "core/shard_worker.hpp"
+#include "dram/isa.hpp"
+#include "dram/trace.hpp"
+#include "net/json.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/procpool.hpp"
 #include "runtime/shard.hpp"
-#include "runtime/stats.hpp"
 #include "telemetry/log.hpp"
 #include "telemetry/progress.hpp"
 #include "telemetry/session.hpp"
@@ -25,8 +45,13 @@ dram::DeviceStats PipelineResult::total() const {
   return hashmap.device + debruijn.device + traverse.device;
 }
 
-namespace detail {
+namespace {
 
+using KmerEntries = std::vector<std::pair<assembly::Kmer, std::uint32_t>>;
+
+// Picks the number of vertex intervals so every interval fits the column
+// width of a sub-array row (hash distribution is near-uniform; retry with
+// more intervals if an outlier interval overflows).
 GraphPartition partition_fitting(const assembly::DeBruijnGraph& g,
                                  const dram::Geometry& geom,
                                  std::uint32_t requested) {
@@ -48,6 +73,10 @@ GraphPartition partition_fitting(const assembly::DeBruijnGraph& g,
   }
 }
 
+// The run configuration the stages' command streams depend on — what a
+// snapshot pins and a resume must match. Transport-independent: isolation
+// changes where commands execute, never which commands run, so an
+// isolated run resumes an in-process one and vice versa.
 runtime::CheckpointFingerprint make_fingerprint(const dram::Geometry& geom,
                                                 const PipelineOptions& o) {
   runtime::CheckpointFingerprint fp;
@@ -72,39 +101,517 @@ runtime::CheckpointFingerprint make_fingerprint(const dram::Geometry& geom,
   return fp;
 }
 
-}  // namespace detail
+/// One stage's device statistics, folded in logical flat order.
+struct StageFold {
+  dram::DeviceStats device;
+  dram::CommandStats commands;
+};
 
-namespace {
+// The device operations of the three stages. Submissions may be batched;
+// drain() ships whatever is pending and is the barrier that surfaces the
+// first typed failure. Every fold is in logical flat order.
+class ShardBackend {
+ public:
+  ShardBackend() = default;
+  ShardBackend(const ShardBackend&) = delete;
+  ShardBackend& operator=(const ShardBackend&) = delete;
+  virtual ~ShardBackend() = default;
 
-using detail::make_fingerprint;
-using detail::partition_fitting;
+  /// Brings the shards up; `stages_done` stages come from a snapshot.
+  virtual void start(std::uint32_t stages_done) = 0;
+  /// Queues one hash-table insert on the shard owning the k-mer.
+  virtual void submit_kmer(const assembly::Kmer& kmer) = 0;
+  virtual void drain() = 0;
+  /// The counted table, in PimHashTable::extract() (shard, slot) order.
+  virtual KmerEntries extract() = 0;
+  virtual std::size_t distinct_kmers() = 0;
+  virtual void submit_program(dram::Program program) = 0;
+  /// One degree-kernel job of for_each_degree_job.
+  virtual void degree_block(std::size_t flat, std::size_t n,
+                            const EdgeBlock& block, bool transposed) = 0;
+  /// Stage boundary: the stage's stats, then cleared for the next stage.
+  virtual StageFold end_stage(std::uint32_t stage) = 0;
+  virtual dram::Program captured_trace() = 0;
+  /// Fault/recovery counters this process accumulated.
+  virtual runtime::FaultStats fault_stats() = 0;
+  virtual void export_metrics(telemetry::MetricsRegistry& registry) = 0;
+};
 
-// Batched k-mer submission: the controller routes every k-mer of the read
-// stream to the (device, channel) owning its hash shard and flushes
-// per-slot batches through the bounded queues (backpressure throttles the
-// controller when the channel executors fall behind). Per-shard insert
-// order equals read-stream order for any device and channel count — this
-// is the sharded pipeline's k-mer count shuffle, done at submission time.
-void submit_kmer_stream(runtime::PoolRunner& runner, PimHashTable& table,
-                        const std::vector<dna::Sequence>& reads,
-                        std::size_t k, const runtime::CancelToken* cancel) {
-  constexpr std::size_t kKmerBatch = 128;
-  // One pending batch per (device, channel) slot, devices-major.
-  std::vector<std::size_t> slot_base(runner.devices() + 1, 0);
-  for (std::size_t d = 0; d < runner.devices(); ++d)
-    slot_base[d + 1] = slot_base[d] + runner.engine(d).channels();
-  std::vector<std::vector<assembly::Kmer>> pending(slot_base.back());
-  auto flush = [&](std::size_t device, std::size_t channel) {
-    auto& batch = pending[slot_base[device] + channel];
+// ---- In-process transport --------------------------------------------------
+
+runtime::EngineOptions engine_options(const PipelineOptions& o) {
+  runtime::EngineOptions e;
+  e.channels = o.threads;
+  e.queue_capacity = o.queue_capacity;
+  e.capture_trace = o.capture_trace;
+  e.stall_timeout_ms = o.stall_timeout_ms;
+  return e;
+}
+
+// The caller's device is shard 0; the pool owns the rest for the run. With
+// devices == 1 every pool call collapses to the classic single-device path
+// (same folds, same engine). Every submission runs under
+// runtime::submit_guarded.
+class InProcessShards final : public ShardBackend {
+ public:
+  InProcessShards(dram::Device& device, const PipelineOptions& options)
+      : pool_(device, options.devices),
+        runner_(pool_, engine_options(options)),
+        table_(pool_, options.hash_shards) {
+    pool_.clear_stats();
+    // Fault-aware execution: attach the Table-I-calibrated fault model to
+    // every pool device and route the table's critical probes through the
+    // recovery layer. With faults off and recovery kOff (the default)
+    // nothing here runs and the run is bit-identical to the unfaulted
+    // build.
+    pool_.enable_faults(options.fault);
+    if (options.fault.enabled() ||
+        options.recovery.mode != runtime::RecoveryMode::kOff)
+      recovery_ =
+          std::make_unique<runtime::RecoveryManager>(pool_, options.recovery);
+    table_.bind_key_length(options.k);
+    table_.attach_recovery(recovery_.get());
+    // One pending k-mer batch per (device, channel) slot, devices-major.
+    slot_base_.assign(runner_.devices() + 1, 0);
+    for (std::size_t d = 0; d < runner_.devices(); ++d)
+      slot_base_[d + 1] = slot_base_[d] + runner_.engine(d).channels();
+    pending_.resize(slot_base_.back());
+  }
+
+  // Queued tasks reference the table and the pool: stop the channels
+  // before an unwind destroys them (use-after-free otherwise).
+  ~InProcessShards() override { runner_.quiesce(); }
+
+  void start(std::uint32_t) override {}
+
+  // Routes the k-mer to the (device, channel) owning its hash shard and
+  // flushes per-slot batches through the bounded queues (backpressure
+  // throttles the controller when the channels fall behind).
+  void submit_kmer(const assembly::Kmer& kmer) override {
+    const std::size_t flat =
+        table_.shard_subarray_flat(table_.shard_for(kmer));
+    const std::size_t device = runner_.owner_of(flat);
+    const std::size_t channel = runner_.engine(device).channel_of(flat);
+    auto& batch = pending_[slot_base_[device] + channel];
+    batch.push_back(kmer);
+    if (batch.size() >= kKmerBatch) flush(device, channel);
+  }
+
+  void drain() override {
+    for (std::size_t d = 0; d < runner_.devices(); ++d)
+      for (std::size_t c = 0; c < runner_.engine(d).channels(); ++c)
+        flush(d, c);
+    runner_.drain();
+  }
+
+  KmerEntries extract() override { return table_.extract(); }
+
+  std::size_t distinct_kmers() override { return table_.distinct_kmers(); }
+
+  void submit_program(dram::Program program) override {
+    runtime::submit_guarded(
+        runner_, [&] { runner_.submit_program(std::move(program)); });
+  }
+
+  void degree_block(std::size_t flat, std::size_t n, const EdgeBlock& block,
+                    bool transposed) override {
+    // The task owns its block: the partition dies before this backend on
+    // an unwind.
+    runtime::submit_guarded(runner_, [&] {
+      runner_.submit_to_subarray(
+          flat, [this, flat, n,
+                 edges = transposed ? transpose(block) : block] {
+            // Sums are discarded: the pipeline keeps the device work only.
+            (void)pim_column_sums(
+                pool_.subarray(flat),
+                block_adjacency_rows(edges, n, pool_.geometry().columns));
+          });
+    });
+  }
+
+  StageFold end_stage(std::uint32_t) override {
+    StageFold fold{pool_.roll_up(), pool_.command_roll_up()};
+    pool_.clear_stats();
+    return fold;
+  }
+
+  dram::Program captured_trace() override { return pool_.captured_program(); }
+
+  runtime::FaultStats fault_stats() override {
+    return recovery_ ? recovery_->roll_up() : runtime::FaultStats{};
+  }
+
+  void export_metrics(telemetry::MetricsRegistry& registry) override {
+    runner_.export_metrics(registry);
+    if (recovery_) recovery_->export_metrics(registry);
+  }
+
+ private:
+  static constexpr std::size_t kKmerBatch = 128;
+
+  void flush(std::size_t device, std::size_t channel) {
+    auto& batch = pending_[slot_base_[device] + channel];
     if (batch.empty()) return;
-    runner.engine(device).submit(
-        channel, [&table, batch = std::move(batch)] {
-          for (const auto& km : batch) table.insert_or_increment(km);
-        });
+    runtime::submit_guarded(runner_, [&] {
+      runner_.engine(device).submit(
+          channel, [this, batch = std::move(batch)] {
+            for (const auto& km : batch) table_.insert_or_increment(km);
+          });
+    });
     batch = {};
     batch.reserve(kKmerBatch);
-  };
+  }
 
+  runtime::DevicePool pool_;
+  runtime::PoolRunner runner_;
+  std::unique_ptr<runtime::RecoveryManager> recovery_;
+  PimHashTable table_;
+  std::vector<std::size_t> slot_base_;
+  std::vector<std::vector<assembly::Kmer>> pending_;
+};
+
+// ---- Rpc transport ---------------------------------------------------------
+
+net::Json make_op(const char* name) {
+  net::Json j = net::Json::object();
+  j.set("op", name);
+  return j;
+}
+
+// Encoded size of one wire number: its decimal digits plus a separator.
+std::size_t encoded_size(std::uint64_t v) {
+  std::size_t n = 2;
+  for (; v >= 10; v /= 10) ++n;
+  return n;
+}
+
+// Collects each device's `degree_block` batch for one superstep. A batch
+// ships when the superstep ends, or earlier, alone, when the next block
+// would push its request line past kBudgetBytes. Blocks keep the order
+// they were added in, per device, so per sub-array order is unchanged.
+class DegreeBatcher {
+ public:
+  /// Far below LineChannel::kMaxLineBytes (64 MiB): one request per
+  /// device on any genome the geometry fits, a bounded line beyond that.
+  static constexpr std::size_t kBudgetBytes = 4u << 20;
+
+  DegreeBatcher(runtime::ProcSupervisor& sup, const runtime::ShardPlan& plan)
+      : sup_(sup),
+        plan_(plan),
+        blocks_(sup.devices(), net::Json::array()),
+        bytes_(sup.devices(), 0) {}
+
+  /// Appends [flat, n, (from, to, mult)...] to the batch of the sub-array's
+  /// owner; with `transposed`, each edge's from and to swap (the
+  /// out-degree block).
+  void add(std::size_t flat, std::size_t n, const EdgeBlock& block,
+           bool transposed) {
+    const std::size_t owner = plan_.owner_of(flat);
+    net::Json enc = net::Json::array();
+    std::size_t bytes = 2 + encoded_size(flat) + encoded_size(n);
+    enc.push_back(net::Json(static_cast<std::uint64_t>(flat)));
+    enc.push_back(net::Json(static_cast<std::uint64_t>(n)));
+    for (const auto& e : block.edges) {
+      const std::uint32_t from = transposed ? e.to : e.from;
+      const std::uint32_t to = transposed ? e.from : e.to;
+      for (const std::uint32_t v : {from, to, e.multiplicity}) {
+        enc.push_back(net::Json(static_cast<std::uint64_t>(v)));
+        bytes += encoded_size(v);
+      }
+    }
+    if (!blocks_[owner].items().empty() && bytes_[owner] + bytes > kBudgetBytes)
+      ship(owner);
+    blocks_[owner].push_back(std::move(enc));
+    bytes_[owner] += bytes;
+  }
+
+  /// Ships every pending batch as one fan-out.
+  void finish() { ship(sup_.devices()); }
+
+ private:
+  // Ships device `only`'s batch, or every batch when `only` is out of range.
+  void ship(std::size_t only) {
+    std::vector<net::Json> requests(sup_.devices());
+    for (std::size_t d = 0; d < requests.size(); ++d) {
+      if ((only < requests.size() && d != only) || blocks_[d].items().empty())
+        continue;
+      requests[d] = make_op("degree_block");
+      requests[d].set("blocks", std::move(blocks_[d]));
+      blocks_[d] = net::Json::array();
+      bytes_[d] = 0;
+    }
+    (void)sup_.rpc_all(requests);
+  }
+
+  runtime::ProcSupervisor& sup_;
+  const runtime::ShardPlan& plan_;
+  std::vector<net::Json> blocks_;
+  std::vector<std::size_t> bytes_;
+};
+
+runtime::ProcPoolOptions pool_options(const dram::Device& device,
+                                      const PipelineOptions& options) {
+  runtime::ProcPoolOptions p;
+  p.devices = options.devices;
+  p.devd_path = options.isolate_opts.devd_path;
+  p.liveness_timeout_s = options.isolate_opts.liveness_timeout_s;
+  p.restart_budget = options.isolate_opts.restart_budget;
+  p.restart_backoff_ms = options.isolate_opts.restart_backoff_ms;
+  // A traced run must keep the whole journal: a restarted worker rebuilds
+  // its trace sinks only by replaying every command since init.
+  p.journal_truncation = !options.capture_trace;
+  p.checkpoint_dir = options.checkpoint_dir;
+  p.fingerprint = make_fingerprint(device.geometry(), options);
+  p.child_iofault = options.isolate_opts.child_iofault;
+  return p;
+}
+
+// Every device shard in a pima_devd worker. Only command *execution*
+// crosses the process boundary; each verb is one request per device per
+// superstep, every device's request written before any response is read.
+// Statistics and traces come back per sub-array and are folded here in
+// logical flat order — the DevicePool folds, operation for operation.
+class RpcShards final : public ShardBackend {
+ public:
+  RpcShards(const dram::Device& device, const PipelineOptions& options)
+      : options_(options),
+        plan_{options.devices},
+        total_(device.geometry().total_subarrays()),
+        sup_(pool_options(device, options),
+             [&device, &options](std::size_t d) {
+               WorkerInit init;
+               init.geometry = device.geometry();
+               init.technology = device.technology();
+               init.device = d;
+               init.devices = options.devices;
+               init.k = options.k;
+               init.hash_shards = options.hash_shards;
+               // 0 stays 0: the worker's engine resolves it.
+               init.channels = options.threads;
+               init.queue_capacity = options.queue_capacity;
+               init.capture_trace = options.capture_trace;
+               // Stitched tracing: when the controller captures spans, the
+               // workers do too; the supervisor harvests their buffers at
+               // stage boundaries.
+               init.trace_spans = telemetry::tracer().enabled();
+               init.stall_timeout_ms = options.stall_timeout_ms;
+               return worker_init_to_json(init);
+             }),
+        degrees_(sup_, plan_),
+        kmers_(options.devices) {
+    if (options.fault.enabled() ||
+        options.recovery.mode != runtime::RecoveryMode::kOff)
+      throw SimulationError(
+          "process isolation with fault injection or recovery is "
+          "unsupported: the fault model's per-sub-array RNG streams and the "
+          "recovery layer's probe routing are in-process state the worker "
+          "init request does not carry — run --isolate fault-free, or drop "
+          "--isolate");
+  }
+
+  void start(std::uint32_t stages_done) override {
+    // A fresh run must not trip over shard checkpoints a previous run of a
+    // different configuration left in the directory — only a resumed run
+    // may inherit them (fingerprint-validated per worker on spawn).
+    if (stages_done == 0 && !options_.checkpoint_dir.empty()) {
+      for (std::size_t d = 0; d < options_.devices; ++d) {
+        std::error_code ec;
+        std::filesystem::remove(options_.checkpoint_dir + "/shard-" +
+                                    std::to_string(d) + ".ckpt",
+                                ec);
+      }
+    }
+    sup_.start();
+    if (stages_done > 0) sup_.mark_stage_done(stages_done);
+  }
+
+  // Same shard routing as the in-process table (flat = shard =
+  // hash % shards, owner = flat % devices); the worker picks the channel.
+  void submit_kmer(const assembly::Kmer& kmer) override {
+    const auto flat =
+        static_cast<std::size_t>(kmer.hash() % options_.hash_shards);
+    kmers_[plan_.owner_of(flat)].push_back(kmer.packed());
+    if (++kmers_pending_ >= kSuperstep) ship_kmers();
+  }
+
+  // rpc_all reads every response before rethrowing the lowest device's
+  // typed failure — the PoolRunner::drain discipline; a degraded pool
+  // aborts immediately.
+  void drain() override {
+    ship_kmers();
+    degrees_.finish();
+    (void)sup_.rpc_all(to_every(make_op("drain")));
+  }
+
+  KmerEntries extract() override {
+    std::vector<std::vector<std::size_t>> owned(sup_.devices());
+    for (std::size_t s = 0; s < options_.hash_shards; ++s)
+      owned[plan_.owner_of(s)].push_back(s);
+    std::vector<net::Json> requests(sup_.devices());
+    for (std::size_t d = 0; d < sup_.devices(); ++d) {
+      if (owned[d].empty()) continue;
+      net::Json shards = net::Json::array();
+      for (const std::size_t s : owned[d])
+        shards.push_back(net::Json(static_cast<std::uint64_t>(s)));
+      requests[d] = make_op("extract");
+      requests[d].set("shards", std::move(shards));
+    }
+    // Journaled, not a query: reading the table issues ROW_READs that the
+    // stage's stats fold counts, so a restarted worker must replay them.
+    const auto responses = sup_.rpc_all(requests);
+    // Owners answer in request order; re-keyed by shard index, the lists
+    // concatenate in PimHashTable::extract() order.
+    std::vector<const net::Json*> by_shard(options_.hash_shards);
+    for (std::size_t d = 0; d < sup_.devices(); ++d) {
+      if (owned[d].empty()) continue;
+      const auto& lists = responses[d].get("shards").items();
+      PIMA_CHECK(lists.size() == owned[d].size(),
+                 "extract response does not match the requested shards");
+      for (std::size_t i = 0; i < lists.size(); ++i)
+        by_shard[owned[d][i]] = &lists[i];
+    }
+    KmerEntries entries;
+    for (const net::Json* list : by_shard) {
+      const auto& flat = list->items();
+      for (std::size_t e = 0; e + 1 < flat.size(); e += 2)
+        entries.emplace_back(
+            assembly::Kmer(flat[e].as_uint64(), options_.k),
+            static_cast<std::uint32_t>(flat[e + 1].as_uint64()));
+    }
+    return entries;
+  }
+
+  std::size_t distinct_kmers() override {
+    std::size_t total = 0;
+    for (const auto& resp : sup_.query_all(to_every(make_op("distinct"))))
+      total += static_cast<std::size_t>(resp.get_uint64("value"));
+    return total;
+  }
+
+  // Splits the slice by owning device in program order and ships each
+  // non-empty sub-stream as one `program` request of a single fan-out —
+  // the sub-streams PoolRunner::submit_program produces, so per sub-array
+  // command order is the single-device order.
+  void submit_program(dram::Program program) override {
+    std::vector<dram::Program> per(sup_.devices());
+    for (auto& inst : program)
+      per[plan_.owner_of(inst.subarray)].push_back(std::move(inst));
+    std::vector<net::Json> requests(sup_.devices());
+    for (std::size_t d = 0; d < per.size(); ++d) {
+      if (per[d].empty()) continue;
+      requests[d] = make_op("program");
+      requests[d].set("text", dram::to_text(per[d]));
+    }
+    (void)sup_.rpc_all(requests);
+  }
+
+  // The workers rebuild the adjacency rows and run the full carry-save
+  // reduction, so the device traffic matches the in-process run command
+  // for command.
+  void degree_block(std::size_t flat, std::size_t n, const EdgeBlock& block,
+                    bool transposed) override {
+    degrees_.add(flat, n, block, transposed);
+  }
+
+  // DevicePool::roll_up / command_roll_up over the wire stats: the
+  // identical double-precision operation sequence.
+  StageFold end_stage(std::uint32_t stage) override {
+    const auto responses = sup_.query_all(to_every(make_op("stats")));
+    StageFold fold;
+    for (const net::Json* entry : in_flat_order(responses, "subarrays")) {
+      dram::CommandStats st;
+      const auto& counts = entry->get("counts").items();
+      for (std::size_t i = 0;
+           i < dram::kCommandKindCount && i < counts.size(); ++i)
+        st.counts[i] = static_cast<std::size_t>(counts[i].as_uint64());
+      st.busy_ns = entry->get_number("busy_ns");
+      st.energy_pj = entry->get_number("energy_pj");
+      // Workers already skip zero-command sub-arrays (fold identity).
+      ++fold.device.subarrays_used;
+      fold.device.time_ns = std::max(fold.device.time_ns, st.busy_ns);
+      fold.device.serial_ns += st.busy_ns;
+      fold.device.energy_pj += st.energy_pj;
+      fold.device.commands += st.total_commands();
+      fold.commands.merge_serial(st);
+    }
+    (void)sup_.rpc_all(to_every(make_op("clear_stats")));
+    sup_.mark_stage_done(stage);
+    return fold;
+  }
+
+  // DevicePool::captured_program over the workers' per-sub-array replay
+  // programs.
+  dram::Program captured_trace() override {
+    const auto responses = sup_.query_all(to_every(make_op("trace")));
+    dram::Program program;
+    for (const net::Json* entry : in_flat_order(responses, "programs")) {
+      std::istringstream in(entry->get_string("text"));
+      const dram::Program part = dram::parse_program(in);
+      program.insert(program.end(), part.begin(), part.end());
+    }
+    return program;
+  }
+
+  runtime::FaultStats fault_stats() override { return {}; }
+
+  void export_metrics(telemetry::MetricsRegistry&) override {}
+
+ private:
+  /// K-mers routed per `kmers` superstep, over all devices.
+  static constexpr std::size_t kSuperstep = std::size_t{1} << 14;
+
+  std::vector<net::Json> to_every(const net::Json& request) const {
+    return std::vector<net::Json>(sup_.devices(), request);
+  }
+
+  // Every worker's per-sub-array `key` entries in logical flat order — the
+  // DevicePool fold order (a sub-array lives in its owner only, so flats
+  // are unique across workers).
+  static std::vector<const net::Json*> in_flat_order(
+      const std::vector<net::Json>& responses, const char* key) {
+    std::vector<const net::Json*> entries;
+    for (const auto& response : responses)
+      for (const auto& entry : response.get(key).items())
+        entries.push_back(&entry);
+    std::sort(entries.begin(), entries.end(),
+              [](const net::Json* a, const net::Json* b) {
+                return a->get_uint64("flat") < b->get_uint64("flat");
+              });
+    return entries;
+  }
+
+  // One `kmers` request per device holding pending k-mers, in stream order.
+  void ship_kmers() {
+    std::vector<net::Json> requests(sup_.devices());
+    for (std::size_t d = 0; d < sup_.devices(); ++d) {
+      if (kmers_[d].empty()) continue;
+      net::Json packed = net::Json::array();
+      for (const std::uint64_t km : kmers_[d]) packed.push_back(net::Json(km));
+      kmers_[d].clear();
+      requests[d] = make_op("kmers");
+      requests[d].set("kmers", std::move(packed));
+    }
+    kmers_pending_ = 0;
+    (void)sup_.rpc_all(requests);
+  }
+
+  const PipelineOptions& options_;
+  const runtime::ShardPlan plan_;
+  const std::size_t total_;
+  runtime::ProcSupervisor sup_;
+  DegreeBatcher degrees_;
+  std::vector<std::vector<std::uint64_t>> kmers_;
+  std::size_t kmers_pending_ = 0;
+};
+
+// ---- The stages ------------------------------------------------------------
+
+// Streams every k-mer of the read stream to its shard; per-shard insert
+// order equals read-stream order for any transport, device and channel
+// count — the sharded pipeline's k-mer count shuffle, done at submission.
+void stream_kmers(ShardBackend& shards,
+                  const std::vector<dna::Sequence>& reads, std::size_t k,
+                  const runtime::CancelToken* cancel) {
   // Live progress counters: bumped on the controller thread only, once per
   // read, so the totals are deterministic for any channel count (model
   // class) and cost nothing per k-mer.
@@ -126,13 +633,7 @@ void submit_kmer_stream(runtime::PoolRunner& runner, PimHashTable& table,
     }
     assembly::Kmer window = assembly::Kmer::from_sequence(read, 0, k);
     for (std::size_t i = 0;; ++i) {
-      const std::size_t flat =
-          table.shard_subarray_flat(table.shard_for(window));
-      const std::size_t device = runner.owner_of(flat);
-      const std::size_t channel = runner.engine(device).channel_of(flat);
-      auto& batch = pending[slot_base[device] + channel];
-      batch.push_back(window);
-      if (batch.size() >= kKmerBatch) flush(device, channel);
+      shards.submit_kmer(window);
       if (i + k >= read.size()) break;
       window = window.rolled(read.at(i + k));
     }
@@ -141,43 +642,14 @@ void submit_kmer_stream(runtime::PoolRunner& runner, PimHashTable& table,
       kmers_ctr->add(static_cast<double>(read.size() - k + 1));
     }
   }
-  for (std::size_t d = 0; d < runner.devices(); ++d)
-    for (std::size_t c = 0; c < runner.engine(d).channels(); ++c) flush(d, c);
-  runner.drain();
+  shards.drain();
 }
 
-}  // namespace
-
-PipelineResult run_pipeline(dram::Device& device,
-                            const std::vector<dna::Sequence>& reads,
-                            const PipelineOptions& options) {
-  PIMA_CHECK(options.devices >= 1, "need at least one device");
-  if (options.isolate) {
-    try {
-      return detail::run_pipeline_isolated(device, reads, options);
-    } catch (const runtime::ProcPoolDegradedError& e) {
-      if (!options.isolate_opts.allow_degrade)
-        throw WorkerCrashedError(e.device(),
-                                 runtime::to_string(e.exit_class()),
-                                 e.detail());
-      // Typed, logged transition: same run, same outputs, one address
-      // space. The device is untouched so far — every isolated-run write
-      // happened inside the (now dead) workers.
-      telemetry::log_event(
-          telemetry::LogLevel::kWarn, "pool.fallback",
-          std::string("process isolation degraded — ") + e.what() +
-              "; rerunning on the in-process device pool",
-          {telemetry::LogField::uint("device", e.device()),
-           telemetry::LogField::str("class",
-                                    runtime::to_string(e.exit_class()))});
-    }
-  }
+PipelineResult run_stages(ShardBackend& shards, const dram::Device& device,
+                          const std::vector<dna::Sequence>& reads,
+                          const PipelineOptions& options) {
   PipelineResult result;
-  // Shard plan: the caller's device is shard 0; the pool owns the rest for
-  // the duration of the run. With devices == 1 every pool call collapses
-  // to the classic single-device path (same folds, same engine).
-  runtime::DevicePool pool(device, options.devices);
-  pool.clear_stats();
+  const dram::Geometry& geometry = device.geometry();
 
   PIMA_TEL_NAME_TRACK(runtime::Engine::kMainTrack, "main");
   PIMA_TEL_SET_THREAD_TRACK(runtime::Engine::kMainTrack);
@@ -189,11 +661,10 @@ PipelineResult run_pipeline(dram::Device& device,
   // Per-stage model metrics: stage roll-up plus the per-CommandKind
   // energy/latency split, derived from the same breakdown_from_stats the
   // report tables use — the two can never disagree.
-  const auto export_stage = [&](const char* stage,
-                                const dram::DeviceStats& st,
-                                const dram::CommandStats& cmds) {
+  const auto export_stage = [&](const char* stage, const StageFold& fold) {
     if (!telemetry::metrics_enabled()) return;
     auto& registry = telemetry::metrics();
+    const dram::DeviceStats& st = fold.device;
     const telemetry::Labels labels = {{"stage", stage}};
     registry
         .counter("pima_stage_commands_total", "DRAM commands per stage",
@@ -212,7 +683,7 @@ PipelineResult run_pipeline(dram::Device& device,
                labels)
         .set(static_cast<double>(st.subarrays_used));
     telemetry::add_breakdown_metrics(
-        registry, dram::breakdown_from_stats(cmds, device.geometry().columns,
+        registry, dram::breakdown_from_stats(fold.commands, geometry.columns,
                                              device.technology()));
   };
   std::unique_ptr<telemetry::ProgressReporter> progress;
@@ -222,28 +693,9 @@ PipelineResult run_pipeline(dram::Device& device,
         telemetry::ProgressReporter::Options{options.progress_interval_s,
                                              nullptr});
 
-  runtime::EngineOptions engine_options;
-  engine_options.channels = options.threads;
-  engine_options.queue_capacity = options.queue_capacity;
-  engine_options.capture_trace = options.capture_trace;
-  engine_options.stall_timeout_ms = options.stall_timeout_ms;
-  runtime::PoolRunner runner(pool, engine_options);
-
-  // Fault-aware execution: attach the Table-I-calibrated fault model to
-  // every pool device and route the table's critical probes through the
-  // recovery layer. When faults are off and recovery is kOff (the
-  // default), nothing here runs and the pipeline is bit-identical to the
-  // unfaulted build.
-  pool.enable_faults(options.fault);
-  std::unique_ptr<runtime::RecoveryManager> recovery;
-  if (options.fault.enabled() ||
-      options.recovery.mode != runtime::RecoveryMode::kOff)
-    recovery =
-        std::make_unique<runtime::RecoveryManager>(pool, options.recovery);
-
   // ---- Checkpoint/resume plumbing ----
   const runtime::CheckpointFingerprint fingerprint =
-      make_fingerprint(device.geometry(), options);
+      make_fingerprint(geometry, options);
   const std::string ckpt_path = options.checkpoint_dir.empty()
                                     ? std::string{}
                                     : options.checkpoint_dir + "/pipeline.ckpt";
@@ -267,11 +719,9 @@ PipelineResult run_pipeline(dram::Device& device,
     }
   }
   // Fault/recovery counters accumulated before the interruption; this
-  // process's RecoveryManager adds its own deltas on top.
+  // process's backend adds its own deltas on top.
   const runtime::FaultStats base_fault = snap.fault_stats;
-  const auto fault_now = [&] {
-    return recovery ? base_fault + recovery->roll_up() : base_fault;
-  };
+  const auto fault_now = [&] { return base_fault + shards.fault_stats(); };
   const auto write_checkpoint = [&](std::uint32_t stage) {
     if (ckpt_path.empty()) return;
     snap.stages_done = stage;
@@ -279,13 +729,14 @@ PipelineResult run_pipeline(dram::Device& device,
     runtime::save_checkpoint(ckpt_path, snap);
     if (options.on_checkpoint) options.on_checkpoint(stage, ckpt_path);
   };
+  shards.start(resume_stage);
 
   // ---- Stage 1: k-mer analysis (Hashmap(S, k)) ----
   // Ends with the table extraction (the controller reading the counted
   // shards back out), so the stage's snapshot state — the extracted
   // (k-mer, freq) list — fully covers the stage's device traffic and a
   // resumed run reproduces the uninterrupted stats exactly.
-  std::vector<std::pair<assembly::Kmer, std::uint32_t>> entries;
+  KmerEntries entries;
   if (resume_stage >= 1) {
     entries = snap.kmer_entries;
     result.distinct_kmers = snap.distinct_kmers;
@@ -293,45 +744,12 @@ PipelineResult run_pipeline(dram::Device& device,
   } else {
     PIMA_TEL_SPAN("stage:hashmap");
     if (options.cancel != nullptr) options.cancel->throw_if_requested();
-    PimHashTable table(pool, options.hash_shards);
-    table.bind_key_length(options.k);
-    table.attach_recovery(recovery.get());
-    try {
-      submit_kmer_stream(runner, table, reads, options.k, options.cancel);
-      if (pool.plan().sharded()) {
-        // K-mer count shuffle: each owner streams its shards to the
-        // controller through the stage-boundary exchange, merged by shard
-        // index — the same (shard, slot) order extract() produces on one
-        // device.
-        runtime::Exchange<std::pair<assembly::Kmer, std::uint32_t>>
-            shuffle(pool.size());
-        for (std::size_t s = 0; s < table.shard_count(); ++s) {
-          const std::size_t owner =
-              pool.owner_of(table.shard_subarray_flat(s));
-          for (auto& entry : table.extract_shard(s))
-            shuffle.push(owner, 0, s, std::move(entry));
-        }
-        entries = shuffle.gather(0);
-      } else {
-        entries = table.extract();
-      }
-    } catch (const SimulationError&) {
-      // In-flight insert tasks reference `table`; stop the channels before
-      // the unwind destroys it (a failed shard otherwise races workers
-      // against the destructor — use-after-free). Then drain to surface
-      // the root task failure (e.g. "hash shard full") instead of the
-      // fail-fast submit refusal that unwound us here.
-      runner.quiesce();
-      runner.drain();
-      throw;
-    } catch (...) {
-      runner.quiesce();  // same race on the cancel path
-      throw;
-    }
-    result.distinct_kmers = table.distinct_kmers();
-    result.hashmap = {pool.roll_up(), "hashmap"};
-    export_stage("hashmap", result.hashmap.device, pool.command_roll_up());
-    pool.clear_stats();
+    stream_kmers(shards, reads, options.k, options.cancel);
+    entries = shards.extract();
+    result.distinct_kmers = shards.distinct_kmers();
+    const StageFold fold = shards.end_stage(1);
+    result.hashmap = {fold.device, "hashmap"};
+    export_stage("hashmap", fold);
     snap.distinct_kmers = result.distinct_kmers;
     snap.kmer_entries = entries;
     snap.hashmap = result.hashmap.device;
@@ -343,7 +761,7 @@ PipelineResult run_pipeline(dram::Device& device,
   // land on the graph sub-arrays (one row write per insert, round-robin
   // over the shard range) — the construction is controller-sequenced but
   // storage-local, exactly the paper's MEM_insert traffic, here emitted as
-  // a batched ROW_WRITE ISA program fanned out over the channels.
+  // a batched ROW_WRITE ISA program fanned out over the shards.
   if (resume_stage >= 2) {
     // from_edges() on the snapshot's edge list rebuilds the exact node ids
     // and adjacency the interrupted run had (the list is already in the
@@ -361,9 +779,9 @@ PipelineResult run_pipeline(dram::Device& device,
     const std::size_t graph_base = options.hash_shards;
     const std::size_t graph_arrays = std::max<std::size_t>(
         1, std::min(options.hash_shards,
-                    pool.total_subarrays() - graph_base));
-    const std::size_t data_rows = pool.geometry().data_rows();
-    const BitVector row_image(pool.geometry().columns);
+                    geometry.total_subarrays() - graph_base));
+    const std::size_t data_rows = geometry.data_rows();
+    const BitVector row_image(geometry.columns);
     // Submitted in bounded slices: in-flight memory stays constant and the
     // queues' backpressure paces the controller.
     constexpr std::size_t kProgramSlice = 8192;
@@ -380,7 +798,7 @@ PipelineResult run_pipeline(dram::Device& device,
       inserts.push_back(std::move(inst));
       if (inserts.size() >= kProgramSlice) {
         if (options.cancel != nullptr) options.cancel->throw_if_requested();
-        runner.submit_program(std::move(inserts));
+        shards.submit_program(std::move(inserts));
         inserts = {};
         inserts.reserve(kProgramSlice);
       }
@@ -390,11 +808,11 @@ PipelineResult run_pipeline(dram::Device& device,
       mem_insert();  // node 2 (suffix) insert
       mem_insert();  // edge-list insert
     }
-    runner.submit_program(std::move(inserts));
-    runner.drain();
-    result.debruijn = {pool.roll_up(), "debruijn"};
-    export_stage("debruijn", result.debruijn.device, pool.command_roll_up());
-    pool.clear_stats();
+    shards.submit_program(std::move(inserts));
+    shards.drain();
+    const StageFold fold = shards.end_stage(2);
+    result.debruijn = {fold.device, "debruijn"};
+    export_stage("debruijn", fold);
     snap.graph_edges.clear();
     snap.graph_edges.reserve(graph.edge_count());
     for (const auto& e : graph.edges())
@@ -414,32 +832,24 @@ PipelineResult run_pipeline(dram::Device& device,
     PIMA_TEL_SPAN("stage:traverse");
     if (options.cancel != nullptr) options.cancel->throw_if_requested();
     const GraphPartition partition =
-        partition_fitting(graph, pool.geometry(), options.graph_intervals);
-    const DegreeResult degrees = pim_degrees(pool, graph, partition, &runner);
-    // The controller uses the PIM-computed degrees to pick Euler start
-    // vertices; the walk itself streams edge lookups (one row read each),
-    // batched into per-channel ROW_READ programs.
-    (void)degrees;
-    std::vector<dna::Sequence> walks =
+        partition_fitting(graph, geometry, options.graph_intervals);
+    // The PIM degree sums: every edge block's column-sum kernel on its own
+    // sub-array. The sums themselves are discarded — the walks below
+    // recompute degrees on the host — so only the device work is kept.
+    for_each_degree_job(partition, geometry,
+                        [&](std::size_t flat, std::size_t n,
+                            const EdgeBlock& block, bool transposed) {
+                          shards.degree_block(flat, n, block, transposed);
+                        });
+    shards.drain();
+    // The walk itself streams edge lookups (one row read each), batched
+    // into ROW_READ programs.
+    result.contigs =
         options.euler_contigs
             ? assembly::contigs_from_euler(graph, options.traversal)
             : assembly::contigs_from_unitigs(graph);
     const std::size_t arrays = std::max<std::size_t>(1, options.hash_shards);
-    if (pool.plan().sharded()) {
-      // Contig hand-off: each walk is attributed to the device owning its
-      // start shard and handed back through the stage-boundary exchange
-      // keyed by walk index, so the final contig order is walk order for
-      // any device count.
-      runtime::Exchange<dna::Sequence> handoff(pool.size());
-      for (std::size_t w = 0; w < walks.size(); ++w) {
-        const std::size_t owner = pool.owner_of(w % arrays);
-        handoff.push(owner, 0, w, std::move(walks[w]));
-      }
-      result.contigs = handoff.gather(0);
-    } else {
-      result.contigs = std::move(walks);
-    }
-    const std::size_t data_rows = pool.geometry().data_rows();
+    const std::size_t data_rows = geometry.data_rows();
     constexpr std::size_t kProgramSlice = 8192;
     dram::Program lookups;
     lookups.reserve(kProgramSlice);
@@ -452,16 +862,16 @@ PipelineResult run_pipeline(dram::Device& device,
       lookups.push_back(std::move(inst));
       if (lookups.size() >= kProgramSlice) {
         if (options.cancel != nullptr) options.cancel->throw_if_requested();
-        runner.submit_program(std::move(lookups));
+        shards.submit_program(std::move(lookups));
         lookups = {};
         lookups.reserve(kProgramSlice);
       }
     }
-    runner.submit_program(std::move(lookups));
-    runner.drain();
-    result.traverse = {pool.roll_up(), "traverse"};
-    export_stage("traverse", result.traverse.device, pool.command_roll_up());
-    pool.clear_stats();
+    shards.submit_program(std::move(lookups));
+    shards.drain();
+    const StageFold fold = shards.end_stage(3);
+    result.traverse = {fold.device, "traverse"};
+    export_stage("traverse", fold);
     snap.contigs = result.contigs;
     snap.traverse = result.traverse.device;
     write_checkpoint(3);
@@ -469,11 +879,10 @@ PipelineResult run_pipeline(dram::Device& device,
 
   result.contig_stats = assembly::compute_stats(result.contigs);
   result.fault_stats = fault_now();
-  if (options.capture_trace) result.trace = pool.captured_program();
+  if (options.capture_trace) result.trace = shards.captured_trace();
   if (telemetry::metrics_enabled()) {
     auto& registry = telemetry::metrics();
-    runner.export_metrics(registry);
-    if (recovery) recovery->export_metrics(registry);
+    shards.export_metrics(registry);
     registry
         .gauge("pima_pipeline_distinct_kmers", "distinct k-mers counted")
         .set(static_cast<double>(result.distinct_kmers));
@@ -485,6 +894,37 @@ PipelineResult run_pipeline(dram::Device& device,
         .set(static_cast<double>(result.contigs.size()));
   }
   return result;
+}
+
+}  // namespace
+
+PipelineResult run_pipeline(dram::Device& device,
+                            const std::vector<dna::Sequence>& reads,
+                            const PipelineOptions& options) {
+  PIMA_CHECK(options.devices >= 1, "need at least one device");
+  if (options.isolate) {
+    try {
+      RpcShards shards(device, options);
+      return run_stages(shards, device, reads, options);
+    } catch (const runtime::ProcPoolDegradedError& e) {
+      if (!options.isolate_opts.allow_degrade)
+        throw WorkerCrashedError(e.device(),
+                                 runtime::to_string(e.exit_class()),
+                                 e.detail());
+      // Typed, logged transition: same run, same outputs, one address
+      // space. The device is untouched so far — every isolated-run write
+      // happened inside the (now dead) workers.
+      telemetry::log_event(
+          telemetry::LogLevel::kWarn, "pool.fallback",
+          std::string("process isolation degraded — ") + e.what() +
+              "; rerunning on the in-process device pool",
+          {telemetry::LogField::uint("device", e.device()),
+           telemetry::LogField::str("class",
+                                    runtime::to_string(e.exit_class()))});
+    }
+  }
+  InProcessShards shards(device, options);
+  return run_stages(shards, device, reads, options);
 }
 
 }  // namespace pima::core

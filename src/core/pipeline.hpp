@@ -14,6 +14,9 @@
 // `PipelineOptions::threads` picks the channel count; every output —
 // contigs, graph, per-stage DeviceStats — is bit-identical for any value,
 // because work routing is a pure function of the target sub-array.
+// One stage body serves both transports (pipeline.cpp, DESIGN.md §15): the
+// in-process device pool, or — with `isolate` — one pima_devd worker
+// process per device shard; outputs are identical either way.
 // Run resilience: with PipelineOptions::checkpoint_dir set, the pipeline
 // writes a versioned, checksummed snapshot (runtime/checkpoint.hpp) at
 // every stage boundary — atomically, so a crash at any instant leaves a

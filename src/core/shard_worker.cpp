@@ -25,25 +25,8 @@ net::Json ok_response() {
   throw InputFormatError("device worker request: " + why);
 }
 
-// Submits through the engine with the pipeline's stage discipline: a
-// fail-fast submit after a poisoned channel surfaces the root failure
-// (quiesce, drain, rethrow); any other failure quiesces first.
-template <typename Submit>
-void submit_guarded(runtime::Engine& engine, Submit&& submit) {
-  try {
-    submit();
-  } catch (const SimulationError&) {
-    engine.quiesce();
-    engine.drain();
-    throw;
-  } catch (...) {
-    engine.quiesce();
-    throw;
-  }
-}
-
 // A wire array of unsigned integers ([flat, n, from, to, mult, ...] or
-// [channel, kmer, ...]); as_uint64 rejects anything else typed.
+// [kmer, ...]); as_uint64 rejects anything else typed.
 const std::vector<net::Json>& uint_array(const net::Json& j,
                                          const char* what) {
   if (!j.is_array()) bad_request(std::string(what) + " must be an array");
@@ -83,7 +66,6 @@ net::Json worker_init_to_json(const WorkerInit& init) {
   j.set("hash_shards", init.hash_shards);
   j.set("channels", init.channels);
   j.set("queue_capacity", init.queue_capacity);
-  j.set("program_chunk", init.program_chunk);
   j.set("capture_trace", init.capture_trace);
   j.set("trace_spans", init.trace_spans);
   j.set("stall_timeout_ms", init.stall_timeout_ms);
@@ -134,8 +116,6 @@ WorkerInit worker_init_from_json(const net::Json& j) {
   init.channels = static_cast<std::size_t>(j.get_uint64("channels", 1));
   init.queue_capacity =
       static_cast<std::size_t>(j.get_uint64("queue_capacity", 64));
-  init.program_chunk =
-      static_cast<std::size_t>(j.get_uint64("program_chunk", 512));
   init.capture_trace = j.get_bool("capture_trace", false);
   init.trace_spans = j.get_bool("trace_spans", false);
   init.stall_timeout_ms = j.get_number("stall_timeout_ms", 0.0);
@@ -151,7 +131,6 @@ ShardWorkerCore::ShardWorkerCore(const net::Json& init)
   runtime::EngineOptions eopt;
   eopt.channels = init_.channels;
   eopt.queue_capacity = init_.queue_capacity;
-  eopt.program_chunk = init_.program_chunk;
   eopt.capture_trace = init_.capture_trace;
   eopt.stall_timeout_ms = init_.stall_timeout_ms;
   // A real worker thread even at channels == 1: the request loop must stay
@@ -203,27 +182,27 @@ net::Json ShardWorkerCore::handle(const net::Json& request) {
 }
 
 net::Json ShardWorkerCore::op_kmers(const net::Json& req) {
-  // One superstep: every channel's pending batch, [channel, kmer, ...]
-  // each, in stream order. Parsed in full before anything is queued.
-  std::vector<std::pair<std::size_t, std::vector<assembly::Kmer>>> batches;
-  for (const auto& item : uint_array(req.get("batches"), "kmers batches")) {
-    const auto& values = uint_array(item, "a kmers batch");
-    if (values.empty()) bad_request("a kmers batch needs its channel");
-    const auto channel = static_cast<std::size_t>(values[0].as_uint64());
-    if (channel >= engine_->channels())
-      bad_request("kmers channel out of range");
-    std::vector<assembly::Kmer> kmers;
-    kmers.reserve(values.size() - 1);
-    for (std::size_t i = 1; i < values.size(); ++i)
-      kmers.emplace_back(values[i].as_uint64(), init_.k);
-    batches.emplace_back(channel, std::move(kmers));
+  // One superstep of this device's k-mers in stream order, split here by
+  // owning channel — the in-process routing — so per-shard insert order
+  // stays stream order. Parsed in full before anything is queued.
+  std::vector<std::vector<assembly::Kmer>> per_channel(engine_->channels());
+  for (const auto& value : uint_array(req.get("kmers"), "kmers")) {
+    // The constructor rejects stray bits above 2k (PreconditionError).
+    const assembly::Kmer kmer(value.as_uint64(), init_.k);
+    per_channel[engine_->channel_of(
+                    table_->shard_subarray_flat(table_->shard_for(kmer)))]
+        .push_back(kmer);
   }
-  for (auto& [channel, kmers] : batches)
-    submit_guarded(*engine_, [&] {
-      engine_->submit(channel, [this, batch = std::move(kmers)] {
-        for (const auto& kmer : batch) table_->insert_or_increment(kmer);
-      });
+  for (std::size_t channel = 0; channel < per_channel.size(); ++channel) {
+    if (per_channel[channel].empty()) continue;
+    runtime::submit_guarded(*engine_, [&] {
+      engine_->submit(channel,
+                      [this, batch = std::move(per_channel[channel])] {
+                        for (const auto& kmer : batch)
+                          table_->insert_or_increment(kmer);
+                      });
     });
+  }
   return ok_response();
 }
 
@@ -270,8 +249,8 @@ net::Json ShardWorkerCore::op_program(const net::Json& req) {
     // point of view, not a worker bug.
     bad_request(std::string("unparseable program: ") + e.what());
   }
-  submit_guarded(*engine_,
-                 [&] { engine_->submit_program(std::move(program)); });
+  runtime::submit_guarded(
+      *engine_, [&] { engine_->submit_program(std::move(program)); });
   return ok_response();
 }
 
@@ -324,10 +303,10 @@ net::Json ShardWorkerCore::op_degree_block(const net::Json& req) {
   }
   for (auto& job : jobs) {
     const std::size_t flat = job.flat;
-    submit_guarded(*engine_, [&] {
+    runtime::submit_guarded(*engine_, [&] {
       engine_->submit_to_subarray(flat, [this, width, job = std::move(job)] {
         // Sums are discarded: the pipeline only keeps the device work (the
-        // in-process path discards DegreeResult the same way).
+        // in-process backend discards them the same way).
         (void)pim_column_sums(device_.subarray(job.flat),
                               block_adjacency_rows(job.block, job.n, width));
       });

@@ -11,8 +11,9 @@
 // Verbs (one request object per line, one response object per request):
 //
 //   init          geometry + technology + engine/table configuration
-//   kmers         enqueue one superstep's k-mer batches, one per channel
-//                 (stage-1 insert path): batches [[channel, kmer, ...], ...]
+//   kmers         enqueue one superstep of the device's k-mers (stage-1
+//                 insert path): kmers [kmer, ...] in stream order; the
+//                 worker routes each to the channel owning its hash shard
 //   drain         barrier: wait for queued work, surface typed failures
 //   extract       the (k-mer, freq) entries of the listed hash shards, in
 //                 slot order: shards [s, ...] → [[kmer, freq, ...], ...]
@@ -57,9 +58,8 @@ struct WorkerInit {
   std::size_t devices = 1;  ///< total shard count (diagnostics)
   std::size_t k = 0;
   std::size_t hash_shards = 1;
-  std::size_t channels = 1;
+  std::size_t channels = 1;  ///< 0 = one per hardware thread (engine)
   std::size_t queue_capacity = 64;
-  std::size_t program_chunk = 512;
   bool capture_trace = false;
   bool trace_spans = false;  ///< enable the worker's own telemetry tracer
   double stall_timeout_ms = 0.0;

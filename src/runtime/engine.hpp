@@ -40,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "dram/device.hpp"
 #include "dram/isa.hpp"
 #include "runtime/scheduler.hpp"
@@ -185,5 +186,25 @@ class Engine {
   // crash_report.json. -1 = inline engine, nothing registered.
   int flight_snapshot_id_ = -1;
 };
+
+/// Runs `submit` — work that enqueues tasks on `runtime`, an Engine or a
+/// PoolRunner — under the stage failure discipline. A SimulationError
+/// (typically the fail-fast refusal of a channel whose earlier task
+/// failed) quiesces the runtime and drains it, so the root task failure
+/// (e.g. "hash shard full") surfaces instead of the refusal; any other
+/// exception only quiesces, so no queued task outlives what it references.
+template <typename Runtime, typename Submit>
+void submit_guarded(Runtime& runtime, Submit&& submit) {
+  try {
+    submit();
+  } catch (const SimulationError&) {
+    runtime.quiesce();
+    runtime.drain();
+    throw;
+  } catch (...) {
+    runtime.quiesce();
+    throw;
+  }
+}
 
 }  // namespace pima::runtime

@@ -34,8 +34,8 @@
 //     DevicePool — a typed, logged transition, bit-identical output.
 //
 // Determinism: a worker's device state is a pure function of its request
-// journal, and all cross-shard data flows through the parent's Exchange
-// folds in logical flat order, so a run with K worker crashes is
+// journal, and the parent merges all cross-shard data by shard index and
+// folds it in logical flat order, so a run with K worker crashes is
 // bit-identical to a crash-free run (and to the in-process run).
 #pragma once
 

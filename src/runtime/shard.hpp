@@ -15,9 +15,10 @@
 //   * Per-sub-array command order is the controller's issue order for any
 //     device count — routing is a pure function of the flat index, and each
 //     per-device Engine preserves per-sub-array FIFO order (engine.hpp).
-//   * Every cross-device hand-off goes through an Exchange: per-(src,dst)
-//     ordered buffers merged by an explicit global key, so the merged order
-//     is a function of the data, never of device count or thread timing.
+//   * Every cross-device hand-off is merged by an explicit global key (the
+//     instruction sequence through an Exchange for program slices, the
+//     shard index for the counted k-mers), so the merged order is a
+//     function of the data, never of device count or thread timing.
 //   * Every stat/metric fold iterates *logical* flat order 0..total-1
 //     across the pool — the identical double-precision fold Device::roll_up
 //     performs — so roll-ups, Prometheus model snapshots and checkpoints
@@ -53,13 +54,12 @@ struct ShardPlan {
   bool operator==(const ShardPlan&) const = default;
 };
 
-/// Deterministic all-to-all hand-off used at every stage boundary that
-/// crosses devices (k-mer count shuffle, edge-block redistribution, contig
-/// hand-off). Producers append to per-(src, dst) buffers — each buffer is
-/// ordered by push order — and gather(dst) merges a destination's buffers
-/// by (key, src, push order). The key is a global sequence number chosen
-/// by the caller (hash-table shard index, instruction sequence, walk
-/// index), so the merged stream is identical for every device count:
+/// Deterministic all-to-all hand-off; PoolRunner::submit_program uses it
+/// for the edge-block redistribution. Producers append to per-(src, dst)
+/// buffers — each buffer is ordered by push order — and gather(dst)
+/// merges a destination's buffers by (key, src, push order). The key is a
+/// global sequence number chosen by the caller (e.g. the instruction
+/// sequence), so the merged stream is identical for every device count:
 /// with N == 1 it degenerates to plain key order, which is exactly what a
 /// single-device run produces.
 template <typename T>

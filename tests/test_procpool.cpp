@@ -94,7 +94,8 @@ struct RunOutput {
 RunOutput run_config(const std::vector<dna::Sequence>& reads, bool isolate,
                      std::size_t devices,
                      const core::PipelineOptions::IsolateOptions& iso = {},
-                     bool capture = false, bool use_multiplicity = false) {
+                     bool capture = false, bool use_multiplicity = false,
+                     std::size_t threads = 2) {
   auto& session = telemetry::TelemetrySession::instance();
   session.reset();
   session.enable_metrics();
@@ -103,7 +104,7 @@ RunOutput run_config(const std::vector<dna::Sequence>& reads, bool isolate,
   opt.k = 15;
   opt.hash_shards = 8;
   opt.devices = devices;
-  opt.threads = 2;
+  opt.threads = threads;
   opt.isolate = isolate;
   opt.isolate_opts = iso;
   opt.capture_trace = capture;
@@ -133,14 +134,20 @@ TEST(ProcPoolIdentity, IsolatedMatchesInProcessAndSingleDevice) {
   const auto single = run_config(reads, /*isolate=*/false, 1);
   const auto pooled = run_config(reads, /*isolate=*/false, 4);
   const auto isolated = run_config(reads, /*isolate=*/true, 4);
+  // threads = 0: one channel per hardware thread, resolved inside each
+  // worker — the worker routes its k-mers to its own channels.
+  const auto isolated_hw = run_config(reads, /*isolate=*/true, 4, {}, false,
+                                      false, /*threads=*/0);
   ASSERT_FALSE(isolated.result.contigs.empty());
   expect_bit_identical(isolated.result, pooled.result);
   expect_bit_identical(isolated.result, single.result);
+  expect_bit_identical(isolated_hw.result, single.result);
   // The model-class metrics snapshot derives only from simulated state —
   // equal bytes whether the shards ran in-process or in worker processes.
   ASSERT_FALSE(isolated.model_snapshot.empty());
   EXPECT_EQ(isolated.model_snapshot, pooled.model_snapshot);
   EXPECT_EQ(isolated.model_snapshot, single.model_snapshot);
+  EXPECT_EQ(isolated_hw.model_snapshot, single.model_snapshot);
 }
 
 TEST(ProcPoolIdentity, CapturedTraceMatchesInProcess) {
@@ -321,6 +328,42 @@ TEST(ProcPoolDegrade, DisallowedDegradeThrowsWorkerCrashedError) {
   telemetry::TelemetrySession::instance().reset();
 }
 
+// ---- typed failures ---------------------------------------------------------
+
+TEST(ProcPoolFailure, ShardOverflowSurfacesTheRootFailureOnBothTransports) {
+  // One hash shard cannot hold this genome's k-mers, and the stream spans
+  // several batches, so later submissions meet the poisoned channel. Either
+  // transport must report the overflow itself, not the fail-fast refusal.
+  dna::GenomeParams gp;
+  gp.length = 20000;
+  gp.repeat_count = 0;
+  gp.seed = 23;
+  dna::ReadSamplerParams rp;
+  rp.coverage = 5.0;
+  rp.read_length = 70;
+  rp.seed = 24;
+  const auto reads = dna::sample_reads(dna::generate_genome(gp), rp);
+  for (const bool isolate : {false, true}) {
+    SCOPED_TRACE(isolate ? "isolated" : "in-process");
+    dram::Device device(pipeline_geometry());
+    core::PipelineOptions opt;
+    opt.k = 15;
+    opt.hash_shards = 1;
+    opt.devices = 2;
+    opt.threads = 2;
+    opt.isolate = isolate;
+    opt.isolate_opts.allow_degrade = false;
+    try {
+      (void)core::run_pipeline(device, reads, opt);
+      FAIL() << "hash shard overflow accepted";
+    } catch (const SimulationError& e) {
+      EXPECT_NE(std::string(e.what()).find("hash shard full"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ---- distributed observability ----------------------------------------------
 
 TEST(ProcPoolObservability, StitchedTraceHasWorkerSpansFlowsAndRestartTracks) {
@@ -418,7 +461,6 @@ TEST(ProcPoolWire, WorkerInitRoundTripsThroughJson) {
   init.hash_shards = 32;
   init.channels = 5;
   init.queue_capacity = 17;
-  init.program_chunk = 100;
   init.capture_trace = true;
   init.stall_timeout_ms = 1234.5;
   const auto wire = core::worker_init_to_json(init);
@@ -546,54 +588,98 @@ TEST(ProcPoolWire, DegreeBatchMatchesControllerBuiltRows) {
   }
 }
 
-TEST(ProcPoolWire, MalformedDegreeBatchesGetTypedErrors) {
+TEST(ProcPoolWire, MalformedRequestsGetTypedErrors) {
+  // One seeded table over every journaled verb that carries data. A valid
+  // item rides ahead of each corrupted one: the worker parses a whole
+  // request before anything touches the device, so a rejected request must
+  // run nothing — the error is typed and the stats stay empty.
   const dram::Geometry geom = pipeline_geometry();
   const std::size_t width = geom.columns;
   const std::size_t total = geom.total_subarrays();
-  core::ShardWorkerCore worker(core::worker_init_to_json(degree_worker_init()));
-  // Each case corrupts one seeded valid block; the error must be typed and
-  // the batch must be rejected before any block touches the device.
-  const auto corrupt = [&](const char* what, std::mt19937_64& rng,
-                           std::vector<std::uint64_t>& v) -> bool {
-    const std::size_t n = v[1];
+  const core::WorkerInit init = degree_worker_init();
+  core::ShardWorkerCore worker(core::worker_init_to_json(init));
+  const auto uints = [](const std::vector<std::uint64_t>& v) {
+    net::Json arr = net::Json::array();
+    for (const std::uint64_t x : v) arr.push_back(net::Json(x));
+    return arr;
+  };
+  const auto request = [](const char* op, const char* key, net::Json value) {
+    net::Json req = op_request(op);
+    req.set(key, std::move(value));
+    return req;
+  };
+  const auto malformed = [&](const std::string& what,
+                             std::mt19937_64& rng) -> net::Json {
+    const std::size_t kmer_bits = 2 * init.k;
+    const std::uint64_t kmer = rng() & ((std::uint64_t{1} << kmer_bits) - 1);
+    if (what == "kmers: not an array")
+      return request("kmers", "kmers", net::Json("ACGT"));
+    if (what == "kmers: string k-mer") {
+      net::Json arr = uints({kmer});
+      arr.push_back(net::Json("ACGT"));
+      return request("kmers", "kmers", std::move(arr));
+    }
+    if (what == "kmers: fractional k-mer") {
+      net::Json arr = uints({kmer});
+      arr.push_back(net::Json(0.5 + static_cast<double>(rng() % 1000)));
+      return request("kmers", "kmers", std::move(arr));
+    }
+    if (what == "kmers: k-mer wider than 2k bits")
+      return request("kmers", "kmers",
+                     uints({kmer, kmer | (std::uint64_t{1}
+                                          << (kmer_bits + rng() % 8))}));
+    if (what == "extract: shard out of range")
+      return request("extract", "shards",
+                     uints({0, init.hash_shards + rng() % 4}));
+    if (what == "extract: not an array")
+      return request("extract", "shards", net::Json(std::uint64_t{0}));
+    if (what == "program: unparseable line") {
+      dram::Instruction read;
+      read.op = dram::Opcode::kRowRead;
+      read.subarray = rng() % total;
+      const std::string junk = rng() % 2 == 0
+                                   ? "NO_SUCH_OP sa=1 size=1"
+                                   : "ROW_READ sa=x" + std::to_string(rng());
+      return request("program", "text",
+                     net::Json(dram::to_text(dram::Program{read}) + junk +
+                               "\n"));
+    }
+    // degree_block: corrupt one seeded block [flat, n, (from, to, mult)...].
+    const std::size_t n = 1 + rng() % 40;
+    std::vector<std::uint64_t> v = {rng() % total, n};
+    for (std::size_t e = 1 + rng() % 6; e > 0; --e) {
+      v.push_back(rng() % n);
+      v.push_back(rng() % width);
+      v.push_back(1 + rng() % 3);
+    }
     const std::size_t triple = 2 + 3 * (rng() % ((v.size() - 2) / 3));
-    const std::string w = what;
-    if (w == "truncated triple") v.pop_back();
-    if (w == "from >= n") v[triple] = n + rng() % 4;
-    if (w == "to >= width") v[triple + 1] = width + rng() % 4;
-    if (w == "n > columns") v[1] = width + 1 + rng() % 4;
-    if (w == "flat out of range") v[0] = total + rng() % 4;
-    return w != "non-array block";
+    if (what == "degree_block: truncated triple") v.pop_back();
+    if (what == "degree_block: from >= n") v[triple] = n + rng() % 4;
+    if (what == "degree_block: to >= width") v[triple + 1] = width + rng() % 4;
+    if (what == "degree_block: n > columns") v[1] = width + 1 + rng() % 4;
+    if (what == "degree_block: flat out of range") v[0] = total + rng() % 4;
+    core::EdgeBlock good;
+    good.edges = {{0, 1, 1}, {1, 2, 2}};
+    return degree_batch(
+        {encode_block(rng() % total, 2, good),
+         what == "degree_block: not an array" ? net::Json("not a block")
+                                              : uints(v)});
   };
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     std::mt19937_64 rng(seed);
-    for (const char* what : {"truncated triple", "from >= n", "to >= width",
-                             "n > columns", "flat out of range",
-                             "non-array block"}) {
+    for (const char* what :
+         {"kmers: not an array", "kmers: string k-mer",
+          "kmers: fractional k-mer", "kmers: k-mer wider than 2k bits",
+          "extract: shard out of range", "extract: not an array",
+          "program: unparseable line", "degree_block: truncated triple",
+          "degree_block: from >= n", "degree_block: to >= width",
+          "degree_block: n > columns", "degree_block: flat out of range",
+          "degree_block: not an array"}) {
       SCOPED_TRACE(std::string(what) + " seed " + std::to_string(seed));
-      const std::size_t n = 1 + rng() % 40;
-      const std::size_t flat = rng() % total;
-      std::vector<std::uint64_t> v = {flat, n};
-      for (std::size_t e = 1 + rng() % 6; e > 0; --e) {
-        v.push_back(rng() % n);
-        v.push_back(rng() % width);
-        v.push_back(1 + rng() % 3);
-      }
-      net::Json bad = net::Json::array();
-      if (corrupt(what, rng, v)) {
-        for (const std::uint64_t x : v) bad.push_back(net::Json(x));
-      } else {
-        bad = net::Json("not a block");
-      }
-      // A valid block rides first: a rejected batch must not run it.
-      core::EdgeBlock good;
-      good.edges = {{0, 1, 1}, {1, 2, 2}};
-      const std::size_t good_flat = (flat + 1) % total;
       net::Json response;
       try {
-        (void)worker.handle(
-            degree_batch({encode_block(good_flat, 2, good), std::move(bad)}));
-        FAIL() << "malformed batch accepted";
+        (void)worker.handle(malformed(what, rng));
+        FAIL() << "malformed request accepted";
       } catch (const std::exception& e) {
         response = core::worker_error_response(e);
       }
@@ -605,14 +691,17 @@ TEST(ProcPoolWire, MalformedDegreeBatchesGetTypedErrors) {
           worker.handle(op_request("stats")).get("subarrays").items().empty());
     }
   }
-  // The worker still serves a valid batch afterwards.
+  // The worker still serves valid requests afterwards.
   core::EdgeBlock ok;
   ok.edges = {{0, 5, 2}};
   EXPECT_TRUE(worker.handle(degree_batch({encode_block(3, 1, ok)}))
                   .get_bool("ok"));
+  EXPECT_TRUE(worker.handle(request("kmers", "kmers", uints({1, 2, 1})))
+                  .get_bool("ok"));
   EXPECT_TRUE(worker.handle(op_request("drain")).get_bool("ok"));
-  EXPECT_EQ(worker.handle(op_request("stats")).get("subarrays").items().size(),
-            1u);
+  EXPECT_EQ(worker.handle(op_request("distinct")).get_uint64("value"), 2u);
+  EXPECT_FALSE(
+      worker.handle(op_request("stats")).get("subarrays").items().empty());
 }
 
 TEST(ProcPoolWire, RpcAllRethrowsTheLowestDevicesTypedError) {
