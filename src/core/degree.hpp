@@ -10,6 +10,7 @@
 // All 256 columns advance in parallel at every step.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -47,6 +48,15 @@ DegreeResult pim_degrees(dram::Device& device,
                          const GraphPartition& partition,
                          runtime::Engine* engine = nullptr);
 
+/// Sub-array executing block (i, j) of an M² interval partition (the
+/// paper's block → sub-array mapping). `offset` selects a disjoint region
+/// of the block grid: the transposed blocks sit at offset M².
+inline std::size_t block_subarray(std::size_t total_subarrays, std::size_t i,
+                                  std::size_t j, std::size_t m,
+                                  std::size_t offset = 0) {
+  return (i * m + j + offset) % total_subarrays;
+}
+
 /// The degree kernel's block walk, shared by pim_degrees and the pipeline:
 /// every non-empty block (i, j) of `partition`, in (i, j) order, yields two
 /// column-sum jobs — the in-degrees of its destinations on sub-array
@@ -71,9 +81,9 @@ void for_each_degree_job(const GraphPartition& partition,
                  "interval too wide for one sub-array row — increase M");
       PIMA_CHECK(n_src <= width,
                  "interval too wide for one sub-array row — increase M");
-      job(runtime::block_subarray(total, i, j, m), n_src, block, false);
-      job(runtime::block_subarray(total, j, i, m, std::size_t{m} * m), n_dst,
-          block, true);
+      job(block_subarray(total, i, j, m), n_src, block, false);
+      job(block_subarray(total, j, i, m, std::size_t{m} * m), n_dst, block,
+          true);
     }
   }
 }

@@ -101,12 +101,6 @@ runtime::CheckpointFingerprint make_fingerprint(const dram::Geometry& geom,
   return fp;
 }
 
-/// One stage's device statistics, folded in logical flat order.
-struct StageFold {
-  dram::DeviceStats device;
-  dram::CommandStats commands;
-};
-
 // The device operations of the three stages. Submissions may be batched;
 // drain() ships whatever is pending and is the barrier that surfaces the
 // first typed failure. Every fold is in logical flat order.
@@ -130,7 +124,7 @@ class ShardBackend {
   virtual void degree_block(std::size_t flat, std::size_t n,
                             const EdgeBlock& block, bool transposed) = 0;
   /// Stage boundary: the stage's stats, then cleared for the next stage.
-  virtual StageFold end_stage(std::uint32_t stage) = 0;
+  virtual dram::StatsFold end_stage(std::uint32_t stage) = 0;
   virtual dram::Program captured_trace() = 0;
   /// Fault/recovery counters this process accumulated.
   virtual runtime::FaultStats fault_stats() = 0;
@@ -229,8 +223,8 @@ class InProcessShards final : public ShardBackend {
     });
   }
 
-  StageFold end_stage(std::uint32_t) override {
-    StageFold fold{pool_.roll_up(), pool_.command_roll_up()};
+  dram::StatsFold end_stage(std::uint32_t) override {
+    const dram::StatsFold fold = pool_.fold();
     pool_.clear_stats();
     return fold;
   }
@@ -370,13 +364,12 @@ runtime::ProcPoolOptions pool_options(const dram::Device& device,
 // crosses the process boundary; each verb is one request per device per
 // superstep, every device's request written before any response is read.
 // Statistics and traces come back per sub-array and are folded here in
-// logical flat order — the DevicePool folds, operation for operation.
+// logical flat order — the DevicePool fold and trace merge, step for step.
 class RpcShards final : public ShardBackend {
  public:
   RpcShards(const dram::Device& device, const PipelineOptions& options)
       : options_(options),
         plan_{options.devices},
-        total_(device.geometry().total_subarrays()),
         sup_(pool_options(device, options),
              [&device, &options](std::size_t d) {
                WorkerInit init;
@@ -488,14 +481,12 @@ class RpcShards final : public ShardBackend {
     return total;
   }
 
-  // Splits the slice by owning device in program order and ships each
-  // non-empty sub-stream as one `program` request of a single fan-out —
-  // the sub-streams PoolRunner::submit_program produces, so per sub-array
-  // command order is the single-device order.
+  // Ships each device's dram::split_by_owner sub-stream as one `program`
+  // request of a single fan-out — the sub-streams PoolRunner::
+  // submit_program produces, so per sub-array command order is the
+  // single-device order.
   void submit_program(dram::Program program) override {
-    std::vector<dram::Program> per(sup_.devices());
-    for (auto& inst : program)
-      per[plan_.owner_of(inst.subarray)].push_back(std::move(inst));
+    const auto per = dram::split_by_owner(std::move(program), sup_.devices());
     std::vector<net::Json> requests(sup_.devices());
     for (std::size_t d = 0; d < per.size(); ++d) {
       if (per[d].empty()) continue;
@@ -513,27 +504,13 @@ class RpcShards final : public ShardBackend {
     degrees_.add(flat, n, block, transposed);
   }
 
-  // DevicePool::roll_up / command_roll_up over the wire stats: the
-  // identical double-precision operation sequence.
-  StageFold end_stage(std::uint32_t stage) override {
+  // DevicePool::fold over the wire stats: the identical double-precision
+  // operation sequence.
+  dram::StatsFold end_stage(std::uint32_t stage) override {
     const auto responses = sup_.query_all(to_every(make_op("stats")));
-    StageFold fold;
-    for (const net::Json* entry : in_flat_order(responses, "subarrays")) {
-      dram::CommandStats st;
-      const auto& counts = entry->get("counts").items();
-      for (std::size_t i = 0;
-           i < dram::kCommandKindCount && i < counts.size(); ++i)
-        st.counts[i] = static_cast<std::size_t>(counts[i].as_uint64());
-      st.busy_ns = entry->get_number("busy_ns");
-      st.energy_pj = entry->get_number("energy_pj");
-      // Workers already skip zero-command sub-arrays (fold identity).
-      ++fold.device.subarrays_used;
-      fold.device.time_ns = std::max(fold.device.time_ns, st.busy_ns);
-      fold.device.serial_ns += st.busy_ns;
-      fold.device.energy_pj += st.energy_pj;
-      fold.device.commands += st.total_commands();
-      fold.commands.merge_serial(st);
-    }
+    dram::StatsFold fold;
+    for (const net::Json* entry : in_flat_order(responses, "subarrays"))
+      fold.add(stats_entry_from_json(*entry));
     (void)sup_.rpc_all(to_every(make_op("clear_stats")));
     sup_.mark_stage_done(stage);
     return fold;
@@ -597,7 +574,6 @@ class RpcShards final : public ShardBackend {
 
   const PipelineOptions& options_;
   const runtime::ShardPlan plan_;
-  const std::size_t total_;
   runtime::ProcSupervisor sup_;
   DegreeBatcher degrees_;
   std::vector<std::vector<std::uint64_t>> kmers_;
@@ -661,7 +637,8 @@ PipelineResult run_stages(ShardBackend& shards, const dram::Device& device,
   // Per-stage model metrics: stage roll-up plus the per-CommandKind
   // energy/latency split, derived from the same breakdown_from_stats the
   // report tables use — the two can never disagree.
-  const auto export_stage = [&](const char* stage, const StageFold& fold) {
+  const auto export_stage = [&](const char* stage,
+                                const dram::StatsFold& fold) {
     if (!telemetry::metrics_enabled()) return;
     auto& registry = telemetry::metrics();
     const dram::DeviceStats& st = fold.device;
@@ -747,7 +724,7 @@ PipelineResult run_stages(ShardBackend& shards, const dram::Device& device,
     stream_kmers(shards, reads, options.k, options.cancel);
     entries = shards.extract();
     result.distinct_kmers = shards.distinct_kmers();
-    const StageFold fold = shards.end_stage(1);
+    const dram::StatsFold fold = shards.end_stage(1);
     result.hashmap = {fold.device, "hashmap"};
     export_stage("hashmap", fold);
     snap.distinct_kmers = result.distinct_kmers;
@@ -810,7 +787,7 @@ PipelineResult run_stages(ShardBackend& shards, const dram::Device& device,
     }
     shards.submit_program(std::move(inserts));
     shards.drain();
-    const StageFold fold = shards.end_stage(2);
+    const dram::StatsFold fold = shards.end_stage(2);
     result.debruijn = {fold.device, "debruijn"};
     export_stage("debruijn", fold);
     snap.graph_edges.clear();
@@ -869,7 +846,7 @@ PipelineResult run_stages(ShardBackend& shards, const dram::Device& device,
     }
     shards.submit_program(std::move(lookups));
     shards.drain();
-    const StageFold fold = shards.end_stage(3);
+    const dram::StatsFold fold = shards.end_stage(3);
     result.traverse = {fold.device, "traverse"};
     export_stage("traverse", fold);
     snap.contigs = result.contigs;
@@ -902,6 +879,13 @@ PipelineResult run_pipeline(dram::Device& device,
                             const std::vector<dna::Sequence>& reads,
                             const PipelineOptions& options) {
   PIMA_CHECK(options.devices >= 1, "need at least one device");
+  // Stage 2a places the graph sub-arrays after the hash shards: at least
+  // one must remain, or the MEM_inserts would address past the device.
+  const std::size_t total = device.geometry().total_subarrays();
+  PIMA_CHECK(options.hash_shards < total,
+             "hash_shards must be below the device's " +
+                 std::to_string(total) +
+                 " sub-arrays (stage 2 stores the graph after the shards)");
   if (options.isolate) {
     try {
       RpcShards shards(device, options);

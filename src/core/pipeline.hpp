@@ -48,7 +48,9 @@ namespace pima::core {
 
 struct PipelineOptions {
   std::size_t k = 16;
-  std::size_t hash_shards = 4;     ///< sub-arrays for the hash table
+  /// Sub-arrays for the hash table; must be below the device's sub-array
+  /// count (the graph is stored after them), else PreconditionError.
+  std::size_t hash_shards = 4;
   std::uint32_t graph_intervals = 0;  ///< M; 0 = derived from graph size
   bool use_multiplicity = false;   ///< Euler over edge multiplicities
   bool euler_contigs = true;       ///< Euler walks vs unitigs

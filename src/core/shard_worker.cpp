@@ -315,23 +315,42 @@ net::Json ShardWorkerCore::op_degree_block(const net::Json& req) {
   return ok_response();
 }
 
+net::Json stats_entry_to_json(std::size_t flat, const dram::CommandStats& st) {
+  net::Json entry = net::Json::object();
+  entry.set("flat", static_cast<std::uint64_t>(flat));
+  net::Json counts = net::Json::array();
+  for (const std::size_t c : st.counts)
+    counts.push_back(net::Json(static_cast<std::uint64_t>(c)));
+  entry.set("counts", std::move(counts));
+  entry.set("busy_ns", st.busy_ns);
+  entry.set("energy_pj", st.energy_pj);
+  return entry;
+}
+
+dram::CommandStats stats_entry_from_json(const net::Json& entry) {
+  // items() and as_uint64() reject a wrong type with InputFormatError.
+  const auto& counts = entry.get("counts").items();
+  if (counts.size() != dram::kCommandKindCount)
+    throw InputFormatError(
+        "device worker stats: counts holds " + std::to_string(counts.size()) +
+        " values, expected " + std::to_string(dram::kCommandKindCount) +
+        " (one per command kind)");
+  dram::CommandStats st;
+  for (std::size_t i = 0; i < counts.size(); ++i)
+    st.counts[i] = static_cast<std::size_t>(counts[i].as_uint64());
+  st.busy_ns = entry.get_number("busy_ns");
+  st.energy_pj = entry.get_number("energy_pj");
+  return st;
+}
+
 net::Json ShardWorkerCore::op_stats() {
   const std::size_t total = device_.geometry().total_subarrays();
   net::Json subarrays = net::Json::array();
   for (std::size_t flat = 0; flat < total; ++flat) {
     const dram::Subarray* sa = device_.subarray_if(flat);
-    if (sa == nullptr) continue;
-    const dram::CommandStats& st = sa->stats();
-    if (st.total_commands() == 0) continue;  // identity under both folds
-    net::Json entry = net::Json::object();
-    entry.set("flat", static_cast<std::uint64_t>(flat));
-    net::Json counts = net::Json::array();
-    for (const std::size_t c : st.counts)
-      counts.push_back(net::Json(static_cast<std::uint64_t>(c)));
-    entry.set("counts", std::move(counts));
-    entry.set("busy_ns", st.busy_ns);
-    entry.set("energy_pj", st.energy_pj);
-    subarrays.push_back(std::move(entry));
+    // Zero-command sub-arrays are the fold's identity: not shipped.
+    if (sa != nullptr && sa->stats().total_commands() != 0)
+      subarrays.push_back(stats_entry_to_json(flat, sa->stats()));
   }
   net::Json resp = ok_response();
   resp.set("subarrays", std::move(subarrays));

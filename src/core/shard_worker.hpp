@@ -70,6 +70,13 @@ net::Json worker_init_to_json(const WorkerInit& init);
 /// Parses an `init` request; throws InputFormatError on malformed fields.
 WorkerInit worker_init_from_json(const net::Json& j);
 
+/// One entry of the `stats` response: a touched sub-array's flat index and
+/// CommandStats, doubles exact on the wire.
+net::Json stats_entry_to_json(std::size_t flat, const dram::CommandStats& st);
+/// The CommandStats of a `stats` entry; throws InputFormatError unless
+/// `counts` holds exactly one count per command kind.
+dram::CommandStats stats_entry_from_json(const net::Json& entry);
+
 class ShardWorkerCore {
  public:
   /// Constructs the device/engine/table from an `init` request.

@@ -19,6 +19,17 @@ DeviceStats& DeviceStats::operator+=(const DeviceStats& o) {
   return *this;
 }
 
+void StatsFold::add(const CommandStats& st) {
+  const std::size_t n = st.total_commands();
+  if (n == 0) return;
+  ++device.subarrays_used;
+  device.time_ns = std::max(device.time_ns, st.busy_ns);
+  device.serial_ns += st.busy_ns;
+  device.energy_pj += st.energy_pj;
+  device.commands += n;
+  commands.merge_serial(st);
+}
+
 Device::Device(const Geometry& geometry, const circuit::Technology& tech)
     : geom_(geometry), tech_(tech) {
   geom_.validate();
@@ -55,27 +66,14 @@ std::size_t Device::instantiated_count() const {
                     [](const auto& p) { return p != nullptr; }));
 }
 
-DeviceStats Device::roll_up() const {
-  DeviceStats s{};
-  for (const auto& sa : subarrays_) {
-    if (!sa) continue;
-    const auto& st = sa->stats();
-    if (st.total_commands() == 0) continue;
-    ++s.subarrays_used;
-    s.time_ns = std::max(s.time_ns, st.busy_ns);
-    s.serial_ns += st.busy_ns;
-    s.energy_pj += st.energy_pj;
-    s.commands += st.total_commands();
-  }
-  return s;
+StatsFold Device::fold() const {
+  StatsFold fold;
+  for (const auto& sa : subarrays_)
+    if (sa) fold.add(sa->stats());
+  return fold;
 }
 
-CommandStats Device::command_roll_up() const {
-  CommandStats total{};
-  for (const auto& sa : subarrays_)
-    if (sa) total.merge_serial(sa->stats());
-  return total;
-}
+DeviceStats Device::roll_up() const { return fold().device; }
 
 void Device::clear_stats() {
   for (const auto& sa : subarrays_)

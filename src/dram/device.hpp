@@ -4,6 +4,9 @@
 // Sub-arrays compute independently — that is the whole point of the
 // platform — so device time is the maximum of the per-sub-array busy times
 // of the sub-arrays that participated, while device energy is the sum.
+// StatsFold::add is that roll-up step, written once: the device, a device
+// pool and the process-isolated controller all fold through it in logical
+// flat-index order, so their doubles agree bit for bit.
 // Sub-arrays are instantiated lazily: a full device has 2048 sub-arrays but
 // a given workload usually touches a few.
 #pragma once
@@ -41,6 +44,19 @@ inline DeviceStats operator+(DeviceStats a, const DeviceStats& b) {
   return a;
 }
 
+/// The controller's roll-up of per-sub-array CommandStats: the DeviceStats
+/// plus the per-kind serial merge (feed `commands` through
+/// breakdown_from_stats() for the per-kind energy/latency split).
+struct StatsFold {
+  DeviceStats device;
+  CommandStats commands;
+
+  /// Folds in one sub-array: one with zero commands is skipped, the
+  /// critical path takes the max of its busy time, everything else adds.
+  /// Call in flat-index order — the order fixes the doubles.
+  void add(const CommandStats& subarray);
+};
+
 class Device {
  public:
   explicit Device(const Geometry& geometry,
@@ -59,14 +75,10 @@ class Device {
 
   std::size_t instantiated_count() const;
 
-  /// Rolls up stats over all instantiated sub-arrays.
+  /// Every instantiated sub-array folded in flat-index order.
+  StatsFold fold() const;
+  /// fold().device.
   DeviceStats roll_up() const;
-
-  /// Folds every instantiated sub-array's CommandStats in flat-index order
-  /// (serial merge). Feed through breakdown_from_stats() for the per-kind
-  /// energy/latency split — telemetry exports derive from this so they can
-  /// never drift from the Fig. 9-style tables.
-  CommandStats command_roll_up() const;
 
   /// Clears every sub-array's command statistics (contents preserved).
   void clear_stats();

@@ -2,6 +2,7 @@
 
 #include <istream>
 #include <sstream>
+#include <utility>
 
 #include "dram/dpu.hpp"
 
@@ -147,6 +148,20 @@ Program parse_program(std::istream& in) {
     if (auto inst = parse_instruction(line)) program.push_back(std::move(*inst));
   }
   return program;
+}
+
+std::vector<Program> split_by_owner(Program program, std::size_t owners) {
+  PIMA_CHECK(owners > 0, "a program split needs at least one owner");
+  std::vector<Program> parts(owners);
+  if (owners == 1) {
+    // The whole program is the one sub-stream: hand the buffer over rather
+    // than holding two copies of a slice at once (peak RSS).
+    parts[0] = std::move(program);
+    return parts;
+  }
+  for (auto& inst : program)
+    parts[inst.subarray % owners].push_back(std::move(inst));
+  return parts;
 }
 
 Program program_from_trace(const std::vector<TraceEntry>& entries,

@@ -64,6 +64,12 @@ std::optional<Instruction> parse_instruction(const std::string& line);
 std::string to_text(const Program& program);
 Program parse_program(std::istream& in);
 
+/// Moves every instruction into sub-program `subarray % owners`, keeping
+/// program order — the controller's one routing rule, for devices of a
+/// pool and for channels of an engine alike. Each sub-array's command
+/// order is therefore the program's, for any owner count.
+std::vector<Program> split_by_owner(Program program, std::size_t owners);
+
 /// Result values produced by the read/reduce instructions, in program
 /// order.
 struct ExecutionResults {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <iterator>
 
 #include "runtime/bounded_queue.hpp"
 #include "telemetry/flight.hpp"
@@ -63,9 +64,7 @@ struct Engine::Channel {
 Engine::Engine(dram::Device& device, EngineOptions options)
     : device_(device),
       options_(options),
-      scheduler_(device.geometry().total_subarrays(),
-                 resolve_channels(options.channels)) {
-  PIMA_CHECK(options_.program_chunk > 0, "program chunk must be positive");
+      channel_count_(resolve_channels(options.channels)) {
   PIMA_CHECK(options_.stall_timeout_ms >= 0.0,
              "stall timeout must be non-negative");
   if (options_.capture_trace) device_.enable_tracing();
@@ -378,16 +377,23 @@ bool Engine::channel_failed(std::size_t channel) const {
 }
 
 void Engine::submit_program(dram::Program program) {
-  for (auto& sub : scheduler_.split(program)) {
+  // The program may come off the worker wire: check it whole first.
+  const std::size_t total = device_.geometry().total_subarrays();
+  for (const auto& inst : program)
+    PIMA_CHECK(inst.subarray < total,
+               "instruction targets a sub-array outside the device");
+  auto parts = dram::split_by_owner(std::move(program), channels());
+  for (std::size_t channel = 0; channel < parts.size(); ++channel) {
+    dram::Program& sub = parts[channel];
     if (sub.empty()) continue;
     const std::size_t subarray = sub.front().subarray;
-    const std::size_t channel = channel_of(subarray);
-    for (std::size_t begin = 0; begin < sub.size();
-         begin += options_.program_chunk) {
-      const std::size_t end =
-          std::min(sub.size(), begin + options_.program_chunk);
-      dram::Program chunk(sub.begin() + static_cast<std::ptrdiff_t>(begin),
-                          sub.begin() + static_cast<std::ptrdiff_t>(end));
+    for (std::size_t begin = 0; begin < sub.size(); begin += kProgramChunk) {
+      const std::size_t end = std::min(sub.size(), begin + kProgramChunk);
+      dram::Program chunk(
+          std::make_move_iterator(sub.begin() +
+                                  static_cast<std::ptrdiff_t>(begin)),
+          std::make_move_iterator(sub.begin() +
+                                  static_cast<std::ptrdiff_t>(end)));
       submit_tagged(
           channel, [this, chunk = std::move(chunk)] {
             dram::execute(device_, chunk);
@@ -482,24 +488,6 @@ void Engine::export_metrics(telemetry::MetricsRegistry& registry) const {
                    {{"channel", std::to_string(c)}}, MetricClass::kHost)
           .increment();
   }
-}
-
-std::vector<dram::DeviceStats> Engine::channel_roll_up() const {
-  std::vector<dram::DeviceStats> out(channels());
-  const std::size_t total = device_.geometry().total_subarrays();
-  for (std::size_t flat = 0; flat < total; ++flat) {
-    const dram::Subarray* sa = device_.subarray_if(flat);
-    if (!sa) continue;
-    const auto& st = sa->stats();
-    if (st.total_commands() == 0) continue;
-    dram::DeviceStats& s = out[channel_of(flat)];
-    ++s.subarrays_used;
-    s.time_ns = std::max(s.time_ns, st.busy_ns);
-    s.serial_ns += st.busy_ns;
-    s.energy_pj += st.energy_pj;
-    s.commands += st.total_commands();
-  }
-  return out;
 }
 
 }  // namespace pima::runtime

@@ -4,9 +4,10 @@
 // gives it the concurrency the hardware actually has. Each channel models
 // one chip's command stream: a worker thread with a bounded FIFO of tasks
 // (closures or ISA programs) that it retires in submission order against
-// the sub-arrays it owns. Channels own disjoint sub-array sets (see
-// Scheduler), so no lock is needed on the DRAM state itself — the queue is
-// the only synchronization point.
+// the sub-arrays it owns. Channels own disjoint sub-array sets (sub-array
+// `flat` belongs to channel `flat % channels`, the interleaved chip
+// assignment), so no lock is needed on the DRAM state itself — the queue
+// is the only synchronization point.
 //
 // Determinism contract: for a fixed submission sequence, the commands
 // applied to any single sub-array are identical for every channel count
@@ -43,7 +44,6 @@
 #include "common/error.hpp"
 #include "dram/device.hpp"
 #include "dram/isa.hpp"
-#include "runtime/scheduler.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace pima::runtime {
@@ -57,8 +57,6 @@ struct EngineOptions {
   std::size_t channels = 1;
   /// Per-channel queue capacity in tasks (backpressure bound).
   std::size_t queue_capacity = 64;
-  /// Instructions per task when a submitted ISA program is chunked.
-  std::size_t program_chunk = 512;
   /// Enables per-sub-array command capture on the device before any worker
   /// starts (Device::enable_tracing). Each sub-array's TraceSink is touched
   /// only by the channel owning it, so capture is race-free; the recorded
@@ -88,11 +86,14 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
+  /// Instructions per task when submit_program chunks a sub-stream.
+  static constexpr std::size_t kProgramChunk = 512;
+
   dram::Device& device() { return device_; }
-  const Scheduler& scheduler() const { return scheduler_; }
-  std::size_t channels() const { return scheduler_.channels(); }
+  std::size_t channels() const { return channel_count_; }
+  /// Owning channel of a sub-array (interleaved chip assignment).
   std::size_t channel_of(std::size_t subarray_flat) const {
-    return scheduler_.channel_of(subarray_flat);
+    return subarray_flat % channel_count_;
   }
 
   /// Enqueues a task on a channel, blocking while its queue is full. The
@@ -117,9 +118,12 @@ class Engine {
   /// Routes a task to the channel owning `subarray_flat`.
   void submit_to_subarray(std::size_t subarray_flat, Task task);
 
-  /// Splits an ISA program by owning channel and enqueues it in bounded
-  /// chunks. Read/reduce results are discarded — data-dependent control
-  /// flow belongs in closures on the owning channel.
+  /// Splits an ISA program by owning channel (dram::split_by_owner) and
+  /// enqueues it in chunks of kProgramChunk instructions. Throws
+  /// PreconditionError, before anything is queued, if an instruction
+  /// targets a sub-array outside the device. Read/reduce results are
+  /// discarded — data-dependent control flow belongs in closures on the
+  /// owning channel.
   void submit_program(dram::Program program);
 
   /// Barrier: blocks until every submitted task has retired, or until the
@@ -140,11 +144,6 @@ class Engine {
   /// worker is the watchdog's problem). noexcept, and the engine accepts
   /// new submits afterwards, so a success path running it is a no-op.
   void quiesce() noexcept;
-
-  /// Per-channel roll-up over the channel's instantiated sub-arrays
-  /// (time = max over the channel's sub-arrays, like Device::roll_up).
-  /// Call only when drained.
-  std::vector<dram::DeviceStats> channel_roll_up() const;
 
   /// Exports engine counters into `registry` in channel index order
   /// (host-class: task routing depends on the channel count). Call when
@@ -170,7 +169,7 @@ class Engine {
 
   dram::Device& device_;
   EngineOptions options_;
-  Scheduler scheduler_;
+  std::size_t channel_count_;
   std::vector<std::unique_ptr<Channel>> channels_;
   std::atomic<std::uint64_t> inline_retired_{0};  // channels == 1 fallback
 

@@ -57,12 +57,6 @@ FaultStats& FaultStats::operator+=(const FaultStats& o) {
   return *this;
 }
 
-FaultStats reduce_fault_stats(const std::vector<FaultStats>& parts) {
-  FaultStats total;
-  for (const auto& p : parts) total += p;
-  return total;
-}
-
 RecoveryExecutor::RecoveryExecutor(dram::Subarray& subarray,
                                    const RecoveryOptions& options)
     : sa_(subarray), options_(options) {
@@ -223,11 +217,6 @@ dram::Subarray& RecoveryManager::resolve_subarray(std::size_t flat) {
   return pool_ ? pool_->subarray(flat) : device_->subarray(flat);
 }
 
-const dram::Subarray* RecoveryManager::resolve_subarray_if(
-    std::size_t flat) const {
-  return pool_ ? pool_->subarray_if(flat) : device_->subarray_if(flat);
-}
-
 dram::InjectionCounters RecoveryManager::injection_total() const {
   return pool_ ? pool_->injection_roll_up() : device_->injection_roll_up();
 }
@@ -239,26 +228,6 @@ RecoveryExecutor& RecoveryManager::executor_for(std::size_t subarray_flat) {
     executors_[subarray_flat] = std::make_unique<RecoveryExecutor>(
         resolve_subarray(subarray_flat), options_);
   return *executors_[subarray_flat];
-}
-
-const RecoveryExecutor* RecoveryManager::executor_if(
-    std::size_t subarray_flat) const {
-  PIMA_CHECK(subarray_flat < executors_.size(),
-             "sub-array index out of device");
-  return executors_[subarray_flat].get();
-}
-
-std::vector<FaultStats> RecoveryManager::per_channel_stats(
-    const Scheduler& scheduler) const {
-  std::vector<FaultStats> out(scheduler.channels());
-  for (std::size_t flat = 0; flat < executors_.size(); ++flat) {
-    FaultStats& s = out[scheduler.channel_of(flat)];
-    if (executors_[flat]) s += executors_[flat]->stats();
-    const dram::Subarray* sa = resolve_subarray_if(flat);
-    if (sa != nullptr && sa->fault_injector() != nullptr)
-      s.injected += sa->fault_injector()->counters().total_flips();
-  }
-  return out;
 }
 
 FaultStats RecoveryManager::roll_up() const {

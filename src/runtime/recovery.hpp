@@ -33,8 +33,7 @@
 //
 // Every decision draws only on per-sub-array state, so fault-aware runs
 // remain deterministic in (seed, command sequence) for any channel count;
-// per-channel FaultStats fold through the same deterministic reduction as
-// DeviceStats.
+// FaultStats counters are integral, so every fold of them is exact.
 #pragma once
 
 #include <array>
@@ -45,7 +44,6 @@
 #include <vector>
 
 #include "dram/device.hpp"
-#include "runtime/scheduler.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace pima::runtime {
@@ -93,7 +91,7 @@ struct RecoveryOptions {
 double recovery_backoff_ns(const RecoveryOptions& options,
                            std::size_t attempt);
 
-/// Per-channel (or rolled-up) recovery statistics.
+/// Recovery statistics of one executor, or rolled up.
 struct FaultStats {
   std::size_t injected = 0;        ///< corrupted columns (ground truth)
   std::size_t detected = 0;        ///< verification mismatches
@@ -112,10 +110,6 @@ inline FaultStats operator+(FaultStats a, const FaultStats& b) {
   a += b;
   return a;
 }
-
-/// Folds per-channel FaultStats in channel order (deterministic, like
-/// reduce_parallel for DeviceStats — counters simply add).
-FaultStats reduce_fault_stats(const std::vector<FaultStats>& parts);
 
 /// Verified execution of critical in-array ops on one sub-array.
 ///
@@ -187,11 +181,6 @@ class RecoveryManager {
   const RecoveryOptions& options() const { return options_; }
 
   RecoveryExecutor& executor_for(std::size_t subarray_flat);
-  const RecoveryExecutor* executor_if(std::size_t subarray_flat) const;
-
-  /// Per-channel FaultStats: executors fold into their owning channel in
-  /// flat-index order. Call only when the engine is drained.
-  std::vector<FaultStats> per_channel_stats(const Scheduler& scheduler) const;
 
   /// Device-wide roll-up, with `injected` filled from the device's
   /// injection counters.
@@ -206,7 +195,6 @@ class RecoveryManager {
 
  private:
   dram::Subarray& resolve_subarray(std::size_t flat);
-  const dram::Subarray* resolve_subarray_if(std::size_t flat) const;
   dram::InjectionCounters injection_total() const;
 
   dram::Device* device_ = nullptr;  ///< exactly one of device_/pool_ is set

@@ -33,44 +33,17 @@ std::size_t DevicePool::instantiated_count() const {
   return n;
 }
 
-// The folds below iterate logical flat indices 0..total-1 and apply the
-// exact per-sub-array steps of the corresponding Device fold. A sharded
+// The fold and the trace merge below iterate logical flat indices
+// 0..total-1, one sub-array step at a time, like Device::fold. A sharded
 // run instantiates each flat only inside its owner, so visiting owners in
 // logical order reproduces the single-device iteration — including the
 // floating-point accumulation order.
-dram::DeviceStats DevicePool::roll_up() const {
-  dram::DeviceStats s{};
+dram::StatsFold DevicePool::fold() const {
+  dram::StatsFold fold;
   const std::size_t total = total_subarrays();
-  for (std::size_t flat = 0; flat < total; ++flat) {
-    const dram::Subarray* sa = subarray_if(flat);
-    if (!sa) continue;
-    const auto& st = sa->stats();
-    if (st.total_commands() == 0) continue;
-    ++s.subarrays_used;
-    s.time_ns = std::max(s.time_ns, st.busy_ns);
-    s.serial_ns += st.busy_ns;
-    s.energy_pj += st.energy_pj;
-    s.commands += st.total_commands();
-  }
-  return s;
-}
-
-std::vector<dram::DeviceStats> DevicePool::per_device_roll_up() const {
-  std::vector<dram::DeviceStats> out;
-  out.reserve(size());
-  for (std::size_t d = 0; d < size(); ++d)
-    out.push_back(device(d).roll_up());
-  return out;
-}
-
-dram::CommandStats DevicePool::command_roll_up() const {
-  dram::CommandStats total{};
-  const std::size_t n = total_subarrays();
-  for (std::size_t flat = 0; flat < n; ++flat) {
-    const dram::Subarray* sa = subarray_if(flat);
-    if (sa) total.merge_serial(sa->stats());
-  }
-  return total;
+  for (std::size_t flat = 0; flat < total; ++flat)
+    if (const dram::Subarray* sa = subarray_if(flat)) fold.add(sa->stats());
+  return fold;
 }
 
 dram::InjectionCounters DevicePool::injection_roll_up() const {
@@ -111,27 +84,6 @@ dram::Program DevicePool::captured_program() const {
   return program;
 }
 
-void DevicePool::enable_tracing() {
-  for (std::size_t d = 0; d < size(); ++d) device(d).enable_tracing();
-}
-
-void DevicePool::disable_tracing() {
-  for (std::size_t d = 0; d < size(); ++d) device(d).disable_tracing();
-}
-
-dram::DeviceStats reduce_devices(
-    const std::vector<dram::DeviceStats>& parts) {
-  dram::DeviceStats total{};
-  for (const auto& p : parts) {
-    total.time_ns = std::max(total.time_ns, p.time_ns);
-    total.serial_ns += p.serial_ns;
-    total.energy_pj += p.energy_pj;
-    total.commands += p.commands;
-    total.subarrays_used += p.subarrays_used;
-  }
-  return total;
-}
-
 PoolRunner::PoolRunner(DevicePool& pool, EngineOptions per_device)
     : pool_(pool) {
   // With more than one device, even a one-channel engine must own a real
@@ -150,21 +102,9 @@ void PoolRunner::submit_to_subarray(std::size_t subarray_flat, Task task) {
 }
 
 void PoolRunner::submit_program(dram::Program program) {
-  if (engines_.size() == 1) {
-    engines_[0]->submit_program(std::move(program));
-    return;
-  }
-  // The controller is the single producer here (src 0); the key is the
-  // global instruction sequence, so each device's gathered sub-stream is
-  // in program order and per-sub-array order matches a single device.
-  Exchange<dram::Instruction> exchange(engines_.size());
-  std::uint64_t seq = 0;
-  for (auto& inst : program)
-    exchange.push(0, pool_.owner_of(inst.subarray), seq++, std::move(inst));
-  for (std::size_t d = 0; d < engines_.size(); ++d) {
-    dram::Program part = exchange.gather(d);
-    if (!part.empty()) engines_[d]->submit_program(std::move(part));
-  }
+  auto parts = dram::split_by_owner(std::move(program), engines_.size());
+  for (std::size_t d = 0; d < parts.size(); ++d)
+    if (!parts[d].empty()) engines_[d]->submit_program(std::move(parts[d]));
 }
 
 void PoolRunner::drain() {
@@ -181,12 +121,6 @@ void PoolRunner::drain() {
 
 void PoolRunner::quiesce() noexcept {
   for (auto& engine : engines_) engine->quiesce();
-}
-
-bool PoolRunner::stalled() const {
-  for (const auto& engine : engines_)
-    if (engine->stalled()) return true;
-  return false;
 }
 
 void PoolRunner::export_metrics(telemetry::MetricsRegistry& registry) const {

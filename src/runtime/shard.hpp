@@ -13,23 +13,21 @@
 //
 // Determinism argument (what the shard test battery pins down):
 //   * Per-sub-array command order is the controller's issue order for any
-//     device count — routing is a pure function of the flat index, and each
-//     per-device Engine preserves per-sub-array FIFO order (engine.hpp).
-//   * Every cross-device hand-off is merged by an explicit global key (the
-//     instruction sequence through an Exchange for program slices, the
-//     shard index for the counted k-mers), so the merged order is a
-//     function of the data, never of device count or thread timing.
+//     device count — routing is a pure function of the flat index
+//     (dram::split_by_owner keeps program order within each owner), and
+//     each per-device Engine preserves per-sub-array FIFO order
+//     (engine.hpp).
+//   * The counted k-mers come back keyed by shard index, so the merged
+//     table order is a function of the data, never of device count or
+//     thread timing.
 //   * Every stat/metric fold iterates *logical* flat order 0..total-1
-//     across the pool — the identical double-precision fold Device::roll_up
-//     performs — so roll-ups, Prometheus model snapshots and checkpoints
-//     are bitwise equal to the single-device run.
+//     across the pool through the same dram::StatsFold step Device::fold
+//     uses, so roll-ups, Prometheus model snapshots and checkpoints are
+//     bitwise equal to the single-device run.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "dram/device.hpp"
@@ -44,75 +42,12 @@ namespace pima::runtime {
 struct ShardPlan {
   std::size_t devices = 1;
 
-  bool sharded() const { return devices > 1; }
-
   /// Owning device of a logical flat sub-array index.
   std::size_t owner_of(std::size_t flat) const {
     return devices <= 1 ? 0 : flat % devices;
   }
 
   bool operator==(const ShardPlan&) const = default;
-};
-
-/// Deterministic all-to-all hand-off; PoolRunner::submit_program uses it
-/// for the edge-block redistribution. Producers append to per-(src, dst)
-/// buffers — each buffer is ordered by push order — and gather(dst)
-/// merges a destination's buffers by (key, src, push order). The key is a
-/// global sequence number chosen by the caller (e.g. the instruction
-/// sequence), so the merged stream is identical for every device count:
-/// with N == 1 it degenerates to plain key order, which is exactly what a
-/// single-device run produces.
-template <typename T>
-class Exchange {
- public:
-  explicit Exchange(std::size_t devices)
-      : devices_(devices == 0 ? 1 : devices),
-        buffers_(devices_ * devices_) {}
-
-  std::size_t devices() const { return devices_; }
-
-  void push(std::size_t src, std::size_t dst, std::uint64_t key, T item) {
-    buffers_[src * devices_ + dst].push_back(
-        Entry{key, std::move(item)});
-  }
-
-  /// Everything destined for `dst`, merged by (key, src, push order).
-  /// Consumes the destination's buffers.
-  std::vector<T> gather(std::size_t dst) {
-    struct Tagged {
-      std::uint64_t key;
-      std::size_t src;
-      std::size_t seq;  ///< push order within (src, dst)
-      T* item;
-    };
-    std::vector<Tagged> order;
-    for (std::size_t src = 0; src < devices_; ++src) {
-      auto& buf = buffers_[src * devices_ + dst];
-      for (std::size_t i = 0; i < buf.size(); ++i)
-        order.push_back(Tagged{buf[i].key, src, i, &buf[i].item});
-    }
-    std::sort(order.begin(), order.end(),
-              [](const Tagged& a, const Tagged& b) {
-                if (a.key != b.key) return a.key < b.key;
-                if (a.src != b.src) return a.src < b.src;
-                return a.seq < b.seq;
-              });
-    std::vector<T> out;
-    out.reserve(order.size());
-    for (auto& t : order) out.push_back(std::move(*t.item));
-    for (std::size_t src = 0; src < devices_; ++src)
-      buffers_[src * devices_ + dst].clear();
-    return out;
-  }
-
- private:
-  struct Entry {
-    std::uint64_t key;
-    T item;
-  };
-
-  std::size_t devices_;
-  std::vector<std::vector<Entry>> buffers_;  // [src * devices_ + dst]
 };
 
 /// N devices presenting the single-device interface over the logical flat
@@ -122,15 +57,15 @@ class Exchange {
 ///
 /// Thread compatibility matches dram::Device: sub-array access is safe
 /// from the owning device's channels; the fold/fan-out members
-/// (roll_up, clear_stats, enable_*) are controller-side calls for a
-/// drained pool.
+/// (fold, clear_stats, enable_faults) are controller-side calls for a
+/// drained pool. Tracing is enabled per device by its engine
+/// (EngineOptions::capture_trace).
 class DevicePool {
  public:
   /// `devices` includes the primary; must be >= 1.
   DevicePool(dram::Device& primary, std::size_t devices);
 
   std::size_t size() const { return 1 + extras_.size(); }
-  const ShardPlan& plan() const { return plan_; }
   const dram::Geometry& geometry() const { return primary_.geometry(); }
   std::size_t total_subarrays() const {
     return geometry().total_subarrays();
@@ -154,25 +89,16 @@ class DevicePool {
 
   std::size_t instantiated_count() const;
 
-  /// Pool-wide roll-up folded in *logical* flat order — the identical
-  /// fold (and therefore identical doubles) as Device::roll_up on a
-  /// single device that ran the same commands.
-  dram::DeviceStats roll_up() const;
-
-  /// Per-device roll-ups (reporting axis; combine with reduce_devices).
-  std::vector<dram::DeviceStats> per_device_roll_up() const;
-
-  /// Per-kind command stats folded in logical flat order (see
-  /// Device::command_roll_up).
-  dram::CommandStats command_roll_up() const;
+  /// Pool-wide fold in *logical* flat order — the identical fold (and
+  /// therefore identical doubles) as Device::fold on a single device that
+  /// ran the same commands.
+  dram::StatsFold fold() const;
 
   /// Injection counters folded over every device (integral adds).
   dram::InjectionCounters injection_roll_up() const;
 
   void clear_stats();
   void enable_faults(const dram::FaultConfig& config);
-  void enable_tracing();
-  void disable_tracing();
 
   /// Replayable capture of every traced command, merged across the pool in
   /// logical flat order — byte-identical to dram::captured_program() of a
@@ -186,14 +112,6 @@ class DevicePool {
   std::vector<std::unique_ptr<dram::Device>> extras_;  // devices 1..N-1
 };
 
-/// Per-device stats of a pool combined along the device axis. Devices run
-/// concurrently and own disjoint sub-array shards, so this is the
-/// reduce_parallel discipline: time is the maximum, everything else adds,
-/// folded in device index order. For the bit-identity oracle use
-/// DevicePool::roll_up (logical flat order) instead — the per-device
-/// partial sums round differently in the last ulp.
-dram::DeviceStats reduce_devices(const std::vector<dram::DeviceStats>& parts);
-
 /// One Engine per pool device, presenting the single-engine submission
 /// interface over logical flat indices. With devices > 1 every per-device
 /// engine runs real workers (EngineOptions::force_worker) even at one
@@ -205,7 +123,6 @@ class PoolRunner {
   /// per-device channel count).
   PoolRunner(DevicePool& pool, EngineOptions per_device);
 
-  DevicePool& pool() { return pool_; }
   std::size_t devices() const { return engines_.size(); }
   Engine& engine(std::size_t d) { return *engines_.at(d); }
   const Engine& engine(std::size_t d) const { return *engines_.at(d); }
@@ -217,8 +134,7 @@ class PoolRunner {
   /// Routes a task to the engine channel owning the logical flat index.
   void submit_to_subarray(std::size_t subarray_flat, Task task);
 
-  /// Edge-block redistribution: splits an ISA program across owning
-  /// devices through an Exchange keyed by the global instruction sequence,
+  /// Splits an ISA program across owning devices (dram::split_by_owner),
   /// so each device executes its sub-stream in program order (per
   /// sub-array order is therefore the single-device order).
   void submit_program(dram::Program program);
@@ -230,8 +146,6 @@ class PoolRunner {
 
   /// Emergency barrier for exception unwind (see Engine::quiesce).
   void quiesce() noexcept;
-
-  bool stalled() const;
 
   /// Device-indexed metrics reduction: each engine exports into a private
   /// registry tagged {device="<d>"} which is merged into `registry` in

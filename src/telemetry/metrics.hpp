@@ -9,17 +9,18 @@
 //   * kModel metrics derive only from simulated state (command counts,
 //     simulated ns/pJ, fault counters). They are bit-identical for every
 //     channel count — the registry's JSON snapshot restricted to kModel is
-//     a determinism oracle, exactly like reduce_parallel for DeviceStats.
+//     a determinism oracle, exactly like the DeviceStats roll-up
+//     (dram::StatsFold).
 //     Concurrent updates must add exact doubles (integers < 2^53, or a
 //     single-writer accumulation) so the commutative fold stays exact.
 //   * kHost metrics measure the host machine (wall-clock latencies, queue
 //     occupancy, per-channel task counts). They vary run to run and with
 //     --threads, and are excluded from the deterministic snapshot.
 //
-// Merging follows the runtime's reduction discipline (runtime/stats.hpp):
-// merge_from() folds another registry in sorted metric order — counters
-// and histogram buckets add, gauges take the maximum — so per-channel
-// shards folded in channel index order give bit-identical results.
+// Merging is a fixed-order fold: merge_from() folds another registry in
+// sorted metric order — counters and histogram buckets add, gauges take
+// the maximum — so per-channel shards folded in channel index order give
+// bit-identical results.
 //
 // Thread safety: metric handles returned by the registry are stable for
 // the registry's lifetime and internally atomic; registration and export
@@ -141,7 +142,7 @@ class MetricsRegistry {
   /// Deterministic fold of another registry: counters and histogram
   /// buckets add, gauges take the max. Metrics absent here are created
   /// with the other registry's shape. Fold shards in channel index order
-  /// for reproducible results (reduce_parallel discipline).
+  /// for reproducible results.
   void merge_from(const MetricsRegistry& other);
 
   /// Labels appended to every metric registered from now on (multi-tenant

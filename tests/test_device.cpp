@@ -71,6 +71,7 @@ TEST(Device, RollUpParallelismSemantics) {
   // Two sub-arrays each do one copy: time = max (parallel), energy = sum.
   dev.subarray(0).aap_copy(0, 1);
   dev.subarray(1).aap_copy(0, 1);
+  dev.subarray(2);  // instantiated but idle: not a participant
   const auto s = dev.roll_up();
   EXPECT_EQ(s.subarrays_used, 2u);
   EXPECT_EQ(s.commands, 2u);
@@ -78,6 +79,14 @@ TEST(Device, RollUpParallelismSemantics) {
   EXPECT_DOUBLE_EQ(s.time_ns, aap);
   EXPECT_DOUBLE_EQ(s.serial_ns, 2.0 * aap);
   EXPECT_GT(s.energy_pj, 0.0);
+  // The per-kind merge runs over the same sub-arrays in the same order.
+  const StatsFold f = dev.fold();
+  EXPECT_EQ(f.device, s);
+  EXPECT_EQ(f.commands.counts[static_cast<std::size_t>(CommandKind::kAapCopy)],
+            2u);
+  EXPECT_EQ(f.commands.total_commands(), 2u);
+  EXPECT_EQ(f.commands.busy_ns, s.serial_ns);
+  EXPECT_EQ(f.commands.energy_pj, s.energy_pj);
 }
 
 TEST(Device, SerialCommandsAccumulateOnOneSubarray) {
@@ -98,6 +107,28 @@ TEST(Device, ClearStatsPreservesContents) {
   dev.clear_stats();
   EXPECT_EQ(dev.roll_up().commands, 0u);
   EXPECT_EQ(dev.subarray(0).peek_row(3), bits);
+}
+
+TEST(DeviceStats, SerialCompositionAddsTimesAndKeepsWidestFootprint) {
+  DeviceStats a{}, b{};
+  a.time_ns = 10;
+  a.serial_ns = 12;
+  a.energy_pj = 5;
+  a.commands = 100;
+  a.subarrays_used = 3;
+  b.time_ns = 4;
+  b.serial_ns = 4;
+  b.energy_pj = 2;
+  b.commands = 40;
+  b.subarrays_used = 2;
+  DeviceStats ser = a;
+  ser += b;
+  EXPECT_DOUBLE_EQ(ser.time_ns, 14);    // phases back to back: times add
+  EXPECT_DOUBLE_EQ(ser.serial_ns, 16);
+  EXPECT_DOUBLE_EQ(ser.energy_pj, 7);
+  EXPECT_EQ(ser.commands, 140u);
+  EXPECT_EQ(ser.subarrays_used, 3u);    // the widest phase
+  EXPECT_EQ(ser, a + b);
 }
 
 TEST(DeviceStats, DynamicPower) {

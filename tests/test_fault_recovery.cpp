@@ -326,7 +326,8 @@ TEST(Recovery, StatsFoldDeterministically) {
   b.injected = 5;
   b.escaped = 4;
   b.host_fallbacks = 7;
-  const auto sum = runtime::reduce_fault_stats({a, b});
+  runtime::FaultStats sum;
+  for (const auto& part : {a, b}) sum += part;
   EXPECT_EQ(sum.injected, 8u);
   EXPECT_EQ(sum.detected, 2u);
   EXPECT_EQ(sum.retried, 1u);

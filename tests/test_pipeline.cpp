@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "assembly/verify.hpp"
+#include "common/error.hpp"
 #include "dna/genome.hpp"
 
 namespace pima::core {
@@ -100,6 +101,34 @@ TEST(Pipeline, StageStatsAreAllPopulated) {
   EXPECT_EQ(total.commands, result.hashmap.device.commands +
                                 result.debruijn.device.commands +
                                 result.traverse.device.commands);
+}
+
+// Stage 2a stores the graph on the sub-arrays after the hash shards, so
+// the shards must leave at least one: a run that cannot fit is refused up
+// front, before stage 1 issues a command, on either transport.
+TEST(Pipeline, ShardCountMustLeaveRoomForTheGraph) {
+  const auto w = small_workload(600, 6.0);
+  const std::size_t total = pipeline_geometry().total_subarrays();
+  for (const bool isolate : {false, true}) {
+    for (const std::size_t shards : {total, total + 1}) {
+      dram::Device dev(pipeline_geometry());
+      PipelineOptions opt;
+      opt.k = 15;
+      opt.hash_shards = shards;
+      opt.isolate = isolate;
+      EXPECT_THROW(run_pipeline(dev, w.reads, opt), PreconditionError)
+          << shards << " shards, isolate " << isolate;
+      EXPECT_EQ(dev.instantiated_count(), 0u);
+      EXPECT_EQ(dev.roll_up().commands, 0u);
+    }
+  }
+  dram::Device dev(pipeline_geometry());
+  PipelineOptions opt;
+  opt.k = 15;
+  opt.hash_shards = total - 1;
+  const auto result = run_pipeline(dev, w.reads, opt);
+  EXPECT_GT(result.debruijn.device.commands, 0u);
+  EXPECT_EQ(result.debruijn.device.subarrays_used, 1u);
 }
 
 TEST(Pipeline, ParallelShardsReduceCriticalPath) {

@@ -473,6 +473,48 @@ TEST(ProcPoolWire, WorkerInitRoundTripsThroughJson) {
   EXPECT_TRUE(parsed.capture_trace);
 }
 
+// The controller's stats fold decodes what ShardWorkerCore::op_stats
+// encodes: exact doubles through the wire text, and a `counts` array of any
+// other length than one per command kind is a typed error, never a silent
+// zero-fill or truncation.
+TEST(ProcPoolWire, StatsEntryRoundTripsAndRejectsAWrongLength) {
+  dram::CommandStats st;
+  for (std::size_t k = 0; k < dram::kCommandKindCount; ++k)
+    st.counts[k] = 3 * k + 1;
+  st.busy_ns = 0.1 + 0.2;  // not representable in short decimal
+  st.energy_pj = 1.0 / 3.0;
+  const std::string line = core::stats_entry_to_json(17, st).dump();
+  const net::Json entry = net::Json::parse(line);
+  EXPECT_EQ(entry.get_uint64("flat"), 17u);
+  const dram::CommandStats back = core::stats_entry_from_json(entry);
+  for (std::size_t k = 0; k < dram::kCommandKindCount; ++k)
+    EXPECT_EQ(back.counts[k], st.counts[k]) << "command kind " << k;
+  EXPECT_EQ(back.busy_ns, st.busy_ns);
+  EXPECT_EQ(back.energy_pj, st.energy_pj);
+
+  const auto with_counts = [&](std::size_t n) {
+    net::Json bad = net::Json::parse(line);
+    net::Json counts = net::Json::array();
+    for (std::size_t k = 0; k < n; ++k)
+      counts.push_back(net::Json(static_cast<std::uint64_t>(k)));
+    bad.set("counts", std::move(counts));
+    return bad;
+  };
+  for (const std::size_t n :
+       {std::size_t{0}, dram::kCommandKindCount - 1,
+        dram::kCommandKindCount + 1}) {
+    EXPECT_THROW(core::stats_entry_from_json(with_counts(n)),
+                 InputFormatError)
+        << n << " counts";
+  }
+  net::Json not_array = net::Json::parse(line);
+  not_array.set("counts", net::Json(std::uint64_t{7}));
+  EXPECT_THROW(core::stats_entry_from_json(not_array), InputFormatError);
+  net::Json missing = net::Json::object();
+  missing.set("flat", std::uint64_t{17});
+  EXPECT_THROW(core::stats_entry_from_json(missing), InputFormatError);
+}
+
 TEST(ProcPoolWire, TypedErrorsRoundTripThroughResponses) {
   const auto roundtrip = [](const std::exception& e) -> std::string {
     const auto response = core::worker_error_response(e);

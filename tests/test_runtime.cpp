@@ -1,6 +1,6 @@
 // Tests of the multi-channel PIM runtime: bounded-queue backpressure,
-// engine routing/drain semantics, deterministic stats reduction, and the
-// headline contract — pipeline results bit-identical for any channel count.
+// engine routing/drain semantics, the program split, and the headline
+// contract — pipeline results bit-identical for any channel count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,13 +10,13 @@
 
 #include "assembly/gfa.hpp"
 #include "common/error.hpp"
+#include "core/degree.hpp"
 #include "core/pipeline.hpp"
 #include "dna/genome.hpp"
+#include "dram/isa.hpp"
 #include "runtime/bounded_queue.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/recovery.hpp"
-#include "runtime/scheduler.hpp"
-#include "runtime/stats.hpp"
 
 namespace pima::runtime {
 namespace {
@@ -72,70 +72,63 @@ TEST(BoundedQueue, CloseDrainsThenEnds) {
   EXPECT_EQ(q.pop(), std::nullopt);
 }
 
-// ---- Scheduler ----
+// ---- Scheduling: channel ownership, block placement, the program split ----
 
 TEST(Scheduler, InterleavedChannelOwnership) {
-  Scheduler s(128, 4);
-  EXPECT_EQ(s.channel_of(0), 0u);
-  EXPECT_EQ(s.channel_of(5), 1u);
-  EXPECT_EQ(s.channel_of(127), 3u);
+  dram::Device device(small_geometry());
+  Engine engine(device, {.channels = 4});
+  EXPECT_EQ(engine.channels(), 4u);
+  EXPECT_EQ(engine.channel_of(0), 0u);
+  EXPECT_EQ(engine.channel_of(5), 1u);
+  EXPECT_EQ(engine.channel_of(127), 3u);
   // The block placement matches the degree kernel's historical layout.
-  EXPECT_EQ(s.block_subarray(2, 3, 5), (2 * 5 + 3) % 128u);
-  EXPECT_EQ(s.block_subarray(3, 2, 5, 25), (3 * 5 + 2 + 25) % 128u);
-  EXPECT_EQ(block_subarray(128, 2, 3, 5), s.block_subarray(2, 3, 5));
+  EXPECT_EQ(core::block_subarray(128, 2, 3, 5), (2 * 5 + 3) % 128u);
+  EXPECT_EQ(core::block_subarray(128, 3, 2, 5, 25), (3 * 5 + 2 + 25) % 128u);
+  EXPECT_EQ(core::block_subarray(128, 30, 0, 5), 150u % 128u);  // wraps
 }
 
 TEST(Scheduler, SplitPreservesPerSubarrayOrder) {
-  Scheduler s(8, 3);
   dram::Program p;
   for (std::size_t i = 0; i < 20; ++i) {
     dram::Instruction inst;
-    inst.op = dram::Opcode::kRowRead;
+    inst.op = dram::Opcode::kRowWrite;
     inst.subarray = i % 8;
     inst.src1 = i;  // encodes submission order
-    p.push_back(inst);
+    inst.payload = BitVector(256);
+    inst.payload.set(i, true);
+    p.push_back(std::move(inst));
   }
-  const auto parts = s.split(p);
+  const dram::Program original = p;
+  const auto parts = dram::split_by_owner(std::move(p), 3);
   ASSERT_EQ(parts.size(), 3u);
   std::size_t total = 0;
   for (std::size_t c = 0; c < parts.size(); ++c) {
     dram::RowAddr last_per_sa[8] = {};
     for (const auto& inst : parts[c]) {
-      EXPECT_EQ(s.channel_of(inst.subarray), c);
+      EXPECT_EQ(inst.subarray % 3, c);
       EXPECT_GE(inst.src1, last_per_sa[inst.subarray]);
       last_per_sa[inst.subarray] = inst.src1;
+      // Moved whole: the ROW_WRITE payload survives the split.
+      EXPECT_EQ(inst, original[inst.src1]);
       ++total;
     }
   }
-  EXPECT_EQ(total, p.size());
-}
+  EXPECT_EQ(total, original.size());
+  // One owner keeps the program as it is.
+  const auto whole = dram::split_by_owner(original, 1);
+  ASSERT_EQ(whole.size(), 1u);
+  EXPECT_EQ(whole[0], original);
 
-// ---- Stats reduction ----
-
-TEST(StatsReduction, ParallelAndSerialSemantics) {
-  dram::DeviceStats a{}, b{};
-  a.time_ns = 10;
-  a.serial_ns = 12;
-  a.energy_pj = 5;
-  a.commands = 100;
-  a.subarrays_used = 3;
-  b.time_ns = 4;
-  b.serial_ns = 4;
-  b.energy_pj = 2;
-  b.commands = 40;
-  b.subarrays_used = 2;
-
-  const auto par = reduce_parallel({a, b});
-  EXPECT_DOUBLE_EQ(par.time_ns, 10);       // critical path: max
-  EXPECT_DOUBLE_EQ(par.serial_ns, 16);     // 1-sub-array equivalent: sum
-  EXPECT_DOUBLE_EQ(par.energy_pj, 7);
-  EXPECT_EQ(par.commands, 140u);
-  EXPECT_EQ(par.subarrays_used, 5u);       // disjoint ownership: sum
-
-  const auto ser = reduce_serial({a, b});
-  EXPECT_DOUBLE_EQ(ser.time_ns, 14);       // phases back to back: sum
-  EXPECT_EQ(ser.subarrays_used, 3u);       // widest phase
-  EXPECT_EQ(ser, a + b);                   // reduce_serial == operator+
+  // An out-of-range sub-array anywhere in the program is rejected before
+  // the engine queues any of it.
+  dram::Device device(small_geometry());
+  Engine engine(device, {.channels = 2, .queue_capacity = 4});
+  dram::Program bad = original;
+  bad.back().subarray = small_geometry().total_subarrays();
+  EXPECT_THROW(engine.submit_program(std::move(bad)), PreconditionError);
+  engine.drain();
+  EXPECT_EQ(device.instantiated_count(), 0u);
+  EXPECT_EQ(device.roll_up().commands, 0u);
 }
 
 // ---- Engine ----
@@ -306,13 +299,16 @@ TEST(Engine, TasksQueuedBehindFailureAreDroppedNotExecuted) {
 }
 
 TEST(Engine, ProgramSubmissionMatchesInlineExecution) {
+  // Every sub-array's stream is longer than one chunk, so the parallel
+  // run crosses Engine::kProgramChunk boundaries.
+  constexpr std::size_t kPerSubarray = Engine::kProgramChunk + 40;
   auto build_program = [] {
     dram::Program p;
-    for (std::size_t i = 0; i < 64; ++i) {
+    for (std::size_t i = 0; i < 8 * kPerSubarray; ++i) {
       dram::Instruction inst;
       inst.op = dram::Opcode::kRowWrite;
       inst.subarray = i % 8;
-      inst.src1 = i / 8;
+      inst.src1 = (i / 8) % 8;
       inst.payload = BitVector(256);
       inst.payload.set(i % 256, true);
       p.push_back(std::move(inst));
@@ -328,8 +324,7 @@ TEST(Engine, ProgramSubmissionMatchesInlineExecution) {
   }
   dram::Device parallel_dev(small_geometry());
   {
-    Engine parallel(parallel_dev,
-                    {.channels = 4, .queue_capacity = 4, .program_chunk = 8});
+    Engine parallel(parallel_dev, {.channels = 4, .queue_capacity = 4});
     parallel.submit_program(build_program());
     parallel.drain();
   }
@@ -340,33 +335,10 @@ TEST(Engine, ProgramSubmissionMatchesInlineExecution) {
     ASSERT_NE(b, nullptr);
     for (std::size_t r = 0; r < 8; ++r)
       EXPECT_EQ(a->peek_row(r).to_string(), b->peek_row(r).to_string());
+    EXPECT_EQ(a->stats().total_commands(), kPerSubarray);
     EXPECT_EQ(a->stats().total_commands(), b->stats().total_commands());
     EXPECT_DOUBLE_EQ(a->stats().busy_ns, b->stats().busy_ns);
   }
-}
-
-TEST(Engine, ChannelRollUpRefinesDeviceRollUp) {
-  dram::Device device(small_geometry());
-  Engine engine(device, {.channels = 4, .queue_capacity = 8});
-  dram::Program p;
-  for (std::size_t i = 0; i < 40; ++i) {
-    dram::Instruction inst;
-    inst.op = dram::Opcode::kRowRead;
-    inst.subarray = i % 10;
-    inst.src1 = 0;
-    p.push_back(inst);
-  }
-  engine.submit_program(std::move(p));
-  engine.drain();
-
-  const auto per_channel = engine.channel_roll_up();
-  ASSERT_EQ(per_channel.size(), 4u);
-  const auto reduced = reduce_parallel(per_channel);
-  const auto device_view = device.roll_up();
-  EXPECT_DOUBLE_EQ(reduced.time_ns, device_view.time_ns);
-  EXPECT_DOUBLE_EQ(reduced.energy_pj, device_view.energy_pj);
-  EXPECT_EQ(reduced.commands, device_view.commands);
-  EXPECT_EQ(reduced.subarrays_used, device_view.subarrays_used);
 }
 
 // ---- Pipeline-level contracts ----
