@@ -1,7 +1,6 @@
 #include "core/pim_hash_table.hpp"
 
 #include "dram/dpu.hpp"
-#include "runtime/shard.hpp"
 
 namespace pima::core {
 
@@ -17,22 +16,9 @@ std::uint64_t slot_hash(const assembly::Kmer& km) {
 
 PimHashTable::PimHashTable(dram::Device& device, std::size_t shards,
                            std::size_t first_subarray, MappingPolicy policy)
-    : device_(&device),
+    : device_(device),
       layout_(ShardLayout::for_geometry(device.geometry())),
       policy_(policy) {
-  init(shards, first_subarray, policy);
-}
-
-PimHashTable::PimHashTable(runtime::DevicePool& pool, std::size_t shards,
-                           std::size_t first_subarray, MappingPolicy policy)
-    : pool_(&pool),
-      layout_(ShardLayout::for_geometry(pool.geometry())),
-      policy_(policy) {
-  init(shards, first_subarray, policy);
-}
-
-void PimHashTable::init(std::size_t shards, std::size_t first_subarray,
-                        MappingPolicy policy) {
   PIMA_CHECK(shards > 0, "need at least one shard");
   const std::size_t extra =
       policy == MappingPolicy::kCentralValues ? 1 : 0;
@@ -57,22 +43,9 @@ void PimHashTable::init(std::size_t shards, std::size_t first_subarray,
   }
 }
 
-const dram::Geometry& PimHashTable::geometry() const {
-  return pool_ ? pool_->geometry() : device_->geometry();
-}
-
-dram::Subarray& PimHashTable::backing_subarray(std::size_t flat) {
-  return pool_ ? pool_->subarray(flat) : device_->subarray(flat);
-}
-
-const dram::Subarray* PimHashTable::backing_subarray_if(
-    std::size_t flat) const {
-  return pool_ ? pool_->subarray_if(flat) : device_->subarray_if(flat);
-}
-
 dram::Subarray& PimHashTable::value_subarray(std::size_t shard_index) {
   if (policy_ == MappingPolicy::kCentralValues)
-    return backing_subarray(central_value_flat_);
+    return device_.subarray(central_value_flat_);
   return shard_subarray(shards_[shard_index]);
 }
 
@@ -86,15 +59,11 @@ dram::RowAddr PimHashTable::value_row_for(std::size_t shard_index,
 }
 
 dram::Subarray& PimHashTable::shard_subarray(const Shard& s) {
-  return backing_subarray(s.subarray_flat);
+  return device_.subarray(s.subarray_flat);
 }
 
 std::size_t PimHashTable::capacity() const {
   return shards_.size() * layout_.kmer_rows;
-}
-
-std::size_t PimHashTable::shard_for(const assembly::Kmer& kmer) const {
-  return static_cast<std::size_t>(kmer.hash() % shards_.size());
 }
 
 std::size_t PimHashTable::shard_subarray_flat(std::size_t shard) const {
@@ -235,14 +204,14 @@ PimHashTable::peek_slot(std::size_t shard, std::size_t slot) const {
   PIMA_CHECK(slot < layout_.kmer_rows, "slot index out of shard");
   const Shard& sh = shards_[shard];
   if (!sh.occupied[slot] || k_ == 0) return std::nullopt;
-  const dram::Subarray* sa_ptr = backing_subarray_if(sh.subarray_flat);
+  const dram::Subarray* sa_ptr = device_.subarray_if(sh.subarray_flat);
   PIMA_CHECK(sa_ptr != nullptr, "occupied shard must be instantiated");
   const BitVector& key_row = sa_ptr->peek_row(layout_.kmer_row(slot));
   const auto seq = dna::Sequence::from_bits(key_row, 0, k_);
   const assembly::Kmer km = assembly::Kmer::from_sequence(seq, 0, k_);
   const dram::Subarray* val_ptr =
       policy_ == MappingPolicy::kCentralValues
-          ? backing_subarray_if(central_value_flat_)
+          ? device_.subarray_if(central_value_flat_)
           : sa_ptr;
   PIMA_CHECK(val_ptr != nullptr, "value array must be instantiated");
   const std::size_t global = policy_ == MappingPolicy::kCentralValues
@@ -257,10 +226,9 @@ PimHashTable::peek_slot(std::size_t shard, std::size_t slot) const {
   return std::make_pair(km, v);
 }
 
-std::vector<std::pair<assembly::Kmer, std::uint32_t>>
-PimHashTable::extract_shard(std::size_t shard) {
+KmerEntries PimHashTable::extract_shard(std::size_t shard) {
   PIMA_CHECK(shard < shards_.size(), "shard index out of table");
-  std::vector<std::pair<assembly::Kmer, std::uint32_t>> out;
+  KmerEntries out;
   Shard& sh = shards_[shard];
   out.reserve(sh.entries);
   if (sh.entries == 0) return out;
@@ -275,9 +243,8 @@ PimHashTable::extract_shard(std::size_t shard) {
   return out;
 }
 
-std::vector<std::pair<assembly::Kmer, std::uint32_t>>
-PimHashTable::extract() {
-  std::vector<std::pair<assembly::Kmer, std::uint32_t>> out;
+KmerEntries PimHashTable::extract() {
+  KmerEntries out;
   out.reserve(distinct_kmers());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     auto part = extract_shard(s);

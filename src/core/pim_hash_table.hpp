@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "assembly/kmer.hpp"
@@ -44,6 +45,18 @@ enum class MappingPolicy {
   kCentralValues,
 };
 
+/// (k-mer, frequency) pairs as the table reads them back.
+using KmerEntries = std::vector<std::pair<assembly::Kmer, std::uint32_t>>;
+
+/// The hash router: the shard a k-mer counts in, of `shards`. Every
+/// transport routes by this rule; with shard s at flat first + s and owner
+/// dram::owner_of(flat, devices), a sharded run places k-mers by the
+/// paper-style owner = hash(canonical kmer) % N.
+inline std::size_t hash_shard_of(const assembly::Kmer& kmer,
+                                 std::size_t shards) {
+  return static_cast<std::size_t>(kmer.hash() % shards);
+}
+
 /// Counting hash table materialized in simulated DRAM.
 class PimHashTable {
  public:
@@ -52,15 +65,6 @@ class PimHashTable {
   /// MappingPolicy::kCentralValues one extra sub-array (at
   /// `first_subarray + shards`) holds every counter.
   PimHashTable(dram::Device& device, std::size_t shards,
-               std::size_t first_subarray = 0,
-               MappingPolicy policy = MappingPolicy::kCorrelated);
-
-  /// Pool-backed table (runtime/shard.hpp): shard s still lives at flat
-  /// index first_subarray + s, but the sub-array is resolved through the
-  /// pool's owner routing — shard_for(kmer) % devices is then exactly the
-  /// paper-style owner = hash(canonical_kmer) % N k-mer distribution.
-  /// Everything else (layout, probe path, extract order) is unchanged.
-  PimHashTable(runtime::DevicePool& pool, std::size_t shards,
                std::size_t first_subarray = 0,
                MappingPolicy policy = MappingPolicy::kCorrelated);
 
@@ -95,21 +99,22 @@ class PimHashTable {
   std::size_t shard_count() const { return shards_.size(); }
   const ShardLayout& layout() const { return layout_; }
 
-  /// Shard a k-mer routes to (the hash router the controller uses).
-  std::size_t shard_for(const assembly::Kmer& kmer) const;
+  /// Shard a k-mer routes to (hash_shard_of over this table's shards).
+  std::size_t shard_for(const assembly::Kmer& kmer) const {
+    return hash_shard_of(kmer, shards_.size());
+  }
   /// Flat device index of a shard's sub-array — what the runtime uses to
   /// route inserts to the channel owning the shard.
   std::size_t shard_subarray_flat(std::size_t shard) const;
 
   /// Reads the table back out of DRAM into (k-mer, frequency) pairs, in
   /// deterministic (shard, slot) order. Costed as row reads.
-  std::vector<std::pair<assembly::Kmer, std::uint32_t>> extract();
+  KmerEntries extract();
 
   /// One shard's entries in slot order — what an isolated device worker
   /// returns per owned shard. extract() is exactly the shard-order
   /// concatenation.
-  std::vector<std::pair<assembly::Kmer, std::uint32_t>> extract_shard(
-      std::size_t shard);
+  KmerEntries extract_shard(std::size_t shard);
 
   /// Decodes slot contents straight from row bits without cost (tests).
   std::optional<std::pair<assembly::Kmer, std::uint32_t>> peek_slot(
@@ -122,12 +127,7 @@ class PimHashTable {
     std::size_t entries = 0;
   };
 
-  void init(std::size_t shards, std::size_t first_subarray,
-            MappingPolicy policy);
-  const dram::Geometry& geometry() const;
-  /// Sub-array behind a logical flat index (device- or pool-backed).
-  dram::Subarray& backing_subarray(std::size_t flat);
-  const dram::Subarray* backing_subarray_if(std::size_t flat) const;
+  const dram::Geometry& geometry() const { return device_.geometry(); }
 
   dram::Subarray& shard_subarray(const Shard& s);
   /// Sub-array holding this shard's counters (shard itself when
@@ -146,8 +146,7 @@ class PimHashTable {
   void write_counter(std::size_t shard_index, std::size_t slot,
                      std::uint32_t v);
 
-  dram::Device* device_ = nullptr;  ///< exactly one of device_/pool_ set
-  runtime::DevicePool* pool_ = nullptr;
+  dram::Device& device_;
   ShardLayout layout_;
   MappingPolicy policy_;
   runtime::RecoveryManager* recovery_ = nullptr;

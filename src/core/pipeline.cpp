@@ -4,24 +4,26 @@
 // against ShardBackend, the device operations the stages need. Where the
 // commands execute is the backend's business:
 //
-//   * InProcessShards: a DevicePool driven by a PoolRunner (one Engine per
-//     device) plus the optional fault RecoveryManager;
-//   * RpcShards (--isolate): every device shard in its own pima_devd child
+//   * InProcessShards: one core::DeviceShard per device, called directly;
+//   * RpcShards (--isolate): every DeviceShard in its own pima_devd child
 //     under the runtime::ProcSupervisor, driven by journaled NDJSON
 //     requests batched per superstep (ProcSupervisor::rpc_all). A worker's
 //     device state is a pure function of its request journal, so a crash
 //     + replay lands on the exact pre-crash state.
 //
-// Both fold statistics and traces in logical flat order, so contigs,
-// per-stage DeviceStats, model-class metrics and trace bytes are identical
-// across transports, device counts, channel counts and worker crashes.
+// Sub-array `flat` lives on device dram::owner_of(flat, devices), and both
+// fold statistics and traces through the same dram::fold_in_flat_order /
+// dram::merge_in_flat_order, so contigs, per-stage DeviceStats,
+// model-class metrics and trace bytes are identical across transports,
+// device counts, channel counts and worker crashes.
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -33,7 +35,6 @@
 #include "net/json.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/procpool.hpp"
-#include "runtime/shard.hpp"
 #include "telemetry/log.hpp"
 #include "telemetry/progress.hpp"
 #include "telemetry/session.hpp"
@@ -46,8 +47,6 @@ dram::DeviceStats PipelineResult::total() const {
 }
 
 namespace {
-
-using KmerEntries = std::vector<std::pair<assembly::Kmer, std::uint32_t>>;
 
 // Picks the number of vertex intervals so every interval fits the column
 // width of a sub-array row (hash distribution is near-uniform; retry with
@@ -142,126 +141,127 @@ runtime::EngineOptions engine_options(const PipelineOptions& o) {
   return e;
 }
 
-// The caller's device is shard 0; the pool owns the rest for the run. With
-// devices == 1 every pool call collapses to the classic single-device path
-// (same folds, same engine). Every submission runs under
-// runtime::submit_guarded.
+// The caller's device is shard 0; the backend owns devices 1..N-1 for the
+// run. With devices == 1 every call goes to the one shard: the classic
+// single-device path.
 class InProcessShards final : public ShardBackend {
  public:
-  InProcessShards(dram::Device& device, const PipelineOptions& options)
-      : pool_(device, options.devices),
-        runner_(pool_, engine_options(options)),
-        table_(pool_, options.hash_shards) {
-    pool_.clear_stats();
-    // Fault-aware execution: attach the Table-I-calibrated fault model to
-    // every pool device and route the table's critical probes through the
-    // recovery layer. With faults off and recovery kOff (the default)
-    // nothing here runs and the run is bit-identical to the unfaulted
-    // build.
-    pool_.enable_faults(options.fault);
-    if (options.fault.enabled() ||
-        options.recovery.mode != runtime::RecoveryMode::kOff)
-      recovery_ =
-          std::make_unique<runtime::RecoveryManager>(pool_, options.recovery);
-    table_.bind_key_length(options.k);
-    table_.attach_recovery(recovery_.get());
-    // One pending k-mer batch per (device, channel) slot, devices-major.
-    slot_base_.assign(runner_.devices() + 1, 0);
-    for (std::size_t d = 0; d < runner_.devices(); ++d)
-      slot_base_[d + 1] = slot_base_[d] + runner_.engine(d).channels();
-    pending_.resize(slot_base_.back());
+  InProcessShards(dram::Device& device, const PipelineOptions& options) {
+    runtime::EngineOptions engine = engine_options(options);
+    // With more than one device, even a one-channel engine must own a real
+    // worker — otherwise every device would retire inline on the
+    // controller thread and device-level parallelism would be fiction.
+    engine.force_worker = options.devices > 1;
+    for (std::size_t d = 0; d < options.devices; ++d) {
+      if (d > 0)
+        extras_.push_back(std::make_unique<dram::Device>(
+            device.geometry(), device.technology()));
+      shards_.push_back(std::make_unique<DeviceShard>(
+          d == 0 ? device : *extras_.back(), engine, options.hash_shards,
+          options.k, kKmerBatch, options.fault, options.recovery));
+    }
   }
-
-  // Queued tasks reference the table and the pool: stop the channels
-  // before an unwind destroys them (use-after-free otherwise).
-  ~InProcessShards() override { runner_.quiesce(); }
 
   void start(std::uint32_t) override {}
 
-  // Routes the k-mer to the (device, channel) owning its hash shard and
-  // flushes per-slot batches through the bounded queues (backpressure
-  // throttles the controller when the channels fall behind).
+  // The owning device's shard batches the k-mer per channel and flushes
+  // full batches through the bounded queues (backpressure throttles the
+  // controller when the channels fall behind). One device skips the
+  // routing hash: add_kmer hashes anyway.
   void submit_kmer(const assembly::Kmer& kmer) override {
-    const std::size_t flat =
-        table_.shard_subarray_flat(table_.shard_for(kmer));
-    const std::size_t device = runner_.owner_of(flat);
-    const std::size_t channel = runner_.engine(device).channel_of(flat);
-    auto& batch = pending_[slot_base_[device] + channel];
-    batch.push_back(kmer);
-    if (batch.size() >= kKmerBatch) flush(device, channel);
+    owner(shards_.size() == 1
+              ? 0
+              : hash_shard_of(kmer, shards_[0]->hash_shards()))
+        .add_kmer(kmer);
   }
 
+  // Drains every device in index order, then rethrows the lowest device's
+  // failure (lowest channel within it — deterministic like Engine::drain).
   void drain() override {
-    for (std::size_t d = 0; d < runner_.devices(); ++d)
-      for (std::size_t c = 0; c < runner_.engine(d).channels(); ++c)
-        flush(d, c);
-    runner_.drain();
+    for (auto& shard : shards_) shard->flush_kmers();
+    std::exception_ptr first;
+    for (auto& shard : shards_) {
+      try {
+        shard->drain();
+      } catch (...) {
+        if (!first) first = std::current_exception();
+      }
+    }
+    if (first) std::rethrow_exception(first);
   }
 
-  KmerEntries extract() override { return table_.extract(); }
+  // Shard by shard from its owner, so the list concatenates in
+  // PimHashTable::extract() order.
+  KmerEntries extract() override {
+    KmerEntries entries;
+    entries.reserve(distinct_kmers());
+    for (std::size_t s = 0; s < shards_[0]->hash_shards(); ++s) {
+      KmerEntries part = owner(s).extract_shard(s);
+      entries.insert(entries.end(), std::make_move_iterator(part.begin()),
+                     std::make_move_iterator(part.end()));
+    }
+    return entries;
+  }
 
-  std::size_t distinct_kmers() override { return table_.distinct_kmers(); }
+  std::size_t distinct_kmers() override {
+    std::size_t total = 0;
+    for (const auto& shard : shards_) total += shard->distinct_kmers();
+    return total;
+  }
 
   void submit_program(dram::Program program) override {
-    runtime::submit_guarded(
-        runner_, [&] { runner_.submit_program(std::move(program)); });
+    auto parts = dram::split_by_owner(std::move(program), shards_.size());
+    for (std::size_t d = 0; d < parts.size(); ++d)
+      if (!parts[d].empty()) shards_[d]->submit_program(std::move(parts[d]));
   }
 
   void degree_block(std::size_t flat, std::size_t n, const EdgeBlock& block,
                     bool transposed) override {
-    // The task owns its block: the partition dies before this backend on
-    // an unwind.
-    runtime::submit_guarded(runner_, [&] {
-      runner_.submit_to_subarray(
-          flat, [this, flat, n,
-                 edges = transposed ? transpose(block) : block] {
-            // Sums are discarded: the pipeline keeps the device work only.
-            (void)pim_column_sums(
-                pool_.subarray(flat),
-                block_adjacency_rows(edges, n, pool_.geometry().columns));
-          });
-    });
+    owner(flat).degree_block(flat, n, transposed ? transpose(block) : block);
   }
 
   dram::StatsFold end_stage(std::uint32_t) override {
-    const dram::StatsFold fold = pool_.fold();
-    pool_.clear_stats();
-    return fold;
+    std::vector<dram::SubarrayStats> per_device;
+    for (auto& shard : shards_) {
+      per_device.push_back(shard->subarray_stats());
+      shard->clear_stats();
+    }
+    return dram::fold_in_flat_order(per_device);
   }
 
-  dram::Program captured_trace() override { return pool_.captured_program(); }
+  dram::Program captured_trace() override {
+    std::vector<dram::SubarrayPrograms> per_device;
+    for (const auto& shard : shards_) per_device.push_back(shard->traces());
+    return dram::merge_in_flat_order(std::move(per_device));
+  }
 
+  // FaultStats counters are integral, so the per-device sum is exact.
   runtime::FaultStats fault_stats() override {
-    return recovery_ ? recovery_->roll_up() : runtime::FaultStats{};
+    runtime::FaultStats total;
+    for (const auto& shard : shards_) total += shard->fault_stats();
+    return total;
   }
 
+  // One device exports like a bare Engine (no device label); more merge
+  // {device="d"} registries in device order.
   void export_metrics(telemetry::MetricsRegistry& registry) override {
-    runner_.export_metrics(registry);
-    if (recovery_) recovery_->export_metrics(registry);
+    for (std::size_t d = 0; d < shards_.size(); ++d)
+      shards_[d]->export_metrics(
+          registry, shards_.size() == 1 ? std::string{} : std::to_string(d));
   }
 
  private:
+  /// K-mers per channel task.
   static constexpr std::size_t kKmerBatch = 128;
 
-  void flush(std::size_t device, std::size_t channel) {
-    auto& batch = pending_[slot_base_[device] + channel];
-    if (batch.empty()) return;
-    runtime::submit_guarded(runner_, [&] {
-      runner_.engine(device).submit(
-          channel, [this, batch = std::move(batch)] {
-            for (const auto& km : batch) table_.insert_or_increment(km);
-          });
-    });
-    batch = {};
-    batch.reserve(kKmerBatch);
+  DeviceShard& owner(std::size_t flat) {
+    return *shards_[dram::owner_of(flat, shards_.size())];
   }
 
-  runtime::DevicePool pool_;
-  runtime::PoolRunner runner_;
-  std::unique_ptr<runtime::RecoveryManager> recovery_;
-  PimHashTable table_;
-  std::vector<std::size_t> slot_base_;
-  std::vector<std::vector<assembly::Kmer>> pending_;
+  // Declared first, destroyed last: every shard stops its engine before
+  // its device goes.
+  std::vector<std::unique_ptr<dram::Device>> extras_;
+  std::vector<std::unique_ptr<DeviceShard>> shards_;
 };
 
 // ---- Rpc transport ---------------------------------------------------------
@@ -289,9 +289,8 @@ class DegreeBatcher {
   /// device on any genome the geometry fits, a bounded line beyond that.
   static constexpr std::size_t kBudgetBytes = 4u << 20;
 
-  DegreeBatcher(runtime::ProcSupervisor& sup, const runtime::ShardPlan& plan)
+  explicit DegreeBatcher(runtime::ProcSupervisor& sup)
       : sup_(sup),
-        plan_(plan),
         blocks_(sup.devices(), net::Json::array()),
         bytes_(sup.devices(), 0) {}
 
@@ -300,7 +299,7 @@ class DegreeBatcher {
   /// out-degree block).
   void add(std::size_t flat, std::size_t n, const EdgeBlock& block,
            bool transposed) {
-    const std::size_t owner = plan_.owner_of(flat);
+    const std::size_t owner = dram::owner_of(flat, sup_.devices());
     net::Json enc = net::Json::array();
     std::size_t bytes = 2 + encoded_size(flat) + encoded_size(n);
     enc.push_back(net::Json(static_cast<std::uint64_t>(flat)));
@@ -338,7 +337,6 @@ class DegreeBatcher {
   }
 
   runtime::ProcSupervisor& sup_;
-  const runtime::ShardPlan& plan_;
   std::vector<net::Json> blocks_;
   std::vector<std::size_t> bytes_;
 };
@@ -360,16 +358,16 @@ runtime::ProcPoolOptions pool_options(const dram::Device& device,
   return p;
 }
 
-// Every device shard in a pima_devd worker. Only command *execution*
+// Every DeviceShard in a pima_devd worker. Only command *execution*
 // crosses the process boundary; each verb is one request per device per
 // superstep, every device's request written before any response is read.
-// Statistics and traces come back per sub-array and are folded here in
-// logical flat order — the DevicePool fold and trace merge, step for step.
+// Statistics and traces come back per sub-array, are decoded into the
+// lists InProcessShards reads directly, and go through the same folds.
 class RpcShards final : public ShardBackend {
  public:
   RpcShards(const dram::Device& device, const PipelineOptions& options)
       : options_(options),
-        plan_{options.devices},
+        total_(device.geometry().total_subarrays()),
         sup_(pool_options(device, options),
              [&device, &options](std::size_t d) {
                WorkerInit init;
@@ -390,7 +388,7 @@ class RpcShards final : public ShardBackend {
                init.stall_timeout_ms = options.stall_timeout_ms;
                return worker_init_to_json(init);
              }),
-        degrees_(sup_, plan_),
+        degrees_(sup_),
         kmers_(options.devices) {
     if (options.fault.enabled() ||
         options.recovery.mode != runtime::RecoveryMode::kOff)
@@ -418,18 +416,17 @@ class RpcShards final : public ShardBackend {
     if (stages_done > 0) sup_.mark_stage_done(stages_done);
   }
 
-  // Same shard routing as the in-process table (flat = shard =
-  // hash % shards, owner = flat % devices); the worker picks the channel.
+  // Same shard routing as InProcessShards (shard s at flat s); the worker
+  // picks the channel.
   void submit_kmer(const assembly::Kmer& kmer) override {
-    const auto flat =
-        static_cast<std::size_t>(kmer.hash() % options_.hash_shards);
-    kmers_[plan_.owner_of(flat)].push_back(kmer.packed());
+    const std::size_t flat = hash_shard_of(kmer, options_.hash_shards);
+    kmers_[dram::owner_of(flat, sup_.devices())].push_back(kmer.packed());
     if (++kmers_pending_ >= kSuperstep) ship_kmers();
   }
 
   // rpc_all reads every response before rethrowing the lowest device's
-  // typed failure — the PoolRunner::drain discipline; a degraded pool
-  // aborts immediately.
+  // typed failure — InProcessShards::drain's rule; a degraded pool aborts
+  // immediately.
   void drain() override {
     ship_kmers();
     degrees_.finish();
@@ -439,7 +436,7 @@ class RpcShards final : public ShardBackend {
   KmerEntries extract() override {
     std::vector<std::vector<std::size_t>> owned(sup_.devices());
     for (std::size_t s = 0; s < options_.hash_shards; ++s)
-      owned[plan_.owner_of(s)].push_back(s);
+      owned[dram::owner_of(s, sup_.devices())].push_back(s);
     std::vector<net::Json> requests(sup_.devices());
     for (std::size_t d = 0; d < sup_.devices(); ++d) {
       if (owned[d].empty()) continue;
@@ -454,23 +451,18 @@ class RpcShards final : public ShardBackend {
     const auto responses = sup_.rpc_all(requests);
     // Owners answer in request order; re-keyed by shard index, the lists
     // concatenate in PimHashTable::extract() order.
-    std::vector<const net::Json*> by_shard(options_.hash_shards);
+    std::vector<KmerEntries> by_shard(options_.hash_shards);
     for (std::size_t d = 0; d < sup_.devices(); ++d) {
       if (owned[d].empty()) continue;
-      const auto& lists = responses[d].get("shards").items();
-      PIMA_CHECK(lists.size() == owned[d].size(),
-                 "extract response does not match the requested shards");
+      auto lists = extract_shards_from_json(responses[d].get("shards"),
+                                            owned[d].size(), options_.k);
       for (std::size_t i = 0; i < lists.size(); ++i)
-        by_shard[owned[d][i]] = &lists[i];
+        by_shard[owned[d][i]] = std::move(lists[i]);
     }
     KmerEntries entries;
-    for (const net::Json* list : by_shard) {
-      const auto& flat = list->items();
-      for (std::size_t e = 0; e + 1 < flat.size(); e += 2)
-        entries.emplace_back(
-            assembly::Kmer(flat[e].as_uint64(), options_.k),
-            static_cast<std::uint32_t>(flat[e + 1].as_uint64()));
-    }
+    for (auto& list : by_shard)
+      entries.insert(entries.end(), std::make_move_iterator(list.begin()),
+                     std::make_move_iterator(list.end()));
     return entries;
   }
 
@@ -482,9 +474,8 @@ class RpcShards final : public ShardBackend {
   }
 
   // Ships each device's dram::split_by_owner sub-stream as one `program`
-  // request of a single fan-out — the sub-streams PoolRunner::
-  // submit_program produces, so per sub-array command order is the
-  // single-device order.
+  // request of a single fan-out — the sub-streams InProcessShards submits,
+  // so per sub-array command order is the single-device order.
   void submit_program(dram::Program program) override {
     const auto per = dram::split_by_owner(std::move(program), sup_.devices());
     std::vector<net::Json> requests(sup_.devices());
@@ -504,29 +495,25 @@ class RpcShards final : public ShardBackend {
     degrees_.add(flat, n, block, transposed);
   }
 
-  // DevicePool::fold over the wire stats: the identical double-precision
-  // operation sequence.
   dram::StatsFold end_stage(std::uint32_t stage) override {
     const auto responses = sup_.query_all(to_every(make_op("stats")));
-    dram::StatsFold fold;
-    for (const net::Json* entry : in_flat_order(responses, "subarrays"))
-      fold.add(stats_entry_from_json(*entry));
+    std::vector<dram::SubarrayStats> per_device;
+    for (std::size_t d = 0; d < responses.size(); ++d)
+      per_device.push_back(subarray_stats_from_json(
+          responses[d].get("subarrays"), d, responses.size(), total_));
+    const dram::StatsFold fold = dram::fold_in_flat_order(per_device);
     (void)sup_.rpc_all(to_every(make_op("clear_stats")));
     sup_.mark_stage_done(stage);
     return fold;
   }
 
-  // DevicePool::captured_program over the workers' per-sub-array replay
-  // programs.
   dram::Program captured_trace() override {
     const auto responses = sup_.query_all(to_every(make_op("trace")));
-    dram::Program program;
-    for (const net::Json* entry : in_flat_order(responses, "programs")) {
-      std::istringstream in(entry->get_string("text"));
-      const dram::Program part = dram::parse_program(in);
-      program.insert(program.end(), part.begin(), part.end());
-    }
-    return program;
+    std::vector<dram::SubarrayPrograms> per_device;
+    for (std::size_t d = 0; d < responses.size(); ++d)
+      per_device.push_back(subarray_programs_from_json(
+          responses[d].get("programs"), d, responses.size(), total_));
+    return dram::merge_in_flat_order(std::move(per_device));
   }
 
   runtime::FaultStats fault_stats() override { return {}; }
@@ -539,22 +526,6 @@ class RpcShards final : public ShardBackend {
 
   std::vector<net::Json> to_every(const net::Json& request) const {
     return std::vector<net::Json>(sup_.devices(), request);
-  }
-
-  // Every worker's per-sub-array `key` entries in logical flat order — the
-  // DevicePool fold order (a sub-array lives in its owner only, so flats
-  // are unique across workers).
-  static std::vector<const net::Json*> in_flat_order(
-      const std::vector<net::Json>& responses, const char* key) {
-    std::vector<const net::Json*> entries;
-    for (const auto& response : responses)
-      for (const auto& entry : response.get(key).items())
-        entries.push_back(&entry);
-    std::sort(entries.begin(), entries.end(),
-              [](const net::Json* a, const net::Json* b) {
-                return a->get_uint64("flat") < b->get_uint64("flat");
-              });
-    return entries;
   }
 
   // One `kmers` request per device holding pending k-mers, in stream order.
@@ -573,7 +544,7 @@ class RpcShards final : public ShardBackend {
   }
 
   const PipelineOptions& options_;
-  const runtime::ShardPlan plan_;
+  const std::size_t total_;  ///< sub-arrays per device
   runtime::ProcSupervisor sup_;
   DegreeBatcher degrees_;
   std::vector<std::vector<std::uint64_t>> kmers_;
@@ -901,7 +872,7 @@ PipelineResult run_pipeline(dram::Device& device,
       telemetry::log_event(
           telemetry::LogLevel::kWarn, "pool.fallback",
           std::string("process isolation degraded — ") + e.what() +
-              "; rerunning on the in-process device pool",
+              "; rerunning on in-process device shards",
           {telemetry::LogField::uint("device", e.device()),
            telemetry::LogField::str("class",
                                     runtime::to_string(e.exit_class()))});

@@ -15,7 +15,7 @@
 // contigs, graph, per-stage DeviceStats — is bit-identical for any value,
 // because work routing is a pure function of the target sub-array.
 // One stage body serves both transports (pipeline.cpp, DESIGN.md §15): the
-// in-process device pool, or — with `isolate` — one pima_devd worker
+// in-process device shards, or — with `isolate` — one pima_devd worker
 // process per device shard; outputs are identical either way.
 // Run resilience: with PipelineOptions::checkpoint_dir set, the pipeline
 // writes a versioned, checksummed snapshot (runtime/checkpoint.hpp) at
@@ -62,7 +62,7 @@ struct PipelineOptions {
   /// own engine with this many channels (total workers = devices ×
   /// threads).
   std::size_t threads = 1;
-  /// Simulated devices the run is sharded over (runtime/shard.hpp). The
+  /// Simulated devices the run is sharded over (core::DeviceShard). The
   /// caller's device is shard 0; the pipeline owns the rest for the run.
   /// Sub-arrays are partitioned owner = flat % devices — for the hash
   /// table that is owner = hash(canonical_kmer) % devices — and every
@@ -79,7 +79,7 @@ struct PipelineOptions {
   /// restarted from its per-device shard checkpoint and journal-replayed,
   /// so the outputs stay bit-identical to the in-process run — including
   /// runs where workers died mid-stage. When the restart budget runs out
-  /// the pipeline degrades to the in-process DevicePool (isolate_opts
+  /// the pipeline degrades to in-process DeviceShards (isolate_opts
   /// .allow_degrade) or fails typed (WorkerCrashedError, exit 10).
   /// Incompatible with fault injection and recovery: those are simulated
   /// per-device state the init request does not carry.
@@ -166,9 +166,9 @@ struct PipelineResult {
   /// applied; the rest count the recovery layer's responses.
   runtime::FaultStats fault_stats;
   /// With capture_trace: the replayable AAP program, merged across the
-  /// device pool in logical flat order — identical for every device count
-  /// (the extra pool devices die with the run, so their traces are
-  /// harvested here). Empty when capture_trace is off.
+  /// devices in logical flat order — identical for every device count
+  /// (the extra devices die with the run, so their traces are harvested
+  /// here). Empty when capture_trace is off.
   dram::Program trace;
 
   dram::DeviceStats total() const;

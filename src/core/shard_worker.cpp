@@ -1,13 +1,12 @@
 #include "core/shard_worker.hpp"
 
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/degree.hpp"
-#include "dram/isa.hpp"
 #include "runtime/procpool.hpp"
 #include "telemetry/session.hpp"
 
@@ -33,7 +32,171 @@ const std::vector<net::Json>& uint_array(const net::Json& j,
   return j.items();
 }
 
+// A program in the wire's text form. A malformed line is a torn or corrupt
+// frame from the reader's point of view, not a bug in the reader.
+dram::Program parse_program_text(const std::string& text, const char* what) {
+  std::istringstream in(text);
+  try {
+    return dram::parse_program(in);
+  } catch (const PreconditionError& e) {
+    throw InputFormatError(std::string(what) +
+                           ": unparseable program: " + e.what());
+  }
+}
+
+// The `flat` of a wire entry from worker `device` of `devices`: in range,
+// owned by that worker, and not yet `seen` in its response.
+std::size_t owned_flat(const net::Json& entry, std::size_t device,
+                       std::size_t devices, std::vector<bool>& seen,
+                       const char* what) {
+  const std::uint64_t flat = entry.get("flat").as_uint64();
+  const auto bad = [&](const char* why) {
+    throw InputFormatError(std::string(what) + ": flat " +
+                           std::to_string(flat) + " " + why + " (worker " +
+                           std::to_string(device) + " of " +
+                           std::to_string(devices) + ")");
+  };
+  if (flat >= seen.size()) bad("is out of range");
+  if (dram::owner_of(flat, devices) != device)
+    bad("belongs to another worker");
+  if (seen[flat]) bad("is repeated");
+  seen[flat] = true;
+  return static_cast<std::size_t>(flat);
+}
+
+runtime::EngineOptions worker_engine_options(const WorkerInit& init) {
+  runtime::EngineOptions e;
+  e.channels = init.channels;
+  e.queue_capacity = init.queue_capacity;
+  e.capture_trace = init.capture_trace;
+  e.stall_timeout_ms = init.stall_timeout_ms;
+  // A real worker thread even at channels == 1: the request loop must stay
+  // responsive (heartbeats, liveness) while kernels execute.
+  e.force_worker = true;
+  return e;
+}
+
 }  // namespace
+
+// ---- DeviceShard -------------------------------------------------------------
+
+DeviceShard::DeviceShard(dram::Device& device,
+                         const runtime::EngineOptions& engine,
+                         std::size_t hash_shards, std::size_t k,
+                         std::size_t kmer_batch,
+                         const dram::FaultConfig& fault,
+                         const runtime::RecoveryOptions& recovery)
+    : device_(device),
+      engine_(device, engine),
+      table_(device, hash_shards),
+      kmer_batch_(kmer_batch),
+      pending_(engine_.channels()) {
+  device_.clear_stats();
+  // Fault-aware execution: attach the Table-I-calibrated fault model and
+  // route the table's critical probes through the recovery layer. With
+  // faults off and recovery kOff (the default) nothing here runs and the
+  // run is bit-identical to the unfaulted build. Every device seeds its
+  // injectors from (model, flat, geometry), so the fault process of a
+  // given logical flat does not depend on the device count.
+  device_.enable_faults(fault);
+  if (fault.enabled() || recovery.mode != runtime::RecoveryMode::kOff)
+    recovery_ = std::make_unique<runtime::RecoveryManager>(device_, recovery);
+  table_.bind_key_length(k);
+  table_.attach_recovery(recovery_.get());
+}
+
+DeviceShard::~DeviceShard() { engine_.quiesce(); }
+
+void DeviceShard::add_kmer(const assembly::Kmer& kmer) {
+  const std::size_t channel =
+      engine_.channel_of(table_.shard_subarray_flat(table_.shard_for(kmer)));
+  pending_[channel].push_back(kmer);
+  if (pending_[channel].size() >= kmer_batch_) queue_batch(channel);
+}
+
+void DeviceShard::flush_kmers() {
+  for (std::size_t channel = 0; channel < pending_.size(); ++channel)
+    if (!pending_[channel].empty()) queue_batch(channel);
+}
+
+void DeviceShard::queue_batch(std::size_t channel) {
+  auto& pending = pending_[channel];
+  const std::size_t size = pending.size();
+  runtime::submit_guarded(engine_, [&] {
+    engine_.submit(channel, [this, batch = std::move(pending)] {
+      for (const auto& kmer : batch) table_.insert_or_increment(kmer);
+    });
+  });
+  pending = {};
+  pending.reserve(size);  // the next batch is likely as large
+}
+
+void DeviceShard::drain() { engine_.drain(); }
+
+KmerEntries DeviceShard::extract_shard(std::size_t shard) {
+  return table_.extract_shard(shard);
+}
+
+std::size_t DeviceShard::distinct_kmers() const {
+  return table_.distinct_kmers();
+}
+
+void DeviceShard::submit_program(dram::Program program) {
+  runtime::submit_guarded(
+      engine_, [&] { engine_.submit_program(std::move(program)); });
+}
+
+void DeviceShard::degree_block(std::size_t flat, std::size_t n,
+                               EdgeBlock block) {
+  // The task owns its block: the caller's partition may die first on an
+  // unwind.
+  runtime::submit_guarded(engine_, [&] {
+    engine_.submit_to_subarray(flat, [this, flat, n,
+                                      block = std::move(block)] {
+      (void)pim_column_sums(
+          device_.subarray(flat),
+          block_adjacency_rows(block, n, device_.geometry().columns));
+    });
+  });
+}
+
+dram::SubarrayStats DeviceShard::subarray_stats() const {
+  dram::SubarrayStats stats;
+  const std::size_t total = device_.geometry().total_subarrays();
+  for (std::size_t flat = 0; flat < total; ++flat) {
+    const dram::Subarray* sa = device_.subarray_if(flat);
+    // Zero-command sub-arrays are the fold's identity: not listed.
+    if (sa != nullptr && sa->stats().total_commands() != 0)
+      stats.emplace_back(flat, sa->stats());
+  }
+  return stats;
+}
+
+void DeviceShard::clear_stats() { device_.clear_stats(); }
+
+dram::SubarrayPrograms DeviceShard::traces() const {
+  if (!device_.tracing()) return {};
+  return dram::captured_programs(device_);
+}
+
+runtime::FaultStats DeviceShard::fault_stats() const {
+  return recovery_ ? recovery_->roll_up() : runtime::FaultStats{};
+}
+
+void DeviceShard::export_metrics(telemetry::MetricsRegistry& registry,
+                                 const std::string& device_label) const {
+  if (device_label.empty()) {
+    engine_.export_metrics(registry);
+  } else {
+    telemetry::MetricsRegistry labelled;
+    labelled.set_default_labels({{"device", device_label}});
+    engine_.export_metrics(labelled);
+    registry.merge_from(labelled);
+  }
+  if (recovery_) recovery_->export_metrics(registry);
+}
+
+// ---- ShardWorkerCore and the wire -------------------------------------------
 
 net::Json worker_init_to_json(const WorkerInit& init) {
   net::Json j = net::Json::object();
@@ -127,28 +290,10 @@ WorkerInit worker_init_from_json(const net::Json& j) {
 
 ShardWorkerCore::ShardWorkerCore(const net::Json& init)
     : init_(worker_init_from_json(init)),
-      device_(init_.geometry, init_.technology) {
-  runtime::EngineOptions eopt;
-  eopt.channels = init_.channels;
-  eopt.queue_capacity = init_.queue_capacity;
-  eopt.capture_trace = init_.capture_trace;
-  eopt.stall_timeout_ms = init_.stall_timeout_ms;
-  // A real worker thread even at channels == 1: the request loop must stay
-  // responsive (heartbeats, liveness) while kernels execute.
-  eopt.force_worker = true;
-  engine_ = std::make_unique<runtime::Engine>(device_, eopt);
-  table_ = std::make_unique<PimHashTable>(device_, init_.hash_shards, 0,
-                                          MappingPolicy::kCorrelated);
-  table_->bind_key_length(init_.k);
-}
-
-ShardWorkerCore::~ShardWorkerCore() {
-  engine_->quiesce();
-  try {
-    engine_->drain();
-  } catch (...) {
-  }
-}
+      device_(init_.geometry, init_.technology),
+      // One task per channel per `kmers` request: op_kmers flushes.
+      shard_(device_, worker_engine_options(init_), init_.hash_shards,
+             init_.k, std::numeric_limits<std::size_t>::max()) {}
 
 net::Json ShardWorkerCore::handle(const net::Json& request) {
   const std::string op = request.get_string("op");
@@ -182,81 +327,52 @@ net::Json ShardWorkerCore::handle(const net::Json& request) {
 }
 
 net::Json ShardWorkerCore::op_kmers(const net::Json& req) {
-  // One superstep of this device's k-mers in stream order, split here by
-  // owning channel — the in-process routing — so per-shard insert order
-  // stays stream order. Parsed in full before anything is queued.
-  std::vector<std::vector<assembly::Kmer>> per_channel(engine_->channels());
-  for (const auto& value : uint_array(req.get("kmers"), "kmers")) {
+  // One superstep of this device's k-mers in stream order, parsed in full
+  // before anything is queued; the shard splits them by owning channel, so
+  // per-shard insert order stays stream order.
+  std::vector<assembly::Kmer> kmers;
+  for (const auto& value : uint_array(req.get("kmers"), "kmers"))
     // The constructor rejects stray bits above 2k (PreconditionError).
-    const assembly::Kmer kmer(value.as_uint64(), init_.k);
-    per_channel[engine_->channel_of(
-                    table_->shard_subarray_flat(table_->shard_for(kmer)))]
-        .push_back(kmer);
-  }
-  for (std::size_t channel = 0; channel < per_channel.size(); ++channel) {
-    if (per_channel[channel].empty()) continue;
-    runtime::submit_guarded(*engine_, [&] {
-      engine_->submit(channel,
-                      [this, batch = std::move(per_channel[channel])] {
-                        for (const auto& kmer : batch)
-                          table_->insert_or_increment(kmer);
-                      });
-    });
-  }
+    kmers.emplace_back(value.as_uint64(), init_.k);
+  for (const auto& kmer : kmers) shard_.add_kmer(kmer);
+  shard_.flush_kmers();
   return ok_response();
 }
 
 net::Json ShardWorkerCore::op_drain() {
-  engine_->drain();
+  shard_.drain();
   return ok_response();
 }
 
 net::Json ShardWorkerCore::op_extract(const net::Json& req) {
-  // Every requested shard's entries as one flat [kmer, freq, kmer, freq,
-  // ...] array, in request order.
   const auto& shards = uint_array(req.get("shards"), "extract shards");
   for (const auto& s : shards)
-    if (s.as_uint64() >= table_->shard_count())
+    if (s.as_uint64() >= shard_.hash_shards())
       bad_request("extract shard out of range");
-  net::Json out = net::Json::array();
-  for (const auto& s : shards) {
-    net::Json entries = net::Json::array();
-    for (const auto& [kmer, freq] :
-         table_->extract_shard(static_cast<std::size_t>(s.as_uint64()))) {
-      entries.push_back(net::Json(kmer.packed()));
-      entries.push_back(net::Json(static_cast<std::uint64_t>(freq)));
-    }
-    out.push_back(std::move(entries));
-  }
+  std::vector<KmerEntries> entries;
+  for (const auto& s : shards)
+    entries.push_back(
+        shard_.extract_shard(static_cast<std::size_t>(s.as_uint64())));
   net::Json resp = ok_response();
-  resp.set("shards", std::move(out));
+  resp.set("shards", extract_shards_to_json(entries));
   return resp;
 }
 
 net::Json ShardWorkerCore::op_distinct() {
   net::Json resp = ok_response();
-  resp.set("value", static_cast<std::uint64_t>(table_->distinct_kmers()));
+  resp.set("value", static_cast<std::uint64_t>(shard_.distinct_kmers()));
   return resp;
 }
 
 net::Json ShardWorkerCore::op_program(const net::Json& req) {
-  std::istringstream in(req.get_string("text"));
-  dram::Program program;
-  try {
-    program = dram::parse_program(in);
-  } catch (const PreconditionError& e) {
-    // A malformed program line is a torn/corrupt frame from the parent's
-    // point of view, not a worker bug.
-    bad_request(std::string("unparseable program: ") + e.what());
-  }
-  runtime::submit_guarded(
-      *engine_, [&] { engine_->submit_program(std::move(program)); });
+  shard_.submit_program(
+      parse_program_text(req.get_string("text"), "device worker request"));
   return ok_response();
 }
 
 net::Json ShardWorkerCore::op_degree_block(const net::Json& req) {
   // A batch of edge blocks, [flat, n_local_sources, (from, to, mult)...]
-  // each. The worker rebuilds the adjacency rows with the controller's own
+  // each. The shard rebuilds the adjacency rows with the controller's own
   // block_adjacency_rows, so the rows — and the sub-array's command
   // stream — are those of the in-process run by construction. The whole
   // batch is validated before any block touches the device.
@@ -301,17 +417,8 @@ net::Json ShardWorkerCore::op_degree_block(const net::Json& req) {
     }
     jobs.push_back(std::move(job));
   }
-  for (auto& job : jobs) {
-    const std::size_t flat = job.flat;
-    runtime::submit_guarded(*engine_, [&] {
-      engine_->submit_to_subarray(flat, [this, width, job = std::move(job)] {
-        // Sums are discarded: the pipeline only keeps the device work (the
-        // in-process backend discards them the same way).
-        (void)pim_column_sums(device_.subarray(job.flat),
-                              block_adjacency_rows(job.block, job.n, width));
-      });
-    });
-  }
+  for (auto& job : jobs)
+    shard_.degree_block(job.flat, job.n, std::move(job.block));
   return ok_response();
 }
 
@@ -343,42 +450,113 @@ dram::CommandStats stats_entry_from_json(const net::Json& entry) {
   return st;
 }
 
-net::Json ShardWorkerCore::op_stats() {
-  const std::size_t total = device_.geometry().total_subarrays();
-  net::Json subarrays = net::Json::array();
-  for (std::size_t flat = 0; flat < total; ++flat) {
-    const dram::Subarray* sa = device_.subarray_if(flat);
-    // Zero-command sub-arrays are the fold's identity: not shipped.
-    if (sa != nullptr && sa->stats().total_commands() != 0)
-      subarrays.push_back(stats_entry_to_json(flat, sa->stats()));
+net::Json subarray_stats_to_json(const dram::SubarrayStats& stats) {
+  net::Json list = net::Json::array();
+  for (const auto& [flat, st] : stats)
+    list.push_back(stats_entry_to_json(flat, st));
+  return list;
+}
+
+dram::SubarrayStats subarray_stats_from_json(const net::Json& list,
+                                             std::size_t device,
+                                             std::size_t devices,
+                                             std::size_t total) {
+  std::vector<bool> seen(total);
+  dram::SubarrayStats stats;
+  for (const auto& entry : list.items()) {
+    const std::size_t flat =
+        owned_flat(entry, device, devices, seen, "device worker stats");
+    stats.emplace_back(flat, stats_entry_from_json(entry));
   }
+  return stats;
+}
+
+net::Json subarray_programs_to_json(const dram::SubarrayPrograms& programs) {
+  net::Json list = net::Json::array();
+  for (const auto& [flat, program] : programs) {
+    net::Json entry = net::Json::object();
+    entry.set("flat", static_cast<std::uint64_t>(flat));
+    entry.set("text", dram::to_text(program));
+    list.push_back(std::move(entry));
+  }
+  return list;
+}
+
+dram::SubarrayPrograms subarray_programs_from_json(const net::Json& list,
+                                                   std::size_t device,
+                                                   std::size_t devices,
+                                                   std::size_t total) {
+  std::vector<bool> seen(total);
+  dram::SubarrayPrograms programs;
+  for (const auto& entry : list.items()) {
+    const std::size_t flat =
+        owned_flat(entry, device, devices, seen, "device worker trace");
+    programs.emplace_back(flat,
+                          parse_program_text(entry.get("text").as_string(),
+                                             "device worker trace"));
+  }
+  return programs;
+}
+
+net::Json extract_shards_to_json(const std::vector<KmerEntries>& shards) {
+  net::Json list = net::Json::array();
+  for (const auto& entries : shards) {
+    net::Json flat = net::Json::array();
+    for (const auto& [kmer, freq] : entries) {
+      flat.push_back(net::Json(kmer.packed()));
+      flat.push_back(net::Json(static_cast<std::uint64_t>(freq)));
+    }
+    list.push_back(std::move(flat));
+  }
+  return list;
+}
+
+std::vector<KmerEntries> extract_shards_from_json(const net::Json& shards,
+                                                  std::size_t count,
+                                                  std::size_t k) {
+  const auto bad = [](const std::string& why) {
+    throw InputFormatError("device worker extract: " + why);
+  };
+  const auto& lists = shards.items();
+  if (lists.size() != count)
+    bad("answered " + std::to_string(lists.size()) + " shards, " +
+        std::to_string(count) + " requested");
+  std::vector<KmerEntries> out(count);
+  for (std::size_t s = 0; s < count; ++s) {
+    const auto& flat = lists[s].items();
+    if (flat.size() % 2 != 0) bad("a shard list holds an odd value count");
+    out[s].reserve(flat.size() / 2);
+    for (std::size_t e = 0; e < flat.size(); e += 2) {
+      const std::uint64_t packed = flat[e].as_uint64();
+      const std::uint64_t freq = flat[e + 1].as_uint64();
+      if (freq > UINT32_MAX) bad("frequency " + std::to_string(freq) +
+                                 " exceeds 32 bits");
+      try {
+        out[s].emplace_back(assembly::Kmer(packed, k),
+                            static_cast<std::uint32_t>(freq));
+      } catch (const PreconditionError&) {
+        bad("k-mer " + std::to_string(packed) + " is wider than " +
+            std::to_string(2 * k) + " bits");
+      }
+    }
+  }
+  return out;
+}
+
+net::Json ShardWorkerCore::op_stats() {
   net::Json resp = ok_response();
-  resp.set("subarrays", std::move(subarrays));
+  resp.set("subarrays", subarray_stats_to_json(shard_.subarray_stats()));
   return resp;
 }
 
 net::Json ShardWorkerCore::op_clear_stats() {
-  device_.clear_stats();
+  shard_.clear_stats();
   return ok_response();
 }
 
 net::Json ShardWorkerCore::op_trace() {
-  net::Json programs = net::Json::array();
-  if (device_.tracing()) {
-    const std::size_t total = device_.geometry().total_subarrays();
-    for (std::size_t flat = 0; flat < total; ++flat) {
-      const dram::TraceSink* sink = device_.trace_if(flat);
-      if (sink == nullptr || sink->entries().empty()) continue;
-      const dram::Program program = dram::program_from_trace(
-          sink->entries(), flat, device_.geometry().columns);
-      net::Json entry = net::Json::object();
-      entry.set("flat", static_cast<std::uint64_t>(flat));
-      entry.set("text", dram::to_text(program));
-      programs.push_back(std::move(entry));
-    }
-  }
   net::Json resp = ok_response();
-  resp.set("programs", std::move(programs));
+  resp.set("programs", subarray_programs_to_json(shard_.traces()));
   return resp;
 }
 

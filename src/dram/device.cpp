@@ -30,6 +30,12 @@ void StatsFold::add(const CommandStats& st) {
   commands.merge_serial(st);
 }
 
+StatsFold fold_in_flat_order(const std::vector<SubarrayStats>& per_device) {
+  StatsFold fold;
+  for (const auto* entry : in_flat_order(per_device)) fold.add(entry->second);
+  return fold;
+}
+
 Device::Device(const Geometry& geometry, const circuit::Technology& tech)
     : geom_(geometry), tech_(tech) {
   geom_.validate();

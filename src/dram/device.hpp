@@ -4,15 +4,18 @@
 // Sub-arrays compute independently — that is the whole point of the
 // platform — so device time is the maximum of the per-sub-array busy times
 // of the sub-arrays that participated, while device energy is the sum.
-// StatsFold::add is that roll-up step, written once: the device, a device
-// pool and the process-isolated controller all fold through it in logical
-// flat-index order, so their doubles agree bit for bit.
+// StatsFold::add is that roll-up step, written once: a device and a run
+// sharded over several devices (in process or in worker processes) all
+// fold through it in logical flat-index order, so their doubles agree bit
+// for bit.
 // Sub-arrays are instantiated lazily: a full device has 2048 sub-arrays but
 // a given workload usually touches a few.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "circuit/tech.hpp"
@@ -56,6 +59,28 @@ struct StatsFold {
   /// Call in flat-index order — the order fixes the doubles.
   void add(const CommandStats& subarray);
 };
+
+/// One device's touched sub-arrays, (flat index, CommandStats) in flat
+/// order.
+using SubarrayStats = std::vector<std::pair<std::size_t, CommandStats>>;
+
+/// Every entry of several devices' (flat, value) lists, ordered by logical
+/// flat index. A sharded run holds each flat in one device only, so the
+/// order is total.
+template <typename PerDevice>
+auto in_flat_order(PerDevice& per_device) {
+  std::vector<decltype(&per_device[0][0])> entries;
+  for (auto& list : per_device)
+    for (auto& entry : list) entries.push_back(&entry);
+  std::sort(entries.begin(), entries.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return entries;
+}
+
+/// Folds several devices' sub-array stats in logical flat order: the
+/// order, and therefore the doubles, of Device::fold on one device that ran
+/// every command.
+StatsFold fold_in_flat_order(const std::vector<SubarrayStats>& per_device);
 
 class Device {
  public:

@@ -1,6 +1,7 @@
 #include "dram/isa.hpp"
 
 #include <istream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -160,7 +161,7 @@ std::vector<Program> split_by_owner(Program program, std::size_t owners) {
     return parts;
   }
   for (auto& inst : program)
-    parts[inst.subarray % owners].push_back(std::move(inst));
+    parts[owner_of(inst.subarray, owners)].push_back(std::move(inst));
   return parts;
 }
 
@@ -218,19 +219,30 @@ Program program_from_trace(const std::vector<TraceEntry>& entries,
   return program;
 }
 
-Program captured_program(const Device& device) {
+SubarrayPrograms captured_programs(const Device& device) {
   PIMA_CHECK(device.tracing(), "device is not capturing a trace");
-  Program program;
+  SubarrayPrograms programs;
   const std::size_t total = device.geometry().total_subarrays();
   for (std::size_t flat = 0; flat < total; ++flat) {
     const TraceSink* sink = device.trace_if(flat);
     if (sink == nullptr || sink->entries().empty()) continue;
-    Program part = program_from_trace(sink->entries(), flat,
-                                      device.geometry().columns);
-    program.insert(program.end(), std::make_move_iterator(part.begin()),
-                   std::make_move_iterator(part.end()));
+    programs.emplace_back(flat, program_from_trace(sink->entries(), flat,
+                                                   device.geometry().columns));
   }
+  return programs;
+}
+
+Program merge_in_flat_order(std::vector<SubarrayPrograms> per_device) {
+  Program program;
+  for (auto* entry : in_flat_order(per_device))
+    program.insert(program.end(),
+                   std::make_move_iterator(entry->second.begin()),
+                   std::make_move_iterator(entry->second.end()));
   return program;
+}
+
+Program captured_program(const Device& device) {
+  return merge_in_flat_order({captured_programs(device)});
 }
 
 ExecutionResults execute(Device& device, const Program& program) {

@@ -25,6 +25,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dram/device.hpp"
@@ -64,10 +65,16 @@ std::optional<Instruction> parse_instruction(const std::string& line);
 std::string to_text(const Program& program);
 Program parse_program(std::istream& in);
 
-/// Moves every instruction into sub-program `subarray % owners`, keeping
-/// program order — the controller's one routing rule, for devices of a
-/// pool and for channels of an engine alike. Each sub-array's command
-/// order is therefore the program's, for any owner count.
+/// Owner of logical flat sub-array `flat` among `owners` — the
+/// controller's one routing rule, for the devices of a sharded run and the
+/// channels of an engine alike (interleaved chip assignment).
+constexpr std::size_t owner_of(std::size_t flat, std::size_t owners) {
+  return flat % owners;
+}
+
+/// Moves every instruction into the sub-program of its sub-array's
+/// owner_of, keeping program order. Each sub-array's command order is
+/// therefore the program's, for any owner count.
 std::vector<Program> split_by_owner(Program program, std::size_t owners);
 
 /// Result values produced by the read/reduce instructions, in program
@@ -97,9 +104,21 @@ ExecutionResults execute(Device& device, const Program& program);
 Program program_from_trace(const std::vector<TraceEntry>& entries,
                            std::size_t subarray_flat, std::size_t columns);
 
-/// Concatenates the replay programs of every traced sub-array in flat-index
+/// One device's traced sub-arrays, (flat index, replay program) in flat
+/// order.
+using SubarrayPrograms = std::vector<std::pair<std::size_t, Program>>;
+
+/// The replay program of every sub-array with a non-empty capture. Throws
+/// PreconditionError unless the device is tracing.
+SubarrayPrograms captured_programs(const Device& device);
+
+/// Concatenates several devices' per-sub-array programs in logical flat
 /// order. Sub-arrays share no state, so any interleaving that preserves
-/// per-sub-array order is an exact replay; flat order is the canonical one.
+/// per-sub-array order is an exact replay; flat order is the canonical one,
+/// and a sharded run's merge is byte-identical to one device's capture.
+Program merge_in_flat_order(std::vector<SubarrayPrograms> per_device);
+
+/// The device's whole capture: captured_programs() merged.
 Program captured_program(const Device& device);
 
 }  // namespace pima::dram

@@ -70,7 +70,7 @@ struct CheckpointFingerprint {
   // Pipeline shape.
   std::uint64_t k = 0;
   std::uint64_t hash_shards = 0;
-  /// Simulated device count (ShardPlan). Pinned — unlike --threads —
+  /// Simulated device count (dram::owner_of). Pinned — unlike --threads —
   /// because the shard fingerprint is part of the run's identity: stage
   /// snapshots were cut under a specific owner = flat % devices layout.
   std::uint64_t devices = 1;

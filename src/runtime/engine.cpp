@@ -68,8 +68,8 @@ Engine::Engine(dram::Device& device, EngineOptions options)
   PIMA_CHECK(options_.stall_timeout_ms >= 0.0,
              "stall timeout must be non-negative");
   if (options_.capture_trace) device_.enable_tracing();
-  // Inline fallback: no workers, no queues. force_worker opts out so a
-  // device pool's single-channel per-device engines still run concurrently.
+  // Inline fallback: no workers, no queues. force_worker opts out so the
+  // single-channel engines of a multi-device run still run concurrently.
   if (channels() == 1 && !options_.force_worker) return;
   channels_.reserve(channels());
   for (std::size_t c = 0; c < channels(); ++c) {
@@ -105,7 +105,7 @@ Engine::Engine(dram::Device& device, EngineOptions options)
     });
   // Flight-recorder state: per-channel queue/worker snapshots land in the
   // `state` section of crash_report.json. Names are sequenced because a
-  // device pool owns one engine per device. Workers hold a channel mutex
+  // multi-device run has one engine per device. Workers hold a channel mutex
   // only around bookkeeping (never across a kernel), so a wedged worker
   // cannot deadlock a dump.
   static std::atomic<int> engine_seq{0};

@@ -70,10 +70,10 @@ struct EngineOptions {
   /// fallback, where tasks run synchronously on the caller.
   double stall_timeout_ms = 0.0;
   /// Spawns a real worker thread even for channels == 1 instead of the
-  /// inline fallback. The device-pool runner (runtime/shard.hpp) sets this
-  /// so N single-channel per-device engines execute concurrently — without
-  /// it, a pool at --threads 1 would serialize every device on the
-  /// controller thread. Model results are unaffected either way (the
+  /// inline fallback. A run sharded over several in-process devices sets
+  /// this (core::DeviceShard, one engine per device) so N single-channel
+  /// engines execute concurrently — without it, --devices N at --threads 1
+  /// would serialize every device on the controller thread. Model results are unaffected either way (the
   /// determinism contract above covers channels == 1 with a worker too).
   bool force_worker = false;
 };
@@ -93,7 +93,7 @@ class Engine {
   std::size_t channels() const { return channel_count_; }
   /// Owning channel of a sub-array (interleaved chip assignment).
   std::size_t channel_of(std::size_t subarray_flat) const {
-    return subarray_flat % channel_count_;
+    return dram::owner_of(subarray_flat, channel_count_);
   }
 
   /// Enqueues a task on a channel, blocking while its queue is full. The
@@ -186,22 +186,22 @@ class Engine {
   int flight_snapshot_id_ = -1;
 };
 
-/// Runs `submit` — work that enqueues tasks on `runtime`, an Engine or a
-/// PoolRunner — under the stage failure discipline. A SimulationError
-/// (typically the fail-fast refusal of a channel whose earlier task
-/// failed) quiesces the runtime and drains it, so the root task failure
-/// (e.g. "hash shard full") surfaces instead of the refusal; any other
-/// exception only quiesces, so no queued task outlives what it references.
-template <typename Runtime, typename Submit>
-void submit_guarded(Runtime& runtime, Submit&& submit) {
+/// Runs `submit` — work that enqueues tasks on `engine` — under the stage
+/// failure discipline. A SimulationError (typically the fail-fast refusal
+/// of a channel whose earlier task failed) quiesces the engine and drains
+/// it, so the root task failure (e.g. "hash shard full") surfaces instead
+/// of the refusal; any other exception only quiesces, so no queued task
+/// outlives what it references.
+template <typename Submit>
+void submit_guarded(Engine& engine, Submit&& submit) {
   try {
     submit();
   } catch (const SimulationError&) {
-    runtime.quiesce();
-    runtime.drain();
+    engine.quiesce();
+    engine.drain();
     throw;
   } catch (...) {
-    runtime.quiesce();
+    engine.quiesce();
     throw;
   }
 }

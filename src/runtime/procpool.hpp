@@ -1,12 +1,12 @@
 // Process-isolated device shards with a fault-tolerant supervisor
 // (DESIGN.md §15).
 //
-// PR 8's DevicePool shards a run over N simulated devices inside one
-// address space; this layer moves each shard into its own child process
+// A run sharded over N simulated devices keeps one core::DeviceShard per
+// device; this layer moves each DeviceShard into its own child process
 // (`pima_devd`) so a crashed, wedged, or chaos-injected device worker
-// cannot take the assembly down with it. The parent keeps the PR-8
-// contract — owner = flat % devices, folds in logical flat order — and
-// owns the robustness machinery:
+// cannot take the assembly down with it. The parent keeps the sharding
+// contract — owner = dram::owner_of(flat, devices), folds in logical flat
+// order — and owns the robustness machinery:
 //
 //   * transport: one socketpair per worker, newline-delimited JSON framed
 //     by net::LineChannel, every byte through the fsio fault shim (site
@@ -30,8 +30,8 @@
 //     truncated at stage boundaries (the shard checkpoint records the
 //     truncation point), so replay cost is bounded by one stage;
 //   * degrade: when the restart budget is exhausted the supervisor throws
-//     ProcPoolDegradedError and the pipeline falls back to the in-process
-//     DevicePool — a typed, logged transition, bit-identical output.
+//     ProcPoolDegradedError and the pipeline falls back to in-process
+//     DeviceShards — a typed, logged transition, bit-identical output.
 //
 // Determinism: a worker's device state is a pure function of its request
 // journal, and the parent merges all cross-shard data by shard index and
@@ -84,7 +84,7 @@ struct WireVerb {
 const WireVerb& wire_verb(std::string_view op);
 
 /// Raised when the restart budget is exhausted: the signal to degrade to
-/// the in-process DevicePool. Carries the final crash's identity so the
+/// in-process DeviceShards. Carries the final crash's identity so the
 /// pipeline can convert it into WorkerCrashedError when degrading is
 /// disabled.
 class ProcPoolDegradedError : public SimulationError {

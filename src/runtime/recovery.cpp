@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "runtime/shard.hpp"
 #include "telemetry/progress.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -203,22 +202,8 @@ void RecoveryExecutor::tra_majority(dram::RowAddr a, dram::RowAddr b,
 
 RecoveryManager::RecoveryManager(dram::Device& device,
                                  const RecoveryOptions& options)
-    : device_(&device), options_(options) {
+    : device_(device), options_(options) {
   executors_.resize(device.geometry().total_subarrays());
-}
-
-RecoveryManager::RecoveryManager(DevicePool& pool,
-                                 const RecoveryOptions& options)
-    : pool_(&pool), options_(options) {
-  executors_.resize(pool.total_subarrays());
-}
-
-dram::Subarray& RecoveryManager::resolve_subarray(std::size_t flat) {
-  return pool_ ? pool_->subarray(flat) : device_->subarray(flat);
-}
-
-dram::InjectionCounters RecoveryManager::injection_total() const {
-  return pool_ ? pool_->injection_roll_up() : device_->injection_roll_up();
 }
 
 RecoveryExecutor& RecoveryManager::executor_for(std::size_t subarray_flat) {
@@ -226,7 +211,7 @@ RecoveryExecutor& RecoveryManager::executor_for(std::size_t subarray_flat) {
              "sub-array index out of device");
   if (!executors_[subarray_flat])
     executors_[subarray_flat] = std::make_unique<RecoveryExecutor>(
-        resolve_subarray(subarray_flat), options_);
+        device_.subarray(subarray_flat), options_);
   return *executors_[subarray_flat];
 }
 
@@ -234,7 +219,7 @@ FaultStats RecoveryManager::roll_up() const {
   FaultStats total;
   for (const auto& ex : executors_)
     if (ex) total += ex->stats();
-  total.injected = injection_total().total_flips();
+  total.injected = device_.injection_roll_up().total_flips();
   return total;
 }
 
@@ -271,7 +256,7 @@ void RecoveryManager::export_metrics(
   registry
       .counter("pima_fault_injected_total",
                "corrupted columns injected (ground truth)")
-      .add(static_cast<double>(injection_total().total_flips()));
+      .add(static_cast<double>(device_.injection_roll_up().total_flips()));
 }
 
 }  // namespace pima::runtime

@@ -48,8 +48,6 @@
 
 namespace pima::runtime {
 
-class DevicePool;  // runtime/shard.hpp — recovery spans a sharded pool too
-
 enum class RecoveryMode {
   kOff,    ///< execute unverified (faults land in the results)
   kRetry,  ///< verify-after-op + bounded re-execution
@@ -172,11 +170,6 @@ class RecoveryExecutor {
 class RecoveryManager {
  public:
   RecoveryManager(dram::Device& device, const RecoveryOptions& options);
-  /// Pool-backed manager: executors resolve sub-arrays through the pool's
-  /// owner routing, so one manager covers every shard. The determinism
-  /// story is unchanged — executors are per logical flat, and FaultStats
-  /// counters are integral, so folds commute exactly.
-  RecoveryManager(DevicePool& pool, const RecoveryOptions& options);
 
   const RecoveryOptions& options() const { return options_; }
 
@@ -194,11 +187,7 @@ class RecoveryManager {
   void export_metrics(telemetry::MetricsRegistry& registry) const;
 
  private:
-  dram::Subarray& resolve_subarray(std::size_t flat);
-  dram::InjectionCounters injection_total() const;
-
-  dram::Device* device_ = nullptr;  ///< exactly one of device_/pool_ is set
-  DevicePool* pool_ = nullptr;
+  dram::Device& device_;
   RecoveryOptions options_;
   std::vector<std::unique_ptr<RecoveryExecutor>> executors_;
 };

@@ -515,6 +515,102 @@ TEST(ProcPoolWire, StatsEntryRoundTripsAndRejectsAWrongLength) {
   EXPECT_THROW(core::stats_entry_from_json(missing), InputFormatError);
 }
 
+// The rpc backend decodes what the worker's extract, stats and trace verbs
+// encode, and rejects as a typed InputFormatError every list no worker
+// could have sent — never a silent drop, truncation or double count.
+TEST(ProcPoolWire, WorkerListsRoundTripAndRejectMalformedEntries) {
+  const std::size_t k = 15;
+  const auto kmer = [&](std::uint64_t packed) {
+    return assembly::Kmer(packed, k);
+  };
+  const std::vector<core::KmerEntries> shards = {
+      {{kmer(5), 1}, {kmer(1u << 29), 255}}, {}, {{kmer(77), 3}}};
+  const std::string extract_line =
+      core::extract_shards_to_json(shards).dump();
+  EXPECT_EQ(core::extract_shards_from_json(net::Json::parse(extract_line), 3,
+                                           k),
+            shards);
+  const auto extract_with = [&](const std::vector<std::uint64_t>& values) {
+    net::Json list = net::Json::array();
+    net::Json flat = net::Json::array();
+    for (const std::uint64_t v : values) flat.push_back(net::Json(v));
+    list.push_back(std::move(flat));
+    return list;
+  };
+  EXPECT_THROW(core::extract_shards_from_json(extract_with({5, 1, 77}), 1, k),
+               InputFormatError)
+      << "odd-length shard list";
+  EXPECT_THROW(core::extract_shards_from_json(
+                   extract_with({5, std::uint64_t{1} << 32}), 1, k),
+               InputFormatError)
+      << "frequency above 2^32 - 1";
+  EXPECT_THROW(core::extract_shards_from_json(
+                   extract_with({std::uint64_t{1} << (2 * k), 1}), 1, k),
+               InputFormatError)
+      << "k-mer wider than 2k bits";
+  EXPECT_THROW(
+      core::extract_shards_from_json(net::Json::parse(extract_line), 2, k),
+      InputFormatError)
+      << "shard count mismatch";
+
+  // Worker 1 of 3 over 24 sub-arrays owns flats 1, 4, 7, ...
+  const std::size_t total = 24;
+  dram::CommandStats st;
+  st.counts[0] = 2;
+  st.busy_ns = 0.1 + 0.2;
+  st.energy_pj = 1.0 / 3.0;
+  const dram::SubarrayStats stats = {{1, st}, {7, st}};
+  const net::Json stats_list =
+      net::Json::parse(core::subarray_stats_to_json(stats).dump());
+  const dram::SubarrayStats back =
+      core::subarray_stats_from_json(stats_list, 1, 3, total);
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back[1].first, 7u);
+  EXPECT_EQ(back[1].second.busy_ns, st.busy_ns);
+  EXPECT_EQ(back[1].second.energy_pj, st.energy_pj);
+
+  dram::Instruction read;
+  read.op = dram::Opcode::kRowRead;
+  read.subarray = 4;
+  read.src1 = 9;
+  const dram::SubarrayPrograms programs = {{4, {read}}};
+  const net::Json program_list =
+      net::Json::parse(core::subarray_programs_to_json(programs).dump());
+  EXPECT_EQ(core::subarray_programs_from_json(program_list, 1, 3, total),
+            programs);
+
+  // Each bad flat, in a stats list and in a trace list.
+  for (const std::vector<std::uint64_t>& flats :
+       {std::vector<std::uint64_t>{1, total + 1},  // out of range
+        std::vector<std::uint64_t>{1, 3},          // worker 0's
+        std::vector<std::uint64_t>{4, 4}}) {       // repeated
+    SCOPED_TRACE("flats " + std::to_string(flats[0]) + ", " +
+                 std::to_string(flats[1]));
+    net::Json bad_stats = net::Json::array();
+    net::Json bad_programs = net::Json::array();
+    for (const std::uint64_t flat : flats) {
+      bad_stats.push_back(core::stats_entry_to_json(flat, st));
+      net::Json entry = net::Json::object();
+      entry.set("flat", flat);
+      dram::Instruction at = read;
+      at.subarray = static_cast<std::size_t>(flat);
+      entry.set("text", dram::to_text(dram::Program{at}));
+      bad_programs.push_back(std::move(entry));
+    }
+    EXPECT_THROW(core::subarray_stats_from_json(bad_stats, 1, 3, total),
+                 InputFormatError);
+    EXPECT_THROW(core::subarray_programs_from_json(bad_programs, 1, 3, total),
+                 InputFormatError);
+  }
+  net::Json unparseable = net::Json::array();
+  net::Json entry = net::Json::object();
+  entry.set("flat", std::uint64_t{4});
+  entry.set("text", "NO_SUCH_OP sa=4 size=1\n");
+  unparseable.push_back(std::move(entry));
+  EXPECT_THROW(core::subarray_programs_from_json(unparseable, 1, 3, total),
+               InputFormatError);
+}
+
 TEST(ProcPoolWire, TypedErrorsRoundTripThroughResponses) {
   const auto roundtrip = [](const std::exception& e) -> std::string {
     const auto response = core::worker_error_response(e);

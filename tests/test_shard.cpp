@@ -10,17 +10,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "common/bitvector.hpp"
 #include "core/pipeline.hpp"
+#include "core/shard_worker.hpp"
 #include "dna/genome.hpp"
 #include "dram/device.hpp"
 #include "dram/isa.hpp"
 #include "runtime/recovery.hpp"
-#include "runtime/shard.hpp"
 #include "telemetry/session.hpp"
 #include "verify/fuzz.hpp"
 
@@ -57,7 +58,9 @@ struct RunOutput {
 
 RunOutput run_config(const std::vector<dna::Sequence>& reads,
                      std::size_t devices, std::size_t threads,
-                     bool capture = false) {
+                     bool capture = false,
+                     const dram::FaultConfig& fault = {},
+                     const runtime::RecoveryOptions& recovery = {}) {
   auto& session = telemetry::TelemetrySession::instance();
   session.reset();
   session.enable_metrics();
@@ -68,6 +71,8 @@ RunOutput run_config(const std::vector<dna::Sequence>& reads,
   opt.devices = devices;
   opt.threads = threads;
   opt.capture_trace = capture;
+  opt.fault = fault;
+  opt.recovery = recovery;
   RunOutput out;
   out.result = core::run_pipeline(device, reads, opt);
   out.model_snapshot = session.metrics().json_snapshot(/*model_only=*/true);
@@ -111,6 +116,34 @@ TEST(ShardBattery, OutputsBitIdenticalAcrossDeviceAndThreadCounts) {
   }
 }
 
+// Fault injection and recovery state is per device: each device's injectors
+// are seeded from (model, flat), and each device's RecoveryManager rolls
+// up only its own sub-arrays. The per-device sums must be the one-device
+// run's counters.
+TEST(ShardBattery, FaultedRunsBitIdenticalAcrossDeviceCounts) {
+  const auto reads = workload_reads(101);
+  dram::FaultConfig fault;
+  fault.variation = 0.25;
+  fault.seed = 7;
+  runtime::RecoveryOptions recovery;
+  recovery.mode = runtime::RecoveryMode::kVote;
+  const auto baseline = run_config(reads, 1, 1, false, fault, recovery);
+  ASSERT_FALSE(baseline.result.contigs.empty());
+  EXPECT_GT(baseline.result.fault_stats.injected, 0u);
+  EXPECT_GT(baseline.result.fault_stats.detected, 0u);
+  for (const std::size_t devices : {1u, 2u, 4u}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      if (devices == 1 && threads == 1) continue;
+      const auto run = run_config(reads, devices, threads, false, fault,
+                                  recovery);
+      SCOPED_TRACE("devices=" + std::to_string(devices) +
+                   " threads=" + std::to_string(threads));
+      expect_bit_identical(run.result, baseline.result);
+      EXPECT_EQ(run.model_snapshot, baseline.model_snapshot);
+    }
+  }
+}
+
 // ---- per-device differential: captured sub-streams vs golden model ---------
 
 TEST(ShardDifferential, PerDeviceTraceReplaysThroughGoldenModel) {
@@ -138,7 +171,7 @@ TEST(ShardDifferential, PerDeviceTraceReplaysThroughGoldenModel) {
   }
 }
 
-// ---- DevicePool folds vs a single device -----------------------------------
+// ---- the flat-order fold vs a single device ---------------------------------
 
 dram::Geometry tiny_geometry() {
   dram::Geometry g;
@@ -151,14 +184,20 @@ dram::Geometry tiny_geometry() {
   return g;
 }
 
-// The same command sequence issued through a 3-device pool and through one
-// bare device must produce identical roll-ups (identical doubles — the
-// pool folds in logical flat order, not device order).
+// The same command sequence issued on three devices (each flat on its
+// owner) and on one bare device must produce identical roll-ups: the
+// shared fold takes each device's per-sub-array list in logical flat
+// order, not device order, so even the doubles agree.
 TEST(DevicePoolFolds, MatchSingleDeviceBitForBit) {
   const auto geom = tiny_geometry();
   dram::Device single(geom);
-  dram::Device primary(geom);
-  runtime::DevicePool pool(primary, 3);
+  std::vector<std::unique_ptr<dram::Device>> devices;
+  std::vector<std::unique_ptr<core::DeviceShard>> shards;
+  for (std::size_t d = 0; d < 3; ++d) {
+    devices.push_back(std::make_unique<dram::Device>(geom));
+    shards.push_back(std::make_unique<core::DeviceShard>(
+        *devices.back(), runtime::EngineOptions{}, 1, 15, 1));
+  }
 
   const auto issue = [&](auto&& subarray_of) {
     for (const std::size_t flat : {0u, 1u, 2u, 5u, 7u}) {
@@ -174,13 +213,20 @@ TEST(DevicePoolFolds, MatchSingleDeviceBitForBit) {
     return single.subarray(flat);
   });
   issue([&](std::size_t flat) -> dram::Subarray& {
-    return pool.subarray(flat);
+    return devices[dram::owner_of(flat, 3)]->subarray(flat);
   });
 
-  const dram::StatsFold pf = pool.fold();
+  std::vector<dram::SubarrayStats> per_device;
+  std::size_t instantiated = 0;
+  for (std::size_t d = 0; d < 3; ++d) {
+    per_device.push_back(shards[d]->subarray_stats());
+    EXPECT_FALSE(per_device.back().empty()) << "device " << d;
+    instantiated += devices[d]->instantiated_count();
+  }
+  const dram::StatsFold pf = dram::fold_in_flat_order(per_device);
   const dram::StatsFold sf = single.fold();
   EXPECT_EQ(pf.device, sf.device);
-  EXPECT_EQ(pool.instantiated_count(), single.instantiated_count());
+  EXPECT_EQ(instantiated, single.instantiated_count());
   const auto& pc = pf.commands;
   const auto& sc = sf.commands;
   EXPECT_EQ(pc.total_commands(), sc.total_commands());
@@ -243,11 +289,9 @@ TEST(FoldAlgebra, FaultStatsAssociativeCommutativeWithIdentity) {
 }
 
 TEST(ShardPlanBasics, OwnerPartitionsFlatSpace) {
-  runtime::ShardPlan one;
-  EXPECT_EQ(one.owner_of(17), 0u);
-  runtime::ShardPlan four{4};
+  EXPECT_EQ(dram::owner_of(17, 1), 0u);
   for (std::size_t flat = 0; flat < 32; ++flat)
-    EXPECT_EQ(four.owner_of(flat), flat % 4);
+    EXPECT_EQ(dram::owner_of(flat, 4), flat % 4);
 }
 
 }  // namespace

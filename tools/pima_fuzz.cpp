@@ -389,10 +389,9 @@ int run_sharded_fuzz(std::size_t devices, std::size_t seeds,
     // order (owners partition the flat space), so each is a standalone
     // replayable program.
     std::size_t bad_devices = 0;
+    const auto parts = dram::split_by_owner(sharded.trace, devices);
     for (std::size_t d = 0; d < devices; ++d) {
-      dram::Program part;
-      for (const auto& inst : sharded.trace)
-        if (inst.subarray % devices == d) part.push_back(inst);
+      const dram::Program& part = parts[d];
       if (auto div = verify::run_candidate(part, opts)) {
         std::printf("seed %llu device %zu (%zu commands): ",
                     static_cast<unsigned long long>(seed), d, part.size());
