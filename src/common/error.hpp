@@ -6,16 +6,19 @@
 // throw helper.
 //
 // The taxonomy below maps one-to-one onto the CLI's documented exit codes
-// (see exit_code_for / DESIGN.md §10): front-end tools catch at main() and
-// translate the dynamic type into a stable process exit status, so scripts
-// and CI can distinguish "your input file is broken" from "the engine
-// stalled" without parsing stderr.
+// through one table (kErrorTable / DESIGN.md §10): front-end tools catch at
+// main() and translate the dynamic type into a stable process exit status,
+// so scripts and CI can distinguish "your input file is broken" from "the
+// engine stalled" without parsing stderr. The same table names each class
+// on the device-worker wire and in the daemon's job records.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 namespace pima {
 
@@ -163,26 +166,17 @@ enum ExitCode : int {
   kExitWorkerCrashed = 10,    ///< isolated device worker crashed past budget
 };
 
-/// Maps an exception to its documented exit code. Most-derived types are
-/// tested first, so CorruptCheckpointError wins over its IoError base.
-inline int exit_code_for(const std::exception& e) {
-  if (dynamic_cast<const CorruptCheckpointError*>(&e) != nullptr)
-    return kExitCorruptCheckpoint;
-  if (dynamic_cast<const IoError*>(&e) != nullptr) return kExitIo;
-  if (dynamic_cast<const InputFormatError*>(&e) != nullptr)
-    return kExitInputFormat;
-  if (dynamic_cast<const EngineStalledError*>(&e) != nullptr)
-    return kExitEngineStalled;
-  if (dynamic_cast<const WorkerCrashedError*>(&e) != nullptr)
-    return kExitWorkerCrashed;
-  if (dynamic_cast<const CancelledError*>(&e) != nullptr)
-    return kExitInterrupted;
-  if (dynamic_cast<const AdmissionRejectedError*>(&e) != nullptr)
-    return kExitAdmissionRejected;
-  if (dynamic_cast<const DeadlineExceededError*>(&e) != nullptr)
-    return kExitDeadlineExceeded;
-  return kExitFailure;
-}
+/// One row of the typed-error table: an error class, the name it travels
+/// under (worker wire, daemon job records and responses) and its exit code.
+struct ErrorClass {
+  const char* name;
+  int exit_code;
+  /// True when the exception is this class or derives from it.
+  bool (*matches)(const std::exception&);
+  /// Throws the class with `message`; null for classes without a message
+  /// constructor (EngineStalledError, WorkerCrashedError).
+  void (*raise)(const std::string& message);
+};
 
 namespace detail {
 [[noreturn]] inline void throw_precondition(const char* expr, const char* file,
@@ -191,7 +185,70 @@ namespace detail {
                           ": precondition failed: " + expr +
                           (msg.empty() ? "" : " — " + msg));
 }
+
+template <class E>
+bool is_a(const std::exception& e) {
+  return dynamic_cast<const E*>(&e) != nullptr;
+}
+template <class E>
+void raise_as(const std::string& message) {
+  throw E(message);
+}
+template <class E>
+constexpr ErrorClass error_row(const char* name, int exit_code) {
+  if constexpr (std::is_constructible_v<E, const std::string&>)
+    return {name, exit_code, &is_a<E>, &raise_as<E>};
+  else
+    return {name, exit_code, &is_a<E>, nullptr};
+}
 }  // namespace detail
+
+/// The one error table (DESIGN.md §10). Most-derived class first, so the
+/// first matching row classifies an exception: CorruptCheckpointError wins
+/// over its IoError base, EngineStalledError over SimulationError.
+#define PIMA_ERROR_ROW(cls, code) detail::error_row<cls>(#cls, code)
+inline constexpr ErrorClass kErrorTable[] = {
+    PIMA_ERROR_ROW(CorruptCheckpointError, kExitCorruptCheckpoint),
+    PIMA_ERROR_ROW(IoError, kExitIo),
+    PIMA_ERROR_ROW(InputFormatError, kExitInputFormat),
+    PIMA_ERROR_ROW(EngineStalledError, kExitEngineStalled),
+    PIMA_ERROR_ROW(WorkerCrashedError, kExitWorkerCrashed),
+    PIMA_ERROR_ROW(SimulationError, kExitFailure),
+    PIMA_ERROR_ROW(CancelledError, kExitInterrupted),
+    PIMA_ERROR_ROW(AdmissionRejectedError, kExitAdmissionRejected),
+    PIMA_ERROR_ROW(DeadlineExceededError, kExitDeadlineExceeded),
+    PIMA_ERROR_ROW(PreconditionError, kExitFailure),
+};
+#undef PIMA_ERROR_ROW
+
+/// The row of any exception the table does not list.
+inline constexpr ErrorClass kUnlistedError{"RuntimeError", kExitFailure,
+                                           nullptr, nullptr};
+
+/// The table row classifying `e`.
+inline const ErrorClass& error_class_of(const std::exception& e) {
+  for (const ErrorClass& row : kErrorTable)
+    if (row.matches(e)) return row;
+  return kUnlistedError;
+}
+
+/// The row named `name`, or kUnlistedError for a name the table does not
+/// list.
+inline const ErrorClass& error_class_named(std::string_view name) {
+  for (const ErrorClass& row : kErrorTable)
+    if (name == row.name) return row;
+  return kUnlistedError;
+}
+
+/// The table name of an exception ("RuntimeError" when unlisted).
+inline const char* error_name(const std::exception& e) {
+  return error_class_of(e).name;
+}
+
+/// Maps an exception to its documented exit code.
+inline int exit_code_for(const std::exception& e) {
+  return error_class_of(e).exit_code;
+}
 
 }  // namespace pima
 

@@ -243,15 +243,4 @@ KmerEntries PimHashTable::extract_shard(std::size_t shard) {
   return out;
 }
 
-KmerEntries PimHashTable::extract() {
-  KmerEntries out;
-  out.reserve(distinct_kmers());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    auto part = extract_shard(s);
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
-  return out;
-}
-
 }  // namespace pima::core

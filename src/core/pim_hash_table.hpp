@@ -107,13 +107,9 @@ class PimHashTable {
   /// route inserts to the channel owning the shard.
   std::size_t shard_subarray_flat(std::size_t shard) const;
 
-  /// Reads the table back out of DRAM into (k-mer, frequency) pairs, in
-  /// deterministic (shard, slot) order. Costed as row reads.
-  KmerEntries extract();
-
-  /// One shard's entries in slot order — what an isolated device worker
-  /// returns per owned shard. extract() is exactly the shard-order
-  /// concatenation.
+  /// Reads one shard back out of DRAM into (k-mer, frequency) pairs, in
+  /// slot order. Costed as row reads. The whole table reads out in
+  /// (shard, slot) order by concatenating shards 0..shard_count()-1.
   KmerEntries extract_shard(std::size_t shard);
 
   /// Decodes slot contents straight from row bits without cost (tests).

@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -115,7 +114,7 @@ class ShardBackend {
   /// Queues one hash-table insert on the shard owning the k-mer.
   virtual void submit_kmer(const assembly::Kmer& kmer) = 0;
   virtual void drain() = 0;
-  /// The counted table, in PimHashTable::extract() (shard, slot) order.
+  /// The counted table, in (shard, slot) order.
   virtual KmerEntries extract() = 0;
   virtual std::size_t distinct_kmers() = 0;
   virtual void submit_program(dram::Program program) = 0;
@@ -191,7 +190,7 @@ class InProcessShards final : public ShardBackend {
   }
 
   // Shard by shard from its owner, so the list concatenates in
-  // PimHashTable::extract() order.
+  // (shard, slot) order.
   KmerEntries extract() override {
     KmerEntries entries;
     entries.reserve(distinct_kmers());
@@ -341,8 +340,7 @@ class DegreeBatcher {
   std::vector<std::size_t> bytes_;
 };
 
-runtime::ProcPoolOptions pool_options(const dram::Device& device,
-                                      const PipelineOptions& options) {
+runtime::ProcPoolOptions pool_options(const PipelineOptions& options) {
   runtime::ProcPoolOptions p;
   p.devices = options.devices;
   p.devd_path = options.isolate_opts.devd_path;
@@ -352,8 +350,6 @@ runtime::ProcPoolOptions pool_options(const dram::Device& device,
   // A traced run must keep the whole journal: a restarted worker rebuilds
   // its trace sinks only by replaying every command since init.
   p.journal_truncation = !options.capture_trace;
-  p.checkpoint_dir = options.checkpoint_dir;
-  p.fingerprint = make_fingerprint(device.geometry(), options);
   p.child_iofault = options.isolate_opts.child_iofault;
   return p;
 }
@@ -368,7 +364,7 @@ class RpcShards final : public ShardBackend {
   RpcShards(const dram::Device& device, const PipelineOptions& options)
       : options_(options),
         total_(device.geometry().total_subarrays()),
-        sup_(pool_options(device, options),
+        sup_(pool_options(options),
              [&device, &options](std::size_t d) {
                WorkerInit init;
                init.geometry = device.geometry();
@@ -377,15 +373,12 @@ class RpcShards final : public ShardBackend {
                init.devices = options.devices;
                init.k = options.k;
                init.hash_shards = options.hash_shards;
-               // 0 stays 0: the worker's engine resolves it.
-               init.channels = options.threads;
-               init.queue_capacity = options.queue_capacity;
-               init.capture_trace = options.capture_trace;
+               // channels 0 stays 0: the worker's engine resolves it.
+               init.engine = engine_options(options);
                // Stitched tracing: when the controller captures spans, the
                // workers do too; the supervisor harvests their buffers at
                // stage boundaries.
                init.trace_spans = telemetry::tracer().enabled();
-               init.stall_timeout_ms = options.stall_timeout_ms;
                return worker_init_to_json(init);
              }),
         degrees_(sup_),
@@ -401,17 +394,6 @@ class RpcShards final : public ShardBackend {
   }
 
   void start(std::uint32_t stages_done) override {
-    // A fresh run must not trip over shard checkpoints a previous run of a
-    // different configuration left in the directory — only a resumed run
-    // may inherit them (fingerprint-validated per worker on spawn).
-    if (stages_done == 0 && !options_.checkpoint_dir.empty()) {
-      for (std::size_t d = 0; d < options_.devices; ++d) {
-        std::error_code ec;
-        std::filesystem::remove(options_.checkpoint_dir + "/shard-" +
-                                    std::to_string(d) + ".ckpt",
-                                ec);
-      }
-    }
     sup_.start();
     if (stages_done > 0) sup_.mark_stage_done(stages_done);
   }
@@ -450,7 +432,7 @@ class RpcShards final : public ShardBackend {
     // stage's stats fold counts, so a restarted worker must replay them.
     const auto responses = sup_.rpc_all(requests);
     // Owners answer in request order; re-keyed by shard index, the lists
-    // concatenate in PimHashTable::extract() order.
+    // concatenate in (shard, slot) order.
     std::vector<KmerEntries> by_shard(options_.hash_shards);
     for (std::size_t d = 0; d < sup_.devices(); ++d) {
       if (owned[d].empty()) continue;

@@ -76,11 +76,13 @@ struct PipelineOptions {
   /// Process isolation (runtime/procpool.hpp, DESIGN.md §15): run every
   /// device shard in its own `pima_devd` child process under the
   /// fault-tolerant supervisor. A crashed/wedged/chaos-killed worker is
-  /// restarted from its per-device shard checkpoint and journal-replayed,
-  /// so the outputs stay bit-identical to the in-process run — including
-  /// runs where workers died mid-stage. When the restart budget runs out
-  /// the pipeline degrades to in-process DeviceShards (isolate_opts
-  /// .allow_degrade) or fails typed (WorkerCrashedError, exit 10).
+  /// restarted and journal-replayed, so the outputs stay bit-identical to
+  /// the in-process run — including runs where workers died mid-stage.
+  /// The resume record stays `<checkpoint_dir>/pipeline.ckpt` alone, so
+  /// an isolated run resumes an in-process snapshot and vice versa. When
+  /// the restart budget runs out the pipeline degrades to in-process
+  /// DeviceShards (isolate_opts.allow_degrade) or fails typed
+  /// (WorkerCrashedError, exit 10).
   /// Incompatible with fault injection and recovery: those are simulated
   /// per-device state the init request does not carry.
   bool isolate = false;

@@ -64,18 +64,6 @@ std::size_t owned_flat(const net::Json& entry, std::size_t device,
   return static_cast<std::size_t>(flat);
 }
 
-runtime::EngineOptions worker_engine_options(const WorkerInit& init) {
-  runtime::EngineOptions e;
-  e.channels = init.channels;
-  e.queue_capacity = init.queue_capacity;
-  e.capture_trace = init.capture_trace;
-  e.stall_timeout_ms = init.stall_timeout_ms;
-  // A real worker thread even at channels == 1: the request loop must stay
-  // responsive (heartbeats, liveness) while kernels execute.
-  e.force_worker = true;
-  return e;
-}
-
 }  // namespace
 
 // ---- DeviceShard -------------------------------------------------------------
@@ -227,11 +215,11 @@ net::Json worker_init_to_json(const WorkerInit& init) {
   j.set("technology", std::move(tech));
   j.set("k", init.k);
   j.set("hash_shards", init.hash_shards);
-  j.set("channels", init.channels);
-  j.set("queue_capacity", init.queue_capacity);
-  j.set("capture_trace", init.capture_trace);
+  j.set("channels", init.engine.channels);
+  j.set("queue_capacity", init.engine.queue_capacity);
+  j.set("capture_trace", init.engine.capture_trace);
   j.set("trace_spans", init.trace_spans);
-  j.set("stall_timeout_ms", init.stall_timeout_ms);
+  j.set("stall_timeout_ms", init.engine.stall_timeout_ms);
   return j;
 }
 
@@ -276,12 +264,13 @@ WorkerInit worker_init_from_json(const net::Json& j) {
   for (std::size_t i = 0; i < 17; ++i) *slots[i] = tech[i].as_number();
   init.k = static_cast<std::size_t>(j.get_uint64("k"));
   init.hash_shards = static_cast<std::size_t>(j.get_uint64("hash_shards", 1));
-  init.channels = static_cast<std::size_t>(j.get_uint64("channels", 1));
-  init.queue_capacity =
+  init.engine.channels =
+      static_cast<std::size_t>(j.get_uint64("channels", 1));
+  init.engine.queue_capacity =
       static_cast<std::size_t>(j.get_uint64("queue_capacity", 64));
-  init.capture_trace = j.get_bool("capture_trace", false);
+  init.engine.capture_trace = j.get_bool("capture_trace", false);
   init.trace_spans = j.get_bool("trace_spans", false);
-  init.stall_timeout_ms = j.get_number("stall_timeout_ms", 0.0);
+  init.engine.stall_timeout_ms = j.get_number("stall_timeout_ms", 0.0);
   if (init.k < 1 || init.k > assembly::Kmer::kMaxK)
     bad_request("init k out of range");
   if (init.hash_shards < 1) bad_request("init hash_shards out of range");
@@ -291,9 +280,17 @@ WorkerInit worker_init_from_json(const net::Json& j) {
 ShardWorkerCore::ShardWorkerCore(const net::Json& init)
     : init_(worker_init_from_json(init)),
       device_(init_.geometry, init_.technology),
-      // One task per channel per `kmers` request: op_kmers flushes.
-      shard_(device_, worker_engine_options(init_), init_.hash_shards,
-             init_.k, std::numeric_limits<std::size_t>::max()) {}
+      // A real worker thread even at channels == 1: the request loop must
+      // stay responsive (heartbeats, liveness) while kernels execute. One
+      // task per channel per `kmers` request: op_kmers flushes.
+      shard_(device_,
+             [this] {
+               runtime::EngineOptions e = init_.engine;
+               e.force_worker = true;
+               return e;
+             }(),
+             init_.hash_shards, init_.k,
+             std::numeric_limits<std::size_t>::max()) {}
 
 net::Json ShardWorkerCore::handle(const net::Json& request) {
   const std::string op = request.get_string("op");
@@ -596,27 +593,10 @@ net::Json ShardWorkerCore::op_telemetry() {
   return resp;
 }
 
-const char* worker_error_type(const std::exception& e) {
-  if (dynamic_cast<const EngineStalledError*>(&e) != nullptr)
-    return "EngineStalledError";
-  if (dynamic_cast<const CorruptCheckpointError*>(&e) != nullptr)
-    return "CorruptCheckpointError";
-  if (dynamic_cast<const IoError*>(&e) != nullptr) return "IoError";
-  if (dynamic_cast<const InputFormatError*>(&e) != nullptr)
-    return "InputFormatError";
-  if (dynamic_cast<const CancelledError*>(&e) != nullptr)
-    return "CancelledError";
-  if (dynamic_cast<const PreconditionError*>(&e) != nullptr)
-    return "PreconditionError";
-  if (dynamic_cast<const SimulationError*>(&e) != nullptr)
-    return "SimulationError";
-  return "RuntimeError";
-}
-
 net::Json worker_error_response(const std::exception& e) {
   net::Json resp = net::Json::object();
   resp.set("ok", false);
-  resp.set("error", worker_error_type(e));
+  resp.set("error", error_name(e));
   resp.set("message", std::string(e.what()));
   if (const auto* stalled = dynamic_cast<const EngineStalledError*>(&e)) {
     resp.set("channel", static_cast<std::uint64_t>(stalled->channel()));

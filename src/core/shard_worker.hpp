@@ -135,11 +135,11 @@ struct WorkerInit {
   std::size_t devices = 1;  ///< total shard count (diagnostics)
   std::size_t k = 0;
   std::size_t hash_shards = 1;
-  std::size_t channels = 1;  ///< 0 = one per hardware thread (engine)
-  std::size_t queue_capacity = 64;
-  bool capture_trace = false;
+  /// The worker engine's channels, queue capacity, trace capture and
+  /// stall timeout (`force_worker` does not ride the wire: a worker always
+  /// owns a real channel thread).
+  runtime::EngineOptions engine;
   bool trace_spans = false;  ///< enable the worker's own telemetry tracer
-  double stall_timeout_ms = 0.0;
 };
 
 /// Serializes a WorkerInit as the `init` request object.
@@ -217,13 +217,8 @@ class ShardWorkerCore {
   bool shutdown_ = false;
 };
 
-/// Maps an exception to the wire error-type name the supervisor's
-/// throw_worker_error() reconstructs (most-derived first, like
-/// exit_code_for).
-const char* worker_error_type(const std::exception& e);
-
-/// Formats an exception as the `{"ok":false,...}` response object,
-/// including EngineStalledError's reconstruction fields.
+/// Formats an exception as the `{"ok":false,...}` response object: its
+/// error_name() plus EngineStalledError's reconstruction fields.
 net::Json worker_error_response(const std::exception& e);
 
 }  // namespace pima::core

@@ -18,7 +18,6 @@ namespace pima::runtime {
 namespace {
 
 constexpr char kMagic[8] = {'P', 'I', 'M', 'A', 'C', 'K', 'P', 'T'};
-constexpr char kShardMagic[8] = {'P', 'I', 'M', 'A', 'S', 'H', 'R', 'D'};
 
 [[noreturn]] void corrupt(const std::string& path, const std::string& why) {
   throw CorruptCheckpointError("corrupt checkpoint " + path + ": " + why);
@@ -104,7 +103,6 @@ void put_fingerprint(Writer& w, const CheckpointFingerprint& f) {
   w.u64(f.k);
   w.u64(f.hash_shards);
   w.u64(f.devices);
-  w.u64(f.shard);
   w.u32(f.graph_intervals);
   w.u8(f.use_multiplicity ? 1 : 0);
   w.u8(f.euler_contigs ? 1 : 0);
@@ -127,7 +125,6 @@ CheckpointFingerprint get_fingerprint(Reader& r) {
   f.k = r.u64();
   f.hash_shards = r.u64();
   f.devices = r.u64();
-  f.shard = r.u64();
   f.graph_intervals = r.u32();
   f.use_multiplicity = r.u8() != 0;
   f.euler_contigs = r.u8() != 0;
@@ -293,11 +290,11 @@ void write_all(int fd, const char* data, std::size_t size,
   }
 }
 
-// Shared header + atomic-rename write for both checkpoint flavors.
-void write_checkpoint_file(const std::string& path, const char magic[8],
+// Header + atomic-rename write.
+void write_checkpoint_file(const std::string& path,
                            const std::string& payload) {
   Writer header;
-  header.bytes(magic, 8);
+  header.bytes(kMagic, 8);
   header.u32(kCheckpointVersion);
   header.u64(payload.size());
   header.u32(crc32(payload.data(), payload.size()));
@@ -329,16 +326,15 @@ void write_checkpoint_file(const std::string& path, const char magic[8],
   fsio::fsync_parent_dir(path, "checkpoint");
 }
 
-// Shared header validation; returns the CRC-checked payload.
-std::string read_checkpoint_file(const std::string& path,
-                                 const char magic[8]) {
+// Header validation; returns the CRC-checked payload.
+std::string read_checkpoint_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError("cannot open checkpoint: " + path);
   std::string file((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 4;
   if (file.size() < kHeaderSize) corrupt(path, "shorter than the header");
-  if (std::memcmp(file.data(), magic, 8) != 0) corrupt(path, "bad magic");
+  if (std::memcmp(file.data(), kMagic, 8) != 0) corrupt(path, "bad magic");
   Reader header(file, path);
   (void)header.bytes(8);
   const std::uint32_t version = header.u32();
@@ -382,7 +378,6 @@ std::string CheckpointFingerprint::diff(
   if (k != o.k) return "k";
   if (hash_shards != o.hash_shards) return "hash_shards";
   if (devices != o.devices) return "devices";
-  if (shard != o.shard) return "shard";
   if (graph_intervals != o.graph_intervals) return "graph_intervals";
   if (use_multiplicity != o.use_multiplicity) return "use_multiplicity";
   if (euler_contigs != o.euler_contigs) return "euler_contigs";
@@ -418,32 +413,11 @@ void save_checkpoint(const std::string& path, const PipelineSnapshot& snap) {
     }
   } timer{t0};
 #endif
-  write_checkpoint_file(path, kMagic, serialize_payload(snap));
+  write_checkpoint_file(path, serialize_payload(snap));
 }
 
 PipelineSnapshot load_checkpoint(const std::string& path) {
-  return deserialize_payload(read_checkpoint_file(path, kMagic), path);
-}
-
-void save_shard_checkpoint(const std::string& path,
-                           const ShardCheckpoint& sc) {
-  Writer w;
-  put_fingerprint(w, sc.fingerprint);
-  w.u32(sc.stages_done);
-  write_checkpoint_file(path, kShardMagic, w.str());
-}
-
-ShardCheckpoint load_shard_checkpoint(const std::string& path) {
-  const std::string payload = read_checkpoint_file(path, kShardMagic);
-  Reader r(payload, path);
-  ShardCheckpoint sc;
-  sc.fingerprint = get_fingerprint(r);
-  sc.stages_done = r.u32();
-  if (sc.stages_done > 3)
-    corrupt(path,
-            "stage count " + std::to_string(sc.stages_done) + " out of range");
-  if (!r.exhausted()) corrupt(path, "trailing bytes after payload");
-  return sc;
+  return deserialize_payload(read_checkpoint_file(path), path);
 }
 
 void validate_compatible(const PipelineSnapshot& snap,

@@ -52,15 +52,11 @@
 namespace pima::runtime {
 
 // Version 2 added the `devices` fingerprint field (multi-device sharding,
-// DESIGN.md §14); version 3 added the `shard` field (process-isolated
-// device workers, DESIGN.md §15). Older snapshots are rejected as corrupt
-// rather than silently resumed under a possibly different shard layout.
-inline constexpr std::uint32_t kCheckpointVersion = 3;
-
-/// `CheckpointFingerprint::shard` value of a whole-run snapshot
-/// (pipeline.ckpt). Per-device shard checkpoints pin their own device
-/// index instead, so a shard file can never seed another shard's worker.
-inline constexpr std::uint64_t kWholeRunShard = ~std::uint64_t{0};
+// DESIGN.md §14); version 3 added a per-device `shard` field that version 4
+// drops again (pipeline.ckpt is the only resume record, §15). Other versions
+// are rejected as corrupt rather than silently resumed under a possibly
+// different shard layout.
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// Run configuration pinned by a snapshot. A resume whose live
 /// configuration differs in any field is rejected with
@@ -74,9 +70,6 @@ struct CheckpointFingerprint {
   /// because the shard fingerprint is part of the run's identity: stage
   /// snapshots were cut under a specific owner = flat % devices layout.
   std::uint64_t devices = 1;
-  /// Shard identity: kWholeRunShard for the whole-run snapshot, the device
-  /// index for a per-device shard checkpoint (process isolation, §15).
-  std::uint64_t shard = kWholeRunShard;
   std::uint32_t graph_intervals = 0;
   bool use_multiplicity = false;
   bool euler_contigs = false;
@@ -114,7 +107,7 @@ struct PipelineSnapshot {
   FaultStats fault_stats;  ///< roll-up through the last completed stage
 
   std::uint64_t distinct_kmers = 0;
-  /// Stage ≥ 1: the counted k-mer table, in PimHashTable::extract() order.
+  /// Stage ≥ 1: the counted k-mer table, in (shard, slot) order.
   std::vector<std::pair<assembly::Kmer, std::uint32_t>> kmer_entries;
   /// Stage ≥ 2: de Bruijn edge list (k-mer, multiplicity), in
   /// DeBruijnGraph edge order — from_edges() reproduces the graph exactly.
@@ -137,27 +130,6 @@ PipelineSnapshot load_checkpoint(const std::string& path);
 /// `current`; throws CorruptCheckpointError naming the mismatched field.
 void validate_compatible(const PipelineSnapshot& snap,
                          const CheckpointFingerprint& current);
-
-// ---- per-device shard checkpoints (process isolation, DESIGN.md §15) ------
-
-/// The supervisor's per-device stage marker: which stages this worker's
-/// journal has been truncated through, under which run configuration. The
-/// fingerprint pins `shard` to the device index, so restarting worker 2
-/// against worker 3's file — or against a file cut under different
-/// geometry/k/devices — is rejected as corrupt.
-struct ShardCheckpoint {
-  CheckpointFingerprint fingerprint;  ///< fingerprint.shard = device index
-  std::uint32_t stages_done = 0;
-
-  bool operator==(const ShardCheckpoint&) const = default;
-};
-
-/// Atomic save / validated load of a shard checkpoint (`shard-<d>.ckpt`),
-/// same header + CRC discipline as the whole-run snapshot but under its
-/// own magic ("PIMASHRD"). Load throws IoError when the file cannot be
-/// opened and CorruptCheckpointError on any validation failure.
-void save_shard_checkpoint(const std::string& path, const ShardCheckpoint& sc);
-ShardCheckpoint load_shard_checkpoint(const std::string& path);
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) — exposed for corruption
 /// tests.

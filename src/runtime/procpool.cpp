@@ -128,11 +128,10 @@ const char* to_string(WorkerExitClass c) {
             response.get_uint64("subarray", EngineStalledError::kNoSubarray)),
         response.get_uint64("last_retired"),
         response.get_number("timeout_ms"));
-  if (type == "PreconditionError") throw PreconditionError(message);
-  if (type == "CorruptCheckpointError") throw CorruptCheckpointError(message);
-  if (type == "IoError") throw IoError(message);
-  if (type == "InputFormatError") throw InputFormatError(message);
-  if (type == "CancelledError") throw CancelledError(message);
+  // Every other class with a message constructor rethrows by table name;
+  // the rest (and names the table does not list) become SimulationError.
+  if (const ErrorClass& row = error_class_named(type); row.raise != nullptr)
+    row.raise(message);
   throw SimulationError(message.empty() ? "device worker error (" + type + ")"
                                         : message);
 }
@@ -174,27 +173,6 @@ ProcSupervisor::ProcSupervisor(ProcPoolOptions options,
 }
 
 ProcSupervisor::~ProcSupervisor() { shutdown(); }
-
-std::string ProcSupervisor::shard_checkpoint_path(std::size_t d) const {
-  return options_.checkpoint_dir + "/shard-" + std::to_string(d) + ".ckpt";
-}
-
-void ProcSupervisor::validate_shard_checkpoint(std::size_t d) const {
-  if (options_.checkpoint_dir.empty()) return;
-  const std::string path = shard_checkpoint_path(d);
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) return;
-  const ShardCheckpoint sc = load_shard_checkpoint(path);
-  CheckpointFingerprint expected = options_.fingerprint;
-  expected.shard = static_cast<std::uint64_t>(d);
-  const std::string field = sc.fingerprint.diff(expected);
-  if (!field.empty())
-    throw CorruptCheckpointError(
-        "shard checkpoint " + path + " incompatible with this run: " + field +
-        " differs — it was cut by a different run configuration (or for a "
-        "different shard); remove the stale file or match the original "
-        "configuration");
-}
 
 void ProcSupervisor::spawn(std::size_t d) {
   Worker& w = workers_[d];
@@ -280,7 +258,6 @@ net::Json ProcSupervisor::transact(Worker& w, const std::string& line) {
 }
 
 void ProcSupervisor::respawn(std::size_t d) {
-  validate_shard_checkpoint(d);
   spawn(d);
   Worker& w = workers_[d];
   // Re-init + journal replay. The responses were consumed before the
@@ -377,8 +354,8 @@ void ProcSupervisor::on_worker_failure(std::size_t d, bool wedged,
   {
     char msg[160];
     std::snprintf(msg, sizeof msg,
-                  "restarting device worker %zu from its stage-%u shard "
-                  "checkpoint in %.0f ms (%zu/%zu restarts used)",
+                  "restarting device worker %zu from its stage-%u journal "
+                  "in %.0f ms (%zu/%zu restarts used)",
                   d, stages_done_, backoff_ms, restarts_used_,
                   options_.restart_budget);
     telemetry::log_event(telemetry::LogLevel::kInfo, "worker.restart", msg,
@@ -425,8 +402,6 @@ void ProcSupervisor::start() {
         break;
       } catch (const DeadlineExceededError& e) {
         on_worker_failure(d, true, e.what());
-      } catch (const CorruptCheckpointError&) {
-        throw;
       } catch (const IoError& e) {
         on_worker_failure(d, false, e.what());
       } catch (const InputFormatError& e) {
@@ -468,8 +443,7 @@ std::vector<net::Json> ProcSupervisor::fan_out(
       c.line = requests[d].dump();
     }
   }
-  // Leaving with a response unread (degrade, a foreign shard checkpoint)
-  // would put that worker's stream out of step with its journal: reap it,
+  // Leaving with a response unread (degrade) would put that worker's stream out of step with its journal: reap it,
   // so a later request respawns and replays it.
   struct UnreadGuard {
     ProcSupervisor& sup;
@@ -497,8 +471,6 @@ std::vector<net::Json> ProcSupervisor::fan_out(
     } catch (const DeadlineExceededError& e) {
       calls[d].in_flight = false;
       on_worker_failure(d, true, e.what());
-    } catch (const CorruptCheckpointError&) {
-      throw;  // stale/foreign shard checkpoint: not survivable by restart
     } catch (const IoError& e) {
       calls[d].in_flight = false;
       on_worker_failure(d, false, e.what());
@@ -562,22 +534,6 @@ std::vector<net::Json> ProcSupervisor::fan_out(
   }
   if (first_error) std::rethrow_exception(first_error);
   return responses;
-}
-
-net::Json ProcSupervisor::single(std::size_t device, const net::Json& request,
-                                 bool journaled) {
-  PIMA_CHECK(device < workers_.size(), "device index out of range");
-  std::vector<net::Json> requests(workers_.size());
-  requests[device] = request;
-  return std::move(fan_out(requests, journaled)[device]);
-}
-
-net::Json ProcSupervisor::rpc(std::size_t device, const net::Json& request) {
-  return single(device, request, true);
-}
-
-net::Json ProcSupervisor::query(std::size_t device, const net::Json& request) {
-  return single(device, request, false);
 }
 
 std::vector<net::Json> ProcSupervisor::rpc_all(
@@ -648,16 +604,8 @@ void ProcSupervisor::collect_telemetry() {
 void ProcSupervisor::mark_stage_done(std::uint32_t stage) {
   collect_telemetry();
   stages_done_ = stage;
-  for (std::size_t d = 0; d < workers_.size(); ++d) {
-    if (options_.journal_truncation) workers_[d].journal.clear();
-    if (!options_.checkpoint_dir.empty()) {
-      ShardCheckpoint sc;
-      sc.fingerprint = options_.fingerprint;
-      sc.fingerprint.shard = static_cast<std::uint64_t>(d);
-      sc.stages_done = stage;
-      save_shard_checkpoint(shard_checkpoint_path(d), sc);
-    }
-  }
+  if (options_.journal_truncation)
+    for (Worker& w : workers_) w.journal.clear();
 }
 
 void ProcSupervisor::shutdown() noexcept {

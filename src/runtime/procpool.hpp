@@ -24,11 +24,11 @@
 //     death by signal, or a torn protocol stream (EOF/garbage mid-request,
 //     or a clean exit without a shutdown handshake);
 //   * restart: bounded restart-with-backoff. Every state-mutating request
-//     is journaled; a restarted worker is re-initialized, validated
-//     against its per-device shard checkpoint (fingerprint v3 pins the
-//     shard id) and replayed to exactly the pre-crash state. Journals are
-//     truncated at stage boundaries (the shard checkpoint records the
-//     truncation point), so replay cost is bounded by one stage;
+//     is journaled; a restarted worker is re-initialized from its init
+//     request and replayed to exactly the pre-crash state. Journals are
+//     truncated at stage boundaries, so replay cost is bounded by one
+//     stage. The run's only resume record is the controller's
+//     pipeline.ckpt; workers keep no state on disk;
 //   * degrade: when the restart budget is exhausted the supervisor throws
 //     ProcPoolDegradedError and the pipeline falls back to in-process
 //     DeviceShards — a typed, logged transition, bit-identical output.
@@ -53,7 +53,6 @@
 #include "common/error.hpp"
 #include "net/json.hpp"
 #include "net/socket.hpp"
-#include "runtime/checkpoint.hpp"
 
 namespace pima::runtime {
 
@@ -124,11 +123,6 @@ struct ProcPoolOptions {
   /// False keeps the full journal for the whole run (required when the
   /// run captures a trace: a restarted worker must replay every command).
   bool journal_truncation = true;
-  /// Directory for `shard-<d>.ckpt` files; empty disables them.
-  std::string checkpoint_dir;
-  /// Whole-run fingerprint (shard = kWholeRunShard); the supervisor pins
-  /// fingerprint.shard = d for worker d's checkpoint.
-  CheckpointFingerprint fingerprint;
   /// PIMA_IOFAULT spec installed in the children's environment; empty
   /// inherits the parent's environment unchanged. Lets chaos tests aim a
   /// fault plan at the workers while the parent stays clean (the parent
@@ -150,38 +144,29 @@ class ProcSupervisor {
   ProcSupervisor(const ProcSupervisor&) = delete;
   ProcSupervisor& operator=(const ProcSupervisor&) = delete;
 
-  /// Spawns and initializes every worker (validating shard checkpoints
-  /// left by a previous run of the same directory).
+  /// Spawns and initializes every worker.
   void start();
 
   std::size_t devices() const { return options_.devices; }
 
-  /// State-mutating request: journaled for crash replay. Returns the ok
-  /// response; child-side typed errors are rethrown as their original
-  /// exception types (no restart — they are deterministic). Transport
-  /// failures and liveness expiries trigger classify → restart → replay,
-  /// bounded by the restart budget (ProcPoolDegradedError thereafter).
-  net::Json rpc(std::size_t device, const net::Json& request);
-
-  /// Read-only request: same failure handling, not journaled.
-  net::Json query(std::size_t device, const net::Json& request);
-
-  /// Fan-out: `requests[d]` goes to device d; a null entry skips the
-  /// device (its response slot stays null). Every request is written
-  /// before any response is read, then responses are read in device order,
-  /// each with the rpc() contract: span + flow id, journal append on ok,
-  /// and classify → restart → replay → resend for a worker that dies
-  /// mid-fan-out, without disturbing the other workers' responses. Typed
-  /// errors are collected until every response is in; the lowest device's
-  /// is rethrown. ProcPoolDegradedError aborts at once.
+  /// State-mutating fan-out, journaled for crash replay: `requests[d]`
+  /// goes to device d; a null entry skips the device (its response slot
+  /// stays null). Every request is written before any response is read,
+  /// then responses are read in device order, each with a span + flow id
+  /// and a journal append on ok. Child-side typed errors are rethrown as
+  /// their original exception types (no restart — they are
+  /// deterministic); they are collected until every response is in and
+  /// the lowest device's is rethrown. Transport failures and liveness
+  /// expiries trigger classify → restart → replay → resend for that
+  /// worker, without disturbing the others' responses, bounded by the
+  /// restart budget (ProcPoolDegradedError thereafter, aborting at once).
   std::vector<net::Json> rpc_all(const std::vector<net::Json>& requests);
 
-  /// query() over every device: the fan-out of rpc_all, not journaled.
+  /// Read-only fan-out: the failure handling of rpc_all, not journaled.
   std::vector<net::Json> query_all(const std::vector<net::Json>& requests);
 
   /// Stage boundary: harvests worker span buffers (when the controller
-  /// tracer is live), truncates journals (when enabled) and writes the
-  /// per-device shard checkpoints.
+  /// tracer is live) and truncates journals (when enabled).
   void mark_stage_done(std::uint32_t stage);
 
   /// Fetches every live worker's cumulative span buffer over the
@@ -211,8 +196,6 @@ class ProcSupervisor {
     std::thread stderr_relay;           ///< prefixes child stderr lines
   };
 
-  std::string shard_checkpoint_path(std::size_t d) const;
-  void validate_shard_checkpoint(std::size_t d) const;
   void spawn(std::size_t d);
   void respawn(std::size_t d);
   net::Json transact(Worker& w, const std::string& line);
@@ -224,8 +207,6 @@ class ProcSupervisor {
   WorkerExitClass reap_worker(std::size_t d, bool wedged) noexcept;
   std::vector<net::Json> fan_out(const std::vector<net::Json>& requests,
                                  bool journaled);
-  net::Json single(std::size_t device, const net::Json& request,
-                   bool journaled);
 
   ProcPoolOptions options_;
   std::function<net::Json(std::size_t)> make_init_;

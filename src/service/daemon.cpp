@@ -42,28 +42,6 @@ std::size_t channel_cost(const JobSpec& spec) {
   return spec.devices * spec.channels;
 }
 
-/// Exception class name recorded in JobRecord::error_type — the same
-/// taxonomy exit_code_for maps to process exit codes, here as a string so
-/// a client can branch on it.
-const char* error_type_name(const std::exception& e) {
-  if (dynamic_cast<const InputFormatError*>(&e) != nullptr)
-    return "InputFormatError";
-  if (dynamic_cast<const CorruptCheckpointError*>(&e) != nullptr)
-    return "CorruptCheckpointError";
-  if (dynamic_cast<const IoError*>(&e) != nullptr) return "IoError";
-  if (dynamic_cast<const EngineStalledError*>(&e) != nullptr)
-    return "EngineStalledError";
-  if (dynamic_cast<const SimulationError*>(&e) != nullptr)
-    return "SimulationError";
-  if (dynamic_cast<const AdmissionRejectedError*>(&e) != nullptr)
-    return "AdmissionRejectedError";
-  if (dynamic_cast<const CancelledError*>(&e) != nullptr)
-    return "CancelledError";
-  if (dynamic_cast<const DeadlineExceededError*>(&e) != nullptr)
-    return "DeadlineExceededError";
-  return "RuntimeError";
-}
-
 /// Idempotency keys travel in JSON and become part of job.json; keep them
 /// to a safe charset and a sane length so a hostile key cannot smuggle
 /// structure into logs or filenames.
@@ -174,7 +152,7 @@ void Daemon::recover_jobs() {
         // Daemon restarted with a smaller channel budget than this job's
         // quota: it can never run here. Typed terminal failure.
         entry->record.state = JobState::kFailed;
-        entry->record.error_type = "AdmissionRejectedError";
+        entry->record.error_type = error_name(e);
         entry->record.error_message = e.what();
       }
       persist(*entry);
@@ -300,7 +278,7 @@ void Daemon::run_job(JobEntry& entry) {
   } catch (const std::exception& e) {
     std::lock_guard<std::mutex> lock(mutex_);
     entry.record.state = JobState::kFailed;
-    entry.record.error_type = error_type_name(e);
+    entry.record.error_type = error_name(e);
     entry.record.error_message = e.what();
     persist(entry);
   }
@@ -486,7 +464,7 @@ net::Json Daemon::verb_result(const net::Json& request) {
   }
   if (fetch) {
     std::ifstream in(contigs_path, std::ios::binary);
-    if (!in) return error_response("IoError", "cannot open " + contigs_path);
+    if (!in) throw IoError("cannot open " + contigs_path);
     std::ostringstream buf;
     buf << in.rdbuf();
     response.set("fasta", buf.str());
@@ -576,9 +554,8 @@ net::Json Daemon::verb_metrics(const net::Json& request) {
   } else if (format == "json") {
     j.set("body", aggregate_metrics(true));
   } else {
-    return error_response("InputFormatError",
-                          "unknown metrics format '" + format +
-                              "' (prometheus|json)");
+    throw InputFormatError("unknown metrics format '" + format +
+                           "' (prometheus|json)");
   }
   return j;
 }
@@ -650,7 +627,7 @@ bool Daemon::dispatch_verb(const net::Json& request,
       throw InputFormatError("unknown verb '" + verb + "'");
     }
   } catch (const std::exception& e) {
-    response = error_response(error_type_name(e), e.what());
+    response = error_response(error_name(e), e.what());
   }
   if (response.type() != net::Json::Type::kNull)
     channel.write_line(response.dump());

@@ -288,28 +288,4 @@ void log_event(LogLevel level, const char* code, const std::string& message,
   Logger::instance().log(level, code, message, std::move(fields));
 }
 
-const char* log_code_for(const std::exception& e) {
-  // Most-derived first, mirroring exit_code_for().
-  if (dynamic_cast<const CorruptCheckpointError*>(&e) != nullptr)
-    return "error.corrupt_checkpoint";
-  if (dynamic_cast<const EngineStalledError*>(&e) != nullptr)
-    return "error.engine_stalled";
-  if (dynamic_cast<const WorkerCrashedError*>(&e) != nullptr)
-    return "error.worker_crashed";
-  if (dynamic_cast<const DeadlineExceededError*>(&e) != nullptr)
-    return "error.deadline";
-  if (dynamic_cast<const AdmissionRejectedError*>(&e) != nullptr)
-    return "error.admission_rejected";
-  if (dynamic_cast<const CancelledError*>(&e) != nullptr)
-    return "error.cancelled";
-  if (dynamic_cast<const InputFormatError*>(&e) != nullptr)
-    return "error.input_format";
-  if (dynamic_cast<const IoError*>(&e) != nullptr) return "error.io";
-  if (dynamic_cast<const SimulationError*>(&e) != nullptr)
-    return "error.simulation";
-  if (dynamic_cast<const PreconditionError*>(&e) != nullptr)
-    return "error.precondition";
-  return "error.unknown";
-}
-
 }  // namespace pima::telemetry

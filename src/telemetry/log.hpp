@@ -3,8 +3,7 @@
 // Every diagnostic the platform emits — worker crashes, restarts, pool
 // degradation, I/O fault activation, skipped jobs — goes through here
 // instead of ad-hoc fprintf(stderr). Each event carries a severity, a
-// typed event code (dot-separated, aligned with the common/error.hpp
-// taxonomy via log_code_for()), monotonic + wall-clock timestamps, and
+// typed event code (dot-separated), monotonic + wall-clock timestamps, and
 // optional structured fields ({job=, device=, ...}).
 //
 // Sinks:
@@ -29,7 +28,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <string>
 #include <vector>
 
@@ -104,9 +102,5 @@ class Logger {
 /// msg, {LogField::uint("device", d)})`.
 void log_event(LogLevel level, const char* code, const std::string& message,
                std::vector<LogField> fields = {});
-
-/// Maps an exception to its typed event code, most-derived first —
-/// mirrors common/error.hpp's exit_code_for().
-const char* log_code_for(const std::exception& e);
 
 }  // namespace pima::telemetry

@@ -138,8 +138,12 @@ TEST(PimHashTable, MatchesSoftwareCounterOnRandomReads) {
     ASSERT_EQ(table.lookup(km).value_or(0), std::min<std::uint32_t>(freq, 255))
         << km.to_string();
 
-  // extract() returns exactly the reference multiset.
-  const auto entries = table.extract();
+  // The shards, read out in order, hold exactly the reference multiset.
+  KmerEntries entries;
+  for (std::size_t s = 0; s < table.shard_count(); ++s) {
+    const auto part = table.extract_shard(s);
+    entries.insert(entries.end(), part.begin(), part.end());
+  }
   EXPECT_EQ(entries.size(), ref.size());
   for (const auto& [km, freq] : entries)
     EXPECT_EQ(std::min<std::uint32_t>(ref.at(km), 255), freq);

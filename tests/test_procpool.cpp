@@ -4,10 +4,10 @@
 // pima_devd worker processes is bit-identical to the in-process run — and
 // stays bit-identical when workers are SIGKILLed, SIGSEGV, crash-exited,
 // torn mid-write, or chaos-injected mid-stage, because the supervisor
-// restarts them from their shard checkpoints and replays their journals.
-// Plus the seams: WorkerInit / typed-error / shard-checkpoint wire and
-// disk round-trips, exit classification, and the degrade path when the
-// restart budget runs dry.
+// restarts them and replays their journals — and a pipeline.ckpt cut on
+// either transport resumes on the other. Plus the seams: WorkerInit and
+// typed-error wire round-trips, exit classification, and the degrade path
+// when the restart budget runs dry.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <random>
 #include <sstream>
@@ -33,7 +34,6 @@
 #include "dram/device.hpp"
 #include "dram/isa.hpp"
 #include "net/json.hpp"
-#include "runtime/checkpoint.hpp"
 #include "runtime/procpool.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/session.hpp"
@@ -95,7 +95,9 @@ RunOutput run_config(const std::vector<dna::Sequence>& reads, bool isolate,
                      std::size_t devices,
                      const core::PipelineOptions::IsolateOptions& iso = {},
                      bool capture = false, bool use_multiplicity = false,
-                     std::size_t threads = 2) {
+                     std::size_t threads = 2,
+                     const std::function<void(core::PipelineOptions&)>&
+                         configure = {}) {
   auto& session = telemetry::TelemetrySession::instance();
   session.reset();
   session.enable_metrics();
@@ -109,6 +111,7 @@ RunOutput run_config(const std::vector<dna::Sequence>& reads, bool isolate,
   opt.isolate_opts = iso;
   opt.capture_trace = capture;
   opt.use_multiplicity = use_multiplicity;
+  if (configure) configure(opt);
   RunOutput out;
   out.result = core::run_pipeline(device, reads, opt);
   out.model_snapshot = session.metrics().json_snapshot(/*model_only=*/true);
@@ -277,7 +280,7 @@ TEST(ProcPoolChaos, ChildIofaultTornWriteIsSurvivedWithReplay) {
   init.geometry = pipeline_geometry();
   init.k = 15;
   init.hash_shards = 4;
-  init.channels = 1;
+  init.engine.channels = 1;
   runtime::ProcSupervisor sup(opt, [&](std::size_t d) {
     core::WorkerInit wi = init;
     wi.device = d;
@@ -287,14 +290,14 @@ TEST(ProcPoolChaos, ChildIofaultTornWriteIsSurvivedWithReplay) {
   net::Json clear = net::Json::object();
   clear.set("op", "clear_stats");
   for (std::uint32_t i = 1; i <= 10; ++i) {
-    const auto response = sup.rpc(0, clear);
-    EXPECT_TRUE(response.get_bool("ok", false));
+    const auto responses = sup.rpc_all({clear});
+    EXPECT_TRUE(responses[0].get_bool("ok", false));
     sup.mark_stage_done(i);  // truncate: bounds the next replay
   }
   EXPECT_GE(sup.restarts_used(), 1u);
   net::Json ping = net::Json::object();
   ping.set("op", "ping");
-  EXPECT_TRUE(sup.query(0, ping).get_bool("ok", false));
+  EXPECT_TRUE(sup.query_all({ping})[0].get_bool("ok", false));
   sup.shutdown();
 }
 
@@ -324,6 +327,51 @@ TEST(ProcPoolDegrade, DisallowedDegradeThrowsWorkerCrashedError) {
     EXPECT_EQ(e.device(), 0u);
     EXPECT_EQ(e.classification(), "killed by signal");
     EXPECT_EQ(exit_code_for(e), kExitWorkerCrashed);
+  }
+  telemetry::TelemetrySession::instance().reset();
+}
+
+// ---- cross-transport resume ------------------------------------------------
+
+// pipeline.ckpt is the only resume record and its fingerprint is
+// transport-independent: a run stopped after stage 1 on one transport
+// resumes on the other, bit-identical to the uninterrupted run. A resumed
+// run exports model metrics only for the stages it executes, so its
+// model-only snapshot is held to the in-process stop + resume.
+TEST(ProcPoolResume, CrossTransportResumeIsBitIdentical) {
+  const auto reads = workload_reads(15);
+  const auto baseline = run_config(reads, /*isolate=*/false, 2);
+  struct Stopped {};
+  const auto stop_then_resume = [&](bool stop_isolated, bool resume_isolated) {
+    const fs::path dir = fs::temp_directory_path() / "procpool_cross_resume";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    EXPECT_THROW(
+        (void)run_config(reads, stop_isolated, 2, {}, false, false, 2,
+                         [&](core::PipelineOptions& opt) {
+                           opt.checkpoint_dir = dir.string();
+                           opt.on_checkpoint = [](std::uint32_t stage,
+                                                  const std::string&) {
+                             if (stage == 1) throw Stopped{};
+                           };
+                         }),
+        Stopped);
+    auto resumed = run_config(reads, resume_isolated, 2, {}, false, false, 2,
+                              [&](core::PipelineOptions& opt) {
+                                opt.checkpoint_dir = dir.string();
+                                opt.resume = true;
+                              });
+    fs::remove_all(dir);
+    return resumed;
+  };
+  const auto in_process = stop_then_resume(false, false);
+  expect_bit_identical(in_process.result, baseline.result);
+  for (const bool stop_isolated : {false, true}) {
+    SCOPED_TRACE(stop_isolated ? "isolated -> in-process"
+                               : "in-process -> isolated");
+    const auto resumed = stop_then_resume(stop_isolated, !stop_isolated);
+    expect_bit_identical(resumed.result, baseline.result);
+    EXPECT_EQ(resumed.model_snapshot, in_process.model_snapshot);
   }
   telemetry::TelemetrySession::instance().reset();
 }
@@ -459,10 +507,10 @@ TEST(ProcPoolWire, WorkerInitRoundTripsThroughJson) {
   init.devices = 4;
   init.k = 21;
   init.hash_shards = 32;
-  init.channels = 5;
-  init.queue_capacity = 17;
-  init.capture_trace = true;
-  init.stall_timeout_ms = 1234.5;
+  init.engine.channels = 5;
+  init.engine.queue_capacity = 17;
+  init.engine.capture_trace = true;
+  init.engine.stall_timeout_ms = 1234.5;
   const auto wire = core::worker_init_to_json(init);
   const auto parsed = core::worker_init_from_json(wire);
   // Geometry/Technology carry no operator==; a second serialization is the
@@ -470,7 +518,7 @@ TEST(ProcPoolWire, WorkerInitRoundTripsThroughJson) {
   EXPECT_EQ(core::worker_init_to_json(parsed).dump(), wire.dump());
   EXPECT_EQ(parsed.device, 3u);
   EXPECT_EQ(parsed.k, 21u);
-  EXPECT_TRUE(parsed.capture_trace);
+  EXPECT_TRUE(parsed.engine.capture_trace);
 }
 
 // The controller's stats fold decodes what ShardWorkerCore::op_stats
@@ -612,7 +660,10 @@ TEST(ProcPoolWire, WorkerListsRoundTripAndRejectMalformedEntries) {
 }
 
 TEST(ProcPoolWire, TypedErrorsRoundTripThroughResponses) {
-  const auto roundtrip = [](const std::exception& e) -> std::string {
+  // Sends `e` through a worker error response and returns the table name
+  // of what the controller rethrows; `what` gets its message.
+  const auto roundtrip = [](const std::exception& e,
+                            std::string& what) -> std::string {
     const auto response = core::worker_error_response(e);
     try {
       runtime::throw_worker_error(response);
@@ -621,21 +672,40 @@ TEST(ProcPoolWire, TypedErrorsRoundTripThroughResponses) {
       EXPECT_EQ(stalled.subarray(), 7u);
       EXPECT_EQ(stalled.last_retired(), 41u);
       EXPECT_EQ(stalled.timeout_ms(), 250.0);
-      return "EngineStalledError";
-    } catch (const InputFormatError&) {
-      return "InputFormatError";
-    } catch (const CorruptCheckpointError&) {
-      return "CorruptCheckpointError";
-    } catch (const SimulationError&) {
-      return "SimulationError";
+      what = stalled.what();
+      return error_name(stalled);
+    } catch (const std::exception& back) {
+      what = back.what();
+      return error_name(back);
     }
     return "no-throw";
   };
-  EXPECT_EQ(roundtrip(EngineStalledError(2, 7, 41, 250.0)),
-            "EngineStalledError");
-  EXPECT_EQ(roundtrip(InputFormatError("bad")), "InputFormatError");
-  EXPECT_EQ(roundtrip(CorruptCheckpointError("crc")), "CorruptCheckpointError");
-  EXPECT_EQ(roundtrip(SimulationError("boom")), "SimulationError");
+  std::string what;
+  // Every table row with a message constructor comes back as itself.
+  std::size_t rows = 0;
+  for (const ErrorClass& row : kErrorTable) {
+    if (row.raise == nullptr) continue;
+    ++rows;
+    try {
+      row.raise(std::string("boom: ") + row.name);
+      ADD_FAILURE() << row.name << " did not throw";
+    } catch (const std::exception& e) {
+      EXPECT_STREQ(error_name(e), row.name);
+      EXPECT_EQ(roundtrip(e, what), row.name);
+      EXPECT_EQ(what, std::string("boom: ") + row.name);
+    }
+  }
+  EXPECT_EQ(rows, std::size(kErrorTable) - 2);
+  const EngineStalledError stalled(2, 7, 41, 250.0);
+  EXPECT_EQ(roundtrip(stalled, what), "EngineStalledError");
+  EXPECT_EQ(what, stalled.what());
+  // A row without a message constructor, and a class the table does not
+  // list, both arrive as SimulationError carrying the worker's message.
+  const WorkerCrashedError crashed(1, "killed by signal", "");
+  EXPECT_EQ(roundtrip(crashed, what), "SimulationError");
+  EXPECT_EQ(what, crashed.what());
+  EXPECT_EQ(roundtrip(std::runtime_error("odd"), what), "SimulationError");
+  EXPECT_EQ(what, "odd");
 }
 
 // ---- the degree_block edge encoding ----------------------------------------
@@ -645,8 +715,8 @@ core::WorkerInit degree_worker_init() {
   init.geometry = pipeline_geometry();
   init.k = 15;
   init.hash_shards = 4;
-  init.channels = 2;
-  init.capture_trace = true;
+  init.engine.channels = 2;
+  init.engine.capture_trace = true;
   return init;
 }
 
@@ -874,71 +944,6 @@ TEST(ProcPoolWire, RpcAllRethrowsTheLowestDevicesTypedError) {
   for (const auto& pong : pongs) EXPECT_TRUE(pong.get_bool("ok", false));
   EXPECT_EQ(sup.restarts_used(), 0u);
   sup.shutdown();
-}
-
-// ---- shard checkpoints ------------------------------------------------------
-
-TEST(ProcPoolCheckpoint, ShardCheckpointRoundTripsAndPinsShard) {
-  const auto dir = fs::temp_directory_path() / "procpool_shard_ckpt";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const auto path = (dir / "shard-2.ckpt").string();
-  runtime::ShardCheckpoint sc;
-  sc.fingerprint.k = 15;
-  sc.fingerprint.hash_shards = 8;
-  sc.fingerprint.devices = 4;
-  sc.fingerprint.shard = 2;
-  sc.stages_done = 2;
-  runtime::save_shard_checkpoint(path, sc);
-  EXPECT_EQ(runtime::load_shard_checkpoint(path), sc);
-
-  // A whole-run snapshot is not a shard checkpoint: different magic.
-  EXPECT_THROW(runtime::load_checkpoint(path), CorruptCheckpointError);
-
-  // Flip one byte of the body: the CRC must reject it.
-  auto bytes = [&] {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in), {});
-  }();
-  bytes[bytes.size() - 3] ^= 0x40;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << bytes;
-  }
-  EXPECT_THROW(runtime::load_shard_checkpoint(path), CorruptCheckpointError);
-  fs::remove_all(dir);
-}
-
-TEST(ProcPoolCheckpoint, ForeignShardCheckpointRefusesStart) {
-  // A shard checkpoint from a different run shape must stop the supervisor
-  // before any worker touches state (stale checkpoints from a *finished*
-  // run are removed by the pipeline's fresh-run cleanup; this exercises
-  // the guard itself).
-  const auto dir = fs::temp_directory_path() / "procpool_foreign_ckpt";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  runtime::ShardCheckpoint stale;
-  stale.fingerprint.k = 99;  // anything but the run's k
-  stale.fingerprint.shard = 0;
-  stale.stages_done = 1;
-  runtime::save_shard_checkpoint((dir / "shard-0.ckpt").string(), stale);
-
-  runtime::ProcPoolOptions opt;
-  opt.devices = 1;
-  opt.checkpoint_dir = dir.string();
-  opt.fingerprint.k = 15;
-  core::WorkerInit init;
-  init.geometry = pipeline_geometry();
-  init.k = 15;
-  init.hash_shards = 4;
-  init.channels = 1;
-  runtime::ProcSupervisor sup(opt, [&](std::size_t d) {
-    core::WorkerInit wi = init;
-    wi.device = d;
-    return core::worker_init_to_json(wi);
-  });
-  EXPECT_THROW(sup.start(), CorruptCheckpointError);
-  fs::remove_all(dir);
 }
 
 // ---- exit classification ----------------------------------------------------

@@ -565,6 +565,22 @@ TEST(ServiceDaemon, SubmitBeyondQueueDepthRejectedTyped) {
   (void)running;
 }
 
+TEST(ServiceDaemon, PreconditionFailureIsNamedByTheErrorTable) {
+  // The spec admits any shard count up to 4096; the pipeline needs fewer
+  // hash shards than the geometry has sub-arrays. The job fails with the
+  // class name the error table gives PreconditionError, the name the
+  // device-worker wire uses too.
+  DaemonHarness h("precondition", policy(8, 1, 2));
+  const std::string reads = h.state_dir() + "/reads.fa";
+  write_small_reads(reads);
+  const std::string id =
+      h.submit(reads, 15, service_geometry().total_subarrays(), 1);
+  const net::Json final_status = h.wait_terminal(id);
+  EXPECT_EQ(final_status.get_string("state"), "failed") << final_status.dump();
+  EXPECT_EQ(final_status.get_string("error"), "PreconditionError")
+      << final_status.dump();
+}
+
 TEST(ServiceDaemon, DrainRunsQueueDryThenStops) {
   DaemonHarness h("drain", policy(8, 1, 2));
   const std::string reads = h.state_dir() + "/reads.fa";

@@ -722,13 +722,6 @@ TEST(Log, PerCodeTokenBucketSuppressesAndCounts) {
   std::remove(path.c_str());
 }
 
-TEST(Log, CodeForExceptionMirrorsErrorTaxonomy) {
-  EXPECT_STREQ(log_code_for(IoError("x")), "error.io");
-  EXPECT_STREQ(log_code_for(InputFormatError("x")), "error.input_format");
-  EXPECT_STREQ(log_code_for(SimulationError("x")), "error.simulation");
-  EXPECT_STREQ(log_code_for(std::runtime_error("x")), "error.unknown");
-}
-
 // ---- flight recorder ----
 
 TEST(Flight, RenderIsSchemaValidAndIncludesProviders) {

@@ -625,19 +625,16 @@ std::string generate_idempotency_key() {
   return key;
 }
 
-/// Maps a daemon error response to the documented process exit codes, so
-/// `pima_asm submit` against a full queue exits 8 exactly like an
-/// in-process AdmissionRejectedError would.
+/// Maps a daemon error name to the documented process exit code through
+/// the error table, so `pima_asm submit` against a full queue exits 8
+/// exactly like an in-process AdmissionRejectedError would.
+int error_exit_code(const std::string& error) {
+  return error_class_named(error).exit_code;
+}
+
 int response_exit_code(const net::Json& response) {
   if (response.get_bool("ok", false)) return 0;
-  const std::string error = response.get_string("error");
-  if (error == "AdmissionRejectedError") return kExitAdmissionRejected;
-  if (error == "InputFormatError") return kExitInputFormat;
-  if (error == "IoError") return kExitIo;
-  if (error == "CancelledError") return kExitInterrupted;
-  if (error == "EngineStalledError") return kExitEngineStalled;
-  if (error == "DeadlineExceededError") return kExitDeadlineExceeded;
-  return 1;
+  return error_exit_code(response.get_string("error"));
 }
 
 int print_response(const net::Json& response) {
@@ -659,7 +656,8 @@ int follow_job(service::Client& client, const std::string& job_id) {
   const std::string state = last.get_string("state");
   if (state == "done") return 0;
   if (state == "cancelled") return kExitInterrupted;
-  return state == "failed" ? 1 : 0;
+  // A failed job exits with the code its error would have in `pim-run`.
+  return state == "failed" ? error_exit_code(last.get_string("error")) : 0;
 }
 
 int cmd_submit(const Args& args) {
@@ -874,9 +872,11 @@ int main(int argc, char** argv) {
     if (cmd == "metrics") return cmd_metrics(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "pima_asm: %s\n", e.what());
-    // Documented exit codes (see DESIGN.md §10): 3 = malformed input,
-    // 4 = I/O failure, 5 = corrupt/incompatible checkpoint, 6 = engine
-    // stall, 1 = anything else.
+    // Documented exit codes, one per error class (common/error.hpp's
+    // kErrorTable, DESIGN.md §10): 3 = malformed input, 4 = I/O failure,
+    // 5 = corrupt/incompatible checkpoint, 6 = engine stall, 7 =
+    // cancelled, 8 = admission rejected, 9 = deadline exceeded, 10 =
+    // worker crashed, 1 = anything else.
     return pima::exit_code_for(e);
   }
   usage();
