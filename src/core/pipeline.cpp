@@ -30,7 +30,6 @@
 #include "core/graph_map.hpp"
 #include "core/shard_worker.hpp"
 #include "dram/isa.hpp"
-#include "dram/trace.hpp"
 #include "net/json.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/procpool.hpp"
@@ -348,7 +347,7 @@ runtime::ProcPoolOptions pool_options(const PipelineOptions& options) {
   p.restart_budget = options.isolate_opts.restart_budget;
   p.restart_backoff_ms = options.isolate_opts.restart_backoff_ms;
   // A traced run must keep the whole journal: a restarted worker rebuilds
-  // its trace sinks only by replaying every command since init.
+  // its capture programs only by replaying every command since init.
   p.journal_truncation = !options.capture_trace;
   p.child_iofault = options.isolate_opts.child_iofault;
   return p;

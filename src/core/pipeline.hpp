@@ -110,10 +110,10 @@ struct PipelineOptions {
   /// when faults are enabled or the mode is not kOff (so recovery overhead
   /// can be measured at zero fault rate).
   runtime::RecoveryOptions recovery;
-  /// Captures every DRAM command the pipeline issues into per-sub-array
-  /// trace sinks (Device::enable_tracing via the engine). The capture
-  /// replays through dram::captured_program() — e.g. `pima_asm pim-run
-  /// --dump-trace` → `pima_fuzz --replay` for oracle verification.
+  /// Captures every DRAM command the pipeline issues as per-sub-array
+  /// instruction programs (Device::enable_tracing via the engine). The
+  /// capture replays through dram::captured_program() — e.g. `pima_asm
+  /// pim-run --dump-trace` → `pima_fuzz --replay` for oracle verification.
   bool capture_trace = false;
   /// Directory for stage-boundary snapshots. Empty disables checkpointing.
   /// The snapshot file is `<checkpoint_dir>/pipeline.ckpt`, rewritten

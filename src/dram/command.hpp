@@ -11,8 +11,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "circuit/tech.hpp"
+#include "common/bitvector.hpp"
+#include "dram/geometry.hpp"
 
 namespace pima::dram {
 
@@ -24,7 +27,8 @@ enum class CommandKind : std::uint8_t {
   kAapTra,        ///< type-3 AAP: triple-row activation (MAJ3 carry) → des
   kSumCycle,      ///< two-row activation + latch XOR (sum stage) → des
   kDpuReduce,     ///< MAT-level DPU row reduction (AND/OR/popcount)
-  kLatchReset,    ///< Rst pulse on the carry latch — uncosted, trace-only
+  kLatchReset,    ///< Rst pulse on the carry latch — uncosted, never
+                  ///< counted; names perfbench's LATCH_RST layer probe
 };
 
 constexpr std::string_view to_string(CommandKind k) {
@@ -44,10 +48,9 @@ constexpr std::string_view to_string(CommandKind k) {
 constexpr std::size_t kCommandKindCount = 8;
 
 /// Instruction opcodes of the AAP ISA (isa.hpp gives them a text format and
-/// an executor). Declared here, next to CommandKind, because the trace layer
-/// records the precise opcode alongside the costed command kind: CommandKind
-/// is the cost/energy class (XNOR and XOR are both kAapTwoRow) while Opcode
-/// is the replay-exact operation.
+/// an executor). CommandKind is the cost/energy class (XNOR and XOR are
+/// both kAapTwoRow); Opcode is the replay-exact operation a traced
+/// sub-array captures.
 enum class Opcode : std::uint8_t {
   kAapCopy,    ///< type-1: AAP(src, des, size)
   kAapXnor,    ///< type-2: AAP(src1, src2, des, size), MUX → XNOR2
@@ -61,6 +64,26 @@ enum class Opcode : std::uint8_t {
   kDpuOr,      ///< DPU OR-reduce
   kDpuPopcount ///< DPU popcount
 };
+
+/// One decoded instruction. Unused fields are zero. Declared here, next to
+/// Opcode, because a traced sub-array captures the instructions it executes
+/// (Subarray::attach_trace) and subarray.hpp cannot include isa.hpp.
+struct Instruction {
+  Opcode op = Opcode::kAapCopy;
+  std::size_t subarray = 0;  ///< flat sub-array index
+  RowAddr src1 = 0;
+  RowAddr src2 = 0;
+  RowAddr src3 = 0;
+  RowAddr dst = 0;
+  std::size_t size = 1;      ///< row count (consecutive-row expansion)
+  std::size_t width = 0;     ///< DPU reduce width in bits
+  BitVector payload;         ///< ROW_WRITE data (row-sized)
+
+  bool operator==(const Instruction& o) const = default;
+};
+
+/// A program is a flat instruction sequence.
+using Program = std::vector<Instruction>;
 
 /// Latency of one command (ns) under the given timing parameters.
 inline double command_latency_ns(CommandKind k,

@@ -30,6 +30,25 @@ void StatsFold::add(const CommandStats& st) {
   commands.merge_serial(st);
 }
 
+EnergyBreakdown breakdown_from_stats(const CommandStats& stats,
+                                     std::size_t columns,
+                                     const circuit::Technology& tech) {
+  EnergyBreakdown b;
+  for (std::size_t k = 0; k < kCommandKindCount; ++k) {
+    if (stats.counts[k] == 0) continue;
+    const auto kind = static_cast<CommandKind>(k);
+    const auto count = static_cast<double>(stats.counts[k]);
+    EnergyBreakdown::Row row{kind, stats.counts[k],
+                             count * command_energy_pj(kind, columns,
+                                                       tech.energy),
+                             count * command_latency_ns(kind, tech.timing)};
+    b.total_energy_pj += row.energy_pj;
+    b.total_time_ns += row.time_ns;
+    b.rows.push_back(row);
+  }
+  return b;
+}
+
 StatsFold fold_in_flat_order(const std::vector<SubarrayStats>& per_device) {
   StatsFold fold;
   for (const auto* entry : in_flat_order(per_device)) fold.add(entry->second);
@@ -54,8 +73,8 @@ Subarray& Device::subarray(std::size_t flat) {
       subarrays_[flat]->attach_fault_injector(
           std::make_shared<FaultInjector>(fault_model_, flat, geom_));
     if (tracing_) {
-      traces_[flat] = std::make_unique<TraceSink>();
-      subarrays_[flat]->attach_trace(traces_[flat].get());
+      traces_[flat] = std::make_unique<Program>();
+      subarrays_[flat]->attach_trace(traces_[flat].get(), flat);
     }
   }
   return *subarrays_[flat];
@@ -106,20 +125,12 @@ void Device::enable_tracing() {
   traces_.resize(subarrays_.size());
   for (std::size_t flat = 0; flat < subarrays_.size(); ++flat) {
     if (!subarrays_[flat]) continue;
-    traces_[flat] = std::make_unique<TraceSink>();
-    subarrays_[flat]->attach_trace(traces_[flat].get());
+    traces_[flat] = std::make_unique<Program>();
+    subarrays_[flat]->attach_trace(traces_[flat].get(), flat);
   }
 }
 
-void Device::disable_tracing() {
-  if (!tracing_) return;
-  tracing_ = false;
-  for (const auto& sa : subarrays_)
-    if (sa) sa->attach_trace(nullptr);
-  traces_.clear();
-}
-
-const TraceSink* Device::trace_if(std::size_t flat) const {
+const Program* Device::trace_if(std::size_t flat) const {
   PIMA_CHECK(flat < subarrays_.size(), "sub-array index out of device");
   return flat < traces_.size() ? traces_[flat].get() : nullptr;
 }

@@ -60,6 +60,25 @@ struct StatsFold {
   void add(const CommandStats& subarray);
 };
 
+/// Per-command-kind totals of a CommandStats.
+struct EnergyBreakdown {
+  struct Row {
+    CommandKind kind;
+    std::size_t count = 0;
+    double energy_pj = 0.0;
+    double time_ns = 0.0;
+  };
+  std::vector<Row> rows;   ///< one per command kind that occurred
+  double total_energy_pj = 0.0;
+  double total_time_ns = 0.0;
+};
+
+/// The energy/time split of accumulated CommandStats under the
+/// technology's per-command cost model.
+EnergyBreakdown breakdown_from_stats(const CommandStats& stats,
+                                     std::size_t columns,
+                                     const circuit::Technology& tech);
+
 /// One device's touched sub-arrays, (flat index, CommandStats) in flat
 /// order.
 using SubarrayStats = std::vector<std::pair<std::size_t, CommandStats>>;
@@ -122,24 +141,22 @@ class Device {
   InjectionCounters injection_roll_up() const;
 
   /// Per-sub-array command capture for oracle replay: attaches a private
-  /// TraceSink to every instantiated and future sub-array. Each sink is
-  /// touched only by the channel owning its sub-array, so capture is safe
-  /// under the parallel runtime. isa.hpp's captured_program() turns the
-  /// recorded streams back into a replayable AAP program.
+  /// capture Program to every instantiated and future sub-array. Each
+  /// program is touched only by the channel owning its sub-array, so
+  /// capture is safe under the parallel runtime. isa.hpp's
+  /// captured_program() merges them into one replayable AAP program.
   void enable_tracing();
-  /// Detaches and discards every capture sink.
-  void disable_tracing();
   bool tracing() const { return tracing_; }
-  /// The capture sink of one sub-array, or null if never instantiated (or
+  /// The capture of one sub-array, or null if never instantiated (or
   /// tracing is off).
-  const TraceSink* trace_if(std::size_t flat) const;
+  const Program* trace_if(std::size_t flat) const;
 
  private:
   Geometry geom_;
   circuit::Technology tech_;
   std::vector<std::unique_ptr<Subarray>> subarrays_;
   std::shared_ptr<const FaultModel> fault_model_;
-  std::vector<std::unique_ptr<TraceSink>> traces_;
+  std::vector<std::unique_ptr<Program>> traces_;
   bool tracing_ = false;
 };
 

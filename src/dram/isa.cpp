@@ -165,69 +165,14 @@ std::vector<Program> split_by_owner(Program program, std::size_t owners) {
   return parts;
 }
 
-Program program_from_trace(const std::vector<TraceEntry>& entries,
-                           std::size_t subarray_flat, std::size_t columns) {
-  Program program;
-  program.reserve(entries.size());
-  for (const auto& e : entries) {
-    Instruction inst;
-    inst.op = e.op;
-    inst.subarray = subarray_flat;
-    inst.size = 1;
-    switch (e.op) {
-      case Opcode::kAapCopy:
-        inst.src1 = e.row_a;
-        inst.dst = e.dst;
-        break;
-      case Opcode::kAapXnor:
-      case Opcode::kAapXor:
-      case Opcode::kSum:
-        inst.src1 = e.row_a;
-        inst.src2 = e.row_b;
-        inst.dst = e.dst;
-        break;
-      case Opcode::kAapTra:
-        inst.src1 = e.row_a;
-        inst.src2 = e.row_b;
-        inst.src3 = e.row_c;
-        inst.dst = e.dst;
-        break;
-      case Opcode::kResetLatch:
-        break;
-      case Opcode::kRowWrite:
-        inst.src1 = e.row_a;
-        inst.payload = e.payload;
-        PIMA_CHECK(inst.payload.size() == columns,
-                   "traced ROW_WRITE payload width does not match geometry");
-        break;
-      case Opcode::kRowRead:
-        inst.src1 = e.row_a;
-        break;
-      case Opcode::kDpuAnd:
-      case Opcode::kDpuOr:
-      case Opcode::kDpuPopcount:
-        // The trace records the DPU fetch, not the reduce flavour/width;
-        // a full-width popcount reproduces the command cost and (like any
-        // reduce) leaves the row state untouched.
-        inst.op = Opcode::kDpuPopcount;
-        inst.src1 = e.row_a;
-        inst.width = columns;
-        break;
-    }
-    program.push_back(std::move(inst));
-  }
-  return program;
-}
-
 SubarrayPrograms captured_programs(const Device& device) {
   PIMA_CHECK(device.tracing(), "device is not capturing a trace");
   SubarrayPrograms programs;
   const std::size_t total = device.geometry().total_subarrays();
   for (std::size_t flat = 0; flat < total; ++flat) {
-    const TraceSink* sink = device.trace_if(flat);
-    if (sink == nullptr || sink->entries().empty()) continue;
-    programs.emplace_back(flat, program_from_trace(sink->entries(), flat,
-                                                   device.geometry().columns));
+    const Program* capture = device.trace_if(flat);
+    if (capture != nullptr && !capture->empty())
+      programs.emplace_back(flat, *capture);
   }
   return programs;
 }

@@ -14,11 +14,13 @@
 // size, otherwise the application must pad it with dummy data" — an
 // instruction with size = n expands to n consecutive-row operations.
 //
-// This module gives the command stream a concrete form: an Instruction
-// value type, a tiny assembler/disassembler for a human-readable text
-// format, and an executor that runs programs against a dram::Device. The
-// higher-level kernels drive Subarray directly for speed; the ISA layer is
-// the documented contract (and lets tests replay traces).
+// This module gives the command stream a concrete form: a tiny
+// assembler/disassembler for a human-readable text format of the
+// Instruction value type (declared in command.hpp), an executor that runs
+// programs against a dram::Device, and the capture path that lists what a
+// traced device executed. The higher-level kernels drive Subarray directly
+// for speed; the ISA layer is the documented contract (and lets tests
+// replay captures).
 #pragma once
 
 #include <cstdint>
@@ -31,27 +33,6 @@
 #include "dram/device.hpp"
 
 namespace pima::dram {
-
-// Opcode itself lives in command.hpp (next to CommandKind) so the trace
-// layer can record the replay-exact operation without a circular include.
-
-/// One decoded instruction. Unused fields are zero.
-struct Instruction {
-  Opcode op = Opcode::kAapCopy;
-  std::size_t subarray = 0;  ///< flat sub-array index
-  RowAddr src1 = 0;
-  RowAddr src2 = 0;
-  RowAddr src3 = 0;
-  RowAddr dst = 0;
-  std::size_t size = 1;      ///< row count (consecutive-row expansion)
-  std::size_t width = 0;     ///< DPU reduce width in bits
-  BitVector payload;         ///< ROW_WRITE data (row-sized)
-
-  bool operator==(const Instruction& o) const = default;
-};
-
-/// A program is a flat instruction sequence.
-using Program = std::vector<Instruction>;
 
 /// Renders one instruction in the text format, e.g.
 ///   `AAP2_XNOR sa=3 src1=1016 src2=1017 dst=42 size=1`
@@ -90,25 +71,18 @@ struct ExecutionResults {
 /// sub-arrays exactly as if the kernels had issued the commands directly.
 ExecutionResults execute(Device& device, const Program& program);
 
-// ---- Trace replay (the oracle's capture path) ----------------------------
+// ---- Capture (the oracle's replay path) -----------------------------------
 //
-// Any production run executed with Device::enable_tracing() can be turned
-// back into an ISA program and replayed — e.g. through the golden model for
+// A device with Device::enable_tracing() captures, per sub-array, the exact
+// instructions that replay its commands — e.g. through the golden model for
 // differential verification (`pima_asm pim-run --dump-trace` →
 // `pima_fuzz --replay`).
 
-/// Rebuilds a replayable single-sub-array program from a recorded trace.
-/// Every entry maps 1:1 to an instruction (ROW_WRITE keeps its payload,
-/// LATCH_RST round-trips, DPU reductions replay as full-width popcounts —
-/// state- and cost-neutral either way).
-Program program_from_trace(const std::vector<TraceEntry>& entries,
-                           std::size_t subarray_flat, std::size_t columns);
-
-/// One device's traced sub-arrays, (flat index, replay program) in flat
+/// One device's traced sub-arrays, (flat index, captured program) in flat
 /// order.
 using SubarrayPrograms = std::vector<std::pair<std::size_t, Program>>;
 
-/// The replay program of every sub-array with a non-empty capture. Throws
+/// The capture of every sub-array that recorded a command. Throws
 /// PreconditionError unless the device is tracing.
 SubarrayPrograms captured_programs(const Device& device);
 

@@ -1,6 +1,7 @@
 #include "dram/subarray.hpp"
 
 #include <string>
+#include <utility>
 
 namespace pima::dram {
 
@@ -39,7 +40,7 @@ void Subarray::record(CommandKind k, Opcode op, RowAddr a, RowAddr b,
                       RowAddr c, RowAddr dst, const BitVector* payload) {
   if (fault_ != nullptr) retention_tick();
   const auto i = static_cast<std::size_t>(k);
-  if (trace_ != nullptr) trace_command(k, op, a, b, c, dst, payload);
+  if (trace_ != nullptr) trace_command(op, a, b, c, dst, payload);
   stats_.record(k, latency_[i], energy_[i]);
 }
 
@@ -50,22 +51,21 @@ void Subarray::retention_tick() {
     rows_[cell->row].set(cell->col, !rows_[cell->row].get(cell->col));
 }
 
-void Subarray::trace_command(CommandKind k, Opcode op, RowAddr a, RowAddr b,
-                             RowAddr c, RowAddr dst,
-                             const BitVector* payload) {
-  const auto i = static_cast<std::size_t>(k);
-  TraceEntry e;
-  e.kind = k;
-  e.op = op;
-  e.row_a = a;
-  e.row_b = b;
-  e.row_c = c;
-  e.dst = dst;
-  e.start_ns = stats_.busy_ns;
-  e.latency_ns = latency_[i];
-  e.energy_pj = energy_[i];
-  if (payload != nullptr) e.payload = *payload;
-  trace_->record(e);
+void Subarray::trace_command(Opcode op, RowAddr a, RowAddr b, RowAddr c,
+                             RowAddr dst, const BitVector* payload) {
+  Instruction inst;
+  inst.op = op;
+  inst.subarray = trace_flat_;
+  inst.src1 = a;
+  inst.src2 = b;
+  inst.src3 = c;
+  inst.dst = dst;
+  if (payload != nullptr) inst.payload = *payload;
+  // The DPU fetch does not know the reduce flavour or width; a full-width
+  // popcount reproduces the command cost and, like any reduce, leaves the
+  // row state untouched.
+  if (op == Opcode::kDpuPopcount) inst.width = geom_.columns;
+  trace_->push_back(std::move(inst));
 }
 
 const BitVector& Subarray::read_row(RowAddr r) {
@@ -176,14 +176,9 @@ void Subarray::sum_cycle(RowAddr xa, RowAddr xb, RowAddr dst) {
 
 void Subarray::reset_latch() {
   // Uncosted (no CommandStats record), but replay-relevant: without the
-  // LATCH_RST entry a replayed sum cycle could consume a stale carry.
-  if (trace_ != nullptr) {
-    TraceEntry e;
-    e.kind = CommandKind::kLatchReset;
-    e.op = Opcode::kResetLatch;
-    e.start_ns = stats_.busy_ns;
-    trace_->record(e);
-  }
+  // RST_LATCH instruction a replayed sum cycle could consume a stale carry.
+  if (trace_ != nullptr)
+    trace_command(Opcode::kResetLatch, 0, 0, 0, 0, nullptr);
   latch_.fill(false);
 }
 

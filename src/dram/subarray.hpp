@@ -34,7 +34,6 @@
 #include "dram/command.hpp"
 #include "dram/fault.hpp"
 #include "dram/geometry.hpp"
-#include "dram/trace.hpp"
 
 namespace pima::dram {
 
@@ -106,8 +105,8 @@ class Subarray {
   void sum_cycle(RowAddr xa, RowAddr xb, RowAddr dst);
 
   /// Clears the carry latch (Rst signal in Fig. 2a). Uncosted (the pulse
-  /// rides the surrounding AAP envelope) but recorded in the trace as a
-  /// LATCH_RST entry so replays reproduce the latch state exactly.
+  /// rides the surrounding AAP envelope) but captured as a RST_LATCH
+  /// instruction so replays reproduce the latch state exactly.
   void reset_latch();
 
   /// Records one DPU reduction (row read into the GRB + combinational
@@ -165,9 +164,15 @@ class Subarray {
   const CommandStats& stats() const { return stats_; }
   void clear_stats() { stats_ = CommandStats{}; }
 
-  /// Attaches a trace sink; every subsequent command is recorded into it
-  /// (nullptr detaches). The sink must outlive the sub-array's use.
-  void attach_trace(TraceSink* sink) { trace_ = sink; }
+  /// Attaches a capture program: every subsequent command appends the
+  /// instruction that replays it (dram::execute) on flat sub-array `flat`
+  /// — a DPU fetch as a full-width DPU_POPCOUNT, a latch reset as
+  /// RST_LATCH. nullptr detaches. The program must outlive the sub-array's
+  /// use.
+  void attach_trace(Program* sink, std::size_t flat = 0) {
+    trace_ = sink;
+    trace_flat_ = flat;
+  }
 
  private:
   void check_row(RowAddr r) const;
@@ -177,8 +182,8 @@ class Subarray {
               RowAddr c = 0, RowAddr dst = 0,
               const BitVector* payload = nullptr);
   void retention_tick();
-  void trace_command(CommandKind k, Opcode op, RowAddr a, RowAddr b,
-                     RowAddr c, RowAddr dst, const BitVector* payload);
+  void trace_command(Opcode op, RowAddr a, RowAddr b, RowAddr c,
+                     RowAddr dst, const BitVector* payload);
 
   Geometry geom_;
   std::vector<BitVector> rows_;
@@ -186,8 +191,9 @@ class Subarray {
   std::array<double, kCommandKindCount> latency_{};  ///< ns, per CommandKind
   std::array<double, kCommandKindCount> energy_{};   ///< pJ, per CommandKind
   CommandStats stats_;
-  TraceSink* trace_ = nullptr;
+  Program* trace_ = nullptr;
   std::shared_ptr<FaultInjector> fault_;
+  std::size_t trace_flat_ = 0;
 };
 
 }  // namespace pima::dram

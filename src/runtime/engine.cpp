@@ -69,8 +69,10 @@ Engine::Engine(dram::Device& device, EngineOptions options)
              "stall timeout must be non-negative");
   if (options_.capture_trace) device_.enable_tracing();
   // Inline fallback: no workers, no queues. force_worker opts out so the
-  // single-channel engines of a multi-device run still run concurrently.
-  if (channels() == 1 && !options_.force_worker) return;
+  // single-channel engines of a multi-device run still run concurrently,
+  // and a stall timeout opts out so the watchdog has a worker to supervise.
+  const bool supervised = options_.stall_timeout_ms > 0.0;
+  if (channels() == 1 && !options_.force_worker && !supervised) return;
   channels_.reserve(channels());
   for (std::size_t c = 0; c < channels(); ++c) {
     channels_.push_back(std::make_unique<Channel>(options_.queue_capacity));
@@ -98,7 +100,7 @@ Engine::Engine(dram::Device& device, EngineOptions options)
       telemetry::ScopedMetricsRegistry scope(scoped_registry);
       worker_loop(ch);
     });
-  if (options_.stall_timeout_ms > 0.0)
+  if (supervised)
     watchdog_ = std::thread([this, scoped_registry] {
       telemetry::ScopedMetricsRegistry scope(scoped_registry);
       watchdog_loop();
@@ -366,14 +368,6 @@ void Engine::submit(std::size_t channel, Task task) {
 
 void Engine::submit_to_subarray(std::size_t subarray_flat, Task task) {
   submit_tagged(channel_of(subarray_flat), std::move(task), subarray_flat);
-}
-
-bool Engine::channel_failed(std::size_t channel) const {
-  PIMA_CHECK(channel < channels(), "channel index out of engine");
-  if (channels_.empty()) return false;  // inline mode: failures throw at once
-  Channel& ch = *channels_[channel];
-  std::lock_guard lock(ch.mutex);
-  return static_cast<bool>(ch.failure);
 }
 
 void Engine::submit_program(dram::Program program) {

@@ -17,7 +17,9 @@
 //
 // channels == 1 is the single-threaded fallback: tasks run inline on the
 // submitting thread, no worker is spawned, and behaviour reduces to the
-// pre-runtime serial code path exactly.
+// pre-runtime serial code path exactly — unless the engine is supervised
+// (stall_timeout_ms > 0) or force_worker is set, which need the task off
+// the caller's thread and so run the one channel on a worker.
 //
 // Supervision: with stall_timeout_ms > 0 a watchdog thread monitors a
 // per-channel heartbeat (updated when a worker picks up and when it
@@ -52,29 +54,32 @@ namespace pima::runtime {
 using Task = std::function<void()>;
 
 struct EngineOptions {
-  /// Worker channels. 1 = inline single-threaded fallback; 0 = one per
+  /// Worker channels. 1 = inline single-threaded fallback (unless
+  /// stall_timeout_ms or force_worker asks for a worker); 0 = one per
   /// hardware thread.
   std::size_t channels = 1;
   /// Per-channel queue capacity in tasks (backpressure bound).
   std::size_t queue_capacity = 64;
   /// Enables per-sub-array command capture on the device before any worker
-  /// starts (Device::enable_tracing). Each sub-array's TraceSink is touched
-  /// only by the channel owning it, so capture is race-free; the recorded
-  /// streams replay through dram::captured_program() for the differential
+  /// starts (Device::enable_tracing). Each sub-array's capture program is
+  /// touched only by the channel owning it, so capture is race-free; the
+  /// captures replay through dram::captured_program() for the differential
   /// oracle.
   bool capture_trace = false;
   /// Per-task deadline enforced by the watchdog thread: a worker that
   /// holds one task longer than this without retiring it is declared
   /// stalled and drain() throws EngineStalledError instead of hanging.
-  /// 0 disables supervision. Ignored in the inline (channels == 1)
-  /// fallback, where tasks run synchronously on the caller.
+  /// 0 disables supervision. A supervised single-channel engine runs its
+  /// channel on a worker thread: the watchdog cannot interrupt a task
+  /// running on the caller's own thread.
   double stall_timeout_ms = 0.0;
   /// Spawns a real worker thread even for channels == 1 instead of the
   /// inline fallback. A run sharded over several in-process devices sets
   /// this (core::DeviceShard, one engine per device) so N single-channel
   /// engines execute concurrently — without it, --devices N at --threads 1
-  /// would serialize every device on the controller thread. Model results are unaffected either way (the
-  /// determinism contract above covers channels == 1 with a worker too).
+  /// would serialize every device on the controller thread. Model results
+  /// are unaffected either way (the determinism contract above covers
+  /// channels == 1 with a worker too).
   bool force_worker = false;
 };
 
@@ -105,10 +110,6 @@ class Engine {
   /// dropped unexecuted. drain() collects the original failure and resets
   /// the channel.
   void submit(std::size_t channel, Task task);
-
-  /// True while `channel` holds an uncollected task failure (submissions
-  /// are rejected until drain() rethrows it).
-  bool channel_failed(std::size_t channel) const;
 
   /// True once the watchdog has declared any channel stalled. The engine
   /// is poisoned from that point on: drain() throws the stall error once,

@@ -7,45 +7,12 @@
 
 #include "common/error.hpp"
 #include "common/fsio.hpp"
+#include "net/json.hpp"
 #include "telemetry/flight.hpp"
 
 namespace pima::telemetry {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::int64_t wall_us_now() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -212,9 +179,9 @@ void Logger::log(LogLevel level, const char* code, const std::string& message,
   line += ", \"level\": \"";
   line += to_string(level);
   line += "\", \"code\": \"";
-  line += json_escape(code);
+  line += net::Json::escape(code);
   line += "\", \"msg\": \"";
-  line += json_escape(message);
+  line += net::Json::escape(message);
   line += '"';
   if (suppressed_here > 0) {
     line += ", \"suppressed\": ";
@@ -222,13 +189,13 @@ void Logger::log(LogLevel level, const char* code, const std::string& message,
   }
   for (const auto& f : fields) {
     line += ", \"";
-    line += json_escape(f.key);
+    line += net::Json::escape(f.key);
     line += "\": ";
     if (f.numeric) {
       line += f.value;
     } else {
       line += '"';
-      line += json_escape(f.value);
+      line += net::Json::escape(f.value);
       line += '"';
     }
   }

@@ -36,7 +36,9 @@
 #include <utility>
 #include <vector>
 
-#include "dram/trace.hpp"
+namespace pima::dram {
+struct EnergyBreakdown;
+}  // namespace pima::dram
 
 namespace pima::telemetry {
 
@@ -165,10 +167,8 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Metric>> metrics_;
 };
 
-/// Rolls an EnergyBreakdown (dram/trace.hpp) into per-CommandKind model
-/// counters: pima_dram_{commands,energy_pj,time_ns}_total{kind=...}. Using
-/// the breakdown itself as the source guarantees the metrics can never
-/// drift from the Fig. 9-style tables rendered from the same struct.
+/// Rolls an EnergyBreakdown (dram/device.hpp) into per-CommandKind model
+/// counters: pima_dram_{commands,energy_pj,time_ns}_total{kind=...}.
 void add_breakdown_metrics(MetricsRegistry& registry,
                            const dram::EnergyBreakdown& breakdown);
 

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "net/json.hpp"
+
 namespace pima::telemetry {
 
 namespace {
@@ -25,16 +27,6 @@ thread_local ThreadState tls;
 // Process-unique generation values (see the header): every Tracer birth
 // and every clear() draws a fresh stamp.
 std::atomic<std::uint64_t> next_generation{1};
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -136,6 +128,10 @@ void Tracer::record_flow(const char* name, char phase, std::uint64_t flow_id,
 
 std::vector<ExportedTraceEvent> Tracer::export_events() const {
   std::lock_guard lock(mutex_);
+  return own_events_locked();
+}
+
+std::vector<ExportedTraceEvent> Tracer::own_events_locked() const {
   std::vector<ExportedTraceEvent> out;
   for (const auto& b : buffers_) {
     const std::size_t n = b->published();
@@ -198,22 +194,7 @@ std::string Tracer::chrome_json() const {
     ExportedTraceEvent e;
   };
   std::vector<Row> rows;
-  for (const auto& b : buffers_) {
-    const std::size_t n = b->published();
-    for (std::size_t i = 0; i < n; ++i) {
-      const TraceEvent& e = b->at(i);
-      ExportedTraceEvent x;
-      x.name = e.name == nullptr ? "" : e.name;
-      x.arg_name = e.arg_name == nullptr ? "" : e.arg_name;
-      x.phase = e.phase;
-      x.track = e.track;
-      x.ts_ns = e.ts_ns;
-      x.dur_ns = e.dur_ns;
-      x.value = e.value;
-      x.flow_id = e.flow_id;
-      rows.push_back({kOwnPid, std::move(x)});
-    }
-  }
+  for (auto& e : own_events_locked()) rows.push_back({kOwnPid, std::move(e)});
   for (const auto& [pid, proc] : processes_)
     for (const auto& e : proc.events) rows.push_back({pid, e});
   std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
@@ -232,7 +213,7 @@ std::string Tracer::chrome_json() const {
     sep();
     out << "{\"ph\": \"M\", \"pid\": " << pid
         << ", \"name\": \"process_name\", \"args\": {\"name\": \""
-        << json_escape(name) << "\"}}";
+        << net::Json::escape(name) << "\"}}";
     sep();
     out << "{\"ph\": \"M\", \"pid\": " << pid
         << ", \"name\": \"process_sort_index\", \"args\": {\"sort_index\": "
@@ -243,7 +224,7 @@ std::string Tracer::chrome_json() const {
     sep();
     out << "{\"ph\": \"M\", \"pid\": " << pid << ", \"tid\": " << track
         << ", \"name\": \"thread_name\", \"args\": {\"name\": \""
-        << json_escape(name) << "\"}}";
+        << net::Json::escape(name) << "\"}}";
     sep();
     out << "{\"ph\": \"M\", \"pid\": " << pid << ", \"tid\": " << track
         << ", \"name\": \"thread_sort_index\", \"args\": {\"sort_index\": "
@@ -288,9 +269,9 @@ std::string Tracer::chrome_json() const {
     // Counter events are keyed by (pid, name) in the trace-event model, so
     // the owning track's name is folded into the counter name to get one
     // counter track per channel.
-    std::string name = json_escape(e.name);
+    std::string name = net::Json::escape(e.name);
     if (e.phase == 'C')
-      name += " [" + json_escape(track_label(row.pid, e.track)) + "]";
+      name += " [" + net::Json::escape(track_label(row.pid, e.track)) + "]";
     out << "{\"name\": \"" << name << "\", \"ph\": \"" << e.phase
         << "\", \"pid\": " << row.pid << ", \"tid\": " << e.track
         << ", \"ts\": " << fmt_us(e.ts_ns);
@@ -298,14 +279,14 @@ std::string Tracer::chrome_json() const {
       case 'X':
         out << ", \"dur\": " << fmt_us(e.dur_ns);
         if (!e.arg_name.empty())
-          out << ", \"args\": {\"" << json_escape(e.arg_name)
+          out << ", \"args\": {\"" << net::Json::escape(e.arg_name)
               << "\": " << fmt_val(e.value) << '}';
         break;
       case 'i':
         out << ", \"s\": \"t\"";
         break;
       case 'C':
-        out << ", \"args\": {\"" << json_escape(e.arg_name)
+        out << ", \"args\": {\"" << net::Json::escape(e.arg_name)
             << "\": " << fmt_val(e.value) << '}';
         break;
       case 's':

@@ -177,6 +177,8 @@ class Tracer {
 
  private:
   TraceBuffer* thread_buffer();
+  /// export_events() without the lock; the caller holds mutex_.
+  std::vector<ExportedTraceEvent> own_events_locked() const;
 
   std::atomic<bool> enabled_{false};
   std::size_t capacity_ = 1 << 16;

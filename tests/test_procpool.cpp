@@ -791,8 +791,7 @@ TEST(ProcPoolWire, DegreeBatchMatchesControllerBuiltRows) {
     EXPECT_EQ(entries[i].get_number("energy_pj"), want.energy_pj);
     EXPECT_EQ(programs[i].get_uint64("flat"), flat);
     EXPECT_EQ(programs[i].get_string("text"),
-              dram::to_text(dram::program_from_trace(
-                  reference.trace_if(flat)->entries(), flat, width)));
+              dram::to_text(*reference.trace_if(flat)));
   }
 }
 

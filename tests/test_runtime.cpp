@@ -164,8 +164,16 @@ TEST(Engine, FailFastRejectsSubmissionAfterChannelFailure) {
   dram::Device device(small_geometry());
   Engine engine(device, {.channels = 2, .queue_capacity = 4});
   engine.submit(0, [] { throw SimulationError("channel fault"); });
-  while (!engine.channel_failed(0))
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // Until the worker has run the failing task, a no-op submit is accepted
+  // (and dropped behind the failure); from then on it is refused.
+  for (bool refused = false; !refused;) {
+    try {
+      engine.submit(0, [] {});
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } catch (const SimulationError&) {
+      refused = true;
+    }
+  }
   // New work on the dead channel is rejected immediately...
   EXPECT_THROW(engine.submit(0, [] {}), SimulationError);
   // ...while the healthy channel keeps accepting.
@@ -196,8 +204,6 @@ TEST(Engine, DrainResetsEveryChannelAfterMultiChannelFailure) {
     EXPECT_NE(std::string(e.what()).find("channel 0"), std::string::npos);
   }
   // …and afterwards every channel, including channel 1, accepts work again.
-  EXPECT_FALSE(engine.channel_failed(0));
-  EXPECT_FALSE(engine.channel_failed(1));
   std::atomic<int> retired{0};
   engine.submit(0, [&] { ++retired; });
   engine.submit(1, [&] { ++retired; });
@@ -241,6 +247,32 @@ TEST(Engine, WatchdogSurfacesStalledChannel) {
     EXPECT_THROW(engine.drain(), SimulationError);
     // Un-wedge the worker before destruction so the test leaks nothing
     // (the destructor only abandons workers that are still stuck).
+    release = true;
+    while (!task_done.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+}
+
+TEST(Engine, WatchdogSupervisesSingleChannel) {
+  // One channel normally runs its tasks inline on the caller; a stall
+  // timeout moves the channel onto a worker so the watchdog can fire.
+  dram::Device device(small_geometry());
+  EngineOptions opt;
+  opt.channels = 1;
+  opt.stall_timeout_ms = 50.0;
+  std::atomic<bool> release{false};
+  std::atomic<bool> task_done{false};
+  {
+    Engine engine(device, opt);
+    engine.submit(0, [&] {
+      const auto begin = std::chrono::steady_clock::now();
+      while (!release.load() &&
+             std::chrono::steady_clock::now() - begin < std::chrono::seconds(2))
+        std::this_thread::yield();
+      task_done = true;
+    });
+    EXPECT_THROW(engine.drain(), EngineStalledError);
+    EXPECT_TRUE(engine.stalled());
     release = true;
     while (!task_done.load()) std::this_thread::yield();
     std::this_thread::sleep_for(std::chrono::milliseconds(50));

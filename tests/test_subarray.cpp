@@ -444,7 +444,7 @@ TEST(SubarrayFusedKernels, MatchPerCommandSequenceIncludingAliases) {
     Subarray fused(g, circuit::default_technology());
     Subarray stepped(g, circuit::default_technology());
     stepped.attach_fault_injector(zero_rate_injector(g));
-    TraceSink fused_trace, stepped_trace;
+    Program fused_trace, stepped_trace;
     fused.attach_trace(&fused_trace);
     stepped.attach_trace(&stepped_trace);
 
@@ -472,9 +472,7 @@ TEST(SubarrayFusedKernels, MatchPerCommandSequenceIncludingAliases) {
       }
     }
     expect_same_state(fused, stepped);
-    EXPECT_EQ(fused_trace.to_csv(), stepped_trace.to_csv());
-    EXPECT_EQ(to_text(program_from_trace(fused_trace.entries(), 0, cols)),
-              to_text(program_from_trace(stepped_trace.entries(), 0, cols)));
+    EXPECT_EQ(to_text(fused_trace), to_text(stepped_trace));
   }
 }
 

@@ -312,6 +312,13 @@ TEST(Metrics, JsonSnapshotIsWellFormedAndClassFiltered) {
   EXPECT_NE(model.find("pima_model_total"), std::string::npos);
 }
 
+TEST(Metrics, ControlCharactersInLabelsAreEscaped) {
+  MetricsRegistry reg;
+  reg.counter("pima_labelled_total", "l", {{"job", "a\nb\x01"}}).add(1.0);
+  const auto json = reg.json_snapshot();
+  EXPECT_TRUE(json_ok(json)) << json;
+}
+
 TEST(Metrics, BreakdownMetricsMatchBreakdownExactly) {
   dram::CommandStats stats;
   stats.counts[static_cast<std::size_t>(dram::CommandKind::kAapCopy)] = 7;
@@ -359,6 +366,16 @@ TEST(Tracer, RecordsSpansInstantsAndCounters) {
   // Thread-name metadata for Perfetto track labels.
   EXPECT_NE(json.find("thread_name"), std::string::npos);
   EXPECT_NE(json.find("\"main\""), std::string::npos);
+}
+
+TEST(Tracer, ControlCharactersInTrackNamesAreEscaped) {
+  Tracer t;
+  t.enable();
+  t.set_track_name(1, "a\nb\x01");
+  t.record_counter("depth", 1.0, 1);
+  t.disable();
+  const auto json = t.chrome_json();
+  EXPECT_TRUE(json_ok(json)) << json;
 }
 
 TEST(Tracer, DisabledRecordingIsANoOp) {
