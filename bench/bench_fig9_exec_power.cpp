@@ -6,7 +6,6 @@
 #include <cstring>
 #include <string>
 
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/cost_model.hpp"
 #include "platforms/presets.hpp"

@@ -40,9 +40,6 @@ struct TimingParams {
   /// One AAP (ACTIVATE-ACTIVATE-PRECHARGE) primitive. Ambit reports AAP ≈
   /// 2×tRAS + tRP using back-to-back activates within the row cycle.
   double aap_ns() const { return 2.0 * t_ras_ns + t_rp_ns; }
-  /// One AP (single ACTIVATE + PRECHARGE) — used for multi-row activations
-  /// that complete in one row cycle (two-row XNOR, TRA carry).
-  double ap_ns() const { return t_ras_ns + t_rp_ns; }
 };
 
 /// Per-command energies (pJ) for a 256-column sub-array row operation,

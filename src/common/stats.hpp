@@ -1,9 +1,9 @@
-// Small statistics helpers used by the Monte-Carlo engine and benchmark
-// reporting: running mean/variance (Welford) and fixed-bin histograms.
+// Small statistics helpers: a running mean/variance accumulator (Welford),
+// which the Rng moment tests measure with, and the geometric mean that the
+// benchmark reports average ratios with.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace pima {
@@ -27,29 +27,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Fixed-range histogram with uniform bins; values outside the range are
-/// clamped into the first/last bin.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bin) const { return counts_[bin]; }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t bin) const;
-  double bin_high(std::size_t bin) const;
-
-  /// ASCII rendering for reports.
-  std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Geometric mean of a non-empty set of positive values.

@@ -15,7 +15,6 @@
 namespace pima {
 
 constexpr double ns_to_s(double ns) { return ns * 1e-9; }
-constexpr double s_to_ns(double s) { return s * 1e9; }
 constexpr double pj_to_j(double pj) { return pj * 1e-12; }
 constexpr double j_to_pj(double j) { return j * 1e12; }
 

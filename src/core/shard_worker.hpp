@@ -197,7 +197,6 @@ class ShardWorkerCore {
   net::Json handle(const net::Json& request);
 
   bool shutdown_requested() const { return shutdown_; }
-  std::size_t device_index() const { return init_.device; }
 
  private:
   net::Json op_kmers(const net::Json& req);

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "assembly/kmer.hpp"
 #include "common/error.hpp"
 #include "common/fsio.hpp"
 
@@ -51,7 +52,8 @@ void check_range(const char* field, double value, double min, double max,
 void JobSpec::validate() const {
   if (reads_path.empty())
     throw InputFormatError("job spec: reads path must not be empty");
-  check_range("k", static_cast<double>(k), 4, 64, true);
+  check_range("k", static_cast<double>(k), 4,
+              static_cast<double>(assembly::Kmer::kMaxK), true);
   check_range("shards", static_cast<double>(hash_shards), 1, 4096, true);
   check_range("threads", static_cast<double>(channels), 1, 1024, true);
   check_range("devices", static_cast<double>(devices), 1, 64, true);

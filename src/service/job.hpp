@@ -48,7 +48,7 @@ inline bool is_terminal(JobState s) {
 /// flag clamps: bad values throw InputFormatError naming the field.
 struct JobSpec {
   std::string reads_path;          ///< FASTA/FASTQ the daemon reads
-  std::size_t k = 17;              ///< k-mer length (4..64)
+  std::size_t k = 17;              ///< k-mer length (4..Kmer::kMaxK)
   std::size_t hash_shards = 16;    ///< hash-table sub-arrays (1..4096)
   std::size_t channels = 1;        ///< per-device channel quota (1..1024)
   std::size_t devices = 1;         ///< simulated devices the job shards

@@ -97,34 +97,6 @@ TEST(RunningStats, KnownValues) {
   EXPECT_EQ(s.max(), 9.0);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(-5.0);   // clamps into first bin
-  h.add(100.0);  // clamps into last bin
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(9), 10.0);
-}
-
-TEST(Histogram, InvalidConstruction) {
-  EXPECT_THROW(Histogram(0.0, 10.0, 0), PreconditionError);
-  EXPECT_THROW(Histogram(5.0, 5.0, 4), PreconditionError);
-}
-
-TEST(Histogram, RenderContainsCounts) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.1);
-  h.add(0.9);
-  h.add(0.95);
-  const auto text = h.render(10);
-  EXPECT_NE(text.find(" 1\n"), std::string::npos);
-  EXPECT_NE(text.find(" 2\n"), std::string::npos);
-}
-
 TEST(GeometricMean, KnownValuesAndErrors) {
   EXPECT_NEAR(geometric_mean({1.0, 4.0}), 2.0, 1e-12);
   EXPECT_NEAR(geometric_mean({2.0, 2.0, 2.0}), 2.0, 1e-12);

@@ -94,12 +94,16 @@ TEST(ServiceJson, MalformedInputThrowsTyped) {
 TEST(ServiceJob, SpecValidationNamesTheBadField) {
   JobSpec spec;
   spec.reads_path = "/tmp/reads.fa";
-  spec.k = 3;  // below the documented 4..64 range
-  try {
-    spec.validate();
-    FAIL() << "expected InputFormatError";
-  } catch (const InputFormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("k"), std::string::npos);
+  // Below the documented range, and above Kmer::kMaxK (the pipeline's
+  // own limit, so a spec the daemon admits is one the pipeline can run).
+  for (const std::size_t bad_k : {std::size_t{3}, std::size_t{33}}) {
+    spec.k = bad_k;
+    try {
+      spec.validate();
+      FAIL() << "expected InputFormatError for k = " << bad_k;
+    } catch (const InputFormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("k must be"), std::string::npos);
+    }
   }
   spec.k = 17;
   spec.channels = 0;

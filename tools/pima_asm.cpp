@@ -13,6 +13,7 @@
 // estimates for every platform.
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -20,11 +21,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <random>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -32,6 +35,7 @@
 
 #include "assembly/assembler.hpp"
 #include "assembly/gfa.hpp"
+#include "assembly/kmer.hpp"
 #include "assembly/spectrum.hpp"
 #include "assembly/verify.hpp"
 #include "common/table.hpp"
@@ -79,14 +83,6 @@ class Args {
     if (!v) fail("missing required --" + key);
     return *v;
   }
-  std::size_t get_size(const std::string& key, std::size_t fallback) const {
-    const auto v = get(key);
-    return v ? static_cast<std::size_t>(std::stoull(*v)) : fallback;
-  }
-  double get_double(const std::string& key, double fallback) const {
-    const auto v = get(key);
-    return v ? std::stod(*v) : fallback;
-  }
   bool has(const std::string& key) const { return values_.count(key) > 0; }
 
   [[noreturn]] static void fail(const std::string& msg) {
@@ -98,28 +94,42 @@ class Args {
   std::map<std::string, std::string> values_;
 };
 
-// Typed flag validation: unlike Args::get_size (stoull, which silently
-// wraps "-1" to 2^64-1), these parse strictly and reject out-of-range or
-// non-numeric values with InputFormatError → the documented "malformed
-// input" exit code, naming the flag and the accepted range.
+// Numeric flags: every one parses strictly (the whole token; no sign on
+// an integer, so "-1" cannot wrap to 2^64-1) and must lie in [min, max].
+// Anything else raises InputFormatError → the documented "malformed input"
+// exit code, naming the flag and the accepted range. A max of the type's
+// largest value leaves the flag unbounded above.
+template <typename T>
+[[noreturn]] void reject_flag(const std::string& key, const char* what, T min,
+                              T max, const std::string& got) {
+  auto text = [](T x) {
+    if constexpr (std::is_integral_v<T>) {
+      return std::to_string(x);
+    } else {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.10g", x);
+      return std::string(buf);
+    }
+  };
+  const std::string range =
+      max == std::numeric_limits<T>::max()
+          ? " >= " + text(min)
+          : " in [" + text(min) + ", " + text(max) + "]";
+  throw InputFormatError("--" + key + " must be " + what + range + ", got '" +
+                         got + "'");
+}
+
 std::size_t get_bounded_size(const Args& args, const std::string& key,
                              std::size_t fallback, std::size_t min,
                              std::size_t max) {
   const auto v = args.get(key);
   if (!v) return fallback;
-  long long n = 0;
-  std::size_t pos = 0;
-  try {
-    n = std::stoll(*v, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != v->size() || n < 0 || static_cast<unsigned long long>(n) < min ||
-      static_cast<unsigned long long>(n) > max)
-    throw InputFormatError("--" + key + " must be an integer in [" +
-                           std::to_string(min) + ", " + std::to_string(max) +
-                           "], got '" + *v + "'");
-  return static_cast<std::size_t>(n);
+  std::size_t n = 0;
+  const char* end = v->data() + v->size();
+  const auto [ptr, ec] = std::from_chars(v->data(), end, n);
+  if (ec != std::errc{} || ptr != end || n < min || n > max)
+    reject_flag(key, "an integer", min, max, *v);
+  return n;
 }
 
 double get_bounded_double(const Args& args, const std::string& key,
@@ -134,11 +144,18 @@ double get_bounded_double(const Args& args, const std::string& key,
     pos = 0;
   }
   if (pos != v->size() || !std::isfinite(n) || n < min || n > max)
-    throw InputFormatError("--" + key + " must be a number in [" +
-                           std::to_string(min) + ", " + std::to_string(max) +
-                           "], got '" + *v + "'");
+    reject_flag(key, "a number", min, max, *v);
   return n;
 }
+
+constexpr std::size_t kNoMax = std::numeric_limits<std::size_t>::max();
+constexpr double kNoMaxReal = std::numeric_limits<double>::max();
+constexpr std::size_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::size_t kMaxK = assembly::Kmer::kMaxK;
+
+/// Smallest --rows that holds a hash shard: core::ShardLayout needs more
+/// than 10 data rows above the compute rows.
+std::size_t min_rows(const dram::Geometry& g) { return g.compute_rows + 11; }
 
 // SIGINT/SIGTERM turn into a cooperative cancel (pim-run) or a graceful
 // daemon shutdown (serve). Both request paths are async-signal-safe.
@@ -178,17 +195,17 @@ void report_verification(const std::string& reference_path,
 
 int cmd_generate(const Args& args) {
   dna::GenomeParams gp;
-  gp.length = args.get_size("length", 50'000);
-  gp.gc_content = args.get_double("gc", 0.42);
-  gp.repeat_count = args.get_size("repeats", 10);
-  gp.repeat_length = args.get_size("repeat-length", 300);
-  gp.seed = args.get_size("seed", 14);
+  gp.length = get_bounded_size(args, "length", 50'000, 1, kNoMax);
+  gp.gc_content = get_bounded_double(args, "gc", 0.42, 0.0, 1.0);
+  gp.repeat_count = get_bounded_size(args, "repeats", 10, 0, kNoMax);
+  gp.repeat_length = get_bounded_size(args, "repeat-length", 300, 0, kNoMax);
+  gp.seed = get_bounded_size(args, "seed", 14, 0, kNoMax);
   const auto genome = dna::generate_genome(gp);
 
   dna::ReadSamplerParams rp;
-  rp.read_length = args.get_size("read-length", 101);
-  rp.coverage = args.get_double("coverage", 20.0);
-  rp.error_rate = args.get_double("errors", 0.0);
+  rp.read_length = get_bounded_size(args, "read-length", 101, 1, kNoMax);
+  rp.coverage = get_bounded_double(args, "coverage", 20.0, 0.0, kNoMaxReal);
+  rp.error_rate = get_bounded_double(args, "errors", 0.0, 0.0, 1.0);
   rp.seed = gp.seed + 1;
   const auto reads = dna::sample_reads(genome, rp);
 
@@ -207,9 +224,9 @@ int cmd_generate(const Args& args) {
 int cmd_assemble(const Args& args) {
   const auto reads = load_reads(args.require("reads"));
   assembly::AssemblyOptions opt;
-  opt.k = args.get_size("k", 21);
-  opt.min_kmer_freq =
-      static_cast<std::uint32_t>(args.get_size("min-freq", 1));
+  opt.k = get_bounded_size(args, "k", 21, 2, kMaxK);
+  opt.min_kmer_freq = static_cast<std::uint32_t>(
+      get_bounded_size(args, "min-freq", 1, 0, kMaxU32));
   opt.euler_contigs = args.has("euler");
   opt.use_multiplicity = args.has("multiplicity") || args.has("simplify");
   opt.simplify = args.has("simplify");
@@ -252,7 +269,7 @@ int cmd_assemble(const Args& args) {
 int cmd_pim_run(const Args& args) {
   const auto reads = load_reads(args.require("reads"));
   dram::Geometry geom;
-  geom.rows = args.get_size("rows", 512);
+  geom.rows = get_bounded_size(args, "rows", 512, min_rows(geom), kNoMax);
   geom.columns = 256;
   geom.subarrays_per_mat = 16;
   geom.mats_per_bank = 4;
@@ -260,8 +277,10 @@ int cmd_pim_run(const Args& args) {
   dram::Device device(geom);
 
   core::PipelineOptions opt;
-  opt.k = args.get_size("k", 17);
-  opt.hash_shards = args.get_size("shards", 16);
+  opt.k = get_bounded_size(args, "k", 17, 2, kMaxK);
+  // Stage 2 stores the graph in the sub-arrays after the hash shards.
+  opt.hash_shards =
+      get_bounded_size(args, "shards", 16, 1, geom.total_subarrays() - 1);
   opt.euler_contigs = args.has("euler");
   // 0 = resolve to hardware concurrency inside the runtime engine.
   opt.threads = get_bounded_size(args, "threads", 0, 0, 1024);
@@ -280,12 +299,13 @@ int cmd_pim_run(const Args& args) {
 
   // Fault-aware execution flags. --fault-variation is the ±% process
   // variation from paper Table I (0.10 = ±10%); injection stays off at 0.
-  opt.fault.variation = args.get_double("fault-variation", 0.0);
-  opt.fault.seed =
-      static_cast<std::uint64_t>(args.get_size("fault-seed", 2020));
+  opt.fault.variation =
+      get_bounded_double(args, "fault-variation", 0.0, 0.0, 1.0);
+  opt.fault.seed = get_bounded_size(args, "fault-seed", 2020, 0, kNoMax);
   opt.fault.retention_flip_per_op =
-      args.get_double("fault-retention", 0.0);
-  opt.fault.weak_row_fraction = args.get_double("fault-weak-rows", 0.0);
+      get_bounded_double(args, "fault-retention", 0.0, 0.0, 1.0);
+  opt.fault.weak_row_fraction =
+      get_bounded_double(args, "fault-weak-rows", 0.0, 0.0, 1.0);
   if (const auto mode = args.get("recovery")) {
     const auto parsed = runtime::parse_recovery_mode(*mode);
     if (!parsed)
@@ -293,10 +313,10 @@ int cmd_pim_run(const Args& args) {
                  "' (expected off, retry or vote)");
     opt.recovery.mode = *parsed;
   }
-  opt.recovery.max_retries =
-      args.get_size("max-retries", opt.recovery.max_retries);
-  opt.recovery.subarray_failure_budget = args.get_size(
-      "failure-budget", opt.recovery.subarray_failure_budget);
+  opt.recovery.max_retries = get_bounded_size(
+      args, "max-retries", opt.recovery.max_retries, 0, kNoMax);
+  opt.recovery.subarray_failure_budget = get_bounded_size(
+      args, "failure-budget", opt.recovery.subarray_failure_budget, 0, kNoMax);
   // Oracle capture: record every DRAM command and dump the replayable AAP
   // program (feed it to `pima_fuzz --replay` for golden-model checking).
   const auto dump_trace = args.get("dump-trace");
@@ -346,7 +366,8 @@ int cmd_pim_run(const Args& args) {
   if (metrics_out || args.has("progress")) session.enable_metrics();
   if (args.has("progress"))
     // Bare --progress parses as "1" → the default 1 s interval.
-    opt.progress_interval_s = args.get_double("progress", 1.0);
+    opt.progress_interval_s =
+        get_bounded_double(args, "progress", 1.0, 0.0, kNoMaxReal);
 
   const bool fault_aware =
       opt.fault.enabled() || opt.recovery.mode != runtime::RecoveryMode::kOff;
@@ -463,10 +484,11 @@ int cmd_pim_run(const Args& args) {
 
 int cmd_spectrum(const Args& args) {
   const auto reads = load_reads(args.require("reads"));
-  const std::size_t k = args.get_size("k", 21);
+  const std::size_t k = get_bounded_size(args, "k", 21, 1, kMaxK);
   const auto spec = assembly::compute_spectrum(
       assembly::build_hashmap(reads, k),
-      static_cast<std::uint32_t>(args.get_size("max-freq", 64)));
+      static_cast<std::uint32_t>(
+          get_bounded_size(args, "max-freq", 64, 2, kMaxU32)));
   const auto a = assembly::analyze_spectrum(spec);
   std::printf("k=%zu  distinct=%llu  total=%llu\n", k,
               static_cast<unsigned long long>(spec.distinct_kmers),
@@ -487,7 +509,7 @@ int cmd_spectrum(const Args& args) {
 
 int cmd_project(const Args& args) {
   core::WorkloadParams w;
-  w.k = args.get_size("k", 16);
+  w.k = get_bounded_size(args, "k", 16, 1, kMaxK);
   TextTable table("chr14 full-scale projection (paper Fig. 9 configuration)");
   table.set_header({"platform", "hashmap (s)", "deBruijn (s)",
                     "traverse (s)", "total (s)", "power (W)"});
@@ -522,7 +544,8 @@ int cmd_serve(const Args& args) {
   opt.max_connections = get_bounded_size(args, "max-conns", 64, 1, 4096);
   // Same default geometry as `pim-run`, so service jobs are bit-identical
   // to standalone runs of the same spec.
-  opt.geometry.rows = get_bounded_size(args, "rows", 512, 16, 65536);
+  opt.geometry.rows =
+      get_bounded_size(args, "rows", 512, min_rows(opt.geometry), 65536);
   opt.geometry.columns = 256;
   opt.geometry.subarrays_per_mat = 16;
   opt.geometry.mats_per_bank = 4;
@@ -667,7 +690,7 @@ int cmd_submit(const Args& args) {
   // path so a daemon started from another directory resolves it.
   req.set("reads",
           std::filesystem::absolute(args.require("reads")).string());
-  req.set("k", get_bounded_size(args, "k", 17, 4, 64));
+  req.set("k", get_bounded_size(args, "k", 17, 4, kMaxK));
   req.set("shards", get_bounded_size(args, "shards", 16, 1, 4096));
   req.set("threads", get_bounded_size(args, "threads", 1, 1, 1024));
   req.set("devices", get_bounded_size(args, "devices", 1, 1, 64));
@@ -676,8 +699,8 @@ int cmd_submit(const Args& args) {
   // same admission budgets.
   if (args.has("isolate")) req.set("isolation", "process");
   if (args.has("euler")) req.set("euler", true);
-  req.set("priority",
-          static_cast<std::int64_t>(args.get_double("priority", 0.0)));
+  req.set("priority", static_cast<std::int64_t>(get_bounded_double(
+                          args, "priority", 0.0, -1000.0, 1000.0)));
   req.set("stall_timeout_ms",
           get_bounded_double(args, "stall-timeout", 0.0, 0.0, 86'400'000.0));
   // Every submit carries a dedupe token, so a retried submit (here or by a

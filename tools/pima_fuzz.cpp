@@ -29,6 +29,7 @@
 // answers ping afterwards. Exit code = number of violated inputs.
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,6 +56,16 @@ using namespace pima;
 [[noreturn]] void fail(const std::string& msg) {
   std::fprintf(stderr, "pima_fuzz: %s\n", msg.c_str());
   std::exit(2);
+}
+
+/// Strict non-negative integer flag value: the whole token, no sign.
+std::uint64_t parse_count(const std::string& flag, const std::string& text) {
+  std::uint64_t n = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc{} || ptr != end)
+    fail(flag + " must be a non-negative integer, got '" + text + "'");
+  return n;
 }
 
 void usage() {
@@ -452,17 +463,17 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--seeds")
-      seeds = std::stoull(value());
+      seeds = parse_count(arg, value());
     else if (arg == "--ops")
-      opts.ops = std::stoull(value());
+      opts.ops = parse_count(arg, value());
     else if (arg == "--seed")
-      opts.seed = std::stoull(value());
+      opts.seed = parse_count(arg, value());
     else if (arg == "--subarrays")
-      opts.subarrays = std::stoull(value());
+      opts.subarrays = parse_count(arg, value());
     else if (arg == "--rows")
-      opts.geometry.rows = std::stoull(value());
+      opts.geometry.rows = parse_count(arg, value());
     else if (arg == "--columns")
-      opts.geometry.columns = std::stoull(value());
+      opts.geometry.columns = parse_count(arg, value());
     else if (arg == "--replay")
       replay = value();
     else if (arg == "--inject-latch-flip")
@@ -470,7 +481,7 @@ int main(int argc, char** argv) {
     else if (arg == "--service")
       service = true;
     else if (arg == "--devices") {
-      devices = std::stoull(value());
+      devices = parse_count(arg, value());
       if (devices < 1 || devices > 64) fail("--devices must be in [1, 64]");
     }
     else if (arg == "--help" || arg == "-h") {
