@@ -11,11 +11,11 @@
 //     device state is a pure function of its request journal, so a crash
 //     + replay lands on the exact pre-crash state.
 //
-// Sub-array `flat` lives on device dram::owner_of(flat, devices), and both
-// fold statistics and traces through the same dram::fold_in_flat_order /
-// dram::merge_in_flat_order, so contigs, per-stage DeviceStats,
-// model-class metrics and trace bytes are identical across transports,
-// device counts, channel counts and worker crashes.
+// Sub-array `flat` lives on device dram::owner_of(flat, devices); both
+// fold statistics through the same dram::fold_in_flat_order and append
+// each sub-array's trace in logical flat order, so contigs, per-stage
+// DeviceStats, model-class metrics and trace bytes are identical across
+// transports, device counts, channel counts and worker crashes.
 #include "core/pipeline.hpp"
 
 #include <algorithm>
@@ -144,7 +144,8 @@ runtime::EngineOptions engine_options(const PipelineOptions& o) {
 // single-device path.
 class InProcessShards final : public ShardBackend {
  public:
-  InProcessShards(dram::Device& device, const PipelineOptions& options) {
+  InProcessShards(dram::Device& device, const PipelineOptions& options)
+      : total_(device.geometry().total_subarrays()) {
     runtime::EngineOptions engine = engine_options(options);
     // With more than one device, even a one-channel engine must own a real
     // worker — otherwise every device would retire inline on the
@@ -228,9 +229,11 @@ class InProcessShards final : public ShardBackend {
   }
 
   dram::Program captured_trace() override {
-    std::vector<dram::SubarrayPrograms> per_device;
-    for (const auto& shard : shards_) per_device.push_back(shard->traces());
-    return dram::merge_in_flat_order(std::move(per_device));
+    dram::Program program;
+    for (std::size_t flat = 0; flat < total_; ++flat)
+      if (const dram::Program* part = owner(flat).trace(flat))
+        program.insert(program.end(), part->begin(), part->end());
+    return program;
   }
 
   // FaultStats counters are integral, so the per-device sum is exact.
@@ -260,6 +263,7 @@ class InProcessShards final : public ShardBackend {
   // its device goes.
   std::vector<std::unique_ptr<dram::Device>> extras_;
   std::vector<std::unique_ptr<DeviceShard>> shards_;
+  const std::size_t total_;  ///< sub-arrays per device
 };
 
 // ---- Rpc transport ---------------------------------------------------------
@@ -343,21 +347,18 @@ runtime::ProcPoolOptions pool_options(const PipelineOptions& options) {
   runtime::ProcPoolOptions p;
   p.devices = options.devices;
   p.devd_path = options.isolate_opts.devd_path;
-  p.liveness_timeout_s = options.isolate_opts.liveness_timeout_s;
   p.restart_budget = options.isolate_opts.restart_budget;
-  p.restart_backoff_ms = options.isolate_opts.restart_backoff_ms;
   // A traced run must keep the whole journal: a restarted worker rebuilds
   // its capture programs only by replaying every command since init.
   p.journal_truncation = !options.capture_trace;
-  p.child_iofault = options.isolate_opts.child_iofault;
   return p;
 }
 
 // Every DeviceShard in a pima_devd worker. Only command *execution*
 // crosses the process boundary; each verb is one request per device per
 // superstep, every device's request written before any response is read.
-// Statistics and traces come back per sub-array, are decoded into the
-// lists InProcessShards reads directly, and go through the same folds.
+// Statistics and traces come back per sub-array, are decoded into what
+// InProcessShards reads directly, and go through the same folds.
 class RpcShards final : public ShardBackend {
  public:
   RpcShards(const dram::Device& device, const PipelineOptions& options)
@@ -488,13 +489,26 @@ class RpcShards final : public ShardBackend {
     return fold;
   }
 
+  // Flats base .. base + devices - 1 belong to devices 0 .. devices - 1:
+  // each fan-out asks every device for its next owned sub-array, so no
+  // answer holds more than one sub-array's capture.
   dram::Program captured_trace() override {
-    const auto responses = sup_.query_all(to_every(make_op("trace")));
-    std::vector<dram::SubarrayPrograms> per_device;
-    for (std::size_t d = 0; d < responses.size(); ++d)
-      per_device.push_back(subarray_programs_from_json(
-          responses[d].get("programs"), d, responses.size(), total_));
-    return dram::merge_in_flat_order(std::move(per_device));
+    dram::Program program;
+    const std::size_t devices = sup_.devices();
+    for (std::size_t base = 0; base < total_; base += devices) {
+      std::vector<net::Json> requests(devices);
+      for (std::size_t d = 0; d < devices && base + d < total_; ++d) {
+        requests[d] = make_op("trace");
+        requests[d].set("flat", static_cast<std::uint64_t>(base + d));
+      }
+      const auto responses = sup_.query_all(requests);
+      for (std::size_t d = 0; d < devices && base + d < total_; ++d) {
+        dram::Program part = subarray_trace_from_json(responses[d], base + d);
+        program.insert(program.end(), std::make_move_iterator(part.begin()),
+                       std::make_move_iterator(part.end()));
+      }
+    }
+    return program;
   }
 
   runtime::FaultStats fault_stats() override { return {}; }

@@ -75,7 +75,7 @@ struct PipelineOptions {
   std::size_t queue_capacity = 64;
   /// Process isolation (runtime/procpool.hpp, DESIGN.md §15): run every
   /// device shard in its own `pima_devd` child process under the
-  /// fault-tolerant supervisor. A crashed/wedged/chaos-killed worker is
+  /// fault-tolerant supervisor. A crashed/stalled/chaos-killed worker is
   /// restarted and journal-replayed, so the outputs stay bit-identical to
   /// the in-process run — including runs where workers died mid-stage.
   /// The resume record stays `<checkpoint_dir>/pipeline.ckpt` alone, so
@@ -92,16 +92,9 @@ struct PipelineOptions {
     std::string devd_path;
     /// Total worker restarts allowed before degrading/failing.
     std::size_t restart_budget = 3;
-    /// Base restart backoff; doubles per consecutive restart, capped 2 s.
-    double restart_backoff_ms = 50.0;
-    /// Liveness deadline on worker responses/heartbeats; 0 = wait forever.
-    double liveness_timeout_s = 0.0;
     /// Exhausted budget: true reruns in-process (logged, typed
     /// transition), false throws WorkerCrashedError.
     bool allow_degrade = true;
-    /// PIMA_IOFAULT spec installed in the workers' environment (chaos
-    /// aimed at the process boundary); empty inherits the parent's.
-    std::string child_iofault;
   } isolate_opts;
   /// Stochastic fault injection (Table I calibrated). Defaults to
   /// fault-free: every output stays bit-identical to the unfaulted build.
@@ -111,9 +104,9 @@ struct PipelineOptions {
   /// can be measured at zero fault rate).
   runtime::RecoveryOptions recovery;
   /// Captures every DRAM command the pipeline issues as per-sub-array
-  /// instruction programs (Device::enable_tracing via the engine). The
-  /// capture replays through dram::captured_program() — e.g. `pima_asm
-  /// pim-run --dump-trace` → `pima_fuzz --replay` for oracle verification.
+  /// instruction programs (Device::enable_tracing via the engine),
+  /// returned as PipelineResult::trace — e.g. `pima_asm pim-run
+  /// --dump-trace` → `pima_fuzz --replay` for oracle verification.
   bool capture_trace = false;
   /// Directory for stage-boundary snapshots. Empty disables checkpointing.
   /// The snapshot file is `<checkpoint_dir>/pipeline.ckpt`, rewritten
@@ -167,10 +160,10 @@ struct PipelineResult {
   /// recovery off). `injected` counts raw bit flips the fault model
   /// applied; the rest count the recovery layer's responses.
   runtime::FaultStats fault_stats;
-  /// With capture_trace: the replayable AAP program, merged across the
-  /// devices in logical flat order — identical for every device count
-  /// (the extra devices die with the run, so their traces are harvested
-  /// here). Empty when capture_trace is off.
+  /// With capture_trace: the replayable AAP program, every sub-array's
+  /// capture appended in logical flat order — identical for every device
+  /// count and transport (the extra devices die with the run, so their
+  /// traces are harvested here). Empty when capture_trace is off.
   dram::Program trace;
 
   dram::DeviceStats total() const;

@@ -162,9 +162,8 @@ dram::SubarrayStats DeviceShard::subarray_stats() const {
 
 void DeviceShard::clear_stats() { device_.clear_stats(); }
 
-dram::SubarrayPrograms DeviceShard::traces() const {
-  if (!device_.tracing()) return {};
-  return dram::captured_programs(device_);
+const dram::Program* DeviceShard::trace(std::size_t flat) const {
+  return device_.trace_if(flat);
 }
 
 runtime::FaultStats DeviceShard::fault_stats() const {
@@ -280,9 +279,10 @@ WorkerInit worker_init_from_json(const net::Json& j) {
 ShardWorkerCore::ShardWorkerCore(const net::Json& init)
     : init_(worker_init_from_json(init)),
       device_(init_.geometry, init_.technology),
-      // A real worker thread even at channels == 1: the request loop must
-      // stay responsive (heartbeats, liveness) while kernels execute. One
-      // task per channel per `kmers` request: op_kmers flushes.
+      // A real worker thread even at channels == 1: the request loop
+      // answers while kernels execute, and the watchdog can only supervise
+      // a kernel off its thread. One task per channel per `kmers` request:
+      // op_kmers flushes.
       shard_(device_,
              [this] {
                runtime::EngineOptions e = init_.engine;
@@ -312,7 +312,7 @@ net::Json ShardWorkerCore::handle(const net::Json& request) {
   if (op == "degree_block") return op_degree_block(request);
   if (op == "stats") return op_stats();
   if (op == "clear_stats") return op_clear_stats();
-  if (op == "trace") return op_trace();
+  if (op == "trace") return op_trace(request);
   if (op == "telemetry") return op_telemetry();
   if (op == "ping") return ok_response();
   if (op == "shutdown") {
@@ -468,31 +468,17 @@ dram::SubarrayStats subarray_stats_from_json(const net::Json& list,
   return stats;
 }
 
-net::Json subarray_programs_to_json(const dram::SubarrayPrograms& programs) {
-  net::Json list = net::Json::array();
-  for (const auto& [flat, program] : programs) {
-    net::Json entry = net::Json::object();
-    entry.set("flat", static_cast<std::uint64_t>(flat));
-    entry.set("text", dram::to_text(program));
-    list.push_back(std::move(entry));
-  }
-  return list;
-}
-
-dram::SubarrayPrograms subarray_programs_from_json(const net::Json& list,
-                                                   std::size_t device,
-                                                   std::size_t devices,
-                                                   std::size_t total) {
-  std::vector<bool> seen(total);
-  dram::SubarrayPrograms programs;
-  for (const auto& entry : list.items()) {
-    const std::size_t flat =
-        owned_flat(entry, device, devices, seen, "device worker trace");
-    programs.emplace_back(flat,
-                          parse_program_text(entry.get("text").as_string(),
-                                             "device worker trace"));
-  }
-  return programs;
+dram::Program subarray_trace_from_json(const net::Json& response,
+                                       std::size_t flat) {
+  dram::Program program = parse_program_text(
+      response.get("text").as_string(), "device worker trace");
+  for (const auto& inst : program)
+    if (inst.subarray != flat)
+      throw InputFormatError("device worker trace: an instruction for flat " +
+                             std::to_string(inst.subarray) +
+                             " in the answer for flat " +
+                             std::to_string(flat));
+  return program;
 }
 
 net::Json extract_shards_to_json(const std::vector<KmerEntries>& shards) {
@@ -551,9 +537,13 @@ net::Json ShardWorkerCore::op_clear_stats() {
   return ok_response();
 }
 
-net::Json ShardWorkerCore::op_trace() {
+net::Json ShardWorkerCore::op_trace(const net::Json& req) {
+  const std::uint64_t flat = req.get("flat").as_uint64();
+  if (flat >= device_.geometry().total_subarrays())
+    bad_request("trace flat out of range");
+  const dram::Program* program = shard_.trace(static_cast<std::size_t>(flat));
   net::Json resp = ok_response();
-  resp.set("programs", subarray_programs_to_json(shard_.traces()));
+  resp.set("text", program != nullptr ? dram::to_text(*program) : "");
   return resp;
 }
 

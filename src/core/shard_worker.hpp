@@ -9,9 +9,9 @@
 // each `pima_devd` worker wraps around one (so tests exercise the protocol
 // in-process and the pima_devd main() stays a thin I/O loop; its engine
 // runs the watchdog, so a wedged kernel becomes a typed
-// EngineStalledError). The rpc side decodes the workers' lists with the
+// EngineStalledError). The rpc side decodes the workers' answers with the
 // *_from_json functions below, which reject what no worker sends, before
-// the shared dram::fold_in_flat_order / merge_in_flat_order.
+// the shared dram::fold_in_flat_order and the flat-order trace append.
 //
 // Verbs (one request object per line, one response object per request):
 //
@@ -29,7 +29,8 @@
 //                 blocks [[flat, n_local_sources, (from, to, mult)...], ...]
 //   stats         per-sub-array CommandStats of every touched sub-array
 //   clear_stats   stage-boundary statistics reset
-//   trace         per-sub-array replay programs (oracle capture)
+//   trace         one sub-array's replay program (oracle capture):
+//                 flat f → text, empty if the sub-array ran no command
 //   telemetry     cumulative span-buffer export for trace stitching
 //   ping          liveness probe
 //   shutdown      graceful exit handshake
@@ -104,8 +105,9 @@ class DeviceShard {
   /// Every sub-array that ran a command since the last clear_stats().
   dram::SubarrayStats subarray_stats() const;
   void clear_stats();
-  /// Per-sub-array replay programs; empty unless the engine captures.
-  dram::SubarrayPrograms traces() const;
+  /// Sub-array `flat`'s replay program; null unless the engine captures
+  /// and the sub-array was touched.
+  const dram::Program* trace(std::size_t flat) const;
   runtime::FaultStats fault_stats() const;
   /// Exports the engine counters — labelled {device=<label>} unless
   /// `device_label` is empty — and the recovery counters, whose
@@ -166,13 +168,11 @@ dram::SubarrayStats subarray_stats_from_json(const net::Json& list,
                                              std::size_t devices,
                                              std::size_t total);
 
-/// The `programs` list of a `trace` response: {flat, text} per sub-array.
-/// Unparseable text is an InputFormatError.
-net::Json subarray_programs_to_json(const dram::SubarrayPrograms& programs);
-dram::SubarrayPrograms subarray_programs_from_json(const net::Json& list,
-                                                   std::size_t device,
-                                                   std::size_t devices,
-                                                   std::size_t total);
+/// The program of a `trace` response for sub-array `flat`. Throws
+/// InputFormatError on unparseable text or an instruction aimed at
+/// another sub-array.
+dram::Program subarray_trace_from_json(const net::Json& response,
+                                       std::size_t flat);
 
 /// The `shards` list of an `extract` response: each shard's entries as
 /// one flat [kmer, freq, kmer, freq, ...] array, in request order.
@@ -207,7 +207,7 @@ class ShardWorkerCore {
   net::Json op_degree_block(const net::Json& req);
   net::Json op_stats();
   net::Json op_clear_stats();
-  net::Json op_trace();
+  net::Json op_trace(const net::Json& req);
   net::Json op_telemetry();
 
   WorkerInit init_;

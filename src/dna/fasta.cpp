@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/fsio.hpp"
 
 namespace pima::dna {
 namespace {
@@ -181,9 +182,9 @@ void write_fasta(std::ostream& out, const std::vector<Record>& records,
 void write_fasta_file(const std::string& path,
                       const std::vector<Record>& records,
                       std::size_t line_width) {
-  std::ofstream out(path);
-  if (!out) throw IoError("cannot open FASTA file for write: " + path);
+  std::ostringstream out;
   write_fasta(out, records, line_width);
+  fsio::atomic_write_file(path, out.str(), "artifact");
 }
 
 }  // namespace pima::dna

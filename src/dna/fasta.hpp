@@ -56,6 +56,9 @@ std::vector<Record> read_fastq(std::istream& in,
 void write_fasta(std::ostream& out, const std::vector<Record>& records,
                  std::size_t line_width = 70);
 
+/// Writes records as a FASTA file through fsio::atomic_write_file (site
+/// "artifact"): a reader sees the old file or the whole new one. Throws
+/// IoError when the file cannot be written.
 void write_fasta_file(const std::string& path,
                       const std::vector<Record>& records,
                       std::size_t line_width = 70);

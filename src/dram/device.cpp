@@ -50,8 +50,13 @@ EnergyBreakdown breakdown_from_stats(const CommandStats& stats,
 }
 
 StatsFold fold_in_flat_order(const std::vector<SubarrayStats>& per_device) {
+  std::vector<const SubarrayStats::value_type*> entries;
+  for (const auto& list : per_device)
+    for (const auto& entry : list) entries.push_back(&entry);
+  std::sort(entries.begin(), entries.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
   StatsFold fold;
-  for (const auto* entry : in_flat_order(per_device)) fold.add(entry->second);
+  for (const auto* entry : entries) fold.add(entry->second);
   return fold;
 }
 

@@ -12,7 +12,6 @@
 // a given workload usually touches a few.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <utility>
@@ -83,22 +82,10 @@ EnergyBreakdown breakdown_from_stats(const CommandStats& stats,
 /// order.
 using SubarrayStats = std::vector<std::pair<std::size_t, CommandStats>>;
 
-/// Every entry of several devices' (flat, value) lists, ordered by logical
-/// flat index. A sharded run holds each flat in one device only, so the
-/// order is total.
-template <typename PerDevice>
-auto in_flat_order(PerDevice& per_device) {
-  std::vector<decltype(&per_device[0][0])> entries;
-  for (auto& list : per_device)
-    for (auto& entry : list) entries.push_back(&entry);
-  std::sort(entries.begin(), entries.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  return entries;
-}
-
 /// Folds several devices' sub-array stats in logical flat order: the
 /// order, and therefore the doubles, of Device::fold on one device that ran
-/// every command.
+/// every command. A sharded run holds each flat in one device only, so the
+/// order is total.
 StatsFold fold_in_flat_order(const std::vector<SubarrayStats>& per_device);
 
 class Device {

@@ -1,7 +1,6 @@
 #include "dram/isa.hpp"
 
 #include <istream>
-#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -165,29 +164,14 @@ std::vector<Program> split_by_owner(Program program, std::size_t owners) {
   return parts;
 }
 
-SubarrayPrograms captured_programs(const Device& device) {
-  PIMA_CHECK(device.tracing(), "device is not capturing a trace");
-  SubarrayPrograms programs;
-  const std::size_t total = device.geometry().total_subarrays();
-  for (std::size_t flat = 0; flat < total; ++flat) {
-    const Program* capture = device.trace_if(flat);
-    if (capture != nullptr && !capture->empty())
-      programs.emplace_back(flat, *capture);
-  }
-  return programs;
-}
-
-Program merge_in_flat_order(std::vector<SubarrayPrograms> per_device) {
-  Program program;
-  for (auto* entry : in_flat_order(per_device))
-    program.insert(program.end(),
-                   std::make_move_iterator(entry->second.begin()),
-                   std::make_move_iterator(entry->second.end()));
-  return program;
-}
-
 Program captured_program(const Device& device) {
-  return merge_in_flat_order({captured_programs(device)});
+  PIMA_CHECK(device.tracing(), "device is not capturing a trace");
+  Program program;
+  const std::size_t total = device.geometry().total_subarrays();
+  for (std::size_t flat = 0; flat < total; ++flat)
+    if (const Program* capture = device.trace_if(flat))
+      program.insert(program.end(), capture->begin(), capture->end());
+  return program;
 }
 
 ExecutionResults execute(Device& device, const Program& program) {

@@ -27,7 +27,6 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dram/device.hpp"
@@ -74,25 +73,15 @@ ExecutionResults execute(Device& device, const Program& program);
 // ---- Capture (the oracle's replay path) -----------------------------------
 //
 // A device with Device::enable_tracing() captures, per sub-array, the exact
-// instructions that replay its commands — e.g. through the golden model for
-// differential verification (`pima_asm pim-run --dump-trace` →
-// `pima_fuzz --replay`).
+// instructions that replay its commands (Device::trace_if) — e.g. through
+// the golden model for differential verification (`pima_asm pim-run
+// --dump-trace` → `pima_fuzz --replay`). Sub-arrays share no state, so any
+// interleaving that preserves per-sub-array order is an exact replay; the
+// canonical one appends the captures in logical flat order, which makes a
+// sharded run's capture byte-identical to one device's.
 
-/// One device's traced sub-arrays, (flat index, captured program) in flat
-/// order.
-using SubarrayPrograms = std::vector<std::pair<std::size_t, Program>>;
-
-/// The capture of every sub-array that recorded a command. Throws
-/// PreconditionError unless the device is tracing.
-SubarrayPrograms captured_programs(const Device& device);
-
-/// Concatenates several devices' per-sub-array programs in logical flat
-/// order. Sub-arrays share no state, so any interleaving that preserves
-/// per-sub-array order is an exact replay; flat order is the canonical one,
-/// and a sharded run's merge is byte-identical to one device's capture.
-Program merge_in_flat_order(std::vector<SubarrayPrograms> per_device);
-
-/// The device's whole capture: captured_programs() merged.
+/// The device's whole capture: every sub-array's program appended in flat
+/// order. Throws PreconditionError unless the device is tracing.
 Program captured_program(const Device& device);
 
 }  // namespace pima::dram

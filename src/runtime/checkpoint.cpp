@@ -1,10 +1,6 @@
 #include "runtime/checkpoint.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <array>
-#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -273,24 +269,8 @@ PipelineSnapshot deserialize_payload(const std::string& payload,
   return snap;
 }
 
-// POSIX write-the-whole-buffer with IoError on failure. Routed through
-// the fsio shim so chaos tests can inject ENOSPC/short writes/torn-write
-// crash points into checkpoint persistence (site "checkpoint").
-void write_all(int fd, const char* data, std::size_t size,
-               const std::string& path) {
-  while (size > 0) {
-    const ssize_t n = fsio::write(fd, data, size, "checkpoint");
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw IoError("write failed for " + path + ": " +
-                    std::strerror(errno));
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-}
-
-// Header + atomic-rename write.
+// Header + payload in one crash-safe write (site "checkpoint", so chaos
+// plans reach snapshot persistence).
 void write_checkpoint_file(const std::string& path,
                            const std::string& payload) {
   Writer header;
@@ -298,32 +278,7 @@ void write_checkpoint_file(const std::string& path,
   header.u32(kCheckpointVersion);
   header.u64(payload.size());
   header.u32(crc32(payload.data(), payload.size()));
-
-  const std::string tmp = path + ".tmp";
-  const int fd =
-      fsio::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644, "checkpoint");
-  if (fd < 0)
-    throw IoError("cannot create " + tmp + ": " + std::strerror(errno));
-  try {
-    write_all(fd, header.str().data(), header.str().size(), tmp);
-    write_all(fd, payload.data(), payload.size(), tmp);
-    if (fsio::fsync(fd, "checkpoint") != 0)
-      throw IoError("fsync failed for " + tmp + ": " + std::strerror(errno));
-  } catch (...) {
-    ::close(fd);
-    fsio::unlink(tmp.c_str(), "checkpoint");
-    throw;
-  }
-  ::close(fd);
-  if (fsio::rename(tmp.c_str(), path.c_str(), "checkpoint") != 0) {
-    const int err = errno;
-    fsio::unlink(tmp.c_str(), "checkpoint");
-    throw IoError("cannot rename " + tmp + " to " + path + ": " +
-                  std::strerror(err));
-  }
-  // Durability of the rename itself: fsync the containing directory. A
-  // failure is survivable but counted + logged once (fsio satellite).
-  fsio::fsync_parent_dir(path, "checkpoint");
+  fsio::atomic_write_file(path, header.str() + payload, "checkpoint");
 }
 
 // Header validation; returns the CRC-checked payload.

@@ -106,12 +106,10 @@ const WireVerb& wire_verb(std::string_view op) {
 
 const char* to_string(WorkerExitClass c) {
   switch (c) {
-    case WorkerExitClass::kClean: return "clean exit";
     case WorkerExitClass::kStalled: return "engine stall";
     case WorkerExitClass::kCrashExit: return "crash exit";
     case WorkerExitClass::kSignal: return "killed by signal";
     case WorkerExitClass::kTorn: return "torn protocol";
-    case WorkerExitClass::kWedged: return "wedged (liveness deadline)";
   }
   return "?";
 }
@@ -231,8 +229,6 @@ void ProcSupervisor::spawn(std::size_t d) {
   w.pid = pid;
   w.fd = net::ScopedFd(sv[0]);
   w.channel = std::make_unique<net::LineChannel>(w.fd.get());
-  if (options_.liveness_timeout_s > 0)
-    w.channel->set_deadline(options_.liveness_timeout_s);
   if (w.stderr_relay.joinable()) w.stderr_relay.join();
   w.stderr_relay = std::thread(relay_stderr, ep[0], d);
   w.alive = true;
@@ -241,14 +237,10 @@ void ProcSupervisor::spawn(std::size_t d) {
 
 net::Json ProcSupervisor::read_response(Worker& w, std::size_t& bytes) {
   std::string response;
-  for (;;) {
-    if (!w.channel->read_line(response))
-      throw IoError("device worker closed the stream mid-request");
-    net::Json j = net::Json::parse(response);
-    if (j.has("hb")) continue;  // heartbeat: read_line already re-armed
-    bytes = response.size() + 1;
-    return j;
-  }
+  if (!w.channel->read_line(response))
+    throw IoError("device worker closed the stream mid-request");
+  bytes = response.size() + 1;
+  return net::Json::parse(response);
 }
 
 net::Json ProcSupervisor::transact(Worker& w, const std::string& line) {
@@ -282,8 +274,7 @@ void ProcSupervisor::respawn(std::size_t d) {
   }
 }
 
-WorkerExitClass ProcSupervisor::reap_worker(std::size_t d,
-                                            bool wedged) noexcept {
+WorkerExitClass ProcSupervisor::reap_worker(std::size_t d) noexcept {
   Worker& w = workers_[d];
   w.alive = false;
   w.channel.reset();
@@ -304,7 +295,6 @@ WorkerExitClass ProcSupervisor::reap_worker(std::size_t d,
     if (w.stderr_relay.joinable()) w.stderr_relay.join();
   } catch (...) {
   }
-  if (wedged) return WorkerExitClass::kWedged;
   if (got < 0) return WorkerExitClass::kTorn;
   if (WIFEXITED(status)) {
     const int code = WEXITSTATUS(status);
@@ -318,10 +308,10 @@ WorkerExitClass ProcSupervisor::reap_worker(std::size_t d,
   return WorkerExitClass::kTorn;
 }
 
-void ProcSupervisor::on_worker_failure(std::size_t d, bool wedged,
+void ProcSupervisor::on_worker_failure(std::size_t d,
                                        const std::string& what) {
   Worker& w = workers_[d];
-  const WorkerExitClass cls = reap_worker(d, wedged);
+  const WorkerExitClass cls = reap_worker(d);
   telemetry::log_event(telemetry::LogLevel::kWarn, "worker.failed",
                        "device worker " + std::to_string(d) + " failed — " +
                            to_string(cls) + " (" + what + ")",
@@ -400,12 +390,10 @@ void ProcSupervisor::start() {
       try {
         respawn(d);
         break;
-      } catch (const DeadlineExceededError& e) {
-        on_worker_failure(d, true, e.what());
       } catch (const IoError& e) {
-        on_worker_failure(d, false, e.what());
+        on_worker_failure(d, e.what());
       } catch (const InputFormatError& e) {
-        on_worker_failure(d, false, e.what());
+        on_worker_failure(d, e.what());
       }
     }
   }
@@ -450,7 +438,7 @@ std::vector<net::Json> ProcSupervisor::fan_out(
     std::vector<Call>& calls;
     ~UnreadGuard() {
       for (std::size_t d = 0; d < calls.size(); ++d)
-        if (calls[d].in_flight) (void)sup.reap_worker(d, false);
+        if (calls[d].in_flight) (void)sup.reap_worker(d);
     }
   } guard{*this, calls};
 
@@ -468,16 +456,13 @@ std::vector<net::Json> ProcSupervisor::fan_out(
     try {
       step();
       return true;
-    } catch (const DeadlineExceededError& e) {
-      calls[d].in_flight = false;
-      on_worker_failure(d, true, e.what());
     } catch (const IoError& e) {
       calls[d].in_flight = false;
-      on_worker_failure(d, false, e.what());
+      on_worker_failure(d, e.what());
     } catch (const InputFormatError& e) {
       // Garbage on the wire (undecodable response line) = torn protocol.
       calls[d].in_flight = false;
-      on_worker_failure(d, false, e.what());
+      on_worker_failure(d, e.what());
     }
     return false;
   };
@@ -518,7 +503,7 @@ std::vector<net::Json> ProcSupervisor::fan_out(
       // poisons the worker (it exits right after responding); mark it
       // dead so shutdown() does not handshake with it.
       if (response.get_string("error") == "EngineStalledError")
-        (void)reap_worker(d, false);
+        (void)reap_worker(d);
       if (!first_error) {
         try {
           throw_worker_error(response);
@@ -631,7 +616,7 @@ void ProcSupervisor::shutdown() noexcept {
         // The reap below classifies whatever happened.
       }
     }
-    (void)reap_worker(d, false);
+    (void)reap_worker(d);
   }
   if (snapshot_id_ >= 0) {
     telemetry::FlightRecorder::instance().remove_snapshot_provider(

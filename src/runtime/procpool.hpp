@@ -3,7 +3,7 @@
 //
 // A run sharded over N simulated devices keeps one core::DeviceShard per
 // device; this layer moves each DeviceShard into its own child process
-// (`pima_devd`) so a crashed, wedged, or chaos-injected device worker
+// (`pima_devd`) so a crashed, stalled, or chaos-injected device worker
 // cannot take the assembly down with it. The parent keeps the sharding
 // contract — owner = dram::owner_of(flat, devices), folds in logical flat
 // order — and owns the robustness machinery:
@@ -14,15 +14,11 @@
 //     PIMA_IOFAULT chaos reaches the process boundary like every other
 //     I/O path. Requests are batched per superstep and fanned out: every
 //     device's line is written before any response is read (rpc_all);
-//   * liveness: workers heartbeat (`{"hb":1}`) from a side thread that
-//     keeps beating while the engine watchdog runs, so a long in-memory
-//     stage does not trip the parent's deadline; the deadline bounds every
-//     wait for worker bytes and a silent worker is declared wedged,
-//     SIGKILLed and reaped;
-//   * reaping: waitpid with typed exit classification — clean shutdown,
-//     EngineStalledError (exit 6), injected torn-write crash (exit 86),
-//     death by signal, or a torn protocol stream (EOF/garbage mid-request,
-//     or a clean exit without a shutdown handshake);
+//   * reaping: waitpid with typed exit classification —
+//     EngineStalledError (exit 6; a wedged kernel is the worker engine's
+//     watchdog's to catch), injected torn-write crash (exit 86), death by
+//     signal, or a torn protocol stream (EOF/garbage mid-request, or a
+//     clean exit without a shutdown handshake);
 //   * restart: bounded restart-with-backoff. Every state-mutating request
 //     is journaled; a restarted worker is re-initialized from its init
 //     request and replayed to exactly the pre-crash state. Journals are
@@ -59,12 +55,10 @@ namespace pima::runtime {
 /// Typed classification of a worker's demise, derived from waitpid status
 /// plus protocol context.
 enum class WorkerExitClass : std::uint8_t {
-  kClean,      ///< exited 0 after a shutdown handshake
   kStalled,    ///< exited with the EngineStalledError code (6)
   kCrashExit,  ///< non-zero exit (incl. fsio's torn-write crash, 86)
   kSignal,     ///< killed by a signal (SIGKILL, SIGSEGV, ...)
   kTorn,       ///< protocol torn: EOF/garbage mid-request or exit 0 mid-run
-  kWedged,     ///< liveness deadline expired; SIGKILLed by the supervisor
 };
 
 const char* to_string(WorkerExitClass c);
@@ -112,9 +106,6 @@ struct ProcPoolOptions {
   /// Path of the pima_devd binary. Empty = $PIMA_DEVD_PATH, then
   /// alongside /proc/self/exe, then ../tools relative to it.
   std::string devd_path;
-  /// Bounds every wait for worker bytes (heartbeats re-arm it). 0 = wait
-  /// forever — the unsupervised in-process semantics.
-  double liveness_timeout_s = 0.0;
   /// Total restarts allowed across all workers before degrading.
   std::size_t restart_budget = 3;
   /// Base backoff before a restart; doubles per consecutive restart of the
@@ -156,10 +147,10 @@ class ProcSupervisor {
   /// and a journal append on ok. Child-side typed errors are rethrown as
   /// their original exception types (no restart — they are
   /// deterministic); they are collected until every response is in and
-  /// the lowest device's is rethrown. Transport failures and liveness
-  /// expiries trigger classify → restart → replay → resend for that
-  /// worker, without disturbing the others' responses, bounded by the
-  /// restart budget (ProcPoolDegradedError thereafter, aborting at once).
+  /// the lowest device's is rethrown. Transport failures trigger
+  /// classify → restart → replay → resend for that worker, without
+  /// disturbing the others' responses, bounded by the restart budget
+  /// (ProcPoolDegradedError thereafter, aborting at once).
   std::vector<net::Json> rpc_all(const std::vector<net::Json>& requests);
 
   /// Read-only fan-out: the failure handling of rpc_all, not journaled.
@@ -199,12 +190,12 @@ class ProcSupervisor {
   void spawn(std::size_t d);
   void respawn(std::size_t d);
   net::Json transact(Worker& w, const std::string& line);
-  /// Reads the next non-heartbeat line; `bytes` gets its wire size.
+  /// Reads the next response line; `bytes` gets its wire size.
   net::Json read_response(Worker& w, std::size_t& bytes);
   /// Classify + reap + log; throws ProcPoolDegradedError past the budget,
   /// otherwise sleeps the backoff and leaves the worker dead for respawn.
-  void on_worker_failure(std::size_t d, bool wedged, const std::string& what);
-  WorkerExitClass reap_worker(std::size_t d, bool wedged) noexcept;
+  void on_worker_failure(std::size_t d, const std::string& what);
+  WorkerExitClass reap_worker(std::size_t d) noexcept;
   std::vector<net::Json> fan_out(const std::vector<net::Json>& requests,
                                  bool journaled);
 

@@ -1,5 +1,6 @@
 # Pins a real pipeline capture and replays it on the golden model:
-# generate -> pim-run --dump-trace -> digest check -> pima_fuzz --replay.
+# generate -> pim-run --dump-trace (in process, then isolated on one and
+# two workers) -> digest check -> pima_fuzz --replay.
 # The digest is the capture's SHA-256; a change that moves any captured
 # command (a model-output change) must re-record it here.
 set(EXPECTED_SHA256
@@ -24,6 +25,29 @@ if(NOT digest STREQUAL EXPECTED_SHA256)
   message(FATAL_ERROR "capture digest changed: got ${digest}, "
                       "expected ${EXPECTED_SHA256}")
 endif()
+# The isolated transport fetches the same capture from its pima_devd
+# workers one sub-array per request: the bytes must not move, and no
+# worker may fail or the run fall back to in-process shards on the way.
+foreach(devices 1 2)
+  execute_process(
+    COMMAND ${CLI} pim-run --reads ${WORK}/r.fa --k 15 --shards 4
+            --devices ${devices} --isolate
+            --dump-trace ${WORK}/cap_isolated${devices}.aap
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "isolated pim-run (--devices ${devices}) failed: "
+                        "${rc}\n${out}${err}")
+  endif()
+  if(err MATCHES "worker\\.failed|pool\\.fallback")
+    message(FATAL_ERROR "isolated pim-run (--devices ${devices}) lost a "
+                        "worker:\n${err}")
+  endif()
+  file(SHA256 ${WORK}/cap_isolated${devices}.aap digest)
+  if(NOT digest STREQUAL EXPECTED_SHA256)
+    message(FATAL_ERROR "isolated capture (--devices ${devices}) digest "
+                        "${digest}, expected ${EXPECTED_SHA256}")
+  endif()
+endforeach()
 execute_process(
   COMMAND ${FUZZ} --replay ${WORK}/cap.aap --rows 512 --columns 256
   RESULT_VARIABLE rc3 OUTPUT_VARIABLE out3 ERROR_VARIABLE err3)

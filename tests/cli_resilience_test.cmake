@@ -21,7 +21,7 @@ endfunction()
 function(expect_flag_rejected flag)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc TIMEOUT 60
                   OUTPUT_VARIABLE out ERROR_VARIABLE err)
-  if(NOT rc EQUAL 3 OR NOT err MATCHES "--${flag} must be [^\n]*(in \\[|>=)")
+  if(NOT rc EQUAL 3 OR NOT err MATCHES "--${flag} must be [^\n]*(in [[(]|[<>]=? )")
     message(FATAL_ERROR "expected exit 3 naming --${flag} and its range, "
                         "got '${rc}' from: ${ARGN}\nstderr: ${err}")
   endif()
@@ -53,6 +53,15 @@ expect_exit(0 ${CLI} generate --genome ${WORK}/g.fa --reads ${WORK}/r.fa
 # Numeric flags of every subcommand parse strictly -> 3.
 expect_flag_rejected(coverage ${CLI} generate --genome ${WORK}/g2.fa
                      --reads ${WORK}/r2.fa --coverage abc)
+# generate's open ranges and the read/genome length relation.
+expect_flag_rejected(gc ${CLI} generate --genome ${WORK}/g2.fa
+                     --reads ${WORK}/r2.fa --gc 0)
+expect_flag_rejected(gc ${CLI} generate --genome ${WORK}/g2.fa
+                     --reads ${WORK}/r2.fa --gc 1)
+expect_flag_rejected(coverage ${CLI} generate --genome ${WORK}/g2.fa
+                     --reads ${WORK}/r2.fa --coverage 0)
+expect_flag_rejected(read-length ${CLI} generate --genome ${WORK}/g2.fa
+                     --reads ${WORK}/r2.fa --length 50)
 expect_flag_rejected(min-freq ${CLI} assemble --reads ${WORK}/r.fa
                      --min-freq abc)
 expect_flag_rejected(k ${CLI} pim-run --reads ${WORK}/r.fa --k abc)
@@ -69,6 +78,12 @@ expect_flag_rejected(k ${CLI} submit --socket ${WORK}/no.sock
                      --reads ${WORK}/r.fa --k 40)
 expect_flag_rejected(priority ${CLI} submit --socket ${WORK}/no.sock
                      --reads ${WORK}/r.fa --priority abc)
+
+# A FASTA output that cannot be written -> 4 (I/O), not a reported success.
+expect_exit(4 ${CMAKE_COMMAND} -E env
+            PIMA_IOFAULT=write@artifact:nth=1:errno=ENOSPC
+            ${CLI} assemble --reads ${WORK}/r.fa --k 15
+            --out ${WORK}/contigs.fa)
 
 # --resume without --checkpoint-dir -> 2 (usage).
 expect_exit(2 ${CLI} pim-run --reads ${WORK}/r.fa --k 15 --resume)

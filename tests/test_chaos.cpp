@@ -400,7 +400,8 @@ TEST_F(ChaosTest, CheckpointEnospcIsTypedAndRunResumesBitIdentical) {
         core::run_pipeline(device, reads, chaos_pipeline_options("", false)));
   }();
 
-  // Let the first stage checkpoint through, then ENOSPC the next write.
+  // A snapshot is one write: the first two stages' snapshots go through
+  // and the third stage's hits ENOSPC.
   fsio::install_plan(
       fsio::FaultPlan::parse("write@checkpoint:nth=3:errno=ENOSPC"));
   {

@@ -564,7 +564,7 @@ TEST(ProcPoolWire, StatsEntryRoundTripsAndRejectsAWrongLength) {
 }
 
 // The rpc backend decodes what the worker's extract, stats and trace verbs
-// encode, and rejects as a typed InputFormatError every list no worker
+// encode, and rejects as a typed InputFormatError every answer no worker
 // could have sent — never a silent drop, truncation or double count.
 TEST(ProcPoolWire, WorkerListsRoundTripAndRejectMalformedEntries) {
   const std::size_t k = 15;
@@ -617,17 +617,7 @@ TEST(ProcPoolWire, WorkerListsRoundTripAndRejectMalformedEntries) {
   EXPECT_EQ(back[1].second.busy_ns, st.busy_ns);
   EXPECT_EQ(back[1].second.energy_pj, st.energy_pj);
 
-  dram::Instruction read;
-  read.op = dram::Opcode::kRowRead;
-  read.subarray = 4;
-  read.src1 = 9;
-  const dram::SubarrayPrograms programs = {{4, {read}}};
-  const net::Json program_list =
-      net::Json::parse(core::subarray_programs_to_json(programs).dump());
-  EXPECT_EQ(core::subarray_programs_from_json(program_list, 1, 3, total),
-            programs);
-
-  // Each bad flat, in a stats list and in a trace list.
+  // Each bad flat in a stats list.
   for (const std::vector<std::uint64_t>& flats :
        {std::vector<std::uint64_t>{1, total + 1},  // out of range
         std::vector<std::uint64_t>{1, 3},          // worker 0's
@@ -635,28 +625,35 @@ TEST(ProcPoolWire, WorkerListsRoundTripAndRejectMalformedEntries) {
     SCOPED_TRACE("flats " + std::to_string(flats[0]) + ", " +
                  std::to_string(flats[1]));
     net::Json bad_stats = net::Json::array();
-    net::Json bad_programs = net::Json::array();
-    for (const std::uint64_t flat : flats) {
+    for (const std::uint64_t flat : flats)
       bad_stats.push_back(core::stats_entry_to_json(flat, st));
-      net::Json entry = net::Json::object();
-      entry.set("flat", flat);
-      dram::Instruction at = read;
-      at.subarray = static_cast<std::size_t>(flat);
-      entry.set("text", dram::to_text(dram::Program{at}));
-      bad_programs.push_back(std::move(entry));
-    }
     EXPECT_THROW(core::subarray_stats_from_json(bad_stats, 1, 3, total),
                  InputFormatError);
-    EXPECT_THROW(core::subarray_programs_from_json(bad_programs, 1, 3, total),
-                 InputFormatError);
   }
-  net::Json unparseable = net::Json::array();
-  net::Json entry = net::Json::object();
-  entry.set("flat", std::uint64_t{4});
-  entry.set("text", "NO_SUCH_OP sa=4 size=1\n");
-  unparseable.push_back(std::move(entry));
-  EXPECT_THROW(core::subarray_programs_from_json(unparseable, 1, 3, total),
-               InputFormatError);
+
+  // A trace answer holds one sub-array's program.
+  const auto trace_answer = [](const std::string& text) {
+    net::Json answer = net::Json::object();
+    answer.set("text", text);
+    return net::Json::parse(answer.dump());
+  };
+  dram::Instruction read;
+  read.op = dram::Opcode::kRowRead;
+  read.subarray = 4;
+  read.src1 = 9;
+  const dram::Program program = {read, read};
+  EXPECT_EQ(core::subarray_trace_from_json(
+                trace_answer(dram::to_text(program)), 4),
+            program);
+  EXPECT_TRUE(core::subarray_trace_from_json(trace_answer(""), 4).empty());
+  EXPECT_THROW(core::subarray_trace_from_json(
+                   trace_answer("NO_SUCH_OP sa=4 size=1\n"), 4),
+               InputFormatError)
+      << "unparseable";
+  EXPECT_THROW(core::subarray_trace_from_json(
+                   trace_answer(dram::to_text(program)), 7),
+               InputFormatError)
+      << "an instruction for another sub-array";
 }
 
 TEST(ProcPoolWire, TypedErrorsRoundTripThroughResponses) {
@@ -766,7 +763,11 @@ TEST(ProcPoolWire, DegreeBatchMatchesControllerBuiltRows) {
   EXPECT_TRUE(worker.handle(degree_batch(std::move(encoded))).get_bool("ok"));
   EXPECT_TRUE(worker.handle(op_request("drain")).get_bool("ok"));
   const net::Json stats = worker.handle(op_request("stats"));
-  const net::Json trace = worker.handle(op_request("trace"));
+  const auto trace = [&](std::size_t flat) {
+    net::Json req = op_request("trace");
+    req.set("flat", static_cast<std::uint64_t>(flat));
+    return worker.handle(req).get_string("text");
+  };
 
   dram::Device reference(geom);
   reference.enable_tracing();
@@ -776,8 +777,7 @@ TEST(ProcPoolWire, DegreeBatchMatchesControllerBuiltRows) {
 
   const auto& entries = stats.get("subarrays").items();
   ASSERT_EQ(entries.size(), blocks.size());
-  const auto& programs = trace.get("programs").items();
-  ASSERT_EQ(programs.size(), blocks.size());
+  EXPECT_EQ(trace(10), "") << "a sub-array that ran no command";
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     const std::size_t flat = std::get<0>(blocks[i]);
     SCOPED_TRACE(flat);
@@ -789,17 +789,16 @@ TEST(ProcPoolWire, DegreeBatchMatchesControllerBuiltRows) {
       EXPECT_EQ(counts[k].as_uint64(), want.counts[k]);
     EXPECT_EQ(entries[i].get_number("busy_ns"), want.busy_ns);
     EXPECT_EQ(entries[i].get_number("energy_pj"), want.energy_pj);
-    EXPECT_EQ(programs[i].get_uint64("flat"), flat);
-    EXPECT_EQ(programs[i].get_string("text"),
-              dram::to_text(*reference.trace_if(flat)));
+    EXPECT_EQ(trace(flat), dram::to_text(*reference.trace_if(flat)));
   }
 }
 
 TEST(ProcPoolWire, MalformedRequestsGetTypedErrors) {
-  // One seeded table over every journaled verb that carries data. A valid
-  // item rides ahead of each corrupted one: the worker parses a whole
-  // request before anything touches the device, so a rejected request must
-  // run nothing — the error is typed and the stats stay empty.
+  // One seeded table over every journaled verb that carries data, and the
+  // trace query. A valid item rides ahead of each corrupted one: the
+  // worker parses a whole request before anything touches the device, so a
+  // rejected request must run nothing — the error is typed and the stats
+  // stay empty.
   const dram::Geometry geom = pipeline_geometry();
   const std::size_t width = geom.columns;
   const std::size_t total = geom.total_subarrays();
@@ -840,6 +839,9 @@ TEST(ProcPoolWire, MalformedRequestsGetTypedErrors) {
                      uints({0, init.hash_shards + rng() % 4}));
     if (what == "extract: not an array")
       return request("extract", "shards", net::Json(std::uint64_t{0}));
+    if (what == "trace: missing flat") return op_request("trace");
+    if (what == "trace: flat out of range")
+      return request("trace", "flat", net::Json(total + rng() % 4));
     if (what == "program: unparseable line") {
       dram::Instruction read;
       read.op = dram::Opcode::kRowRead;
@@ -878,6 +880,7 @@ TEST(ProcPoolWire, MalformedRequestsGetTypedErrors) {
          {"kmers: not an array", "kmers: string k-mer",
           "kmers: fractional k-mer", "kmers: k-mer wider than 2k bits",
           "extract: shard out of range", "extract: not an array",
+          "trace: missing flat", "trace: flat out of range",
           "program: unparseable line", "degree_block: truncated triple",
           "degree_block: from >= n", "degree_block: to >= width",
           "degree_block: n > columns", "degree_block: flat out of range",
@@ -949,14 +952,11 @@ TEST(ProcPoolWire, RpcAllRethrowsTheLowestDevicesTypedError) {
 
 TEST(ProcPoolClassify, ExitClassNamesAreStable) {
   using runtime::WorkerExitClass;
-  EXPECT_STREQ(runtime::to_string(WorkerExitClass::kClean), "clean exit");
   EXPECT_STREQ(runtime::to_string(WorkerExitClass::kStalled), "engine stall");
   EXPECT_STREQ(runtime::to_string(WorkerExitClass::kCrashExit), "crash exit");
   EXPECT_STREQ(runtime::to_string(WorkerExitClass::kSignal),
                "killed by signal");
   EXPECT_STREQ(runtime::to_string(WorkerExitClass::kTorn), "torn protocol");
-  EXPECT_STREQ(runtime::to_string(WorkerExitClass::kWedged),
-               "wedged (liveness deadline)");
 }
 
 }  // namespace

@@ -95,13 +95,15 @@ class Args {
 };
 
 // Numeric flags: every one parses strictly (the whole token; no sign on
-// an integer, so "-1" cannot wrap to 2^64-1) and must lie in [min, max].
-// Anything else raises InputFormatError → the documented "malformed input"
-// exit code, naming the flag and the accepted range. A max of the type's
-// largest value leaves the flag unbounded above.
+// an integer, so "-1" cannot wrap to 2^64-1) and must lie in [min, max],
+// or in (min, max) when `open`. Anything else raises InputFormatError →
+// the documented "malformed input" exit code, naming the flag and the
+// accepted range. A max of the type's largest value leaves the flag
+// unbounded above.
 template <typename T>
 [[noreturn]] void reject_flag(const std::string& key, const char* what, T min,
-                              T max, const std::string& got) {
+                              T max, const std::string& got,
+                              bool open = false) {
   auto text = [](T x) {
     if constexpr (std::is_integral_v<T>) {
       return std::to_string(x);
@@ -113,8 +115,9 @@ template <typename T>
   };
   const std::string range =
       max == std::numeric_limits<T>::max()
-          ? " >= " + text(min)
-          : " in [" + text(min) + ", " + text(max) + "]";
+          ? (open ? " > " : " >= ") + text(min)
+          : (open ? " in (" : " in [") + text(min) + ", " + text(max) +
+                (open ? ")" : "]");
   throw InputFormatError("--" + key + " must be " + what + range + ", got '" +
                          got + "'");
 }
@@ -133,7 +136,8 @@ std::size_t get_bounded_size(const Args& args, const std::string& key,
 }
 
 double get_bounded_double(const Args& args, const std::string& key,
-                          double fallback, double min, double max) {
+                          double fallback, double min, double max,
+                          bool open = false) {
   const auto v = args.get(key);
   if (!v) return fallback;
   double n = 0.0;
@@ -143,8 +147,9 @@ double get_bounded_double(const Args& args, const std::string& key,
   } catch (const std::exception&) {
     pos = 0;
   }
-  if (pos != v->size() || !std::isfinite(n) || n < min || n > max)
-    reject_flag(key, "a number", min, max, *v);
+  if (pos != v->size() || !std::isfinite(n) || n < min || n > max ||
+      (open && (n == min || n == max)))
+    reject_flag(key, "a number", min, max, *v, open);
   return n;
 }
 
@@ -196,17 +201,22 @@ void report_verification(const std::string& reference_path,
 int cmd_generate(const Args& args) {
   dna::GenomeParams gp;
   gp.length = get_bounded_size(args, "length", 50'000, 1, kNoMax);
-  gp.gc_content = get_bounded_double(args, "gc", 0.42, 0.0, 1.0);
+  gp.gc_content = get_bounded_double(args, "gc", 0.42, 0.0, 1.0, true);
   gp.repeat_count = get_bounded_size(args, "repeats", 10, 0, kNoMax);
   gp.repeat_length = get_bounded_size(args, "repeat-length", 300, 0, kNoMax);
   gp.seed = get_bounded_size(args, "seed", 14, 0, kNoMax);
-  const auto genome = dna::generate_genome(gp);
-
   dna::ReadSamplerParams rp;
   rp.read_length = get_bounded_size(args, "read-length", 101, 1, kNoMax);
-  rp.coverage = get_bounded_double(args, "coverage", 20.0, 0.0, kNoMaxReal);
+  if (rp.read_length > gp.length)
+    throw InputFormatError("--read-length must be <= --length, got " +
+                           std::to_string(rp.read_length) + " > " +
+                           std::to_string(gp.length));
+  rp.coverage =
+      get_bounded_double(args, "coverage", 20.0, 0.0, kNoMaxReal, true);
   rp.error_rate = get_bounded_double(args, "errors", 0.0, 0.0, 1.0);
   rp.seed = gp.seed + 1;
+
+  const auto genome = dna::generate_genome(gp);
   const auto reads = dna::sample_reads(genome, rp);
 
   dna::write_fasta_file(args.require("genome"), {{"synthetic_chromosome",

@@ -3,8 +3,8 @@
 // Spawned by runtime::ProcSupervisor with the request socket on an
 // inherited fd (`--fd N --device D`). The process is a thin I/O loop
 // around core::ShardWorkerCore: read one NDJSON request line, dispatch,
-// write one response line. A side thread emits `{"hb":1}` heartbeats so
-// the parent's liveness deadline stays armed while a long kernel runs.
+// write one response line. A wedged kernel is caught by the engine
+// watchdog (`--stall-timeout`), which ends the worker with exit 6.
 //
 // Exit protocol (the supervisor classifies on these):
 //   0   clean — shutdown handshake, or orphaned (EOF on the socket)
@@ -28,15 +28,11 @@
 #include <sys/prctl.h>
 #endif
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "common/error.hpp"
 #include "common/fsio.hpp"
@@ -133,22 +129,6 @@ bool hook_already_fired(const TestHook& hook) {
   return ::access(hook.flag.c_str(), F_OK) == 0;
 }
 
-/// Serializes response + heartbeat writers onto the socket so lines never
-/// interleave mid-frame.
-class SharedWriter {
- public:
-  explicit SharedWriter(LineChannel& channel) : channel_(channel) {}
-
-  void write(const std::string& line) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    channel_.write_line(line);
-  }
-
- private:
-  LineChannel& channel_;
-  std::mutex mutex_;
-};
-
 int run(int fd, std::size_t device_arg) {
 #ifdef __linux__
   // Die with the supervisor: an abandoned worker must not outlive the run.
@@ -161,34 +141,6 @@ int run(int fd, std::size_t device_arg) {
     hook.armed = false;
 
   LineChannel channel(fd);
-  SharedWriter writer(channel);
-
-  std::atomic<bool> stop_heartbeat{false};
-  std::thread heartbeat([&] {
-    const std::string beat = "{\"hb\":1}";
-    while (!stop_heartbeat.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      if (stop_heartbeat.load(std::memory_order_relaxed)) break;
-      try {
-        writer.write(beat);
-      } catch (...) {
-        // Parent gone: nothing left to serve. Skip destructors — the
-        // request loop may hold the engine mid-kernel.
-        ::_exit(0);
-      }
-    }
-  });
-  // The loop below never returns without stopping the thread first; on the
-  // typed-error exit paths _exit skips the join deliberately.
-  struct HeartbeatGuard {
-    std::atomic<bool>& stop;
-    std::thread& thread;
-    ~HeartbeatGuard() {
-      stop.store(true, std::memory_order_relaxed);
-      if (thread.joinable()) thread.join();
-    }
-  } guard{stop_heartbeat, heartbeat};
-
   std::unique_ptr<pima::core::ShardWorkerCore> core;
   std::size_t handled = 0;
   std::string line;
@@ -197,7 +149,7 @@ int run(int fd, std::size_t device_arg) {
     try {
       request = Json::parse(line);
     } catch (const std::exception& e) {
-      writer.write(
+      channel.write_line(
           pima::core::worker_error_response(
               pima::InputFormatError(std::string("unparseable request: ") +
                                      e.what()))
@@ -241,7 +193,7 @@ int run(int fd, std::size_t device_arg) {
     if (counted) ++handled;
     if (hook.armed && counted && handled >= hook.after)
       fire_test_hook(hook, fd);
-    writer.write(response.dump());
+    channel.write_line(response.dump());
     if (stalled) {
       // The engine is poisoned past a stall; report, then die with the
       // documented code so the supervisor's classification is typed.
