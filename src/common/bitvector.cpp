@@ -26,7 +26,37 @@ std::size_t BitVector::popcount() const {
   return n;
 }
 
-bool BitVector::all() const { return popcount() == size_; }
+bool BitVector::all() const { return all_ones_prefix(size_); }
+
+bool BitVector::all_ones_prefix(std::size_t width) const {
+  PIMA_CHECK(width <= size_, "prefix out of range");
+  const std::size_t full = width / 64;
+  for (std::size_t w = 0; w < full; ++w)
+    if (words_[w] != ~std::uint64_t{0}) return false;
+  const std::size_t rem = width % 64;
+  if (rem == 0) return true;
+  const std::uint64_t mask = (std::uint64_t{1} << rem) - 1;
+  return (words_[full] & mask) == mask;
+}
+
+std::size_t BitVector::popcount_range(std::size_t lo, std::size_t len) const {
+  PIMA_CHECK(lo + len <= size_, "popcount range out of range");
+  if (len == 0) return 0;
+  const std::size_t hi = lo + len;  // exclusive
+  const std::size_t first = lo / 64, last = (hi - 1) / 64;
+  // Mask the partial first and last words; whole words in between count
+  // as they are.
+  const std::uint64_t lo_mask = ~std::uint64_t{0} << (lo % 64);
+  const std::uint64_t hi_mask =
+      hi % 64 == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << (hi % 64)) - 1;
+  if (first == last)
+    return static_cast<std::size_t>(
+        std::popcount(words_[first] & lo_mask & hi_mask));
+  std::size_t n = static_cast<std::size_t>(std::popcount(words_[first] & lo_mask));
+  for (std::size_t w = first + 1; w < last; ++w)
+    n += static_cast<std::size_t>(std::popcount(words_[w]));
+  return n + static_cast<std::size_t>(std::popcount(words_[last] & hi_mask));
+}
 
 void BitVector::set_word(std::size_t w, std::uint64_t v) {
   PIMA_CHECK(w < words_.size(), "word index out of range");

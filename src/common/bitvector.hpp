@@ -60,6 +60,12 @@ class BitVector {
   /// True if no bit is 1.
   bool none() const { return !any(); }
 
+  /// True if bits [0, width) are all 1 (width 0 => true). Scans the words
+  /// in place — the DPU AND-reduce and the hash-probe match test.
+  bool all_ones_prefix(std::size_t width) const;
+  /// Number of set bits in [lo, lo+len), counted in place.
+  std::size_t popcount_range(std::size_t lo, std::size_t len) const;
+
   /// Word-level access for the kernels. `word_count()` words; bits beyond
   /// `size()` in the last word are kept zero (class invariant).
   std::size_t word_count() const { return words_.size(); }

@@ -12,6 +12,10 @@ std::uint64_t slot_hash(const assembly::Kmer& km) {
   z = (z ^ (z >> 29)) * 0xff51afd7ed558ccdull;
   return z ^ (z >> 32);
 }
+
+std::uint64_t low_bits(std::size_t n) {
+  return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+}
 }  // namespace
 
 PimHashTable::PimHashTable(dram::Device& device, std::size_t shards,
@@ -22,6 +26,10 @@ PimHashTable::PimHashTable(dram::Device& device, std::size_t shards,
   PIMA_CHECK(shards > 0, "need at least one shard");
   const std::size_t extra =
       policy == MappingPolicy::kCentralValues ? 1 : 0;
+  // Counter fields are read and written as one word shift, so none may
+  // straddle a 64-bit word.
+  PIMA_CHECK(64 % layout_.counter_bits == 0,
+             "counter width must divide the 64-bit word");
   PIMA_CHECK(
       first_subarray + shards + extra <= geometry().total_subarrays(),
       "shard range exceeds device");
@@ -39,6 +47,8 @@ PimHashTable::PimHashTable(dram::Device& device, std::size_t shards,
     Shard sh;
     sh.subarray_flat = first_subarray + s;
     sh.occupied.assign(layout_.kmer_rows, false);
+    sh.query = BitVector(geometry().columns);
+    sh.scratch = BitVector(geometry().columns);
     shards_.push_back(std::move(sh));
   }
 }
@@ -87,8 +97,18 @@ std::size_t PimHashTable::home_slot(const assembly::Kmer& kmer) const {
   return static_cast<std::size_t>(slot_hash(kmer) % layout_.kmer_rows);
 }
 
-bool PimHashTable::probe_matches(const Shard& shard, std::size_t slot,
-                                 std::size_t k) {
+void PimHashTable::stage_query(Shard& shard, dram::Subarray& sa,
+                               const assembly::Kmer& kmer) {
+  // MEM_insert of the new query (Fig. 6): the row image is the 2-bit
+  // packed k-mer — base i at bits 2i, 2i+1 — zero padded. k ≤ 32, so the
+  // key is word 0 of the shard's staging row and the other words stay 0.
+  PIMA_CHECK(2 * k_ <= geometry().columns,
+             "k-mer exceeds row width (max 128 bp)");
+  shard.query.set_word(0, kmer.packed());
+  sa.write_row(layout_.temp_row(0), shard.query);
+}
+
+bool PimHashTable::probe_matches(const Shard& shard, std::size_t slot) {
   // PIM_XNOR (Fig. 7): stage + single-cycle two-row XNOR into a compute
   // row, then DPU AND-reduction over the key bits. A false probe result
   // corrupts the table (duplicate keys or phantom increments), so this is
@@ -98,58 +118,61 @@ bool PimHashTable::probe_matches(const Shard& shard, std::size_t slot,
   if (recovery_ != nullptr) {
     recovery_->executor_for(shard.subarray_flat)
         .compare_rows(layout_.temp_row(0), layout_.kmer_row(slot), result);
-  } else {
-    sa.compare_rows(layout_.temp_row(0), layout_.kmer_row(slot), result);
+    return dram::Dpu::and_reduce(sa, result, 2 * k_);
   }
-  return dram::Dpu::and_reduce(sa, result, 2 * k);
+  return sa.xnor_match(layout_.temp_row(0), layout_.kmer_row(slot), result,
+                       2 * k_);
+}
+
+std::size_t PimHashTable::counter_offset(std::size_t shard_index,
+                                         std::size_t slot) const {
+  const std::size_t global = policy_ == MappingPolicy::kCentralValues
+                                 ? shard_index * layout_.kmer_rows + slot
+                                 : slot;
+  return (global % layout_.counters_per_row()) * layout_.counter_bits;
+}
+
+std::uint32_t PimHashTable::counter_field(const BitVector& row,
+                                          std::size_t off) const {
+  return static_cast<std::uint32_t>((row.word(off / 64) >> (off % 64)) &
+                                    low_bits(layout_.counter_bits));
+}
+
+assembly::Kmer PimHashTable::key_of(const BitVector& key_row) const {
+  return assembly::Kmer(key_row.word(0) & low_bits(2 * k_), k_);
 }
 
 std::uint32_t PimHashTable::read_counter(std::size_t shard_index,
                                          std::size_t slot) {
   dram::Subarray& sa = value_subarray(shard_index);
-  const dram::RowAddr addr = value_row_for(shard_index, slot);
-  const std::size_t global = policy_ == MappingPolicy::kCentralValues
-                                 ? shard_index * layout_.kmer_rows + slot
-                                 : slot;
-  const std::size_t off =
-      (global % layout_.counters_per_row()) * layout_.counter_bits;
-  const BitVector& row = sa.read_row(addr);
-  std::uint32_t v = 0;
-  for (std::size_t b = 0; b < layout_.counter_bits; ++b)
-    if (row.get(off + b)) v |= std::uint32_t{1} << b;
-  return v;
+  const BitVector& row = sa.read_row(value_row_for(shard_index, slot));
+  return counter_field(row, counter_offset(shard_index, slot));
 }
 
 void PimHashTable::write_counter(std::size_t shard_index, std::size_t slot,
                                  std::uint32_t v) {
+  // Read-modify-write of the value row through the shard's scratch image:
+  // only the counter field changes, and ROW_WRITE carries the whole row.
   dram::Subarray& sa = value_subarray(shard_index);
   const dram::RowAddr addr = value_row_for(shard_index, slot);
-  const std::size_t global = policy_ == MappingPolicy::kCentralValues
-                                 ? shard_index * layout_.kmer_rows + slot
-                                 : slot;
-  const std::size_t off =
-      (global % layout_.counters_per_row()) * layout_.counter_bits;
-  BitVector row = sa.peek_row(addr);
-  for (std::size_t b = 0; b < layout_.counter_bits; ++b)
-    row.set(off + b, (v >> b) & 1u);
+  const std::size_t off = counter_offset(shard_index, slot);
+  const std::uint64_t field = low_bits(layout_.counter_bits) << (off % 64);
+  BitVector& row = shards_[shard_index].scratch;
+  row.assign(sa.peek_row(addr));
+  row.set_word(off / 64, (row.word(off / 64) & ~field) |
+                             ((std::uint64_t{v} << (off % 64)) & field));
   sa.write_row(addr, row);
 }
 
 std::uint32_t PimHashTable::insert_or_increment(const assembly::Kmer& kmer) {
   if (k_ == 0) k_ = kmer.k();
   PIMA_CHECK(kmer.k() == k_, "mixed k within one table");
-  PIMA_CHECK(2 * k_ <= geometry().columns,
-             "k-mer exceeds row width (max 128 bp)");
 
   const std::size_t shard_index = shard_for(kmer);
   Shard& shard = shards_[shard_index];
   dram::Subarray& sa = shard_subarray(shard);
 
-  // Stage the query into the temp region (MEM_insert of the new query,
-  // Fig. 6). The row image is the 2-bit packed k-mer, zero padded.
-  BitVector query(geometry().columns);
-  query.copy_range_from(kmer.to_sequence().to_bits(0, k_), 0);
-  sa.write_row(layout_.temp_row(0), query);
+  stage_query(shard, sa, kmer);
 
   std::size_t slot = home_slot(kmer);
   for (std::size_t probes = 0; probes < layout_.kmer_rows; ++probes) {
@@ -162,7 +185,7 @@ std::uint32_t PimHashTable::insert_or_increment(const assembly::Kmer& kmer) {
       write_counter(shard_index, slot, 1);
       return 1;
     }
-    if (probe_matches(shard, slot, k_)) {
+    if (probe_matches(shard, slot)) {
       // PIM_Add(k_mer, 1) + MEM_insert(k_mer, New_freq): saturating 8-bit
       // increment through the DPU read-modify-write path.
       const std::uint32_t max =
@@ -184,15 +207,12 @@ std::optional<std::uint32_t> PimHashTable::lookup(const assembly::Kmer& kmer) {
   const std::size_t shard_index = shard_for(kmer);
   Shard& shard = shards_[shard_index];
   dram::Subarray& sa = shard_subarray(shard);
-
-  BitVector query(geometry().columns);
-  query.copy_range_from(kmer.to_sequence().to_bits(0, k_), 0);
-  sa.write_row(layout_.temp_row(0), query);
+  stage_query(shard, sa, kmer);
 
   std::size_t slot = home_slot(kmer);
   for (std::size_t probes = 0; probes < layout_.kmer_rows; ++probes) {
     if (!shard.occupied[slot]) return std::nullopt;
-    if (probe_matches(shard, slot, k_)) return read_counter(shard_index, slot);
+    if (probe_matches(shard, slot)) return read_counter(shard_index, slot);
     slot = (slot + 1) % layout_.kmer_rows;
   }
   return std::nullopt;
@@ -206,24 +226,14 @@ PimHashTable::peek_slot(std::size_t shard, std::size_t slot) const {
   if (!sh.occupied[slot] || k_ == 0) return std::nullopt;
   const dram::Subarray* sa_ptr = device_.subarray_if(sh.subarray_flat);
   PIMA_CHECK(sa_ptr != nullptr, "occupied shard must be instantiated");
-  const BitVector& key_row = sa_ptr->peek_row(layout_.kmer_row(slot));
-  const auto seq = dna::Sequence::from_bits(key_row, 0, k_);
-  const assembly::Kmer km = assembly::Kmer::from_sequence(seq, 0, k_);
+  const assembly::Kmer km = key_of(sa_ptr->peek_row(layout_.kmer_row(slot)));
   const dram::Subarray* val_ptr =
       policy_ == MappingPolicy::kCentralValues
           ? device_.subarray_if(central_value_flat_)
           : sa_ptr;
   PIMA_CHECK(val_ptr != nullptr, "value array must be instantiated");
-  const std::size_t global = policy_ == MappingPolicy::kCentralValues
-                                 ? shard * layout_.kmer_rows + slot
-                                 : slot;
   const BitVector& val_row = val_ptr->peek_row(value_row_for(shard, slot));
-  const std::size_t off =
-      (global % layout_.counters_per_row()) * layout_.counter_bits;
-  std::uint32_t v = 0;
-  for (std::size_t b = 0; b < layout_.counter_bits; ++b)
-    if (val_row.get(off + b)) v |= std::uint32_t{1} << b;
-  return std::make_pair(km, v);
+  return std::make_pair(km, counter_field(val_row, counter_offset(shard, slot)));
 }
 
 KmerEntries PimHashTable::extract_shard(std::size_t shard) {
@@ -235,10 +245,8 @@ KmerEntries PimHashTable::extract_shard(std::size_t shard) {
   dram::Subarray& sa = shard_subarray(sh);
   for (std::size_t slot = 0; slot < layout_.kmer_rows; ++slot) {
     if (!sh.occupied[slot]) continue;
-    const BitVector& key_row = sa.read_row(layout_.kmer_row(slot));
-    const auto seq = dna::Sequence::from_bits(key_row, 0, k_);
-    out.emplace_back(assembly::Kmer::from_sequence(seq, 0, k_),
-                     read_counter(shard, slot));
+    const assembly::Kmer km = key_of(sa.read_row(layout_.kmer_row(slot)));
+    out.emplace_back(km, read_counter(shard, slot));
   }
   return out;
 }

@@ -19,6 +19,16 @@
 // Every command lands on the owning sub-array's CommandStats, so hash-table
 // construction cost rolls up through dram::Device with full parallelism
 // accounting.
+//
+// Host cost: a fault-free insert or lookup allocates nothing. The query is
+// staged from the packed k-mer word into a per-shard row image, each probe
+// of steps 2–3 is one fused Subarray::xnor_match (same commands, same
+// order, same final state as the per-command sequence), and a counter
+// update rewrites its field in a per-shard scratch row. Both images belong
+// to the shard, so channels that own disjoint shards never share one. With
+// recovery attached the probe runs the recovery executor's compare_rows
+// plus Dpu::and_reduce instead; with a fault injector on the sub-array,
+// xnor_match itself falls back to the per-command sequence.
 #pragma once
 
 #include <cstdint>
@@ -121,6 +131,8 @@ class PimHashTable {
     std::size_t subarray_flat;           ///< index into the device
     std::vector<bool> occupied;          ///< controller-side slot bitmap
     std::size_t entries = 0;
+    BitVector query;    ///< staged query row image (only word 0 is set)
+    BitVector scratch;  ///< value-row image for counter read-modify-write
   };
 
   const dram::Geometry& geometry() const { return device_.geometry(); }
@@ -134,9 +146,19 @@ class PimHashTable {
                               std::size_t slot) const;
   std::size_t home_slot(const assembly::Kmer& kmer) const;
 
+  /// Writes the k-mer's row image into the shard's query temp row.
+  void stage_query(Shard& shard, dram::Subarray& sa,
+                   const assembly::Kmer& kmer);
   /// Row-parallel compare of the staged query against a key slot, through
   /// the recovery executor when one is attached.
-  bool probe_matches(const Shard& shard, std::size_t slot, std::size_t k);
+  bool probe_matches(const Shard& shard, std::size_t slot);
+
+  /// Bit offset of a slot's counter within its value row.
+  std::size_t counter_offset(std::size_t shard_index, std::size_t slot) const;
+  /// The counter field at `off` of a value row (one word shift).
+  std::uint32_t counter_field(const BitVector& row, std::size_t off) const;
+  /// The key a key row holds: its low 2k bits (k ≤ 32, so word 0).
+  assembly::Kmer key_of(const BitVector& key_row) const;
 
   std::uint32_t read_counter(std::size_t shard_index, std::size_t slot);
   void write_counter(std::size_t shard_index, std::size_t slot,

@@ -5,30 +5,31 @@
 namespace pima::dram {
 namespace {
 
-// Reads the row via a costed DPU_REDUCE command and returns the prefix.
-BitVector fetch_prefix(Subarray& sa, std::size_t row, std::size_t width) {
+// Reads the row via a costed DPU_REDUCE command; the reductions scan the
+// fetched row in place.
+const BitVector& fetch(Subarray& sa, std::size_t row, std::size_t width) {
   PIMA_CHECK(width <= sa.geometry().columns, "reduce width exceeds row");
-  return sa.dpu_fetch(row).slice(0, width);
+  return sa.dpu_fetch(row);
 }
 
 }  // namespace
 
 bool Dpu::and_reduce(Subarray& sa, std::size_t row, std::size_t width) {
-  return fetch_prefix(sa, row, width).all();
+  return fetch(sa, row, width).all_ones_prefix(width);
 }
 
 bool Dpu::or_reduce(Subarray& sa, std::size_t row, std::size_t width) {
-  return fetch_prefix(sa, row, width).any();
+  return fetch(sa, row, width).popcount_range(0, width) > 0;
 }
 
 std::size_t Dpu::popcount(Subarray& sa, std::size_t row, std::size_t width) {
-  return fetch_prefix(sa, row, width).popcount();
+  return fetch(sa, row, width).popcount_range(0, width);
 }
 
 std::size_t Dpu::popcount_range(Subarray& sa, std::size_t row, std::size_t lo,
                                 std::size_t width) {
   PIMA_CHECK(lo + width <= sa.geometry().columns, "reduce range exceeds row");
-  return sa.dpu_fetch(row).slice(lo, width).popcount();
+  return sa.dpu_fetch(row).popcount_range(lo, width);
 }
 
 std::size_t Dpu::popcount_pairs(Subarray& sa, std::size_t row, std::size_t lo,

@@ -226,6 +226,28 @@ void Subarray::compare_rows(RowAddr a, RowAddr b, RowAddr result_row) {
   aap_xnor(x1, x2, result_row);
 }
 
+bool Subarray::xnor_match(RowAddr a, RowAddr b, RowAddr result_row,
+                          std::size_t width) {
+  const RowAddr data = geom_.data_rows();
+  PIMA_CHECK(a < data && b < data, "xnor match operands must be data rows");
+  check_row(result_row);
+  PIMA_CHECK(width <= geom_.columns, "reduce width exceeds row");
+  const RowAddr x1 = data, x2 = data + 1;
+  if (fault_ != nullptr) {
+    compare_rows(a, b, result_row);
+    return dpu_fetch(result_row).all_ones_prefix(width);
+  }
+  record(CommandKind::kAapCopy, Opcode::kAapCopy, a, 0, 0, x1);
+  record(CommandKind::kAapCopy, Opcode::kAapCopy, b, 0, 0, x2);
+  record(CommandKind::kAapTwoRow, Opcode::kAapXnor, x1, x2, 0, result_row);
+  record(CommandKind::kDpuReduce, Opcode::kDpuPopcount, result_row);
+  BitVector& match = rows_[result_row];
+  match.assign_xnor(rows_[a], rows_[b]);
+  if (result_row != x1) rows_[x1].assign(match);
+  if (result_row != x2) rows_[x2].assign(match);
+  return match.all_ones_prefix(width);
+}
+
 void Subarray::check_operands(RowAddr a, RowAddr b, RowAddr c,
                               RowAddr dst) const {
   const RowAddr data = geom_.data_rows();

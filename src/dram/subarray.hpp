@@ -134,6 +134,14 @@ class Subarray {
   /// result separately.
   void compare_rows(RowAddr a, RowAddr b, RowAddr result_row);
 
+  /// The hash-table probe (PIM_XNOR + DPU AND-reduce, paper Fig. 7):
+  /// compare_rows(a, b, result_row) followed by a DPU fetch of
+  /// `result_row`. Issues exactly
+  ///   AAP(a,x1) AAP(b,x2) XNOR(x1,x2→result_row) DPU_POPCOUNT(result_row)
+  /// leaves x1 = x2 = result_row = XNOR(a, b), and returns whether the
+  /// first `width` match bits are all 1. a and b must be data rows.
+  bool xnor_match(RowAddr a, RowAddr b, RowAddr result_row, std::size_t width);
+
   /// Carry-save sum bit of three data rows (paper Fig. 8): dst ← a⊕b⊕c.
   /// Issues exactly the five commands
   ///   AAP(a,x1) AAP(b,x2) XOR(x1,x2→x1) AAP(c,x2) XOR(x1,x2→dst)
@@ -146,10 +154,11 @@ class Subarray {
   /// and leaves x1 = x2 = x3 = dst = latch = MAJ(a,b,c). Operand rules as
   /// for xor3_rows.
   ///
-  /// Both fused kernels record the same commands, in the same order, as the
-  /// sequence issued primitive by primitive, then write that sequence's
-  /// final state directly. With a fault injector attached they run the
-  /// sequence instead: retention ticks and sensing faults act per command.
+  /// The fused kernels (xnor_match, xor3_rows, maj3_rows) record the same
+  /// commands, in the same order, as the sequence issued primitive by
+  /// primitive, then write that sequence's final state directly. With a
+  /// fault injector attached they run the sequence instead: retention
+  /// ticks and sensing faults act per command.
   void maj3_rows(RowAddr a, RowAddr b, RowAddr c, RowAddr dst);
 
   /// Cached per-command cost of this sub-array: equal to

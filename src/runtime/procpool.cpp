@@ -26,6 +26,9 @@ namespace pima::runtime {
 namespace {
 
 constexpr const char* kSite = "procpool";
+// How long reap_worker waits for a failed worker's own exit status before
+// it kills the worker itself.
+constexpr std::chrono::milliseconds kReapGrace{500};
 
 constexpr WireVerb kWireVerbs[] = {
     {"kmers", "rpc:kmers", "devd:kmers"},
@@ -274,20 +277,38 @@ void ProcSupervisor::respawn(std::size_t d) {
   }
 }
 
-WorkerExitClass ProcSupervisor::reap_worker(std::size_t d) noexcept {
+WorkerExitClass ProcSupervisor::reap_worker(std::size_t d,
+                                            bool grace) noexcept {
   Worker& w = workers_[d];
   w.alive = false;
   w.channel.reset();
   w.fd = net::ScopedFd();
   if (w.pid <= 0) return WorkerExitClass::kTorn;
-  // SIGKILL before the blocking reap: a zombie's exit status is
-  // unaffected, and a live-but-garbling worker must not block waitpid.
-  (void)fsio::kill(w.pid, SIGKILL, kSite);
+  // A worker that died on its own (crash, signal, stall exit) closes its
+  // socket on the way out, so the parent may see EOF a moment before the
+  // exit status is ready: poll for it within a bounded grace period.
   int status = 0;
-  pid_t got;
-  do {
-    got = fsio::waitpid(w.pid, &status, 0, kSite);
-  } while (got < 0 && errno == EINTR);
+  pid_t got = 0;
+  auto pause = std::chrono::microseconds(50);
+  const auto deadline = std::chrono::steady_clock::now() + kReapGrace;
+  while (grace) {
+    got = fsio::waitpid(w.pid, &status, WNOHANG, kSite);
+    if (got != 0 && !(got < 0 && errno == EINTR)) break;
+    if (std::chrono::steady_clock::now() >= deadline) break;
+    std::this_thread::sleep_for(pause);
+    pause = std::min(pause * 2, std::chrono::microseconds(10000));
+  }
+  const bool killed_by_parent = got == 0;
+  if (killed_by_parent) {
+    // Still running: with grace, the failure the parent saw (garbage, an
+    // oversized line) came from the worker's live stream, so it is
+    // classified by that stream, not by the parent's own SIGKILL. A
+    // zombie's exit status is unaffected by the kill.
+    (void)fsio::kill(w.pid, SIGKILL, kSite);
+    do {
+      got = fsio::waitpid(w.pid, &status, 0, kSite);
+    } while (got < 0 && errno == EINTR);
+  }
   w.pid = -1;
   // The dead child's stderr pipe is at EOF now; let the relay flush its
   // last lines before the failure is logged.
@@ -295,7 +316,7 @@ WorkerExitClass ProcSupervisor::reap_worker(std::size_t d) noexcept {
     if (w.stderr_relay.joinable()) w.stderr_relay.join();
   } catch (...) {
   }
-  if (got < 0) return WorkerExitClass::kTorn;
+  if (got < 0 || killed_by_parent) return WorkerExitClass::kTorn;
   if (WIFEXITED(status)) {
     const int code = WEXITSTATUS(status);
     if (code == kExitEngineStalled) return WorkerExitClass::kStalled;
@@ -311,7 +332,7 @@ WorkerExitClass ProcSupervisor::reap_worker(std::size_t d) noexcept {
 void ProcSupervisor::on_worker_failure(std::size_t d,
                                        const std::string& what) {
   Worker& w = workers_[d];
-  const WorkerExitClass cls = reap_worker(d);
+  const WorkerExitClass cls = reap_worker(d, /*grace=*/true);
   telemetry::log_event(telemetry::LogLevel::kWarn, "worker.failed",
                        "device worker " + std::to_string(d) + " failed — " +
                            to_string(cls) + " (" + what + ")",

@@ -18,7 +18,10 @@
 //     EngineStalledError (exit 6; a wedged kernel is the worker engine's
 //     watchdog's to catch), injected torn-write crash (exit 86), death by
 //     signal, or a torn protocol stream (EOF/garbage mid-request, or a
-//     clean exit without a shutdown handshake);
+//     clean exit without a shutdown handshake). A failed worker gets a
+//     short grace period to exit on its own; one still running after it
+//     (it sent garbage or an oversized line) is killed and classified
+//     torn, never by the parent's own kill;
 //   * restart: bounded restart-with-backoff. Every state-mutating request
 //     is journaled; a restarted worker is re-initialized from its init
 //     request and replayed to exactly the pre-crash state. Journals are
@@ -195,7 +198,12 @@ class ProcSupervisor {
   /// Classify + reap + log; throws ProcPoolDegradedError past the budget,
   /// otherwise sleeps the backoff and leaves the worker dead for respawn.
   void on_worker_failure(std::size_t d, const std::string& what);
-  WorkerExitClass reap_worker(std::size_t d) noexcept;
+  /// Closes the worker's stream and reaps it. With `grace` a worker that
+  /// exits on its own within 500 ms is classified by its own status,
+  /// and one the parent then has to kill is kTorn; without it the worker
+  /// is killed at once (shutdown and discard paths, which ignore the
+  /// class).
+  WorkerExitClass reap_worker(std::size_t d, bool grace = false) noexcept;
   std::vector<net::Json> fan_out(const std::vector<net::Json>& requests,
                                  bool journaled);
 

@@ -242,6 +242,41 @@ TEST(BitVector, SliceAndCopyRangeMatchBitLoopReference) {
   }
 }
 
+// Property: the in-place range reductions agree with a bit-by-bit
+// reference on unaligned ranges, including ones that end on or straddle a
+// word boundary, and on rows dense enough that all-ones prefixes occur.
+TEST(BitVector, RangeReductionsMatchBitLoopReference) {
+  Rng rng(977);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 1 + rng.uniform(300);
+    BitVector v(n);
+    const double density = trial % 2 == 0 ? 0.5 : 0.98;
+    for (std::size_t i = 0; i < n; ++i) v.set(i, rng.bernoulli(density));
+    const std::size_t lo = rng.uniform(n + 1);
+    const std::size_t len = rng.uniform(n - lo + 1);
+    std::size_t count = 0;
+    for (std::size_t i = lo; i < lo + len; ++i)
+      if (v.get(i)) ++count;
+    ASSERT_EQ(v.popcount_range(lo, len), count)
+        << "n=" << n << " lo=" << lo << " len=" << len;
+    bool all = true;
+    for (std::size_t i = 0; i < len; ++i) all = all && v.get(i);
+    ASSERT_EQ(v.all_ones_prefix(len), all) << "n=" << n << " width=" << len;
+  }
+  BitVector v(130);
+  v.fill(true);
+  EXPECT_TRUE(v.all_ones_prefix(130));
+  EXPECT_EQ(v.popcount_range(60, 8), 8u);
+  EXPECT_EQ(v.popcount_range(64, 64), 64u);
+  EXPECT_EQ(v.popcount_range(0, 0), 0u);
+  v.set(64, false);
+  EXPECT_TRUE(v.all_ones_prefix(64));
+  EXPECT_FALSE(v.all_ones_prefix(65));
+  EXPECT_EQ(v.popcount_range(60, 8), 7u);
+  EXPECT_THROW((void)v.all_ones_prefix(131), PreconditionError);
+  EXPECT_THROW((void)v.popcount_range(100, 31), PreconditionError);
+}
+
 // Property: XNOR is an involution partner of XOR, MAJ3 is symmetric, and
 // De Morgan identities hold on random vectors.
 class BitVectorProperty : public ::testing::TestWithParam<std::uint64_t> {};

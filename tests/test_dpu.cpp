@@ -90,6 +90,51 @@ TEST_F(DpuTest, SingleColumnReductions) {
   EXPECT_EQ(Dpu::popcount(sa_, 0, 1), 0u);
 }
 
+// Reductions read the fetched row in place, word by word: ranges that end
+// on a 64-bit word boundary and ranges that straddle one must count
+// exactly the addressed columns.
+TEST(DpuWordBoundary, RangesEndingOnAndStraddlingWords) {
+  Geometry g = tiny();
+  g.columns = 256;
+  Subarray sa(g, circuit::default_technology());
+  BitVector v(256);
+  v.fill(true);
+  sa.write_row(0, v);
+  for (const std::size_t width : {std::size_t{64}, std::size_t{65},
+                                  std::size_t{128}, std::size_t{256}}) {
+    EXPECT_TRUE(Dpu::and_reduce(sa, 0, width)) << width;
+    EXPECT_TRUE(Dpu::or_reduce(sa, 0, width)) << width;
+    EXPECT_EQ(Dpu::popcount(sa, 0, width), width);
+  }
+  EXPECT_EQ(Dpu::popcount_range(sa, 0, 60, 8), 8u);    // straddles bit 64
+  EXPECT_EQ(Dpu::popcount_range(sa, 0, 64, 64), 64u);  // one whole word
+  EXPECT_EQ(Dpu::popcount_range(sa, 0, 192, 64), 64u); // ends on the row end
+
+  // Clear bit 64 (first column of word 1) and bit 255 (the last column).
+  v.set(64, false);
+  v.set(255, false);
+  sa.write_row(0, v);
+  EXPECT_TRUE(Dpu::and_reduce(sa, 0, 64));
+  EXPECT_FALSE(Dpu::and_reduce(sa, 0, 65));
+  EXPECT_FALSE(Dpu::and_reduce(sa, 0, 256));
+  EXPECT_EQ(Dpu::popcount(sa, 0, 64), 64u);
+  EXPECT_EQ(Dpu::popcount(sa, 0, 65), 64u);
+  EXPECT_EQ(Dpu::popcount(sa, 0, 256), 254u);
+  EXPECT_EQ(Dpu::popcount_range(sa, 0, 60, 8), 7u);
+  EXPECT_EQ(Dpu::popcount_range(sa, 0, 64, 1), 0u);
+  EXPECT_EQ(Dpu::popcount_range(sa, 0, 255, 1), 0u);
+  EXPECT_EQ(Dpu::popcount_range(sa, 0, 63, 1), 1u);
+
+  // Only bit 64 set: OR over a prefix sees it from width 65 on.
+  BitVector one(256);
+  one.set(64, true);
+  sa.write_row(0, one);
+  EXPECT_FALSE(Dpu::or_reduce(sa, 0, 64));
+  EXPECT_TRUE(Dpu::or_reduce(sa, 0, 65));
+  EXPECT_EQ(Dpu::popcount_range(sa, 0, 60, 8), 1u);
+  EXPECT_THROW(Dpu::popcount_range(sa, 0, 200, 57), pima::PreconditionError);
+}
+
 TEST_F(DpuTest, ReduceIsCosted) {
   sa_.write_row(0, BitVector(64));
   sa_.clear_stats();

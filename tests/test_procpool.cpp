@@ -950,6 +950,59 @@ TEST(ProcPoolWire, RpcAllRethrowsTheLowestDevicesTypedError) {
 
 // ---- exit classification ----------------------------------------------------
 
+// Starts a one-device pool whose worker is the shell script `body` standing
+// in for pima_devd, with no restart budget, and returns the class the
+// supervisor gave the worker's failure.
+runtime::WorkerExitClass standin_failure_class(const std::string& name,
+                                               const std::string& body) {
+  const auto dir = fs::temp_directory_path() /
+                   ("procpool_" + name + "_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto script = dir / "standin_devd";
+  {
+    std::ofstream out(script);
+    out << "#!/bin/sh\n" << body;
+  }
+  fs::permissions(script, fs::perms::owner_all);
+  runtime::ProcPoolOptions opt;
+  opt.devd_path = script.string();
+  opt.restart_budget = 0;
+  runtime::ProcSupervisor sup(opt, [](std::size_t) {
+    return core::worker_init_to_json(core::WorkerInit{});
+  });
+  runtime::WorkerExitClass cls = runtime::WorkerExitClass::kStalled;
+  try {
+    sup.start();
+    ADD_FAILURE() << "the stand-in worker was accepted";
+  } catch (const runtime::ProcPoolDegradedError& e) {
+    cls = e.exit_class();
+  }
+  sup.shutdown();
+  fs::remove_all(dir);
+  return cls;
+}
+
+TEST(ProcPoolClassify, LiveWorkerSendingGarbageIsTornNotKilled) {
+  // The worker answers init with a malformed line and keeps running: the
+  // parent must kill it, and the class names the torn stream, not the
+  // parent's own SIGKILL.
+  EXPECT_EQ(standin_failure_class(
+                "garbage_live",
+                "read -r line <&3\nprintf 'not json\\n' >&3\nexec sleep 30\n"),
+            runtime::WorkerExitClass::kTorn);
+}
+
+TEST(ProcPoolClassify, WorkerThatExitsAfterGarbageKeepsItsOwnStatus) {
+  // The worker sends garbage and exits 3 by itself: its own exit status
+  // classifies it.
+  EXPECT_EQ(standin_failure_class(
+                "garbage_exit",
+                "read -r line <&3\nprintf 'not json\\n' >&3\nexit 3\n"),
+            runtime::WorkerExitClass::kCrashExit);
+}
+
+
 TEST(ProcPoolClassify, ExitClassNamesAreStable) {
   using runtime::WorkerExitClass;
   EXPECT_STREQ(runtime::to_string(WorkerExitClass::kStalled), "engine stall");

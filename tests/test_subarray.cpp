@@ -463,12 +463,18 @@ TEST(SubarrayFusedKernels, MatchPerCommandSequenceIncludingAliases) {
       const RowAddr dst = step % 5 == 0   ? a
                           : step % 11 == 0 ? fused.compute_row(rng.uniform(3))
                                            : rng.uniform(data);
-      if (step % 2 == 0) {
+      if (step % 3 == 0) {
         fused.xor3_rows(a, b, c, dst);
         stepped.xor3_rows(a, b, c, dst);
-      } else {
+      } else if (step % 3 == 1) {
         fused.maj3_rows(a, b, c, dst);
         stepped.maj3_rows(a, b, c, dst);
+      } else {
+        // The probe's match bit must agree at any reduce width.
+        const std::size_t width = rng.uniform(cols + 1);
+        EXPECT_EQ(fused.xnor_match(a, b, dst, width),
+                  stepped.xnor_match(a, b, dst, width))
+            << "step " << step << " width " << width;
       }
     }
     expect_same_state(fused, stepped);
@@ -483,6 +489,10 @@ TEST(SubarrayFusedKernels, RejectComputationRowOperands) {
   EXPECT_THROW(sa.xor3_rows(1, 2, x4, 3), pima::PreconditionError);
   EXPECT_THROW(sa.maj3_rows(1, x1, 2, 3), pima::PreconditionError);
   EXPECT_THROW(sa.maj3_rows(1, 2, 3, 64), pima::PreconditionError);
+  EXPECT_THROW((void)sa.xnor_match(x1, 1, x4, 8), pima::PreconditionError);
+  EXPECT_THROW((void)sa.xnor_match(1, 2, 64, 8), pima::PreconditionError);
+  EXPECT_THROW((void)sa.xnor_match(1, 2, x4, sa.geometry().columns + 1),
+               pima::PreconditionError);
   EXPECT_EQ(sa.stats().total_commands(), 0u);  // checked before any command
 }
 
