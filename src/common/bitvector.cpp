@@ -85,21 +85,6 @@ void BitVector::copy_range_from(const BitVector& src, std::size_t lo) {
   }
 }
 
-BitVector BitVector::slice(std::size_t lo, std::size_t len) const {
-  PIMA_CHECK(lo + len <= size_, "slice out of range");
-  BitVector out(len);
-  const std::size_t shift = lo % 64;
-  for (std::size_t w = 0; w < out.words_.size(); ++w) {
-    const std::size_t sw = lo / 64 + w;
-    std::uint64_t v = words_[sw] >> shift;
-    if (shift != 0 && sw + 1 < words_.size())
-      v |= words_[sw + 1] << (64 - shift);
-    out.words_[w] = v;
-  }
-  out.clear_tail();
-  return out;
-}
-
 std::string BitVector::to_string() const {
   std::string s(size_, '0');
   for (std::size_t i = 0; i < size_; ++i)

@@ -82,9 +82,6 @@ class BitVector {
   /// Writes a bit range [lo, lo+src.size()) from `src` (src must fit).
   void copy_range_from(const BitVector& src, std::size_t lo);
 
-  /// Reads a bit range [lo, lo+len) into a new vector.
-  BitVector slice(std::size_t lo, std::size_t len) const;
-
   /// "1011..." rendering (index 0 first). For diagnostics/tests.
   std::string to_string() const;
 
@@ -138,6 +135,29 @@ class BitVector {
     for (std::size_t w = 0; w < words_.size(); ++w) {
       const auto x = a.words_[w], y = b.words_[w], z = c.words_[w];
       words_[w] = (x & y) | (y & z) | (x & z);
+    }
+  }
+  /// The carry-save 3:2 step in one pass over the words: the same result
+  /// as `sum.assign_xor3(a, b, c); carry.assign_maj3(a, b, c);`, so an
+  /// operand that aliases `sum` enters the majority as the new sum. Any
+  /// argument may alias any other.
+  static void assign_carry_save(BitVector& sum, BitVector& carry,
+                                const BitVector& a, const BitVector& b,
+                                const BitVector& c) {
+    check_same_size(sum, carry);
+    check_same_size(carry, a);
+    check_same_size(a, b);
+    check_same_size(b, c);
+    const bool a_is_sum = &a == &sum, b_is_sum = &b == &sum,
+               c_is_sum = &c == &sum;
+    for (std::size_t w = 0; w < sum.words_.size(); ++w) {
+      auto x = a.words_[w], y = b.words_[w], z = c.words_[w];
+      const auto s = x ^ y ^ z;
+      sum.words_[w] = s;
+      if (a_is_sum) x = s;
+      if (b_is_sum) y = s;
+      if (c_is_sum) z = s;
+      carry.words_[w] = (x & y) | (y & z) | (x & z);
     }
   }
 

@@ -1,20 +1,27 @@
 #include "core/degree.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
+#include <span>
+#include <string>
 
 #include "common/error.hpp"
 
 namespace pima::core {
 namespace {
 
+using Number = VerticalNumber;
+
 // Row allocator over a sub-array's data rows with recycling: carry-save
 // intermediates are freed as soon as they are consumed, so the reduction
-// runs in O(live numbers) rows instead of O(total intermediates).
+// runs in O(live numbers) rows instead of O(total intermediates). The free
+// list is the caller's, emptied here, so it keeps its capacity.
 class RowAllocator {
  public:
-  explicit RowAllocator(const dram::Geometry& g) : limit_(g.data_rows()) {}
+  RowAllocator(const dram::Geometry& g, std::vector<dram::RowAddr>& free)
+      : limit_(g.data_rows()), free_(free) {
+    free_.clear();
+  }
 
   dram::RowAddr alloc() {
     if (!free_.empty()) {
@@ -37,54 +44,24 @@ class RowAllocator {
  private:
   dram::RowAddr next_ = 0;
   std::size_t limit_;
-  std::vector<dram::RowAddr> free_;
+  std::vector<dram::RowAddr>& free_;
 };
 
-// A vertical multi-bit number: row addresses LSB-first, held inline so the
-// reduction builds no per-number heap vector. Widths only grow along the
-// reduction (a number never outgrows the final sum it feeds), so a number
-// wider than the 32-bit degree readout is an error wherever it appears.
-class Number {
- public:
-  static constexpr std::size_t kCapacity = 32;
-
-  Number() = default;
-  explicit Number(dram::RowAddr r) { push_back(r); }
-
-  std::size_t size() const { return size_; }
-  dram::RowAddr operator[](std::size_t i) const { return rows_[i]; }
-  const dram::RowAddr* begin() const { return rows_.data(); }
-  const dram::RowAddr* end() const { return rows_.data() + size_; }
-
-  void push_back(dram::RowAddr r) {
-    PIMA_CHECK(size_ < kCapacity, "degree exceeds 32-bit readout");
-    rows_[size_++] = r;
-  }
-
- private:
-  std::array<dram::RowAddr, kCapacity> rows_;
-  std::size_t size_ = 0;
-};
-
-// 3:2 compression of three numbers into `sum` and `carry` (carry<<1).
-// Each bit position costs one fused XOR3 (5 commands) and one fused MAJ3
-// (4 commands) into freshly allocated rows.
+// 3:2 compression of three numbers into `sum` and `carry` (carry<<1): one
+// fused Subarray::compress, 9 commands per bit, into freshly allocated
+// rows (taken sum then carry per bit, LSB first).
 void compress(dram::Subarray& sa, RowAllocator& alloc, dram::RowAddr zero_row,
               const Number& a, const Number& b, const Number& c, Number& sum,
               Number& carry) {
   const std::size_t w = std::max({a.size(), b.size(), c.size()});
-  auto bit = [&](const Number& n, std::size_t i) {
-    return i < n.size() ? n[i] : zero_row;
-  };
   carry.push_back(zero_row);  // carry has weight 2: shift left one bit
   for (std::size_t i = 0; i < w; ++i) {
-    const auto s = alloc.alloc();
-    sa.xor3_rows(bit(a, i), bit(b, i), bit(c, i), s);
-    sum.push_back(s);
-    const auto cy = alloc.alloc();
-    sa.maj3_rows(bit(a, i), bit(b, i), bit(c, i), cy);
-    carry.push_back(cy);
+    sum.push_back(alloc.alloc());
+    carry.push_back(alloc.alloc());
   }
+  sa.compress({a.begin(), a.end()}, {b.begin(), b.end()},
+              {c.begin(), c.end()}, zero_row, {sum.begin(), sum.end()},
+              {carry.begin() + 1, carry.end()});
 }
 
 // Bit-serial addition of two numbers via Subarray::add_vertical.
@@ -103,53 +80,53 @@ Number add(dram::Subarray& sa, RowAllocator& alloc, dram::RowAddr zero_row,
   return sum;
 }
 
-}  // namespace
-
-std::vector<std::uint32_t> pim_column_sums(
-    dram::Subarray& sa, const std::vector<BitVector>& rows) {
+// The kernel behind both entry points: maps `rows` in and reduces them.
+std::vector<std::uint32_t> column_sums(dram::Subarray& sa,
+                                       std::span<const BitVector> rows,
+                                       ColumnSumScratch& scratch) {
   const std::size_t width = sa.geometry().columns;
-  RowAllocator alloc(sa.geometry());
+  RowAllocator alloc(sa.geometry(), scratch.free_rows);
 
   // Dedicated all-zero row for padding narrower numbers.
   const auto zero_row = alloc.alloc();
-  sa.write_row(zero_row, BitVector(width));
+  if (scratch.zero.size() != width) scratch.zero = BitVector(width);
+  sa.write_row(zero_row, scratch.zero);
 
   if (rows.empty()) return std::vector<std::uint32_t>(width, 0);
 
   // Map the adjacency rows in (paper "mapping" stage).
-  std::vector<Number> numbers, next;
+  auto& numbers = scratch.numbers;
+  numbers.clear();
   numbers.reserve(rows.size());
-  next.reserve(rows.size());
-  for (const auto& r : rows) {
-    PIMA_CHECK(r.size() == width, "adjacency row width mismatch");
+  for (const BitVector& row : rows) {
+    PIMA_CHECK(row.size() == width, "adjacency row width mismatch");
     const auto addr = alloc.alloc();
-    sa.write_row(addr, r);
+    sa.write_row(addr, row);
     numbers.emplace_back(addr);
   }
 
-  // Carry-save reduction: 3 → 2 until two numbers remain. Consumed
-  // operand rows are recycled immediately (the reserved-row budget of a
-  // sub-array is finite). A round never yields more numbers than it
-  // consumes, so `next` never outgrows its reservation and the references
-  // into it stay valid.
+  // Carry-save reduction: 3 → 2 until two numbers remain, in place: the
+  // outputs of triple t land in slots 2t and 2t+1, behind every input not
+  // yet consumed. Consumed operand rows are recycled immediately (the
+  // reserved-row budget of a sub-array is finite).
   auto free_number = [&](const Number& n) {
     for (const auto r : n)
       if (r != zero_row) alloc.free(r);
   };
   while (numbers.size() > 2) {
-    next.clear();
-    std::size_t i = 0;
+    std::size_t out = 0, i = 0;
     for (; i + 3 <= numbers.size(); i += 3) {
-      Number& sum = next.emplace_back();
-      Number& carry = next.emplace_back();
+      Number sum, carry;
       compress(sa, alloc, zero_row, numbers[i], numbers[i + 1],
                numbers[i + 2], sum, carry);
       free_number(numbers[i]);
       free_number(numbers[i + 1]);
       free_number(numbers[i + 2]);
+      numbers[out++] = sum;
+      numbers[out++] = carry;
     }
-    for (; i < numbers.size(); ++i) next.push_back(numbers[i]);
-    numbers.swap(next);
+    for (; i < numbers.size(); ++i) numbers[out++] = numbers[i];
+    numbers.resize(out);
   }
 
   // Final bit-serial addition.
@@ -174,11 +151,41 @@ std::vector<std::uint32_t> pim_column_sums(
   return sums;
 }
 
+}  // namespace
+
+std::vector<std::uint32_t> pim_column_sums(
+    dram::Subarray& sa, const std::vector<BitVector>& rows) {
+  ColumnSumScratch scratch;
+  return column_sums(sa, rows, scratch);
+}
+
+std::vector<std::uint32_t> run_degree_job(dram::Subarray& sa, std::size_t flat,
+                                          const EdgeBlock& block,
+                                          std::size_t n_local_sources,
+                                          ColumnSumScratch& scratch) {
+  scratch.adjacency.assign(block, n_local_sources, sa.geometry().columns);
+  auto sums = column_sums(sa, scratch.adjacency.rows(), scratch);
+  if (sa.fault_injector() == nullptr) check_block_sums(flat, block, sums);
+  return sums;
+}
+
+void check_block_sums(std::size_t flat, const EdgeBlock& block,
+                      const std::vector<std::uint32_t>& sums) {
+  const auto want = block_column_degrees(block, sums.size());
+  const auto [got_it, want_it] = std::mismatch(sums.begin(), sums.end(),
+                                               want.begin());
+  if (got_it == sums.end()) return;
+  const auto column = static_cast<std::size_t>(got_it - sums.begin());
+  throw SimulationError("degree kernel on sub-array " + std::to_string(flat) +
+                        ": column " + std::to_string(column) + " sums to " +
+                        std::to_string(*got_it) + ", the block's degree is " +
+                        std::to_string(*want_it));
+}
+
 DegreeResult pim_degrees(dram::Device& device,
                          const assembly::DeBruijnGraph& g,
                          const GraphPartition& partition,
                          runtime::Engine* engine) {
-  const std::size_t width = device.geometry().columns;
   DegreeResult result;
   result.in_degree.assign(g.node_count(), 0);
   result.out_degree.assign(g.node_count(), 0);
@@ -194,6 +201,7 @@ DegreeResult pim_degrees(dram::Device& device,
   };
   std::vector<Slot> slots;
   slots.reserve(2 * partition.blocks.size());
+  std::vector<ColumnSumScratch> scratch(engine ? engine->channels() : 1);
   for_each_degree_job(
       partition, device.geometry(),
       [&](std::size_t flat, std::size_t n, const EdgeBlock& block,
@@ -205,12 +213,15 @@ DegreeResult pim_degrees(dram::Device& device,
                                                         ? block.source_interval
                                                         : block.dest_interval];
         slot.degrees = transposed ? &result.out_degree : &result.in_degree;
-        runtime::Task task = [&device, &block, &slot, flat, n, width,
+        ColumnSumScratch& buffers =
+            scratch[engine ? engine->channel_of(flat) : 0];
+        runtime::Task task = [&device, &block, &slot, &buffers, flat, n,
                               transposed] {
-          const auto rows =
-              transposed ? block_adjacency_rows(transpose(block), n, width)
-                         : block_adjacency_rows(block, n, width);
-          slot.sums = pim_column_sums(device.subarray(flat), rows);
+          dram::Subarray& sa = device.subarray(flat);
+          slot.sums =
+              transposed
+                  ? run_degree_job(sa, flat, transpose(block), n, buffers)
+                  : run_degree_job(sa, flat, block, n, buffers);
         };
         if (engine)
           engine->submit_to_subarray(flat, std::move(task));

@@ -10,6 +10,8 @@
 // All 256 columns advance in parallel at every step.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -22,12 +24,81 @@
 
 namespace pima::core {
 
+/// A vertical multi-bit number of the degree kernel: its bit rows,
+/// LSB-first, held inline so the reduction builds no per-number heap
+/// vector. Widths only grow along the reduction (a number never outgrows
+/// the final sum it feeds), so a number wider than the 32-bit degree
+/// readout is an error wherever it appears.
+class VerticalNumber {
+ public:
+  static constexpr std::size_t kCapacity = 32;
+
+  // Only the first size() rows are ever read, so construction leaves the
+  // rest unset and copies move only those: the reduction makes and copies
+  // numbers by the hundred per job.
+  VerticalNumber() {}
+  explicit VerticalNumber(dram::RowAddr r) { push_back(r); }
+  VerticalNumber(const VerticalNumber& o) : size_(o.size_) {
+    std::copy_n(o.rows_.begin(), size_, rows_.begin());
+  }
+  VerticalNumber& operator=(const VerticalNumber& o) {
+    if (this == &o) return *this;
+    size_ = o.size_;
+    std::copy_n(o.rows_.begin(), size_, rows_.begin());
+    return *this;
+  }
+
+  std::size_t size() const { return size_; }
+  dram::RowAddr operator[](std::size_t i) const { return rows_[i]; }
+  const dram::RowAddr* begin() const { return rows_.data(); }
+  const dram::RowAddr* end() const { return rows_.data() + size_; }
+
+  void push_back(dram::RowAddr r) {
+    PIMA_CHECK(size_ < kCapacity, "degree exceeds 32-bit readout");
+    rows_[size_++] = r;
+  }
+
+ private:
+  std::array<dram::RowAddr, kCapacity> rows_;
+  std::size_t size_ = 0;
+};
+
+/// The degree kernel's working buffers. They keep their capacity from job
+/// to job, so a stream of degree jobs allocates no heap row per adjacency
+/// row once they have grown. Not shareable between concurrent jobs: one
+/// per engine channel, whose tasks run one at a time.
+struct ColumnSumScratch {
+  AdjacencyRows adjacency;  ///< the current job's rows
+  BitVector zero;           ///< image of the all-zero padding row
+  std::vector<dram::RowAddr> free_rows;
+  std::vector<VerticalNumber> numbers;
+};
+
 /// Column sums of `rows` (each a 1-bit-per-column adjacency row) computed
 /// entirely with PIM operations inside `sa`. Returns one sum per column.
 /// Requires enough free data rows for inputs + carry-save intermediates
 /// (≈ 3× the input row count).
 std::vector<std::uint32_t> pim_column_sums(dram::Subarray& sa,
                                            const std::vector<BitVector>& rows);
+
+/// One degree job: the column sums of `block`'s adjacency rows (its
+/// `n_local_sources` source rows plus the extra-instance rows; see
+/// AdjacencyRows) on `sa`, rendered through `scratch`. Issues exactly the
+/// commands pim_column_sums issues for the same rows. On a sub-array
+/// without a fault injector the sums are then checked against the host
+/// reference block_column_degrees: a mismatch throws SimulationError
+/// naming `flat` (the sub-array's index) and the first differing column.
+/// With faults on, wrong sums are the modelled outcome and pass through.
+std::vector<std::uint32_t> run_degree_job(dram::Subarray& sa, std::size_t flat,
+                                          const EdgeBlock& block,
+                                          std::size_t n_local_sources,
+                                          ColumnSumScratch& scratch);
+
+/// The check run_degree_job makes: throws SimulationError naming `flat`
+/// and the first differing column unless `sums` equals
+/// block_column_degrees(block, sums.size()).
+void check_block_sums(std::size_t flat, const EdgeBlock& block,
+                      const std::vector<std::uint32_t>& sums);
 
 /// Degrees of every vertex of `g`, computed block-by-block on `device`
 /// (block (i,j) of the partition runs on its own sub-array; per-vertex

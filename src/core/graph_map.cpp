@@ -1,5 +1,7 @@
 #include "core/graph_map.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace pima::core {
@@ -59,26 +61,27 @@ EdgeBlock transpose(const EdgeBlock& block) {
   return t;
 }
 
-std::vector<BitVector> block_adjacency_rows(const EdgeBlock& block,
-                                            std::size_t n_local_sources,
-                                            std::size_t width) {
-  std::vector<BitVector> rows;
-  rows.reserve(n_local_sources);
-  for (std::size_t r = 0; r < n_local_sources; ++r)
-    rows.emplace_back(width);
+void AdjacencyRows::assign(const EdgeBlock& block,
+                           std::size_t n_local_sources, std::size_t width) {
+  std::size_t size = n_local_sources;
   for (const auto& e : block.edges) {
     PIMA_CHECK(e.from < n_local_sources, "edge source outside block");
     PIMA_CHECK(e.to < width, "edge destination outside row width");
-    // Multiplicity m > 1 contributes m instances; dense 1-bit rows can
-    // carry one instance each, so extra instances append duplicate rows.
-    rows[e.from].set(e.to, true);
-    for (std::uint32_t extra = 1; extra < e.multiplicity; ++extra) {
-      BitVector dup(width);
-      dup.set(e.to, true);
-      rows.push_back(std::move(dup));
-    }
+    if (e.multiplicity > 1) size += e.multiplicity - 1;
   }
-  return rows;
+  if (!rows_.empty() && rows_.front().size() != width) rows_.clear();
+  for (std::size_t r = 0; r < std::min(size_, rows_.size()); ++r)
+    rows_[r].fill(false);
+  while (rows_.size() < size) rows_.emplace_back(width);
+  size_ = size;
+  std::size_t extra_row = n_local_sources;
+  for (const auto& e : block.edges) {
+    rows_[e.from].set(e.to, true);
+    // Dense 1-bit rows carry one instance each: extra instances get rows
+    // of their own.
+    for (std::uint32_t extra = 1; extra < e.multiplicity; ++extra)
+      rows_[extra_row++].set(e.to, true);
+  }
 }
 
 std::vector<std::uint32_t> block_column_degrees(const EdgeBlock& block,

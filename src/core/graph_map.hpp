@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "assembly/debruijn.hpp"
@@ -55,14 +56,25 @@ std::size_t subarrays_for_vertices(std::size_t n_vertices,
 /// out-degree view of a block (its column sums are source out-degrees).
 EdgeBlock transpose(const EdgeBlock& block);
 
-/// Renders a block as dense adjacency rows (paper "mapping" stage): row r
-/// holds the out-edges of local source vertex r; column c is set iff an
-/// edge (r → c) exists. `width` is the sub-array column count; blocks wider
-/// than a row are split by the caller. Multiplicities above 1 repeat rows
-/// (each instance contributes 1 to the destination's in-degree).
-std::vector<BitVector> block_adjacency_rows(const EdgeBlock& block,
-                                            std::size_t n_local_sources,
-                                            std::size_t width);
+/// A block's dense adjacency rows (paper "mapping" stage): row r <
+/// n_local_sources holds the out-edges of local source vertex r (column c
+/// is set iff an edge r → c exists). Multiplicities above 1 append one
+/// single-bit row per extra instance, in edge order (each instance
+/// contributes 1 to its destination's in-degree). `width` is the sub-array
+/// column count; blocks wider than a row are split by the caller. The rows
+/// are kept for the next assign(), which clears and reuses them, so a
+/// stream of blocks allocates no row once the largest block has been seen.
+class AdjacencyRows {
+ public:
+  void assign(const EdgeBlock& block, std::size_t n_local_sources,
+              std::size_t width);
+  /// The rows of the last assign(), valid until the next one.
+  std::span<const BitVector> rows() const { return {rows_.data(), size_}; }
+
+ private:
+  std::size_t size_ = 0;
+  std::vector<BitVector> rows_;  ///< all zero past size_
+};
 
 /// Software reference: per-destination in-degree of a block (column sums).
 std::vector<std::uint32_t> block_column_degrees(const EdgeBlock& block,

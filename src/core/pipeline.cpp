@@ -777,8 +777,9 @@ PipelineResult run_stages(ShardBackend& shards, const dram::Device& device,
     const GraphPartition partition =
         partition_fitting(graph, geometry, options.graph_intervals);
     // The PIM degree sums: every edge block's column-sum kernel on its own
-    // sub-array. The sums themselves are discarded — the walks below
-    // recompute degrees on the host — so only the device work is kept.
+    // sub-array. Each fault-free job checks its sums against the block's
+    // host degrees, then discards them: the walks below recompute the
+    // degrees on the host.
     for_each_degree_job(partition, geometry,
                         [&](std::size_t flat, std::size_t n,
                             const EdgeBlock& block, bool transposed) {

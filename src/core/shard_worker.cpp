@@ -78,7 +78,8 @@ DeviceShard::DeviceShard(dram::Device& device,
       engine_(device, engine),
       table_(device, hash_shards),
       kmer_batch_(kmer_batch),
-      pending_(engine_.channels()) {
+      pending_(engine_.channels()),
+      degree_scratch_(engine_.channels()) {
   device_.clear_stats();
   // Fault-aware execution: attach the Table-I-calibrated fault model and
   // route the table's critical probes through the recovery layer. With
@@ -139,11 +140,10 @@ void DeviceShard::degree_block(std::size_t flat, std::size_t n,
   // The task owns its block: the caller's partition may die first on an
   // unwind.
   runtime::submit_guarded(engine_, [&] {
-    engine_.submit_to_subarray(flat, [this, flat, n,
+    ColumnSumScratch& scratch = degree_scratch_[engine_.channel_of(flat)];
+    engine_.submit_to_subarray(flat, [this, flat, n, &scratch,
                                       block = std::move(block)] {
-      (void)pim_column_sums(
-          device_.subarray(flat),
-          block_adjacency_rows(block, n, device_.geometry().columns));
+      (void)run_degree_job(device_.subarray(flat), flat, block, n, scratch);
     });
   });
 }
@@ -369,10 +369,10 @@ net::Json ShardWorkerCore::op_program(const net::Json& req) {
 
 net::Json ShardWorkerCore::op_degree_block(const net::Json& req) {
   // A batch of edge blocks, [flat, n_local_sources, (from, to, mult)...]
-  // each. The shard rebuilds the adjacency rows with the controller's own
-  // block_adjacency_rows, so the rows — and the sub-array's command
-  // stream — are those of the in-process run by construction. The whole
-  // batch is validated before any block touches the device.
+  // each. The shard renders the adjacency rows with the controller's own
+  // AdjacencyRows, so the rows — and the sub-array's command stream — are
+  // those of the in-process run by construction. The whole batch is
+  // validated before any block touches the device.
   const dram::Geometry& geom = device_.geometry();
   const std::size_t width = geom.columns;
   struct Job {

@@ -24,8 +24,8 @@
 //                 slot order: shards [s, ...] → [[kmer, freq, ...], ...]
 //   distinct      controller-side distinct-key count
 //   program       parse + submit an AAP program slice (stages 2/3)
-//   degree_block  rebuild each edge block's adjacency rows and run
-//                 pim_column_sums on its sub-array (stage-3 kernel):
+//   degree_block  render each edge block's adjacency rows and run the
+//                 column-sum kernel on its sub-array (stage-3 kernel):
 //                 blocks [[flat, n_local_sources, (from, to, mult)...], ...]
 //   stats         per-sub-array CommandStats of every touched sub-array
 //   clear_stats   stage-boundary statistics reset
@@ -98,8 +98,9 @@ class DeviceShard {
   std::size_t distinct_kmers() const;
   /// Queues an AAP program; every instruction must target this device.
   void submit_program(dram::Program program);
-  /// Queues pim_column_sums over the block's adjacency rows on sub-array
-  /// `flat`; the sums are discarded, the device work is what counts.
+  /// Queues the degree job of `block` (run_degree_job) on sub-array
+  /// `flat`. Fault-free, the job checks its sums against the block's host
+  /// degrees, and a mismatch fails the task; the sums are then discarded.
   void degree_block(std::size_t flat, std::size_t n, EdgeBlock block);
 
   /// Every sub-array that ran a command since the last clear_stats().
@@ -125,6 +126,7 @@ class DeviceShard {
   PimHashTable table_;
   std::size_t kmer_batch_;
   std::vector<std::vector<assembly::Kmer>> pending_;  ///< one per channel
+  std::vector<ColumnSumScratch> degree_scratch_;      ///< one per channel
 };
 
 /// Configuration carried by the init request. Doubles ride the wire as

@@ -53,19 +53,6 @@ BitVector Sequence::to_bits(std::size_t pos, std::size_t len) const {
   return bits;
 }
 
-Sequence Sequence::from_bits(const BitVector& bits, std::size_t lo,
-                             std::size_t len) {
-  PIMA_CHECK(lo + 2 * len <= bits.size(), "from_bits range out of vector");
-  Sequence seq;
-  for (std::size_t i = 0; i < len; ++i) {
-    const auto b0 = static_cast<std::uint8_t>(bits.get(lo + 2 * i) ? 1 : 0);
-    const auto b1 =
-        static_cast<std::uint8_t>(bits.get(lo + 2 * i + 1) ? 1 : 0);
-    seq.push_back(from_code(static_cast<std::uint8_t>(b0 | (b1 << 1))));
-  }
-  return seq;
-}
-
 bool Sequence::operator==(const Sequence& o) const {
   if (size_ != o.size_) return false;
   for (std::size_t i = 0; i < size_; ++i)

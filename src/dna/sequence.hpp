@@ -50,10 +50,6 @@ class Sequence {
   /// mapping layer (128 bp fill a 256-bit row).
   BitVector to_bits(std::size_t pos, std::size_t len) const;
 
-  /// Inverse of to_bits: decodes 2*len bits starting at bit `lo`.
-  static Sequence from_bits(const BitVector& bits, std::size_t lo,
-                            std::size_t len);
-
   bool operator==(const Sequence& o) const;
 
  private:

@@ -1,5 +1,6 @@
 #include "dram/subarray.hpp"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -248,55 +249,104 @@ bool Subarray::xnor_match(RowAddr a, RowAddr b, RowAddr result_row,
   return match.all_ones_prefix(width);
 }
 
-void Subarray::check_operands(RowAddr a, RowAddr b, RowAddr c,
-                              RowAddr dst) const {
+void Subarray::compress(std::span<const RowAddr> a,
+                        std::span<const RowAddr> b,
+                        std::span<const RowAddr> c, RowAddr pad,
+                        std::span<const RowAddr> sum,
+                        std::span<const RowAddr> carry) {
+  const std::size_t w = sum.size();
+  PIMA_CHECK(carry.size() == w,
+             "carry-save sum and carry spans differ in width");
+  PIMA_CHECK(a.size() <= w && b.size() <= w && c.size() <= w,
+             "carry-save operand wider than its result");
   const RowAddr data = geom_.data_rows();
-  PIMA_CHECK(a < data && b < data && c < data,
+  const auto is_data = [data](RowAddr r) { return r < data; };
+  PIMA_CHECK(is_data(pad) && std::all_of(a.begin(), a.end(), is_data) &&
+                 std::all_of(b.begin(), b.end(), is_data) &&
+                 std::all_of(c.begin(), c.end(), is_data),
              "fused carry-save operands must be data rows");
-  check_row(dst);
-}
+  for (std::size_t i = 0; i < w; ++i) {
+    check_row(sum[i]);
+    check_row(carry[i]);
+  }
+  const RowAddr x1 = data, x2 = data + 1, x3 = data + 2;
+  const auto bit = [pad](std::span<const RowAddr> n, std::size_t i) {
+    return i < n.size() ? n[i] : pad;
+  };
 
-void Subarray::xor3_rows(RowAddr a, RowAddr b, RowAddr c, RowAddr dst) {
-  check_operands(a, b, c, dst);
-  const RowAddr x1 = geom_.data_rows(), x2 = x1 + 1;
   if (fault_ != nullptr) {
-    aap_copy(a, x1);
-    aap_copy(b, x2);
-    aap_xor(x1, x2, x1);  // x1 = x2 = a⊕b
-    aap_copy(c, x2);
-    aap_xor(x1, x2, dst);
+    for (std::size_t i = 0; i < w; ++i) {
+      const RowAddr ra = bit(a, i), rb = bit(b, i), rc = bit(c, i);
+      aap_copy(ra, x1);
+      aap_copy(rb, x2);
+      aap_xor(x1, x2, x1);  // x1 = x2 = a⊕b
+      aap_copy(rc, x2);
+      aap_xor(x1, x2, sum[i]);
+      aap_copy(ra, x1);
+      aap_copy(rb, x2);
+      aap_copy(rc, x3);
+      aap_tra_carry(x1, x2, x3, carry[i]);
+    }
     return;
   }
-  record(CommandKind::kAapCopy, Opcode::kAapCopy, a, 0, 0, x1);
-  record(CommandKind::kAapCopy, Opcode::kAapCopy, b, 0, 0, x2);
-  record(CommandKind::kAapTwoRow, Opcode::kAapXor, x1, x2, 0, x1);
-  record(CommandKind::kAapCopy, Opcode::kAapCopy, c, 0, 0, x2);
-  record(CommandKind::kAapTwoRow, Opcode::kAapXor, x1, x2, 0, dst);
-  BitVector& sum = rows_[dst];
-  sum.assign_xor3(rows_[a], rows_[b], rows_[c]);
-  rows_[x1].assign(sum);
-  rows_[x2].assign(sum);
-}
 
-void Subarray::maj3_rows(RowAddr a, RowAddr b, RowAddr c, RowAddr dst) {
-  check_operands(a, b, c, dst);
-  const RowAddr x1 = geom_.data_rows(), x2 = x1 + 1, x3 = x1 + 2;
-  if (fault_ != nullptr) {
-    aap_copy(a, x1);
-    aap_copy(b, x2);
-    aap_copy(c, x3);
-    aap_tra_carry(x1, x2, x3, dst);
-    return;
+  // The busy clock and energy add each command's cost in command order,
+  // exactly the additions one record() per command makes, so the totals
+  // round identically; a bulk 6w × copy latency would not (floating-point
+  // addition is not associative).
+  const auto cost = [this](CommandKind k) {
+    return std::pair{latency_ns(k), energy_pj(k)};
+  };
+  const auto [copy_ns, copy_pj] = cost(CommandKind::kAapCopy);
+  const auto [xor_ns, xor_pj] = cost(CommandKind::kAapTwoRow);
+  const auto [tra_ns, tra_pj] = cost(CommandKind::kAapTra);
+  double busy = stats_.busy_ns, energy = stats_.energy_pj;
+  for (std::size_t i = 0; i < w; ++i) {
+    const RowAddr ra = bit(a, i), rb = bit(b, i), rc = bit(c, i);
+    if (trace_ != nullptr) {
+      trace_command(Opcode::kAapCopy, ra, 0, 0, x1, nullptr);
+      trace_command(Opcode::kAapCopy, rb, 0, 0, x2, nullptr);
+      trace_command(Opcode::kAapXor, x1, x2, 0, x1, nullptr);
+      trace_command(Opcode::kAapCopy, rc, 0, 0, x2, nullptr);
+      trace_command(Opcode::kAapXor, x1, x2, 0, sum[i], nullptr);
+      trace_command(Opcode::kAapCopy, ra, 0, 0, x1, nullptr);
+      trace_command(Opcode::kAapCopy, rb, 0, 0, x2, nullptr);
+      trace_command(Opcode::kAapCopy, rc, 0, 0, x3, nullptr);
+      trace_command(Opcode::kAapTra, x1, x2, x3, carry[i], nullptr);
+    }
+    busy += copy_ns;
+    busy += copy_ns;
+    busy += xor_ns;
+    busy += copy_ns;
+    busy += xor_ns;
+    busy += copy_ns;
+    busy += copy_ns;
+    busy += copy_ns;
+    busy += tra_ns;
+    energy += copy_pj;
+    energy += copy_pj;
+    energy += xor_pj;
+    energy += copy_pj;
+    energy += xor_pj;
+    energy += copy_pj;
+    energy += copy_pj;
+    energy += copy_pj;
+    energy += tra_pj;
+    BitVector::assign_carry_save(rows_[sum[i]], rows_[carry[i]], rows_[ra],
+                                 rows_[rb], rows_[rc]);
   }
-  record(CommandKind::kAapCopy, Opcode::kAapCopy, a, 0, 0, x1);
-  record(CommandKind::kAapCopy, Opcode::kAapCopy, b, 0, 0, x2);
-  record(CommandKind::kAapCopy, Opcode::kAapCopy, c, 0, 0, x3);
-  record(CommandKind::kAapTra, Opcode::kAapTra, x1, x2, x3, dst);
-  latch_.assign_maj3(rows_[a], rows_[b], rows_[c]);
+  stats_.busy_ns = busy;
+  stats_.energy_pj = energy;
+  stats_.counts[static_cast<std::size_t>(CommandKind::kAapCopy)] += 6 * w;
+  stats_.counts[static_cast<std::size_t>(CommandKind::kAapTwoRow)] += 2 * w;
+  stats_.counts[static_cast<std::size_t>(CommandKind::kAapTra)] += w;
+  // The staged computation rows and the latch are read by nothing inside
+  // the step (operands are data rows), so only the last TRA's state shows.
+  if (w == 0) return;
+  latch_.assign(rows_[carry[w - 1]]);
   rows_[x1].assign(latch_);
   rows_[x2].assign(latch_);
   rows_[x3].assign(latch_);
-  rows_[dst].assign(latch_);
 }
 
 }  // namespace pima::dram

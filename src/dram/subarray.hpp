@@ -27,6 +27,7 @@
 #include <array>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "circuit/tech.hpp"
@@ -142,24 +143,26 @@ class Subarray {
   /// first `width` match bits are all 1. a and b must be data rows.
   bool xnor_match(RowAddr a, RowAddr b, RowAddr result_row, std::size_t width);
 
-  /// Carry-save sum bit of three data rows (paper Fig. 8): dst ← a⊕b⊕c.
-  /// Issues exactly the five commands
-  ///   AAP(a,x1) AAP(b,x2) XOR(x1,x2→x1) AAP(c,x2) XOR(x1,x2→dst)
-  /// and leaves x1 = x2 = dst = a⊕b⊕c. a, b and c must be data rows; dst
-  /// may be any row (including an operand).
-  void xor3_rows(RowAddr a, RowAddr b, RowAddr c, RowAddr dst);
-
-  /// Carry-save carry bit of three data rows: dst ← MAJ(a,b,c). Issues
-  ///   AAP(a,x1) AAP(b,x2) AAP(c,x3) TRA(x1,x2,x3→dst)
-  /// and leaves x1 = x2 = x3 = dst = latch = MAJ(a,b,c). Operand rules as
-  /// for xor3_rows.
+  /// One carry-save 3:2 step (paper Fig. 8) over w-bit vertical numbers
+  /// stored LSB-first across rows, w = sum.size() = carry.size(). Bit i of
+  /// an operand is a[i], or `pad` past the end of a narrower operand (the
+  /// same for b and c). For each bit, LSB first, it issues exactly
+  ///   AAP(a,x1) AAP(b,x2) XOR(x1,x2→x1) AAP(c,x2) XOR(x1,x2→sum[i])
+  ///   AAP(a,x1) AAP(b,x2) AAP(c,x3) TRA(x1,x2,x3→carry[i])
+  /// so sum[i] ← a⊕b⊕c, then carry[i] ← MAJ(a,b,c) of the operand rows as
+  /// they stand after sum[i] is written, and it leaves x1 = x2 = x3 =
+  /// latch = the last MAJ3. Operand rows and `pad` must be data rows; sum
+  /// and carry rows may be any rows, operands included. Every row is
+  /// checked before the first command.
   ///
-  /// The fused kernels (xnor_match, xor3_rows, maj3_rows) record the same
-  /// commands, in the same order, as the sequence issued primitive by
-  /// primitive, then write that sequence's final state directly. With a
-  /// fault injector attached they run the sequence instead: retention
-  /// ticks and sensing faults act per command.
-  void maj3_rows(RowAddr a, RowAddr b, RowAddr c, RowAddr dst);
+  /// The fused kernels (xnor_match, compress) record the same commands, in
+  /// the same order, as the sequence issued primitive by primitive, then
+  /// write that sequence's final state directly. With a fault injector
+  /// attached they run the sequence instead: retention ticks and sensing
+  /// faults act per command.
+  void compress(std::span<const RowAddr> a, std::span<const RowAddr> b,
+                std::span<const RowAddr> c, RowAddr pad,
+                std::span<const RowAddr> sum, std::span<const RowAddr> carry);
 
   /// Cached per-command cost of this sub-array: equal to
   /// command_latency_ns / command_energy_pj for its technology and width.
@@ -186,7 +189,6 @@ class Subarray {
  private:
   void check_row(RowAddr r) const;
   void check_compute(RowAddr r, const char* what) const;
-  void check_operands(RowAddr a, RowAddr b, RowAddr c, RowAddr dst) const;
   void record(CommandKind k, Opcode op, RowAddr a = 0, RowAddr b = 0,
               RowAddr c = 0, RowAddr dst = 0,
               const BitVector* payload = nullptr);

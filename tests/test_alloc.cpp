@@ -3,15 +3,18 @@
 // This binary replaces the global operator new with a counting one, which
 // is why it is a suite of its own: the count covers the whole process.
 // A fault-free hash-table insert or lookup, and a DPU reduction, must not
-// allocate once the sub-arrays they touch exist.
+// allocate once the sub-arrays they touch exist; a degree job must not
+// allocate per adjacency row.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "core/pim_hash_table.hpp"
+#include "core/shard_worker.hpp"
 #include "dna/genome.hpp"
 #include "dram/dpu.hpp"
 
@@ -94,6 +97,28 @@ TEST(HotPathAllocation, DpuReductionsAllocateNothing) {
   EXPECT_FALSE(any);
   EXPECT_EQ(ones, 0u);
   EXPECT_TRUE(match);
+}
+
+// A degree job renders its adjacency rows through its channel's reused
+// buffers: once they have grown, the job's allocations (its task, block
+// copy, result and host reference) do not depend on how many rows it sums.
+TEST(HotPathAllocation, DegreeJobAllocationsDoNotGrowWithRows) {
+  dram::Geometry g = table_geometry();
+  g.rows = 512;
+  dram::Device dev(g);
+  core::DeviceShard shard(dev, runtime::EngineOptions{}, 1, 16, 64);
+  const auto job = [&](std::uint32_t n_sources) {
+    // Two edges; the second has multiplicity 2, so one extra row.
+    core::EdgeBlock block;
+    block.edges = {{0, 5, 1}, {n_sources - 1, 9, 2}};
+    const std::size_t before = allocations();
+    shard.degree_block(5, n_sources, std::move(block));
+    shard.drain();
+    return allocations() - before;
+  };
+  (void)job(200);  // creates the sub-array and grows the buffers
+  const std::size_t small = job(16), large = job(200);
+  EXPECT_EQ(small, large);
 }
 
 }  // namespace

@@ -109,23 +109,31 @@ TEST(Sequence, ToBitsMatchesPaperEncoding) {
   EXPECT_EQ(bits.to_string(), "00100111");
 }
 
+// Decodes a to_bits image back into bases: base i from bits 2i, 2i+1.
+Sequence decode_bits(const BitVector& bits) {
+  Sequence seq;
+  for (std::size_t i = 0; 2 * i < bits.size(); ++i)
+    seq.push_back(from_code(static_cast<std::uint8_t>(
+        (bits.get(2 * i) ? 1 : 0) | (bits.get(2 * i + 1) ? 2 : 0))));
+  return seq;
+}
+
 TEST(Sequence, BitsRoundTrip) {
   const auto s = Sequence::from_string("CGTGCGTGCTTACGGATTAG");
   const auto bits = s.to_bits(0, s.size());
-  EXPECT_EQ(Sequence::from_bits(bits, 0, s.size()), s);
+  EXPECT_EQ(decode_bits(bits), s);
 }
 
 TEST(Sequence, BitsSubrangeRoundTrip) {
   const auto s = Sequence::from_string("CGTGCGTGCTT");
   const auto bits = s.to_bits(3, 5);  // "GCGTG"
-  EXPECT_EQ(Sequence::from_bits(bits, 0, 5).to_string(), "GCGTG");
+  EXPECT_EQ(decode_bits(bits).to_string(), "GCGTG");
 }
 
 TEST(Sequence, ToBitsRangeChecked) {
   const auto s = Sequence::from_string("ACGT");
   EXPECT_THROW(s.to_bits(2, 3), PreconditionError);
-  const auto bits = s.to_bits(0, 4);
-  EXPECT_THROW(Sequence::from_bits(bits, 4, 4), PreconditionError);
+  EXPECT_THROW(s.to_bits(4, 1), PreconditionError);
 }
 
 }  // namespace

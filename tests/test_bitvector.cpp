@@ -125,14 +125,13 @@ TEST(BitVector, XnorKeepsTailClear) {
   EXPECT_TRUE(r.all());
 }
 
-TEST(BitVector, CopyRangeAndSlice) {
+TEST(BitVector, CopyRange) {
   BitVector dst(32);
   const auto src = BitVector::from_string("1101");
   dst.copy_range_from(src, 10);
-  EXPECT_EQ(dst.slice(10, 4), src);
+  EXPECT_EQ(dst.to_string().substr(10, 4), "1101");
   EXPECT_EQ(dst.popcount(), 3u);
   EXPECT_THROW(dst.copy_range_from(src, 30), PreconditionError);
-  EXPECT_THROW(dst.slice(30, 4), PreconditionError);
 }
 
 BitVector random_bits(Rng& rng, std::size_t n) {
@@ -187,6 +186,25 @@ TEST(BitVector, AssignFormsAllowDestinationAliasing) {
   EXPECT_TRUE(r.none());
 }
 
+// The one-pass carry-save step equals its two-step definition for every
+// way its five arguments can alias a pool of four vectors.
+TEST(BitVector, CarrySaveMatchesTwoStepFormUnderAnyAliasing) {
+  Rng rng(79);
+  std::vector<BitVector> pool;
+  for (int i = 0; i < 4; ++i) pool.push_back(random_bits(rng, 130));
+  for (std::size_t code = 0; code < 4 * 4 * 4 * 4 * 4; ++code) {
+    const std::size_t s = code % 4, k = code / 4 % 4, a = code / 16 % 4,
+                      b = code / 64 % 4, c = code / 256;
+    auto fused = pool, stepped = pool;
+    BitVector::assign_carry_save(fused[s], fused[k], fused[a], fused[b],
+                                 fused[c]);
+    stepped[s].assign_xor3(stepped[a], stepped[b], stepped[c]);
+    stepped[k].assign_maj3(stepped[a], stepped[b], stepped[c]);
+    ASSERT_EQ(fused, stepped) << "sum " << s << " carry " << k << " a " << a
+                              << " b " << b << " c " << c;
+  }
+}
+
 TEST(BitVector, AssignFormsKeepTailClear) {
   for (const std::size_t n : {1u, 70u, 129u}) {
     BitVector zero(n), ones(n);
@@ -216,21 +234,15 @@ TEST(BitVector, AssignFormsRejectSizeMismatch) {
   EXPECT_THROW(b.assign_maj3(a, a, a), PreconditionError);
 }
 
-// Property: the word-wise slice/copy_range_from agree with a bit-by-bit
-// reference on unaligned offsets and lengths, and never touch bits outside
-// the addressed range.
-TEST(BitVector, SliceAndCopyRangeMatchBitLoopReference) {
+// Property: the word-wise copy_range_from agrees with a bit-by-bit
+// reference on unaligned offsets and lengths, and never touches bits
+// outside the addressed range.
+TEST(BitVector, CopyRangeMatchesBitLoopReference) {
   Rng rng(4242);
   for (int trial = 0; trial < 400; ++trial) {
     const std::size_t n = 1 + rng.uniform(300);
-    const auto src = random_bits(rng, n);
     const std::size_t lo = rng.uniform(n + 1);
     const std::size_t len = rng.uniform(n - lo + 1);
-
-    BitVector want(len);
-    for (std::size_t i = 0; i < len; ++i) want.set(i, src.get(lo + i));
-    const auto got = src.slice(lo, len);
-    ASSERT_EQ(got, want) << "slice n=" << n << " lo=" << lo << " len=" << len;
 
     const auto piece = random_bits(rng, len);
     auto dst = random_bits(rng, n);

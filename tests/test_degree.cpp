@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -106,11 +107,13 @@ TEST_P(ColumnSumProperty, MatchesSoftware) {
 INSTANTIATE_TEST_SUITE_P(RowCounts, ColumnSumProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 9, 16, 33, 64));
 
-// Fast-path oracle: the degree kernel on a plain sub-array (fused XOR3 /
-// MAJ3 kernels) against the same kernel on a sub-array carrying a zero-rate
-// fault injector (which injects nothing but forces the per-command path).
-// Rows, latch, CommandStats and the captured trace must agree exactly, and
-// the trace must replay through the golden model to the same state.
+// Fast-path oracle: the degree kernel on a plain sub-array (the fused
+// carry-save compress) against the same kernel on a sub-array carrying a
+// zero-rate fault injector (which injects nothing but forces the
+// per-command path). Rows, latch, CommandStats and the captured trace must
+// agree exactly, and the trace must replay through the golden model to the
+// same state. A third, untraced fused sub-array checks the path that
+// production runs take, where no instruction is captured.
 class ColumnSumFastPath
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
 };
@@ -120,6 +123,7 @@ TEST_P(ColumnSumFastPath, FusedKernelsMatchPerCommandPathAndGolden) {
   dram::Geometry g = degree_geometry();
   g.columns = cols;
   dram::Subarray fused(g, circuit::default_technology());
+  dram::Subarray untraced(g, circuit::default_technology());
   dram::Subarray stepped(g, circuit::default_technology());
   stepped.attach_fault_injector(std::make_shared<dram::FaultInjector>(
       std::make_shared<const dram::FaultModel>(circuit::TechParams{},
@@ -147,15 +151,19 @@ TEST_P(ColumnSumFastPath, FusedKernelsMatchPerCommandPathAndGolden) {
 
   const auto sums = pim_column_sums(fused, rows);
   EXPECT_EQ(sums, pim_column_sums(stepped, rows));
+  EXPECT_EQ(sums, pim_column_sums(untraced, rows));
   EXPECT_EQ(sums, golden::column_sums(rows));
 
-  for (dram::RowAddr r = 0; r < g.rows; ++r)
-    ASSERT_EQ(fused.peek_row(r), stepped.peek_row(r)) << "row " << r;
-  EXPECT_EQ(fused.peek_latch(), stepped.peek_latch());
-  for (std::size_t k = 0; k < dram::kCommandKindCount; ++k)
-    EXPECT_EQ(fused.stats().counts[k], stepped.stats().counts[k]) << k;
-  EXPECT_EQ(fused.stats().busy_ns, stepped.stats().busy_ns);
-  EXPECT_EQ(fused.stats().energy_pj, stepped.stats().energy_pj);
+  for (const dram::Subarray* side : {&fused, &untraced}) {
+    SCOPED_TRACE(side == &fused ? "traced" : "untraced");
+    for (dram::RowAddr r = 0; r < g.rows; ++r)
+      ASSERT_EQ(side->peek_row(r), stepped.peek_row(r)) << "row " << r;
+    EXPECT_EQ(side->peek_latch(), stepped.peek_latch());
+    for (std::size_t k = 0; k < dram::kCommandKindCount; ++k)
+      EXPECT_EQ(side->stats().counts[k], stepped.stats().counts[k]) << k;
+    EXPECT_EQ(side->stats().busy_ns, stepped.stats().busy_ns);
+    EXPECT_EQ(side->stats().energy_pj, stepped.stats().energy_pj);
+  }
 
   EXPECT_EQ(dram::to_text(fused_trace), dram::to_text(stepped_trace));
 
@@ -173,6 +181,49 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{100}, std::size_t{256}),
                        ::testing::Values(std::size_t{3}, std::size_t{8},
                                          std::size_t{40})));
+
+// The degree job's self-check: run_degree_job compares its sums with the
+// block's host degrees whenever the sub-array is fault-free.
+EdgeBlock check_block() {
+  EdgeBlock b;
+  b.edges = {{0, 3, 1}, {2, 3, 2}, {5, 40, 1}, {7, 63, 3}};
+  return b;
+}
+
+TEST(ColumnSumCheck, CorruptedSumThrowsNamingFlatAndColumn) {
+  const EdgeBlock block = check_block();
+  auto sums = block_column_degrees(block, 64);
+  EXPECT_NO_THROW(check_block_sums(7, block, sums));
+  sums[40] += 1;
+  sums[63] = 0;
+  try {
+    check_block_sums(7, block, sums);
+    FAIL() << "a corrupted sum passed the check";
+  } catch (const pima::SimulationError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("sub-array 7"), std::string::npos) << what;
+    EXPECT_NE(what.find("column 40"), std::string::npos) << what;
+  }
+}
+
+TEST(ColumnSumCheck, FaultFreeJobMatchesAndFaultyJobIsNotChecked) {
+  const EdgeBlock block = check_block();
+  const auto want = block_column_degrees(block, 64);
+  ColumnSumScratch scratch;
+  dram::Device clean(degree_geometry());
+  EXPECT_EQ(run_degree_job(clean.subarray(3), 3, block, 8, scratch), want);
+
+  // Retention flips corrupt the stored rows, so the sums come out wrong;
+  // the job returns them rather than throwing.
+  dram::FaultConfig faults;
+  faults.retention_flip_per_op = 0.05;
+  dram::Device faulty(degree_geometry());
+  faulty.enable_faults(faults);
+  std::vector<std::uint32_t> sums;
+  EXPECT_NO_THROW(
+      sums = run_degree_job(faulty.subarray(3), 3, block, 8, scratch));
+  EXPECT_NE(sums, want);
+}
 
 TEST(PimDegrees, MatchesGraphDegrees) {
   dna::GenomeParams gp;
@@ -195,6 +246,45 @@ TEST(PimDegrees, MatchesGraphDegrees) {
   for (assembly::NodeId v = 0; v < g.node_count(); ++v) {
     EXPECT_EQ(degrees.in_degree[v], g.in_degree(v)) << "in " << v;
     EXPECT_EQ(degrees.out_degree[v], g.out_degree(v)) << "out " << v;
+  }
+}
+
+// Channels share nothing but their own scratch buffers: the blocks run
+// concurrently on worker threads and every degree and per-sub-array
+// statistic equals the inline run's.
+TEST(PimDegrees, EngineChannelsMatchInline) {
+  dna::GenomeParams gp;
+  gp.length = 400;
+  gp.repeat_count = 2;
+  gp.repeat_length = 40;
+  const auto genome = dna::generate_genome(gp);
+  dna::ReadSamplerParams rp;
+  rp.coverage = 6.0;
+  rp.read_length = 50;
+  const auto g = assembly::DeBruijnGraph::from_counter(
+      assembly::build_hashmap(dna::sample_reads(genome, rp), 12));
+  const auto partition = partition_graph(g, 12);
+
+  dram::Device inline_dev(degree_geometry());
+  const auto want = pim_degrees(inline_dev, g, partition);
+  dram::Device threaded_dev(degree_geometry());
+  runtime::EngineOptions options;
+  options.channels = 3;
+  runtime::Engine engine(threaded_dev, options);
+  const auto got = pim_degrees(threaded_dev, g, partition, &engine);
+
+  EXPECT_EQ(got.in_degree, want.in_degree);
+  EXPECT_EQ(got.out_degree, want.out_degree);
+  for (std::size_t flat = 0; flat < degree_geometry().total_subarrays();
+       ++flat) {
+    const dram::Subarray* a = inline_dev.subarray_if(flat);
+    const dram::Subarray* b = threaded_dev.subarray_if(flat);
+    ASSERT_EQ(a == nullptr, b == nullptr) << flat;
+    if (a == nullptr) continue;
+    for (std::size_t k = 0; k < dram::kCommandKindCount; ++k)
+      EXPECT_EQ(a->stats().counts[k], b->stats().counts[k]) << flat;
+    EXPECT_EQ(a->stats().busy_ns, b->stats().busy_ns) << flat;
+    EXPECT_EQ(a->stats().energy_pj, b->stats().energy_pj) << flat;
   }
 }
 

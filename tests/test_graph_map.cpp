@@ -96,23 +96,41 @@ TEST(SubarrayAllocation, PaperFormula) {
 TEST(BlockAdjacency, RowsEncodeEdges) {
   EdgeBlock b;
   b.edges = {{0, 3, 1}, {0, 5, 1}, {2, 3, 1}};
-  const auto rows = block_adjacency_rows(b, 3, 8);
+  AdjacencyRows adjacency;
+  adjacency.assign(b, 3, 8);
+  auto rows = adjacency.rows();
   ASSERT_EQ(rows.size(), 3u);
-  EXPECT_TRUE(rows[0].get(3));
-  EXPECT_TRUE(rows[0].get(5));
-  EXPECT_FALSE(rows[0].get(4));
-  EXPECT_TRUE(rows[2].get(3));
+  EXPECT_EQ(rows[0].to_string(), "00010100");
   EXPECT_TRUE(rows[1].none());
+  EXPECT_EQ(rows[2].to_string(), "00010000");
+  // The rows are reused: the next block sees none of the last one's bits,
+  // and a narrower row width starts afresh.
+  EdgeBlock one;
+  one.edges = {{1, 0, 1}};
+  adjacency.assign(one, 3, 8);
+  rows = adjacency.rows();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_TRUE(rows[0].none());
+  EXPECT_EQ(rows[1].to_string(), "10000000");
+  EXPECT_TRUE(rows[2].none());
+  adjacency.assign(one, 2, 4);
+  rows = adjacency.rows();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].to_string(), "0000");
+  EXPECT_EQ(rows[1].to_string(), "1000");
 }
 
 TEST(BlockAdjacency, MultiplicityAppendsRows) {
   EdgeBlock b;
-  b.edges = {{0, 1, 3}};
-  const auto rows = block_adjacency_rows(b, 1, 4);
-  ASSERT_EQ(rows.size(), 3u);  // 1 base row + 2 duplicates
-  std::size_t ones = 0;
-  for (const auto& r : rows) ones += r.popcount();
-  EXPECT_EQ(ones, 3u);
+  b.edges = {{0, 1, 3}, {1, 2, 2}};
+  AdjacencyRows adjacency;
+  adjacency.assign(b, 2, 4);
+  const auto rows = adjacency.rows();
+  ASSERT_EQ(rows.size(), 5u);  // 2 base rows + 2 + 1 duplicates
+  // Duplicates follow the base rows in edge order.
+  const char* want[] = {"0100", "0010", "0100", "0100", "0010"};
+  for (std::size_t r = 0; r < rows.size(); ++r)
+    EXPECT_EQ(rows[r].to_string(), want[r]) << r;
 }
 
 TEST(BlockAdjacency, ColumnDegreesReference) {
@@ -127,10 +145,11 @@ TEST(BlockAdjacency, ColumnDegreesReference) {
 TEST(BlockAdjacency, OutOfRangeEdgeThrows) {
   EdgeBlock b;
   b.edges = {{5, 0, 1}};
-  EXPECT_THROW(block_adjacency_rows(b, 3, 8), pima::PreconditionError);
+  AdjacencyRows adjacency;
+  EXPECT_THROW(adjacency.assign(b, 3, 8), pima::PreconditionError);
   EdgeBlock wide;
   wide.edges = {{0, 9, 1}};
-  EXPECT_THROW(block_adjacency_rows(wide, 3, 8), pima::PreconditionError);
+  EXPECT_THROW(adjacency.assign(wide, 3, 8), pima::PreconditionError);
   EXPECT_THROW(block_column_degrees(wide, 8), pima::PreconditionError);
 }
 

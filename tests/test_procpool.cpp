@@ -747,14 +747,22 @@ TEST(ProcPoolWire, DegreeBatchMatchesControllerBuiltRows) {
   const dram::Geometry geom = pipeline_geometry();
   const std::size_t width = geom.columns;
   // Two blocks on two sub-arrays; multiplicities 2..5 append duplicate
-  // rows (block_adjacency_rows' extra-instance path).
+  // rows (AdjacencyRows' extra-instance path).
   core::EdgeBlock a;
   a.edges = {{0, 3, 1}, {1, 3, 3}, {4, 0, 2}, {1, 200, 1}, {2, 255, 5}};
   core::EdgeBlock b;
   b.edges = {{0, 0, 1}, {2, 17, 4}, {2, 18, 1}};
   const std::vector<std::tuple<std::size_t, std::size_t, core::EdgeBlock>>
       blocks = {{9, 5, a}, {37, 3, b}};
-  ASSERT_GT(core::block_adjacency_rows(a, 5, width).size(), 5u);
+  // The reference materializes every row and sums them through the
+  // row-vector entry point of the kernel.
+  const auto rows_of = [width](const core::EdgeBlock& block, std::size_t n) {
+    core::AdjacencyRows adjacency;
+    adjacency.assign(block, n, width);
+    const auto rows = adjacency.rows();
+    return std::vector<BitVector>(rows.begin(), rows.end());
+  };
+  ASSERT_GT(rows_of(a, 5).size(), 5u);
 
   core::ShardWorkerCore worker(core::worker_init_to_json(degree_worker_init()));
   std::vector<net::Json> encoded;
@@ -772,8 +780,7 @@ TEST(ProcPoolWire, DegreeBatchMatchesControllerBuiltRows) {
   dram::Device reference(geom);
   reference.enable_tracing();
   for (const auto& [flat, n, block] : blocks)
-    (void)core::pim_column_sums(reference.subarray(flat),
-                                core::block_adjacency_rows(block, n, width));
+    (void)core::pim_column_sums(reference.subarray(flat), rows_of(block, n));
 
   const auto& entries = stats.get("subarrays").items();
   ASSERT_EQ(entries.size(), blocks.size());

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "circuit/sense_amp.hpp"
 #include "common/rng.hpp"
@@ -437,58 +439,145 @@ void expect_same_state(const Subarray& a, const Subarray& b) {
   EXPECT_EQ(a.stats().energy_pj, b.stats().energy_pj);
 }
 
+// A fused and a stepped sub-array with the same random contents in data
+// rows 0..7, both traced.
+struct FusedPair {
+  explicit FusedPair(const Geometry& g)
+      : fused(g, circuit::default_technology()),
+        stepped(g, circuit::default_technology()) {
+    stepped.attach_fault_injector(zero_rate_injector(g));
+    fused.attach_trace(&fused_trace);
+    stepped.attach_trace(&stepped_trace);
+  }
+  void fill(Rng& rng) {
+    for (RowAddr r = 0; r < 8; ++r) {
+      const auto bits = random_row(rng, fused.geometry().columns);
+      fused.write_row(r, bits);
+      stepped.write_row(r, bits);
+    }
+  }
+  void compress(const std::vector<RowAddr>& a, const std::vector<RowAddr>& b,
+                const std::vector<RowAddr>& c, RowAddr pad,
+                const std::vector<RowAddr>& sum,
+                const std::vector<RowAddr>& carry) {
+    fused.compress(a, b, c, pad, sum, carry);
+    stepped.compress(a, b, c, pad, sum, carry);
+  }
+  void expect_same() const {
+    expect_same_state(fused, stepped);
+    EXPECT_EQ(to_text(fused_trace), to_text(stepped_trace));
+  }
+
+  Subarray fused, stepped;
+  Program fused_trace, stepped_trace;
+};
+
 TEST(SubarrayFusedKernels, MatchPerCommandSequenceIncludingAliases) {
   for (const std::size_t cols : {64u, 100u, 256u}) {
     Geometry g = small_geometry();
     g.columns = cols;
-    Subarray fused(g, circuit::default_technology());
-    Subarray stepped(g, circuit::default_technology());
-    stepped.attach_fault_injector(zero_rate_injector(g));
-    Program fused_trace, stepped_trace;
-    fused.attach_trace(&fused_trace);
-    stepped.attach_trace(&stepped_trace);
-
+    FusedPair pair(g);
     Rng rng(500 + cols);
+    pair.fill(rng);
     const std::size_t data = g.data_rows();
-    for (RowAddr r = 0; r < 8; ++r) {
-      const auto bits = random_row(rng, cols);
-      fused.write_row(r, bits);
-      stepped.write_row(r, bits);
-    }
+    // Operands from a small pool so duplicates (a == b, a == b == c) are
+    // frequent; a result row may alias an operand, the pad row, another
+    // result row or a computation row.
+    const auto result_row = [&]() -> RowAddr {
+      const auto roll = rng.uniform(10);
+      if (roll < 4) return rng.uniform(10);
+      if (roll == 4) return pair.fused.compute_row(rng.uniform(3));
+      return rng.uniform(data);
+    };
     for (int step = 0; step < 200; ++step) {
-      // Operands from a small pool so duplicates (a == b, a == b == c) are
-      // frequent; dst may alias an operand or a computation row.
-      const RowAddr a = rng.uniform(10), b = rng.uniform(10),
-                    c = step % 7 == 0 ? a : rng.uniform(10);
-      const RowAddr dst = step % 5 == 0   ? a
-                          : step % 11 == 0 ? fused.compute_row(rng.uniform(3))
-                                           : rng.uniform(data);
-      if (step % 3 == 0) {
-        fused.xor3_rows(a, b, c, dst);
-        stepped.xor3_rows(a, b, c, dst);
-      } else if (step % 3 == 1) {
-        fused.maj3_rows(a, b, c, dst);
-        stepped.maj3_rows(a, b, c, dst);
+      if (step % 2 == 0) {
+        const std::size_t w = 1 + rng.uniform(3);
+        std::vector<RowAddr> ops[3], sum(w), carry(w);
+        for (auto& op : ops) {
+          op.resize(rng.uniform(w + 1));
+          for (auto& r : op) r = rng.uniform(10);
+        }
+        for (auto& r : sum) r = result_row();
+        for (auto& r : carry) r = result_row();
+        pair.compress(ops[0], ops[1], ops[2], rng.uniform(10), sum, carry);
       } else {
         // The probe's match bit must agree at any reduce width.
+        const RowAddr a = rng.uniform(10), b = rng.uniform(10);
         const std::size_t width = rng.uniform(cols + 1);
-        EXPECT_EQ(fused.xnor_match(a, b, dst, width),
-                  stepped.xnor_match(a, b, dst, width))
+        const RowAddr dst = result_row();
+        EXPECT_EQ(pair.fused.xnor_match(a, b, dst, width),
+                  pair.stepped.xnor_match(a, b, dst, width))
             << "step " << step << " width " << width;
       }
     }
-    expect_same_state(fused, stepped);
-    EXPECT_EQ(to_text(fused_trace), to_text(stepped_trace));
+    pair.expect_same();
+  }
+}
+
+// The degree kernel's use: three numbers of widths up to w in disjoint
+// rows, narrower ones padded with an all-zero row, into fresh result rows.
+// Per column, sum + 2·carry must equal a + b + c.
+TEST(SubarrayFusedKernels, CompressWidthsOneToNineWithZeroPadding) {
+  Geometry g = small_geometry();
+  g.rows = 128;
+  g.columns = 100;
+  for (std::size_t w = 1; w <= 9; ++w) {
+    SCOPED_TRACE(w);
+    FusedPair pair(g);
+    Rng rng(700 + w);
+    RowAddr next = 1;  // row 0 is the zero pad
+    std::vector<RowAddr> ops[3], sum(w), carry(w);
+    for (std::size_t k = 0; k < 3; ++k) {
+      // Widths w, w - 1 and w / 2: zero-width operands read only the pad.
+      ops[k].resize(k == 0 ? w : k == 1 ? w - 1 : w / 2);
+      for (auto& r : ops[k]) {
+        r = next++;
+        const auto bits = random_row(rng, g.columns);
+        pair.fused.write_row(r, bits);
+        pair.stepped.write_row(r, bits);
+      }
+    }
+    for (auto& r : sum) r = next++;
+    for (auto& r : carry) r = next++;
+    const std::size_t before = pair.fused.stats().total_commands();
+    pair.compress(ops[0], ops[1], ops[2], 0, sum, carry);
+    pair.expect_same();
+    EXPECT_EQ(pair.fused.stats().total_commands() - before, 9 * w);
+
+    const auto value = [&](const std::vector<RowAddr>& rows, std::size_t col) {
+      std::uint64_t v = 0;
+      for (std::size_t i = 0; i < rows.size(); ++i)
+        v |= std::uint64_t{pair.fused.peek_row(rows[i]).get(col)} << i;
+      return v;
+    };
+    for (std::size_t col = 0; col < g.columns; ++col)
+      ASSERT_EQ(value(sum, col) + 2 * value(carry, col),
+                value(ops[0], col) + value(ops[1], col) + value(ops[2], col))
+          << "column " << col;
+    EXPECT_EQ(pair.fused.peek_latch(), pair.fused.peek_row(carry.back()));
   }
 }
 
 TEST(SubarrayFusedKernels, RejectComputationRowOperands) {
   Subarray sa(small_geometry(), circuit::default_technology());
-  const auto x1 = sa.compute_row(0), x4 = sa.compute_row(3);
-  EXPECT_THROW(sa.xor3_rows(x1, 1, 2, 3), pima::PreconditionError);
-  EXPECT_THROW(sa.xor3_rows(1, 2, x4, 3), pima::PreconditionError);
-  EXPECT_THROW(sa.maj3_rows(1, x1, 2, 3), pima::PreconditionError);
-  EXPECT_THROW(sa.maj3_rows(1, 2, 3, 64), pima::PreconditionError);
+  const RowAddr x1 = sa.compute_row(0), x4 = sa.compute_row(3);
+  using Rows = std::vector<RowAddr>;
+  const Rows one{1}, two{2}, out{3}, out2{4};
+  EXPECT_THROW(sa.compress(Rows{x1}, one, two, 5, out, out2),
+               pima::PreconditionError);
+  EXPECT_THROW(sa.compress(one, two, Rows{x4}, 5, out, out2),
+               pima::PreconditionError);
+  EXPECT_THROW(sa.compress(one, two, Rows{6}, x1, out, out2),
+               pima::PreconditionError);
+  // A bad row in the last bit is caught before the first bit runs.
+  EXPECT_THROW(sa.compress(one, two, Rows{6}, 5, Rows{3, 7}, Rows{4, 64}),
+               pima::PreconditionError);
+  EXPECT_THROW(sa.compress(one, two, Rows{6}, 5, Rows{3, 64}, Rows{4, 8}),
+               pima::PreconditionError);
+  EXPECT_THROW(sa.compress(one, two, Rows{6}, 5, Rows{3, 7}, out2),
+               pima::PreconditionError);  // sum and carry widths differ
+  EXPECT_THROW(sa.compress(Rows{1, 2}, two, Rows{6}, 5, out, out2),
+               pima::PreconditionError);  // operand wider than the result
   EXPECT_THROW((void)sa.xnor_match(x1, 1, x4, 8), pima::PreconditionError);
   EXPECT_THROW((void)sa.xnor_match(1, 2, 64, 8), pima::PreconditionError);
   EXPECT_THROW((void)sa.xnor_match(1, 2, x4, sa.geometry().columns + 1),
