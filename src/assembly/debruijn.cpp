@@ -10,7 +10,6 @@ NodeId DeBruijnGraph::intern_node(const Kmer& km) {
   if (inserted) {
     node_kmers_.push_back(km);
     adjacency_.emplace_back();
-    in_degree_.push_back(0);
   }
   return it->second;
 }
@@ -41,64 +40,10 @@ DeBruijnGraph DeBruijnGraph::from_edges(
     e.kmer = km;
     e.multiplicity = mult;
     g.adjacency_[from].push_back(static_cast<std::uint32_t>(g.edges_.size()));
-    g.in_degree_[to] += e.multiplicity;
     g.edge_instances_ += e.multiplicity;
     g.edges_.push_back(e);
   }
   return g;
-}
-
-std::uint32_t DeBruijnGraph::out_degree(NodeId n) const {
-  std::uint32_t d = 0;
-  for (const auto e : adjacency_.at(n)) d += edges_[e].multiplicity;
-  return d;
-}
-
-std::uint32_t DeBruijnGraph::in_degree(NodeId n) const {
-  return in_degree_.at(n);
-}
-
-std::optional<NodeId> DeBruijnGraph::find_node(const Kmer& km) const {
-  const auto it = node_index_.find(km);
-  if (it == node_index_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::vector<NodeId> DeBruijnGraph::unbalanced_nodes() const {
-  std::vector<NodeId> out;
-  for (NodeId n = 0; n < node_kmers_.size(); ++n)
-    if (out_degree(n) != in_degree(n)) out.push_back(n);
-  return out;
-}
-
-std::vector<std::uint32_t> DeBruijnGraph::weak_components() const {
-  const auto n = node_kmers_.size();
-  std::vector<std::uint32_t> comp(n, ~std::uint32_t{0});
-  // Undirected adjacency for the weak components.
-  std::vector<std::vector<NodeId>> und(n);
-  for (const auto& e : edges_) {
-    und[e.from].push_back(e.to);
-    und[e.to].push_back(e.from);
-  }
-  std::uint32_t next = 0;
-  std::vector<NodeId> stack;
-  for (NodeId s = 0; s < n; ++s) {
-    if (comp[s] != ~std::uint32_t{0}) continue;
-    comp[s] = next;
-    stack.push_back(s);
-    while (!stack.empty()) {
-      const NodeId u = stack.back();
-      stack.pop_back();
-      for (const NodeId v : und[u]) {
-        if (comp[v] == ~std::uint32_t{0}) {
-          comp[v] = next;
-          stack.push_back(v);
-        }
-      }
-    }
-    ++next;
-  }
-  return comp;
 }
 
 }  // namespace pima::assembly

@@ -54,19 +54,6 @@ class DeBruijnGraph {
     return adjacency_.at(n);
   }
 
-  std::uint32_t out_degree(NodeId n) const;  ///< Σ multiplicity of out-edges
-  std::uint32_t in_degree(NodeId n) const;
-
-  /// Node id for a (k-1)-mer if present.
-  std::optional<NodeId> find_node(const Kmer& km) const;
-
-  /// Nodes with out-degree ≠ in-degree (Euler path endpoints) and
-  /// isolated-component detection helpers.
-  std::vector<NodeId> unbalanced_nodes() const;
-
-  /// Weakly-connected component id per node (for per-component traversal).
-  std::vector<std::uint32_t> weak_components() const;
-
  private:
   NodeId intern_node(const Kmer& km);
 
@@ -74,7 +61,6 @@ class DeBruijnGraph {
   std::unordered_map<Kmer, NodeId> node_index_;
   std::vector<Edge> edges_;
   std::vector<std::vector<std::uint32_t>> adjacency_;  ///< per-node out-edge ids
-  std::vector<std::uint32_t> in_degree_;               ///< Σ multiplicity
   std::uint64_t edge_instances_ = 0;
 };
 

@@ -14,22 +14,6 @@ ChargeShareResult share_nominal(const TechParams& tech, int k, int n) {
   return {v, v / tech.vdd};
 }
 
-ChargeShareResult share_varied(double vdd, double bitline_cap_ff,
-                               std::span<const double> cell_caps_ff,
-                               std::span<const bool> cell_vals) {
-  PIMA_CHECK(cell_caps_ff.size() == cell_vals.size(),
-             "cap/value spans must match");
-  PIMA_CHECK(!cell_caps_ff.empty(), "must activate at least one cell");
-  double c_total = bitline_cap_ff;
-  double q = bitline_cap_ff * vdd * 0.5;
-  for (std::size_t i = 0; i < cell_caps_ff.size(); ++i) {
-    c_total += cell_caps_ff[i];
-    if (cell_vals[i]) q += cell_caps_ff[i] * vdd;
-  }
-  const double v = q / c_total;
-  return {v, v / vdd};
-}
-
 bool inverter_out(double vin, double vs) { return vin <= vs; }
 
 }  // namespace pima::circuit

@@ -7,11 +7,10 @@
 //
 // where n ≤ k is the number of activated cells storing '1'. The paper's
 // simplified expression Vi = n·Vdd/C (C = number of unit capacitors) is the
-// C_bl→0 limit; we keep the full form so the Monte-Carlo engine can model
-// per-cell capacitor mismatch and bit-line variation realistically.
+// C_bl→0 limit; we keep the full form, whose bit-line term sets the sense
+// margins (the Monte-Carlo engine solves the same equation per trial with
+// perturbed capacitances and cell voltages).
 #pragma once
-
-#include <span>
 
 #include "circuit/tech.hpp"
 
@@ -25,13 +24,6 @@ struct ChargeShareResult {
 
 /// Nominal charge sharing: k activated cells, n of them storing '1'.
 ChargeShareResult share_nominal(const TechParams& tech, int k, int n);
-
-/// Charge sharing with explicit per-cell capacitances and values — used by
-/// the Monte-Carlo engine. `cell_caps_ff[i]` is the (varied) capacitance of
-/// activated cell i and `cell_vals[i]` its stored bit.
-ChargeShareResult share_varied(double vdd, double bitline_cap_ff,
-                               std::span<const double> cell_caps_ff,
-                               std::span<const bool> cell_vals);
 
 /// Ideal inverter threshold decision: output bit of an inverter with
 /// switching voltage `vs` (V) driven by `vin` (V). Output is logic NOT of

@@ -1,19 +1,6 @@
 #include "circuit/sense_amp.hpp"
 
-#include "common/error.hpp"
-
 namespace pima::circuit {
-
-EnableSet enables_for(SaMode mode) {
-  // Paper Fig. 2a control-signal table (W/R, XNOR2, Carry, Sum columns).
-  switch (mode) {
-    case SaMode::kMemory: return {true, true, false, false, false};
-    case SaMode::kXnor2:  return {false, true, true, true, false};
-    case SaMode::kCarry:  return {true, true, true, false, true};
-    case SaMode::kSum:    return {true, true, true, false, false};
-  }
-  throw PreconditionError("unknown SA mode");
-}
 
 DetectorThresholds design_thresholds(const TechParams& tech) {
   // Two-row activation produces three nominal levels (n ∈ {0,1,2} cells
@@ -51,21 +38,6 @@ bool SenseAmp::sense_carry(double v_bl) {
   // a three-cell share above the majority point means at least two '1's.
   latch_ = !inverter_out(v_bl, th_.normal_vs);
   return latch_;
-}
-
-bool SenseAmp::carry(bool a, bool b, bool c) {
-  const int n = static_cast<int>(a) + static_cast<int>(b) + static_cast<int>(c);
-  const double v = share_nominal(tech_, 3, n).v_bl;
-  return sense_carry(v);
-}
-
-bool SenseAmp::sum(bool di, bool dj) const {
-  // Sum cycle: two-row activation of the operand bits gives XOR2(di,dj) at
-  // the add-on gates; the SA's XOR gate combines it with the latched carry
-  // from the previous cycle: sum = di ⊕ dj ⊕ c_in.
-  const int n = static_cast<int>(di) + static_cast<int>(dj);
-  const double v = share_nominal(tech_, 2, n).v_bl;
-  return sense_two_row(v).xor2 != latch_;
 }
 
 }  // namespace pima::circuit

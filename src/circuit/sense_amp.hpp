@@ -13,31 +13,10 @@
 // bit-by-bit in tests, and the Monte-Carlo engine perturbs its parameters.
 #pragma once
 
-#include <array>
-#include <cstdint>
-
 #include "circuit/charge_sharing.hpp"
 #include "circuit/tech.hpp"
 
 namespace pima::circuit {
-
-/// SA operating mode = a named enable-signal configuration
-/// (paper Fig. 2a control-signal table).
-enum class SaMode : std::uint8_t {
-  kMemory,  ///< normal read/write: Enm=1, Enx=1, Enmux=0
-  kXnor2,   ///< two-row activation XNOR: enable set 01110
-  kCarry,   ///< TRA majority, result latched: enable set 11101-class
-  kSum,     ///< XOR of latched carry with two-row XOR: enable set 11100-class
-};
-
-/// The five enable bits for a mode (for introspection/tests; the behaviour
-/// functions below dispatch on SaMode directly).
-struct EnableSet {
-  bool en_m, en_x, en_mux, en_c1, en_c2;
-};
-
-/// Returns the enable-signal configuration of a mode (paper Fig. 2a table).
-EnableSet enables_for(SaMode mode);
 
 /// Detector thresholds designed for this technology (see tech.hpp note):
 /// midpoints between adjacent nominal charge-sharing levels.
@@ -73,13 +52,6 @@ class SenseAmp {
   /// Evaluates the TRA (triple-row activation) majority from the settled
   /// bit-line voltage and latches it as the carry.
   bool sense_carry(double v_bl);
-  /// TRA carry of three stored bits through the analog path; latches carry.
-  bool carry(bool a, bool b, bool c);
-
-  /// Sum stage: XOR of the latched carry with the two-row XOR of the two
-  /// new operand bits (paper's 2-cycle addition: carry cycle then sum
-  /// cycle). Does not modify the latch.
-  bool sum(bool di, bool dj) const;
 
   bool latched_carry() const { return latch_; }
   void reset_latch() { latch_ = false; }

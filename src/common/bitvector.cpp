@@ -20,14 +20,6 @@ void BitVector::fill(bool v) {
   clear_tail();
 }
 
-std::size_t BitVector::popcount() const {
-  std::size_t n = 0;
-  for (const auto w : words_) n += static_cast<std::size_t>(std::popcount(w));
-  return n;
-}
-
-bool BitVector::all() const { return all_ones_prefix(size_); }
-
 bool BitVector::all_ones_prefix(std::size_t width) const {
   PIMA_CHECK(width <= size_, "prefix out of range");
   const std::size_t full = width / 64;
@@ -106,29 +98,6 @@ BitVector BitVector::bit_xor(const BitVector& a, const BitVector& b) {
   BitVector r(a.size());
   for (std::size_t w = 0; w < r.words_.size(); ++w)
     r.words_[w] = a.words_[w] ^ b.words_[w];
-  return r;
-}
-
-BitVector BitVector::bit_and(const BitVector& a, const BitVector& b) {
-  check_same_size(a, b);
-  BitVector r(a.size());
-  for (std::size_t w = 0; w < r.words_.size(); ++w)
-    r.words_[w] = a.words_[w] & b.words_[w];
-  return r;
-}
-
-BitVector BitVector::bit_or(const BitVector& a, const BitVector& b) {
-  check_same_size(a, b);
-  BitVector r(a.size());
-  for (std::size_t w = 0; w < r.words_.size(); ++w)
-    r.words_[w] = a.words_[w] | b.words_[w];
-  return r;
-}
-
-BitVector BitVector::bit_not(const BitVector& a) {
-  BitVector r(a.size());
-  for (std::size_t w = 0; w < r.words_.size(); ++w) r.words_[w] = ~a.words_[w];
-  r.clear_tail();
   return r;
 }
 

@@ -50,16 +50,6 @@ class BitVector {
   /// Sets all bits to `v`.
   void fill(bool v);
 
-  /// Number of set bits.
-  std::size_t popcount() const;
-
-  /// True if every bit is 1 (empty vector => true).
-  bool all() const;
-  /// True if at least one bit is 1.
-  bool any() const { return popcount() > 0; }
-  /// True if no bit is 1.
-  bool none() const { return !any(); }
-
   /// True if bits [0, width) are all 1 (width 0 => true). Scans the words
   /// in place — the DPU AND-reduce and the hash-probe match test.
   bool all_ones_prefix(std::size_t width) const;
@@ -93,9 +83,6 @@ class BitVector {
   static BitVector bit_xnor(const BitVector& a, const BitVector& b);
   /// r = a XOR b.
   static BitVector bit_xor(const BitVector& a, const BitVector& b);
-  static BitVector bit_and(const BitVector& a, const BitVector& b);
-  static BitVector bit_or(const BitVector& a, const BitVector& b);
-  static BitVector bit_not(const BitVector& a);
   /// r = MAJ(a,b,c) — Ambit triple-row-activation semantics.
   static BitVector bit_maj3(const BitVector& a, const BitVector& b,
                             const BitVector& c);

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -67,17 +68,15 @@ Op parse_op(const std::string& name) {
   if (name == "write") return Op::kWrite;
   if (name == "fsync") return Op::kFsync;
   if (name == "rename") return Op::kRename;
-  if (name == "unlink") return Op::kUnlink;
   if (name == "send") return Op::kSend;
-  if (name == "recv") return Op::kRecv;
   if (name == "connect") return Op::kConnect;
   if (name == "socketpair") return Op::kSocketpair;
   if (name == "waitpid") return Op::kWaitpid;
   if (name == "kill") return Op::kKill;
   if (name == "*") return Op::kAny;
   bad_spec(name,
-           "unknown op (open|read|write|fsync|rename|unlink|send|recv|"
-           "connect|socketpair|waitpid|kill|*)");
+           "unknown op (open|read|write|fsync|rename|send|connect|"
+           "socketpair|waitpid|kill|*)");
 }
 
 int parse_errno_name(const std::string& name) {
@@ -207,25 +206,6 @@ FaultPlan* active_plan() {
 struct FaultPlan::Impl {
   std::mutex mutex;
 };
-
-const char* to_string(Op op) {
-  switch (op) {
-    case Op::kOpen: return "open";
-    case Op::kRead: return "read";
-    case Op::kWrite: return "write";
-    case Op::kFsync: return "fsync";
-    case Op::kRename: return "rename";
-    case Op::kUnlink: return "unlink";
-    case Op::kSend: return "send";
-    case Op::kRecv: return "recv";
-    case Op::kConnect: return "connect";
-    case Op::kSocketpair: return "socketpair";
-    case Op::kWaitpid: return "waitpid";
-    case Op::kKill: return "kill";
-    case Op::kAny: return "*";
-  }
-  return "?";
-}
 
 FaultPlan FaultPlan::parse(const std::string& spec) {
   FaultPlan plan;
@@ -476,16 +456,6 @@ int rename(const char* from, const char* to, const char* site) {
   return ::rename(from, to);
 }
 
-int unlink(const char* path, const char* site) {
-  std::size_t short_count = 0;
-  int err = 0;
-  if (intercept(Op::kUnlink, site, 0, &short_count, &err)) {
-    errno = err;
-    return -1;
-  }
-  return ::unlink(path);
-}
-
 ssize_t send(int fd, const void* buf, std::size_t count, int flags,
              const char* site) {
   std::size_t short_count = 0;
@@ -501,19 +471,6 @@ ssize_t send(int fd, const void* buf, std::size_t count, int flags,
     return -1;
   }
   return ::send(fd, buf, count, flags);
-}
-
-ssize_t recv(int fd, void* buf, std::size_t count, int flags,
-             const char* site) {
-  std::size_t short_count = 0;
-  int err = 0;
-  if (intercept(Op::kRecv, site, count, &short_count, &err)) {
-    if (err == 0)
-      return static_cast<ssize_t>(::recv(fd, buf, short_count, flags));
-    errno = err;
-    return -1;
-  }
-  return ::recv(fd, buf, count, flags);
 }
 
 int connect(int fd, const struct sockaddr* addr, socklen_t len,
@@ -562,6 +519,11 @@ int kill(pid_t pid, int sig, const char* site) {
 
 void atomic_write_file(const std::string& path, const std::string& content,
                        const char* site) {
+  // The rename below would replace whatever sits at `path`: a FIFO, a
+  // socket or a device node must stay what it is.
+  struct stat st {};
+  if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode))
+    throw IoError("refusing to replace " + path + ": not a regular file");
   const std::string tmp = path + ".tmp";
   const int fd = fsio::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644,
                             site);

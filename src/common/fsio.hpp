@@ -1,21 +1,22 @@
 // Injectable syscall shim for the I/O and service plane (DESIGN.md §13).
 //
 // Every syscall the persistence and socket layers depend on — open, read,
-// write, fsync, rename, unlink, send, recv, connect — goes through the
-// thin wrappers below. With no fault plan installed they are a
-// passthrough: one relaxed atomic load, then the raw syscall. With a plan
-// installed (programmatically or via the PIMA_IOFAULT environment
-// variable) each call first consults a deterministic, seeded FaultPlan
-// that can fail it with a chosen errno, inject EINTR storms, shorten the
-// transfer, or cut the process dead mid-write — the same
-// inject-and-verify discipline the compute plane got in PR 2/3, applied
+// write, fsync, rename, send, connect — goes through the thin wrappers
+// below, as do the process-pool supervisor's socketpair, waitpid and kill.
+// With no fault plan installed they are a passthrough: one relaxed atomic
+// load, then the raw syscall. With a plan installed (programmatically or
+// via the PIMA_IOFAULT environment variable) each call first consults a
+// deterministic, seeded FaultPlan that can fail it with a chosen errno,
+// inject EINTR storms, shorten the transfer, or cut the process dead
+// mid-write — the compute plane's inject-and-verify discipline, applied
 // to the host I/O path so crash-anywhere claims are testable.
 //
 // FaultPlan spec grammar (PIMA_IOFAULT):
 //
 //   spec    := [ 'seed=' N ';' ] rule ( ';' rule )*
 //   rule    := op [ '@' site ] ':' trigger ':' action
-//   op      := open|read|write|fsync|rename|unlink|send|recv|connect|*
+//   op      := open|read|write|fsync|rename|send|connect|socketpair|waitpid
+//            | kill|*
 //   site    := substring matched against the call-site tag
 //              ("checkpoint", "job.json", "wire", "connect", "artifact")
 //   trigger := 'nth=' K      the K-th matching call (1-based), fires once
@@ -60,17 +61,13 @@ enum class Op : std::uint8_t {
   kWrite,
   kFsync,
   kRename,
-  kUnlink,
   kSend,
-  kRecv,
   kConnect,
   kSocketpair,
   kWaitpid,
   kKill,
   kAny,  ///< `*` in a rule: matches every op
 };
-
-const char* to_string(Op op);
 
 /// Deterministic, seeded injection schedule. Parse once, install
 /// process-wide; decide() is called by every wrapped syscall.
@@ -173,10 +170,7 @@ ssize_t read(int fd, void* buf, std::size_t count, const char* site);
 ssize_t write(int fd, const void* buf, std::size_t count, const char* site);
 int fsync(int fd, const char* site);
 int rename(const char* from, const char* to, const char* site);
-int unlink(const char* path, const char* site);
 ssize_t send(int fd, const void* buf, std::size_t count, int flags,
-             const char* site);
-ssize_t recv(int fd, void* buf, std::size_t count, int flags,
              const char* site);
 int connect(int fd, const struct sockaddr* addr, socklen_t len,
             const char* site);
@@ -195,7 +189,8 @@ int kill(pid_t pid, int sig, const char* site);
 /// Crash-safe whole-file write: <path>.tmp + fsync + rename + directory
 /// fsync, all through the wrappers above, retrying EINTR. A reader sees
 /// the old content or the new content, never a truncated file. Throws
-/// IoError (the tmp file is removed) on any failure.
+/// IoError (the tmp file is removed) on any failure, and before touching
+/// anything when `path` exists but is not a regular file.
 void atomic_write_file(const std::string& path, const std::string& content,
                        const char* site);
 

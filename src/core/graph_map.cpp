@@ -44,13 +44,6 @@ GraphPartition partition_graph(const assembly::DeBruijnGraph& g,
   return p;
 }
 
-std::size_t subarrays_for_vertices(std::size_t n_vertices,
-                                   const dram::Geometry& geom) {
-  const std::size_t f = std::min(geom.data_rows(), geom.columns);
-  PIMA_CHECK(f > 0, "degenerate sub-array");
-  return (n_vertices + f - 1) / f;
-}
-
 EdgeBlock transpose(const EdgeBlock& block) {
   EdgeBlock t;
   t.source_interval = block.dest_interval;

@@ -47,11 +47,6 @@ struct GraphPartition {
 GraphPartition partition_graph(const assembly::DeBruijnGraph& g,
                                std::uint32_t m_intervals);
 
-/// Number of sub-arrays needed to process an n-vertex sub-graph on a×b
-/// sub-arrays: Ns = ceil(n / min(a, b)).
-std::size_t subarrays_for_vertices(std::size_t n_vertices,
-                                   const dram::Geometry& geom);
-
 /// The block with every edge reversed and its intervals swapped: the
 /// out-degree view of a block (its column sums are source out-degrees).
 EdgeBlock transpose(const EdgeBlock& block);

@@ -31,10 +31,6 @@ dram::RowAddr ShardLayout::value_row(std::size_t slot) const {
   return kmer_rows + slot / counters_per_row();
 }
 
-std::size_t ShardLayout::value_bit_offset(std::size_t slot) const {
-  return (slot % counters_per_row()) * counter_bits;
-}
-
 dram::RowAddr ShardLayout::temp_row(std::size_t t) const {
   PIMA_CHECK(t < temp_rows, "temp slot out of shard");
   return kmer_rows + value_rows + t;

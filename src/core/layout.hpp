@@ -41,8 +41,6 @@ struct ShardLayout {
   dram::RowAddr kmer_row(std::size_t slot) const;
   /// Row address holding slot i's counter.
   dram::RowAddr value_row(std::size_t slot) const;
-  /// Bit offset of slot i's counter within its value row.
-  std::size_t value_bit_offset(std::size_t slot) const;
   /// Row address of temp slot t.
   dram::RowAddr temp_row(std::size_t t) const;
 

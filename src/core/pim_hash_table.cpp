@@ -72,10 +72,6 @@ dram::Subarray& PimHashTable::shard_subarray(const Shard& s) {
   return device_.subarray(s.subarray_flat);
 }
 
-std::size_t PimHashTable::capacity() const {
-  return shards_.size() * layout_.kmer_rows;
-}
-
 std::size_t PimHashTable::shard_subarray_flat(std::size_t shard) const {
   PIMA_CHECK(shard < shards_.size(), "shard index out of table");
   return shards_[shard].subarray_flat;
@@ -216,24 +212,6 @@ std::optional<std::uint32_t> PimHashTable::lookup(const assembly::Kmer& kmer) {
     slot = (slot + 1) % layout_.kmer_rows;
   }
   return std::nullopt;
-}
-
-std::optional<std::pair<assembly::Kmer, std::uint32_t>>
-PimHashTable::peek_slot(std::size_t shard, std::size_t slot) const {
-  PIMA_CHECK(shard < shards_.size(), "shard index out of table");
-  PIMA_CHECK(slot < layout_.kmer_rows, "slot index out of shard");
-  const Shard& sh = shards_[shard];
-  if (!sh.occupied[slot] || k_ == 0) return std::nullopt;
-  const dram::Subarray* sa_ptr = device_.subarray_if(sh.subarray_flat);
-  PIMA_CHECK(sa_ptr != nullptr, "occupied shard must be instantiated");
-  const assembly::Kmer km = key_of(sa_ptr->peek_row(layout_.kmer_row(slot)));
-  const dram::Subarray* val_ptr =
-      policy_ == MappingPolicy::kCentralValues
-          ? device_.subarray_if(central_value_flat_)
-          : sa_ptr;
-  PIMA_CHECK(val_ptr != nullptr, "value array must be instantiated");
-  const BitVector& val_row = val_ptr->peek_row(value_row_for(shard, slot));
-  return std::make_pair(km, counter_field(val_row, counter_offset(shard, slot)));
 }
 
 KmerEntries PimHashTable::extract_shard(std::size_t shard) {

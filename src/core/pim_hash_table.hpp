@@ -105,7 +105,6 @@ class PimHashTable {
   }
 
   std::size_t distinct_kmers() const;
-  std::size_t capacity() const;
   std::size_t shard_count() const { return shards_.size(); }
   const ShardLayout& layout() const { return layout_; }
 
@@ -121,10 +120,6 @@ class PimHashTable {
   /// slot order. Costed as row reads. The whole table reads out in
   /// (shard, slot) order by concatenating shards 0..shard_count()-1.
   KmerEntries extract_shard(std::size_t shard);
-
-  /// Decodes slot contents straight from row bits without cost (tests).
-  std::optional<std::pair<assembly::Kmer, std::uint32_t>> peek_slot(
-      std::size_t shard, std::size_t slot) const;
 
  private:
   struct Shard {

@@ -17,10 +17,6 @@ void Sequence::push_back(Base b) {
   ++size_;
 }
 
-void Sequence::append(const Sequence& other) {
-  for (std::size_t i = 0; i < other.size(); ++i) push_back(other.at(i));
-}
-
 Sequence Sequence::subseq(std::size_t pos, std::size_t len) const {
   PIMA_CHECK(pos + len <= size_, "subseq out of range");
   Sequence out;

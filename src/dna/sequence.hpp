@@ -35,7 +35,6 @@ class Sequence {
   }
 
   void push_back(Base b);
-  void append(const Sequence& other);
 
   /// Subsequence [pos, pos+len).
   Sequence subseq(std::size_t pos, std::size_t len) const;

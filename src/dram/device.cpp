@@ -66,10 +66,6 @@ Device::Device(const Geometry& geometry, const circuit::Technology& tech)
   subarrays_.resize(geom_.total_subarrays());
 }
 
-Subarray& Device::subarray(const SubarrayId& id) {
-  return subarray(flat_index(geom_, id));
-}
-
 Subarray& Device::subarray(std::size_t flat) {
   PIMA_CHECK(flat < subarrays_.size(), "sub-array index out of device");
   if (!subarrays_[flat]) {
@@ -88,12 +84,6 @@ Subarray& Device::subarray(std::size_t flat) {
 const Subarray* Device::subarray_if(std::size_t flat) const {
   PIMA_CHECK(flat < subarrays_.size(), "sub-array index out of device");
   return subarrays_[flat].get();
-}
-
-std::size_t Device::instantiated_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(subarrays_.begin(), subarrays_.end(),
-                    [](const auto& p) { return p != nullptr; }));
 }
 
 StatsFold Device::fold() const {

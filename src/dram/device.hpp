@@ -98,13 +98,10 @@ class Device {
   const circuit::Technology& technology() const { return tech_; }
 
   /// Sub-array handle (created on first touch).
-  Subarray& subarray(const SubarrayId& id);
   Subarray& subarray(std::size_t flat);
 
   /// Read-only handle if the sub-array has been instantiated, else null.
   const Subarray* subarray_if(std::size_t flat) const;
-
-  std::size_t instantiated_count() const;
 
   /// Every instantiated sub-array folded in flat-index order.
   StatsFold fold() const;
@@ -130,8 +127,7 @@ class Device {
   /// Per-sub-array command capture for oracle replay: attaches a private
   /// capture Program to every instantiated and future sub-array. Each
   /// program is touched only by the channel owning its sub-array, so
-  /// capture is safe under the parallel runtime. isa.hpp's
-  /// captured_program() merges them into one replayable AAP program.
+  /// capture is safe under the parallel runtime.
   void enable_tracing();
   bool tracing() const { return tracing_; }
   /// The capture of one sub-array, or null if never instantiated (or

@@ -26,12 +26,6 @@ std::size_t Dpu::popcount(Subarray& sa, std::size_t row, std::size_t width) {
   return fetch(sa, row, width).popcount_range(0, width);
 }
 
-std::size_t Dpu::popcount_range(Subarray& sa, std::size_t row, std::size_t lo,
-                                std::size_t width) {
-  PIMA_CHECK(lo + width <= sa.geometry().columns, "reduce range exceeds row");
-  return sa.dpu_fetch(row).popcount_range(lo, width);
-}
-
 std::size_t Dpu::popcount_pairs(Subarray& sa, std::size_t row, std::size_t lo,
                                 std::size_t pairs) {
   PIMA_CHECK(lo + 2 * pairs <= sa.geometry().columns,

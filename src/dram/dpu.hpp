@@ -36,11 +36,6 @@ class Dpu {
   static std::size_t popcount(Subarray& sa, std::size_t row,
                               std::size_t width);
 
-  /// Popcount over the bit range [lo, lo+width) — the DPU's column mask
-  /// lets kernels reduce an arbitrary field of the row.
-  static std::size_t popcount_range(Subarray& sa, std::size_t row,
-                                    std::size_t lo, std::size_t width);
-
   /// Counts 2-bit groups in [lo, lo + 2·pairs) whose BOTH bits are 1 —
   /// with XNOR match bits in the row this is the number of matching
   /// bases, so (pairs − result) is the base-level Hamming distance

@@ -44,22 +44,4 @@ struct Geometry {
   }
 };
 
-/// Address of one sub-array within the device.
-struct SubarrayId {
-  std::size_t bank = 0;
-  std::size_t mat = 0;
-  std::size_t subarray = 0;
-
-  bool operator==(const SubarrayId&) const = default;
-};
-
-/// Flat index of a sub-array for table lookups.
-inline std::size_t flat_index(const Geometry& g, const SubarrayId& id) {
-  PIMA_CHECK(id.bank < g.banks && id.mat < g.mats_per_bank &&
-                 id.subarray < g.subarrays_per_mat,
-             "sub-array id out of geometry");
-  return (id.bank * g.mats_per_bank + id.mat) * g.subarrays_per_mat +
-         id.subarray;
-}
-
 }  // namespace pima::dram

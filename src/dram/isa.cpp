@@ -164,16 +164,6 @@ std::vector<Program> split_by_owner(Program program, std::size_t owners) {
   return parts;
 }
 
-Program captured_program(const Device& device) {
-  PIMA_CHECK(device.tracing(), "device is not capturing a trace");
-  Program program;
-  const std::size_t total = device.geometry().total_subarrays();
-  for (std::size_t flat = 0; flat < total; ++flat)
-    if (const Program* capture = device.trace_if(flat))
-      program.insert(program.end(), capture->begin(), capture->end());
-  return program;
-}
-
 ExecutionResults execute(Device& device, const Program& program) {
   ExecutionResults results;
   for (const auto& inst : program) {

@@ -80,8 +80,4 @@ ExecutionResults execute(Device& device, const Program& program);
 // canonical one appends the captures in logical flat order, which makes a
 // sharded run's capture byte-identical to one device's.
 
-/// The device's whole capture: every sub-array's program appended in flat
-/// order. Throws PreconditionError unless the device is tracing.
-Program captured_program(const Device& device);
-
 }  // namespace pima::dram

@@ -53,20 +53,4 @@ double bulk_throughput_bits_per_s(const PlatformSpec& p, BulkOp op,
   return pim_throughput(p, op, element_bits);
 }
 
-double bulk_power_w(const PlatformSpec& p, BulkOp op) {
-  // Bulk streaming keeps the platform near full utilization; addition's
-  // longer in-memory occupancy raises PIM dynamic power slightly.
-  const double util = (p.kind == PlatformKind::kProcessingInMemory &&
-                       op == BulkOp::kAdd)
-                          ? 1.0
-                          : 0.9;
-  return p.idle_power_w + util * p.peak_dynamic_power_w;
-}
-
-double bulk_time_s(const PlatformSpec& p, BulkOp op, double vector_bits,
-                   std::size_t element_bits) {
-  return vector_bits / bulk_throughput_bits_per_s(p, op, vector_bits,
-                                                  element_bits);
-}
-
 }  // namespace pima::platforms

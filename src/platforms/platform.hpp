@@ -83,11 +83,4 @@ double bulk_throughput_bits_per_s(const PlatformSpec& p, BulkOp op,
                                   double vector_bits,
                                   std::size_t element_bits = 32);
 
-/// Average power (W) while running the bulk microbenchmark.
-double bulk_power_w(const PlatformSpec& p, BulkOp op);
-
-/// Time (s) to process one bulk op over `vector_bits`-bit vectors.
-double bulk_time_s(const PlatformSpec& p, BulkOp op, double vector_bits,
-                   std::size_t element_bits = 32);
-
 }  // namespace pima::platforms

@@ -63,8 +63,7 @@ struct EngineOptions {
   /// Enables per-sub-array command capture on the device before any worker
   /// starts (Device::enable_tracing). Each sub-array's capture program is
   /// touched only by the channel owning it, so capture is race-free; the
-  /// captures replay through dram::captured_program() for the differential
-  /// oracle.
+  /// captures, appended in flat order, replay on the differential oracle.
   bool capture_trace = false;
   /// Per-task deadline enforced by the watchdog thread: a worker that
   /// holds one task longer than this without retiring it is declared

@@ -1,6 +1,7 @@
 #include "runtime/recovery.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <utility>
 
@@ -60,26 +61,21 @@ RecoveryExecutor::RecoveryExecutor(dram::Subarray& subarray,
                                    const RecoveryOptions& options)
     : sa_(subarray), options_(options) {
   const std::size_t compute = sa_.geometry().compute_rows;
-  // Slots 0..2 are the active operand staging rows; x4 (offset 3) is left
-  // for the callers' result rows; everything above is a spare pool for
-  // weak-row remapping.
-  staging_ = {0, 1, 2};
+  // Slots 0 and 1 are the active operand staging rows; x3 and x4 (offsets
+  // 2, 3) are left for the callers' result rows; everything above is a
+  // spare pool for weak-row remapping.
+  staging_ = {0, 1};
   for (std::size_t off = 4; off < compute; ++off) spares_.push_back(off);
   row_failures_.assign(compute, 0);
 }
 
-void RecoveryExecutor::execute_once(
-    const std::array<dram::RowAddr, 3>& operands, std::size_t n_operands,
-    dram::RowAddr dst) {
-  const auto x = [&](std::size_t slot) {
-    return sa_.compute_row(staging_[slot]);
-  };
-  for (std::size_t i = 0; i < n_operands; ++i)
-    sa_.aap_copy(operands[i], x(i));
-  if (n_operands == 3)
-    sa_.aap_tra_carry(x(0), x(1), x(2), dst);
-  else
-    sa_.aap_xnor(x(0), x(1), dst);
+void RecoveryExecutor::execute_once(dram::RowAddr a, dram::RowAddr b,
+                                    dram::RowAddr dst) {
+  const dram::RowAddr x1 = sa_.compute_row(staging_[0]),
+                      x2 = sa_.compute_row(staging_[1]);
+  sa_.aap_copy(a, x1);
+  sa_.aap_copy(b, x2);
+  sa_.aap_xnor(x1, x2, dst);
 }
 
 void RecoveryExecutor::note_detected() {
@@ -95,12 +91,11 @@ void RecoveryExecutor::note_detected() {
   }
 }
 
-void RecoveryExecutor::blame_staging(std::size_t n_operands) {
-  for (std::size_t slot = 0; slot < n_operands; ++slot) {
-    const std::size_t offset = staging_[slot];
-    if (++row_failures_[offset] < options_.weak_row_threshold) continue;
+void RecoveryExecutor::blame_staging() {
+  for (auto& slot : staging_) {
+    if (++row_failures_[slot] < options_.weak_row_threshold) continue;
     if (spares_.empty()) continue;  // nothing left to remap onto
-    staging_[slot] = spares_.back();
+    slot = spares_.back();
     spares_.pop_back();
     ++stats_.remapped;
     bump_live("pima_fault_remapped_rows_total",
@@ -108,33 +103,35 @@ void RecoveryExecutor::blame_staging(std::size_t n_operands) {
   }
 }
 
-void RecoveryExecutor::host_fallback(
-    const BitVector& golden, dram::RowAddr dst,
-    const std::array<dram::RowAddr, 3>& operands, std::size_t n_operands) {
+void RecoveryExecutor::host_fallback(const BitVector& golden,
+                                     dram::RowAddr a, dram::RowAddr b,
+                                     dram::RowAddr dst) {
   // The controller pulls the operands through the global row buffer,
   // recomputes, and writes the result back — no in-array compute trusted.
-  for (std::size_t i = 0; i < n_operands; ++i) (void)sa_.read_row(operands[i]);
+  (void)sa_.read_row(a);
+  (void)sa_.read_row(b);
   sa_.write_row(dst, golden);
   ++stats_.host_fallbacks;
   bump_live(telemetry::kFaultHostFallbacks,
             "critical ops recomputed host-side");
 }
 
-void RecoveryExecutor::run_checked(
-    const std::array<dram::RowAddr, 3>& operands, std::size_t n_operands,
-    dram::RowAddr dst, const BitVector& golden) {
-  for (std::size_t slot = 0; slot < n_operands; ++slot)
-    PIMA_CHECK(dst != sa_.compute_row(staging_[slot]),
+void RecoveryExecutor::compare_rows(dram::RowAddr a, dram::RowAddr b,
+                                    dram::RowAddr dst) {
+  for (const std::size_t offset : staging_)
+    PIMA_CHECK(dst != sa_.compute_row(offset),
                "checked-op destination collides with a staging row");
+  const BitVector golden =
+      BitVector::bit_xnor(sa_.peek_row(a), sa_.peek_row(b));
 
   if (degraded_) {
-    host_fallback(golden, dst, operands, n_operands);
+    host_fallback(golden, a, b, dst);
     return;
   }
 
   if (options_.mode == RecoveryMode::kOff) {
     // Unverified execution: whatever the array sensed is the result.
-    execute_once(operands, n_operands, dst);
+    execute_once(a, b, dst);
     if (sa_.peek_row(dst) != golden) ++stats_.escaped;
     return;
   }
@@ -143,14 +140,14 @@ void RecoveryExecutor::run_checked(
     // TMR in time: three executions, per-column majority.
     std::array<BitVector, 3> results;
     for (auto& r : results) {
-      execute_once(operands, n_operands, dst);
+      execute_once(a, b, dst);
       r = sa_.dpu_fetch(dst);  // costed readback into the vote
     }
     const bool disagree =
         results[0] != results[1] || results[1] != results[2];
     if (disagree) {
       note_detected();
-      blame_staging(n_operands);
+      blame_staging();
     }
     const BitVector voted =
         BitVector::bit_maj3(results[0], results[1], results[2]);
@@ -166,17 +163,17 @@ void RecoveryExecutor::run_checked(
 
   // RecoveryMode::kRetry — verify-after-op with bounded re-execution.
   for (std::size_t attempt = 0;; ++attempt) {
-    execute_once(operands, n_operands, dst);
+    execute_once(a, b, dst);
     // Costed readback through the DPU path; the controller checks it
     // against its residual for the op.
     const BitVector& got = sa_.dpu_fetch(dst);
     if (got == golden) return;
     note_detected();
-    blame_staging(n_operands);
+    blame_staging();
     if (degraded_ || attempt >= options_.max_retries) {
       // Retry budget exhausted (or the sub-array just blew its failure
       // budget): recompute host-side rather than give up.
-      host_fallback(golden, dst, operands, n_operands);
+      host_fallback(golden, a, b, dst);
       return;
     }
     ++stats_.retried;
@@ -184,20 +181,6 @@ void RecoveryExecutor::run_checked(
     // Exponential backoff (capped) on this sub-array's command stream.
     sa_.wait_ns(recovery_backoff_ns(options_, attempt));
   }
-}
-
-void RecoveryExecutor::compare_rows(dram::RowAddr a, dram::RowAddr b,
-                                    dram::RowAddr result_row) {
-  const BitVector golden =
-      BitVector::bit_xnor(sa_.peek_row(a), sa_.peek_row(b));
-  run_checked({a, b, 0}, 2, result_row, golden);
-}
-
-void RecoveryExecutor::tra_majority(dram::RowAddr a, dram::RowAddr b,
-                                    dram::RowAddr c, dram::RowAddr dst) {
-  const BitVector golden = BitVector::bit_maj3(
-      sa_.peek_row(a), sa_.peek_row(b), sa_.peek_row(c));
-  run_checked({a, b, c}, 3, dst, golden);
 }
 
 RecoveryManager::RecoveryManager(dram::Device& device,

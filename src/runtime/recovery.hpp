@@ -6,8 +6,8 @@
 // it. This layer keeps the platform producing correct results when the
 // array misbehaves, at a measured latency/energy cost:
 //
-//   * Verify-after-op. Designated critical operations (the hash-probe row
-//     compare, TRA majority) are executed through a RecoveryExecutor that
+//   * Verify-after-op. The critical operation (the hash-probe row compare)
+//     is executed through a RecoveryExecutor that
 //     re-reads the driven result through the DPU path and checks it
 //     against the controller's residual for the operation (the controller
 //     staged both operands itself, so it holds enough redundancy to check
@@ -36,7 +36,6 @@
 // FaultStats counters are integral, so every fold of them is exact.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -118,16 +117,9 @@ class RecoveryExecutor {
   RecoveryExecutor(dram::Subarray& subarray, const RecoveryOptions& options);
 
   /// Row-parallel compare of data rows a, b with per-column match bits
-  /// into result_row — the recovery-aware counterpart of
-  /// Subarray::compare_rows. result_row must not be a staging row.
-  void compare_rows(dram::RowAddr a, dram::RowAddr b,
-                    dram::RowAddr result_row);
-
-  /// TRA majority of data rows a, b, c into dst, verified/voted per mode.
-  /// In kRetry an accepted result implies latch == MAJ3 as well; in kVote
-  /// only dst is guaranteed (the latch keeps the last execution's value).
-  void tra_majority(dram::RowAddr a, dram::RowAddr b, dram::RowAddr c,
-                    dram::RowAddr dst);
+  /// into dst — the recovery-aware counterpart of Subarray::compare_rows,
+  /// verified/voted per mode. dst must not be a staging row.
+  void compare_rows(dram::RowAddr a, dram::RowAddr b, dram::RowAddr dst);
 
   /// True once the failure budget is blown: critical ops now recompute
   /// host-side.
@@ -138,26 +130,20 @@ class RecoveryExecutor {
   std::size_t staging_row(std::size_t i) const { return staging_.at(i); }
 
  private:
-  // Stages the first n operands into the mapped computation rows and runs
-  // the multi-row activation once into dst.
-  void execute_once(const std::array<dram::RowAddr, 3>& operands,
-                    std::size_t n_operands, dram::RowAddr dst);
-  // The full checked-op state machine (verify / retry / vote / fallback).
-  void run_checked(const std::array<dram::RowAddr, 3>& operands,
-                   std::size_t n_operands, dram::RowAddr dst,
-                   const BitVector& golden);
-  void host_fallback(const BitVector& golden, dram::RowAddr dst,
-                     const std::array<dram::RowAddr, 3>& operands,
-                     std::size_t n_operands);
-  void blame_staging(std::size_t n_operands);
+  // Stages a and b into the mapped computation rows and runs the two-row
+  // activation once into dst.
+  void execute_once(dram::RowAddr a, dram::RowAddr b, dram::RowAddr dst);
+  void host_fallback(const BitVector& golden, dram::RowAddr a,
+                     dram::RowAddr b, dram::RowAddr dst);
+  void blame_staging();
   void note_detected();
 
   dram::Subarray& sa_;
   RecoveryOptions options_;
   FaultStats stats_;
   bool degraded_ = false;
-  /// Logical staging slot -> compute-row offset (0-based). Slots 0..2 are
-  /// the active operand rows; remapping swaps in spares.
+  /// Logical staging slot -> compute-row offset (0-based). Slots 0 and 1
+  /// are the active operand rows; remapping swaps in spares.
   std::vector<std::size_t> staging_;
   std::vector<std::size_t> spares_;        ///< unused compute-row offsets
   std::vector<std::size_t> row_failures_;  ///< per compute-row offset

@@ -69,14 +69,15 @@ LogField LogField::uint(std::string key, std::uint64_t value) {
   return f;
 }
 
+// The per-code token bucket: tokens per second, and bucket capacity.
+constexpr double kRatePerS = 10.0;
+constexpr double kBurst = 20.0;
+
 struct Logger::Impl {
   std::mutex mutex;
-  bool stderr_enabled = true;
   std::FILE* json = nullptr;  // owned unless json_is_stdout
   bool json_is_stdout = false;
   std::string json_path;
-  double rate = 10.0;   // tokens per second, per code; 0 = unlimited
-  double burst = 20.0;  // bucket capacity
   struct Bucket {
     double tokens = 0.0;
     std::int64_t last_ns = 0;
@@ -111,11 +112,6 @@ Logger& Logger::instance() {
   return *logger;
 }
 
-void Logger::set_stderr_enabled(bool on) {
-  std::lock_guard lock(impl_->mutex);
-  impl_->stderr_enabled = on;
-}
-
 void Logger::set_json_path(const std::string& path) {
   std::lock_guard lock(impl_->mutex);
   impl_->close_json();
@@ -132,13 +128,6 @@ void Logger::set_json_path(const std::string& path) {
   impl_->json_path = path;
 }
 
-void Logger::set_rate_limit(double tokens_per_s, double burst) {
-  std::lock_guard lock(impl_->mutex);
-  impl_->rate = tokens_per_s < 0.0 ? 0.0 : tokens_per_s;
-  impl_->burst = burst < 1.0 ? 1.0 : burst;
-  impl_->buckets.clear();
-}
-
 void Logger::log(LogLevel level, const char* code, const std::string& message,
                  std::vector<LogField> fields) {
   if (!would_log(level)) return;  // the allocation-free fast path
@@ -147,26 +136,23 @@ void Logger::log(LogLevel level, const char* code, const std::string& message,
 
   // Per-code token bucket. Suppressed events vanish from every sink (and
   // the flight ring); the count rides on the next event that passes.
-  std::uint64_t suppressed_here = 0;
-  if (impl_->rate > 0.0) {
-    auto& b = impl_->buckets[code];
-    if (!b.primed) {
-      b.tokens = impl_->burst;
-      b.last_ns = mono;
-      b.primed = true;
-    }
-    b.tokens += static_cast<double>(mono - b.last_ns) * 1e-9 * impl_->rate;
-    if (b.tokens > impl_->burst) b.tokens = impl_->burst;
+  auto& b = impl_->buckets[code];
+  if (!b.primed) {
+    b.tokens = kBurst;
     b.last_ns = mono;
-    if (b.tokens < 1.0) {
-      ++b.suppressed;
-      suppressed_total_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    b.tokens -= 1.0;
-    suppressed_here = b.suppressed;
-    b.suppressed = 0;
+    b.primed = true;
   }
+  b.tokens += static_cast<double>(mono - b.last_ns) * 1e-9 * kRatePerS;
+  if (b.tokens > kBurst) b.tokens = kBurst;
+  b.last_ns = mono;
+  if (b.tokens < 1.0) {
+    ++b.suppressed;
+    suppressed_total_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  b.tokens -= 1.0;
+  const std::uint64_t suppressed_here = b.suppressed;
+  b.suppressed = 0;
 
   // NDJSON rendering — built unconditionally: the flight-recorder ring
   // stores the same preformatted line the JSON sink writes.
@@ -203,35 +189,33 @@ void Logger::log(LogLevel level, const char* code, const std::string& message,
 
   FlightRecorder::instance().note(line.c_str(), line.size());
 
-  if (impl_->stderr_enabled) {
-    std::string human;
-    human.reserve(64 + message.size());
-    human += "pima[";
-    human += to_string(level);
-    human += "] ";
-    human += code;
-    human += ": ";
-    human += message;
-    if (!fields.empty()) {
-      human += " (";
-      bool first = true;
-      for (const auto& f : fields) {
-        if (!first) human += ' ';
-        first = false;
-        human += f.key;
-        human += '=';
-        human += f.value;
-      }
-      human += ')';
+  std::string human;
+  human.reserve(64 + message.size());
+  human += "pima[";
+  human += to_string(level);
+  human += "] ";
+  human += code;
+  human += ": ";
+  human += message;
+  if (!fields.empty()) {
+    human += " (";
+    bool first = true;
+    for (const auto& f : fields) {
+      if (!first) human += ' ';
+      first = false;
+      human += f.key;
+      human += '=';
+      human += f.value;
     }
-    if (suppressed_here > 0) {
-      human += " [suppressed ";
-      human += std::to_string(suppressed_here);
-      human += " similar]";
-    }
-    human += '\n';
-    std::fputs(human.c_str(), stderr);
+    human += ')';
   }
+  if (suppressed_here > 0) {
+    human += " [suppressed ";
+    human += std::to_string(suppressed_here);
+    human += " similar]";
+  }
+  human += '\n';
+  std::fputs(human.c_str(), stderr);
   if (impl_->json != nullptr) {
     std::fputs(line.c_str(), impl_->json);
     std::fputc('\n', impl_->json);
@@ -242,9 +226,6 @@ void Logger::log(LogLevel level, const char* code, const std::string& message,
 void Logger::reset_for_tests() {
   std::lock_guard lock(impl_->mutex);
   impl_->close_json();
-  impl_->stderr_enabled = true;
-  impl_->rate = 10.0;
-  impl_->burst = 20.0;
   impl_->buckets.clear();
   level_.store(static_cast<int>(LogLevel::kInfo), std::memory_order_relaxed);
   suppressed_total_.store(0, std::memory_order_relaxed);

@@ -7,14 +7,14 @@
 // optional structured fields ({job=, device=, ...}).
 //
 // Sinks:
-//   * human-readable stderr rendering (the default, always on unless
-//     disabled): `pima[warn] worker.failed: <message> (device=2)`;
+//   * human-readable stderr rendering (always on):
+//     `pima[warn] worker.failed: <message> (device=2)`;
 //   * NDJSON (--log-json PATH|-): one JSON object per line, machine-
 //     parseable, append-mode so a serve process can be tailed.
 // Every emitted event is also pushed into the FlightRecorder's bounded
 // ring, so crash reports always contain the most recent diagnostics.
 //
-// Rate limiting: a per-code token bucket (default 10 events/s, burst 20)
+// Rate limiting: a per-code token bucket (10 events/s, burst 20)
 // bounds log volume when a failure repeats in a tight loop; suppressed
 // events are counted and the count is attached to the next event that
 // passes (`"suppressed": N`).
@@ -67,14 +67,10 @@ class Logger {
     return static_cast<int>(level) >= level_.load(std::memory_order_relaxed);
   }
 
-  void set_stderr_enabled(bool on);
   /// NDJSON sink path: "" disables, "-" writes to stdout, anything else
   /// opens the file in append mode. Throws IoError if the file cannot be
   /// opened.
   void set_json_path(const std::string& path);
-  /// Token-bucket tuning (per event code). Zero tokens_per_s disables
-  /// rate limiting.
-  void set_rate_limit(double tokens_per_s, double burst);
 
   void log(LogLevel level, const char* code, const std::string& message,
            std::vector<LogField> fields = {});
@@ -84,8 +80,8 @@ class Logger {
     return suppressed_total_.load(std::memory_order_relaxed);
   }
 
-  /// Restores defaults: level info, stderr on, no JSON sink, default
-  /// rate limit, counters zeroed.
+  /// Restores defaults: level info, no JSON sink, token buckets refilled,
+  /// counters zeroed.
   void reset_for_tests();
 
  private:

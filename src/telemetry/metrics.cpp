@@ -98,30 +98,6 @@ void Histogram::merge_counts(const std::vector<std::uint64_t>& buckets,
   detail::atomic_add(sum_, sum);
 }
 
-double Histogram::quantile(double q) const {
-  const std::uint64_t total = count();
-  if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    const double in_bucket =
-        static_cast<double>(buckets_[i].load(std::memory_order_relaxed));
-    if (cumulative + in_bucket < target || in_bucket == 0.0) {
-      cumulative += in_bucket;
-      continue;
-    }
-    // The +Inf bucket has no upper bound: clamp to the largest finite one
-    // (or 0 when the histogram has no finite bounds at all).
-    if (i == bounds_.size())
-      return bounds_.empty() ? 0.0 : bounds_.back();
-    const double upper = bounds_[i];
-    const double lower = i == 0 ? std::min(0.0, upper) : bounds_[i - 1];
-    return lower + (upper - lower) * (target - cumulative) / in_bucket;
-  }
-  return bounds_.empty() ? 0.0 : bounds_.back();
-}
-
 struct MetricsRegistry::Metric {
   std::string name;
   std::string help;
@@ -184,16 +160,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const Labels& labels, MetricClass cls) {
   return *find_or_create(name, help, labels, cls, kHistogram, &bounds)
               .histogram;
-}
-
-std::size_t MetricsRegistry::size() const {
-  std::lock_guard lock(mutex_);
-  return metrics_.size();
-}
-
-void MetricsRegistry::clear() {
-  std::lock_guard lock(mutex_);
-  metrics_.clear();
 }
 
 std::string MetricsRegistry::prometheus_text() const {

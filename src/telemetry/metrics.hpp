@@ -97,11 +97,6 @@ class Histogram {
   std::uint64_t count() const;
   double sum() const { return sum_.load(std::memory_order_relaxed); }
 
-  /// Quantile estimate (0 ≤ q ≤ 1) by linear interpolation inside the
-  /// covering bucket, Prometheus histogram_quantile-style. Values in the
-  /// +Inf bucket clamp to the largest finite bound. Returns 0 when empty.
-  double quantile(double q) const;
-
   /// Folds another histogram's per-bucket counts and sum into this one
   /// (MetricsRegistry::merge_from). `buckets` must have bounds().size()+1
   /// entries matching this histogram's bucket layout.
@@ -152,9 +147,6 @@ class MetricsRegistry {
   /// merge_from into a daemon-wide registry keeps jobs' series distinct).
   /// Set before the first registration; does not relabel existing metrics.
   void set_default_labels(Labels labels);
-
-  std::size_t size() const;
-  void clear();
 
  private:
   struct Metric;

@@ -48,13 +48,4 @@ void TelemetrySession::flush() {
   if (!metrics_path_.empty()) write_metrics(metrics_path_);
 }
 
-void TelemetrySession::reset() {
-  tracer_.clear();
-  metrics_.clear();
-  disable_metrics();
-  std::lock_guard lock(flush_mutex_);
-  trace_path_.clear();
-  metrics_path_.clear();
-}
-
 }  // namespace pima::telemetry

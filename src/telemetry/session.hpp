@@ -32,9 +32,6 @@ class TelemetrySession {
   void enable_metrics() {
     metrics_enabled_.store(true, std::memory_order_release);
   }
-  void disable_metrics() {
-    metrics_enabled_.store(false, std::memory_order_release);
-  }
   bool metrics_enabled() const {
     return metrics_enabled_.load(std::memory_order_relaxed);
   }
@@ -52,9 +49,6 @@ class TelemetrySession {
   /// Writes the Chrome trace JSON / metrics to an explicit path.
   void write_trace(const std::string& path) const;
   void write_metrics(const std::string& prometheus_path) const;
-
-  /// Tests: disable everything, drop buffers, clear metrics and sinks.
-  void reset();
 
  private:
   TelemetrySession() = default;

@@ -69,8 +69,6 @@ TraceBuffer* Tracer::thread_buffer() {
 
 void Tracer::set_thread_track(std::uint32_t track) { tls.track = track; }
 
-std::uint32_t Tracer::thread_track() const { return tls.track; }
-
 void Tracer::set_track_name(std::uint32_t track, const std::string& name) {
   std::lock_guard lock(mutex_);
   track_names_[track] = name;
@@ -160,11 +158,6 @@ std::map<std::uint32_t, std::string> Tracer::track_names() const {
 void Tracer::put_process(ProcessTrace p) {
   std::lock_guard lock(mutex_);
   processes_[p.pid] = std::move(p);
-}
-
-std::size_t Tracer::process_count() const {
-  std::lock_guard lock(mutex_);
-  return processes_.size();
 }
 
 std::size_t Tracer::event_count() const {

@@ -120,7 +120,6 @@ class Tracer {
 
   /// Current thread's track id for subsequently recorded events.
   void set_thread_track(std::uint32_t track);
-  std::uint32_t thread_track() const;
   /// Perfetto track (thread) naming; also sets the track's sort order.
   void set_track_name(std::uint32_t track, const std::string& name);
 
@@ -165,7 +164,6 @@ class Tracer {
   /// chrome_json() merging. Worker flushes are cumulative, so replacing is
   /// idempotent across stage-boundary harvests of the same incarnation.
   void put_process(ProcessTrace p);
-  std::size_t process_count() const;
 
   /// Total events currently published over all buffers (tests/reports).
   std::size_t event_count() const;

@@ -84,6 +84,34 @@ expect_exit(4 ${CMAKE_COMMAND} -E env
             PIMA_IOFAULT=write@artifact:nth=1:errno=ENOSPC
             ${CLI} assemble --reads ${WORK}/r.fa --k 15
             --out ${WORK}/contigs.fa)
+# The same for the assembly graph.
+expect_exit(4 ${CMAKE_COMMAND} -E env
+            PIMA_IOFAULT=write@artifact:nth=1:errno=ENOSPC
+            ${CLI} assemble --reads ${WORK}/r.fa --k 15
+            --gfa ${WORK}/graph.gfa)
+# An output path that is not a regular file (here a FIFO) is refused -> 4,
+# and stays what it was.
+execute_process(COMMAND mkfifo ${WORK}/fifo.fa RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "mkfifo failed: ${rc}")
+endif()
+expect_exit(4 ${CLI} assemble --reads ${WORK}/r.fa --k 15
+            --out ${WORK}/fifo.fa)
+execute_process(COMMAND test -p ${WORK}/fifo.fa RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--out replaced the FIFO")
+endif()
+
+# A fault plan naming an op no wrapped call site performs (recv, unlink)
+# is malformed input -> 3, not an armed plan that never fires.
+expect_exit(3 ${CMAKE_COMMAND} -E env
+            PIMA_IOFAULT=recv:always:errno=EIO
+            ${CLI} generate --genome ${WORK}/g3.fa --reads ${WORK}/r3.fa
+            --length 3000 --coverage 8)
+expect_exit(3 ${CMAKE_COMMAND} -E env
+            PIMA_IOFAULT=unlink:nth=1:errno=EIO
+            ${CLI} generate --genome ${WORK}/g3.fa --reads ${WORK}/r3.fa
+            --length 3000 --coverage 8)
 
 # --resume without --checkpoint-dir -> 2 (usage).
 expect_exit(2 ${CLI} pim-run --reads ${WORK}/r.fa --k 15 --resume)

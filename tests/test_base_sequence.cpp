@@ -81,12 +81,6 @@ TEST(Sequence, Subseq) {
   EXPECT_THROW(s.subseq(6, 4), PreconditionError);
 }
 
-TEST(Sequence, Append) {
-  auto s = Sequence::from_string("ACG");
-  s.append(Sequence::from_string("TTT"));
-  EXPECT_EQ(s.to_string(), "ACGTTT");
-}
-
 TEST(Sequence, ReverseComplement) {
   EXPECT_EQ(Sequence::from_string("AACG").reverse_complement().to_string(),
             "CGTT");

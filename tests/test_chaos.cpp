@@ -23,6 +23,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -82,7 +83,10 @@ TEST_F(ChaosTest, GrammarRejectsMalformedSpecsTyped) {
        {"write", "write:nth=3", "write:nth=3:errno=EWHAT",
         "write:sometimes:errno=EIO", "flush:nth=1:errno=EIO",
         "write:nth=0:errno=EIO", "write:p=1.5:errno=EIO",
-        "write:nth=1:explode", "seed=;write:always:short", ";;"}) {
+        "write:nth=1:explode", "seed=;write:always:short", ";;",
+        // No wrapped call site reads with recv or unlinks through the
+        // shim, so rules naming them could never fire.
+        "recv:always:errno=EIO", "unlink:nth=1:errno=EIO"}) {
     EXPECT_THROW((void)fsio::FaultPlan::parse(bad), InputFormatError)
         << "spec not rejected: " << bad;
   }
@@ -181,6 +185,20 @@ TEST_F(ChaosTest, AtomicWriteRenameEioPreservesOldContent) {
   EXPECT_EQ(slurp(path), "old content");
   EXPECT_FALSE(fs::exists(path + ".tmp"));
   fs::remove(path);
+}
+
+// The final rename would replace whatever sits at the path: a FIFO (or a
+// device node) must be refused before anything is written.
+TEST_F(ChaosTest, AtomicWriteRefusesNonRegularTarget) {
+  const fs::path dir =
+      fs::temp_directory_path() / ("chaos_fifo_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string path = (dir / "out.fa").string();
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  EXPECT_THROW(fsio::atomic_write_file(path, "contigs", "artifact"), IoError);
+  EXPECT_TRUE(fs::is_fifo(path));
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  fs::remove_all(dir);
 }
 
 TEST_F(ChaosTest, AtomicWriteSurvivesShortWritesAndEintr) {

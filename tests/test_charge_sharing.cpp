@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <vector>
-
 #include "common/error.hpp"
 
 namespace pima::circuit {
@@ -66,32 +63,6 @@ TEST(ChargeSharing, InvalidArgumentsThrow) {
   EXPECT_THROW(share_nominal(tech, 0, 0), PreconditionError);
   EXPECT_THROW(share_nominal(tech, 2, 3), PreconditionError);
   EXPECT_THROW(share_nominal(tech, 2, -1), PreconditionError);
-}
-
-TEST(ChargeSharing, VariedMatchesNominalWhenUniform) {
-  const TechParams tech{};
-  const std::vector<double> caps(2, tech.cell_cap_ff);
-  const std::array<bool, 2> vals{true, false};
-  const auto varied = share_varied(tech.vdd, tech.bitline_cap_ff,
-                                   std::span(caps), std::span(vals));
-  EXPECT_NEAR(varied.v_bl, share_nominal(tech, 2, 1).v_bl, 1e-12);
-}
-
-TEST(ChargeSharing, VariedRespondsToCapMismatch) {
-  const TechParams tech{};
-  const std::vector<double> heavy{tech.cell_cap_ff * 1.5, tech.cell_cap_ff};
-  const std::array<bool, 2> vals{true, false};
-  const auto r = share_varied(tech.vdd, tech.bitline_cap_ff,
-                              std::span(heavy), std::span(vals));
-  // The '1' cell is bigger, so the level rises above nominal.
-  EXPECT_GT(r.v_bl, share_nominal(tech, 2, 1).v_bl);
-}
-
-TEST(ChargeSharing, VariedValidatesSpans) {
-  const std::vector<double> caps{22.0};
-  const std::array<bool, 2> vals{true, false};
-  EXPECT_THROW(share_varied(1.2, 85.0, std::span(caps), std::span(vals)),
-               PreconditionError);
 }
 
 TEST(InverterOut, ThresholdDecision) {

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "dram/isa.hpp"
+#include "test_support.hpp"
 #include "verify/fuzz.hpp"
 
 namespace pima::verify {
@@ -206,7 +207,7 @@ TEST(Differential, CapturedTraceReplaysCleanThroughBothModels) {
   sa.reset_latch();
   sa.compare_rows(5, 6, 9);
 
-  const auto program = dram::captured_program(device);
+  const auto program = test_support::captured_program(device);
   ASSERT_FALSE(program.empty());
   // The replay reproduces the exact final state on a fresh device pair.
   auto divergence = run_differential(g, program);
@@ -235,7 +236,7 @@ TEST(Differential, CapturedProgramSurvivesTextRoundTrip) {
   sa.aap_xnor(sa.compute_row(0), sa.compute_row(1), 4);
   sa.reset_latch();
 
-  const auto program = dram::captured_program(device);
+  const auto program = test_support::captured_program(device);
   std::istringstream in(dram::to_text(program));
   const auto parsed = dram::parse_program(in);
   EXPECT_EQ(parsed, program);
@@ -243,7 +244,10 @@ TEST(Differential, CapturedProgramSurvivesTextRoundTrip) {
 
 TEST(Differential, CapturedProgramRequiresTracing) {
   dram::Device device(tiny());
-  EXPECT_THROW((void)dram::captured_program(device), PreconditionError);
+  device.subarray(std::size_t{0}).aap_copy(3, 4);
+  EXPECT_FALSE(device.tracing());
+  EXPECT_EQ(device.trace_if(0), nullptr);
+  EXPECT_TRUE(test_support::captured_program(device).empty());
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ TEST(FaultInjection, ComparatorDetectsCorruptedKey) {
   EXPECT_FALSE(dram::Dpu::and_reduce(sa, 10, 32));
   // The fault position is identifiable from the match bits.
   EXPECT_FALSE(sa.peek_row(10).get(13));
-  EXPECT_EQ(sa.peek_row(10).popcount(), 255u);
+  EXPECT_EQ(sa.peek_row(10).popcount_range(0, 256), 255u);
 }
 
 TEST(FaultInjection, FaultOutsideKeyBitsIsMasked) {
@@ -85,12 +85,14 @@ TEST(FaultInjection, HashTableTreatsCorruptedKeyAsDistinct) {
   table.insert_or_increment(km);
   EXPECT_EQ(table.lookup(km).value(), 1u);
 
-  // Find the occupied key row and corrupt it.
+  // Find the occupied key row (the only non-zero one) and corrupt it.
   bool corrupted = false;
   for (std::size_t slot = 0; slot < table.layout().kmer_rows && !corrupted;
        ++slot) {
-    if (table.peek_slot(0, slot)) {
-      dev.subarray(0).inject_bit_flip(table.layout().kmer_row(slot), 5);
+    const dram::RowAddr row = table.layout().kmer_row(slot);
+    const BitVector& bits = dev.subarray(0).peek_row(row);
+    if (bits.popcount_range(0, bits.size()) != 0) {
+      dev.subarray(0).inject_bit_flip(row, 5);
       corrupted = true;
     }
   }

@@ -214,28 +214,6 @@ TEST(Recovery, RetryReproducesGoldenUnderModerateFaults) {
   EXPECT_FALSE(ex.degraded());
 }
 
-TEST(Recovery, TraMajorityIsVerifiedToo) {
-  dram::Device dev(small_geometry());
-  dev.enable_faults(fault_config(0.30, 0.01));
-  runtime::RecoveryManager mgr(dev,
-                               recovery_options(runtime::RecoveryMode::kRetry));
-  dram::Subarray& sa = dev.subarray(0);
-  auto& ex = mgr.executor_for(0);
-  const dram::RowAddr dst = sa.compute_row(3);
-  for (int op = 0; op < 100; ++op) {
-    const auto a = pattern_row(256, 2 + op % 7);
-    const auto b = pattern_row(256, 3 + op % 5);
-    const auto c = pattern_row(256, 2 + op % 3);
-    sa.write_row(0, a);
-    sa.write_row(1, b);
-    sa.write_row(2, c);
-    ex.tra_majority(0, 1, 2, dst);
-    ASSERT_TRUE(sa.peek_row(dst) == BitVector::bit_maj3(a, b, c)) << op;
-  }
-  EXPECT_EQ(ex.stats().escaped, 0u);
-  EXPECT_GT(ex.stats().detected, 0u);
-}
-
 TEST(Recovery, OffModeLetsFaultsEscape) {
   dram::Device dev(small_geometry());
   dev.enable_faults(fault_config(0.30));  // every op corrupted

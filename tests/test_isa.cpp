@@ -7,6 +7,9 @@
 namespace pima::dram {
 namespace {
 
+bool all_set(const BitVector& v) { return v.all_ones_prefix(v.size()); }
+bool none_set(const BitVector& v) { return v.popcount_range(0, v.size()) == 0; }
+
 Geometry tiny() {
   Geometry g;
   g.rows = 64;
@@ -185,9 +188,9 @@ TEST(Isa, ExecuteAdditionProgram) {
   std::istringstream in(text);
   execute(dev, parse_program(in));
   // 3 + 1 = 4 = 0b100: sum bits 0, carry-out 1.
-  EXPECT_TRUE(sa.peek_row(30).none());
-  EXPECT_TRUE(sa.peek_row(31).none());
-  EXPECT_TRUE(sa.peek_row(21).all());
+  EXPECT_TRUE(none_set(sa.peek_row(30)));
+  EXPECT_TRUE(none_set(sa.peek_row(31)));
+  EXPECT_TRUE(all_set(sa.peek_row(21)));
 }
 
 TEST(Isa, BulkSizeRejectedOnComputeOps) {

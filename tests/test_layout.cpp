@@ -38,9 +38,6 @@ TEST(Layout, CounterAddressing) {
   EXPECT_EQ(l.counters_per_row(), 32u);
   EXPECT_EQ(l.value_row(0), l.value_row(31));
   EXPECT_NE(l.value_row(31), l.value_row(32));
-  EXPECT_EQ(l.value_bit_offset(0), 0u);
-  EXPECT_EQ(l.value_bit_offset(1), 8u);
-  EXPECT_EQ(l.value_bit_offset(33), 8u);
 }
 
 TEST(Layout, BoundsChecked) {

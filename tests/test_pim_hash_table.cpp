@@ -14,6 +14,7 @@
 #include "dram/isa.hpp"
 #include "golden/golden.hpp"
 #include "runtime/recovery.hpp"
+#include "test_support.hpp"
 
 namespace pima::core {
 namespace {
@@ -63,13 +64,11 @@ TEST(PimHashTable, KeysLiveInDramRows) {
   dram::Device dev(test_geometry());
   PimHashTable table(dev, 1);
   table.insert_or_increment(kmer_of("CGTGCGTGCTTACGG"));
-  // Find the occupied slot and decode the row image.
+  // Reading the shard back decodes the key from its DRAM row.
   bool found = false;
-  for (std::size_t slot = 0; slot < table.layout().kmer_rows; ++slot) {
-    const auto entry = table.peek_slot(0, slot);
-    if (!entry) continue;
-    EXPECT_EQ(entry->first.to_string(), "CGTGCGTGCTTACGG");
-    EXPECT_EQ(entry->second, 1u);
+  for (const auto& [kmer, count] : table.extract_shard(0)) {
+    EXPECT_EQ(kmer.to_string(), "CGTGCGTGCTTACGG");
+    EXPECT_EQ(count, 1u);
     found = true;
   }
   EXPECT_TRUE(found);
@@ -281,9 +280,9 @@ void expect_same_device(const dram::Device& fused,
     EXPECT_EQ(a->stats().busy_ns, b->stats().busy_ns) << flat;
     EXPECT_EQ(a->stats().energy_pj, b->stats().energy_pj) << flat;
   }
-  const dram::Program program = dram::captured_program(fused);
+  const dram::Program program = test_support::captured_program(fused);
   EXPECT_EQ(dram::to_text(program),
-            dram::to_text(dram::captured_program(stepped)));
+            dram::to_text(test_support::captured_program(stepped)));
 
   golden::GoldenDevice replay(g);
   golden::execute(replay, program);

@@ -118,7 +118,8 @@ TEST(Pipeline, ShardCountMustLeaveRoomForTheGraph) {
       opt.isolate = isolate;
       EXPECT_THROW(run_pipeline(dev, w.reads, opt), PreconditionError)
           << shards << " shards, isolate " << isolate;
-      EXPECT_EQ(dev.instantiated_count(), 0u);
+      for (std::size_t flat = 0; flat < total; ++flat)
+        EXPECT_EQ(dev.subarray_if(flat), nullptr) << flat;
       EXPECT_EQ(dev.roll_up().commands, 0u);
     }
   }

@@ -37,6 +37,7 @@
 #include "runtime/procpool.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/session.hpp"
+#include "test_support.hpp"
 
 namespace pima {
 namespace {
@@ -98,9 +99,9 @@ RunOutput run_config(const std::vector<dna::Sequence>& reads, bool isolate,
                      std::size_t threads = 2,
                      const std::function<void(core::PipelineOptions&)>&
                          configure = {}) {
-  auto& session = telemetry::TelemetrySession::instance();
-  session.reset();
-  session.enable_metrics();
+  telemetry::MetricsRegistry registry;
+  telemetry::ScopedMetricsRegistry scope(&registry);
+  telemetry::TelemetrySession::instance().enable_metrics();
   dram::Device device(pipeline_geometry());
   core::PipelineOptions opt;
   opt.k = 15;
@@ -114,8 +115,7 @@ RunOutput run_config(const std::vector<dna::Sequence>& reads, bool isolate,
   if (configure) configure(opt);
   RunOutput out;
   out.result = core::run_pipeline(device, reads, opt);
-  out.model_snapshot = session.metrics().json_snapshot(/*model_only=*/true);
-  session.reset();
+  out.model_snapshot = registry.json_snapshot(/*model_only=*/true);
   return out;
 }
 
@@ -328,7 +328,6 @@ TEST(ProcPoolDegrade, DisallowedDegradeThrowsWorkerCrashedError) {
     EXPECT_EQ(e.classification(), "killed by signal");
     EXPECT_EQ(exit_code_for(e), kExitWorkerCrashed);
   }
-  telemetry::TelemetrySession::instance().reset();
 }
 
 // ---- cross-transport resume ------------------------------------------------
@@ -373,7 +372,6 @@ TEST(ProcPoolResume, CrossTransportResumeIsBitIdentical) {
     expect_bit_identical(resumed.result, baseline.result);
     EXPECT_EQ(resumed.model_snapshot, in_process.model_snapshot);
   }
-  telemetry::TelemetrySession::instance().reset();
 }
 
 // ---- typed failures ---------------------------------------------------------
@@ -418,7 +416,9 @@ TEST(ProcPoolObservability, StitchedTraceHasWorkerSpansFlowsAndRestartTracks) {
   const auto reads = workload_reads(16);
   const auto baseline = run_config(reads, /*isolate=*/false, 3);
   auto& session = telemetry::TelemetrySession::instance();
-  session.reset();
+  test_support::idle_telemetry_session();
+  telemetry::MetricsRegistry registry;
+  telemetry::ScopedMetricsRegistry scope(&registry);
   session.enable_metrics();
   session.tracer().enable();
   const auto scratch = fs::temp_directory_path() / "procpool_obs_trace";
@@ -442,13 +442,14 @@ TEST(ProcPoolObservability, StitchedTraceHasWorkerSpansFlowsAndRestartTracks) {
   expect_bit_identical(result, baseline.result);
   // Tracing is host-side observation: the model-class oracle must not
   // move because spans were recorded and harvested.
-  EXPECT_EQ(session.metrics().json_snapshot(/*model_only=*/true),
+  EXPECT_EQ(registry.json_snapshot(/*model_only=*/true),
             baseline.model_snapshot);
 
-  auto& tracer = session.tracer();
-  EXPECT_GE(tracer.process_count(), 3u);  // one track group per live worker
-  const std::string json = tracer.chrome_json();
+  const std::string json = session.tracer().chrome_json();
+  // One track group per live worker.
   EXPECT_NE(json.find("\"pima_devd d=0\""), std::string::npos);
+  EXPECT_NE(json.find("\"pima_devd d=1"), std::string::npos);
+  EXPECT_NE(json.find("\"pima_devd d=2\""), std::string::npos);
   EXPECT_NE(json.find("(restart 1)"), std::string::npos);
   EXPECT_NE(json.find("devd:kmers"), std::string::npos);  // worker-side span
   EXPECT_NE(json.find("rpc:kmers"), std::string::npos);   // controller span
@@ -457,7 +458,7 @@ TEST(ProcPoolObservability, StitchedTraceHasWorkerSpansFlowsAndRestartTracks) {
   EXPECT_NE(json.find("\"ph\": \"f\""), std::string::npos);
   EXPECT_NE(json.find("\"bp\": \"e\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\": \"rpc\""), std::string::npos);
-  session.reset();
+  test_support::idle_telemetry_session();
   fs::remove_all(scratch);
 }
 

@@ -11,6 +11,7 @@
 #include "dram/isa.hpp"
 #include "golden/golden.hpp"
 #include "runtime/engine.hpp"
+#include "test_support.hpp"
 #include "verify/fuzz.hpp"
 
 namespace pima {
@@ -237,12 +238,12 @@ TEST(Properties, SerialAndParallelEngineProduceIdenticalState) {
     EXPECT_EQ(s->stats().total_commands(), p->stats().total_commands());
   }
   // Same capture, command for command — replay order is canonical.
-  EXPECT_EQ(dram::captured_program(*serial),
-            dram::captured_program(*parallel));
+  EXPECT_EQ(test_support::captured_program(*serial),
+            test_support::captured_program(*parallel));
   // And the parallel capture replays clean against the golden model.
   const auto d =
       verify::run_differential(fopts.geometry,
-                               dram::captured_program(*parallel));
+                               test_support::captured_program(*parallel));
   EXPECT_FALSE(d.has_value()) << d->report();
 }
 

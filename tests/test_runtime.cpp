@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <sstream>
 #include <thread>
 
 #include "assembly/gfa.hpp"
@@ -127,7 +126,8 @@ TEST(Scheduler, SplitPreservesPerSubarrayOrder) {
   bad.back().subarray = small_geometry().total_subarrays();
   EXPECT_THROW(engine.submit_program(std::move(bad)), PreconditionError);
   engine.drain();
-  EXPECT_EQ(device.instantiated_count(), 0u);
+  for (std::size_t flat = 0; flat < small_geometry().total_subarrays(); ++flat)
+    EXPECT_EQ(device.subarray_if(flat), nullptr) << flat;
   EXPECT_EQ(device.roll_up().commands, 0u);
 }
 
@@ -399,9 +399,7 @@ PipelineRun run_with_threads(std::size_t threads, std::size_t queue_capacity =
   opt.threads = threads;
   opt.queue_capacity = queue_capacity;
   PipelineRun run{core::run_pipeline(device, reads, opt), ""};
-  std::ostringstream gfa;
-  assembly::write_gfa(gfa, assembly::build_gfa(run.result.graph));
-  run.gfa = gfa.str();
+  run.gfa = assembly::to_gfa(run.result.graph);
   return run;
 }
 

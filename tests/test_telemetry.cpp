@@ -1,5 +1,5 @@
 // Tests of the telemetry subsystem: metric semantics (Prometheus
-// upper-inclusive buckets, quantiles, deterministic merges), trace
+// upper-inclusive buckets, deterministic merges), trace
 // recording and Chrome JSON export well-formedness, session flush sinks,
 // and the headline contract — the model-class metrics snapshot is
 // bit-identical for any --threads.
@@ -29,6 +29,7 @@
 #include "telemetry/session.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
+#include "test_support.hpp"
 
 namespace pima::telemetry {
 namespace {
@@ -205,9 +206,12 @@ TEST(Metrics, CounterAndGaugeBasics) {
   auto& g = reg.gauge("pima_test_gauge", "help");
   g.set(7.0);
   EXPECT_DOUBLE_EQ(g.value(), 7.0);
-  EXPECT_EQ(reg.size(), 3u);
-  reg.clear();
-  EXPECT_EQ(reg.size(), 0u);
+  // Three series: the two counter instances and the gauge.
+  std::istringstream text(reg.prometheus_text());
+  std::size_t samples = 0;
+  for (std::string line; std::getline(text, line);)
+    if (!line.empty() && line[0] != '#') ++samples;
+  EXPECT_EQ(samples, 3u);
 }
 
 TEST(Metrics, HistogramBucketsAreUpperInclusive) {
@@ -225,22 +229,6 @@ TEST(Metrics, HistogramBucketsAreUpperInclusive) {
   EXPECT_EQ(h.bucket_count(3), 1u);  // +Inf
   EXPECT_EQ(h.count(), 5u);
   EXPECT_DOUBLE_EQ(h.sum(), 1.0 + 10.0 + 10.0001 + 100.0 + 1000.0);
-}
-
-TEST(Metrics, HistogramQuantiles) {
-  Histogram h({10.0, 20.0, 30.0});
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);  // empty
-  for (int i = 0; i < 10; ++i) h.observe(5.0);    // le=10
-  for (int i = 0; i < 10; ++i) h.observe(15.0);   // le=20
-  // Median sits at the boundary of the first bucket.
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 10.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 20.0);
-  // Quantiles interpolate linearly inside the covering bucket.
-  EXPECT_GT(h.quantile(0.75), 10.0);
-  EXPECT_LT(h.quantile(0.75), 20.0);
-  // +Inf bucket clamps to the largest finite bound.
-  h.observe(1e9);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 30.0);
 }
 
 TEST(Metrics, MergeIsDeterministicFold) {
@@ -432,7 +420,7 @@ TEST(Tracer, EventsFromWorkerThreadsAreMerged) {
 
 TEST(Tracer, ScopedSpanRecordsOnDestruction) {
   auto& session = TelemetrySession::instance();
-  session.reset();
+  test_support::idle_telemetry_session();
   session.tracer().enable();
   { ScopedSpan span("scoped:work", "items", 3.0); }
   session.tracer().disable();
@@ -440,14 +428,14 @@ TEST(Tracer, ScopedSpanRecordsOnDestruction) {
   const auto json = session.tracer().chrome_json();
   EXPECT_NE(json.find("scoped:work"), std::string::npos);
   EXPECT_NE(json.find("\"items\""), std::string::npos);
-  session.reset();
+  test_support::idle_telemetry_session();
 }
 
 // ---- session ----
 
 TEST(Session, FlushWritesAllConfiguredSinks) {
   auto& session = TelemetrySession::instance();
-  session.reset();
+  test_support::idle_telemetry_session();
   const auto trace_path = temp_path("tel_trace.json");
   const auto metrics_path = temp_path("tel_metrics.prom");
   session.set_trace_path(trace_path);
@@ -469,7 +457,7 @@ TEST(Session, FlushWritesAllConfiguredSinks) {
   const auto json = slurp(metrics_path + ".json");
   EXPECT_TRUE(json_ok(json)) << json;
   EXPECT_NE(json.find("pima_flush_total"), std::string::npos);
-  session.reset();
+  test_support::idle_telemetry_session();
   std::remove(trace_path.c_str());
   std::remove(metrics_path.c_str());
   std::remove((metrics_path + ".json").c_str());
@@ -482,7 +470,7 @@ TEST(EngineTelemetry, StallFlushesTraceWithStallEvent) {
   GTEST_SKIP() << "engine instrumentation compiled out (PIMA_TELEMETRY=OFF)";
 #endif
   auto& session = TelemetrySession::instance();
-  session.reset();
+  test_support::idle_telemetry_session();
   const auto trace_path = temp_path("tel_stall_trace.json");
   session.set_trace_path(trace_path);
   session.tracer().enable();
@@ -518,16 +506,16 @@ TEST(EngineTelemetry, StallFlushesTraceWithStallEvent) {
     while (!task_done.load()) std::this_thread::yield();
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  session.reset();
+  test_support::idle_telemetry_session();
   std::remove(trace_path.c_str());
 }
 
 // ---- pipeline metrics determinism ----
 
 std::string model_snapshot_for_threads(std::size_t threads) {
-  auto& session = TelemetrySession::instance();
-  session.reset();
-  session.enable_metrics();
+  MetricsRegistry registry;
+  ScopedMetricsRegistry scope(&registry);
+  TelemetrySession::instance().enable_metrics();
 
   dna::GenomeParams gp;
   gp.length = 900;
@@ -552,9 +540,7 @@ std::string model_snapshot_for_threads(std::size_t threads) {
   opt.threads = threads;
   (void)core::run_pipeline(device, reads, opt);
 
-  auto snapshot = session.metrics().json_snapshot(/*model_only=*/true);
-  session.reset();
-  return snapshot;
+  return registry.json_snapshot(/*model_only=*/true);
 }
 
 TEST(PipelineTelemetry, ModelMetricsBitIdenticalAcrossThreadCounts) {
@@ -569,37 +555,6 @@ TEST(PipelineTelemetry, ModelMetricsBitIdenticalAcrossThreadCounts) {
   EXPECT_NE(serial.find("pima_stage_commands_total"), std::string::npos);
   EXPECT_NE(serial.find("pima_dram_energy_pj_total"), std::string::npos);
   EXPECT_NE(serial.find("pima_reads_total"), std::string::npos);
-}
-
-// ---- histogram quantile edges ----
-
-TEST(Metrics, QuantileEdgeCases) {
-  // Empty histogram: every quantile (including out-of-range q) is 0.
-  Histogram empty({10.0, 20.0});
-  EXPECT_DOUBLE_EQ(empty.quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(empty.quantile(-3.0), 0.0);
-  EXPECT_DOUBLE_EQ(empty.quantile(42.0), 0.0);
-
-  // Single finite bucket: linear interpolation from 0 to the bound.
-  Histogram single({100.0});
-  for (int i = 0; i < 4; ++i) single.observe(50.0);
-  EXPECT_DOUBLE_EQ(single.quantile(0.5), 50.0);
-  EXPECT_DOUBLE_EQ(single.quantile(1.0), 100.0);
-  // q clamps: 5.0 behaves like 1.0, -1.0 like 0.0.
-  EXPECT_DOUBLE_EQ(single.quantile(5.0), single.quantile(1.0));
-  EXPECT_DOUBLE_EQ(single.quantile(-1.0), single.quantile(0.0));
-
-  // All mass in the +Inf bucket: clamps to the largest finite bound.
-  Histogram overflow({10.0});
-  overflow.observe(1e12);
-  EXPECT_DOUBLE_EQ(overflow.quantile(0.5), 10.0);
-  EXPECT_DOUBLE_EQ(overflow.quantile(1.0), 10.0);
-
-  // No finite bounds at all: only the +Inf bucket exists, quantile 0.
-  Histogram unbounded({});
-  unbounded.observe(7.0);
-  EXPECT_DOUBLE_EQ(unbounded.quantile(0.5), 0.0);
 }
 
 // ---- progress reporter ----
@@ -666,7 +621,6 @@ TEST(Progress, ReporterWritesFinalLineOnDestruction) {
 TEST(Log, NdjsonSinkEmitsValidTypedLines) {
   auto& logger = Logger::instance();
   logger.reset_for_tests();
-  logger.set_stderr_enabled(false);
   const std::string path = ::testing::TempDir() + "/pima_log_sink.ndjson";
   std::remove(path.c_str());
   logger.set_json_path(path);
@@ -692,7 +646,6 @@ TEST(Log, NdjsonSinkEmitsValidTypedLines) {
 TEST(Log, LevelGateIsAllocationFreeFastPath) {
   auto& logger = Logger::instance();
   logger.reset_for_tests();
-  logger.set_stderr_enabled(false);
   logger.set_level(LogLevel::kError);
   EXPECT_FALSE(logger.would_log(LogLevel::kWarn));
   EXPECT_TRUE(logger.would_log(LogLevel::kError));
@@ -714,16 +667,17 @@ TEST(Log, LevelGateIsAllocationFreeFastPath) {
 TEST(Log, PerCodeTokenBucketSuppressesAndCounts) {
   auto& logger = Logger::instance();
   logger.reset_for_tests();
-  logger.set_stderr_enabled(false);
-  logger.set_rate_limit(/*tokens_per_s=*/0.0001, /*burst=*/2.0);
   const std::string path = ::testing::TempDir() + "/pima_log_rate.ndjson";
   std::remove(path.c_str());
   logger.set_json_path(path);
-  for (int i = 0; i < 10; ++i)
+  // The bucket holds 20 events and refills at 10/s: a tight loop of 40
+  // passes the burst (plus at most a refill or two) and suppresses the rest.
+  constexpr std::size_t kFlood = 40;
+  for (std::size_t i = 0; i < kFlood; ++i)
     log_event(LogLevel::kWarn, "test.flood", "repeated failure");
   // A different code has its own bucket and still passes.
   log_event(LogLevel::kWarn, "test.other", "unrelated");
-  EXPECT_EQ(logger.suppressed_total(), 8u);
+  const std::uint64_t suppressed = logger.suppressed_total();
   logger.reset_for_tests();
 
   std::ifstream in(path);
@@ -734,7 +688,9 @@ TEST(Log, PerCodeTokenBucketSuppressesAndCounts) {
     if (line.find("test.flood") != std::string::npos) ++flood;
     if (line.find("test.other") != std::string::npos) ++other;
   }
-  EXPECT_EQ(flood, 2u);  // burst
+  EXPECT_GE(flood, 20u);  // the burst
+  EXPECT_LT(flood, kFlood);
+  EXPECT_EQ(flood + suppressed, kFlood);
   EXPECT_EQ(other, 1u);
   std::remove(path.c_str());
 }
@@ -861,13 +817,12 @@ TEST(Tracer, PutProcessStitchesForeignTracksAndFlows) {
   flow.flow_id = 42;
   pt.events.push_back(flow);
   t.put_process(pt);
-  EXPECT_EQ(t.process_count(), 1u);
   // Cumulative harvests replace the same incarnation wholesale.
   t.put_process(pt);
-  EXPECT_EQ(t.process_count(), 1u);
   t.disable();
 
   const std::string json = t.chrome_json();
+  EXPECT_EQ(json.find("devd:kmers"), json.rfind("devd:kmers"));
   EXPECT_TRUE(json_ok(json)) << json;
   // Both processes present, each under its own pid with track metadata.
   EXPECT_NE(json.find("\"controller\""), std::string::npos);

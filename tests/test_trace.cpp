@@ -5,6 +5,7 @@
 #include "dram/device.hpp"
 #include "dram/isa.hpp"
 #include "dram/subarray.hpp"
+#include "test_support.hpp"
 
 namespace pima::dram {
 namespace {
@@ -148,7 +149,7 @@ TEST(Trace, ProgramFromTraceReplaysIdenticalState) {
   EXPECT_EQ(rsa.stats().busy_ns, sa.stats().busy_ns);
   EXPECT_EQ(rsa.stats().energy_pj, sa.stats().energy_pj);
   // The replay's own capture is the program it executed.
-  EXPECT_EQ(captured_program(replay), capture);
+  EXPECT_EQ(test_support::captured_program(replay), capture);
 }
 
 }  // namespace

@@ -266,9 +266,7 @@ int cmd_assemble(const Args& args) {
     const auto counter = assembly::build_hashmap(reads, opt.k);
     const auto graph =
         assembly::DeBruijnGraph::from_counter(counter, true);
-    std::ofstream gfa_out(*gfa_path);
-    if (!gfa_out) Args::fail("cannot open " + *gfa_path);
-    assembly::write_gfa(gfa_out, assembly::build_gfa(graph));
+    fsio::atomic_write_file(*gfa_path, assembly::to_gfa(graph), "artifact");
     std::printf("wrote assembly graph to %s\n", gfa_path->c_str());
   }
   if (const auto ref = args.get("reference"))
