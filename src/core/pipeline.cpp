@@ -274,16 +274,9 @@ net::Json make_op(const char* name) {
   return j;
 }
 
-// Encoded size of one wire number: its decimal digits plus a separator.
-std::size_t encoded_size(std::uint64_t v) {
-  std::size_t n = 2;
-  for (; v >= 10; v /= 10) ++n;
-  return n;
-}
-
 // Collects each device's `degree_block` batch for one superstep. A batch
 // ships when the superstep ends, or earlier, alone, when the next block
-// would push its request line past kBudgetBytes. Blocks keep the order
+// would push its packed string past kBudgetBytes. Blocks keep the order
 // they were added in, per device, so per sub-array order is unchanged.
 class DegreeBatcher {
  public:
@@ -292,32 +285,20 @@ class DegreeBatcher {
   static constexpr std::size_t kBudgetBytes = 4u << 20;
 
   explicit DegreeBatcher(runtime::ProcSupervisor& sup)
-      : sup_(sup),
-        blocks_(sup.devices(), net::Json::array()),
-        bytes_(sup.devices(), 0) {}
+      : sup_(sup), blocks_(sup.devices()) {}
 
-  /// Appends [flat, n, (from, to, mult)...] to the batch of the sub-array's
-  /// owner; with `transposed`, each edge's from and to swap (the
-  /// out-degree block).
+  /// Appends the block to the batch of the sub-array's owner; with
+  /// `transposed`, each edge's from and to swap (the out-degree block).
   void add(std::size_t flat, std::size_t n, const EdgeBlock& block,
            bool transposed) {
     const std::size_t owner = dram::owner_of(flat, sup_.devices());
-    net::Json enc = net::Json::array();
-    std::size_t bytes = 2 + encoded_size(flat) + encoded_size(n);
-    enc.push_back(net::Json(static_cast<std::uint64_t>(flat)));
-    enc.push_back(net::Json(static_cast<std::uint64_t>(n)));
-    for (const auto& e : block.edges) {
-      const std::uint32_t from = transposed ? e.to : e.from;
-      const std::uint32_t to = transposed ? e.from : e.to;
-      for (const std::uint32_t v : {from, to, e.multiplicity}) {
-        enc.push_back(net::Json(static_cast<std::uint64_t>(v)));
-        bytes += encoded_size(v);
-      }
-    }
-    if (!blocks_[owner].items().empty() && bytes_[owner] + bytes > kBudgetBytes)
+    block_.clear();
+    append_degree_block(block_, flat, n, block, transposed);
+    std::string& batch = blocks_[owner];
+    if (!batch.empty() && batch.size() + 1 + block_.size() > kBudgetBytes)
       ship(owner);
-    blocks_[owner].push_back(std::move(enc));
-    bytes_[owner] += bytes;
+    if (!batch.empty()) batch += ' ';
+    batch += block_;
   }
 
   /// Ships every pending batch as one fan-out.
@@ -328,19 +309,18 @@ class DegreeBatcher {
   void ship(std::size_t only) {
     std::vector<net::Json> requests(sup_.devices());
     for (std::size_t d = 0; d < requests.size(); ++d) {
-      if ((only < requests.size() && d != only) || blocks_[d].items().empty())
+      if ((only < requests.size() && d != only) || blocks_[d].empty())
         continue;
       requests[d] = make_op("degree_block");
       requests[d].set("blocks", std::move(blocks_[d]));
-      blocks_[d] = net::Json::array();
-      bytes_[d] = 0;
+      blocks_[d].clear();
     }
     (void)sup_.rpc_all(requests);
   }
 
   runtime::ProcSupervisor& sup_;
-  std::vector<net::Json> blocks_;
-  std::vector<std::size_t> bytes_;
+  std::vector<std::string> blocks_;  ///< one packed batch per device
+  std::string block_;                ///< the block being added
 };
 
 runtime::ProcPoolOptions pool_options(const PipelineOptions& options) {
@@ -402,7 +382,8 @@ class RpcShards final : public ShardBackend {
   // picks the channel.
   void submit_kmer(const assembly::Kmer& kmer) override {
     const std::size_t flat = hash_shard_of(kmer, options_.hash_shards);
-    kmers_[dram::owner_of(flat, sup_.devices())].push_back(kmer.packed());
+    net::pack_uint(kmers_[dram::owner_of(flat, sup_.devices())],
+                   kmer.packed());
     if (++kmers_pending_ >= kSuperstep) ship_kmers();
   }
 
@@ -464,7 +445,7 @@ class RpcShards final : public ShardBackend {
     for (std::size_t d = 0; d < per.size(); ++d) {
       if (per[d].empty()) continue;
       requests[d] = make_op("program");
-      requests[d].set("text", dram::to_text(per[d]));
+      requests[d].set("insts", pack_program(per[d]));
     }
     (void)sup_.rpc_all(requests);
   }
@@ -528,11 +509,9 @@ class RpcShards final : public ShardBackend {
     std::vector<net::Json> requests(sup_.devices());
     for (std::size_t d = 0; d < sup_.devices(); ++d) {
       if (kmers_[d].empty()) continue;
-      net::Json packed = net::Json::array();
-      for (const std::uint64_t km : kmers_[d]) packed.push_back(net::Json(km));
-      kmers_[d].clear();
       requests[d] = make_op("kmers");
-      requests[d].set("kmers", std::move(packed));
+      requests[d].set("kmers", std::move(kmers_[d]));
+      kmers_[d].clear();
     }
     kmers_pending_ = 0;
     (void)sup_.rpc_all(requests);
@@ -542,7 +521,7 @@ class RpcShards final : public ShardBackend {
   const std::size_t total_;  ///< sub-arrays per device
   runtime::ProcSupervisor sup_;
   DegreeBatcher degrees_;
-  std::vector<std::vector<std::uint64_t>> kmers_;
+  std::vector<std::string> kmers_;  ///< one packed superstep per device
   std::size_t kmers_pending_ = 0;
 };
 

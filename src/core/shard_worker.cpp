@@ -1,5 +1,6 @@
 #include "core/shard_worker.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -22,26 +23,6 @@ net::Json ok_response() {
 
 [[noreturn]] void bad_request(const std::string& why) {
   throw InputFormatError("device worker request: " + why);
-}
-
-// A wire array of unsigned integers ([flat, n, from, to, mult, ...] or
-// [kmer, ...]); as_uint64 rejects anything else typed.
-const std::vector<net::Json>& uint_array(const net::Json& j,
-                                         const char* what) {
-  if (!j.is_array()) bad_request(std::string(what) + " must be an array");
-  return j.items();
-}
-
-// A program in the wire's text form. A malformed line is a torn or corrupt
-// frame from the reader's point of view, not a bug in the reader.
-dram::Program parse_program_text(const std::string& text, const char* what) {
-  std::istringstream in(text);
-  try {
-    return dram::parse_program(in);
-  } catch (const PreconditionError& e) {
-    throw InputFormatError(std::string(what) +
-                           ": unparseable program: " + e.what());
-  }
 }
 
 // The `flat` of a wire entry from worker `device` of `devices`: in range,
@@ -327,10 +308,13 @@ net::Json ShardWorkerCore::op_kmers(const net::Json& req) {
   // One superstep of this device's k-mers in stream order, parsed in full
   // before anything is queued; the shard splits them by owning channel, so
   // per-shard insert order stays stream order.
+  const auto values =
+      net::unpack_uints(req.get("kmers").as_string(), "device worker kmers");
   std::vector<assembly::Kmer> kmers;
-  for (const auto& value : uint_array(req.get("kmers"), "kmers"))
+  kmers.reserve(values.size());
+  for (const std::uint64_t value : values)
     // The constructor rejects stray bits above 2k (PreconditionError).
-    kmers.emplace_back(value.as_uint64(), init_.k);
+    kmers.emplace_back(value, init_.k);
   for (const auto& kmer : kmers) shard_.add_kmer(kmer);
   shard_.flush_kmers();
   return ok_response();
@@ -342,7 +326,9 @@ net::Json ShardWorkerCore::op_drain() {
 }
 
 net::Json ShardWorkerCore::op_extract(const net::Json& req) {
-  const auto& shards = uint_array(req.get("shards"), "extract shards");
+  const net::Json& list = req.get("shards");
+  if (!list.is_array()) bad_request("extract shards must be an array");
+  const auto& shards = list.items();
   for (const auto& s : shards)
     if (s.as_uint64() >= shard_.hash_shards())
       bad_request("extract shard out of range");
@@ -362,17 +348,17 @@ net::Json ShardWorkerCore::op_distinct() {
 }
 
 net::Json ShardWorkerCore::op_program(const net::Json& req) {
-  shard_.submit_program(
-      parse_program_text(req.get_string("text"), "device worker request"));
+  shard_.submit_program(unpack_program(req.get("insts").as_string(),
+                                       device_.geometry().columns));
   return ok_response();
 }
 
 net::Json ShardWorkerCore::op_degree_block(const net::Json& req) {
-  // A batch of edge blocks, [flat, n_local_sources, (from, to, mult)...]
-  // each. The shard renders the adjacency rows with the controller's own
-  // AdjacencyRows, so the rows — and the sub-array's command stream — are
-  // those of the in-process run by construction. The whole batch is
-  // validated before any block touches the device.
+  // A batch of edge blocks, flat n m (from to mult) x m each. The shard
+  // renders the adjacency rows with the controller's own AdjacencyRows, so
+  // the rows — and the sub-array's command stream — are those of the
+  // in-process run by construction. The whole batch is validated before
+  // any block touches the device.
   const dram::Geometry& geom = device_.geometry();
   const std::size_t width = geom.columns;
   struct Job {
@@ -381,14 +367,19 @@ net::Json ShardWorkerCore::op_degree_block(const net::Json& req) {
     EdgeBlock block;
   };
   std::vector<Job> jobs;
-  for (const auto& item :
-       uint_array(req.get("blocks"), "degree_block blocks")) {
-    const auto& v = uint_array(item, "a degree_block block");
-    if (v.size() < 2 || (v.size() - 2) % 3 != 0)
-      bad_request("a degree_block block is [flat, n, (from, to, mult)...]");
+  std::vector<std::uint64_t> pairs;  ///< one block's (from, to) pairs
+  const auto v = net::unpack_uints(req.get("blocks").as_string(),
+                                   "device worker degree_block");
+  for (std::size_t i = 0; i < v.size();) {
+    if (v.size() - i < 3)
+      bad_request("a degree_block block is flat n m (from to mult) x m");
     Job job;
-    job.flat = static_cast<std::size_t>(v[0].as_uint64());
-    job.n = static_cast<std::size_t>(v[1].as_uint64());
+    job.flat = v[i];
+    job.n = v[i + 1];
+    const std::uint64_t edges = v[i + 2];
+    i += 3;
+    if (edges > (v.size() - i) / 3)
+      bad_request("a degree_block block's edge list is truncated");
     if (job.flat >= geom.total_subarrays())
       bad_request("degree_block flat index out of range");
     if (job.n > width)
@@ -396,14 +387,15 @@ net::Json ShardWorkerCore::op_degree_block(const net::Json& req) {
     // The kernel needs a zero row plus one row per edge instance; reject
     // what cannot fit before allocating a row for it.
     std::uint64_t rows = 1 + job.n;
-    job.block.edges.reserve((v.size() - 2) / 3);
-    for (std::size_t i = 2; i < v.size(); i += 3) {
-      const std::uint64_t from = v[i].as_uint64();
-      const std::uint64_t to = v[i + 1].as_uint64();
-      const std::uint64_t mult = v[i + 2].as_uint64();
+    job.block.edges.reserve(edges);
+    for (const std::size_t last = i + 3 * edges; i < last; i += 3) {
+      const std::uint64_t from = v[i];
+      const std::uint64_t to = v[i + 1];
+      const std::uint64_t mult = v[i + 2];
       if (from >= job.n) bad_request("degree_block edge source outside block");
       if (to >= width) bad_request("degree_block edge destination outside row");
-      if (mult > UINT32_MAX) bad_request("degree_block multiplicity too large");
+      if (mult == 0 || mult > UINT32_MAX)
+        bad_request("degree_block multiplicity outside 1 .. 2^32 - 1");
       rows += mult > 1 ? mult - 1 : 0;
       if (rows > geom.data_rows())
         throw PreconditionError(
@@ -411,12 +403,105 @@ net::Json ShardWorkerCore::op_degree_block(const net::Json& req) {
       job.block.edges.push_back({static_cast<std::uint32_t>(from),
                                  static_cast<std::uint32_t>(to),
                                  static_cast<std::uint32_t>(mult)});
+      pairs.push_back(from << 32 | to);
     }
+    // A graph edge appears once per block, its instances in `mult`: the
+    // adjacency rows would merge a repeated pair and fail the sum check.
+    std::sort(pairs.begin(), pairs.end());
+    if (std::adjacent_find(pairs.begin(), pairs.end()) != pairs.end())
+      bad_request("a degree_block block repeats an edge");
+    pairs.clear();
     jobs.push_back(std::move(job));
   }
   for (auto& job : jobs)
     shard_.degree_block(job.flat, job.n, std::move(job.block));
   return ok_response();
+}
+
+void append_degree_block(std::string& out, std::size_t flat, std::size_t n,
+                         const EdgeBlock& block, bool transposed) {
+  net::pack_uint(out, flat);
+  net::pack_uint(out, n);
+  net::pack_uint(out, block.edges.size());
+  for (const auto& e : block.edges) {
+    net::pack_uint(out, transposed ? e.to : e.from);
+    net::pack_uint(out, transposed ? e.from : e.to);
+    net::pack_uint(out, e.multiplicity);
+  }
+}
+
+std::string pack_program(const dram::Program& program) {
+  std::string out;
+  out.reserve(program.size() * 24);
+  for (const auto& inst : program) {
+    for (const std::uint64_t v :
+         {static_cast<std::uint64_t>(inst.op), std::uint64_t{inst.subarray},
+          std::uint64_t{inst.src1}, std::uint64_t{inst.src2},
+          std::uint64_t{inst.src3}, std::uint64_t{inst.dst},
+          std::uint64_t{inst.size}, std::uint64_t{inst.width}})
+      net::pack_uint(out, v);
+    if (inst.op != dram::Opcode::kRowWrite) continue;
+    const BitVector& row = inst.payload;
+    bool zero = true;
+    for (std::size_t w = 0; w < row.word_count() && zero; ++w)
+      zero = row.word(w) == 0;
+    net::pack_uint(out, row.size());
+    net::pack_uint(out, zero ? 0 : 1);
+    if (!zero)
+      for (std::size_t w = 0; w < row.word_count(); ++w)
+        net::pack_uint(out, row.word(w));
+  }
+  return out;
+}
+
+dram::Program unpack_program(std::string_view packed, std::size_t columns) {
+  constexpr const char* kWhat = "device worker program";
+  const auto bad = [](const std::string& why) {
+    throw InputFormatError(std::string(kWhat) + ": " + why);
+  };
+  const auto v = net::unpack_uints(packed, kWhat);
+  std::size_t i = 0;
+  const auto take = [&] {
+    if (i == v.size()) bad("truncated instruction record");
+    return v[i++];
+  };
+  dram::Program program;
+  program.reserve(v.size() / 8);  // a record holds at least 8 numbers
+  while (i < v.size()) {
+    dram::Instruction inst;
+    const std::uint64_t op = take();
+    if (op > static_cast<std::uint64_t>(dram::Opcode::kDpuPopcount))
+      bad("unknown opcode " + std::to_string(op));
+    inst.op = static_cast<dram::Opcode>(op);
+    inst.subarray = take();
+    inst.src1 = take();
+    inst.src2 = take();
+    inst.src3 = take();
+    inst.dst = take();
+    inst.size = take();
+    inst.width = take();
+    if (inst.size < 1) bad("instruction size must be >= 1");
+    if (inst.op == dram::Opcode::kRowWrite) {
+      // Checked before the payload row is allocated.
+      const std::uint64_t bits = take();
+      if (bits != columns)
+        bad("a ROW_WRITE payload of " + std::to_string(bits) +
+            " bits for a row of " + std::to_string(columns));
+      const std::uint64_t has_words = take();
+      if (has_words > 1) bad("a ROW_WRITE zero-row flag must be 0 or 1");
+      inst.payload = BitVector(columns);
+      for (std::size_t w = 0; has_words == 1 && w < inst.payload.word_count();
+           ++w) {
+        const std::uint64_t word = take();
+        if (w + 1 == inst.payload.word_count() && columns % 64 != 0 &&
+            (word >> (columns % 64)) != 0)
+          bad("a ROW_WRITE payload sets a bit past its width");
+        inst.payload.set_word(w, word);
+      }
+    }
+    program.push_back(std::move(inst));
+  }
+  return program;
 }
 
 net::Json stats_entry_to_json(std::size_t flat, const dram::CommandStats& st) {
@@ -470,8 +555,16 @@ dram::SubarrayStats subarray_stats_from_json(const net::Json& list,
 
 dram::Program subarray_trace_from_json(const net::Json& response,
                                        std::size_t flat) {
-  dram::Program program = parse_program_text(
-      response.get("text").as_string(), "device worker trace");
+  // A malformed line is a torn or corrupt frame from the reader's point of
+  // view, not a bug in the reader.
+  std::istringstream in(response.get("text").as_string());
+  dram::Program program;
+  try {
+    program = dram::parse_program(in);
+  } catch (const PreconditionError& e) {
+    throw InputFormatError(
+        std::string("device worker trace: unparseable program: ") + e.what());
+  }
   for (const auto& inst : program)
     if (inst.subarray != flat)
       throw InputFormatError("device worker trace: an instruction for flat " +
@@ -482,16 +575,15 @@ dram::Program subarray_trace_from_json(const net::Json& response,
 }
 
 net::Json extract_shards_to_json(const std::vector<KmerEntries>& shards) {
-  net::Json list = net::Json::array();
+  std::string packed;
   for (const auto& entries : shards) {
-    net::Json flat = net::Json::array();
+    net::pack_uint(packed, entries.size());
     for (const auto& [kmer, freq] : entries) {
-      flat.push_back(net::Json(kmer.packed()));
-      flat.push_back(net::Json(static_cast<std::uint64_t>(freq)));
+      net::pack_uint(packed, kmer.packed());
+      net::pack_uint(packed, freq);
     }
-    list.push_back(std::move(flat));
   }
-  return list;
+  return net::Json(std::move(packed));
 }
 
 std::vector<KmerEntries> extract_shards_from_json(const net::Json& shards,
@@ -500,18 +592,21 @@ std::vector<KmerEntries> extract_shards_from_json(const net::Json& shards,
   const auto bad = [](const std::string& why) {
     throw InputFormatError("device worker extract: " + why);
   };
-  const auto& lists = shards.items();
-  if (lists.size() != count)
-    bad("answered " + std::to_string(lists.size()) + " shards, " +
-        std::to_string(count) + " requested");
+  const auto v = net::unpack_uints(shards.as_string(), "device worker extract");
   std::vector<KmerEntries> out(count);
+  std::size_t i = 0;
   for (std::size_t s = 0; s < count; ++s) {
-    const auto& flat = lists[s].items();
-    if (flat.size() % 2 != 0) bad("a shard list holds an odd value count");
-    out[s].reserve(flat.size() / 2);
-    for (std::size_t e = 0; e < flat.size(); e += 2) {
-      const std::uint64_t packed = flat[e].as_uint64();
-      const std::uint64_t freq = flat[e + 1].as_uint64();
+    if (i == v.size())
+      bad("answered " + std::to_string(s) + " shards, " +
+          std::to_string(count) + " requested");
+    const std::uint64_t entries = v[i++];
+    if (entries > (v.size() - i) / 2)
+      bad("shard " + std::to_string(s) + " claims " + std::to_string(entries) +
+          " entries, more than the answer holds");
+    out[s].reserve(entries);
+    for (const std::size_t last = i + 2 * entries; i < last; i += 2) {
+      const std::uint64_t packed = v[i];
+      const std::uint64_t freq = v[i + 1];
       if (freq > UINT32_MAX) bad("frequency " + std::to_string(freq) +
                                  " exceeds 32 bits");
       try {
@@ -523,6 +618,9 @@ std::vector<KmerEntries> extract_shards_from_json(const net::Json& shards,
       }
     }
   }
+  if (i != v.size())
+    bad("the answer holds more than the " + std::to_string(count) +
+        " requested shards");
   return out;
 }
 

@@ -13,20 +13,29 @@
 // *_from_json functions below, which reject what no worker sends, before
 // the shared dram::fold_in_flat_order and the flat-order trace append.
 //
-// Verbs (one request object per line, one response object per request):
+// Verbs (one request object per line, one response object per request).
+// The bulk payloads — kmers, program, degree_block and the extract answer —
+// are one packed string each: decimal unsigned integers separated by
+// single spaces (net::pack_uint / net::unpack_uints), written "a b ..."
+// below, with "x m" for a group repeated m times:
 //
 //   init          geometry + technology + engine/table configuration
 //   kmers         enqueue one superstep of the device's k-mers (stage-1
-//                 insert path): kmers [kmer, ...] in stream order; the
+//                 insert path): kmers "kmer ..." in stream order; the
 //                 worker routes each to the channel owning its hash shard
 //   drain         barrier: wait for queued work, surface typed failures
 //   extract       the (k-mer, freq) entries of the listed hash shards, in
-//                 slot order: shards [s, ...] → [[kmer, freq, ...], ...]
+//                 slot order: shards [s, ...] → shards "(m (kmer freq) x m)
+//                 ..." with one group per requested shard, in request order
 //   distinct      controller-side distinct-key count
-//   program       parse + submit an AAP program slice (stages 2/3)
+//   program       submit an AAP program slice (stages 2/3): insts holds one
+//                 record per instruction, "op sa src1 src2 src3 dst size
+//                 width", op a dram::Opcode value; a ROW_WRITE record goes
+//                 on with "bits 0" for an all-zero row or "bits 1 w ..."
+//                 with its ceil(bits / 64) words, LSB first
 //   degree_block  render each edge block's adjacency rows and run the
 //                 column-sum kernel on its sub-array (stage-3 kernel):
-//                 blocks [[flat, n_local_sources, (from, to, mult)...], ...]
+//                 blocks "(flat n_local_sources m (from to mult) x m) ..."
 //   stats         per-sub-array CommandStats of every touched sub-array
 //   clear_stats   stage-boundary statistics reset
 //   trace         one sub-array's replay program (oracle capture):
@@ -45,6 +54,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "circuit/tech.hpp"
@@ -176,15 +186,29 @@ dram::SubarrayStats subarray_stats_from_json(const net::Json& list,
 dram::Program subarray_trace_from_json(const net::Json& response,
                                        std::size_t flat);
 
-/// The `shards` list of an `extract` response: each shard's entries as
-/// one flat [kmer, freq, kmer, freq, ...] array, in request order.
+/// The packed `shards` string of an `extract` response: each shard's entry
+/// count, then its k-mers and frequencies, in request order.
 net::Json extract_shards_to_json(const std::vector<KmerEntries>& shards);
 /// Decodes the answer to `count` requested shards of k-mers of length k.
-/// Throws InputFormatError on a list of another length, an odd-length
-/// shard list, a frequency above 2^32 - 1 or a k-mer wider than 2k bits.
+/// Throws InputFormatError on a string that is not a packed list, a list
+/// that holds fewer or more than `count` shards, a frequency above 2^32 - 1
+/// or a k-mer wider than 2k bits.
 std::vector<KmerEntries> extract_shards_from_json(const net::Json& shards,
                                                   std::size_t count,
                                                   std::size_t k);
+
+/// Appends one edge block to a packed `degree_block` batch; with
+/// `transposed`, each edge's from and to swap (the out-degree block).
+void append_degree_block(std::string& out, std::size_t flat, std::size_t n,
+                         const EdgeBlock& block, bool transposed);
+
+/// The packed `insts` string of a `program` request.
+std::string pack_program(const dram::Program& program);
+/// Decodes a packed `insts` string for rows of `columns` bits. Throws
+/// InputFormatError on a malformed list, an unknown opcode, a truncated
+/// record, a zero size, a ROW_WRITE payload of another width, a zero-row
+/// flag above 1 or a payload bit set past the width.
+dram::Program unpack_program(std::string_view packed, std::size_t columns);
 
 /// The `pima_devd` verb dispatcher around one DeviceShard.
 class ShardWorkerCore {

@@ -1,5 +1,6 @@
 #include "net/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -38,6 +39,41 @@ std::string format_number(double v) {
     if (back == v) break;
   }
   return buf;
+}
+
+// Appends `s` JSON-escaped. Each maximal run of bytes that needs no escape
+// is copied with one append.
+void escape_to(std::string& out, std::string_view s) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20)
+      continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x",
+                      static_cast<unsigned>(static_cast<unsigned char>(c)));
+        out += buf;
+      }
+    }
+  }
+  out.append(s.data() + run, s.size() - run);
+}
+
+void append_quoted(std::string& out, std::string_view s) {
+  out += '"';
+  escape_to(out, s);
+  out += '"';
 }
 
 class Parser {
@@ -185,14 +221,17 @@ class Parser {
     next();  // '"'
     std::string out;
     for (;;) {
+      // Copy the run of bytes up to the next quote, backslash or control
+      // byte in one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20)
+        ++pos_;
+      out.append(text_, run, pos_ - run);
       const char c = next();
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("unescaped control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("unescaped control character in string");
       const char e = next();
       switch (e) {
         case '"': out += '"'; break;
@@ -351,63 +390,92 @@ Json& Json::push_back(Json value) {
 std::string Json::escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  escape_to(out, s);
   return out;
 }
 
 std::string Json::dump() const {
+  std::string out;
+  dump_to(out);
+  return out;
+}
+
+void Json::dump_to(std::string& out) const {
   switch (type_) {
-    case Type::kNull: return "null";
-    case Type::kBool: return bool_ ? "true" : "false";
+    case Type::kNull: out += "null"; return;
+    case Type::kBool: out += bool_ ? "true" : "false"; return;
     case Type::kNumber: {
       if (uint_exact_) {
         char buf[24];
-        std::snprintf(buf, sizeof buf, "%llu",
-                      static_cast<unsigned long long>(uint_));
-        return buf;
+        const auto end = std::to_chars(buf, buf + sizeof buf, uint_).ptr;
+        out.append(buf, end);
+      } else {
+        out += format_number(number_);
       }
-      return format_number(number_);
+      return;
     }
-    case Type::kString: return '"' + escape(string_) + '"';
+    case Type::kString: append_quoted(out, string_); return;
     case Type::kArray: {
-      std::string out = "[";
+      out += '[';
       for (std::size_t i = 0; i < array_.size(); ++i) {
         if (i > 0) out += ',';
-        out += array_[i].dump();
+        array_[i].dump_to(out);
       }
-      return out + ']';
+      out += ']';
+      return;
     }
     case Type::kObject: {
-      std::string out = "{";
+      out += '{';
       for (std::size_t i = 0; i < object_.size(); ++i) {
         if (i > 0) out += ',';
-        out += '"' + escape(object_[i].first) + "\":" + object_[i].second.dump();
+        append_quoted(out, object_[i].first);
+        out += ':';
+        object_[i].second.dump_to(out);
       }
-      return out + '}';
+      out += '}';
+      return;
     }
   }
-  return "null";  // unreachable
 }
 
 Json Json::parse(const std::string& text) { return Parser(text).run(); }
+
+void pack_uint(std::string& out, std::uint64_t v) {
+  char buf[21];
+  const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  if (!out.empty()) out += ' ';
+  out.append(buf, end);
+}
+
+std::vector<std::uint64_t> unpack_uints(std::string_view packed,
+                                        std::string_view what) {
+  std::vector<std::uint64_t> values;
+  if (packed.empty()) return values;
+  // n numbers take at least 2n - 1 bytes: a string of spaces reserves no
+  // more than a valid list of its length could fill.
+  values.reserve(std::min(
+      1 + static_cast<std::size_t>(
+              std::count(packed.begin(), packed.end(), ' ')),
+      (packed.size() + 1) / 2));
+  const char* const begin = packed.data();
+  const char* const end = begin + packed.size();
+  const auto bad = [&](const char* why, const char* at) {
+    throw InputFormatError(std::string(what) + ": packed list: " + why +
+                           " at byte " + std::to_string(at - begin));
+  };
+  const char* p = begin;
+  for (;;) {
+    std::uint64_t v = 0;
+    // from_chars on an unsigned type takes digits only: no sign, no space.
+    const auto [next, ec] = std::from_chars(p, end, v);
+    if (ec == std::errc::result_out_of_range)
+      bad("a value above 2^64 - 1", p);
+    if (ec != std::errc()) bad("expected a digit", p);
+    values.push_back(v);
+    if (next == end) return values;
+    if (*next != ' ') bad("expected a space or the end", next);
+    p = next + 1;
+  }
+}
 
 }  // namespace pima::net

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -121,6 +122,23 @@ class Json {
   std::vector<std::pair<std::string, Json>> object_;
 
   const Json* find(const std::string& key) const;
+  void dump_to(std::string& out) const;
 };
+
+// ---- Packed unsigned integers ---------------------------------------------
+//
+// The bulk payloads of the device-worker wire ride as one JSON string of
+// decimal unsigned integers separated by single spaces, e.g. "6 1023 0":
+// no JSON value per number, and nothing in the string needs escaping.
+
+/// Appends `v` to a packed list, after a separator unless `out` is empty.
+void pack_uint(std::string& out, std::uint64_t v);
+
+/// Decodes a packed list; the empty string is the empty list. Anything but
+/// digits and single spaces between numbers — a sign, a stray byte, a
+/// leading or trailing separator, two in a row — and any value above
+/// 2^64 - 1 is an InputFormatError whose message starts with `what`.
+std::vector<std::uint64_t> unpack_uints(std::string_view packed,
+                                        std::string_view what);
 
 }  // namespace pima::net

@@ -200,7 +200,7 @@ TEST(Recovery, RetryReproducesGoldenUnderModerateFaults) {
   dram::Subarray& sa = dev.subarray(0);
   auto& ex = mgr.executor_for(0);
   const dram::RowAddr dst = sa.compute_row(3);
-  for (int op = 0; op < 200; ++op) {
+  for (std::size_t op = 0; op < 200; ++op) {
     const auto a = pattern_row(256, 2 + op % 7);
     const auto b = pattern_row(256, 3 + op % 5);
     sa.write_row(0, a);
@@ -240,15 +240,16 @@ TEST(Recovery, VoteModeAcceptsMajorityAndAccountsEscapes) {
   auto& ex = mgr.executor_for(0);
   const dram::RowAddr dst = sa.compute_row(3);
   std::size_t escaped_before = 0;
-  for (int op = 0; op < 100; ++op) {
+  for (std::size_t op = 0; op < 100; ++op) {
     const auto a = pattern_row(256, 2 + op % 7);
     const auto b = pattern_row(256, 3 + op % 5);
     sa.write_row(0, a);
     sa.write_row(1, b);
     ex.compare_rows(0, 1, dst);
     // Invariant: an accepted-but-wrong majority is always accounted.
-    if (ex.stats().escaped == escaped_before)
+    if (ex.stats().escaped == escaped_before) {
       ASSERT_TRUE(sa.peek_row(dst) == BitVector::bit_xnor(a, b)) << op;
+    }
     escaped_before = ex.stats().escaped;
   }
   EXPECT_GT(ex.stats().detected, 0u);  // disagreements seen
@@ -280,7 +281,7 @@ TEST(Recovery, BlownBudgetDegradesToHostFallback) {
   dram::Subarray& sa = dev.subarray(0);
   auto& ex = mgr.executor_for(0);
   const dram::RowAddr dst = sa.compute_row(3);
-  for (int op = 0; op < 4; ++op) {
+  for (std::size_t op = 0; op < 4; ++op) {
     const auto a = pattern_row(256, 2 + op);
     const auto b = pattern_row(256, 3 + op);
     sa.write_row(0, a);

@@ -579,28 +579,39 @@ TEST(ProcPoolWire, WorkerListsRoundTripAndRejectMalformedEntries) {
   EXPECT_EQ(core::extract_shards_from_json(net::Json::parse(extract_line), 3,
                                            k),
             shards);
-  const auto extract_with = [&](const std::vector<std::uint64_t>& values) {
-    net::Json list = net::Json::array();
-    net::Json flat = net::Json::array();
-    for (const std::uint64_t v : values) flat.push_back(net::Json(v));
-    list.push_back(std::move(flat));
-    return list;
+  const auto extract_with = [&](const std::string& packed) {
+    return net::Json::parse(net::Json(packed).dump());
   };
-  EXPECT_THROW(core::extract_shards_from_json(extract_with({5, 1, 77}), 1, k),
+  EXPECT_EQ(extract_line, "\"2 5 1 536870912 255 0 1 77 3\"");
+  EXPECT_THROW(core::extract_shards_from_json(extract_with("2 5 1 77"), 1, k),
                InputFormatError)
-      << "odd-length shard list";
-  EXPECT_THROW(core::extract_shards_from_json(
-                   extract_with({5, std::uint64_t{1} << 32}), 1, k),
-               InputFormatError)
+      << "a shard claiming more entries than the answer holds";
+  EXPECT_THROW(
+      core::extract_shards_from_json(
+          extract_with("1 5 " + std::to_string(std::uint64_t{1} << 32)), 1, k),
+      InputFormatError)
       << "frequency above 2^32 - 1";
   EXPECT_THROW(core::extract_shards_from_json(
-                   extract_with({std::uint64_t{1} << (2 * k), 1}), 1, k),
+                   extract_with("1 " +
+                                std::to_string(std::uint64_t{1} << (2 * k)) +
+                                " 1"),
+                   1, k),
                InputFormatError)
       << "k-mer wider than 2k bits";
+  EXPECT_THROW(core::extract_shards_from_json(extract_with("1 5 1 "), 1, k),
+               InputFormatError)
+      << "a trailing separator";
+  EXPECT_THROW(core::extract_shards_from_json(net::Json::array(), 1, k),
+               InputFormatError)
+      << "not a packed string";
   EXPECT_THROW(
       core::extract_shards_from_json(net::Json::parse(extract_line), 2, k),
       InputFormatError)
-      << "shard count mismatch";
+      << "more shards than requested";
+  EXPECT_THROW(
+      core::extract_shards_from_json(net::Json::parse(extract_line), 4, k),
+      InputFormatError)
+      << "fewer shards than requested";
 
   // Worker 1 of 3 over 24 sub-arrays owns flats 1, 4, 7, ...
   const std::size_t total = 24;
@@ -724,23 +735,20 @@ net::Json op_request(const char* op) {
   return j;
 }
 
-// [flat, n, (from, to, mult)...], the controller's block encoding.
-net::Json encode_block(std::size_t flat, std::size_t n,
-                       const core::EdgeBlock& block) {
-  net::Json enc = net::Json::array();
-  enc.push_back(net::Json(static_cast<std::uint64_t>(flat)));
-  enc.push_back(net::Json(static_cast<std::uint64_t>(n)));
-  for (const auto& e : block.edges)
-    for (const std::uint32_t v : {e.from, e.to, e.multiplicity})
-      enc.push_back(net::Json(static_cast<std::uint64_t>(v)));
+// One block in the controller's packed encoding, flat n m (from to mult) x m.
+std::string encode_block(std::size_t flat, std::size_t n,
+                         const core::EdgeBlock& block) {
+  std::string enc;
+  core::append_degree_block(enc, flat, n, block, /*transposed=*/false);
   return enc;
 }
 
-net::Json degree_batch(std::vector<net::Json> blocks) {
-  net::Json arr = net::Json::array();
-  for (auto& b : blocks) arr.push_back(std::move(b));
+// A `degree_block` request over packed blocks (or any packed text).
+net::Json degree_batch(const std::vector<std::string>& blocks) {
+  std::string packed;
+  for (const auto& b : blocks) packed += (packed.empty() ? "" : " ") + b;
   net::Json req = op_request("degree_block");
-  req.set("blocks", std::move(arr));
+  req.set("blocks", std::move(packed));
   return req;
 }
 
@@ -766,10 +774,10 @@ TEST(ProcPoolWire, DegreeBatchMatchesControllerBuiltRows) {
   ASSERT_GT(rows_of(a, 5).size(), 5u);
 
   core::ShardWorkerCore worker(core::worker_init_to_json(degree_worker_init()));
-  std::vector<net::Json> encoded;
+  std::vector<std::string> encoded;
   for (const auto& [flat, n, block] : blocks)
     encoded.push_back(encode_block(flat, n, block));
-  EXPECT_TRUE(worker.handle(degree_batch(std::move(encoded))).get_bool("ok"));
+  EXPECT_TRUE(worker.handle(degree_batch(encoded)).get_bool("ok"));
   EXPECT_TRUE(worker.handle(op_request("drain")).get_bool("ok"));
   const net::Json stats = worker.handle(op_request("stats"));
   const auto trace = [&](std::size_t flat) {
@@ -801,16 +809,45 @@ TEST(ProcPoolWire, DegreeBatchMatchesControllerBuiltRows) {
   }
 }
 
+// A worker whose rows are 200 bits wide: the last payload word of a
+// ROW_WRITE has spare bits above the row, so a record can set one.
+core::WorkerInit narrow_worker_init() {
+  core::WorkerInit init = degree_worker_init();
+  init.geometry.columns = 200;
+  return init;
+}
+
+dram::Instruction row_write(std::size_t flat, std::size_t row,
+                            std::size_t columns, std::uint64_t first_word) {
+  dram::Instruction inst;
+  inst.op = dram::Opcode::kRowWrite;
+  inst.subarray = flat;
+  inst.src1 = row;
+  inst.payload = BitVector(columns);
+  inst.payload.set_word(0, first_word);
+  return inst;
+}
+
+net::Json packed_request(const char* op, const char* key, std::string packed) {
+  net::Json req = op_request(op);
+  req.set(key, std::move(packed));
+  return req;
+}
+
+// Drops the last number of a packed list (and its separator).
+std::string drop_last(const std::string& packed) {
+  return packed.substr(0, packed.rfind(' '));
+}
+
 TEST(ProcPoolWire, MalformedRequestsGetTypedErrors) {
   // One seeded table over every journaled verb that carries data, and the
   // trace query. A valid item rides ahead of each corrupted one: the
   // worker parses a whole request before anything touches the device, so a
   // rejected request must run nothing — the error is typed and the stats
   // stay empty.
-  const dram::Geometry geom = pipeline_geometry();
-  const std::size_t width = geom.columns;
-  const std::size_t total = geom.total_subarrays();
-  const core::WorkerInit init = degree_worker_init();
+  const core::WorkerInit init = narrow_worker_init();
+  const std::size_t width = init.geometry.columns;
+  const std::size_t total = init.geometry.total_subarrays();
   core::ShardWorkerCore worker(core::worker_init_to_json(init));
   const auto uints = [](const std::vector<std::uint64_t>& v) {
     net::Json arr = net::Json::array();
@@ -826,22 +863,30 @@ TEST(ProcPoolWire, MalformedRequestsGetTypedErrors) {
                              std::mt19937_64& rng) -> net::Json {
     const std::size_t kmer_bits = 2 * init.k;
     const std::uint64_t kmer = rng() & ((std::uint64_t{1} << kmer_bits) - 1);
-    if (what == "kmers: not an array")
-      return request("kmers", "kmers", net::Json("ACGT"));
-    if (what == "kmers: string k-mer") {
-      net::Json arr = uints({kmer});
-      arr.push_back(net::Json("ACGT"));
-      return request("kmers", "kmers", std::move(arr));
-    }
-    if (what == "kmers: fractional k-mer") {
-      net::Json arr = uints({kmer});
-      arr.push_back(net::Json(0.5 + static_cast<double>(rng() % 1000)));
-      return request("kmers", "kmers", std::move(arr));
-    }
+    const std::string good_kmer = std::to_string(kmer) + " ";
+    if (what == "kmers: not a string")
+      return request("kmers", "kmers", uints({kmer}));
+    if (what == "kmers: a sign")
+      return packed_request("kmers", "kmers",
+                            good_kmer + (rng() % 2 == 0 ? "-" : "+") +
+                                std::to_string(rng() % 1000));
+    if (what == "kmers: a non-digit")
+      return packed_request("kmers", "kmers",
+                            good_kmer + std::to_string(rng() % 1000) +
+                                "xA.,"[rng() % 4]);
+    if (what == "kmers: two separators")
+      return packed_request("kmers", "kmers", good_kmer + " 1");
+    if (what == "kmers: a trailing separator")
+      return packed_request("kmers", "kmers", good_kmer);
+    if (what == "kmers: a number above 2^64 - 1")
+      return packed_request(
+          "kmers", "kmers",
+          good_kmer + "1844674407370955161" + std::to_string(6 + rng() % 4));
     if (what == "kmers: k-mer wider than 2k bits")
-      return request("kmers", "kmers",
-                     uints({kmer, kmer | (std::uint64_t{1}
-                                          << (kmer_bits + rng() % 8))}));
+      return packed_request(
+          "kmers", "kmers",
+          good_kmer + std::to_string(kmer | (std::uint64_t{1}
+                                             << (kmer_bits + rng() % 8))));
     if (what == "extract: shard out of range")
       return request("extract", "shards",
                      uints({0, init.hash_shards + rng() % 4}));
@@ -850,49 +895,101 @@ TEST(ProcPoolWire, MalformedRequestsGetTypedErrors) {
     if (what == "trace: missing flat") return op_request("trace");
     if (what == "trace: flat out of range")
       return request("trace", "flat", net::Json(total + rng() % 4));
-    if (what == "program: unparseable line") {
+    // program: a valid ROW_WRITE ahead of the corrupted record.
+    const std::size_t flat = rng() % total;
+    const std::string good =
+        core::pack_program({row_write(flat, rng() % 64, width, rng())});
+    if (what == "program: text field only") {
       dram::Instruction read;
       read.op = dram::Opcode::kRowRead;
-      read.subarray = rng() % total;
-      const std::string junk = rng() % 2 == 0
-                                   ? "NO_SUCH_OP sa=1 size=1"
-                                   : "ROW_READ sa=x" + std::to_string(rng());
-      return request("program", "text",
-                     net::Json(dram::to_text(dram::Program{read}) + junk +
-                               "\n"));
+      read.subarray = flat;
+      return request("program", "text", net::Json(dram::to_text(read)));
     }
-    // degree_block: corrupt one seeded block [flat, n, (from, to, mult)...].
+    if (what == "program: unknown opcode")
+      return packed_request("program", "insts",
+                            good + " " + std::to_string(11 + rng() % 100) +
+                                " 1 9 0 0 0 1 0");
+    if (what == "program: truncated record")
+      return packed_request(
+          "program", "insts",
+          drop_last(core::pack_program(
+              {row_write(flat, 1, width, 0),
+               row_write(flat, 2, width, rng() | 1)})));
+    if (what == "program: zero size")
+      return packed_request("program", "insts",
+                            good + " 7 " + std::to_string(flat) +
+                                " 3 0 0 0 0 0");
+    if (what == "program: payload wider than the row") {
+      // op sa src1 src2 src3 dst size width, then bits and the zero flag.
+      return packed_request(
+          "program", "insts",
+          good + " 6 " + std::to_string(flat) + " 3 0 0 0 1 0 " +
+              std::to_string(width + 1 + rng() % 64) + " 0");
+    }
+    if (what == "program: bit set past the payload width") {
+      std::string bad = good + " 6 " + std::to_string(flat) +
+                        " 3 0 0 0 1 0 " + std::to_string(width) + " 1";
+      const std::size_t words = (width + 63) / 64;
+      for (std::size_t w = 0; w + 1 < words; ++w)
+        bad += " " + std::to_string(rng());
+      bad += " " + std::to_string(std::uint64_t{1}
+                                  << (width % 64 + rng() % (64 - width % 64)));
+      return packed_request("program", "insts", bad);
+    }
+    if (what == "program: zero-row flag above 1")
+      return packed_request("program", "insts",
+                            good + " 6 " + std::to_string(flat) +
+                                " 3 0 0 0 1 0 " + std::to_string(width) +
+                                " " + std::to_string(2 + rng() % 10));
+    if (what == "program: a trailing separator")
+      return packed_request("program", "insts", good + " ");
+    // degree_block: corrupt one seeded block, flat n m (from to mult) x m.
     const std::size_t n = 1 + rng() % 40;
-    std::vector<std::uint64_t> v = {rng() % total, n};
-    for (std::size_t e = 1 + rng() % 6; e > 0; --e) {
+    const std::size_t edges = 1 + rng() % 6;
+    std::vector<std::uint64_t> v = {rng() % total, n, edges};
+    for (std::size_t e = edges; e > 0; --e) {
       v.push_back(rng() % n);
       v.push_back(rng() % width);
       v.push_back(1 + rng() % 3);
     }
-    const std::size_t triple = 2 + 3 * (rng() % ((v.size() - 2) / 3));
-    if (what == "degree_block: truncated triple") v.pop_back();
+    const std::size_t triple = 3 + 3 * (rng() % edges);
+    if (what == "degree_block: truncated record") v.pop_back();
     if (what == "degree_block: from >= n") v[triple] = n + rng() % 4;
     if (what == "degree_block: to >= width") v[triple + 1] = width + rng() % 4;
     if (what == "degree_block: n > columns") v[1] = width + 1 + rng() % 4;
     if (what == "degree_block: flat out of range") v[0] = total + rng() % 4;
-    core::EdgeBlock good;
-    good.edges = {{0, 1, 1}, {1, 2, 2}};
-    return degree_batch(
-        {encode_block(rng() % total, 2, good),
-         what == "degree_block: not an array" ? net::Json("not a block")
-                                              : uints(v)});
+    if (what == "degree_block: zero multiplicity") v[triple + 2] = 0;
+    if (what == "degree_block: a repeated edge") {
+      v.insert(v.end(), v.begin() + static_cast<std::ptrdiff_t>(triple),
+               v.begin() + static_cast<std::ptrdiff_t>(triple + 3));
+      ++v[2];
+    }
+    std::string packed;
+    for (const std::uint64_t x : v) net::pack_uint(packed, x);
+    core::EdgeBlock ok;
+    ok.edges = {{0, 1, 1}, {1, 2, 2}};
+    const std::string head = encode_block(rng() % total, 2, ok);
+    if (what == "degree_block: not a string")
+      return request("degree_block", "blocks", uints(v));
+    return degree_batch({head, packed});
   };
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     std::mt19937_64 rng(seed);
     for (const char* what :
-         {"kmers: not an array", "kmers: string k-mer",
-          "kmers: fractional k-mer", "kmers: k-mer wider than 2k bits",
+         {"kmers: not a string", "kmers: a sign", "kmers: a non-digit",
+          "kmers: two separators", "kmers: a trailing separator",
+          "kmers: a number above 2^64 - 1", "kmers: k-mer wider than 2k bits",
           "extract: shard out of range", "extract: not an array",
           "trace: missing flat", "trace: flat out of range",
-          "program: unparseable line", "degree_block: truncated triple",
-          "degree_block: from >= n", "degree_block: to >= width",
-          "degree_block: n > columns", "degree_block: flat out of range",
-          "degree_block: not an array"}) {
+          "program: text field only", "program: unknown opcode",
+          "program: truncated record", "program: zero size",
+          "program: payload wider than the row",
+          "program: bit set past the payload width",
+          "program: zero-row flag above 1", "program: a trailing separator",
+          "degree_block: truncated record", "degree_block: from >= n",
+          "degree_block: to >= width", "degree_block: n > columns",
+          "degree_block: flat out of range", "degree_block: zero multiplicity",
+          "degree_block: a repeated edge", "degree_block: not a string"}) {
       SCOPED_TRACE(std::string(what) + " seed " + std::to_string(seed));
       net::Json response;
       try {
@@ -914,12 +1011,198 @@ TEST(ProcPoolWire, MalformedRequestsGetTypedErrors) {
   ok.edges = {{0, 5, 2}};
   EXPECT_TRUE(worker.handle(degree_batch({encode_block(3, 1, ok)}))
                   .get_bool("ok"));
-  EXPECT_TRUE(worker.handle(request("kmers", "kmers", uints({1, 2, 1})))
+  EXPECT_TRUE(worker.handle(packed_request("kmers", "kmers", "1 2 1"))
+                  .get_bool("ok"));
+  EXPECT_TRUE(worker.handle(packed_request(
+                                "program", "insts",
+                                core::pack_program({row_write(
+                                    5, 7, width, std::uint64_t{1} << 63)})))
                   .get_bool("ok"));
   EXPECT_TRUE(worker.handle(op_request("drain")).get_bool("ok"));
   EXPECT_EQ(worker.handle(op_request("distinct")).get_uint64("value"), 2u);
   EXPECT_FALSE(
       worker.handle(op_request("stats")).get("subarrays").items().empty());
+}
+
+TEST(ProcPoolWire, PackedUintsAreStrict) {
+  const std::uint64_t max = ~std::uint64_t{0};
+  std::string packed;
+  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{7}, max})
+    net::pack_uint(packed, v);
+  EXPECT_EQ(packed, "0 7 18446744073709551615");
+  EXPECT_EQ(net::unpack_uints(packed, "kmers"),
+            (std::vector<std::uint64_t>{0, 7, max}));
+  EXPECT_EQ(net::unpack_uints("007", "kmers"),
+            (std::vector<std::uint64_t>{7}));
+  EXPECT_TRUE(net::unpack_uints("", "kmers").empty());
+  for (const std::string& bad : std::vector<std::string>{
+           " ", "1 ", " 1", "1  2", "-1", "+1", "1x", "1\t2", "1,2", "1\n",
+           std::string("1\0", 2), "18446744073709551616",
+           "99999999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    try {
+      (void)net::unpack_uints(bad, "device worker kmers");
+      ADD_FAILURE() << "accepted";
+    } catch (const InputFormatError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("device worker kmers: ", 0), 0u)
+          << e.what();
+    }
+  }
+}
+
+TEST(ProcPoolWire, ProgramRecordsRoundTripEveryOpcode) {
+  const std::size_t width = 200;
+  dram::Program program;
+  for (std::uint64_t op = 0;
+       op <= static_cast<std::uint64_t>(dram::Opcode::kDpuPopcount); ++op) {
+    dram::Instruction inst;
+    inst.op = static_cast<dram::Opcode>(op);
+    inst.subarray = 3 + op;
+    inst.src1 = 1000 + op;
+    inst.src2 = 1001;
+    inst.src3 = 1002;
+    inst.dst = 40 + op;
+    inst.size = 1 + op % 3;
+    inst.width = 17 * op;
+    if (inst.op == dram::Opcode::kRowWrite) inst.payload = BitVector(width);
+    program.push_back(inst);
+  }
+  program.push_back(row_write(5, 9, width, 0x8000000000000001u));
+  program.back().payload.set(width - 1, true);
+  const std::string packed = core::pack_program(program);
+  EXPECT_EQ(core::unpack_program(packed, width), program);
+  // An all-zero ROW_WRITE is its eight fields plus its width and flag.
+  EXPECT_EQ(core::pack_program({row_write(12, 345, width, 0)}),
+            "6 12 345 0 0 0 1 0 200 0");
+  EXPECT_TRUE(core::unpack_program("", width).empty());
+}
+
+// Seeded byte flips, insertions, deletions and truncations of one valid
+// packed payload per verb: every mutant is accepted or rejected with a
+// typed error, never a crash, and a rejected one runs nothing.
+TEST(ProcPoolWire, MutatedPackedPayloadsGetOkOrTypedErrors) {
+  const core::WorkerInit init = narrow_worker_init();
+  const std::size_t width = init.geometry.columns;
+  core::ShardWorkerCore worker(core::worker_init_to_json(init));
+  dram::Instruction read;
+  read.op = dram::Opcode::kRowRead;
+  read.subarray = 9;
+  read.src1 = 4;
+  core::EdgeBlock block;
+  block.edges = {{0, 3, 1}, {1, 3, 2}, {2, 199, 1}};
+  const std::vector<std::tuple<const char*, const char*, std::string>> seeds =
+      {{"program", "insts",
+        core::pack_program({row_write(9, 3, width, 0),
+                            row_write(9, 4, width, 0xF0F0F0F0F0F0F0F0u),
+                            read})},
+       {"kmers", "kmers", "5 77 536870912 1 2 3"},
+       {"degree_block", "blocks",
+        encode_block(9, 3, block) + " " + encode_block(10, 3, block)}};
+  std::mt19937_64 rng(20260219);
+  const auto mutate = [&rng](std::string s) {
+    for (std::size_t edits = 1 + rng() % 3; edits > 0; --edits) {
+      const std::size_t at = s.empty() ? 0 : rng() % s.size();
+      switch (rng() % 4) {
+        case 0:  // byte flip
+          if (!s.empty()) s[at] = static_cast<char>(s[at] ^ (1 << (rng() % 8)));
+          break;
+        case 1:  // insertion, mostly of wire bytes
+          s.insert(s.begin() + static_cast<std::ptrdiff_t>(at),
+                   rng() % 4 != 0 ? "0123456789 "[rng() % 11]
+                                  : static_cast<char>(rng()));
+          break;
+        case 2:  // deletion
+          if (!s.empty()) s.erase(at, 1);
+          break;
+        default:  // truncation
+          s.resize(at);
+      }
+    }
+    return s;
+  };
+  constexpr int kBudget = 500;
+  for (const auto& [op, key, payload] : seeds) {
+    SCOPED_TRACE(op);
+    ASSERT_TRUE(worker.handle(packed_request(op, key, payload)).get_bool("ok"));
+    EXPECT_TRUE(worker.handle(op_request("drain")).get_bool("ok"));
+    (void)worker.handle(op_request("clear_stats"));
+    int accepted = 0;
+    int rejected = 0;
+    for (int i = 0; i < kBudget; ++i) {
+      const std::string mutant = mutate(payload);
+      SCOPED_TRACE(mutant);
+      bool ok = false;
+      try {
+        ok = worker.handle(packed_request(op, key, mutant)).get_bool("ok");
+      } catch (const InputFormatError&) {
+      } catch (const PreconditionError&) {
+      }
+      ++(ok ? accepted : rejected);
+      if (!ok) {
+        EXPECT_TRUE(
+            worker.handle(op_request("stats")).get("subarrays").items().empty())
+            << "a rejected request ran";
+      }
+      // An accepted program may still fail on the device: a row outside
+      // the sub-array, an operand outside the compute rows.
+      try {
+        (void)worker.handle(op_request("drain"));
+      } catch (const PreconditionError&) {
+      }
+      (void)worker.handle(op_request("clear_stats"));
+    }
+    EXPECT_GT(accepted, 0);
+    EXPECT_GT(rejected, 0);
+  }
+
+  // The rpc side's decoder of the extract answer.
+  const std::size_t k = init.k;
+  const std::vector<core::KmerEntries> shards = {
+      {{assembly::Kmer(5, k), 1}, {assembly::Kmer(1u << 29, k), 255}},
+      {},
+      {{assembly::Kmer(77, k), 3}}};
+  const std::string answer = core::extract_shards_to_json(shards).as_string();
+  int decoded = 0;
+  for (int i = 0; i < kBudget; ++i) {
+    const std::string mutant = mutate(answer);
+    SCOPED_TRACE(mutant);
+    try {
+      (void)core::extract_shards_from_json(net::Json(mutant), shards.size(), k);
+      ++decoded;
+    } catch (const InputFormatError&) {
+    }
+  }
+  EXPECT_GT(decoded, 0);
+  EXPECT_LT(decoded, kBudget);
+}
+
+// An isolated run's `program` requests: stage 2a ships one all-zero
+// ROW_WRITE per MEM_insert, stage 2b one ROW_READ per edge instance, and
+// nothing else rides that verb.
+TEST(ProcPoolWire, ProgramRequestsCostAtMost32BytesPerInstruction) {
+  telemetry::MetricsRegistry registry;
+  telemetry::ScopedMetricsRegistry scope(&registry);
+  telemetry::TelemetrySession::instance().enable_metrics();
+  dram::Device device(pipeline_geometry());
+  core::PipelineOptions opt;
+  opt.k = 15;
+  opt.hash_shards = 8;
+  opt.devices = 2;
+  opt.isolate = true;
+  const core::PipelineResult result =
+      core::run_pipeline(device, workload_reads(11), opt);
+  const double bytes =
+      registry
+          .counter("pima_rpc_bytes_total", "",
+                   {{"verb", "program"}, {"dir", "request"}},
+                   telemetry::MetricClass::kHost)
+          .value();
+  const double writes = static_cast<double>(result.debruijn.device.commands);
+  const double instructions =
+      writes + static_cast<double>(result.graph.edge_instances());
+  ASSERT_GT(writes, 0.0);
+  EXPECT_LE(bytes / instructions, 32.0)
+      << bytes << " bytes for " << instructions << " instructions";
 }
 
 TEST(ProcPoolWire, RpcAllRethrowsTheLowestDevicesTypedError) {

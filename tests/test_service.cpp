@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <csignal>
 #include <filesystem>
 #include <optional>
@@ -63,6 +64,68 @@ TEST(ServiceJson, EscapesAndUnicode) {
   const net::Json parsed = net::Json::parse(net::Json(raw).dump());
   EXPECT_EQ(parsed.as_string(), raw);
   EXPECT_EQ(net::Json::parse("\"\\u0041\\u00e9\"").as_string(), "A\xc3\xa9");
+}
+
+// The writer's exact bytes, which both the daemon's NDJSON and the device
+// worker wire depend on, and the parser's inverse. Each row is also framed
+// by plain runs, so escapes at a run's start, middle and end are covered.
+TEST(ServiceJson, EscapeTableIsExactAndRoundTrips) {
+  struct Row {
+    std::string raw;
+    std::string escaped;
+  };
+  std::vector<Row> rows = {
+      {"", ""},
+      {"\"", "\\\""},
+      {"\\", "\\\\"},
+      {"a\"b\\c", "a\\\"b\\\\c"},
+      {"\\\"\\\"", "\\\\\\\"\\\\\\\""},
+      {"\n", "\\n"},
+      {"\r", "\\r"},
+      {"\t", "\\t"},
+      {"\b", "\\b"},
+      {"\f", "\\f"},
+      {"/ \x7f", "/ \x7f"},
+      // Multi-byte UTF-8 passes through: é, €, U+1F600.
+      {"\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80",
+       "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80"},
+  };
+  // Every other control byte below 0x20 is \u00xx in lower-case hex.
+  for (int c = 0; c < 0x20; ++c) {
+    if (std::string("\n\r\t\b\f").find(static_cast<char>(c)) !=
+        std::string::npos)
+      continue;
+    char buf[8];
+    std::snprintf(buf, sizeof buf, "\\u%04x", c);
+    rows.push_back({std::string(1, static_cast<char>(c)), buf});
+  }
+  for (const Row& row : rows) {
+    for (const auto& [head, tail] :
+         {std::pair<std::string, std::string>{"", ""}, {"ab", "cd"}}) {
+      const std::string raw = head + row.raw + tail;
+      const std::string escaped = head + row.escaped + tail;
+      SCOPED_TRACE(escaped);
+      EXPECT_EQ(net::Json::escape(raw), escaped);
+      EXPECT_EQ(net::Json(raw).dump(), "\"" + escaped + "\"");
+      EXPECT_EQ(net::Json::parse("\"" + escaped + "\"").as_string(), raw);
+      net::Json obj = net::Json::object();
+      obj.set(raw, raw);
+      EXPECT_EQ(obj.dump(), "{\"" + escaped + "\":\"" + escaped + "\"}");
+    }
+  }
+  // \u escapes the writer never emits still decode: upper-case hex, BMP
+  // code points to UTF-8, a surrogate pair to one 4-byte sequence.
+  EXPECT_EQ(net::Json::parse("\"\\u001F\\/\"").as_string(), "\x1f/");
+  EXPECT_EQ(net::Json::parse("\"x\\u0041\\u00e9\\u20acy\"").as_string(),
+            "xA\xc3\xa9\xe2\x82\xacy");
+  EXPECT_EQ(net::Json::parse("\"\\ud83d\\ude00\"").as_string(),
+            "\xf0\x9f\x98\x80");
+  for (const char* bad :
+       {"\"\\ud83d\"", "\"\\ud83dx\"", "\"\\ude00\"", "\"\\ud83d\\u0041\"",
+        "\"a\x01\"", "\"\\x\"", "\"\\u12g4\"", "\"abc"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW((void)net::Json::parse(bad), InputFormatError);
+  }
 }
 
 TEST(ServiceJson, Uint64CountersExactAboveDoublePrecision) {

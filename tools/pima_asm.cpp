@@ -26,8 +26,10 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -62,14 +64,15 @@ class Args {
  public:
   Args(int argc, char** argv, int first) {
     for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) fail("expected --flag, got: " + key);
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "1";  // boolean flag
-      }
+      const std::string_view arg = argv[i];
+      if (arg.rfind("--", 0) != 0)
+        fail("expected --flag, got: " + std::string(arg));
+      const bool has_value =
+          i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0;
+      // Built, then moved in: GCC 12 reports a false -Wrestrict overlap on
+      // an in-place assignment of a C string here.
+      std::string value = has_value ? argv[++i] : "1";  // "1": boolean flag
+      values_.insert_or_assign(std::string(arg.substr(2)), std::move(value));
     }
   }
 
