@@ -18,8 +18,7 @@ AssemblyResult assemble(const std::vector<dna::Sequence>& reads,
   AssemblyResult result;
 
   // Stage 1: k-mer analysis.
-  KmerCounter counter = build_hashmap(reads, options.k,
-                                      options.canonical_kmers);
+  KmerCounter counter = build_hashmap(reads, options.k);
   result.ops.hash = counter.op_counts();
   result.ops.kmers_processed = counter.total_kmers();
   result.distinct_kmers = counter.distinct_kmers();
@@ -46,7 +45,7 @@ AssemblyResult assemble(const std::vector<dna::Sequence>& reads,
   // instance feeds one out-degree and one in-degree accumulation.
   result.ops.degree_additions = 2 * graph.edge_instances();
   result.contigs = options.euler_contigs
-                       ? contigs_from_euler(graph, options.traversal)
+                       ? contigs_from_euler(graph)
                        : contigs_from_unitigs(graph);
   result.ops.edges_walked = graph.edge_instances();
   result.stats = compute_stats(result.contigs);

@@ -23,11 +23,9 @@ namespace pima::assembly {
 
 struct AssemblyOptions {
   std::size_t k = 16;
-  bool canonical_kmers = false;
   bool use_multiplicity = false;    ///< Euler over edge multiplicities
   /// Drop k-mers below this frequency (error filtering; 1 keeps all).
   std::uint32_t min_kmer_freq = 1;
-  TraversalAlgorithm traversal = TraversalAlgorithm::kHierholzer;
   /// true: contigs from Euler walks (paper's traverse); false: unitigs.
   bool euler_contigs = true;
   /// Clean sequencing-error artifacts (tips/bubbles/low-coverage edges)

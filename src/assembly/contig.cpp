@@ -4,10 +4,9 @@
 
 namespace pima::assembly {
 
-std::vector<dna::Sequence> contigs_from_euler(const DeBruijnGraph& g,
-                                              TraversalAlgorithm algo) {
+std::vector<dna::Sequence> contigs_from_euler(const DeBruijnGraph& g) {
   std::vector<dna::Sequence> contigs;
-  for (const auto& walk : euler_walks(g, algo))
+  for (const auto& walk : euler_walks(g))
     contigs.push_back(spell_walk(g, walk));
   return contigs;
 }

@@ -18,9 +18,7 @@
 namespace pima::assembly {
 
 /// Contigs from Euler walks (multiplicity-aware traversal).
-std::vector<dna::Sequence> contigs_from_euler(
-    const DeBruijnGraph& g,
-    TraversalAlgorithm algo = TraversalAlgorithm::kHierholzer);
+std::vector<dna::Sequence> contigs_from_euler(const DeBruijnGraph& g);
 
 /// Contigs as maximal non-branching paths (unitigs). Every edge is used
 /// exactly once; paths stop at nodes with in-degree ≠ 1 or out-degree ≠ 1

@@ -108,19 +108,17 @@ void KmerCounter::grow() {
 }
 
 KmerCounter build_hashmap(const std::vector<dna::Sequence>& reads,
-                          std::size_t k, bool canonical,
-                          unsigned counter_bits) {
+                          std::size_t k) {
   std::size_t expected = 0;
   for (const auto& r : reads)
     if (r.size() >= k) expected += r.size() - k + 1;
-  KmerCounter table(expected / 4 + 16, counter_bits);
+  KmerCounter table(expected / 4 + 16);
 
   for (const auto& read : reads) {
     if (read.size() < k) continue;
     Kmer window = Kmer::from_sequence(read, 0, k);
     for (std::size_t i = 0;; ++i) {
-      const Kmer key = canonical ? window.canonical() : window;
-      table.insert_or_increment(key);
+      table.insert_or_increment(window);
       if (i + k >= read.size()) break;
       window = window.rolled(read.at(i + k));
     }

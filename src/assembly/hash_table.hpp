@@ -86,10 +86,8 @@ class KmerCounter {
 };
 
 /// Runs the full Hashmap(S,k) procedure over a read set: every read of
-/// length L contributes L-k+1 k-mers. If `canonical`, k-mers are counted in
-/// canonical (strand-insensitive) form.
+/// length L contributes L-k+1 k-mers.
 KmerCounter build_hashmap(const std::vector<dna::Sequence>& reads,
-                          std::size_t k, bool canonical = false,
-                          unsigned counter_bits = 32);
+                          std::size_t k);
 
 }  // namespace pima::assembly

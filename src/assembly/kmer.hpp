@@ -72,13 +72,6 @@ class Kmer {
     return Kmer(out, k_);
   }
 
-  /// Lexicographically smaller of this k-mer and its reverse complement
-  /// (canonical form for strand-insensitive counting).
-  Kmer canonical() const {
-    const Kmer rc = reverse_complement();
-    return rc.bits_ < bits_ ? rc : *this;
-  }
-
   dna::Sequence to_sequence() const {
     dna::Sequence s;
     for (std::size_t i = 0; i < k_; ++i) s.push_back(base(i));

@@ -17,11 +17,12 @@ PimAligner::PimAligner(dram::Device& device, const dna::Sequence& reference,
   PIMA_CHECK(!reference.empty(), "empty reference");
   PIMA_CHECK(params_.seed_k >= 8 && params_.seed_k <= assembly::Kmer::kMaxK,
              "seed k out of range");
+  // Consecutive reference rows overlap by 4/5 of a row (a stride of B/5);
+  // an overlap of at least read length − 1 never misses a placement.
   const std::size_t b = bases_per_row();
-  if (params_.window_overlap == 0)
-    params_.window_overlap = b * 4 / 5;  // supports reads up to ~B/5 stride
-  PIMA_CHECK(params_.window_overlap < b, "overlap must leave a stride");
-  const std::size_t stride = b - params_.window_overlap;
+  const std::size_t overlap = b * 4 / 5;
+  PIMA_CHECK(overlap < b, "overlap must leave a stride");
+  const std::size_t stride = b - overlap;
 
   // Tile the reference into window rows. The last data row of every
   // sub-array is kept free as the query staging (temp) row.

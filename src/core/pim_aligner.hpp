@@ -34,9 +34,6 @@ namespace pima::core {
 
 struct AlignerParams {
   std::size_t seed_k = 16;        ///< seed k-mer length
-  std::size_t window_overlap = 0; ///< extra overlap between reference rows
-                                  ///  (≥ read length − 1 to never miss a
-                                  ///  placement; set by the constructor if 0)
   std::size_t max_mismatches = 3; ///< report alignments within this distance
   std::size_t max_candidates = 16;///< verify at most this many seeds/read
 };

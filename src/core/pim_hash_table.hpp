@@ -61,7 +61,7 @@ using KmerEntries = std::vector<std::pair<assembly::Kmer, std::uint32_t>>;
 /// The hash router: the shard a k-mer counts in, of `shards`. Every
 /// transport routes by this rule; with shard s at flat first + s and owner
 /// dram::owner_of(flat, devices), a sharded run places k-mers by the
-/// paper-style owner = hash(canonical kmer) % N.
+/// paper-style owner = hash(kmer) % N.
 inline std::size_t hash_shard_of(const assembly::Kmer& kmer,
                                  std::size_t shards) {
   return static_cast<std::size_t>(kmer.hash() % shards);

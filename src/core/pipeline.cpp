@@ -50,23 +50,17 @@ namespace {
 // width of a sub-array row (hash distribution is near-uniform; retry with
 // more intervals if an outlier interval overflows).
 GraphPartition partition_fitting(const assembly::DeBruijnGraph& g,
-                                 const dram::Geometry& geom,
-                                 std::uint32_t requested) {
+                                 const dram::Geometry& geom) {
   const std::size_t width = geom.columns;
-  std::uint32_t m =
-      requested > 0
-          ? requested
-          : static_cast<std::uint32_t>(
-                std::max<std::size_t>(1, (g.node_count() + (width * 4) / 5 - 1) /
-                                             ((width * 4) / 5)));
+  const std::size_t fill = (width * 4) / 5;
+  auto m = static_cast<std::uint32_t>(
+      std::max<std::size_t>(1, (g.node_count() + fill - 1) / fill));
   for (;; ++m) {
     GraphPartition p = partition_graph(g, m);
     const bool fits = std::all_of(
         p.interval_vertices.begin(), p.interval_vertices.end(),
         [&](const auto& iv) { return iv.size() <= width; });
     if (fits) return p;
-    PIMA_CHECK(requested == 0,
-               "requested interval count leaves an oversized interval");
   }
 }
 
@@ -80,10 +74,8 @@ runtime::CheckpointFingerprint make_fingerprint(const dram::Geometry& geom,
   fp.k = o.k;
   fp.hash_shards = o.hash_shards;
   fp.devices = o.devices;
-  fp.graph_intervals = o.graph_intervals;
   fp.use_multiplicity = o.use_multiplicity;
   fp.euler_contigs = o.euler_contigs;
-  fp.traversal = static_cast<std::uint8_t>(o.traversal);
   fp.rows = geom.rows;
   fp.compute_rows = geom.compute_rows;
   fp.columns = geom.columns;
@@ -133,7 +125,6 @@ class ShardBackend {
 runtime::EngineOptions engine_options(const PipelineOptions& o) {
   runtime::EngineOptions e;
   e.channels = o.threads;
-  e.queue_capacity = o.queue_capacity;
   e.capture_trace = o.capture_trace;
   e.stall_timeout_ms = o.stall_timeout_ms;
   return e;
@@ -344,6 +335,7 @@ class RpcShards final : public ShardBackend {
   RpcShards(const dram::Device& device, const PipelineOptions& options)
       : options_(options),
         total_(device.geometry().total_subarrays()),
+        columns_(device.geometry().columns),
         sup_(pool_options(options),
              [&device, &options](std::size_t d) {
                WorkerInit init;
@@ -484,7 +476,8 @@ class RpcShards final : public ShardBackend {
       }
       const auto responses = sup_.query_all(requests);
       for (std::size_t d = 0; d < devices && base + d < total_; ++d) {
-        dram::Program part = subarray_trace_from_json(responses[d], base + d);
+        dram::Program part =
+            subarray_trace_from_json(responses[d], base + d, columns_);
         program.insert(program.end(), std::make_move_iterator(part.begin()),
                        std::make_move_iterator(part.end()));
       }
@@ -518,7 +511,8 @@ class RpcShards final : public ShardBackend {
   }
 
   const PipelineOptions& options_;
-  const std::size_t total_;  ///< sub-arrays per device
+  const std::size_t total_;    ///< sub-arrays per device
+  const std::size_t columns_;  ///< bits per row
   runtime::ProcSupervisor sup_;
   DegreeBatcher degrees_;
   std::vector<std::string> kmers_;  ///< one packed superstep per device
@@ -753,8 +747,7 @@ PipelineResult run_stages(ShardBackend& shards, const dram::Device& device,
   } else {
     PIMA_TEL_SPAN("stage:traverse");
     if (options.cancel != nullptr) options.cancel->throw_if_requested();
-    const GraphPartition partition =
-        partition_fitting(graph, geometry, options.graph_intervals);
+    const GraphPartition partition = partition_fitting(graph, geometry);
     // The PIM degree sums: every edge block's column-sum kernel on its own
     // sub-array. Each fault-free job checks its sums against the block's
     // host degrees, then discards them: the walks below recompute the
@@ -769,7 +762,7 @@ PipelineResult run_stages(ShardBackend& shards, const dram::Device& device,
     // into ROW_READ programs.
     result.contigs =
         options.euler_contigs
-            ? assembly::contigs_from_euler(graph, options.traversal)
+            ? assembly::contigs_from_euler(graph)
             : assembly::contigs_from_unitigs(graph);
     const std::size_t arrays = std::max<std::size_t>(1, options.hash_shards);
     const std::size_t data_rows = geometry.data_rows();

@@ -51,11 +51,8 @@ struct PipelineOptions {
   /// Sub-arrays for the hash table; must be below the device's sub-array
   /// count (the graph is stored after them), else PreconditionError.
   std::size_t hash_shards = 4;
-  std::uint32_t graph_intervals = 0;  ///< M; 0 = derived from graph size
   bool use_multiplicity = false;   ///< Euler over edge multiplicities
   bool euler_contigs = true;       ///< Euler walks vs unitigs
-  assembly::TraversalAlgorithm traversal =
-      assembly::TraversalAlgorithm::kHierholzer;
   /// Runtime channel executors per device. 1 = single-threaded fallback
   /// (tasks run inline on the caller, the pre-runtime behaviour); 0 = one
   /// channel per hardware thread. With devices > 1 every device gets its
@@ -65,14 +62,12 @@ struct PipelineOptions {
   /// Simulated devices the run is sharded over (core::DeviceShard). The
   /// caller's device is shard 0; the pipeline owns the rest for the run.
   /// Sub-arrays are partitioned owner = flat % devices — for the hash
-  /// table that is owner = hash(canonical_kmer) % devices — and every
+  /// table that is owner = hash(kmer) % devices — and every
   /// output (contigs, per-stage DeviceStats, model-class metrics,
   /// checkpoints) is bit-identical for any value. Unlike threads, the
   /// device count IS part of the checkpoint fingerprint: a resume must use
   /// the device count the snapshot was cut under.
   std::size_t devices = 1;
-  /// Per-channel command-queue capacity (backpressure bound).
-  std::size_t queue_capacity = 64;
   /// Process isolation (runtime/procpool.hpp, DESIGN.md §15): run every
   /// device shard in its own `pima_devd` child process under the
   /// fault-tolerant supervisor. A crashed/stalled/chaos-killed worker is

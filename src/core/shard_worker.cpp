@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -196,7 +195,6 @@ net::Json worker_init_to_json(const WorkerInit& init) {
   j.set("k", init.k);
   j.set("hash_shards", init.hash_shards);
   j.set("channels", init.engine.channels);
-  j.set("queue_capacity", init.engine.queue_capacity);
   j.set("capture_trace", init.engine.capture_trace);
   j.set("trace_spans", init.trace_spans);
   j.set("stall_timeout_ms", init.engine.stall_timeout_ms);
@@ -246,8 +244,6 @@ WorkerInit worker_init_from_json(const net::Json& j) {
   init.hash_shards = static_cast<std::size_t>(j.get_uint64("hash_shards", 1));
   init.engine.channels =
       static_cast<std::size_t>(j.get_uint64("channels", 1));
-  init.engine.queue_capacity =
-      static_cast<std::size_t>(j.get_uint64("queue_capacity", 64));
   init.engine.capture_trace = j.get_bool("capture_trace", false);
   init.trace_spans = j.get_bool("trace_spans", false);
   init.engine.stall_timeout_ms = j.get_number("stall_timeout_ms", 0.0);
@@ -554,17 +550,9 @@ dram::SubarrayStats subarray_stats_from_json(const net::Json& list,
 }
 
 dram::Program subarray_trace_from_json(const net::Json& response,
-                                       std::size_t flat) {
-  // A malformed line is a torn or corrupt frame from the reader's point of
-  // view, not a bug in the reader.
-  std::istringstream in(response.get("text").as_string());
-  dram::Program program;
-  try {
-    program = dram::parse_program(in);
-  } catch (const PreconditionError& e) {
-    throw InputFormatError(
-        std::string("device worker trace: unparseable program: ") + e.what());
-  }
+                                       std::size_t flat, std::size_t columns) {
+  const dram::Program program =
+      unpack_program(response.get("insts").as_string(), columns);
   for (const auto& inst : program)
     if (inst.subarray != flat)
       throw InputFormatError("device worker trace: an instruction for flat " +
@@ -641,7 +629,7 @@ net::Json ShardWorkerCore::op_trace(const net::Json& req) {
     bad_request("trace flat out of range");
   const dram::Program* program = shard_.trace(static_cast<std::size_t>(flat));
   net::Json resp = ok_response();
-  resp.set("text", program != nullptr ? dram::to_text(*program) : "");
+  resp.set("insts", program != nullptr ? pack_program(*program) : "");
   return resp;
 }
 

@@ -39,7 +39,8 @@
 //   stats         per-sub-array CommandStats of every touched sub-array
 //   clear_stats   stage-boundary statistics reset
 //   trace         one sub-array's replay program (oracle capture):
-//                 flat f → text, empty if the sub-array ran no command
+//                 flat f → insts, packed as in `program`; empty if the
+//                 sub-array ran no command
 //   telemetry     cumulative span-buffer export for trace stitching
 //   ping          liveness probe
 //   shutdown      graceful exit handshake
@@ -149,9 +150,9 @@ struct WorkerInit {
   std::size_t devices = 1;  ///< total shard count (diagnostics)
   std::size_t k = 0;
   std::size_t hash_shards = 1;
-  /// The worker engine's channels, queue capacity, trace capture and
-  /// stall timeout (`force_worker` does not ride the wire: a worker always
-  /// owns a real channel thread).
+  /// The worker engine's channels, trace capture and stall timeout
+  /// (`force_worker` does not ride the wire: a worker always owns a real
+  /// channel thread).
   runtime::EngineOptions engine;
   bool trace_spans = false;  ///< enable the worker's own telemetry tracer
 };
@@ -180,11 +181,11 @@ dram::SubarrayStats subarray_stats_from_json(const net::Json& list,
                                              std::size_t devices,
                                              std::size_t total);
 
-/// The program of a `trace` response for sub-array `flat`. Throws
-/// InputFormatError on unparseable text or an instruction aimed at
-/// another sub-array.
+/// The program of a `trace` response for sub-array `flat` of a device with
+/// rows of `columns` bits. Throws InputFormatError on what unpack_program
+/// rejects or an instruction aimed at another sub-array.
 dram::Program subarray_trace_from_json(const net::Json& response,
-                                       std::size_t flat);
+                                       std::size_t flat, std::size_t columns);
 
 /// The packed `shards` string of an `extract` response: each shard's entry
 /// count, then its k-mers and frequencies, in request order.

@@ -5,6 +5,13 @@
 
 namespace pima::dram {
 
+namespace {
+
+// Error-rate multiplier for an activation touching a weak row.
+constexpr double kWeakRowMultiplier = 50.0;
+
+}  // namespace
+
 FaultModel::FaultModel(const circuit::TechParams& tech,
                        const FaultConfig& config)
     : config_(config) {
@@ -70,7 +77,7 @@ std::size_t FaultInjector::corrupt_activation(
   if (rate <= 0.0) return 0;
   for (const RowAddr r : activated)
     if (is_weak_row(r)) {
-      rate *= model_->config().weak_row_multiplier;
+      rate *= kWeakRowMultiplier;
       break;
     }
   if (rate > 1.0) rate = 1.0;

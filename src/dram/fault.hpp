@@ -58,10 +58,9 @@ struct FaultConfig {
   /// Probability per executed command of one retention flip in a stored
   /// data-row cell. 0 disables the retention process.
   double retention_flip_per_op = 0.0;
-  /// Fraction of computation rows that are persistently weak.
+  /// Fraction of computation rows that are persistently weak; an
+  /// activation touching one fails 50 times as often.
   double weak_row_fraction = 0.0;
-  /// Error-rate multiplier for activations touching a weak row.
-  double weak_row_multiplier = 50.0;
   /// Global rate scale (accelerated-test knob for experiments; 1 = as
   /// calibrated).
   double rate_multiplier = 1.0;

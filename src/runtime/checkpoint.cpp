@@ -99,10 +99,8 @@ void put_fingerprint(Writer& w, const CheckpointFingerprint& f) {
   w.u64(f.k);
   w.u64(f.hash_shards);
   w.u64(f.devices);
-  w.u32(f.graph_intervals);
   w.u8(f.use_multiplicity ? 1 : 0);
   w.u8(f.euler_contigs ? 1 : 0);
-  w.u8(f.traversal);
   w.u64(f.rows);
   w.u64(f.compute_rows);
   w.u64(f.columns);
@@ -121,10 +119,8 @@ CheckpointFingerprint get_fingerprint(Reader& r) {
   f.k = r.u64();
   f.hash_shards = r.u64();
   f.devices = r.u64();
-  f.graph_intervals = r.u32();
   f.use_multiplicity = r.u8() != 0;
   f.euler_contigs = r.u8() != 0;
-  f.traversal = r.u8();
   f.rows = r.u64();
   f.compute_rows = r.u64();
   f.columns = r.u64();
@@ -333,10 +329,8 @@ std::string CheckpointFingerprint::diff(
   if (k != o.k) return "k";
   if (hash_shards != o.hash_shards) return "hash_shards";
   if (devices != o.devices) return "devices";
-  if (graph_intervals != o.graph_intervals) return "graph_intervals";
   if (use_multiplicity != o.use_multiplicity) return "use_multiplicity";
   if (euler_contigs != o.euler_contigs) return "euler_contigs";
-  if (traversal != o.traversal) return "traversal";
   if (rows != o.rows || compute_rows != o.compute_rows ||
       columns != o.columns || subarrays_per_mat != o.subarrays_per_mat ||
       mats_per_bank != o.mats_per_bank || banks != o.banks)

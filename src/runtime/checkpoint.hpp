@@ -53,10 +53,12 @@ namespace pima::runtime {
 
 // Version 2 added the `devices` fingerprint field (multi-device sharding,
 // DESIGN.md §14); version 3 added a per-device `shard` field that version 4
-// drops again (pipeline.ckpt is the only resume record, §15). Other versions
-// are rejected as corrupt rather than silently resumed under a possibly
-// different shard layout.
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+// drops again (pipeline.ckpt is the only resume record, §15); version 5
+// drops the interval-count and walk-algorithm fields (the interval count
+// is always derived from the row width, and the walk is always Hierholzer).
+// Other versions are rejected as corrupt rather than silently resumed under
+// a possibly different fingerprint layout.
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// Run configuration pinned by a snapshot. A resume whose live
 /// configuration differs in any field is rejected with
@@ -70,10 +72,8 @@ struct CheckpointFingerprint {
   /// because the shard fingerprint is part of the run's identity: stage
   /// snapshots were cut under a specific owner = flat % devices layout.
   std::uint64_t devices = 1;
-  std::uint32_t graph_intervals = 0;
   bool use_multiplicity = false;
   bool euler_contigs = false;
-  std::uint8_t traversal = 0;
   // Device geometry.
   std::uint64_t rows = 0;
   std::uint64_t compute_rows = 0;

@@ -26,7 +26,7 @@ std::size_t resolve_channels(std::size_t requested) {
 }  // namespace
 
 struct Engine::Channel {
-  explicit Channel(std::size_t capacity) : queue(capacity) {}
+  Channel() : queue(kQueueCapacity) {}
 
   struct Entry {
     Task task;
@@ -75,7 +75,7 @@ Engine::Engine(dram::Device& device, EngineOptions options)
   if (channels() == 1 && !options_.force_worker && !supervised) return;
   channels_.reserve(channels());
   for (std::size_t c = 0; c < channels(); ++c) {
-    channels_.push_back(std::make_unique<Channel>(options_.queue_capacity));
+    channels_.push_back(std::make_unique<Channel>());
     channels_.back()->track = channel_track(c);
     PIMA_TEL_NAME_TRACK(channel_track(c),
                         "channel " + std::to_string(c));

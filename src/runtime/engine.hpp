@@ -58,8 +58,6 @@ struct EngineOptions {
   /// stall_timeout_ms or force_worker asks for a worker); 0 = one per
   /// hardware thread.
   std::size_t channels = 1;
-  /// Per-channel queue capacity in tasks (backpressure bound).
-  std::size_t queue_capacity = 64;
   /// Enables per-sub-array command capture on the device before any worker
   /// starts (Device::enable_tracing). Each sub-array's capture program is
   /// touched only by the channel owning it, so capture is race-free; the
@@ -92,6 +90,9 @@ class Engine {
 
   /// Instructions per task when submit_program chunks a sub-stream.
   static constexpr std::size_t kProgramChunk = 512;
+  /// Per-channel queue capacity in tasks: submit() blocks on a full
+  /// queue (the backpressure bound).
+  static constexpr std::size_t kQueueCapacity = 64;
 
   dram::Device& device() { return device_; }
   std::size_t channels() const { return channel_count_; }

@@ -29,6 +29,9 @@ constexpr const char* kSite = "procpool";
 // How long reap_worker waits for a failed worker's own exit status before
 // it kills the worker itself.
 constexpr std::chrono::milliseconds kReapGrace{500};
+// Backoff before a worker restart; doubles per consecutive restart of the
+// same worker, capped at 2 s.
+constexpr double kRestartBackoffMs = 50.0;
 
 constexpr WireVerb kWireVerbs[] = {
     {"kmers", "rpc:kmers", "devd:kmers"},
@@ -357,7 +360,7 @@ void ProcSupervisor::on_worker_failure(std::size_t d,
   ++restarts_used_;
   ++w.consecutive_restarts;
   const double backoff_ms =
-      std::min(options_.restart_backoff_ms *
+      std::min(kRestartBackoffMs *
                    static_cast<double>(std::uint64_t{1}
                                        << std::min<std::size_t>(
                                               w.consecutive_restarts - 1, 10)),

@@ -111,9 +111,6 @@ struct ProcPoolOptions {
   std::string devd_path;
   /// Total restarts allowed across all workers before degrading.
   std::size_t restart_budget = 3;
-  /// Base backoff before a restart; doubles per consecutive restart of the
-  /// same worker, capped at 2 s.
-  double restart_backoff_ms = 50.0;
   /// False keeps the full journal for the whole run (required when the
   /// run captures a trace: a restarted worker must replay every command).
   bool journal_truncation = true;

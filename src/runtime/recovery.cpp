@@ -28,14 +28,12 @@ void bump_live(const char* name, const char* help) {
 
 }  // namespace
 
-double recovery_backoff_ns(const RecoveryOptions& options,
-                           std::size_t attempt) {
+double recovery_backoff_ns(std::size_t attempt) {
   // ldexp saturates to +inf for huge exponents instead of overflowing a
   // shift, so the clamp is exact at every attempt count.
-  const double exponential =
-      std::ldexp(options.backoff_base_ns,
-                 attempt > 1024 ? 1024 : static_cast<int>(attempt));
-  return std::min(options.backoff_cap_ns, exponential);
+  const double exponential = std::ldexp(
+      kBackoffBaseNs, attempt > 1024 ? 1024 : static_cast<int>(attempt));
+  return std::min(kBackoffCapNs, exponential);
 }
 
 std::optional<RecoveryMode> parse_recovery_mode(std::string_view s) {
@@ -93,7 +91,7 @@ void RecoveryExecutor::note_detected() {
 
 void RecoveryExecutor::blame_staging() {
   for (auto& slot : staging_) {
-    if (++row_failures_[slot] < options_.weak_row_threshold) continue;
+    if (++row_failures_[slot] < kWeakRowThreshold) continue;
     if (spares_.empty()) continue;  // nothing left to remap onto
     slot = spares_.back();
     spares_.pop_back();
@@ -179,7 +177,7 @@ void RecoveryExecutor::compare_rows(dram::RowAddr a, dram::RowAddr b,
     ++stats_.retried;
     bump_live(telemetry::kFaultRetried, "re-executions performed");
     // Exponential backoff (capped) on this sub-array's command stream.
-    sa_.wait_ns(recovery_backoff_ns(options_, attempt));
+    sa_.wait_ns(recovery_backoff_ns(attempt));
   }
 }
 

@@ -15,12 +15,12 @@
 //     comparison, costed as one DPU_REDUCE readback).
 //   * Bounded retry with exponential backoff. A detected mismatch
 //     re-stages and re-executes, up to max_retries, waiting
-//     backoff_base_ns << attempt on the sub-array's command stream between
+//     kBackoffBaseNs · 2^attempt on the sub-array's command stream between
 //     attempts (sensing faults are transient; backoff models the
 //     controller's recovery window).
 //   * Weak-row remapping. Failures are blamed on the computation rows the
-//     op staged through; a row whose failure counter crosses
-//     weak_row_threshold is remapped to a spare computation row for all
+//     op staged through; a row whose failure counter reaches
+//     kWeakRowThreshold is remapped to a spare computation row for all
 //     subsequent ops (persistently-weak cells stop hurting).
 //   * Triple-execute-and-vote. RecoveryMode::kVote runs the op three times
 //     and takes the per-column majority — the classic TMR-in-time
@@ -65,28 +65,28 @@ constexpr const char* to_string(RecoveryMode m) {
 /// Parses "off" / "retry" / "vote" (CLI flag values).
 std::optional<RecoveryMode> parse_recovery_mode(std::string_view s);
 
+/// Idle wait before retry k is kBackoffBaseNs · 2^k (exponential),
+/// clamped to kBackoffCapNs.
+inline constexpr double kBackoffBaseNs = 100.0;
+/// Upper bound of one backoff wait. Without the clamp, large max_retries
+/// values would shift the base past 2^63 (overflow) or park a sub-array
+/// for absurd simulated aeons.
+inline constexpr double kBackoffCapNs = 1e6;  // 1 ms of simulated time
+/// Failures blamed on one computation row before it is remapped.
+inline constexpr std::size_t kWeakRowThreshold = 4;
+
 struct RecoveryOptions {
   RecoveryMode mode = RecoveryMode::kOff;
   /// Re-executions after the first detected failure of one op.
   std::size_t max_retries = 3;
-  /// Idle wait before retry k is backoff_base_ns · 2^k (exponential),
-  /// clamped to backoff_cap_ns.
-  double backoff_base_ns = 100.0;
-  /// Upper bound of one backoff wait. Without the clamp, large
-  /// max_retries values would shift the base past 2^63 (overflow) or park
-  /// a sub-array for absurd simulated aeons.
-  double backoff_cap_ns = 1e6;  // 1 ms of simulated time
-  /// Failures blamed on one computation row before it is remapped.
-  std::size_t weak_row_threshold = 4;
   /// Detected failures on one sub-array before it degrades to host-side
   /// recompute for all further critical ops.
   std::size_t subarray_failure_budget = 256;
 };
 
-/// The backoff wait before retry `attempt`: backoff_base_ns · 2^attempt,
-/// clamped to backoff_cap_ns (overflow-safe for any attempt count).
-double recovery_backoff_ns(const RecoveryOptions& options,
-                           std::size_t attempt);
+/// The backoff wait before retry `attempt`: kBackoffBaseNs · 2^attempt,
+/// clamped to kBackoffCapNs (overflow-safe for any attempt count).
+double recovery_backoff_ns(std::size_t attempt);
 
 /// Recovery statistics of one executor, or rolled up.
 struct FaultStats {

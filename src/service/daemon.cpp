@@ -319,6 +319,14 @@ net::Json Daemon::status_json(const JobEntry& entry) const {
 
 net::Json Daemon::verb_submit(const net::Json& request) {
   const JobSpec spec = JobSpec::from_json(request);  // validates
+  // The pipeline stores the graph after the hash shards, so at least one
+  // sub-array must stay free; refuse before the job is queued.
+  const std::size_t subarrays = options_.geometry.total_subarrays();
+  if (spec.hash_shards >= subarrays)
+    throw InputFormatError(
+        "shards " + std::to_string(spec.hash_shards) +
+        " exceeds this daemon's limit of " + std::to_string(subarrays - 1) +
+        " (its geometry has " + std::to_string(subarrays) + " sub-arrays)");
   const std::string idem_key = request.get_string("idempotency_key");
   validate_idempotency_key(idem_key);
   std::lock_guard<std::mutex> lock(mutex_);

@@ -47,7 +47,7 @@ inline bool is_terminal(JobState s) {
 /// share a host — unix socket transport). Validation mirrors the CLI's
 /// flag clamps: bad values throw InputFormatError naming the field.
 struct JobSpec {
-  std::string reads_path;          ///< FASTA/FASTQ the daemon reads
+  std::string reads_path;          ///< FASTA file the daemon reads
   std::size_t k = 17;              ///< k-mer length (4..Kmer::kMaxK)
   std::size_t hash_shards = 16;    ///< hash-table sub-arrays (1..4096)
   std::size_t channels = 1;        ///< per-device channel quota (1..1024)

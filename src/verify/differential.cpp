@@ -9,6 +9,10 @@
 namespace pima::verify {
 namespace {
 
+// Full-device diff every this many instructions. The per-instruction
+// touched-row diff and the final full diff always run.
+constexpr std::size_t kFullDiffPeriod = 64;
+
 /// Rows whose contents an instruction may have changed (size expansion
 /// included). The latch is handled separately.
 std::vector<dram::RowAddr> touched_rows(const dram::Instruction& inst) {
@@ -279,7 +283,7 @@ std::optional<Divergence> run_differential(dram::Device& device,
                                   golden_results.popcounts, "popcount"))
       return fill(std::move(*d));
 
-    if (options.full_diff_period != 0 && (i + 1) % options.full_diff_period == 0)
+    if ((i + 1) % kFullDiffPeriod == 0)
       if (auto d = diff_state(device, golden)) return fill(std::move(*d));
   }
 

@@ -52,10 +52,6 @@ struct Divergence {
 };
 
 struct DifferentialOptions {
-  /// Full-device diff every N instructions (0 disables the periodic sweep;
-  /// the per-instruction touched-row diff and the final full diff always
-  /// run).
-  std::size_t full_diff_period = 64;
   /// When true (default), an instruction rejected by BOTH models counts as
   /// agreement and execution stops there. Set false for captured traces,
   /// where every command already executed once and any rejection means the

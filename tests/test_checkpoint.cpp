@@ -35,10 +35,8 @@ CheckpointFingerprint sample_fingerprint() {
   CheckpointFingerprint f;
   f.k = 17;
   f.hash_shards = 16;
-  f.graph_intervals = 4;
   f.use_multiplicity = true;
   f.euler_contigs = true;
-  f.traversal = 1;
   f.rows = 512;
   f.compute_rows = 8;
   f.columns = 256;
@@ -143,14 +141,23 @@ TEST(Checkpoint, TruncationAtAnyLengthIsDetected) {
 TEST(Checkpoint, VersionMismatchRejected) {
   const std::string path = temp_path("ckpt_version.ckpt");
   save_checkpoint(path, sample_snapshot());
-  std::string bytes = slurp(path);
-  bytes[8] = static_cast<char>(kCheckpointVersion + 1);  // version u32 LSB
-  spit(path, bytes);
-  try {
-    load_checkpoint(path);
-    FAIL() << "expected CorruptCheckpointError";
-  } catch (const CorruptCheckpointError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  const std::string good = slurp(path);
+  // The previous format version (its fingerprint carried two more fields)
+  // and an unknown future one are both refused, naming the version.
+  for (const std::uint32_t version :
+       {kCheckpointVersion - 1, kCheckpointVersion + 1}) {
+    std::string bytes = good;
+    bytes[8] = static_cast<char>(version);  // version u32 LSB
+    spit(path, bytes);
+    try {
+      load_checkpoint(path);
+      FAIL() << "expected CorruptCheckpointError for version " << version;
+    } catch (const CorruptCheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
   }
   std::remove(path.c_str());
 }

@@ -260,14 +260,22 @@ TEST(Recovery, PersistentFailuresRemapStagingRows) {
   dram::Device dev(small_geometry());
   dev.enable_faults(fault_config(0.30));  // every execution fails
   runtime::RecoveryOptions opts = recovery_options(runtime::RecoveryMode::kRetry);
-  opts.weak_row_threshold = 1;  // first blame remaps
+  opts.max_retries = 0;  // one execution, so one blame, per op
   runtime::RecoveryManager mgr(dev, opts);
   dram::Subarray& sa = dev.subarray(0);
   auto& ex = mgr.executor_for(0);
-  EXPECT_EQ(ex.staging_row(0), 0u);
   sa.write_row(0, pattern_row(256, 3));
   sa.write_row(1, pattern_row(256, 5));
+  // The staging row survives kWeakRowThreshold - 1 blames...
+  for (std::size_t op = 1; op < runtime::kWeakRowThreshold; ++op) {
+    ex.compare_rows(0, 1, sa.compute_row(3));
+    ASSERT_EQ(ex.stats().detected, op);
+    EXPECT_EQ(ex.stats().remapped, 0u) << op;
+    EXPECT_EQ(ex.staging_row(0), 0u) << op;
+  }
+  // ...and the next one retires it.
   ex.compare_rows(0, 1, sa.compute_row(3));
+  ASSERT_EQ(ex.stats().detected, runtime::kWeakRowThreshold);
   EXPECT_GT(ex.stats().remapped, 0u);
   EXPECT_GE(ex.staging_row(0), 4u);  // retired onto a spare (x5..x8)
 }

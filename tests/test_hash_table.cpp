@@ -103,20 +103,6 @@ TEST(KmerCounter, ForEachVisitsEverything) {
   EXPECT_EQ(total, 7u);
 }
 
-TEST(KmerCounter, CanonicalCountingMergesStrands) {
-  // Non-palindromic read: AAACGT (its RC is ACGTTT, no shared k-mers).
-  const auto fwd = dna::Sequence::from_string("AAACGT");
-  const auto rc = fwd.reverse_complement();
-  const auto plain = build_hashmap({fwd, rc}, 5, /*canonical=*/false);
-  const auto canon = build_hashmap({fwd, rc}, 5, /*canonical=*/true);
-  EXPECT_GE(plain.distinct_kmers(), canon.distinct_kmers());
-  std::uint64_t max_freq = 0;
-  canon.for_each([&](const Kmer&, std::uint32_t f) {
-    max_freq = std::max<std::uint64_t>(max_freq, f);
-  });
-  EXPECT_EQ(max_freq, 2u);  // each canonical k-mer seen from both strands
-}
-
 TEST(KmerCounter, OpCountsTrackWorkload) {
   KmerCounter t(16);
   const auto seq = dna::Sequence::from_string("ACGTA");

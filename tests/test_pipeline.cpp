@@ -162,15 +162,5 @@ TEST(Pipeline, UnitigModeProducesVerifiedContigs) {
   EXPECT_TRUE(report.all_match());
 }
 
-TEST(Pipeline, ExplicitIntervalCountHonored) {
-  const auto w = small_workload(500, 6.0);
-  dram::Device dev(pipeline_geometry());
-  PipelineOptions opt;
-  opt.k = 13;
-  opt.hash_shards = 6;
-  opt.graph_intervals = 6;
-  EXPECT_NO_THROW(run_pipeline(dev, w.reads, opt));
-}
-
 }  // namespace
 }  // namespace pima::core

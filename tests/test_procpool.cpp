@@ -274,7 +274,6 @@ TEST(ProcPoolChaos, ChildIofaultTornWriteIsSurvivedWithReplay) {
   runtime::ProcPoolOptions opt;
   opt.devices = 1;
   opt.restart_budget = 30;
-  opt.restart_backoff_ms = 1.0;
   opt.child_iofault = "send@wire:nth=4:crash";
   core::WorkerInit init;
   init.geometry = pipeline_geometry();
@@ -509,7 +508,6 @@ TEST(ProcPoolWire, WorkerInitRoundTripsThroughJson) {
   init.k = 21;
   init.hash_shards = 32;
   init.engine.channels = 5;
-  init.engine.queue_capacity = 17;
   init.engine.capture_trace = true;
   init.engine.stall_timeout_ms = 1234.5;
   const auto wire = core::worker_init_to_json(init);
@@ -643,29 +641,53 @@ TEST(ProcPoolWire, WorkerListsRoundTripAndRejectMalformedEntries) {
                  InputFormatError);
   }
 
-  // A trace answer holds one sub-array's program.
-  const auto trace_answer = [](const std::string& text) {
+  // A trace answer holds one sub-array's program, packed as a `program`
+  // request packs its instructions.
+  const auto trace_answer = [](const std::string& insts) {
     net::Json answer = net::Json::object();
-    answer.set("text", text);
+    answer.set("insts", insts);
     return net::Json::parse(answer.dump());
   };
+  constexpr std::size_t kColumns = 256;
   dram::Instruction read;
   read.op = dram::Opcode::kRowRead;
   read.subarray = 4;
   read.src1 = 9;
-  const dram::Program program = {read, read};
-  EXPECT_EQ(core::subarray_trace_from_json(
-                trace_answer(dram::to_text(program)), 4),
-            program);
-  EXPECT_TRUE(core::subarray_trace_from_json(trace_answer(""), 4).empty());
+  dram::Instruction write;
+  write.op = dram::Opcode::kRowWrite;
+  write.subarray = 4;
+  write.src1 = 2;
+  write.payload = BitVector(kColumns);
+  write.payload.set_word(1, 0xABCDu);
+  const dram::Program program = {read, write, read};
+  const std::string packed = core::pack_program(program);
+  EXPECT_EQ(
+      core::subarray_trace_from_json(trace_answer(packed), 4, kColumns),
+      program);
+  EXPECT_TRUE(
+      core::subarray_trace_from_json(trace_answer(""), 4, kColumns).empty());
   EXPECT_THROW(core::subarray_trace_from_json(
-                   trace_answer("NO_SUCH_OP sa=4 size=1\n"), 4),
+                   trace_answer("99 4 9 0 0 0 1 0"), 4, kColumns),
                InputFormatError)
-      << "unparseable";
+      << "an unknown opcode";
   EXPECT_THROW(core::subarray_trace_from_json(
-                   trace_answer(dram::to_text(program)), 7),
+                   trace_answer(packed.substr(0, packed.size() - 2)), 4,
+                   kColumns),
                InputFormatError)
+      << "a truncated record";
+  EXPECT_THROW(
+      core::subarray_trace_from_json(trace_answer(packed), 4, kColumns / 2),
+      InputFormatError)
+      << "a payload of another width";
+  EXPECT_THROW(
+      core::subarray_trace_from_json(trace_answer(packed), 7, kColumns),
+      InputFormatError)
       << "an instruction for another sub-array";
+  net::Json text = net::Json::object();
+  text.set("text", dram::to_text(program));
+  EXPECT_THROW(core::subarray_trace_from_json(text, 4, kColumns),
+               InputFormatError)
+      << "the text form";
 }
 
 TEST(ProcPoolWire, TypedErrorsRoundTripThroughResponses) {
@@ -783,7 +805,7 @@ TEST(ProcPoolWire, DegreeBatchMatchesControllerBuiltRows) {
   const auto trace = [&](std::size_t flat) {
     net::Json req = op_request("trace");
     req.set("flat", static_cast<std::uint64_t>(flat));
-    return worker.handle(req).get_string("text");
+    return core::subarray_trace_from_json(worker.handle(req), flat, width);
   };
 
   dram::Device reference(geom);
@@ -793,7 +815,7 @@ TEST(ProcPoolWire, DegreeBatchMatchesControllerBuiltRows) {
 
   const auto& entries = stats.get("subarrays").items();
   ASSERT_EQ(entries.size(), blocks.size());
-  EXPECT_EQ(trace(10), "") << "a sub-array that ran no command";
+  EXPECT_TRUE(trace(10).empty()) << "a sub-array that ran no command";
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     const std::size_t flat = std::get<0>(blocks[i]);
     SCOPED_TRACE(flat);
@@ -805,7 +827,7 @@ TEST(ProcPoolWire, DegreeBatchMatchesControllerBuiltRows) {
       EXPECT_EQ(counts[k].as_uint64(), want.counts[k]);
     EXPECT_EQ(entries[i].get_number("busy_ns"), want.busy_ns);
     EXPECT_EQ(entries[i].get_number("energy_pj"), want.energy_pj);
-    EXPECT_EQ(trace(flat), dram::to_text(*reference.trace_if(flat)));
+    EXPECT_EQ(trace(flat), *reference.trace_if(flat));
   }
 }
 
@@ -1168,6 +1190,25 @@ TEST(ProcPoolWire, MutatedPackedPayloadsGetOkOrTypedErrors) {
     SCOPED_TRACE(mutant);
     try {
       (void)core::extract_shards_from_json(net::Json(mutant), shards.size(), k);
+      ++decoded;
+    } catch (const InputFormatError&) {
+    }
+  }
+  EXPECT_GT(decoded, 0);
+  EXPECT_LT(decoded, kBudget);
+
+  // The rpc side's decoder of the trace answer.
+  const std::string trace = core::pack_program(
+      {row_write(9, 3, width, 0), read,
+       row_write(9, 4, width, 0xF0F0F0F0F0F0F0F0u)});
+  decoded = 0;
+  for (int i = 0; i < kBudget; ++i) {
+    const std::string mutant = mutate(trace);
+    SCOPED_TRACE(mutant);
+    net::Json mutated = net::Json::object();
+    mutated.set("insts", mutant);
+    try {
+      (void)core::subarray_trace_from_json(mutated, 9, width);
       ++decoded;
     } catch (const InputFormatError&) {
     }

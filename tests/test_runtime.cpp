@@ -121,7 +121,7 @@ TEST(Scheduler, SplitPreservesPerSubarrayOrder) {
   // An out-of-range sub-array anywhere in the program is rejected before
   // the engine queues any of it.
   dram::Device device(small_geometry());
-  Engine engine(device, {.channels = 2, .queue_capacity = 4});
+  Engine engine(device, {.channels = 2});
   dram::Program bad = original;
   bad.back().subarray = small_geometry().total_subarrays();
   EXPECT_THROW(engine.submit_program(std::move(bad)), PreconditionError);
@@ -135,15 +135,39 @@ TEST(Scheduler, SplitPreservesPerSubarrayOrder) {
 
 TEST(Engine, BackpressuredSubmissionRetiresEverything) {
   dram::Device device(small_geometry());
-  EngineOptions opt;
-  opt.channels = 2;
-  opt.queue_capacity = 2;  // tiny: producer must block and resume
-  Engine engine(device, opt);
-  std::atomic<int> retired{0};
-  for (int i = 0; i < 500; ++i)
-    engine.submit(static_cast<std::size_t>(i) % 2, [&] { ++retired; });
+  Engine engine(device, {.channels = 2});
+  // Hold channel 0's worker inside its first task, so nothing leaves the
+  // queue behind it.
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  std::atomic<std::size_t> retired{0};
+  engine.submit(0, [&] {
+    started = true;
+    while (!release.load()) std::this_thread::yield();
+    ++retired;
+  });
+  while (!started.load()) std::this_thread::yield();
+
+  // The producer fills the queue, then blocks on the next submit.
+  constexpr std::size_t kExtra = 100;
+  std::atomic<std::size_t> submitted{0};
+  std::thread producer([&] {
+    for (std::size_t i = 0; i < Engine::kQueueCapacity + kExtra; ++i) {
+      engine.submit(0, [&] { ++retired; });
+      ++submitted;
+    }
+  });
+  while (submitted.load() < Engine::kQueueCapacity)
+    std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(submitted.load(), Engine::kQueueCapacity);
+  EXPECT_EQ(retired.load(), 0u);
+
+  // Released, the worker drains the queue and the producer resumes.
+  release = true;
+  producer.join();
   engine.drain();
-  EXPECT_EQ(retired.load(), 500);
+  EXPECT_EQ(retired.load(), Engine::kQueueCapacity + kExtra + 1);
 }
 
 TEST(Engine, TaskExceptionSurfacesOnDrain) {
@@ -162,7 +186,7 @@ TEST(Engine, TaskExceptionSurfacesOnDrain) {
 
 TEST(Engine, FailFastRejectsSubmissionAfterChannelFailure) {
   dram::Device device(small_geometry());
-  Engine engine(device, {.channels = 2, .queue_capacity = 4});
+  Engine engine(device, {.channels = 2});
   engine.submit(0, [] { throw SimulationError("channel fault"); });
   // Until the worker has run the failing task, a no-op submit is accepted
   // (and dropped behind the failure); from then on it is refused.
@@ -193,7 +217,7 @@ TEST(Engine, DrainResetsEveryChannelAfterMultiChannelFailure) {
   // later channels' failure flags set — the next submit()/drain() cycle on
   // them was rejected forever. One drain() must reset ALL channels.
   dram::Device device(small_geometry());
-  Engine engine(device, {.channels = 3, .queue_capacity = 4});
+  Engine engine(device, {.channels = 3});
   engine.submit(0, [] { throw SimulationError("fault on channel 0"); });
   engine.submit(1, [] { throw SimulationError("fault on channel 1"); });
   // One drain throws exactly one error (channel 0's — lowest wins)…
@@ -216,7 +240,6 @@ TEST(Engine, WatchdogSurfacesStalledChannel) {
   dram::Device device(small_geometry());
   EngineOptions opt;
   opt.channels = 2;
-  opt.queue_capacity = 4;
   opt.stall_timeout_ms = 50.0;
   std::atomic<bool> release{false};
   std::atomic<bool> task_done{false};
@@ -294,25 +317,22 @@ TEST(Engine, WatchdogLeavesHealthyRunAlone) {
 }
 
 TEST(RecoveryBackoff, ExponentialClampedAtCap) {
-  RecoveryOptions opt;
-  opt.backoff_base_ns = 100.0;
-  opt.backoff_cap_ns = 1e6;
-  EXPECT_DOUBLE_EQ(recovery_backoff_ns(opt, 0), 100.0);
-  EXPECT_DOUBLE_EQ(recovery_backoff_ns(opt, 1), 200.0);
-  EXPECT_DOUBLE_EQ(recovery_backoff_ns(opt, 10), 102400.0);
+  EXPECT_DOUBLE_EQ(recovery_backoff_ns(0), 100.0);
+  EXPECT_DOUBLE_EQ(recovery_backoff_ns(1), 200.0);
+  EXPECT_DOUBLE_EQ(recovery_backoff_ns(10), 102400.0);
   // At the boundary: 100 * 2^13 = 819200 < cap, 100 * 2^14 = 1638400 > cap.
-  EXPECT_DOUBLE_EQ(recovery_backoff_ns(opt, 13), 819200.0);
-  EXPECT_DOUBLE_EQ(recovery_backoff_ns(opt, 14), 1e6);
+  EXPECT_DOUBLE_EQ(recovery_backoff_ns(13), 819200.0);
+  EXPECT_DOUBLE_EQ(recovery_backoff_ns(14), 1e6);
   // The old `base << attempt` integer shift overflowed past attempt 63;
   // the clamped form stays finite and capped for any attempt count.
-  EXPECT_DOUBLE_EQ(recovery_backoff_ns(opt, 63), 1e6);
-  EXPECT_DOUBLE_EQ(recovery_backoff_ns(opt, 64), 1e6);
-  EXPECT_DOUBLE_EQ(recovery_backoff_ns(opt, 100000), 1e6);
+  EXPECT_DOUBLE_EQ(recovery_backoff_ns(63), 1e6);
+  EXPECT_DOUBLE_EQ(recovery_backoff_ns(64), 1e6);
+  EXPECT_DOUBLE_EQ(recovery_backoff_ns(100000), 1e6);
 }
 
 TEST(Engine, TasksQueuedBehindFailureAreDroppedNotExecuted) {
   dram::Device device(small_geometry());
-  Engine engine(device, {.channels = 2, .queue_capacity = 8});
+  Engine engine(device, {.channels = 2});
   // Gate the worker so the failure and its followers are all enqueued
   // before anything runs.
   std::atomic<bool> gate{false};
@@ -350,13 +370,13 @@ TEST(Engine, ProgramSubmissionMatchesInlineExecution) {
 
   dram::Device serial_dev(small_geometry());
   {
-    Engine serial(serial_dev, {.channels = 1, .queue_capacity = 4});
+    Engine serial(serial_dev, {.channels = 1});
     serial.submit_program(build_program());
     serial.drain();
   }
   dram::Device parallel_dev(small_geometry());
   {
-    Engine parallel(parallel_dev, {.channels = 4, .queue_capacity = 4});
+    Engine parallel(parallel_dev, {.channels = 4});
     parallel.submit_program(build_program());
     parallel.drain();
   }
@@ -380,9 +400,7 @@ struct PipelineRun {
   std::string gfa;
 };
 
-PipelineRun run_with_threads(std::size_t threads, std::size_t queue_capacity =
-                                                      core::PipelineOptions{}
-                                                          .queue_capacity) {
+PipelineRun run_with_threads(std::size_t threads) {
   dna::GenomeParams gp;
   gp.length = 1500;
   gp.repeat_count = 0;
@@ -397,7 +415,6 @@ PipelineRun run_with_threads(std::size_t threads, std::size_t queue_capacity =
   opt.k = 17;
   opt.hash_shards = 8;
   opt.threads = threads;
-  opt.queue_capacity = queue_capacity;
   PipelineRun run{core::run_pipeline(device, reads, opt), ""};
   run.gfa = assembly::to_gfa(run.result.graph);
   return run;
@@ -429,12 +446,6 @@ TEST(RuntimePipeline, RepeatedParallelRunsAreDeterministic) {
   const auto first = run_with_threads(4);
   const auto second = run_with_threads(4);
   expect_identical(first, second);
-}
-
-TEST(RuntimePipeline, TinyQueueCapacityStillCompletes) {
-  const auto roomy = run_with_threads(3);
-  const auto tight = run_with_threads(3, /*queue_capacity=*/2);
-  expect_identical(roomy, tight);
 }
 
 }  // namespace

@@ -390,7 +390,8 @@ class DaemonHarness {
  public:
   explicit DaemonHarness(const std::string& name, AdmissionPolicy admission,
                          std::size_t max_connections = 64,
-                         std::uint16_t http_port = 0) {
+                         std::uint16_t http_port = 0,
+                         const dram::Geometry& geometry = service_geometry()) {
     state_dir_ = (fs::temp_directory_path() / ("pima_svc_" + name)).string();
     fs::remove_all(state_dir_);
     fs::create_directories(state_dir_);
@@ -400,7 +401,7 @@ class DaemonHarness {
     opt.admission = admission;
     opt.max_connections = max_connections;
     opt.http_port = http_port;
-    opt.geometry = service_geometry();
+    opt.geometry = geometry;
     daemon_ = std::make_unique<Daemon>(std::move(opt));
     thread_ = std::thread([this] { daemon_->run(); });
     wait_until_serving();
@@ -633,19 +634,47 @@ TEST(ServiceDaemon, SubmitBeyondQueueDepthRejectedTyped) {
 }
 
 TEST(ServiceDaemon, PreconditionFailureIsNamedByTheErrorTable) {
-  // The spec admits any shard count up to 4096; the pipeline needs fewer
-  // hash shards than the geometry has sub-arrays. The job fails with the
-  // class name the error table gives PreconditionError, the name the
-  // device-worker wire uses too.
-  DaemonHarness h("precondition", policy(8, 1, 2));
+  // The spec admits k up to 32, but a 32-column row holds a packed k-mer
+  // of at most 16 bases, so the hash stage's precondition fails mid-job.
+  // The job fails with the class name the error table gives
+  // PreconditionError, the name the device-worker wire uses too.
+  dram::Geometry narrow = service_geometry();
+  narrow.columns = 32;
+  DaemonHarness h("precondition", policy(8, 1, 2), 64, 0, narrow);
   const std::string reads = h.state_dir() + "/reads.fa";
   write_small_reads(reads);
-  const std::string id =
-      h.submit(reads, 15, service_geometry().total_subarrays(), 1);
+  const std::string id = h.submit(reads, 17, 8, 1);
   const net::Json final_status = h.wait_terminal(id);
   EXPECT_EQ(final_status.get_string("state"), "failed") << final_status.dump();
   EXPECT_EQ(final_status.get_string("error"), "PreconditionError")
       << final_status.dump();
+}
+
+TEST(ServiceDaemon, ShardCountBeyondGeometryRejectedAtSubmit) {
+  // The spec admits any shard count up to 4096, but the pipeline stores
+  // the graph after the hash shards: a shard count that leaves no
+  // sub-array free is refused at submit, naming the daemon's limit, and
+  // nothing is queued.
+  DaemonHarness h("shard_limit", policy(8, 1, 2));
+  const std::string reads = h.state_dir() + "/reads.fa";
+  write_small_reads(reads);
+  const std::size_t total = service_geometry().total_subarrays();
+  for (const std::size_t shards : {total, total + 72}) {
+    net::Json req = net::Json::object();
+    req.set("verb", "submit").set("reads", reads).set("k", 15).set(
+        "shards", shards);
+    const net::Json resp = h.request(std::move(req));
+    EXPECT_FALSE(resp.get_bool("ok")) << resp.dump();
+    EXPECT_EQ(resp.get_string("error"), "InputFormatError") << resp.dump();
+    EXPECT_NE(resp.get_string("message").find(std::to_string(total - 1)),
+              std::string::npos)
+        << resp.dump();
+  }
+  net::Json list = net::Json::object();
+  list.set("verb", "list");
+  EXPECT_TRUE(h.request(std::move(list)).get("jobs").items().empty());
+  // One below the sub-array count is admitted.
+  EXPECT_FALSE(h.submit(reads, 15, total - 1, 1).empty());
 }
 
 TEST(ServiceDaemon, DrainRunsQueueDryThenStops) {

@@ -485,7 +485,6 @@ TEST(EngineTelemetry, StallFlushesTraceWithStallEvent) {
   dram::Device device(g);
   runtime::EngineOptions opt;
   opt.channels = 2;
-  opt.queue_capacity = 4;
   opt.stall_timeout_ms = 50.0;
   std::atomic<bool> release{false};
   std::atomic<bool> task_done{false};
