@@ -49,7 +49,8 @@ int main() {
   std::printf("PIM-Assembler functional run (%zu reads, k=%zu, threads=%zu)\n",
               reads.size(), options.k, options.threads);
   std::printf("distinct k-mers: %zu   graph: %zu nodes / %zu edges\n\n",
-              result.distinct_kmers, result.graph_nodes, result.graph_edges);
+              result.distinct_kmers, result.graph.node_count(),
+              result.graph.edge_count());
 
   TextTable table("per-stage simulated cost");
   table.set_header({"stage", "commands", "time (us)", "energy (nJ)",

@@ -61,17 +61,6 @@ class Kmer {
     return Kmer(bits_ >> 2, k_ - 1);
   }
 
-  /// Reverse complement (same k).
-  Kmer reverse_complement() const {
-    std::uint64_t out = 0;
-    for (std::size_t i = 0; i < k_; ++i) {
-      const auto code = static_cast<std::uint64_t>(
-          dna::to_code(dna::complement(base(i))));
-      out |= code << (2 * (k_ - 1 - i));
-    }
-    return Kmer(out, k_);
-  }
-
   dna::Sequence to_sequence() const {
     dna::Sequence s;
     for (std::size_t i = 0; i < k_; ++i) s.push_back(base(i));

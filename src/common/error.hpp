@@ -127,30 +127,6 @@ class EngineStalledError : public SimulationError {
   double timeout_ms_;
 };
 
-/// Thrown by the process-pool supervisor (runtime/procpool.hpp) when a
-/// device worker keeps crashing past the restart budget and degrading to
-/// the in-process pool is disabled. Carries the device index and the
-/// typed exit classification of the final crash, so operators can tell a
-/// SIGKILLed worker from a torn protocol stream in the exit status alone.
-class WorkerCrashedError : public SimulationError {
- public:
-  WorkerCrashedError(std::size_t device, const std::string& classification,
-                     const std::string& detail)
-      : SimulationError("device worker " + std::to_string(device) +
-                        " crashed (" + classification +
-                        ") and the restart budget is exhausted" +
-                        (detail.empty() ? "" : ": " + detail)),
-        device_(device),
-        classification_(classification) {}
-
-  std::size_t device() const { return device_; }
-  const std::string& classification() const { return classification_; }
-
- private:
-  std::size_t device_;
-  std::string classification_;
-};
-
 /// Documented process exit codes of the CLI tools (DESIGN.md §10).
 enum ExitCode : int {
   kExitOk = 0,                ///< success
@@ -163,7 +139,6 @@ enum ExitCode : int {
   kExitInterrupted = 7,       ///< cancelled (signal / cancel verb); resumable
   kExitAdmissionRejected = 8, ///< service refused the job (queue full/draining)
   kExitDeadlineExceeded = 9,  ///< client --timeout expired before a response
-  kExitWorkerCrashed = 10,    ///< isolated device worker crashed past budget
 };
 
 /// One row of the typed-error table: an error class, the name it travels
@@ -174,7 +149,7 @@ struct ErrorClass {
   /// True when the exception is this class or derives from it.
   bool (*matches)(const std::exception&);
   /// Throws the class with `message`; null for classes without a message
-  /// constructor (EngineStalledError, WorkerCrashedError).
+  /// constructor (EngineStalledError).
   void (*raise)(const std::string& message);
 };
 
@@ -212,7 +187,6 @@ inline constexpr ErrorClass kErrorTable[] = {
     PIMA_ERROR_ROW(IoError, kExitIo),
     PIMA_ERROR_ROW(InputFormatError, kExitInputFormat),
     PIMA_ERROR_ROW(EngineStalledError, kExitEngineStalled),
-    PIMA_ERROR_ROW(WorkerCrashedError, kExitWorkerCrashed),
     PIMA_ERROR_ROW(SimulationError, kExitFailure),
     PIMA_ERROR_ROW(CancelledError, kExitInterrupted),
     PIMA_ERROR_ROW(AdmissionRejectedError, kExitAdmissionRejected),

@@ -36,7 +36,6 @@
 #include "telemetry/log.hpp"
 #include "telemetry/progress.hpp"
 #include "telemetry/session.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace pima::core {
 
@@ -75,7 +74,6 @@ runtime::CheckpointFingerprint make_fingerprint(const dram::Geometry& geom,
   fp.hash_shards = o.hash_shards;
   fp.devices = o.devices;
   fp.use_multiplicity = o.use_multiplicity;
-  fp.euler_contigs = o.euler_contigs;
   fp.rows = geom.rows;
   fp.compute_rows = geom.compute_rows;
   fp.columns = geom.columns;
@@ -107,12 +105,12 @@ class ShardBackend {
   virtual void drain() = 0;
   /// The counted table, in (shard, slot) order.
   virtual KmerEntries extract() = 0;
-  virtual std::size_t distinct_kmers() = 0;
   virtual void submit_program(dram::Program program) = 0;
   /// One degree-kernel job of for_each_degree_job.
   virtual void degree_block(std::size_t flat, std::size_t n,
                             const EdgeBlock& block, bool transposed) = 0;
-  /// Stage boundary: the stage's stats, then cleared for the next stage.
+  /// Stage boundary: takes the stage's stats (DeviceShard::take_stats), so
+  /// the next stage starts from zero.
   virtual dram::StatsFold end_stage(std::uint32_t stage) = 0;
   virtual dram::Program captured_trace() = 0;
   /// Fault/recovery counters this process accumulated.
@@ -184,19 +182,12 @@ class InProcessShards final : public ShardBackend {
   // (shard, slot) order.
   KmerEntries extract() override {
     KmerEntries entries;
-    entries.reserve(distinct_kmers());
     for (std::size_t s = 0; s < shards_[0]->hash_shards(); ++s) {
       KmerEntries part = owner(s).extract_shard(s);
       entries.insert(entries.end(), std::make_move_iterator(part.begin()),
                      std::make_move_iterator(part.end()));
     }
     return entries;
-  }
-
-  std::size_t distinct_kmers() override {
-    std::size_t total = 0;
-    for (const auto& shard : shards_) total += shard->distinct_kmers();
-    return total;
   }
 
   void submit_program(dram::Program program) override {
@@ -212,10 +203,7 @@ class InProcessShards final : public ShardBackend {
 
   dram::StatsFold end_stage(std::uint32_t) override {
     std::vector<dram::SubarrayStats> per_device;
-    for (auto& shard : shards_) {
-      per_device.push_back(shard->subarray_stats());
-      shard->clear_stats();
-    }
+    for (auto& shard : shards_) per_device.push_back(shard->take_stats());
     return dram::fold_in_flat_order(per_device);
   }
 
@@ -337,12 +325,10 @@ class RpcShards final : public ShardBackend {
         total_(device.geometry().total_subarrays()),
         columns_(device.geometry().columns),
         sup_(pool_options(options),
-             [&device, &options](std::size_t d) {
+             [&device, &options](std::size_t) {
                WorkerInit init;
                init.geometry = device.geometry();
                init.technology = device.technology();
-               init.device = d;
-               init.devices = options.devices;
                init.k = options.k;
                init.hash_shards = options.hash_shards;
                // channels 0 stays 0: the worker's engine resolves it.
@@ -421,13 +407,6 @@ class RpcShards final : public ShardBackend {
     return entries;
   }
 
-  std::size_t distinct_kmers() override {
-    std::size_t total = 0;
-    for (const auto& resp : sup_.query_all(to_every(make_op("distinct"))))
-      total += static_cast<std::size_t>(resp.get_uint64("value"));
-    return total;
-  }
-
   // Ships each device's dram::split_by_owner sub-stream as one `program`
   // request of a single fan-out — the sub-streams InProcessShards submits,
   // so per sub-array command order is the single-device order.
@@ -450,16 +429,17 @@ class RpcShards final : public ShardBackend {
     degrees_.add(flat, n, block, transposed);
   }
 
+  // Journaled: `stats` clears what it answers, so a replay that passes a
+  // stage boundary clears there too. A worker that dies before answering
+  // is replayed without the line and asked again.
   dram::StatsFold end_stage(std::uint32_t stage) override {
-    const auto responses = sup_.query_all(to_every(make_op("stats")));
+    const auto responses = sup_.rpc_all(to_every(make_op("stats")));
     std::vector<dram::SubarrayStats> per_device;
     for (std::size_t d = 0; d < responses.size(); ++d)
       per_device.push_back(subarray_stats_from_json(
           responses[d].get("subarrays"), d, responses.size(), total_));
-    const dram::StatsFold fold = dram::fold_in_flat_order(per_device);
-    (void)sup_.rpc_all(to_every(make_op("clear_stats")));
     sup_.mark_stage_done(stage);
-    return fold;
+    return dram::fold_in_flat_order(per_device);
   }
 
   // Flats base .. base + devices - 1 belong to devices 0 .. devices - 1:
@@ -566,9 +546,9 @@ PipelineResult run_stages(ShardBackend& shards, const dram::Device& device,
   PipelineResult result;
   const dram::Geometry& geometry = device.geometry();
 
-  PIMA_TEL_NAME_TRACK(runtime::Engine::kMainTrack, "main");
-  PIMA_TEL_SET_THREAD_TRACK(runtime::Engine::kMainTrack);
-  PIMA_TEL_SPAN("pipeline");
+  telemetry::tracer().set_track_name(runtime::Engine::kMainTrack, "main");
+  telemetry::tracer().set_thread_track(runtime::Engine::kMainTrack);
+  telemetry::ScopedSpan pipeline_span("pipeline");
   if (telemetry::metrics_enabled())
     telemetry::metrics()
         .counter(telemetry::kReadsExpected, "reads in the input stream")
@@ -647,6 +627,11 @@ PipelineResult run_stages(ShardBackend& shards, const dram::Device& device,
   };
   shards.start(resume_stage);
 
+  // Each stage does its host work on every run and its device work only
+  // when no snapshot covers it: the snapshot holds what the device
+  // computed — the counted table and each stage's stats — and the graph
+  // and the contigs are host functions of the table.
+
   // ---- Stage 1: k-mer analysis (Hashmap(S, k)) ----
   // Ends with the table extraction (the controller reading the counted
   // shards back out), so the stage's snapshot state — the extracted
@@ -655,22 +640,20 @@ PipelineResult run_stages(ShardBackend& shards, const dram::Device& device,
   KmerEntries entries;
   if (resume_stage >= 1) {
     entries = snap.kmer_entries;
-    result.distinct_kmers = snap.distinct_kmers;
     result.hashmap = {snap.hashmap, "hashmap"};
   } else {
-    PIMA_TEL_SPAN("stage:hashmap");
+    telemetry::ScopedSpan span("stage:hashmap");
     if (options.cancel != nullptr) options.cancel->throw_if_requested();
     stream_kmers(shards, reads, options.k, options.cancel);
     entries = shards.extract();
-    result.distinct_kmers = shards.distinct_kmers();
     const dram::StatsFold fold = shards.end_stage(1);
     result.hashmap = {fold.device, "hashmap"};
     export_stage("hashmap", fold);
-    snap.distinct_kmers = result.distinct_kmers;
     snap.kmer_entries = entries;
     snap.hashmap = result.hashmap.device;
     write_checkpoint(1);
   }
+  result.distinct_kmers = entries.size();
 
   // ---- Stage 2a: de Bruijn construction (DeBruijn(Hashmap, k)) ----
   // Materialize the graph from the counted table. Node/edge MEM_inserts
@@ -678,119 +661,111 @@ PipelineResult run_stages(ShardBackend& shards, const dram::Device& device,
   // over the shard range) — the construction is controller-sequenced but
   // storage-local, exactly the paper's MEM_insert traffic, here emitted as
   // a batched ROW_WRITE ISA program fanned out over the shards.
-  if (resume_stage >= 2) {
-    // from_edges() on the snapshot's edge list rebuilds the exact node ids
-    // and adjacency the interrupted run had (the list is already in the
-    // graph's sorted edge order).
-    result.graph = assembly::DeBruijnGraph::from_edges(snap.graph_edges);
-    result.debruijn = {snap.debruijn, "debruijn"};
-  } else {
-    PIMA_TEL_SPAN("stage:debruijn");
+  const auto& graph = result.graph;
+  {
+    telemetry::ScopedSpan span("stage:debruijn");
     if (options.cancel != nullptr) options.cancel->throw_if_requested();
+    // Through a KmerCounter, which merges the duplicate keys a faulted
+    // table can hold.
     assembly::KmerCounter counter(entries.size());
     for (const auto& [km, freq] : entries) counter.insert_with_count(km, freq);
     result.graph = assembly::DeBruijnGraph::from_counter(
         counter, options.use_multiplicity);
-    const auto& graph = result.graph;
-    const std::size_t graph_base = options.hash_shards;
-    const std::size_t graph_arrays = std::max<std::size_t>(
-        1, std::min(options.hash_shards,
-                    geometry.total_subarrays() - graph_base));
-    const std::size_t data_rows = geometry.data_rows();
-    const BitVector row_image(geometry.columns);
-    // Submitted in bounded slices: in-flight memory stays constant and the
-    // queues' backpressure paces the controller.
-    constexpr std::size_t kProgramSlice = 8192;
-    dram::Program inserts;
-    inserts.reserve(kProgramSlice);
-    std::size_t rr = 0;
-    auto mem_insert = [&] {
-      dram::Instruction inst;
-      inst.op = dram::Opcode::kRowWrite;
-      inst.subarray = graph_base + (rr++ % graph_arrays);
-      // Adjacency/edge-list rows are appended cyclically over data rows.
-      inst.src1 = (rr / graph_arrays) % data_rows;
-      inst.payload = row_image;
-      inserts.push_back(std::move(inst));
-      if (inserts.size() >= kProgramSlice) {
-        if (options.cancel != nullptr) options.cancel->throw_if_requested();
-        shards.submit_program(std::move(inserts));
-        inserts = {};
-        inserts.reserve(kProgramSlice);
+    if (resume_stage >= 2) {
+      result.debruijn = {snap.debruijn, "debruijn"};
+    } else {
+      const std::size_t graph_base = options.hash_shards;
+      const std::size_t graph_arrays = std::max<std::size_t>(
+          1, std::min(options.hash_shards,
+                      geometry.total_subarrays() - graph_base));
+      const std::size_t data_rows = geometry.data_rows();
+      const BitVector row_image(geometry.columns);
+      // Submitted in bounded slices: in-flight memory stays constant and the
+      // queues' backpressure paces the controller.
+      constexpr std::size_t kProgramSlice = 8192;
+      dram::Program inserts;
+      inserts.reserve(kProgramSlice);
+      std::size_t rr = 0;
+      auto mem_insert = [&] {
+        dram::Instruction inst;
+        inst.op = dram::Opcode::kRowWrite;
+        inst.subarray = graph_base + (rr++ % graph_arrays);
+        // Adjacency/edge-list rows are appended cyclically over data rows.
+        inst.src1 = (rr / graph_arrays) % data_rows;
+        inst.payload = row_image;
+        inserts.push_back(std::move(inst));
+        if (inserts.size() >= kProgramSlice) {
+          if (options.cancel != nullptr) options.cancel->throw_if_requested();
+          shards.submit_program(std::move(inserts));
+          inserts = {};
+          inserts.reserve(kProgramSlice);
+        }
+      };
+      for (std::size_t e = 0; e < graph.edge_count(); ++e) {
+        mem_insert();  // node 1 (prefix) insert
+        mem_insert();  // node 2 (suffix) insert
+        mem_insert();  // edge-list insert
       }
-    };
-    for (std::size_t e = 0; e < graph.edge_count(); ++e) {
-      mem_insert();  // node 1 (prefix) insert
-      mem_insert();  // node 2 (suffix) insert
-      mem_insert();  // edge-list insert
+      shards.submit_program(std::move(inserts));
+      shards.drain();
+      const dram::StatsFold fold = shards.end_stage(2);
+      result.debruijn = {fold.device, "debruijn"};
+      export_stage("debruijn", fold);
+      snap.debruijn = result.debruijn.device;
+      write_checkpoint(2);
     }
-    shards.submit_program(std::move(inserts));
-    shards.drain();
-    const dram::StatsFold fold = shards.end_stage(2);
-    result.debruijn = {fold.device, "debruijn"};
-    export_stage("debruijn", fold);
-    snap.graph_edges.clear();
-    snap.graph_edges.reserve(graph.edge_count());
-    for (const auto& e : graph.edges())
-      snap.graph_edges.emplace_back(e.kmer, e.multiplicity);
-    snap.debruijn = result.debruijn.device;
-    write_checkpoint(2);
   }
-  const auto& graph = result.graph;
-  result.graph_nodes = graph.node_count();
-  result.graph_edges = graph.edge_count();
 
   // ---- Stage 2b: traversal (Traverse(G)) ----
-  if (resume_stage >= 3) {
-    result.contigs = snap.contigs;
-    result.traverse = {snap.traverse, "traverse"};
-  } else {
-    PIMA_TEL_SPAN("stage:traverse");
+  {
+    telemetry::ScopedSpan span("stage:traverse");
     if (options.cancel != nullptr) options.cancel->throw_if_requested();
-    const GraphPartition partition = partition_fitting(graph, geometry);
-    // The PIM degree sums: every edge block's column-sum kernel on its own
-    // sub-array. Each fault-free job checks its sums against the block's
-    // host degrees, then discards them: the walks below recompute the
-    // degrees on the host.
-    for_each_degree_job(partition, geometry,
-                        [&](std::size_t flat, std::size_t n,
-                            const EdgeBlock& block, bool transposed) {
-                          shards.degree_block(flat, n, block, transposed);
-                        });
-    shards.drain();
-    // The walk itself streams edge lookups (one row read each), batched
-    // into ROW_READ programs.
-    result.contigs =
-        options.euler_contigs
-            ? assembly::contigs_from_euler(graph)
-            : assembly::contigs_from_unitigs(graph);
-    const std::size_t arrays = std::max<std::size_t>(1, options.hash_shards);
-    const std::size_t data_rows = geometry.data_rows();
-    constexpr std::size_t kProgramSlice = 8192;
-    dram::Program lookups;
-    lookups.reserve(kProgramSlice);
-    std::size_t rr = 0;
-    for (std::uint64_t e = 0; e < graph.edge_instances(); ++e) {
-      dram::Instruction inst;
-      inst.op = dram::Opcode::kRowRead;
-      inst.subarray = rr++ % arrays;
-      inst.src1 = (rr / arrays) % data_rows;
-      lookups.push_back(std::move(inst));
-      if (lookups.size() >= kProgramSlice) {
-        if (options.cancel != nullptr) options.cancel->throw_if_requested();
-        shards.submit_program(std::move(lookups));
-        lookups = {};
-        lookups.reserve(kProgramSlice);
+    result.contigs = options.euler_contigs
+                         ? assembly::contigs_from_euler(graph)
+                         : assembly::contigs_from_unitigs(graph);
+    if (resume_stage >= 3) {
+      result.traverse = {snap.traverse, "traverse"};
+    } else {
+      const GraphPartition partition = partition_fitting(graph, geometry);
+      // The PIM degree sums: every edge block's column-sum kernel on its own
+      // sub-array. Each fault-free job checks its sums against the block's
+      // host degrees, then discards them: the walks recompute the degrees on
+      // the host.
+      for_each_degree_job(partition, geometry,
+                          [&](std::size_t flat, std::size_t n,
+                              const EdgeBlock& block, bool transposed) {
+                            shards.degree_block(flat, n, block, transposed);
+                          });
+      shards.drain();
+      // The walk itself streams edge lookups (one row read each), batched
+      // into ROW_READ programs.
+      const std::size_t arrays = std::max<std::size_t>(1, options.hash_shards);
+      const std::size_t data_rows = geometry.data_rows();
+      constexpr std::size_t kProgramSlice = 8192;
+      dram::Program lookups;
+      lookups.reserve(kProgramSlice);
+      std::size_t rr = 0;
+      for (std::uint64_t e = 0; e < graph.edge_instances(); ++e) {
+        dram::Instruction inst;
+        inst.op = dram::Opcode::kRowRead;
+        inst.subarray = rr++ % arrays;
+        inst.src1 = (rr / arrays) % data_rows;
+        lookups.push_back(std::move(inst));
+        if (lookups.size() >= kProgramSlice) {
+          if (options.cancel != nullptr) options.cancel->throw_if_requested();
+          shards.submit_program(std::move(lookups));
+          lookups = {};
+          lookups.reserve(kProgramSlice);
+        }
       }
+      shards.submit_program(std::move(lookups));
+      shards.drain();
+      const dram::StatsFold fold = shards.end_stage(3);
+      result.traverse = {fold.device, "traverse"};
+      export_stage("traverse", fold);
+      snap.traverse = result.traverse.device;
+      write_checkpoint(3);
     }
-    shards.submit_program(std::move(lookups));
-    shards.drain();
-    const dram::StatsFold fold = shards.end_stage(3);
-    result.traverse = {fold.device, "traverse"};
-    export_stage("traverse", fold);
-    snap.contigs = result.contigs;
-    snap.traverse = result.traverse.device;
-    write_checkpoint(3);
   }
 
   result.contig_stats = assembly::compute_stats(result.contigs);
@@ -803,9 +778,9 @@ PipelineResult run_stages(ShardBackend& shards, const dram::Device& device,
         .gauge("pima_pipeline_distinct_kmers", "distinct k-mers counted")
         .set(static_cast<double>(result.distinct_kmers));
     registry.gauge("pima_pipeline_graph_nodes", "de Bruijn graph nodes")
-        .set(static_cast<double>(result.graph_nodes));
+        .set(static_cast<double>(graph.node_count()));
     registry.gauge("pima_pipeline_graph_edges", "de Bruijn graph edges")
-        .set(static_cast<double>(result.graph_edges));
+        .set(static_cast<double>(graph.edge_count()));
     registry.gauge("pima_pipeline_contigs", "contigs produced")
         .set(static_cast<double>(result.contigs.size()));
   }
@@ -830,13 +805,15 @@ PipelineResult run_pipeline(dram::Device& device,
       RpcShards shards(device, options);
       return run_stages(shards, device, reads, options);
     } catch (const runtime::ProcPoolDegradedError& e) {
-      if (!options.isolate_opts.allow_degrade)
-        throw WorkerCrashedError(e.device(),
-                                 runtime::to_string(e.exit_class()),
-                                 e.detail());
       // Typed, logged transition: same run, same outputs, one address
       // space. The device is untouched so far — every isolated-run write
       // happened inside the (now dead) workers.
+      if (telemetry::metrics_enabled())
+        telemetry::metrics()
+            .counter("pima_pool_fallbacks_total",
+                     "isolated runs rerun on in-process device shards", {},
+                     telemetry::MetricClass::kHost)
+            .increment();
       telemetry::log_event(
           telemetry::LogLevel::kWarn, "pool.fallback",
           std::string("process isolation degraded — ") + e.what() +

@@ -20,8 +20,9 @@
 // Run resilience: with PipelineOptions::checkpoint_dir set, the pipeline
 // writes a versioned, checksummed snapshot (runtime/checkpoint.hpp) at
 // every stage boundary — atomically, so a crash at any instant leaves a
-// loadable file. `resume` skips the stages a snapshot already covers and
-// provably reproduces the uninterrupted run bit-for-bit (contigs, per-stage
+// loadable file. `resume` skips the device work a snapshot already covers,
+// rebuilds the graph and the contigs from its table, and provably
+// reproduces the uninterrupted run bit-for-bit (contigs, per-stage
 // DeviceStats, FaultStats) for fault-free configurations; fault-injected
 // runs cannot resume because per-sub-array RNG stream positions are not
 // part of the snapshot. `stall_timeout_ms` arms the engine watchdog so a
@@ -75,9 +76,9 @@ struct PipelineOptions {
   /// the in-process run — including runs where workers died mid-stage.
   /// The resume record stays `<checkpoint_dir>/pipeline.ckpt` alone, so
   /// an isolated run resumes an in-process snapshot and vice versa. When
-  /// the restart budget runs out the pipeline degrades to in-process
-  /// DeviceShards (isolate_opts.allow_degrade) or fails typed
-  /// (WorkerCrashedError, exit 10).
+  /// the restart budget runs out the pipeline reruns on in-process
+  /// DeviceShards: a logged `pool.fallback` event and a
+  /// pima_pool_fallbacks_total count, same outputs.
   /// Incompatible with fault injection and recovery: those are simulated
   /// per-device state the init request does not carry.
   bool isolate = false;
@@ -85,11 +86,8 @@ struct PipelineOptions {
     /// pima_devd binary; empty = $PIMA_DEVD_PATH, then alongside the
     /// running executable.
     std::string devd_path;
-    /// Total worker restarts allowed before degrading/failing.
+    /// Total worker restarts allowed before the in-process rerun.
     std::size_t restart_budget = 3;
-    /// Exhausted budget: true reruns in-process (logged, typed
-    /// transition), false throws WorkerCrashedError.
-    bool allow_degrade = true;
   } isolate_opts;
   /// Stochastic fault injection (Table I calibrated). Defaults to
   /// fault-free: every output stays bit-identical to the unfaulted build.
@@ -108,8 +106,9 @@ struct PipelineOptions {
   /// atomically after each completed stage.
   std::string checkpoint_dir;
   /// Resume from `<checkpoint_dir>/pipeline.ckpt` if it exists: completed
-  /// stages are skipped and re-seeded from the snapshot, and the run's
-  /// outputs are bit-identical to the uninterrupted run. Requires
+  /// stages take their stats from the snapshot and skip their device work,
+  /// and the run's outputs are bit-identical to the uninterrupted run. The
+  /// contigs are recomputed, so `euler_contigs` may differ. Requires
   /// checkpoint_dir; a missing snapshot file simply starts fresh. Resume is
   /// refused (SimulationError) when fault injection is enabled — the fault
   /// streams' RNG positions are not part of the snapshot.
@@ -149,8 +148,6 @@ struct PipelineResult {
   StageStats debruijn;
   StageStats traverse;
   std::size_t distinct_kmers = 0;
-  std::size_t graph_nodes = 0;
-  std::size_t graph_edges = 0;
   /// Fault-aware execution roll-up (all zero on a fault-free run with
   /// recovery off). `injected` counts raw bit flips the fault model
   /// applied; the rest count the recovery layer's responses.

@@ -106,10 +106,6 @@ KmerEntries DeviceShard::extract_shard(std::size_t shard) {
   return table_.extract_shard(shard);
 }
 
-std::size_t DeviceShard::distinct_kmers() const {
-  return table_.distinct_kmers();
-}
-
 void DeviceShard::submit_program(dram::Program program) {
   runtime::submit_guarded(
       engine_, [&] { engine_.submit_program(std::move(program)); });
@@ -128,7 +124,7 @@ void DeviceShard::degree_block(std::size_t flat, std::size_t n,
   });
 }
 
-dram::SubarrayStats DeviceShard::subarray_stats() const {
+dram::SubarrayStats DeviceShard::take_stats() {
   dram::SubarrayStats stats;
   const std::size_t total = device_.geometry().total_subarrays();
   for (std::size_t flat = 0; flat < total; ++flat) {
@@ -137,10 +133,9 @@ dram::SubarrayStats DeviceShard::subarray_stats() const {
     if (sa != nullptr && sa->stats().total_commands() != 0)
       stats.emplace_back(flat, sa->stats());
   }
+  device_.clear_stats();
   return stats;
 }
-
-void DeviceShard::clear_stats() { device_.clear_stats(); }
 
 const dram::Program* DeviceShard::trace(std::size_t flat) const {
   return device_.trace_if(flat);
@@ -168,8 +163,6 @@ void DeviceShard::export_metrics(telemetry::MetricsRegistry& registry,
 net::Json worker_init_to_json(const WorkerInit& init) {
   net::Json j = net::Json::object();
   j.set("op", "init");
-  j.set("device", init.device);
-  j.set("devices", init.devices);
   net::Json geom = net::Json::object();
   geom.set("rows", init.geometry.rows);
   geom.set("compute_rows", init.geometry.compute_rows);
@@ -203,8 +196,6 @@ net::Json worker_init_to_json(const WorkerInit& init) {
 
 WorkerInit worker_init_from_json(const net::Json& j) {
   WorkerInit init;
-  init.device = static_cast<std::size_t>(j.get_uint64("device"));
-  init.devices = static_cast<std::size_t>(j.get_uint64("devices", 1));
   if (!j.has("geometry") || !j.get("geometry").is_object())
     bad_request("init needs a geometry object");
   const net::Json& geom = j.get("geometry");
@@ -284,14 +275,11 @@ net::Json ShardWorkerCore::handle(const net::Json& request) {
   if (op == "kmers") return op_kmers(request);
   if (op == "drain") return op_drain();
   if (op == "extract") return op_extract(request);
-  if (op == "distinct") return op_distinct();
   if (op == "program") return op_program(request);
   if (op == "degree_block") return op_degree_block(request);
   if (op == "stats") return op_stats();
-  if (op == "clear_stats") return op_clear_stats();
   if (op == "trace") return op_trace(request);
   if (op == "telemetry") return op_telemetry();
-  if (op == "ping") return ok_response();
   if (op == "shutdown") {
     shutdown_ = true;
     return ok_response();
@@ -334,12 +322,6 @@ net::Json ShardWorkerCore::op_extract(const net::Json& req) {
         shard_.extract_shard(static_cast<std::size_t>(s.as_uint64())));
   net::Json resp = ok_response();
   resp.set("shards", extract_shards_to_json(entries));
-  return resp;
-}
-
-net::Json ShardWorkerCore::op_distinct() {
-  net::Json resp = ok_response();
-  resp.set("value", static_cast<std::uint64_t>(shard_.distinct_kmers()));
   return resp;
 }
 
@@ -614,13 +596,8 @@ std::vector<KmerEntries> extract_shards_from_json(const net::Json& shards,
 
 net::Json ShardWorkerCore::op_stats() {
   net::Json resp = ok_response();
-  resp.set("subarrays", subarray_stats_to_json(shard_.subarray_stats()));
+  resp.set("subarrays", subarray_stats_to_json(shard_.take_stats()));
   return resp;
-}
-
-net::Json ShardWorkerCore::op_clear_stats() {
-  shard_.clear_stats();
-  return ok_response();
 }
 
 net::Json ShardWorkerCore::op_trace(const net::Json& req) {

@@ -27,7 +27,6 @@
 //   extract       the (k-mer, freq) entries of the listed hash shards, in
 //                 slot order: shards [s, ...] → shards "(m (kmer freq) x m)
 //                 ..." with one group per requested shard, in request order
-//   distinct      controller-side distinct-key count
 //   program       submit an AAP program slice (stages 2/3): insts holds one
 //                 record per instruction, "op sa src1 src2 src3 dst size
 //                 width", op a dram::Opcode value; a ROW_WRITE record goes
@@ -36,13 +35,14 @@
 //   degree_block  render each edge block's adjacency rows and run the
 //                 column-sum kernel on its sub-array (stage-3 kernel):
 //                 blocks "(flat n_local_sources m (from to mult) x m) ..."
-//   stats         per-sub-array CommandStats of every touched sub-array
-//   clear_stats   stage-boundary statistics reset
+//   stats         the stage boundary: per-sub-array CommandStats of every
+//                 touched sub-array, which the answer then clears
+//                 (DeviceShard::take_stats); journaled, so a replay clears
+//                 where the original run did
 //   trace         one sub-array's replay program (oracle capture):
 //                 flat f → insts, packed as in `program`; empty if the
 //                 sub-array ran no command
 //   telemetry     cumulative span-buffer export for trace stitching
-//   ping          liveness probe
 //   shutdown      graceful exit handshake
 //
 // Determinism: the device state and statistics after any request sequence
@@ -106,7 +106,6 @@ class DeviceShard {
 
   /// One hash shard's entries in slot order (costed row reads).
   KmerEntries extract_shard(std::size_t shard);
-  std::size_t distinct_kmers() const;
   /// Queues an AAP program; every instruction must target this device.
   void submit_program(dram::Program program);
   /// Queues the degree job of `block` (run_degree_job) on sub-array
@@ -114,9 +113,9 @@ class DeviceShard {
   /// degrees, and a mismatch fails the task; the sums are then discarded.
   void degree_block(std::size_t flat, std::size_t n, EdgeBlock block);
 
-  /// Every sub-array that ran a command since the last clear_stats().
-  dram::SubarrayStats subarray_stats() const;
-  void clear_stats();
+  /// Stage boundary: every sub-array that ran a command since the last
+  /// call, with its stats, which are then cleared.
+  dram::SubarrayStats take_stats();
   /// Sub-array `flat`'s replay program; null unless the engine captures
   /// and the sub-array was touched.
   const dram::Program* trace(std::size_t flat) const;
@@ -146,8 +145,6 @@ class DeviceShard {
 struct WorkerInit {
   dram::Geometry geometry;
   circuit::Technology technology;
-  std::size_t device = 0;   ///< this worker's shard id (diagnostics)
-  std::size_t devices = 1;  ///< total shard count (diagnostics)
   std::size_t k = 0;
   std::size_t hash_shards = 1;
   /// The worker engine's channels, trace capture and stall timeout
@@ -229,11 +226,9 @@ class ShardWorkerCore {
   net::Json op_kmers(const net::Json& req);
   net::Json op_drain();
   net::Json op_extract(const net::Json& req);
-  net::Json op_distinct();
   net::Json op_program(const net::Json& req);
   net::Json op_degree_block(const net::Json& req);
   net::Json op_stats();
-  net::Json op_clear_stats();
   net::Json op_trace(const net::Json& req);
   net::Json op_telemetry();
 

@@ -7,7 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/fsio.hpp"
-#include "telemetry/telemetry.hpp"
+#include "telemetry/session.hpp"
 
 namespace pima::runtime {
 
@@ -100,7 +100,6 @@ void put_fingerprint(Writer& w, const CheckpointFingerprint& f) {
   w.u64(f.hash_shards);
   w.u64(f.devices);
   w.u8(f.use_multiplicity ? 1 : 0);
-  w.u8(f.euler_contigs ? 1 : 0);
   w.u64(f.rows);
   w.u64(f.compute_rows);
   w.u64(f.columns);
@@ -120,7 +119,6 @@ CheckpointFingerprint get_fingerprint(Reader& r) {
   f.hash_shards = r.u64();
   f.devices = r.u64();
   f.use_multiplicity = r.u8() != 0;
-  f.euler_contigs = r.u8() != 0;
   f.rows = r.u64();
   f.compute_rows = r.u64();
   f.columns = r.u64();
@@ -205,30 +203,6 @@ std::vector<std::pair<assembly::Kmer, std::uint32_t>> get_kmer_list(
   return list;
 }
 
-void put_contigs(Writer& w, const std::vector<dna::Sequence>& contigs) {
-  w.u64(contigs.size());
-  for (const auto& c : contigs) {
-    const std::string s = c.to_string();
-    w.u64(s.size());
-    w.bytes(s.data(), s.size());
-  }
-}
-
-std::vector<dna::Sequence> get_contigs(Reader& r, const std::string& path) {
-  const std::uint64_t n = r.u64();
-  std::vector<dna::Sequence> contigs;
-  contigs.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t len = r.u64();
-    const std::string s = r.bytes(len);
-    for (const char c : s)
-      if (!dna::is_valid_char(c))
-        corrupt(path, "contig " + std::to_string(i) + " has a non-ACGT byte");
-    contigs.push_back(dna::Sequence::from_string(s));
-  }
-  return contigs;
-}
-
 std::string serialize_payload(const PipelineSnapshot& snap) {
   Writer w;
   put_fingerprint(w, snap.fingerprint);
@@ -237,10 +211,7 @@ std::string serialize_payload(const PipelineSnapshot& snap) {
   put_device_stats(w, snap.debruijn);
   put_device_stats(w, snap.traverse);
   put_fault_stats(w, snap.fault_stats);
-  w.u64(snap.distinct_kmers);
   put_kmer_list(w, snap.kmer_entries);
-  put_kmer_list(w, snap.graph_edges);
-  put_contigs(w, snap.contigs);
   return w.str();
 }
 
@@ -257,10 +228,7 @@ PipelineSnapshot deserialize_payload(const std::string& payload,
   snap.debruijn = get_device_stats(r);
   snap.traverse = get_device_stats(r);
   snap.fault_stats = get_fault_stats(r);
-  snap.distinct_kmers = r.u64();
   snap.kmer_entries = get_kmer_list(r, path);
-  snap.graph_edges = get_kmer_list(r, path);
-  snap.contigs = get_contigs(r, path);
   if (!r.exhausted()) corrupt(path, "trailing bytes after payload");
   return snap;
 }
@@ -330,7 +298,6 @@ std::string CheckpointFingerprint::diff(
   if (hash_shards != o.hash_shards) return "hash_shards";
   if (devices != o.devices) return "devices";
   if (use_multiplicity != o.use_multiplicity) return "use_multiplicity";
-  if (euler_contigs != o.euler_contigs) return "euler_contigs";
   if (rows != o.rows || compute_rows != o.compute_rows ||
       columns != o.columns || subarrays_per_mat != o.subarrays_per_mat ||
       mats_per_bank != o.mats_per_bank || banks != o.banks)
@@ -344,8 +311,7 @@ std::string CheckpointFingerprint::diff(
 }
 
 void save_checkpoint(const std::string& path, const PipelineSnapshot& snap) {
-  PIMA_TEL_SPAN("checkpoint:save");
-#if PIMA_TELEMETRY
+  telemetry::ScopedSpan span("checkpoint:save");
   const auto t0 = std::chrono::steady_clock::now();
   struct Timer {
     std::chrono::steady_clock::time_point t0;
@@ -361,7 +327,6 @@ void save_checkpoint(const std::string& path, const PipelineSnapshot& snap) {
           .observe(secs);
     }
   } timer{t0};
-#endif
   write_checkpoint_file(path, serialize_payload(snap));
 }
 

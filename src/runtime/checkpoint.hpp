@@ -2,18 +2,14 @@
 //
 // The pipeline (core::run_pipeline) has three natural persistence points —
 // the paper's Fig. 5 stage boundaries: k-mer analysis → de Bruijn
-// construction → traversal. After each stage the run's resumable state is
-// small and well-defined:
-//
-//   stage 1 done: the counted k-mer table (extracted (k-mer, freq) pairs)
-//   stage 2 done: the de Bruijn graph (sorted edge list — from_edges()
-//                 rebuilds the exact same node ids and adjacency)
-//   stage 3 done: the contigs
-//
-// plus, cumulatively, the per-stage DeviceStats and the FaultStats
-// roll-up. A snapshot always carries the full state through its last
-// completed stage, so one file (`pipeline.ckpt`) is rewritten at each
-// boundary and any crash leaves the previous complete snapshot behind.
+// construction → traversal. A snapshot holds only what the device
+// computed: the counted k-mer table (extracted (k-mer, freq) pairs) once
+// stage 1 is done, each completed stage's DeviceStats, and the FaultStats
+// roll-up. The graph and the contigs are host functions of the table, so a
+// resumed run recomputes them. A snapshot always carries the full state
+// through its last completed stage, so one file (`pipeline.ckpt`) is
+// rewritten at each boundary and any crash leaves the previous complete
+// snapshot behind.
 //
 // On-disk format (little-endian, fixed-width):
 //
@@ -31,7 +27,7 @@
 // CRC-32 guarantees detection of every single-byte corruption.
 //
 // The fingerprint pins every input that the remaining stages' command
-// streams depend on — geometry, k, sharding, traversal flags, fault seed —
+// streams depend on — geometry, k, sharding, multiplicity, fault seed —
 // so a resumed run is provably bit-identical to an uninterrupted one
 // (contigs, per-stage DeviceStats and FaultStats). Channel count is
 // deliberately NOT part of the fingerprint: the runtime's determinism
@@ -45,7 +41,6 @@
 #include <vector>
 
 #include "assembly/kmer.hpp"
-#include "dna/sequence.hpp"
 #include "dram/device.hpp"
 #include "runtime/recovery.hpp"
 
@@ -55,10 +50,12 @@ namespace pima::runtime {
 // DESIGN.md §14); version 3 added a per-device `shard` field that version 4
 // drops again (pipeline.ckpt is the only resume record, §15); version 5
 // drops the interval-count and walk-algorithm fields (the interval count
-// is always derived from the row width, and the walk is always Hierholzer).
+// is always derived from the row width, and the walk is always Hierholzer);
+// version 6 drops the euler_contigs fingerprint field, the distinct count,
+// the edge list and the contigs (a resume recomputes them from the table).
 // Other versions are rejected as corrupt rather than silently resumed under
-// a possibly different fingerprint layout.
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+// a possibly different payload layout.
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 /// Run configuration pinned by a snapshot. A resume whose live
 /// configuration differs in any field is rejected with
@@ -73,7 +70,6 @@ struct CheckpointFingerprint {
   /// snapshots were cut under a specific owner = flat % devices layout.
   std::uint64_t devices = 1;
   bool use_multiplicity = false;
-  bool euler_contigs = false;
   // Device geometry.
   std::uint64_t rows = 0;
   std::uint64_t compute_rows = 0;
@@ -106,14 +102,8 @@ struct PipelineSnapshot {
   dram::DeviceStats traverse;
   FaultStats fault_stats;  ///< roll-up through the last completed stage
 
-  std::uint64_t distinct_kmers = 0;
   /// Stage ≥ 1: the counted k-mer table, in (shard, slot) order.
   std::vector<std::pair<assembly::Kmer, std::uint32_t>> kmer_entries;
-  /// Stage ≥ 2: de Bruijn edge list (k-mer, multiplicity), in
-  /// DeBruijnGraph edge order — from_edges() reproduces the graph exactly.
-  std::vector<std::pair<assembly::Kmer, std::uint32_t>> graph_edges;
-  /// Stage ≥ 3: the assembled contigs.
-  std::vector<dna::Sequence> contigs;
 
   bool operator==(const PipelineSnapshot&) const = default;
 };

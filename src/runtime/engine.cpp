@@ -9,7 +9,6 @@
 #include "telemetry/flight.hpp"
 #include "telemetry/log.hpp"
 #include "telemetry/session.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace pima::runtime {
 
@@ -77,18 +76,16 @@ Engine::Engine(dram::Device& device, EngineOptions options)
   for (std::size_t c = 0; c < channels(); ++c) {
     channels_.push_back(std::make_unique<Channel>());
     channels_.back()->track = channel_track(c);
-    PIMA_TEL_NAME_TRACK(channel_track(c),
-                        "channel " + std::to_string(c));
-#if PIMA_TELEMETRY
+    telemetry::tracer().set_track_name(channel_track(c),
+                                       "channel " + std::to_string(c));
     if (telemetry::metrics_enabled())
       channels_.back()->latency_hist = &telemetry::metrics().histogram(
           "pima_engine_task_latency_ns",
           "submit to retire latency per channel (host ns)",
           {1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9},
           {{"channel", std::to_string(c)}}, telemetry::MetricClass::kHost);
-#endif
   }
-  PIMA_TEL_NAME_TRACK(watchdog_track(), "watchdog");
+  telemetry::tracer().set_track_name(watchdog_track(), "watchdog");
   // Workers and the watchdog inherit the constructing thread's metrics
   // routing: a pipeline run started under a ScopedMetricsRegistry (a
   // service job's private registry) records its worker-side metrics —
@@ -175,7 +172,7 @@ Engine::~Engine() {
 void Engine::worker_loop(Channel& ch) {
   // Static: must stay valid on a detached thread after the Engine object
   // is gone, so it may touch only `ch` (leaked alive in that case).
-  PIMA_TEL_SET_THREAD_TRACK(ch.track);
+  telemetry::tracer().set_thread_track(ch.track);
   while (auto entry = ch.queue.pop()) {
     bool skip;
     {
@@ -190,10 +187,11 @@ void Engine::worker_loop(Channel& ch) {
       ch.last_activity = Clock::now();
     }
     if (!skip) {
-      PIMA_TEL_SPAN_ARG("task", "subarray",
-                        entry->subarray == EngineStalledError::kNoSubarray
-                            ? -1.0
-                            : static_cast<double>(entry->subarray));
+      telemetry::ScopedSpan span(
+          "task", "subarray",
+          entry->subarray == EngineStalledError::kNoSubarray
+              ? -1.0
+              : static_cast<double>(entry->subarray));
       try {
         (entry->task)();
       } catch (...) {
@@ -214,9 +212,10 @@ void Engine::worker_loop(Channel& ch) {
       retired = ch.retired;
     }
     ch.idle.notify_all();
-    PIMA_TEL_COUNTER(ch.track, "queue_depth",
-                     static_cast<double>(queue_depth));
-    PIMA_TEL_COUNTER(ch.track, "retired", static_cast<double>(retired));
+    telemetry::tracer().record_counter(
+        "queue_depth", static_cast<double>(queue_depth), ch.track);
+    telemetry::tracer().record_counter("retired",
+                                       static_cast<double>(retired), ch.track);
     if (ch.latency_hist != nullptr && entry->submit_ns != 0) {
       const std::int64_t now_ns =
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -234,7 +233,7 @@ void Engine::watchdog_loop() {
   // after it exceeds the deadline, without burning a core.
   const auto poll = std::max(std::chrono::duration<double, std::milli>(1.0),
                              timeout / 4);
-  PIMA_TEL_SET_THREAD_TRACK(watchdog_track());
+  telemetry::tracer().set_thread_track(watchdog_track());
   std::unique_lock watchdog_lock(watchdog_mutex_);
   while (!watchdog_stop_) {
     watchdog_wake_.wait_for(
@@ -243,7 +242,7 @@ void Engine::watchdog_loop() {
         [&] { return watchdog_stop_; });
     if (watchdog_stop_) return;
     if (stalled_.load(std::memory_order_acquire)) continue;
-    PIMA_TEL_INSTANT("watchdog:heartbeat");
+    telemetry::tracer().record_instant("watchdog:heartbeat");
     for (std::size_t c = 0; c < channels_.size(); ++c) {
       Channel& ch = *channels_[c];
       bool fire = false;
@@ -275,8 +274,7 @@ void Engine::watchdog_loop() {
       // already be durable (the flush is an atomic tmp+fsync+rename) by
       // the time the caller can observe the failure. Sink failures are
       // swallowed — the stall diagnosis must still reach the caller.
-      PIMA_TEL_INSTANT_ON(channel_track(c), "stall");
-#if PIMA_TELEMETRY
+      telemetry::tracer().record_instant("stall", channel_track(c));
       telemetry::metrics()
           .counter("pima_engine_stalls_total",
                    "channels declared stalled by the watchdog", {},
@@ -286,7 +284,6 @@ void Engine::watchdog_loop() {
         telemetry::TelemetrySession::instance().flush();
       } catch (...) {
       }
-#endif
       // Black-box data: the stall is a canonical flight-recorder trigger.
       // Log the typed event (it lands in the ring), then persist the ring
       // plus the registered state snapshots. Failures are swallowed — the
@@ -333,10 +330,10 @@ void Engine::submit_tagged(std::size_t channel, Task task,
   if (channels_.empty()) {
     // Single-threaded fallback: retire inline. The span lands on the
     // caller's track, so serial traces still show per-batch spans.
-    PIMA_TEL_SPAN_ARG("task", "subarray",
-                      subarray == EngineStalledError::kNoSubarray
-                          ? -1.0
-                          : static_cast<double>(subarray));
+    telemetry::ScopedSpan span("task", "subarray",
+                               subarray == EngineStalledError::kNoSubarray
+                                   ? -1.0
+                                   : static_cast<double>(subarray));
     task();
     inline_retired_.fetch_add(1, std::memory_order_relaxed);
     return;

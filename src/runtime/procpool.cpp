@@ -37,14 +37,11 @@ constexpr WireVerb kWireVerbs[] = {
     {"kmers", "rpc:kmers", "devd:kmers"},
     {"drain", "rpc:drain", "devd:drain"},
     {"extract", "rpc:extract", "devd:extract"},
-    {"distinct", "rpc:distinct", "devd:distinct"},
     {"program", "rpc:program", "devd:program"},
     {"degree_block", "rpc:degree_block", "devd:degree_block"},
     {"stats", "rpc:stats", "devd:stats"},
-    {"clear_stats", "rpc:clear_stats", "devd:clear_stats"},
     {"trace", "rpc:trace", "devd:trace"},
     {"telemetry", "rpc:telemetry", "devd:telemetry"},
-    {"ping", "rpc:ping", "devd:ping"},
     {"shutdown", "rpc:shutdown", "devd:shutdown"},
 };
 constexpr WireVerb kOtherVerb = {"other", "rpc", "devd:rpc"};

@@ -80,9 +80,8 @@ struct WireVerb {
 const WireVerb& wire_verb(std::string_view op);
 
 /// Raised when the restart budget is exhausted: the signal to degrade to
-/// in-process DeviceShards. Carries the final crash's identity so the
-/// pipeline can convert it into WorkerCrashedError when degrading is
-/// disabled.
+/// in-process DeviceShards. Carries the final crash's identity for the
+/// pipeline's fallback log event.
 class ProcPoolDegradedError : public SimulationError {
  public:
   ProcPoolDegradedError(std::size_t device, WorkerExitClass exit_class,
@@ -91,17 +90,14 @@ class ProcPoolDegradedError : public SimulationError {
                         " failed (" + runtime::to_string(exit_class) +
                         ") with the restart budget exhausted: " + detail),
         device_(device),
-        exit_class_(exit_class),
-        detail_(detail) {}
+        exit_class_(exit_class) {}
 
   std::size_t device() const { return device_; }
   WorkerExitClass exit_class() const { return exit_class_; }
-  const std::string& detail() const { return detail_; }
 
  private:
   std::size_t device_;
   WorkerExitClass exit_class_;
-  std::string detail_;
 };
 
 struct ProcPoolOptions {

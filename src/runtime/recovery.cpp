@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "telemetry/progress.hpp"
-#include "telemetry/telemetry.hpp"
+#include "telemetry/session.hpp"
 
 namespace pima::runtime {
 
@@ -17,13 +17,8 @@ namespace {
 // is fine. Integral atomic adds commute exactly, so the totals stay
 // deterministic for any channel count.
 void bump_live(const char* name, const char* help) {
-#if PIMA_TELEMETRY
   if (telemetry::metrics_enabled())
     telemetry::metrics().counter(name, help).increment();
-#else
-  (void)name;
-  (void)help;
-#endif
 }
 
 }  // namespace
@@ -79,13 +74,13 @@ void RecoveryExecutor::execute_once(dram::RowAddr a, dram::RowAddr b,
 void RecoveryExecutor::note_detected() {
   ++stats_.detected;
   bump_live(telemetry::kFaultDetected, "verification mismatches detected");
-  PIMA_TEL_INSTANT("fault:detected");
+  telemetry::tracer().record_instant("fault:detected");
   if (!degraded_ && stats_.detected > options_.subarray_failure_budget) {
     degraded_ = true;
     ++stats_.degraded_subarrays;
     bump_live("pima_fault_degraded_subarrays_total",
               "sub-arrays degraded to host-side recompute");
-    PIMA_TEL_INSTANT("fault:degraded");
+    telemetry::tracer().record_instant("fault:degraded");
   }
 }
 

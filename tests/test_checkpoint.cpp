@@ -36,7 +36,6 @@ CheckpointFingerprint sample_fingerprint() {
   f.k = 17;
   f.hash_shards = 16;
   f.use_multiplicity = true;
-  f.euler_contigs = true;
   f.rows = 512;
   f.compute_rows = 8;
   f.columns = 256;
@@ -64,14 +63,9 @@ PipelineSnapshot sample_snapshot(std::uint32_t stages = 3) {
   s.fault_stats.injected = 7;
   s.fault_stats.detected = 5;
   s.fault_stats.retried = 3;
-  s.distinct_kmers = 3;
   s.kmer_entries = {{assembly::Kmer(0b0011, 2), 4},
                     {assembly::Kmer(0b1100, 2), 1},
                     {assembly::Kmer(0b0110, 2), 9}};
-  s.graph_edges = {{assembly::Kmer(0b0011, 2), 1},
-                   {assembly::Kmer(0b0110, 2), 2}};
-  s.contigs = {dna::Sequence::from_string("ACGTACGT"),
-               dna::Sequence::from_string("TTTT")};
   return s;
 }
 
@@ -91,8 +85,8 @@ TEST(Checkpoint, PartialStageSnapshotsRoundTrip) {
   const std::string path = temp_path("ckpt_partial.ckpt");
   for (std::uint32_t stage : {1u, 2u}) {
     PipelineSnapshot s = sample_snapshot(stage);
-    if (stage < 2) s.graph_edges.clear();
-    s.contigs.clear();
+    s.traverse = {};
+    if (stage < 2) s.debruijn = {};
     save_checkpoint(path, s);
     EXPECT_EQ(load_checkpoint(path), s) << "stage " << stage;
   }
@@ -142,8 +136,9 @@ TEST(Checkpoint, VersionMismatchRejected) {
   const std::string path = temp_path("ckpt_version.ckpt");
   save_checkpoint(path, sample_snapshot());
   const std::string good = slurp(path);
-  // The previous format version (its fingerprint carried two more fields)
-  // and an unknown future one are both refused, naming the version.
+  // The previous format version (it also stored the distinct count, the
+  // edge list and the contigs) and an unknown future one are both refused,
+  // naming the version.
   for (const std::uint32_t version :
        {kCheckpointVersion - 1, kCheckpointVersion + 1}) {
     std::string bytes = good;

@@ -67,13 +67,6 @@ TEST(Kmer, PrefixSuffix) {
   EXPECT_EQ(km.prefix().k(), 3u);
 }
 
-TEST(Kmer, ReverseComplement) {
-  const auto seq = dna::Sequence::from_string("AACGT");
-  const auto km = Kmer::from_sequence(seq, 0, 5);
-  EXPECT_EQ(km.reverse_complement().to_string(), "ACGTT");
-  EXPECT_EQ(km.reverse_complement().reverse_complement(), km);
-}
-
 TEST(Kmer, EqualityIncludesK) {
   EXPECT_NE(Kmer(0, 3), Kmer(0, 4));
   EXPECT_EQ(Kmer(5, 3), Kmer(5, 3));

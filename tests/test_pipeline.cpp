@@ -49,7 +49,7 @@ TEST(Pipeline, EndToEndAssemblyVerifies) {
   const auto result = run_pipeline(dev, w.reads, opt);
 
   EXPECT_GT(result.distinct_kmers, 1000u);
-  EXPECT_EQ(result.graph_edges, result.distinct_kmers);
+  EXPECT_EQ(result.graph.edge_count(), result.distinct_kmers);
   const auto report =
       assembly::verify_contigs(w.genome, result.contigs, 2 * opt.k);
   EXPECT_TRUE(report.all_match());
@@ -69,8 +69,8 @@ TEST(Pipeline, MatchesSoftwareAssembler) {
   const auto sw = assemble(w.reads, sopt);
 
   EXPECT_EQ(pim.distinct_kmers, sw.distinct_kmers);
-  EXPECT_EQ(pim.graph_nodes, sw.graph_nodes);
-  EXPECT_EQ(pim.graph_edges, sw.graph_edges);
+  EXPECT_EQ(pim.graph.node_count(), sw.graph_nodes);
+  EXPECT_EQ(pim.graph.edge_count(), sw.graph_edges);
   EXPECT_EQ(pim.contig_stats.total_length, sw.stats.total_length);
   EXPECT_EQ(pim.contig_stats.count, sw.stats.count);
 }

@@ -22,6 +22,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -90,7 +91,17 @@ std::vector<dna::Sequence> workload_reads(std::uint64_t seed) {
 struct RunOutput {
   core::PipelineResult result;
   std::string model_snapshot;  ///< json_snapshot(model_only) — byte oracle
+  /// pima_pool_fallbacks_total: nonzero when the restart budget ran out
+  /// and the in-process shards, not the workers, made the output.
+  double fallbacks = 0.0;
 };
+
+double fallbacks_in(telemetry::MetricsRegistry& registry) {
+  return registry
+      .counter("pima_pool_fallbacks_total", "", {},
+               telemetry::MetricClass::kHost)
+      .value();
+}
 
 RunOutput run_config(const std::vector<dna::Sequence>& reads, bool isolate,
                      std::size_t devices,
@@ -116,6 +127,7 @@ RunOutput run_config(const std::vector<dna::Sequence>& reads, bool isolate,
   RunOutput out;
   out.result = core::run_pipeline(device, reads, opt);
   out.model_snapshot = registry.json_snapshot(/*model_only=*/true);
+  out.fallbacks = fallbacks_in(registry);
   return out;
 }
 
@@ -123,8 +135,8 @@ void expect_bit_identical(const core::PipelineResult& a,
                           const core::PipelineResult& b) {
   EXPECT_EQ(a.contigs, b.contigs);
   EXPECT_EQ(a.distinct_kmers, b.distinct_kmers);
-  EXPECT_EQ(a.graph_nodes, b.graph_nodes);
-  EXPECT_EQ(a.graph_edges, b.graph_edges);
+  EXPECT_EQ(a.graph.node_count(), b.graph.node_count());
+  EXPECT_EQ(a.graph.edge_count(), b.graph.edge_count());
   EXPECT_EQ(a.hashmap.device, b.hashmap.device);
   EXPECT_EQ(a.debruijn.device, b.debruijn.device);
   EXPECT_EQ(a.traverse.device, b.traverse.device);
@@ -205,10 +217,10 @@ TEST(ProcPoolRecovery, CrashedWorkersRestartAndOutputIsBitIdentical) {
     // input — then the flag file makes the respawned worker healthy.
     ScopedEnv hook("PIMA_DEVD_TEST_HOOK", std::string("dev=2:after=8:action=") +
                                               action + ":flag=" + flag);
-    core::PipelineOptions::IsolateOptions iso;
-    iso.allow_degrade = false;  // a degrade here would mask a replay bug
-    const auto run = run_config(reads, /*isolate=*/true, 4, iso);
+    const auto run = run_config(reads, /*isolate=*/true, 4);
     EXPECT_TRUE(fs::exists(flag)) << "hook never fired";
+    // A fallback here would mask a replay bug.
+    EXPECT_EQ(run.fallbacks, 0.0);
     expect_bit_identical(run.result, baseline.result);
     EXPECT_EQ(run.model_snapshot, baseline.model_snapshot);
   }
@@ -232,11 +244,38 @@ TEST(ProcPoolRecovery, KillOnTheDegreeBatchIsBitIdentical) {
     ScopedEnv hook("PIMA_DEVD_TEST_HOOK",
                    std::string("dev=1:op=degree_block:after=1:action=") +
                        action + ":flag=" + flag);
-    core::PipelineOptions::IsolateOptions iso;
-    iso.allow_degrade = false;
     const auto run =
-        run_config(reads, /*isolate=*/true, 4, iso, /*capture=*/true);
+        run_config(reads, /*isolate=*/true, 4, {}, /*capture=*/true);
     EXPECT_TRUE(fs::exists(flag)) << "hook never fired";
+    EXPECT_EQ(run.fallbacks, 0.0);
+    expect_bit_identical(run.result, baseline.result);
+    EXPECT_EQ(run.model_snapshot, baseline.model_snapshot);
+    EXPECT_EQ(run.result.trace, baseline.result.trace);
+  }
+  fs::remove_all(scratch);
+}
+
+TEST(ProcPoolRecovery, KillOnTheStatsAnswerIsBitIdentical) {
+  // The crash lands on the stage boundary: device 1 takes its stage-2
+  // stats (which clears them), then dies before answering. The restarted
+  // worker replays its journal without the in-flight line and is asked
+  // again. Untraced, the journal holds stage 2 alone; traced, it keeps
+  // every line since init, and the replayed stage-1 `stats` clears where
+  // the original did.
+  const auto reads = workload_reads(18);
+  const auto scratch = fs::temp_directory_path() / "procpool_stats_hook";
+  fs::remove_all(scratch);
+  fs::create_directories(scratch);
+  for (const bool capture : {false, true}) {
+    SCOPED_TRACE(capture ? "traced" : "untraced");
+    const auto baseline = run_config(reads, /*isolate=*/false, 4, {}, capture);
+    const auto flag =
+        (scratch / (capture ? "flag_traced" : "flag_untraced")).string();
+    ScopedEnv hook("PIMA_DEVD_TEST_HOOK",
+                   "dev=1:op=stats:after=2:action=sigkill:flag=" + flag);
+    const auto run = run_config(reads, /*isolate=*/true, 4, {}, capture);
+    EXPECT_TRUE(fs::exists(flag)) << "hook never fired";
+    EXPECT_EQ(run.fallbacks, 0.0);
     expect_bit_identical(run.result, baseline.result);
     EXPECT_EQ(run.model_snapshot, baseline.model_snapshot);
     EXPECT_EQ(run.result.trace, baseline.result.trace);
@@ -254,12 +293,11 @@ TEST(ProcPoolRecovery, RecoveryPreservesCapturedTrace) {
   const auto flag = (scratch / "flag").string();
   ScopedEnv hook("PIMA_DEVD_TEST_HOOK",
                  "dev=1:after=6:action=sigkill:flag=" + flag);
-  core::PipelineOptions::IsolateOptions iso;
-  iso.allow_degrade = false;
   // capture_trace disables journal truncation: the respawned worker must
   // replay every command so its trace capture is complete.
-  const auto run = run_config(reads, /*isolate=*/true, 4, iso, /*capture=*/true);
+  const auto run = run_config(reads, /*isolate=*/true, 4, {}, /*capture=*/true);
   EXPECT_TRUE(fs::exists(flag)) << "hook never fired";
+  EXPECT_EQ(run.fallbacks, 0.0);
   EXPECT_EQ(run.result.trace, baseline.result.trace);
   fs::remove_all(scratch);
 }
@@ -280,27 +318,24 @@ TEST(ProcPoolChaos, ChildIofaultTornWriteIsSurvivedWithReplay) {
   init.k = 15;
   init.hash_shards = 4;
   init.engine.channels = 1;
-  runtime::ProcSupervisor sup(opt, [&](std::size_t d) {
-    core::WorkerInit wi = init;
-    wi.device = d;
-    return core::worker_init_to_json(wi);
-  });
+  runtime::ProcSupervisor sup(
+      opt, [&](std::size_t) { return core::worker_init_to_json(init); });
   sup.start();
-  net::Json clear = net::Json::object();
-  clear.set("op", "clear_stats");
+  net::Json stats = net::Json::object();
+  stats.set("op", "stats");
   for (std::uint32_t i = 1; i <= 10; ++i) {
-    const auto responses = sup.rpc_all({clear});
+    const auto responses = sup.rpc_all({stats});
     EXPECT_TRUE(responses[0].get_bool("ok", false));
     sup.mark_stage_done(i);  // truncate: bounds the next replay
   }
   EXPECT_GE(sup.restarts_used(), 1u);
-  net::Json ping = net::Json::object();
-  ping.set("op", "ping");
-  EXPECT_TRUE(sup.query_all({ping})[0].get_bool("ok", false));
+  net::Json drain = net::Json::object();
+  drain.set("op", "drain");
+  EXPECT_TRUE(sup.query_all({drain})[0].get_bool("ok", false));
   sup.shutdown();
 }
 
-// ---- restart budget exhaustion: degrade or typed failure --------------------
+// ---- restart budget exhaustion: the in-process rerun ------------------------
 
 TEST(ProcPoolDegrade, BudgetExhaustionFallsBackToInProcessPool) {
   const auto reads = workload_reads(15);
@@ -311,22 +346,7 @@ TEST(ProcPoolDegrade, BudgetExhaustionFallsBackToInProcessPool) {
   iso.restart_budget = 2;
   const auto run = run_config(reads, /*isolate=*/true, 4, iso);
   expect_bit_identical(run.result, baseline.result);
-}
-
-TEST(ProcPoolDegrade, DisallowedDegradeThrowsWorkerCrashedError) {
-  const auto reads = workload_reads(15);
-  ScopedEnv hook("PIMA_DEVD_TEST_HOOK", "dev=0:after=4:action=sigkill");
-  core::PipelineOptions::IsolateOptions iso;
-  iso.restart_budget = 1;
-  iso.allow_degrade = false;
-  try {
-    (void)run_config(reads, /*isolate=*/true, 4, iso);
-    FAIL() << "expected WorkerCrashedError";
-  } catch (const WorkerCrashedError& e) {
-    EXPECT_EQ(e.device(), 0u);
-    EXPECT_EQ(e.classification(), "killed by signal");
-    EXPECT_EQ(exit_code_for(e), kExitWorkerCrashed);
-  }
+  EXPECT_EQ(run.fallbacks, 1.0);
 }
 
 // ---- cross-transport resume ------------------------------------------------
@@ -390,6 +410,9 @@ TEST(ProcPoolFailure, ShardOverflowSurfacesTheRootFailureOnBothTransports) {
   const auto reads = dna::sample_reads(dna::generate_genome(gp), rp);
   for (const bool isolate : {false, true}) {
     SCOPED_TRACE(isolate ? "isolated" : "in-process");
+    telemetry::MetricsRegistry registry;
+    telemetry::ScopedMetricsRegistry scope(&registry);
+    telemetry::TelemetrySession::instance().enable_metrics();
     dram::Device device(pipeline_geometry());
     core::PipelineOptions opt;
     opt.k = 15;
@@ -397,7 +420,6 @@ TEST(ProcPoolFailure, ShardOverflowSurfacesTheRootFailureOnBothTransports) {
     opt.devices = 2;
     opt.threads = 2;
     opt.isolate = isolate;
-    opt.isolate_opts.allow_degrade = false;
     try {
       (void)core::run_pipeline(device, reads, opt);
       FAIL() << "hash shard overflow accepted";
@@ -406,6 +428,8 @@ TEST(ProcPoolFailure, ShardOverflowSurfacesTheRootFailureOnBothTransports) {
                 std::string::npos)
           << e.what();
     }
+    // A typed worker error fails the run; it never reruns in process.
+    EXPECT_EQ(fallbacks_in(registry), 0.0);
   }
 }
 
@@ -435,9 +459,9 @@ TEST(ProcPoolObservability, StitchedTraceHasWorkerSpansFlowsAndRestartTracks) {
   opt.devices = 3;
   opt.threads = 2;
   opt.isolate = true;
-  opt.isolate_opts.allow_degrade = false;
   const auto result = core::run_pipeline(device, reads, opt);
   EXPECT_TRUE(fs::exists(flag)) << "hook never fired";
+  EXPECT_EQ(fallbacks_in(registry), 0.0);
   expect_bit_identical(result, baseline.result);
   // Tracing is host-side observation: the model-class oracle must not
   // move because spans were recorded and harvested.
@@ -473,10 +497,9 @@ TEST(ProcPoolObservability, WorkerCrashDumpsSchemaValidCrashReport) {
   ScopedEnv hook("PIMA_DEVD_TEST_HOOK",
                  "dev=2:after=8:action=sigkill:flag=" + flag);
   const auto reads = workload_reads(17);
-  core::PipelineOptions::IsolateOptions iso;
-  iso.allow_degrade = false;
-  const auto run = run_config(reads, /*isolate=*/true, 4, iso);
+  const auto run = run_config(reads, /*isolate=*/true, 4);
   ASSERT_FALSE(run.result.contigs.empty());
+  EXPECT_EQ(run.fallbacks, 0.0);
   EXPECT_GE(flight.dump_count(), 1u);
   ASSERT_TRUE(fs::exists(report_path));
 
@@ -503,8 +526,6 @@ TEST(ProcPoolWire, WorkerInitRoundTripsThroughJson) {
   init.geometry = pipeline_geometry();
   init.technology.tech.vdd = 1.05;
   init.technology.timing.t_rcd_ns = 14.5;
-  init.device = 3;
-  init.devices = 4;
   init.k = 21;
   init.hash_shards = 32;
   init.engine.channels = 5;
@@ -515,7 +536,7 @@ TEST(ProcPoolWire, WorkerInitRoundTripsThroughJson) {
   // Geometry/Technology carry no operator==; a second serialization is the
   // byte oracle (net::Json renders doubles shortest-round-trip-exact).
   EXPECT_EQ(core::worker_init_to_json(parsed).dump(), wire.dump());
-  EXPECT_EQ(parsed.device, 3u);
+  EXPECT_EQ(parsed.hash_shards, 32u);
   EXPECT_EQ(parsed.k, 21u);
   EXPECT_TRUE(parsed.engine.capture_trace);
 }
@@ -726,15 +747,12 @@ TEST(ProcPoolWire, TypedErrorsRoundTripThroughResponses) {
       EXPECT_EQ(what, std::string("boom: ") + row.name);
     }
   }
-  EXPECT_EQ(rows, std::size(kErrorTable) - 2);
+  EXPECT_EQ(rows, std::size(kErrorTable) - 1);
   const EngineStalledError stalled(2, 7, 41, 250.0);
   EXPECT_EQ(roundtrip(stalled, what), "EngineStalledError");
   EXPECT_EQ(what, stalled.what());
-  // A row without a message constructor, and a class the table does not
-  // list, both arrive as SimulationError carrying the worker's message.
-  const WorkerCrashedError crashed(1, "killed by signal", "");
-  EXPECT_EQ(roundtrip(crashed, what), "SimulationError");
-  EXPECT_EQ(what, crashed.what());
+  // A class the table does not list arrives as SimulationError carrying
+  // the worker's message.
   EXPECT_EQ(roundtrip(std::runtime_error("odd"), what), "SimulationError");
   EXPECT_EQ(what, "odd");
 }
@@ -915,6 +933,11 @@ TEST(ProcPoolWire, MalformedRequestsGetTypedErrors) {
     if (what == "extract: not an array")
       return request("extract", "shards", net::Json(std::uint64_t{0}));
     if (what == "trace: missing flat") return op_request("trace");
+    // Verbs the worker no longer answers: the controller counts the
+    // extracted entries, and `stats` clears what it answers.
+    if (what == "distinct: unknown op") return op_request("distinct");
+    if (what == "clear_stats: unknown op") return op_request("clear_stats");
+    if (what == "ping: unknown op") return op_request("ping");
     if (what == "trace: flat out of range")
       return request("trace", "flat", net::Json(total + rng() % 4));
     // program: a valid ROW_WRITE ahead of the corrupted record.
@@ -1003,6 +1026,8 @@ TEST(ProcPoolWire, MalformedRequestsGetTypedErrors) {
           "kmers: a number above 2^64 - 1", "kmers: k-mer wider than 2k bits",
           "extract: shard out of range", "extract: not an array",
           "trace: missing flat", "trace: flat out of range",
+          "distinct: unknown op", "clear_stats: unknown op",
+          "ping: unknown op",
           "program: text field only", "program: unknown opcode",
           "program: truncated record", "program: zero size",
           "program: payload wider than the row",
@@ -1023,6 +1048,11 @@ TEST(ProcPoolWire, MalformedRequestsGetTypedErrors) {
       const std::string type = response.get_string("error");
       EXPECT_TRUE(type == "InputFormatError" || type == "PreconditionError")
           << type;
+      if (std::string_view(what).ends_with("unknown op")) {
+        EXPECT_EQ(type, "InputFormatError");
+        EXPECT_NE(response.get_string("message").find("unknown op"),
+                  std::string::npos);
+      }
       EXPECT_TRUE(worker.handle(op_request("drain")).get_bool("ok"));
       EXPECT_TRUE(
           worker.handle(op_request("stats")).get("subarrays").items().empty());
@@ -1041,7 +1071,16 @@ TEST(ProcPoolWire, MalformedRequestsGetTypedErrors) {
                                     5, 7, width, std::uint64_t{1} << 63)})))
                   .get_bool("ok"));
   EXPECT_TRUE(worker.handle(op_request("drain")).get_bool("ok"));
-  EXPECT_EQ(worker.handle(op_request("distinct")).get_uint64("value"), 2u);
+  net::Json extract = op_request("extract");
+  net::Json every_shard = net::Json::array();
+  for (std::uint64_t shard = 0; shard < init.hash_shards; ++shard)
+    every_shard.push_back(net::Json(shard));
+  extract.set("shards", std::move(every_shard));
+  std::size_t entries = 0;
+  for (const auto& list : core::extract_shards_from_json(
+           worker.handle(extract).get("shards"), init.hash_shards, init.k))
+    entries += list.size();
+  EXPECT_EQ(entries, 2u);
   EXPECT_FALSE(
       worker.handle(op_request("stats")).get("subarrays").items().empty());
 }
@@ -1147,7 +1186,7 @@ TEST(ProcPoolWire, MutatedPackedPayloadsGetOkOrTypedErrors) {
     SCOPED_TRACE(op);
     ASSERT_TRUE(worker.handle(packed_request(op, key, payload)).get_bool("ok"));
     EXPECT_TRUE(worker.handle(op_request("drain")).get_bool("ok"));
-    (void)worker.handle(op_request("clear_stats"));
+    (void)worker.handle(op_request("stats"));
     int accepted = 0;
     int rejected = 0;
     for (int i = 0; i < kBudget; ++i) {
@@ -1171,7 +1210,7 @@ TEST(ProcPoolWire, MutatedPackedPayloadsGetOkOrTypedErrors) {
         (void)worker.handle(op_request("drain"));
       } catch (const PreconditionError&) {
       }
-      (void)worker.handle(op_request("clear_stats"));
+      (void)worker.handle(op_request("stats"));
     }
     EXPECT_GT(accepted, 0);
     EXPECT_GT(rejected, 0);
@@ -1249,11 +1288,8 @@ TEST(ProcPoolWire, ProgramRequestsCostAtMost32BytesPerInstruction) {
 TEST(ProcPoolWire, RpcAllRethrowsTheLowestDevicesTypedError) {
   runtime::ProcPoolOptions opt;
   opt.devices = 3;
-  runtime::ProcSupervisor sup(opt, [](std::size_t d) {
-    core::WorkerInit wi = degree_worker_init();
-    wi.device = d;
-    wi.devices = 3;
-    return core::worker_init_to_json(wi);
+  runtime::ProcSupervisor sup(opt, [](std::size_t) {
+    return core::worker_init_to_json(degree_worker_init());
   });
   sup.start();
   // An unknown verb is an InputFormatError; a block needing more rows than
@@ -1263,19 +1299,19 @@ TEST(ProcPoolWire, RpcAllRethrowsTheLowestDevicesTypedError) {
   const net::Json precondition = degree_batch({encode_block(0, 1, huge)});
   const net::Json input_format = op_request("no_such_verb");
   {
-    const std::vector<net::Json> requests = {op_request("ping"), input_format,
-                                             precondition};
+    const std::vector<net::Json> requests = {op_request("drain"),
+                                             input_format, precondition};
     EXPECT_THROW((void)sup.rpc_all(requests), InputFormatError);
   }
   {
-    const std::vector<net::Json> requests = {op_request("ping"), precondition,
-                                             input_format};
+    const std::vector<net::Json> requests = {op_request("drain"),
+                                             precondition, input_format};
     EXPECT_THROW((void)sup.rpc_all(requests), PreconditionError);
   }
   // Every response was consumed: the streams stay in step.
-  const auto pongs =
-      sup.query_all(std::vector<net::Json>(3, op_request("ping")));
-  for (const auto& pong : pongs) EXPECT_TRUE(pong.get_bool("ok", false));
+  const auto drained =
+      sup.query_all(std::vector<net::Json>(3, op_request("drain")));
+  for (const auto& d : drained) EXPECT_TRUE(d.get_bool("ok", false));
   EXPECT_EQ(sup.restarts_used(), 0u);
   sup.shutdown();
 }

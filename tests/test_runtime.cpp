@@ -422,8 +422,8 @@ PipelineRun run_with_threads(std::size_t threads) {
 
 void expect_identical(const PipelineRun& a, const PipelineRun& b) {
   EXPECT_EQ(a.result.distinct_kmers, b.result.distinct_kmers);
-  EXPECT_EQ(a.result.graph_nodes, b.result.graph_nodes);
-  EXPECT_EQ(a.result.graph_edges, b.result.graph_edges);
+  EXPECT_EQ(a.result.graph.node_count(), b.result.graph.node_count());
+  EXPECT_EQ(a.result.graph.edge_count(), b.result.graph.edge_count());
   ASSERT_EQ(a.result.contigs.size(), b.result.contigs.size());
   for (std::size_t i = 0; i < a.result.contigs.size(); ++i)
     EXPECT_EQ(a.result.contigs[i].to_string(), b.result.contigs[i].to_string());

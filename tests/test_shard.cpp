@@ -83,8 +83,8 @@ void expect_bit_identical(const core::PipelineResult& a,
                           const core::PipelineResult& b) {
   EXPECT_EQ(a.contigs, b.contigs);
   EXPECT_EQ(a.distinct_kmers, b.distinct_kmers);
-  EXPECT_EQ(a.graph_nodes, b.graph_nodes);
-  EXPECT_EQ(a.graph_edges, b.graph_edges);
+  EXPECT_EQ(a.graph.node_count(), b.graph.node_count());
+  EXPECT_EQ(a.graph.edge_count(), b.graph.edge_count());
   EXPECT_EQ(a.hashmap.device, b.hashmap.device);
   EXPECT_EQ(a.debruijn.device, b.debruijn.device);
   EXPECT_EQ(a.traverse.device, b.traverse.device);
@@ -224,7 +224,7 @@ TEST(DevicePoolFolds, MatchSingleDeviceBitForBit) {
   std::vector<dram::SubarrayStats> per_device;
   std::size_t instantiated = 0;
   for (std::size_t d = 0; d < 3; ++d) {
-    per_device.push_back(shards[d]->subarray_stats());
+    per_device.push_back(shards[d]->take_stats());
     EXPECT_FALSE(per_device.back().empty()) << "device " << d;
     instantiated += instantiated_in(*devices[d]);
   }

@@ -27,7 +27,6 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/progress.hpp"
 #include "telemetry/session.hpp"
-#include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 #include "test_support.hpp"
 
@@ -442,8 +441,6 @@ TEST(Session, FlushWritesAllConfiguredSinks) {
   session.set_metrics_path(metrics_path);
   session.tracer().enable();
   session.enable_metrics();
-  // Direct API, not PIMA_TEL_INSTANT: the sinks must work even when the
-  // hot-path instrumentation macros are compiled out.
   session.tracer().record_instant("flush:test");
   session.metrics().counter("pima_flush_total", "h").increment();
   session.tracer().disable();
@@ -466,9 +463,6 @@ TEST(Session, FlushWritesAllConfiguredSinks) {
 // ---- engine stall leaves a readable trace behind ----
 
 TEST(EngineTelemetry, StallFlushesTraceWithStallEvent) {
-#if !PIMA_TELEMETRY
-  GTEST_SKIP() << "engine instrumentation compiled out (PIMA_TELEMETRY=OFF)";
-#endif
   auto& session = TelemetrySession::instance();
   test_support::idle_telemetry_session();
   const auto trace_path = temp_path("tel_stall_trace.json");
