@@ -31,7 +31,7 @@ dram::DeviceStats run_build(core::MappingPolicy policy,
                             const std::vector<dna::Sequence>& reads,
                             std::size_t k) {
   dram::Device dev(bench_geometry());
-  core::PimHashTable table(dev, 12, 0, policy);
+  core::PimHashTable table(dev, 12, policy);
   for (const auto& read : reads) {
     if (read.size() < k) continue;
     auto window = assembly::Kmer::from_sequence(read, 0, k);

@@ -19,7 +19,7 @@ std::uint64_t low_bits(std::size_t n) {
 }  // namespace
 
 PimHashTable::PimHashTable(dram::Device& device, std::size_t shards,
-                           std::size_t first_subarray, MappingPolicy policy)
+                           MappingPolicy policy)
     : device_(device),
       layout_(ShardLayout::for_geometry(device.geometry())),
       policy_(policy) {
@@ -30,11 +30,10 @@ PimHashTable::PimHashTable(dram::Device& device, std::size_t shards,
   // straddle a 64-bit word.
   PIMA_CHECK(64 % layout_.counter_bits == 0,
              "counter width must divide the 64-bit word");
-  PIMA_CHECK(
-      first_subarray + shards + extra <= geometry().total_subarrays(),
-      "shard range exceeds device");
+  PIMA_CHECK(shards + extra <= geometry().total_subarrays(),
+             "shard range exceeds device");
   if (policy == MappingPolicy::kCentralValues) {
-    central_value_flat_ = first_subarray + shards;
+    central_value_flat_ = shards;
     const std::size_t counter_rows =
         (shards * layout_.kmer_rows + layout_.counters_per_row() - 1) /
         layout_.counters_per_row();
@@ -45,7 +44,7 @@ PimHashTable::PimHashTable(dram::Device& device, std::size_t shards,
   shards_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
     Shard sh;
-    sh.subarray_flat = first_subarray + s;
+    sh.subarray_flat = s;
     sh.occupied.assign(layout_.kmer_rows, false);
     sh.query = BitVector(geometry().columns);
     sh.scratch = BitVector(geometry().columns);

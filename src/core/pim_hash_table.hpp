@@ -59,7 +59,7 @@ enum class MappingPolicy {
 using KmerEntries = std::vector<std::pair<assembly::Kmer, std::uint32_t>>;
 
 /// The hash router: the shard a k-mer counts in, of `shards`. Every
-/// transport routes by this rule; with shard s at flat first + s and owner
+/// transport routes by this rule; with shard s at flat s and owner
 /// dram::owner_of(flat, devices), a sharded run places k-mers by the
 /// paper-style owner = hash(kmer) % N.
 inline std::size_t hash_shard_of(const assembly::Kmer& kmer,
@@ -70,12 +70,10 @@ inline std::size_t hash_shard_of(const assembly::Kmer& kmer,
 /// Counting hash table materialized in simulated DRAM.
 class PimHashTable {
  public:
-  /// `shards` sub-arrays are taken from `device` starting at flat index
-  /// `first_subarray`. Capacity = shards × layout.kmer_rows keys. With
-  /// MappingPolicy::kCentralValues one extra sub-array (at
-  /// `first_subarray + shards`) holds every counter.
+  /// Shard s is sub-array s of `device`, for s < `shards`. Capacity =
+  /// shards × layout.kmer_rows keys. With MappingPolicy::kCentralValues
+  /// one extra sub-array (at flat `shards`) holds every counter.
   PimHashTable(dram::Device& device, std::size_t shards,
-               std::size_t first_subarray = 0,
                MappingPolicy policy = MappingPolicy::kCorrelated);
 
   /// Inserts the k-mer or increments its counter. Returns new frequency.

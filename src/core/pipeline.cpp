@@ -4,22 +4,22 @@
 // against ShardBackend, the device operations the stages need. Where the
 // commands execute is the backend's business:
 //
-//   * InProcessShards: one core::DeviceShard per device, called directly;
+//   * InProcessShards: one core::DeviceShard over the caller's device,
+//     called directly, whose engine runs devices × threads channels;
 //   * RpcShards (--isolate): every DeviceShard in its own pima_devd child
 //     under the runtime::ProcSupervisor, driven by journaled NDJSON
 //     requests batched per superstep (ProcSupervisor::rpc_all). A worker's
 //     device state is a pure function of its request journal, so a crash
 //     + replay lands on the exact pre-crash state.
 //
-// Sub-array `flat` lives on device dram::owner_of(flat, devices); both
-// fold statistics through the same dram::fold_in_flat_order and append
+// Under --isolate, sub-array `flat` lives on worker dram::owner_of(flat,
+// devices); both fold statistics through dram::fold_in_flat_order and append
 // each sub-array's trace in logical flat order, so contigs, per-stage
 // DeviceStats, model-class metrics and trace bytes are identical across
 // transports, device counts, channel counts and worker crashes.
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -72,7 +72,6 @@ runtime::CheckpointFingerprint make_fingerprint(const dram::Geometry& geom,
   runtime::CheckpointFingerprint fp;
   fp.k = o.k;
   fp.hash_shards = o.hash_shards;
-  fp.devices = o.devices;
   fp.use_multiplicity = o.use_multiplicity;
   fp.rows = geom.rows;
   fp.compute_rows = geom.compute_rows;
@@ -128,62 +127,38 @@ runtime::EngineOptions engine_options(const PipelineOptions& o) {
   return e;
 }
 
-// The caller's device is shard 0; the backend owns devices 1..N-1 for the
-// run. With devices == 1 every call goes to the one shard: the classic
-// single-device path.
+// In process a run has one device: the caller's, under one engine of
+// devices × threads channels. Channel c serves the flats ≡ c (mod
+// channels), so simulated device d's flats (≡ d mod devices) spread over
+// the channels ≡ d (mod devices) and every channel gets work; threads 0
+// keeps one channel per hardware thread for the whole run.
 class InProcessShards final : public ShardBackend {
  public:
   InProcessShards(dram::Device& device, const PipelineOptions& options)
-      : total_(device.geometry().total_subarrays()) {
-    runtime::EngineOptions engine = engine_options(options);
-    // With more than one device, even a one-channel engine must own a real
-    // worker — otherwise every device would retire inline on the
-    // controller thread and device-level parallelism would be fiction.
-    engine.force_worker = options.devices > 1;
-    for (std::size_t d = 0; d < options.devices; ++d) {
-      if (d > 0)
-        extras_.push_back(std::make_unique<dram::Device>(
-            device.geometry(), device.technology()));
-      shards_.push_back(std::make_unique<DeviceShard>(
-          d == 0 ? device : *extras_.back(), engine, options.hash_shards,
-          options.k, kKmerBatch, options.fault, options.recovery));
-    }
-  }
+      : total_(device.geometry().total_subarrays()),
+        shard_(device, in_process_engine(options), options.hash_shards,
+               options.k, kKmerBatch, options.fault, options.recovery) {}
 
   void start(std::uint32_t) override {}
 
-  // The owning device's shard batches the k-mer per channel and flushes
-  // full batches through the bounded queues (backpressure throttles the
-  // controller when the channels fall behind). One device skips the
-  // routing hash: add_kmer hashes anyway.
+  // The shard batches the k-mer per channel and flushes full batches
+  // through the bounded queues (backpressure throttles the controller when
+  // the channels fall behind).
   void submit_kmer(const assembly::Kmer& kmer) override {
-    owner(shards_.size() == 1
-              ? 0
-              : hash_shard_of(kmer, shards_[0]->hash_shards()))
-        .add_kmer(kmer);
+    shard_.add_kmer(kmer);
   }
 
-  // Drains every device in index order, then rethrows the lowest device's
-  // failure (lowest channel within it — deterministic like Engine::drain).
+  // Rethrows the lowest channel's failure (Engine::drain).
   void drain() override {
-    for (auto& shard : shards_) shard->flush_kmers();
-    std::exception_ptr first;
-    for (auto& shard : shards_) {
-      try {
-        shard->drain();
-      } catch (...) {
-        if (!first) first = std::current_exception();
-      }
-    }
-    if (first) std::rethrow_exception(first);
+    shard_.flush_kmers();
+    shard_.drain();
   }
 
-  // Shard by shard from its owner, so the list concatenates in
-  // (shard, slot) order.
+  // Shard by shard, so the list concatenates in (shard, slot) order.
   KmerEntries extract() override {
     KmerEntries entries;
-    for (std::size_t s = 0; s < shards_[0]->hash_shards(); ++s) {
-      KmerEntries part = owner(s).extract_shard(s);
+    for (std::size_t s = 0; s < shard_.hash_shards(); ++s) {
+      KmerEntries part = shard_.extract_shard(s);
       entries.insert(entries.end(), std::make_move_iterator(part.begin()),
                      std::make_move_iterator(part.end()));
     }
@@ -191,58 +166,44 @@ class InProcessShards final : public ShardBackend {
   }
 
   void submit_program(dram::Program program) override {
-    auto parts = dram::split_by_owner(std::move(program), shards_.size());
-    for (std::size_t d = 0; d < parts.size(); ++d)
-      if (!parts[d].empty()) shards_[d]->submit_program(std::move(parts[d]));
+    shard_.submit_program(std::move(program));
   }
 
   void degree_block(std::size_t flat, std::size_t n, const EdgeBlock& block,
                     bool transposed) override {
-    owner(flat).degree_block(flat, n, transposed ? transpose(block) : block);
+    shard_.degree_block(flat, n, transposed ? transpose(block) : block);
   }
 
   dram::StatsFold end_stage(std::uint32_t) override {
-    std::vector<dram::SubarrayStats> per_device;
-    for (auto& shard : shards_) per_device.push_back(shard->take_stats());
-    return dram::fold_in_flat_order(per_device);
+    return dram::fold_in_flat_order({shard_.take_stats()});
   }
 
   dram::Program captured_trace() override {
     dram::Program program;
     for (std::size_t flat = 0; flat < total_; ++flat)
-      if (const dram::Program* part = owner(flat).trace(flat))
+      if (const dram::Program* part = shard_.trace(flat))
         program.insert(program.end(), part->begin(), part->end());
     return program;
   }
 
-  // FaultStats counters are integral, so the per-device sum is exact.
-  runtime::FaultStats fault_stats() override {
-    runtime::FaultStats total;
-    for (const auto& shard : shards_) total += shard->fault_stats();
-    return total;
-  }
+  runtime::FaultStats fault_stats() override { return shard_.fault_stats(); }
 
-  // One device exports like a bare Engine (no device label); more merge
-  // {device="d"} registries in device order.
   void export_metrics(telemetry::MetricsRegistry& registry) override {
-    for (std::size_t d = 0; d < shards_.size(); ++d)
-      shards_[d]->export_metrics(
-          registry, shards_.size() == 1 ? std::string{} : std::to_string(d));
+    shard_.export_metrics(registry);
   }
 
  private:
   /// K-mers per channel task.
   static constexpr std::size_t kKmerBatch = 128;
 
-  DeviceShard& owner(std::size_t flat) {
-    return *shards_[dram::owner_of(flat, shards_.size())];
+  static runtime::EngineOptions in_process_engine(const PipelineOptions& o) {
+    runtime::EngineOptions engine = engine_options(o);
+    engine.channels = o.threads == 0 ? 0 : o.devices * o.threads;
+    return engine;
   }
 
-  // Declared first, destroyed last: every shard stops its engine before
-  // its device goes.
-  std::vector<std::unique_ptr<dram::Device>> extras_;
-  std::vector<std::unique_ptr<DeviceShard>> shards_;
-  const std::size_t total_;  ///< sub-arrays per device
+  const std::size_t total_;  ///< sub-arrays of the device
+  DeviceShard shard_;
 };
 
 // ---- Rpc transport ---------------------------------------------------------
@@ -366,8 +327,8 @@ class RpcShards final : public ShardBackend {
   }
 
   // rpc_all reads every response before rethrowing the lowest device's
-  // typed failure — InProcessShards::drain's rule; a degraded pool aborts
-  // immediately.
+  // typed failure (in process, the lowest channel's: Engine::drain); a
+  // degraded pool aborts immediately.
   void drain() override {
     ship_kmers();
     degrees_.finish();
@@ -408,8 +369,8 @@ class RpcShards final : public ShardBackend {
   }
 
   // Ships each device's dram::split_by_owner sub-stream as one `program`
-  // request of a single fan-out — the sub-streams InProcessShards submits,
-  // so per sub-array command order is the single-device order.
+  // request of a single fan-out; the split keeps program order, so per
+  // sub-array command order is the single-device order.
   void submit_program(dram::Program program) override {
     const auto per = dram::split_by_owner(std::move(program), sup_.devices());
     std::vector<net::Json> requests(sup_.devices());

@@ -55,19 +55,19 @@ struct PipelineOptions {
   bool use_multiplicity = false;   ///< Euler over edge multiplicities
   bool euler_contigs = true;       ///< Euler walks vs unitigs
   /// Runtime channel executors per device. 1 = single-threaded fallback
-  /// (tasks run inline on the caller, the pre-runtime behaviour); 0 = one
-  /// channel per hardware thread. With devices > 1 every device gets its
-  /// own engine with this many channels (total workers = devices ×
-  /// threads).
+  /// for one device (tasks run inline on the caller, the pre-runtime
+  /// behaviour); 0 = one channel per hardware thread for the whole run. In
+  /// process the run has one engine of devices × threads channels;
+  /// isolated, every worker has `threads` channels. Not part of the
+  /// checkpoint fingerprint: a resume may change it.
   std::size_t threads = 1;
-  /// Simulated devices the run is sharded over (core::DeviceShard). The
-  /// caller's device is shard 0; the pipeline owns the rest for the run.
-  /// Sub-arrays are partitioned owner = flat % devices — for the hash
-  /// table that is owner = hash(kmer) % devices — and every
-  /// output (contigs, per-stage DeviceStats, model-class metrics,
-  /// checkpoints) is bit-identical for any value. Unlike threads, the
-  /// device count IS part of the checkpoint fingerprint: a resume must use
-  /// the device count the snapshot was cut under.
+  /// Simulated devices the run is sharded over. Sub-arrays are
+  /// partitioned owner = flat % devices — for the hash table that is
+  /// owner = hash(kmer) % devices. In process every device is a slice of
+  /// the caller's device, served by the engine channels ≡ d (mod devices);
+  /// with `isolate`, each device is a pima_devd worker. Every output
+  /// (contigs, per-stage DeviceStats, model-class metrics, checkpoints) is
+  /// bit-identical for any value, so, like threads, a resume may change it.
   std::size_t devices = 1;
   /// Process isolation (runtime/procpool.hpp, DESIGN.md §15): run every
   /// device shard in its own `pima_devd` child process under the
@@ -154,7 +154,7 @@ struct PipelineResult {
   runtime::FaultStats fault_stats;
   /// With capture_trace: the replayable AAP program, every sub-array's
   /// capture appended in logical flat order — identical for every device
-  /// count and transport (the extra devices die with the run, so their
+  /// count and transport (isolated workers die with the run, so their
   /// traces are harvested here). Empty when capture_trace is off.
   dram::Program trace;
 

@@ -145,16 +145,8 @@ runtime::FaultStats DeviceShard::fault_stats() const {
   return recovery_ ? recovery_->roll_up() : runtime::FaultStats{};
 }
 
-void DeviceShard::export_metrics(telemetry::MetricsRegistry& registry,
-                                 const std::string& device_label) const {
-  if (device_label.empty()) {
-    engine_.export_metrics(registry);
-  } else {
-    telemetry::MetricsRegistry labelled;
-    labelled.set_default_labels({{"device", device_label}});
-    engine_.export_metrics(labelled);
-    registry.merge_from(labelled);
-  }
+void DeviceShard::export_metrics(telemetry::MetricsRegistry& registry) const {
+  engine_.export_metrics(registry);
   if (recovery_) recovery_->export_metrics(registry);
 }
 

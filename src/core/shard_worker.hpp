@@ -1,11 +1,14 @@
-// One simulated chip of a run (PAPER.md §1: hash-table shards and edge
-// blocks map to chips, then sub-arrays) — a dram::Device, its Engine, its
-// slice of the k-mer PimHashTable and, with faults or recovery on, its
-// RecoveryManager — and the wire that lets it live in a worker process
-// (DESIGN.md §14–15).
+// The device state a run's stages drive — a dram::Device, its Engine, the
+// k-mer PimHashTable and, with faults or recovery on, a RecoveryManager —
+// and the wire that lets it live in a worker process (DESIGN.md §14–15).
+// PAPER.md §1 maps hash-table shards and edge blocks to chips, then
+// sub-arrays; here that map is dram::owner_of(flat, devices).
 //
-// Both pipeline transports drive DeviceShard: in process by direct calls;
-// isolated through ShardWorkerCore, the transport-free verb dispatcher
+// Both pipeline transports drive DeviceShard. In process there is one,
+// over the caller's device, whose engine has devices × threads channels,
+// so channel c serves chip c mod devices. Isolated, each chip is one
+// DeviceShard of `threads` channels in a pima_devd worker, driven through
+// ShardWorkerCore, the transport-free verb dispatcher
 // each `pima_devd` worker wraps around one (so tests exercise the protocol
 // in-process and the pima_devd main() stays a thin I/O loop; its engine
 // runs the watchdog, so a wedged kernel becomes a typed
@@ -72,9 +75,9 @@
 
 namespace pima::core {
 
-/// One device of a run and the work the pipeline stages queue on it. The
-/// hash table holds the run's hash shards from flat 0 (shard s at flat s);
-/// a sharded run feeds each device only the k-mers of the shards it owns
+/// One device and the work the pipeline stages queue on it. The hash table
+/// holds the run's hash shards from flat 0 (shard s at flat s); an isolated
+/// worker is fed only the k-mers of the shards its chip owns
 /// (dram::owner_of). Every submission runs under runtime::submit_guarded.
 class DeviceShard {
  public:
@@ -120,11 +123,8 @@ class DeviceShard {
   /// and the sub-array was touched.
   const dram::Program* trace(std::size_t flat) const;
   runtime::FaultStats fault_stats() const;
-  /// Exports the engine counters — labelled {device=<label>} unless
-  /// `device_label` is empty — and the recovery counters, whose
-  /// {subarray=<flat>} labels are already unique across devices.
-  void export_metrics(telemetry::MetricsRegistry& registry,
-                      const std::string& device_label) const;
+  /// Exports the engine counters and the recovery counters.
+  void export_metrics(telemetry::MetricsRegistry& registry) const;
 
  private:
   /// Queues the channel's pending k-mers as one task.

@@ -98,7 +98,6 @@ class Reader {
 void put_fingerprint(Writer& w, const CheckpointFingerprint& f) {
   w.u64(f.k);
   w.u64(f.hash_shards);
-  w.u64(f.devices);
   w.u8(f.use_multiplicity ? 1 : 0);
   w.u64(f.rows);
   w.u64(f.compute_rows);
@@ -117,7 +116,6 @@ CheckpointFingerprint get_fingerprint(Reader& r) {
   CheckpointFingerprint f;
   f.k = r.u64();
   f.hash_shards = r.u64();
-  f.devices = r.u64();
   f.use_multiplicity = r.u8() != 0;
   f.rows = r.u64();
   f.compute_rows = r.u64();
@@ -296,7 +294,6 @@ std::string CheckpointFingerprint::diff(
     const CheckpointFingerprint& o) const {
   if (k != o.k) return "k";
   if (hash_shards != o.hash_shards) return "hash_shards";
-  if (devices != o.devices) return "devices";
   if (use_multiplicity != o.use_multiplicity) return "use_multiplicity";
   if (rows != o.rows || compute_rows != o.compute_rows ||
       columns != o.columns || subarrays_per_mat != o.subarrays_per_mat ||

@@ -29,10 +29,11 @@
 // The fingerprint pins every input that the remaining stages' command
 // streams depend on — geometry, k, sharding, multiplicity, fault seed —
 // so a resumed run is provably bit-identical to an uninterrupted one
-// (contigs, per-stage DeviceStats and FaultStats). Channel count is
-// deliberately NOT part of the fingerprint: the runtime's determinism
-// contract makes results identical for any --threads value, so a run
-// checkpointed at --threads 4 may resume at --threads 1 and vice versa.
+// (contigs, per-stage DeviceStats and FaultStats). Channel and device
+// counts are deliberately NOT part of the fingerprint: the determinism
+// contract makes results identical for any --threads and --devices value,
+// so a run checkpointed at --devices 4 --threads 4 may resume at
+// --devices 1 --threads 1 and vice versa.
 #pragma once
 
 #include <cstdint>
@@ -52,10 +53,13 @@ namespace pima::runtime {
 // drops the interval-count and walk-algorithm fields (the interval count
 // is always derived from the row width, and the walk is always Hierholzer);
 // version 6 drops the euler_contigs fingerprint field, the distinct count,
-// the edge list and the contigs (a resume recomputes them from the table).
+// the edge list and the contigs (a resume recomputes them from the table);
+// version 7 drops the devices fingerprint field (the (shard, slot)-ordered
+// table and the per-stage stats are identical for every device count and
+// transport, so a resume may change --devices).
 // Other versions are rejected as corrupt rather than silently resumed under
 // a possibly different payload layout.
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 /// Run configuration pinned by a snapshot. A resume whose live
 /// configuration differs in any field is rejected with
@@ -65,10 +69,6 @@ struct CheckpointFingerprint {
   // Pipeline shape.
   std::uint64_t k = 0;
   std::uint64_t hash_shards = 0;
-  /// Simulated device count (dram::owner_of). Pinned — unlike --threads —
-  /// because the shard fingerprint is part of the run's identity: stage
-  /// snapshots were cut under a specific owner = flat % devices layout.
-  std::uint64_t devices = 1;
   bool use_multiplicity = false;
   // Device geometry.
   std::uint64_t rows = 0;

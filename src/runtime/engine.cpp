@@ -67,9 +67,9 @@ Engine::Engine(dram::Device& device, EngineOptions options)
   PIMA_CHECK(options_.stall_timeout_ms >= 0.0,
              "stall timeout must be non-negative");
   if (options_.capture_trace) device_.enable_tracing();
-  // Inline fallback: no workers, no queues. force_worker opts out so the
-  // single-channel engines of a multi-device run still run concurrently,
-  // and a stall timeout opts out so the watchdog has a worker to supervise.
+  // Inline fallback: no workers, no queues. force_worker opts out so a
+  // device worker's request loop answers while its kernel runs, and a stall
+  // timeout opts out so the watchdog has a worker to supervise.
   const bool supervised = options_.stall_timeout_ms > 0.0;
   if (channels() == 1 && !options_.force_worker && !supervised) return;
   channels_.reserve(channels());
@@ -85,7 +85,6 @@ Engine::Engine(dram::Device& device, EngineOptions options)
           {1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9},
           {{"channel", std::to_string(c)}}, telemetry::MetricClass::kHost);
   }
-  telemetry::tracer().set_track_name(watchdog_track(), "watchdog");
   // Workers and the watchdog inherit the constructing thread's metrics
   // routing: a pipeline run started under a ScopedMetricsRegistry (a
   // service job's private registry) records its worker-side metrics —
@@ -97,14 +96,16 @@ Engine::Engine(dram::Device& device, EngineOptions options)
       telemetry::ScopedMetricsRegistry scope(scoped_registry);
       worker_loop(ch);
     });
-  if (supervised)
+  if (supervised) {
+    telemetry::tracer().set_track_name(watchdog_track(), "watchdog");
     watchdog_ = std::thread([this, scoped_registry] {
       telemetry::ScopedMetricsRegistry scope(scoped_registry);
       watchdog_loop();
     });
+  }
   // Flight-recorder state: per-channel queue/worker snapshots land in the
-  // `state` section of crash_report.json. Names are sequenced because a
-  // multi-device run has one engine per device. Workers hold a channel mutex
+  // `state` section of crash_report.json. Names are sequenced because one
+  // process may hold several engines at once. Workers hold a channel mutex
   // only around bookkeeping (never across a kernel), so a wedged worker
   // cannot deadlock a dump.
   static std::atomic<int> engine_seq{0};

@@ -71,12 +71,10 @@ struct EngineOptions {
   /// running on the caller's own thread.
   double stall_timeout_ms = 0.0;
   /// Spawns a real worker thread even for channels == 1 instead of the
-  /// inline fallback. A run sharded over several in-process devices sets
-  /// this (core::DeviceShard, one engine per device) so N single-channel
-  /// engines execute concurrently — without it, --devices N at --threads 1
-  /// would serialize every device on the controller thread. Model results
-  /// are unaffected either way (the determinism contract above covers
-  /// channels == 1 with a worker too).
+  /// inline fallback. A `pima_devd` device worker sets this
+  /// (core::ShardWorkerCore), so its request loop answers while its
+  /// kernels run. Model results are unaffected either way (the determinism
+  /// contract above covers channels == 1 with a worker too).
   bool force_worker = false;
 };
 
@@ -152,7 +150,8 @@ class Engine {
   void export_metrics(telemetry::MetricsRegistry& registry) const;
 
   /// Telemetry track ids (Chrome trace tid): 0 is the controller ("main"),
-  /// 1..channels are the channel workers, channels+1 is the watchdog.
+  /// 1..channels are the channel workers, channels+1 is the watchdog (named
+  /// only when one runs).
   static constexpr std::uint32_t kMainTrack = 0;
   std::uint32_t channel_track(std::size_t channel) const {
     return static_cast<std::uint32_t>(channel + 1);

@@ -36,8 +36,9 @@ namespace {
 constexpr const char* kContigsFile = "contigs.fa";
 
 /// What a job charges against the daemon's --channel-budget: a sharded job
-/// runs `devices` engines of `channels` workers each, so it occupies the
-/// full product while running.
+/// runs one engine of `devices` × `channels` workers (or, isolated,
+/// `devices` workers of `channels` each), so it occupies the full product
+/// while running.
 std::size_t channel_cost(const JobSpec& spec) {
   return spec.devices * spec.channels;
 }

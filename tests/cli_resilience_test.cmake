@@ -129,15 +129,26 @@ expect_exit(0 ${CLI} pim-run --reads ${WORK}/r.fa --k 15 --threads 1
 expect_exit(5 ${CLI} pim-run --reads ${WORK}/r.fa --k 17
             --checkpoint-dir ${WORK}/ckpt --resume)
 
-# Sharded checkpointed run, resumed at a different thread count -> 0; the
-# device count is pinned by the fingerprint, so resuming under a
-# different --devices -> 5 (incompatible checkpoint).
-expect_exit(0 ${CLI} pim-run --reads ${WORK}/r.fa --k 15 --threads 2
-            --devices 4 --checkpoint-dir ${WORK}/ckpt_dev)
+# Sharded checkpointed run, resumed at a different thread count and at a
+# different --devices -> 0 both times: the fingerprint pins neither, and
+# the resumed stdout equals the uninterrupted run's.
+execute_process(COMMAND ${CLI} pim-run --reads ${WORK}/r.fa --k 15
+                --threads 2 --devices 4 --checkpoint-dir ${WORK}/ckpt_dev
+                RESULT_VARIABLE rc OUTPUT_VARIABLE uninterrupted
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "sharded checkpointed run exited '${rc}'\n${err}")
+endif()
 expect_exit(0 ${CLI} pim-run --reads ${WORK}/r.fa --k 15 --threads 1
             --devices 4 --checkpoint-dir ${WORK}/ckpt_dev --resume)
-expect_exit(5 ${CLI} pim-run --reads ${WORK}/r.fa --k 15
-            --checkpoint-dir ${WORK}/ckpt_dev --resume)
+execute_process(COMMAND ${CLI} pim-run --reads ${WORK}/r.fa --k 15
+                --checkpoint-dir ${WORK}/ckpt_dev --resume
+                RESULT_VARIABLE rc OUTPUT_VARIABLE resumed ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT resumed STREQUAL uninterrupted)
+  message(FATAL_ERROR "resume at --devices 1 exited '${rc}' or its stdout "
+                      "differs\nresumed:\n${resumed}\nuninterrupted:\n"
+                      "${uninterrupted}\nstderr: ${err}")
+endif()
 
 # Damaged checkpoint -> 5. Trailing garbage breaks the header's payload
 # size; overwriting breaks the magic. (Exhaustive single-byte-flip coverage

@@ -66,7 +66,7 @@ TEST(HotPathAllocation, FaultFreeInsertAndLookupAllocateNothing) {
   for (const auto policy :
        {core::MappingPolicy::kCorrelated, core::MappingPolicy::kCentralValues}) {
     dram::Device dev(table_geometry());
-    core::PimHashTable table(dev, 4, 0, policy);
+    core::PimHashTable table(dev, 4, policy);
     table.bind_key_length(16);
     // Sub-arrays are created on first touch; create them up front.
     for (std::size_t flat = 0; flat < 5; ++flat) (void)dev.subarray(flat);

@@ -136,9 +136,8 @@ TEST(Checkpoint, VersionMismatchRejected) {
   const std::string path = temp_path("ckpt_version.ckpt");
   save_checkpoint(path, sample_snapshot());
   const std::string good = slurp(path);
-  // The previous format version (it also stored the distinct count, the
-  // edge list and the contigs) and an unknown future one are both refused,
-  // naming the version.
+  // The previous format version (its fingerprint also pinned the device
+  // count) and an unknown future one are both refused, naming the version.
   for (const std::uint32_t version :
        {kCheckpointVersion - 1, kCheckpointVersion + 1}) {
     std::string bytes = good;

@@ -192,7 +192,6 @@ TEST(PimHashTable, ConstructorValidation) {
   dram::Device dev(test_geometry());
   EXPECT_THROW(PimHashTable(dev, 0), pima::PreconditionError);
   EXPECT_THROW(PimHashTable(dev, 9), pima::PreconditionError);  // > 8 arrays
-  EXPECT_NO_THROW(PimHashTable(dev, 4, 4));
 }
 
 // ---- fused-probe oracle -------------------------------------------------
@@ -224,7 +223,7 @@ std::vector<Kmer> read_kmers(std::size_t length, std::size_t k,
 struct ProbeRig {
   ProbeRig(const dram::Geometry& g, std::size_t shards, MappingPolicy policy,
            bool stepped)
-      : dev(g), table(dev, shards, 0, policy) {
+      : dev(g), table(dev, shards, policy) {
     dev.enable_tracing();
     const std::size_t used =
         shards + (policy == MappingPolicy::kCentralValues ? 1 : 0);

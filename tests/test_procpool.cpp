@@ -44,6 +44,7 @@ namespace pima {
 namespace {
 
 namespace fs = std::filesystem;
+using test_support::expect_bit_identical;
 
 // RAII environment-variable override (the devd test hook travels to the
 // workers through the environment they inherit).
@@ -129,17 +130,6 @@ RunOutput run_config(const std::vector<dna::Sequence>& reads, bool isolate,
   out.model_snapshot = registry.json_snapshot(/*model_only=*/true);
   out.fallbacks = fallbacks_in(registry);
   return out;
-}
-
-void expect_bit_identical(const core::PipelineResult& a,
-                          const core::PipelineResult& b) {
-  EXPECT_EQ(a.contigs, b.contigs);
-  EXPECT_EQ(a.distinct_kmers, b.distinct_kmers);
-  EXPECT_EQ(a.graph.node_count(), b.graph.node_count());
-  EXPECT_EQ(a.graph.edge_count(), b.graph.edge_count());
-  EXPECT_EQ(a.hashmap.device, b.hashmap.device);
-  EXPECT_EQ(a.debruijn.device, b.debruijn.device);
-  EXPECT_EQ(a.traverse.device, b.traverse.device);
 }
 
 // ---- crash-free identity ----------------------------------------------------

@@ -16,11 +16,13 @@
 #include "common/error.hpp"
 #include "core/pipeline.hpp"
 #include "dna/genome.hpp"
+#include "test_support.hpp"
 
 namespace pima::core {
 namespace {
 
 namespace fs = std::filesystem;
+using test_support::expect_bit_identical;
 
 dram::Geometry pipeline_geometry() {
   dram::Geometry g;
@@ -58,22 +60,6 @@ std::string fresh_dir(const std::string& name) {
   return dir.string();
 }
 
-// The whole point of checkpoint/restart: everything the caller can observe
-// must be indistinguishable from the uninterrupted run.
-void expect_bit_identical(const PipelineResult& a, const PipelineResult& b) {
-  EXPECT_EQ(a.contigs, b.contigs);
-  EXPECT_EQ(a.distinct_kmers, b.distinct_kmers);
-  EXPECT_EQ(a.graph.node_count(), b.graph.node_count());
-  EXPECT_EQ(a.graph.edge_count(), b.graph.edge_count());
-  EXPECT_EQ(a.hashmap.device, b.hashmap.device);
-  EXPECT_EQ(a.debruijn.device, b.debruijn.device);
-  EXPECT_EQ(a.traverse.device, b.traverse.device);
-  EXPECT_EQ(a.fault_stats, b.fault_stats);
-  EXPECT_EQ(a.contig_stats.count, b.contig_stats.count);
-  EXPECT_EQ(a.contig_stats.n50, b.contig_stats.n50);
-  EXPECT_EQ(a.contig_stats.total_length, b.contig_stats.total_length);
-}
-
 // Forks a child that runs the pipeline with checkpointing and SIGKILLs
 // itself the instant the snapshot for `kill_after_stage` is durable —
 // the hardest crash there is: no stack unwinding, no flushes. Then
@@ -88,9 +74,8 @@ void kill_and_resume(std::size_t kill_threads, std::size_t resume_threads,
                 std::to_string(resume_threads) + "_d" +
                 std::to_string(devices));
 
-  // Golden: uninterrupted, no checkpointing at all. The fingerprint pins
-  // the device count (sharding changes what a snapshot means), so the
-  // golden run shards the same way.
+  // Golden: uninterrupted, no checkpointing at all, sharded like the
+  // killed run.
   PipelineOptions golden_opt = base_options(resume_threads);
   golden_opt.devices = devices;
   dram::Device golden_dev(pipeline_geometry());
@@ -146,32 +131,49 @@ TEST(Resilience, KillAfterStage2ResumesAcrossThreadCounts) {
 
 TEST(Resilience, KillShardedRunResumesAcrossThreadCounts) {
   // A 4-device sharded run killed after stage 1 and resumed at a
-  // different per-device channel count: devices are pinned by the
-  // fingerprint, threads are not, and the resumed output must still be
+  // different per-device channel count: the fingerprint pins neither
+  // devices nor threads, and the resumed output must still be
   // bit-identical to the uninterrupted sharded run.
   kill_and_resume(/*kill_threads=*/2, /*resume_threads=*/1, 1,
                   /*devices=*/4);
 }
 
-TEST(Resilience, ResumeWithMismatchedDevicesRejected) {
-  // The device count changes snapshot meaning (owner_of partitions the
-  // flat space), so resuming a 4-device checkpoint on 1 device must be
-  // refused as corrupt configuration, not silently re-sharded.
+TEST(Resilience, ResumeAtAnotherDeviceCountMatchesGolden) {
+  // The snapshot's (shard, slot)-ordered table and stage stats are the
+  // same for every device count and transport, so a 4-device snapshot
+  // resumes at one device, or at two isolated workers, bit-identically.
   const auto reads = workload_reads();
-  const std::string dir = fresh_dir("mismatch_devices");
-  {
-    PipelineOptions opt = base_options(1);
-    opt.devices = 4;
-    opt.checkpoint_dir = dir;
-    dram::Device dev(pipeline_geometry());
-    (void)run_pipeline(dev, reads, opt);
+  const std::string dir = fresh_dir("resume_devices");
+
+  dram::Device golden_dev(pipeline_geometry());
+  const auto golden = run_pipeline(golden_dev, reads, base_options(1));
+
+  PipelineOptions record = base_options(1);
+  record.devices = 4;
+  record.checkpoint_dir = dir;
+  record.on_checkpoint = [&](std::uint32_t stage, const std::string& path) {
+    fs::copy_file(path, dir + "/stage" + std::to_string(stage) + ".ckpt",
+                  fs::copy_options::overwrite_existing);
+  };
+  dram::Device record_dev(pipeline_geometry());
+  expect_bit_identical(run_pipeline(record_dev, reads, record), golden);
+
+  for (const bool isolate : {false, true}) {
+    for (const std::uint32_t stage : {1u, 2u}) {
+      SCOPED_TRACE("isolate=" + std::to_string(isolate) +
+                   " stage=" + std::to_string(stage));
+      fs::copy_file(dir + "/stage" + std::to_string(stage) + ".ckpt",
+                    dir + "/pipeline.ckpt",
+                    fs::copy_options::overwrite_existing);
+      PipelineOptions resume = base_options(1);
+      resume.devices = isolate ? 2 : 1;
+      resume.isolate = isolate;
+      resume.checkpoint_dir = dir;
+      resume.resume = true;
+      dram::Device dev(pipeline_geometry());
+      expect_bit_identical(run_pipeline(dev, reads, resume), golden);
+    }
   }
-  PipelineOptions other = base_options(1);
-  other.devices = 1;  // not the checkpointed run's device count
-  other.checkpoint_dir = dir;
-  other.resume = true;
-  dram::Device dev(pipeline_geometry());
-  EXPECT_THROW((void)run_pipeline(dev, reads, other), CorruptCheckpointError);
   fs::remove_all(dir);
 }
 

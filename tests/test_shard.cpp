@@ -9,10 +9,14 @@
 // properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitvector.hpp"
@@ -24,9 +28,12 @@
 #include "runtime/recovery.hpp"
 #include "telemetry/session.hpp"
 #include "verify/fuzz.hpp"
+#include "test_support.hpp"
 
 namespace pima {
 namespace {
+
+using test_support::expect_bit_identical;
 
 dram::Geometry pipeline_geometry() {
   dram::Geometry g;
@@ -54,6 +61,7 @@ std::vector<dna::Sequence> workload_reads(std::uint64_t seed) {
 struct RunOutput {
   core::PipelineResult result;
   std::string model_snapshot;  ///< json_snapshot(model_only) — byte oracle
+  std::string prometheus;      ///< every series, host class included
 };
 
 RunOutput run_config(const std::vector<dna::Sequence>& reads,
@@ -76,19 +84,8 @@ RunOutput run_config(const std::vector<dna::Sequence>& reads,
   RunOutput out;
   out.result = core::run_pipeline(device, reads, opt);
   out.model_snapshot = registry.json_snapshot(/*model_only=*/true);
+  out.prometheus = registry.prometheus_text();
   return out;
-}
-
-void expect_bit_identical(const core::PipelineResult& a,
-                          const core::PipelineResult& b) {
-  EXPECT_EQ(a.contigs, b.contigs);
-  EXPECT_EQ(a.distinct_kmers, b.distinct_kmers);
-  EXPECT_EQ(a.graph.node_count(), b.graph.node_count());
-  EXPECT_EQ(a.graph.edge_count(), b.graph.edge_count());
-  EXPECT_EQ(a.hashmap.device, b.hashmap.device);
-  EXPECT_EQ(a.debruijn.device, b.debruijn.device);
-  EXPECT_EQ(a.traverse.device, b.traverse.device);
-  EXPECT_EQ(a.fault_stats, b.fault_stats);
 }
 
 // ---- the battery: devices × threads × seeds --------------------------------
@@ -115,10 +112,10 @@ TEST(ShardBattery, OutputsBitIdenticalAcrossDeviceAndThreadCounts) {
   }
 }
 
-// Fault injection and recovery state is per device: each device's injectors
-// are seeded from (model, flat), and each device's RecoveryManager rolls
-// up only its own sub-arrays. The per-device sums must be the one-device
-// run's counters.
+// Fault injection state is per sub-array: each injector is seeded from
+// (model, flat), so the fault process of a flat does not depend on the
+// device or channel count, and the recovery counters must be the
+// one-device run's.
 TEST(ShardBattery, FaultedRunsBitIdenticalAcrossDeviceCounts) {
   const auto reads = workload_reads(101);
   dram::FaultConfig fault;
@@ -141,6 +138,66 @@ TEST(ShardBattery, FaultedRunsBitIdenticalAcrossDeviceCounts) {
       EXPECT_EQ(run.model_snapshot, baseline.model_snapshot);
     }
   }
+}
+
+// ---- one in-process engine of devices × threads channels -------------------
+
+// The values of every series of `metric` in a Prometheus text exposition.
+std::vector<double> series_values(const std::string& text,
+                                  const std::string& metric) {
+  std::vector<double> values;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind(metric + "{", 0) == 0 || line.rfind(metric + " ", 0) == 0)
+      values.push_back(std::stod(line.substr(line.rfind(' ') + 1)));
+  return values;
+}
+
+TEST(ShardEngine, EveryInProcessChannelRetiresTasks) {
+  const auto reads = workload_reads(101);
+  for (const std::size_t devices : {2u, 4u}) {
+    SCOPED_TRACE("devices=" + std::to_string(devices));
+    const auto run = run_config(reads, devices, /*threads=*/2);
+    const auto channels = series_values(run.prometheus, "pima_engine_channels");
+    ASSERT_EQ(channels.size(), 1u);
+    EXPECT_EQ(channels[0], static_cast<double>(devices * 2));
+    const auto retired =
+        series_values(run.prometheus, "pima_engine_tasks_retired_total");
+    EXPECT_EQ(retired.size(), devices * 2);
+    for (std::size_t c = 0; c < retired.size(); ++c)
+      EXPECT_GT(retired[c], 0.0) << "channel " << c;
+  }
+}
+
+TEST(ShardEngine, EveryInProcessChannelOwnsItsTraceTrack) {
+  const auto reads = workload_reads(101);
+  auto& tracer = telemetry::tracer();
+  test_support::idle_telemetry_session();
+  tracer.enable();
+  (void)run_config(reads, /*devices=*/4, /*threads=*/1);
+  tracer.disable();
+  const auto names = tracer.track_names();
+  const auto events = tracer.export_events();
+  test_support::idle_telemetry_session();
+
+  std::map<std::uint32_t, std::vector<std::pair<std::int64_t, std::int64_t>>>
+      spans;  // track -> [start, end) of its `task` spans
+  for (const auto& e : events)
+    if (e.phase == 'X' && e.name == "task")
+      spans[e.track].emplace_back(e.ts_ns, e.ts_ns + e.dur_ns);
+  ASSERT_EQ(spans.size(), 4u);
+  std::uint32_t expected_track = 1;
+  for (auto& [track, list] : spans) {
+    EXPECT_EQ(track, expected_track++);
+    ASSERT_TRUE(names.count(track));
+    EXPECT_EQ(names.at(track), "channel " + std::to_string(track - 1));
+    std::sort(list.begin(), list.end());
+    for (std::size_t i = 1; i < list.size(); ++i)
+      EXPECT_LE(list[i - 1].second, list[i].first)
+          << "overlapping task spans on track " << track;
+  }
+  // No watchdog runs, so no track is named for one.
+  for (const auto& [track, name] : names) EXPECT_NE(name, "watchdog");
 }
 
 // ---- per-device differential: captured sub-streams vs golden model ---------

@@ -296,8 +296,8 @@ int cmd_pim_run(const Args& args) {
   // 0 = resolve to hardware concurrency inside the runtime engine.
   opt.threads = get_bounded_size(args, "threads", 0, 0, 1024);
   // Simulated devices the run shards over (owner = flat % N). Contigs,
-  // stats and model metrics are bit-identical for every value; the device
-  // count is pinned in the checkpoint fingerprint, so --resume must match.
+  // stats and model metrics are bit-identical for every value, so the
+  // checkpoint does not pin it: --resume may change --devices.
   opt.devices = get_bounded_size(args, "devices", 1, 1, 64);
   // Process isolation: each device shard in its own pima_devd worker under
   // the crash-containing supervisor (DESIGN.md §15). Outputs stay
@@ -824,9 +824,12 @@ void usage() {
       "  assemble --reads <in.fa> [--k K] [--min-freq N] [--simplify]\n"
       "           [--euler] [--out contigs.fa] [--reference genome.fa]\n"
       "  pim-run  --reads <in.fa> [--k K] [--shards N] [--euler]\n"
-      "           [--threads N (default: hardware concurrency)]\n"
-      "           [--devices N (shard over N simulated devices;\n"
-      "            outputs bit-identical for any N)]\n"
+      "           [--threads N (channels per device; default 0: one\n"
+      "            per hardware thread, per run in process and per\n"
+      "            worker with --isolate)]\n"
+      "           [--devices N (shard over N simulated devices; in\n"
+      "            process, one engine of N x threads channels; outputs\n"
+      "            bit-identical for any N, so a resume may change it)]\n"
       "           [--isolate (each device shard in its own pima_devd\n"
       "            worker process; crashes are contained + restarted)]\n"
       "           [--restart-budget N (worker restarts before the run\n"
