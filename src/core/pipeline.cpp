@@ -1,20 +1,20 @@
 // One stage body, two transports (DESIGN.md §15). run_stages() below is
 // the whole controller — k-mer routing, graph construction, partition
 // choice, walks, checkpoints and every stat/metric fold — written once
-// against ShardBackend, the device operations the stages need. Where the
-// commands execute is the backend's business:
+// against ShardBackend, the device operations the stages need. A run has
+// one core::DeviceShard whose engine runs devices × threads channels
+// (engine_options); where it executes is the backend's business:
 //
-//   * InProcessShards: one core::DeviceShard over the caller's device,
-//     called directly, whose engine runs devices × threads channels;
-//   * RpcShards (--isolate): every DeviceShard in its own pima_devd child
-//     under the runtime::ProcSupervisor, driven by journaled NDJSON
-//     requests batched per superstep (ProcSupervisor::rpc_all). A worker's
-//     device state is a pure function of its request journal, so a crash
-//     + replay lands on the exact pre-crash state.
+//   * InProcessShards: the shard over the caller's device, called
+//     directly;
+//   * RpcShards (--isolate): the shard in one pima_devd child under the
+//     runtime::ProcSupervisor, driven by journaled NDJSON requests batched
+//     per superstep. The worker's device state is a pure function of its
+//     request journal, so a crash + replay lands on the exact pre-crash
+//     state.
 //
-// Under --isolate, sub-array `flat` lives on worker dram::owner_of(flat,
-// devices); both fold statistics through dram::fold_in_flat_order and append
-// each sub-array's trace in logical flat order, so contigs, per-stage
+// Both fold statistics through dram::fold_in_flat_order and append each
+// sub-array's trace in logical flat order, so contigs, per-stage
 // DeviceStats, model-class metrics and trace bytes are identical across
 // transports, device counts, channel counts and worker crashes.
 #include "core/pipeline.hpp"
@@ -119,24 +119,24 @@ class ShardBackend {
 
 // ---- In-process transport --------------------------------------------------
 
+// The run's one engine, in process and in the pima_devd worker alike:
+// devices × threads channels. Channel c serves the flats ≡ c (mod
+// channels), so simulated device d's flats (≡ d mod devices) spread over
+// the channels ≡ d (mod devices) and every channel gets work; threads 0
+// keeps one channel per hardware thread for the whole run.
 runtime::EngineOptions engine_options(const PipelineOptions& o) {
   runtime::EngineOptions e;
-  e.channels = o.threads;
+  e.channels = o.threads == 0 ? 0 : o.devices * o.threads;
   e.capture_trace = o.capture_trace;
   e.stall_timeout_ms = o.stall_timeout_ms;
   return e;
 }
 
-// In process a run has one device: the caller's, under one engine of
-// devices × threads channels. Channel c serves the flats ≡ c (mod
-// channels), so simulated device d's flats (≡ d mod devices) spread over
-// the channels ≡ d (mod devices) and every channel gets work; threads 0
-// keeps one channel per hardware thread for the whole run.
 class InProcessShards final : public ShardBackend {
  public:
   InProcessShards(dram::Device& device, const PipelineOptions& options)
       : total_(device.geometry().total_subarrays()),
-        shard_(device, in_process_engine(options), options.hash_shards,
+        shard_(device, engine_options(options), options.hash_shards,
                options.k, kKmerBatch, options.fault, options.recovery) {}
 
   void start(std::uint32_t) override {}
@@ -175,7 +175,7 @@ class InProcessShards final : public ShardBackend {
   }
 
   dram::StatsFold end_stage(std::uint32_t) override {
-    return dram::fold_in_flat_order({shard_.take_stats()});
+    return dram::fold_in_flat_order(shard_.take_stats());
   }
 
   dram::Program captured_trace() override {
@@ -196,12 +196,6 @@ class InProcessShards final : public ShardBackend {
   /// K-mers per channel task.
   static constexpr std::size_t kKmerBatch = 128;
 
-  static runtime::EngineOptions in_process_engine(const PipelineOptions& o) {
-    runtime::EngineOptions engine = engine_options(o);
-    engine.channels = o.threads == 0 ? 0 : o.devices * o.threads;
-    return engine;
-  }
-
   const std::size_t total_;  ///< sub-arrays of the device
   DeviceShard shard_;
 };
@@ -214,58 +208,8 @@ net::Json make_op(const char* name) {
   return j;
 }
 
-// Collects each device's `degree_block` batch for one superstep. A batch
-// ships when the superstep ends, or earlier, alone, when the next block
-// would push its packed string past kBudgetBytes. Blocks keep the order
-// they were added in, per device, so per sub-array order is unchanged.
-class DegreeBatcher {
- public:
-  /// Far below LineChannel::kMaxLineBytes (64 MiB): one request per
-  /// device on any genome the geometry fits, a bounded line beyond that.
-  static constexpr std::size_t kBudgetBytes = 4u << 20;
-
-  explicit DegreeBatcher(runtime::ProcSupervisor& sup)
-      : sup_(sup), blocks_(sup.devices()) {}
-
-  /// Appends the block to the batch of the sub-array's owner; with
-  /// `transposed`, each edge's from and to swap (the out-degree block).
-  void add(std::size_t flat, std::size_t n, const EdgeBlock& block,
-           bool transposed) {
-    const std::size_t owner = dram::owner_of(flat, sup_.devices());
-    block_.clear();
-    append_degree_block(block_, flat, n, block, transposed);
-    std::string& batch = blocks_[owner];
-    if (!batch.empty() && batch.size() + 1 + block_.size() > kBudgetBytes)
-      ship(owner);
-    if (!batch.empty()) batch += ' ';
-    batch += block_;
-  }
-
-  /// Ships every pending batch as one fan-out.
-  void finish() { ship(sup_.devices()); }
-
- private:
-  // Ships device `only`'s batch, or every batch when `only` is out of range.
-  void ship(std::size_t only) {
-    std::vector<net::Json> requests(sup_.devices());
-    for (std::size_t d = 0; d < requests.size(); ++d) {
-      if ((only < requests.size() && d != only) || blocks_[d].empty())
-        continue;
-      requests[d] = make_op("degree_block");
-      requests[d].set("blocks", std::move(blocks_[d]));
-      blocks_[d].clear();
-    }
-    (void)sup_.rpc_all(requests);
-  }
-
-  runtime::ProcSupervisor& sup_;
-  std::vector<std::string> blocks_;  ///< one packed batch per device
-  std::string block_;                ///< the block being added
-};
-
 runtime::ProcPoolOptions pool_options(const PipelineOptions& options) {
   runtime::ProcPoolOptions p;
-  p.devices = options.devices;
   p.devd_path = options.isolate_opts.devd_path;
   p.restart_budget = options.isolate_opts.restart_budget;
   // A traced run must keep the whole journal: a restarted worker rebuilds
@@ -274,9 +218,23 @@ runtime::ProcPoolOptions pool_options(const PipelineOptions& options) {
   return p;
 }
 
-// Every DeviceShard in a pima_devd worker. Only command *execution*
-// crosses the process boundary; each verb is one request per device per
-// superstep, every device's request written before any response is read.
+net::Json worker_init(const dram::Device& device,
+                      const PipelineOptions& options) {
+  WorkerInit init;
+  init.geometry = device.geometry();
+  init.technology = device.technology();
+  init.k = options.k;
+  init.hash_shards = options.hash_shards;
+  // channels 0 stays 0: the worker's engine resolves it.
+  init.engine = engine_options(options);
+  // Stitched tracing: when the controller captures spans, the worker does
+  // too; the supervisor harvests its buffer at stage boundaries.
+  init.trace_spans = telemetry::tracer().enabled();
+  return worker_init_to_json(init);
+}
+
+// The DeviceShard in the pima_devd worker. Only command *execution*
+// crosses the process boundary; each verb is one request per superstep.
 // Statistics and traces come back per sub-array, are decoded into what
 // InProcessShards reads directly, and go through the same folds.
 class RpcShards final : public ShardBackend {
@@ -285,23 +243,7 @@ class RpcShards final : public ShardBackend {
       : options_(options),
         total_(device.geometry().total_subarrays()),
         columns_(device.geometry().columns),
-        sup_(pool_options(options),
-             [&device, &options](std::size_t) {
-               WorkerInit init;
-               init.geometry = device.geometry();
-               init.technology = device.technology();
-               init.k = options.k;
-               init.hash_shards = options.hash_shards;
-               // channels 0 stays 0: the worker's engine resolves it.
-               init.engine = engine_options(options);
-               // Stitched tracing: when the controller captures spans, the
-               // workers do too; the supervisor harvests their buffers at
-               // stage boundaries.
-               init.trace_spans = telemetry::tracer().enabled();
-               return worker_init_to_json(init);
-             }),
-        degrees_(sup_),
-        kmers_(options.devices) {
+        sup_(pool_options(options), worker_init(device, options)) {
     if (options.fault.enabled() ||
         options.recovery.mode != runtime::RecoveryMode::kOff)
       throw SimulationError(
@@ -317,111 +259,83 @@ class RpcShards final : public ShardBackend {
     if (stages_done > 0) sup_.mark_stage_done(stages_done);
   }
 
-  // Same shard routing as InProcessShards (shard s at flat s); the worker
-  // picks the channel.
+  // The worker routes each k-mer to the channel owning its hash shard.
   void submit_kmer(const assembly::Kmer& kmer) override {
-    const std::size_t flat = hash_shard_of(kmer, options_.hash_shards);
-    net::pack_uint(kmers_[dram::owner_of(flat, sup_.devices())],
-                   kmer.packed());
+    net::pack_uint(kmers_, kmer.packed());
     if (++kmers_pending_ >= kSuperstep) ship_kmers();
   }
 
-  // rpc_all reads every response before rethrowing the lowest device's
-  // typed failure (in process, the lowest channel's: Engine::drain); a
-  // degraded pool aborts immediately.
+  // The worker rethrows its lowest channel's typed failure (Engine::drain);
+  // a degraded pool aborts immediately.
   void drain() override {
     ship_kmers();
-    degrees_.finish();
-    (void)sup_.rpc_all(to_every(make_op("drain")));
+    ship("degree_block", "blocks", degrees_);
+    (void)sup_.rpc(make_op("drain"));
   }
 
   KmerEntries extract() override {
-    std::vector<std::vector<std::size_t>> owned(sup_.devices());
+    net::Json shards = net::Json::array();
     for (std::size_t s = 0; s < options_.hash_shards; ++s)
-      owned[dram::owner_of(s, sup_.devices())].push_back(s);
-    std::vector<net::Json> requests(sup_.devices());
-    for (std::size_t d = 0; d < sup_.devices(); ++d) {
-      if (owned[d].empty()) continue;
-      net::Json shards = net::Json::array();
-      for (const std::size_t s : owned[d])
-        shards.push_back(net::Json(static_cast<std::uint64_t>(s)));
-      requests[d] = make_op("extract");
-      requests[d].set("shards", std::move(shards));
-    }
+      shards.push_back(net::Json(static_cast<std::uint64_t>(s)));
+    net::Json request = make_op("extract");
+    request.set("shards", std::move(shards));
     // Journaled, not a query: reading the table issues ROW_READs that the
     // stage's stats fold counts, so a restarted worker must replay them.
-    const auto responses = sup_.rpc_all(requests);
-    // Owners answer in request order; re-keyed by shard index, the lists
-    // concatenate in (shard, slot) order.
-    std::vector<KmerEntries> by_shard(options_.hash_shards);
-    for (std::size_t d = 0; d < sup_.devices(); ++d) {
-      if (owned[d].empty()) continue;
-      auto lists = extract_shards_from_json(responses[d].get("shards"),
-                                            owned[d].size(), options_.k);
-      for (std::size_t i = 0; i < lists.size(); ++i)
-        by_shard[owned[d][i]] = std::move(lists[i]);
-    }
+    const net::Json response = sup_.rpc(request);
+    // The worker answers in request order, so the lists concatenate in
+    // (shard, slot) order.
     KmerEntries entries;
-    for (auto& list : by_shard)
+    for (auto& list : extract_shards_from_json(
+             response.get("shards"), options_.hash_shards, options_.k))
       entries.insert(entries.end(), std::make_move_iterator(list.begin()),
                      std::make_move_iterator(list.end()));
     return entries;
   }
 
-  // Ships each device's dram::split_by_owner sub-stream as one `program`
-  // request of a single fan-out; the split keeps program order, so per
-  // sub-array command order is the single-device order.
   void submit_program(dram::Program program) override {
-    const auto per = dram::split_by_owner(std::move(program), sup_.devices());
-    std::vector<net::Json> requests(sup_.devices());
-    for (std::size_t d = 0; d < per.size(); ++d) {
-      if (per[d].empty()) continue;
-      requests[d] = make_op("program");
-      requests[d].set("insts", pack_program(per[d]));
-    }
-    (void)sup_.rpc_all(requests);
+    if (program.empty()) return;
+    net::Json request = make_op("program");
+    request.set("insts", pack_program(program));
+    (void)sup_.rpc(request);
   }
 
-  // The workers rebuild the adjacency rows and run the full carry-save
+  // The worker rebuilds the adjacency rows and runs the full carry-save
   // reduction, so the device traffic matches the in-process run command
-  // for command.
+  // for command. The superstep's blocks ship as one batch at the drain, or
+  // earlier when the next block would push it past kBudgetBytes; blocks
+  // keep the order they were added in, so per sub-array order is unchanged.
   void degree_block(std::size_t flat, std::size_t n, const EdgeBlock& block,
                     bool transposed) override {
-    degrees_.add(flat, n, block, transposed);
+    block_.clear();
+    append_degree_block(block_, flat, n, block, transposed);
+    if (!degrees_.empty() &&
+        degrees_.size() + 1 + block_.size() > kBudgetBytes)
+      ship("degree_block", "blocks", degrees_);
+    if (!degrees_.empty()) degrees_ += ' ';
+    degrees_ += block_;
   }
 
   // Journaled: `stats` clears what it answers, so a replay that passes a
   // stage boundary clears there too. A worker that dies before answering
   // is replayed without the line and asked again.
   dram::StatsFold end_stage(std::uint32_t stage) override {
-    const auto responses = sup_.rpc_all(to_every(make_op("stats")));
-    std::vector<dram::SubarrayStats> per_device;
-    for (std::size_t d = 0; d < responses.size(); ++d)
-      per_device.push_back(subarray_stats_from_json(
-          responses[d].get("subarrays"), d, responses.size(), total_));
+    const dram::SubarrayStats stats = subarray_stats_from_json(
+        sup_.rpc(make_op("stats")).get("subarrays"), total_);
     sup_.mark_stage_done(stage);
-    return dram::fold_in_flat_order(per_device);
+    return dram::fold_in_flat_order(stats);
   }
 
-  // Flats base .. base + devices - 1 belong to devices 0 .. devices - 1:
-  // each fan-out asks every device for its next owned sub-array, so no
-  // answer holds more than one sub-array's capture.
+  // One sub-array per query, so no answer holds more than one sub-array's
+  // capture.
   dram::Program captured_trace() override {
     dram::Program program;
-    const std::size_t devices = sup_.devices();
-    for (std::size_t base = 0; base < total_; base += devices) {
-      std::vector<net::Json> requests(devices);
-      for (std::size_t d = 0; d < devices && base + d < total_; ++d) {
-        requests[d] = make_op("trace");
-        requests[d].set("flat", static_cast<std::uint64_t>(base + d));
-      }
-      const auto responses = sup_.query_all(requests);
-      for (std::size_t d = 0; d < devices && base + d < total_; ++d) {
-        dram::Program part =
-            subarray_trace_from_json(responses[d], base + d, columns_);
-        program.insert(program.end(), std::make_move_iterator(part.begin()),
-                       std::make_move_iterator(part.end()));
-      }
+    for (std::size_t flat = 0; flat < total_; ++flat) {
+      net::Json request = make_op("trace");
+      request.set("flat", static_cast<std::uint64_t>(flat));
+      dram::Program part =
+          subarray_trace_from_json(sup_.query(request), flat, columns_);
+      program.insert(program.end(), std::make_move_iterator(part.begin()),
+                     std::make_move_iterator(part.end()));
     }
     return program;
   }
@@ -431,33 +345,35 @@ class RpcShards final : public ShardBackend {
   void export_metrics(telemetry::MetricsRegistry&) override {}
 
  private:
-  /// K-mers routed per `kmers` superstep, over all devices.
+  /// K-mers per `kmers` superstep.
   static constexpr std::size_t kSuperstep = std::size_t{1} << 14;
+  /// Far below LineChannel::kMaxLineBytes (64 MiB): one `degree_block`
+  /// request per superstep on any genome the geometry fits, a bounded line
+  /// beyond that.
+  static constexpr std::size_t kBudgetBytes = 4u << 20;
 
-  std::vector<net::Json> to_every(const net::Json& request) const {
-    return std::vector<net::Json>(sup_.devices(), request);
+  void ship_kmers() {
+    kmers_pending_ = 0;
+    ship("kmers", "kmers", kmers_);
   }
 
-  // One `kmers` request per device holding pending k-mers, in stream order.
-  void ship_kmers() {
-    std::vector<net::Json> requests(sup_.devices());
-    for (std::size_t d = 0; d < sup_.devices(); ++d) {
-      if (kmers_[d].empty()) continue;
-      requests[d] = make_op("kmers");
-      requests[d].set("kmers", std::move(kmers_[d]));
-      kmers_[d].clear();
-    }
-    kmers_pending_ = 0;
-    (void)sup_.rpc_all(requests);
+  // Sends a pending packed payload as one journaled request and empties it.
+  void ship(const char* op, const char* key, std::string& packed) {
+    if (packed.empty()) return;
+    net::Json request = make_op(op);
+    request.set(key, std::move(packed));
+    packed.clear();
+    (void)sup_.rpc(request);
   }
 
   const PipelineOptions& options_;
-  const std::size_t total_;    ///< sub-arrays per device
+  const std::size_t total_;    ///< sub-arrays of the device
   const std::size_t columns_;  ///< bits per row
   runtime::ProcSupervisor sup_;
-  DegreeBatcher degrees_;
-  std::vector<std::string> kmers_;  ///< one packed superstep per device
+  std::string kmers_;    ///< the pending `kmers` superstep, packed
   std::size_t kmers_pending_ = 0;
+  std::string degrees_;  ///< the pending `degree_block` batch, packed
+  std::string block_;    ///< the block being added
 };
 
 // ---- The stages ------------------------------------------------------------
@@ -499,6 +415,28 @@ void stream_kmers(ShardBackend& shards,
     }
   }
   shards.drain();
+}
+
+// Submits `count` instructions, the i-th filled by make(i, inst), in
+// bounded slices: in-flight memory stays constant and the queues'
+// backpressure paces the controller. The i-th of a round-robin over n
+// sub-arrays lands on row (i + 1) / n of its sub-array.
+template <typename Make>
+void submit_in_slices(ShardBackend& shards, std::uint64_t count,
+                      const runtime::CancelToken* cancel, const Make& make) {
+  constexpr std::size_t kProgramSlice = 8192;
+  dram::Program slice;
+  slice.reserve(kProgramSlice);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    make(i, slice.emplace_back());
+    if (slice.size() >= kProgramSlice) {
+      if (cancel != nullptr) cancel->throw_if_requested();
+      shards.submit_program(std::move(slice));
+      slice = {};
+      slice.reserve(kProgramSlice);
+    }
+  }
+  shards.submit_program(std::move(slice));
 }
 
 PipelineResult run_stages(ShardBackend& shards, const dram::Device& device,
@@ -641,33 +579,16 @@ PipelineResult run_stages(ShardBackend& shards, const dram::Device& device,
                       geometry.total_subarrays() - graph_base));
       const std::size_t data_rows = geometry.data_rows();
       const BitVector row_image(geometry.columns);
-      // Submitted in bounded slices: in-flight memory stays constant and the
-      // queues' backpressure paces the controller.
-      constexpr std::size_t kProgramSlice = 8192;
-      dram::Program inserts;
-      inserts.reserve(kProgramSlice);
-      std::size_t rr = 0;
-      auto mem_insert = [&] {
-        dram::Instruction inst;
-        inst.op = dram::Opcode::kRowWrite;
-        inst.subarray = graph_base + (rr++ % graph_arrays);
-        // Adjacency/edge-list rows are appended cyclically over data rows.
-        inst.src1 = (rr / graph_arrays) % data_rows;
-        inst.payload = row_image;
-        inserts.push_back(std::move(inst));
-        if (inserts.size() >= kProgramSlice) {
-          if (options.cancel != nullptr) options.cancel->throw_if_requested();
-          shards.submit_program(std::move(inserts));
-          inserts = {};
-          inserts.reserve(kProgramSlice);
-        }
-      };
-      for (std::size_t e = 0; e < graph.edge_count(); ++e) {
-        mem_insert();  // node 1 (prefix) insert
-        mem_insert();  // node 2 (suffix) insert
-        mem_insert();  // edge-list insert
-      }
-      shards.submit_program(std::move(inserts));
+      // Per edge: the node 1 (prefix), node 2 (suffix) and edge-list
+      // inserts, round-robin over the graph sub-arrays; adjacency/edge-list
+      // rows are appended cyclically over the data rows.
+      submit_in_slices(shards, 3 * graph.edge_count(), options.cancel,
+                       [&](std::uint64_t i, dram::Instruction& inst) {
+                         inst.op = dram::Opcode::kRowWrite;
+                         inst.subarray = graph_base + i % graph_arrays;
+                         inst.src1 = (i + 1) / graph_arrays % data_rows;
+                         inst.payload = row_image;
+                       });
       shards.drain();
       const dram::StatsFold fold = shards.end_stage(2);
       result.debruijn = {fold.device, "debruijn"};
@@ -702,24 +623,12 @@ PipelineResult run_stages(ShardBackend& shards, const dram::Device& device,
       // into ROW_READ programs.
       const std::size_t arrays = std::max<std::size_t>(1, options.hash_shards);
       const std::size_t data_rows = geometry.data_rows();
-      constexpr std::size_t kProgramSlice = 8192;
-      dram::Program lookups;
-      lookups.reserve(kProgramSlice);
-      std::size_t rr = 0;
-      for (std::uint64_t e = 0; e < graph.edge_instances(); ++e) {
-        dram::Instruction inst;
-        inst.op = dram::Opcode::kRowRead;
-        inst.subarray = rr++ % arrays;
-        inst.src1 = (rr / arrays) % data_rows;
-        lookups.push_back(std::move(inst));
-        if (lookups.size() >= kProgramSlice) {
-          if (options.cancel != nullptr) options.cancel->throw_if_requested();
-          shards.submit_program(std::move(lookups));
-          lookups = {};
-          lookups.reserve(kProgramSlice);
-        }
-      }
-      shards.submit_program(std::move(lookups));
+      submit_in_slices(shards, graph.edge_instances(), options.cancel,
+                       [&](std::uint64_t i, dram::Instruction& inst) {
+                         inst.op = dram::Opcode::kRowRead;
+                         inst.subarray = i % arrays;
+                         inst.src1 = (i + 1) / arrays % data_rows;
+                       });
       shards.drain();
       const dram::StatsFold fold = shards.end_stage(3);
       result.traverse = {fold.device, "traverse"};
@@ -772,15 +681,14 @@ PipelineResult run_pipeline(dram::Device& device,
       if (telemetry::metrics_enabled())
         telemetry::metrics()
             .counter("pima_pool_fallbacks_total",
-                     "isolated runs rerun on in-process device shards", {},
+                     "isolated runs rerun on the in-process device shard", {},
                      telemetry::MetricClass::kHost)
             .increment();
       telemetry::log_event(
           telemetry::LogLevel::kWarn, "pool.fallback",
           std::string("process isolation degraded — ") + e.what() +
-              "; rerunning on in-process device shards",
-          {telemetry::LogField::uint("device", e.device()),
-           telemetry::LogField::str("class",
+              "; rerunning on the in-process device shard",
+          {telemetry::LogField::str("class",
                                     runtime::to_string(e.exit_class()))});
     }
   }

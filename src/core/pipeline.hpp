@@ -15,8 +15,8 @@
 // contigs, graph, per-stage DeviceStats — is bit-identical for any value,
 // because work routing is a pure function of the target sub-array.
 // One stage body serves both transports (pipeline.cpp, DESIGN.md §15): the
-// in-process device shards, or — with `isolate` — one pima_devd worker
-// process per device shard; outputs are identical either way.
+// in-process device shard, or — with `isolate` — the same shard in one
+// pima_devd worker process; outputs are identical either way.
 // Run resilience: with PipelineOptions::checkpoint_dir set, the pipeline
 // writes a versioned, checksummed snapshot (runtime/checkpoint.hpp) at
 // every stage boundary — atomically, so a crash at any instant leaves a
@@ -56,31 +56,30 @@ struct PipelineOptions {
   bool euler_contigs = true;       ///< Euler walks vs unitigs
   /// Runtime channel executors per device. 1 = single-threaded fallback
   /// for one device (tasks run inline on the caller, the pre-runtime
-  /// behaviour); 0 = one channel per hardware thread for the whole run. In
-  /// process the run has one engine of devices × threads channels;
-  /// isolated, every worker has `threads` channels. Not part of the
-  /// checkpoint fingerprint: a resume may change it.
+  /// behaviour); 0 = one channel per hardware thread for the whole run.
+  /// The run has one engine of devices × threads channels, in process and
+  /// in the isolated worker alike. Not part of the checkpoint fingerprint:
+  /// a resume may change it.
   std::size_t threads = 1;
   /// Simulated devices the run is sharded over. Sub-arrays are
   /// partitioned owner = flat % devices — for the hash table that is
-  /// owner = hash(kmer) % devices. In process every device is a slice of
-  /// the caller's device, served by the engine channels ≡ d (mod devices);
-  /// with `isolate`, each device is a pima_devd worker. Every output
+  /// owner = hash(kmer) % devices. Every device is a slice of the run's one
+  /// device, served by the engine channels ≡ d (mod devices). Every output
   /// (contigs, per-stage DeviceStats, model-class metrics, checkpoints) is
   /// bit-identical for any value, so, like threads, a resume may change it.
   std::size_t devices = 1;
-  /// Process isolation (runtime/procpool.hpp, DESIGN.md §15): run every
-  /// device shard in its own `pima_devd` child process under the
+  /// Process isolation (runtime/procpool.hpp, DESIGN.md §15): run the
+  /// device shard in one `pima_devd` child process under the
   /// fault-tolerant supervisor. A crashed/stalled/chaos-killed worker is
   /// restarted and journal-replayed, so the outputs stay bit-identical to
-  /// the in-process run — including runs where workers died mid-stage.
+  /// the in-process run — including runs where the worker died mid-stage.
   /// The resume record stays `<checkpoint_dir>/pipeline.ckpt` alone, so
   /// an isolated run resumes an in-process snapshot and vice versa. When
-  /// the restart budget runs out the pipeline reruns on in-process
-  /// DeviceShards: a logged `pool.fallback` event and a
+  /// the restart budget runs out the pipeline reruns on the in-process
+  /// DeviceShard: a logged `pool.fallback` event and a
   /// pima_pool_fallbacks_total count, same outputs.
   /// Incompatible with fault injection and recovery: those are simulated
-  /// per-device state the init request does not carry.
+  /// state the init request does not carry.
   bool isolate = false;
   struct IsolateOptions {
     /// pima_devd binary; empty = $PIMA_DEVD_PATH, then alongside the
@@ -154,7 +153,7 @@ struct PipelineResult {
   runtime::FaultStats fault_stats;
   /// With capture_trace: the replayable AAP program, every sub-array's
   /// capture appended in logical flat order — identical for every device
-  /// count and transport (isolated workers die with the run, so their
+  /// count and transport (the isolated worker dies with the run, so its
   /// traces are harvested here). Empty when capture_trace is off.
   dram::Program trace;
 

@@ -24,21 +24,15 @@ net::Json ok_response() {
   throw InputFormatError("device worker request: " + why);
 }
 
-// The `flat` of a wire entry from worker `device` of `devices`: in range,
-// owned by that worker, and not yet `seen` in its response.
-std::size_t owned_flat(const net::Json& entry, std::size_t device,
-                       std::size_t devices, std::vector<bool>& seen,
-                       const char* what) {
+// The `flat` of a wire entry: in range and not yet `seen` in its response.
+std::size_t checked_flat(const net::Json& entry, std::vector<bool>& seen,
+                         const char* what) {
   const std::uint64_t flat = entry.get("flat").as_uint64();
   const auto bad = [&](const char* why) {
     throw InputFormatError(std::string(what) + ": flat " +
-                           std::to_string(flat) + " " + why + " (worker " +
-                           std::to_string(device) + " of " +
-                           std::to_string(devices) + ")");
+                           std::to_string(flat) + " " + why);
   };
   if (flat >= seen.size()) bad("is out of range");
-  if (dram::owner_of(flat, devices) != device)
-    bad("belongs to another worker");
   if (seen[flat]) bad("is repeated");
   seen[flat] = true;
   return static_cast<std::size_t>(flat);
@@ -510,14 +504,11 @@ net::Json subarray_stats_to_json(const dram::SubarrayStats& stats) {
 }
 
 dram::SubarrayStats subarray_stats_from_json(const net::Json& list,
-                                             std::size_t device,
-                                             std::size_t devices,
                                              std::size_t total) {
   std::vector<bool> seen(total);
   dram::SubarrayStats stats;
   for (const auto& entry : list.items()) {
-    const std::size_t flat =
-        owned_flat(entry, device, devices, seen, "device worker stats");
+    const std::size_t flat = checked_flat(entry, seen, "device worker stats");
     stats.emplace_back(flat, stats_entry_from_json(entry));
   }
   return stats;

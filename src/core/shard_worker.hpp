@@ -2,19 +2,19 @@
 // k-mer PimHashTable and, with faults or recovery on, a RecoveryManager —
 // and the wire that lets it live in a worker process (DESIGN.md §14–15).
 // PAPER.md §1 maps hash-table shards and edge blocks to chips, then
-// sub-arrays; here that map is dram::owner_of(flat, devices).
+// sub-arrays; here a chip is a set of engine channels, and the map is
+// dram::owner_of(flat, channels).
 //
-// Both pipeline transports drive DeviceShard. In process there is one,
-// over the caller's device, whose engine has devices × threads channels,
-// so channel c serves chip c mod devices. Isolated, each chip is one
-// DeviceShard of `threads` channels in a pima_devd worker, driven through
-// ShardWorkerCore, the transport-free verb dispatcher
-// each `pima_devd` worker wraps around one (so tests exercise the protocol
-// in-process and the pima_devd main() stays a thin I/O loop; its engine
-// runs the watchdog, so a wedged kernel becomes a typed
-// EngineStalledError). The rpc side decodes the workers' answers with the
-// *_from_json functions below, which reject what no worker sends, before
-// the shared dram::fold_in_flat_order and the flat-order trace append.
+// A run has one DeviceShard over one device, whose engine has devices ×
+// threads channels, so channel c serves chip c mod devices. In process the
+// shard drives the caller's device; isolated, it lives in the run's one
+// pima_devd worker behind ShardWorkerCore, the transport-free verb
+// dispatcher (so tests exercise the protocol in-process and the pima_devd
+// main() stays a thin I/O loop; its engine runs the watchdog, so a wedged
+// kernel becomes a typed EngineStalledError). The rpc side decodes the
+// worker's answers with the *_from_json functions below, which reject what
+// no worker sends, before dram::fold_in_flat_order and the flat-order
+// trace append.
 //
 // Verbs (one request object per line, one response object per request).
 // The bulk payloads — kmers, program, degree_block and the extract answer —
@@ -23,7 +23,7 @@
 // below, with "x m" for a group repeated m times:
 //
 //   init          geometry + technology + engine/table configuration
-//   kmers         enqueue one superstep of the device's k-mers (stage-1
+//   kmers         enqueue one superstep of the run's k-mers (stage-1
 //                 insert path): kmers "kmer ..." in stream order; the
 //                 worker routes each to the channel owning its hash shard
 //   drain         barrier: wait for queued work, surface typed failures
@@ -76,9 +76,8 @@
 namespace pima::core {
 
 /// One device and the work the pipeline stages queue on it. The hash table
-/// holds the run's hash shards from flat 0 (shard s at flat s); an isolated
-/// worker is fed only the k-mers of the shards its chip owns
-/// (dram::owner_of). Every submission runs under runtime::submit_guarded.
+/// holds the run's hash shards from flat 0 (shard s at flat s). Every
+/// submission runs under runtime::submit_guarded.
 class DeviceShard {
  public:
   /// `device` must outlive the shard. The table counts k-mers of length
@@ -166,16 +165,12 @@ net::Json stats_entry_to_json(std::size_t flat, const dram::CommandStats& st);
 /// `counts` holds exactly one count per command kind.
 dram::CommandStats stats_entry_from_json(const net::Json& entry);
 
-// The decoders below take the sender's place in the run: worker `device`
-// of `devices`, over a geometry of `total` sub-arrays. Each throws
-// InputFormatError on an entry the worker could not have sent: a flat out
-// of range, owned by another device, or repeated.
-
 /// The `subarrays` list of a `stats` response.
 net::Json subarray_stats_to_json(const dram::SubarrayStats& stats);
+/// Decodes it for a geometry of `total` sub-arrays. Throws InputFormatError
+/// on an entry the worker could not have sent: a flat out of range or
+/// repeated.
 dram::SubarrayStats subarray_stats_from_json(const net::Json& list,
-                                             std::size_t device,
-                                             std::size_t devices,
                                              std::size_t total);
 
 /// The program of a `trace` response for sub-array `flat` of a device with

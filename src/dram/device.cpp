@@ -49,10 +49,9 @@ EnergyBreakdown breakdown_from_stats(const CommandStats& stats,
   return b;
 }
 
-StatsFold fold_in_flat_order(const std::vector<SubarrayStats>& per_device) {
+StatsFold fold_in_flat_order(const SubarrayStats& stats) {
   std::vector<const SubarrayStats::value_type*> entries;
-  for (const auto& list : per_device)
-    for (const auto& entry : list) entries.push_back(&entry);
+  for (const auto& entry : stats) entries.push_back(&entry);
   std::sort(entries.begin(), entries.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });
   StatsFold fold;

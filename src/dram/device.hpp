@@ -4,10 +4,10 @@
 // Sub-arrays compute independently — that is the whole point of the
 // platform — so device time is the maximum of the per-sub-array busy times
 // of the sub-arrays that participated, while device energy is the sum.
-// StatsFold::add is that roll-up step, written once: a device and a run
-// sharded over several devices (in process or in worker processes) all
-// fold through it in logical flat-index order, so their doubles agree bit
-// for bit.
+// StatsFold::add is that roll-up step, written once: a device and the
+// stage boundary of a run (in process or in its worker process) both fold
+// through it in logical flat-index order, so their doubles agree bit for
+// bit.
 // Sub-arrays are instantiated lazily: a full device has 2048 sub-arrays but
 // a given workload usually touches a few.
 #pragma once
@@ -82,11 +82,10 @@ EnergyBreakdown breakdown_from_stats(const CommandStats& stats,
 /// order.
 using SubarrayStats = std::vector<std::pair<std::size_t, CommandStats>>;
 
-/// Folds several devices' sub-array stats in logical flat order: the
-/// order, and therefore the doubles, of Device::fold on one device that ran
-/// every command. A sharded run holds each flat in one device only, so the
-/// order is total.
-StatsFold fold_in_flat_order(const std::vector<SubarrayStats>& per_device);
+/// Folds a device's sub-array stats in logical flat order: the order, and
+/// therefore the doubles, of Device::fold on the device that ran every
+/// command, whatever order the list arrived in.
+StatsFold fold_in_flat_order(const SubarrayStats& stats);
 
 class Device {
  public:

@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <exception>
 #include <filesystem>
 #include <thread>
 
@@ -59,10 +58,10 @@ void count_wire_bytes(const WireVerb& verb, const char* dir,
       .add(static_cast<double>(bytes));
 }
 
-// Relays one child's raw stderr to the parent's, line-buffered and
-// prefixed with the device id, so worker diagnostics stop interleaving
-// illegibly with the controller's progress reporter.
-void relay_stderr(int fd, std::size_t device) {
+// Relays the child's raw stderr to the parent's, line-buffered and
+// prefixed, so worker diagnostics stop interleaving illegibly with the
+// controller's progress reporter.
+void relay_stderr(int fd) {
   std::string pending;
   char buf[1024];
   for (;;) {
@@ -74,14 +73,14 @@ void relay_stderr(int fd, std::size_t device) {
     for (;;) {
       const std::size_t nl = pending.find('\n', start);
       if (nl == std::string::npos) break;
-      std::fprintf(stderr, "[devd %zu] %.*s\n", device,
-                   static_cast<int>(nl - start), pending.data() + start);
+      std::fprintf(stderr, "[devd] %.*s\n", static_cast<int>(nl - start),
+                   pending.data() + start);
       start = nl + 1;
     }
     pending.erase(0, start);
   }
   if (!pending.empty())
-    std::fprintf(stderr, "[devd %zu] %s\n", device, pending.c_str());
+    std::fprintf(stderr, "[devd] %s\n", pending.c_str());
   ::close(fd);
 }
 
@@ -165,45 +164,37 @@ std::string resolve_devd_path(const std::string& requested) {
       "); build it alongside pima_asm or set PIMA_DEVD_PATH");
 }
 
-ProcSupervisor::ProcSupervisor(ProcPoolOptions options,
-                               std::function<net::Json(std::size_t)> make_init)
-    : options_(std::move(options)), make_init_(std::move(make_init)) {
-  PIMA_CHECK(options_.devices >= 1, "process pool needs at least one device");
-  PIMA_CHECK(make_init_ != nullptr, "process pool needs an init builder");
-  workers_.resize(options_.devices);
-}
+ProcSupervisor::ProcSupervisor(ProcPoolOptions options, net::Json init)
+    : options_(std::move(options)), init_(std::move(init)) {}
 
 ProcSupervisor::~ProcSupervisor() { shutdown(); }
 
-void ProcSupervisor::spawn(std::size_t d) {
-  Worker& w = workers_[d];
+void ProcSupervisor::spawn() {
+  Worker& w = worker_;
   int sv[2] = {-1, -1};
   if (fsio::socketpair(AF_UNIX, SOCK_STREAM, 0, sv, kSite) != 0)
-    throw IoError("socketpair failed for device worker " + std::to_string(d) +
-                  ": " + std::strerror(errno));
+    throw IoError(std::string("socketpair failed for the device worker: ") +
+                  std::strerror(errno));
   // Dedicated stderr pipe: the child's raw diagnostics are relayed by a
-  // parent thread with a `[devd <d>]` prefix instead of interleaving with
-  // the controller's own stderr mid-line.
+  // parent thread with a `[devd]` prefix instead of interleaving with the
+  // controller's own stderr mid-line.
   int ep[2] = {-1, -1};
   if (::pipe(ep) != 0) {
     const int err = errno;
     ::close(sv[0]);
     ::close(sv[1]);
-    throw IoError("stderr pipe failed for device worker " + std::to_string(d) +
-                  ": " + std::strerror(err));
+    throw IoError(std::string("stderr pipe failed for the device worker: ") +
+                  std::strerror(err));
   }
 
   // Build argv/envp before forking: only dup2/close/execve afterwards.
-  const std::string fd_str = "3";
-  const std::string dev_str = std::to_string(d);
   std::vector<std::string> env = child_environment(options_.child_iofault);
   std::vector<char*> envp;
   envp.reserve(env.size() + 1);
   for (auto& e : env) envp.push_back(e.data());
   envp.push_back(nullptr);
   std::string exe = resolved_devd_;
-  const char* argv[] = {exe.c_str(),     "--fd",     fd_str.c_str(),
-                        "--device",      dev_str.c_str(), nullptr};
+  const char* argv[] = {exe.c_str(), "--fd", "3", nullptr};
 
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -212,7 +203,7 @@ void ProcSupervisor::spawn(std::size_t d) {
     ::close(sv[1]);
     ::close(ep[0]);
     ::close(ep[1]);
-    throw IoError("fork failed for device worker " + std::to_string(d) + ": " +
+    throw IoError(std::string("fork failed for the device worker: ") +
                   std::strerror(err));
   }
   if (pid == 0) {
@@ -233,34 +224,33 @@ void ProcSupervisor::spawn(std::size_t d) {
   w.fd = net::ScopedFd(sv[0]);
   w.channel = std::make_unique<net::LineChannel>(w.fd.get());
   if (w.stderr_relay.joinable()) w.stderr_relay.join();
-  w.stderr_relay = std::thread(relay_stderr, ep[0], d);
+  w.stderr_relay = std::thread(relay_stderr, ep[0]);
   w.alive = true;
   ++w.spawn_count;
 }
 
-net::Json ProcSupervisor::read_response(Worker& w, std::size_t& bytes) {
+net::Json ProcSupervisor::read_response(std::size_t& bytes) {
   std::string response;
-  if (!w.channel->read_line(response))
+  if (!worker_.channel->read_line(response))
     throw IoError("device worker closed the stream mid-request");
   bytes = response.size() + 1;
   return net::Json::parse(response);
 }
 
-net::Json ProcSupervisor::transact(Worker& w, const std::string& line) {
-  w.channel->write_line(line);
+net::Json ProcSupervisor::transact(const std::string& line) {
+  worker_.channel->write_line(line);
   std::size_t bytes = 0;
-  return read_response(w, bytes);
+  return read_response(bytes);
 }
 
-void ProcSupervisor::respawn(std::size_t d) {
-  spawn(d);
-  Worker& w = workers_[d];
+void ProcSupervisor::respawn() {
+  spawn();
   // Re-init + journal replay. The responses were consumed before the
   // crash; any non-ok here is a deterministic child-side error and is
   // rethrown typed (it would have been thrown on the original send too).
   telemetry::Tracer& tr = telemetry::tracer();
   const std::int64_t t0 = tr.enabled() ? tr.now_ns() : 0;
-  const net::Json init_resp = transact(w, make_init_(d).dump());
+  const net::Json init_resp = transact(init_.dump());
   if (!init_resp.get_bool("ok", false)) throw_worker_error(init_resp);
   if (tr.enabled() && init_resp.has("now_ns")) {
     // Clock sync: the worker sampled its (fresh) tracer epoch somewhere
@@ -269,17 +259,16 @@ void ProcSupervisor::respawn(std::size_t d) {
     const std::int64_t t1 = tr.now_ns();
     const auto worker_now =
         static_cast<std::int64_t>(init_resp.get_number("now_ns"));
-    w.clock_offset_ns = (t0 + t1) / 2 - worker_now;
+    worker_.clock_offset_ns = (t0 + t1) / 2 - worker_now;
   }
-  for (const std::string& line : w.journal) {
-    const net::Json resp = transact(w, line);
+  for (const std::string& line : worker_.journal) {
+    const net::Json resp = transact(line);
     if (!resp.get_bool("ok", false)) throw_worker_error(resp);
   }
 }
 
-WorkerExitClass ProcSupervisor::reap_worker(std::size_t d,
-                                            bool grace) noexcept {
-  Worker& w = workers_[d];
+WorkerExitClass ProcSupervisor::reap_worker(bool grace) noexcept {
+  Worker& w = worker_;
   w.alive = false;
   w.channel.reset();
   w.fd = net::ScopedFd();
@@ -329,49 +318,42 @@ WorkerExitClass ProcSupervisor::reap_worker(std::size_t d,
   return WorkerExitClass::kTorn;
 }
 
-void ProcSupervisor::on_worker_failure(std::size_t d,
-                                       const std::string& what) {
-  Worker& w = workers_[d];
-  const WorkerExitClass cls = reap_worker(d, /*grace=*/true);
+void ProcSupervisor::on_worker_failure(const std::string& what) {
+  const WorkerExitClass cls = reap_worker(/*grace=*/true);
+  const std::string failure =
+      std::string(to_string(cls)) + " (" + what + ")";
   telemetry::log_event(telemetry::LogLevel::kWarn, "worker.failed",
-                       "device worker " + std::to_string(d) + " failed — " +
-                           to_string(cls) + " (" + what + ")",
-                       {telemetry::LogField::uint("device", d),
-                        telemetry::LogField::str("class", to_string(cls))});
+                       "device worker failed — " + failure,
+                       {telemetry::LogField::str("class", to_string(cls))});
   // Post-mortem artifact for every non-clean demise the classifier can
   // detect: the flight ring plus the registered state snapshots.
-  telemetry::FlightRecorder::instance().dump(
-      "worker_failure", "device " + std::to_string(d) + ": " +
-                            to_string(cls) + " (" + what + ")");
+  telemetry::FlightRecorder::instance().dump("worker_failure", failure);
   if (restarts_used_ >= options_.restart_budget) {
     telemetry::log_event(
         telemetry::LogLevel::kError, "pool.degraded",
-        "device worker " + std::to_string(d) +
-            " failed with the restart budget exhausted — degrading",
-        {telemetry::LogField::uint("device", d),
-         telemetry::LogField::uint("restarts", restarts_used_)});
-    telemetry::FlightRecorder::instance().dump(
-        "pool_degraded", "device " + std::to_string(d) + ": " + what);
-    throw ProcPoolDegradedError(d, cls, what);
+        "device worker failed with the restart budget exhausted — degrading",
+        {telemetry::LogField::uint("restarts", restarts_used_)});
+    telemetry::FlightRecorder::instance().dump("pool_degraded", what);
+    throw ProcPoolDegradedError(cls, what);
   }
   ++restarts_used_;
-  ++w.consecutive_restarts;
+  ++worker_.consecutive_restarts;
   const double backoff_ms =
       std::min(kRestartBackoffMs *
                    static_cast<double>(std::uint64_t{1}
                                        << std::min<std::size_t>(
-                                              w.consecutive_restarts - 1, 10)),
+                                              worker_.consecutive_restarts - 1,
+                                              10)),
                2000.0);
   {
     char msg[160];
     std::snprintf(msg, sizeof msg,
-                  "restarting device worker %zu from its stage-%u journal "
+                  "restarting the device worker from its stage-%u journal "
                   "in %.0f ms (%zu/%zu restarts used)",
-                  d, stages_done_, backoff_ms, restarts_used_,
+                  stages_done_, backoff_ms, restarts_used_,
                   options_.restart_budget);
     telemetry::log_event(telemetry::LogLevel::kInfo, "worker.restart", msg,
-                         {telemetry::LogField::uint("device", d),
-                          telemetry::LogField::num("backoff_ms", backoff_ms)});
+                         {telemetry::LogField::num("backoff_ms", backoff_ms)});
   }
   if (backoff_ms > 0)
     std::this_thread::sleep_for(
@@ -383,240 +365,155 @@ void ProcSupervisor::start() {
   resolved_devd_ = resolve_devd_path(options_.devd_path);
   started_ = true;
   // Worker-state snapshot for crash reports. Dumps run on the controller
-  // thread (the only thread that mutates workers_), so the reads are safe.
+  // thread (the only thread that mutates worker_), so the reads are safe.
   snapshot_id_ = telemetry::FlightRecorder::instance().add_snapshot_provider(
       "procpool", [this] {
-        std::string out = "{\"restarts_used\": " +
-                          std::to_string(restarts_used_) +
-                          ", \"restart_budget\": " +
-                          std::to_string(options_.restart_budget) +
-                          ", \"stages_done\": " + std::to_string(stages_done_) +
-                          ", \"workers\": [";
-        for (std::size_t d = 0; d < workers_.size(); ++d) {
-          const Worker& w = workers_[d];
-          out += d == 0 ? "" : ", ";
-          out += "{\"device\": " + std::to_string(d) +
-                 ", \"pid\": " + std::to_string(w.pid) +
-                 ", \"alive\": " + (w.alive ? "true" : "false") +
-                 ", \"incarnation\": " +
-                 std::to_string(w.spawn_count == 0 ? 0 : w.spawn_count - 1) +
-                 ", \"journal_len\": " + std::to_string(w.journal.size()) +
-                 "}";
-        }
-        out += "]}";
-        return out;
+        const Worker& w = worker_;
+        return "{\"restarts_used\": " + std::to_string(restarts_used_) +
+               ", \"restart_budget\": " +
+               std::to_string(options_.restart_budget) +
+               ", \"stages_done\": " + std::to_string(stages_done_) +
+               ", \"pid\": " + std::to_string(w.pid) +
+               ", \"alive\": " + (w.alive ? "true" : "false") +
+               ", \"incarnation\": " +
+               std::to_string(w.spawn_count == 0 ? 0 : w.spawn_count - 1) +
+               ", \"journal_len\": " + std::to_string(w.journal.size()) + "}";
       });
-  for (std::size_t d = 0; d < options_.devices; ++d) {
-    for (;;) {
-      try {
-        respawn(d);
-        break;
-      } catch (const IoError& e) {
-        on_worker_failure(d, e.what());
-      } catch (const InputFormatError& e) {
-        on_worker_failure(d, e.what());
-      }
+  for (;;) {
+    try {
+      respawn();
+      return;
+    } catch (const IoError& e) {
+      on_worker_failure(e.what());
+    } catch (const InputFormatError& e) {
+      on_worker_failure(e.what());
     }
   }
 }
 
-std::vector<net::Json> ProcSupervisor::fan_out(
-    const std::vector<net::Json>& requests, bool journaled) {
+net::Json ProcSupervisor::call(const net::Json& request, bool journaled) {
   PIMA_CHECK(started_, "process pool not started");
-  PIMA_CHECK(requests.size() == workers_.size(),
-             "fan-out needs one request slot per device");
   // Traced runs stamp each request with a flow id: the controller's
   // rpc:<op> span opens the flow, the worker's devd:<op> span finishes
   // it, and Perfetto draws the cross-process arrow. Journaled lines keep
   // their stamp — a replayed flow end is a harmless duplicate.
   telemetry::Tracer& tr = telemetry::tracer();
   const bool traced = tr.enabled();
-  struct Call {
-    const WireVerb* verb = nullptr;  ///< null: no request for this device
-    std::string line;
-    std::uint64_t flow = 0;
-    std::int64_t t_start = 0;
-    bool in_flight = false;  ///< written, response not read yet
-  };
-  std::vector<Call> calls(requests.size());
-  for (std::size_t d = 0; d < requests.size(); ++d) {
-    if (requests[d].is_null()) continue;
-    Call& c = calls[d];
-    c.verb = &wire_verb(requests[d].get_string("op"));
-    if (traced) {
-      net::Json stamped = requests[d];
-      c.flow = ++flow_seq_;
-      stamped.set("tel", c.flow);
-      c.line = stamped.dump();
-    } else {
-      c.line = requests[d].dump();
-    }
+  const WireVerb& verb = wire_verb(request.get_string("op"));
+  std::uint64_t flow = 0;
+  std::string line;
+  if (traced) {
+    net::Json stamped = request;
+    flow = ++flow_seq_;
+    stamped.set("tel", flow);
+    line = stamped.dump();
+  } else {
+    line = request.dump();
   }
-  // Leaving with a response unread (degrade) would put that worker's stream out of step with its journal: reap it,
-  // so a later request respawns and replays it.
-  struct UnreadGuard {
-    ProcSupervisor& sup;
-    std::vector<Call>& calls;
-    ~UnreadGuard() {
-      for (std::size_t d = 0; d < calls.size(); ++d)
-        if (calls[d].in_flight) (void)sup.reap_worker(d);
-    }
-  } guard{*this, calls};
-
-  const auto send = [&](std::size_t d) {
-    if (!workers_[d].alive) respawn(d);
-    Call& c = calls[d];
-    c.t_start = traced ? tr.now_ns() : 0;
-    workers_[d].channel->write_line(c.line);
-    c.in_flight = true;
-    count_wire_bytes(*c.verb, "request", c.line.size() + 1);
-  };
-  // Runs one transport step for device d. A failure is classified, the
-  // worker reaped and (budget permitting) left for respawn: false.
-  const auto attempt = [&](std::size_t d, const auto& step) -> bool {
+  net::Json response;
+  std::size_t bytes = 0;
+  std::int64_t t_start = 0;
+  // A dead worker is restarted, replayed and sent the request again. A
+  // transport failure is classified and the worker reaped (budget
+  // permitting, left for the respawn).
+  for (;;) {
     try {
-      step();
-      return true;
+      if (!worker_.alive) respawn();
+      t_start = traced ? tr.now_ns() : 0;
+      worker_.channel->write_line(line);
+      count_wire_bytes(verb, "request", line.size() + 1);
+      response = read_response(bytes);
+      break;
     } catch (const IoError& e) {
-      calls[d].in_flight = false;
-      on_worker_failure(d, e.what());
+      on_worker_failure(e.what());
     } catch (const InputFormatError& e) {
       // Garbage on the wire (undecodable response line) = torn protocol.
-      calls[d].in_flight = false;
-      on_worker_failure(d, e.what());
+      on_worker_failure(e.what());
     }
-    return false;
-  };
-
-  // Every line goes out before any response is read: the workers execute
-  // concurrently while the controller collects.
-  for (std::size_t d = 0; d < calls.size(); ++d)
-    if (calls[d].verb != nullptr) (void)attempt(d, [&] { send(d); });
-
-  // The rpc spans of one fan-out tile its wait instead of overlapping on
-  // the controller track: device d's span starts at its write or at the
-  // previous response, whichever is later. Summed `rpc:` time is then wall
-  // time spent waiting, and the spans nest properly in a stitched trace.
-  std::int64_t span_floor = 0;
-  std::vector<net::Json> responses(requests.size());
-  std::exception_ptr first_error;
-  for (std::size_t d = 0; d < calls.size(); ++d) {
-    Call& c = calls[d];
-    if (c.verb == nullptr) continue;
-    net::Json response;
-    std::size_t bytes = 0;
-    for (;;) {
-      // A dead worker is restarted, replayed and sent its request again.
-      if (!c.in_flight && !attempt(d, [&] { send(d); })) continue;
-      if (attempt(d, [&] { response = read_response(workers_[d], bytes); }))
-        break;
-    }
-    c.in_flight = false;
-    count_wire_bytes(*c.verb, "response", bytes);
-    if (traced) {
-      const std::int64_t from = std::max(c.t_start, span_floor);
-      span_floor = tr.now_ns();
-      tr.record_complete(c.verb->rpc_span, from, span_floor - from);
-      tr.record_flow("rpc", 's', c.flow, c.t_start);
-    }
-    if (!response.get_bool("ok", false)) {
-      // Deterministic child-side failure: no restart. A stalled engine
-      // poisons the worker (it exits right after responding); mark it
-      // dead so shutdown() does not handshake with it.
-      if (response.get_string("error") == "EngineStalledError")
-        (void)reap_worker(d);
-      if (!first_error) {
-        try {
-          throw_worker_error(response);
-        } catch (...) {
-          first_error = std::current_exception();
-        }
-      }
-      continue;
-    }
-    workers_[d].consecutive_restarts = 0;
-    if (journaled) workers_[d].journal.push_back(std::move(c.line));
-    responses[d] = std::move(response);
   }
-  if (first_error) std::rethrow_exception(first_error);
-  return responses;
+  count_wire_bytes(verb, "response", bytes);
+  if (traced) {
+    tr.record_complete(verb.rpc_span, t_start, tr.now_ns() - t_start);
+    tr.record_flow("rpc", 's', flow, t_start);
+  }
+  if (!response.get_bool("ok", false)) {
+    // Deterministic child-side failure: no restart. A stalled engine
+    // poisons the worker (it exits right after responding); mark it dead
+    // so shutdown() does not handshake with it.
+    if (response.get_string("error") == "EngineStalledError")
+      (void)reap_worker();
+    throw_worker_error(response);
+  }
+  worker_.consecutive_restarts = 0;
+  if (journaled) worker_.journal.push_back(std::move(line));
+  return response;
 }
 
-std::vector<net::Json> ProcSupervisor::rpc_all(
-    const std::vector<net::Json>& requests) {
-  return fan_out(requests, true);
+net::Json ProcSupervisor::rpc(const net::Json& request) {
+  return call(request, true);
 }
 
-std::vector<net::Json> ProcSupervisor::query_all(
-    const std::vector<net::Json>& requests) {
-  return fan_out(requests, false);
+net::Json ProcSupervisor::query(const net::Json& request) {
+  return call(request, false);
 }
 
 void ProcSupervisor::collect_telemetry() {
   telemetry::Tracer& tr = telemetry::tracer();
-  if (!tr.enabled()) return;
+  // A dead worker's unflushed spans died with it — skip rather than
+  // respawn a process just to ask it for telemetry it no longer has.
+  if (!tr.enabled() || !worker_.alive) return;
   static const net::Json telemetry_req = [] {
     net::Json j = net::Json::object();
     j.set("op", "telemetry");
     return j;
   }();
-  // A dead worker's unflushed spans died with it — skip rather than
-  // respawn a process just to ask it for telemetry it no longer has. The
-  // fan-out runs the full failure machinery, so a worker that fails
+  // The request runs the full failure machinery, so a worker that fails
   // mid-harvest is restarted (losing its unflushed spans) rather than
   // aborting the harvest. The incarnation snapshot below is taken AFTER
-  // the fan-out: pid/offset must describe the process that answered.
-  std::vector<net::Json> requests(workers_.size());
-  for (std::size_t d = 0; d < workers_.size(); ++d)
-    if (workers_[d].alive) requests[d] = telemetry_req;
-  const std::vector<net::Json> responses = query_all(requests);
-  for (std::size_t d = 0; d < workers_.size(); ++d) {
-    if (responses[d].is_null()) continue;
-    const net::Json& resp = responses[d];
-    Worker& w = workers_[d];
-    telemetry::ProcessTrace pt;
-    pt.pid = static_cast<std::int64_t>(w.pid);
-    pt.name = "pima_devd d=" + std::to_string(d);
-    const std::size_t incarnation = w.spawn_count == 0 ? 0 : w.spawn_count - 1;
-    if (incarnation > 0)
-      pt.name += " (restart " + std::to_string(incarnation) + ")";
-    pt.sort_index = static_cast<int>(d) + 1;
-    if (resp.has("tracks") && resp.get("tracks").is_array())
-      for (const auto& entry : resp.get("tracks").items())
-        pt.track_names[static_cast<std::uint32_t>(
-            entry.get_uint64("track"))] = entry.get_string("name");
-    if (resp.has("events") && resp.get("events").is_array()) {
-      for (const auto& row : resp.get("events").items()) {
-        if (!row.is_array() || row.items().size() < 8) continue;
-        const auto& f = row.items();
-        telemetry::ExportedTraceEvent e;
-        e.name = f[0].as_string();
-        const std::string phase = f[1].as_string();
-        e.phase = phase.empty() ? 'X' : phase[0];
-        e.track = static_cast<std::uint32_t>(f[2].as_uint64());
-        e.ts_ns = static_cast<std::int64_t>(f[3].as_number()) +
-                  w.clock_offset_ns;
-        e.dur_ns = static_cast<std::int64_t>(f[4].as_number());
-        e.value = f[5].as_number();
-        e.arg_name = f[6].as_string();
-        e.flow_id = f[7].as_uint64();
-        pt.events.push_back(std::move(e));
-      }
+  // the request: pid/offset must describe the process that answered.
+  const net::Json resp = query(telemetry_req);
+  const Worker& w = worker_;
+  telemetry::ProcessTrace pt;
+  pt.pid = static_cast<std::int64_t>(w.pid);
+  pt.name = "pima_devd";
+  const std::size_t incarnation = w.spawn_count == 0 ? 0 : w.spawn_count - 1;
+  if (incarnation > 0)
+    pt.name += " (restart " + std::to_string(incarnation) + ")";
+  pt.sort_index = 1;
+  if (resp.has("tracks") && resp.get("tracks").is_array())
+    for (const auto& entry : resp.get("tracks").items())
+      pt.track_names[static_cast<std::uint32_t>(entry.get_uint64("track"))] =
+          entry.get_string("name");
+  if (resp.has("events") && resp.get("events").is_array()) {
+    for (const auto& row : resp.get("events").items()) {
+      if (!row.is_array() || row.items().size() < 8) continue;
+      const auto& f = row.items();
+      telemetry::ExportedTraceEvent e;
+      e.name = f[0].as_string();
+      const std::string phase = f[1].as_string();
+      e.phase = phase.empty() ? 'X' : phase[0];
+      e.track = static_cast<std::uint32_t>(f[2].as_uint64());
+      e.ts_ns =
+          static_cast<std::int64_t>(f[3].as_number()) + w.clock_offset_ns;
+      e.dur_ns = static_cast<std::int64_t>(f[4].as_number());
+      e.value = f[5].as_number();
+      e.arg_name = f[6].as_string();
+      e.flow_id = f[7].as_uint64();
+      pt.events.push_back(std::move(e));
     }
-    tr.put_process(std::move(pt));
   }
+  tr.put_process(std::move(pt));
 }
 
 void ProcSupervisor::mark_stage_done(std::uint32_t stage) {
   collect_telemetry();
   stages_done_ = stage;
-  if (options_.journal_truncation)
-    for (Worker& w : workers_) w.journal.clear();
+  if (options_.journal_truncation) worker_.journal.clear();
 }
 
 void ProcSupervisor::shutdown() noexcept {
   if (!started_) return;
-  // Final span harvest before the handshake tears the workers down. Any
+  // Final span harvest before the handshake tears the worker down. Any
   // failure here (a dead worker, an exhausted budget) must not turn a
   // graceful shutdown into a throw.
   try {
@@ -628,17 +525,14 @@ void ProcSupervisor::shutdown() noexcept {
     j.set("op", "shutdown");
     return j.dump();
   }();
-  for (std::size_t d = 0; d < workers_.size(); ++d) {
-    Worker& w = workers_[d];
-    if (w.alive && w.channel) {
-      try {
-        (void)transact(w, shutdown_line);
-      } catch (...) {
-        // The reap below classifies whatever happened.
-      }
+  if (worker_.alive && worker_.channel) {
+    try {
+      (void)transact(shutdown_line);
+    } catch (...) {
+      // The reap below classifies whatever happened.
     }
-    (void)reap_worker(d);
   }
+  (void)reap_worker();
   if (snapshot_id_ >= 0) {
     telemetry::FlightRecorder::instance().remove_snapshot_provider(
         snapshot_id_);

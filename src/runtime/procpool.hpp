@@ -1,19 +1,17 @@
-// Process-isolated device shards with a fault-tolerant supervisor
+// The process-isolated device worker with a fault-tolerant supervisor
 // (DESIGN.md §15).
 //
-// A run sharded over N simulated devices keeps one core::DeviceShard per
-// device; this layer moves each DeviceShard into its own child process
-// (`pima_devd`) so a crashed, stalled, or chaos-injected device worker
-// cannot take the assembly down with it. The parent keeps the sharding
-// contract — owner = dram::owner_of(flat, devices), folds in logical flat
-// order — and owns the robustness machinery:
+// An isolated run keeps its one core::DeviceShard in a child process
+// (`pima_devd`) so a crashed, stalled, or chaos-injected worker cannot take
+// the assembly down with it. The parent keeps the controller — routing,
+// folds in logical flat order — and owns the robustness machinery:
 //
-//   * transport: one socketpair per worker, newline-delimited JSON framed
-//     by net::LineChannel, every byte through the fsio fault shim (site
-//     "wire" in the workers, "procpool" for spawn/reap/kill), so
+//   * transport: one socketpair to the worker, newline-delimited JSON
+//     framed by net::LineChannel, every byte through the fsio fault shim
+//     (site "wire" in the worker, "procpool" for spawn/reap/kill), so
 //     PIMA_IOFAULT chaos reaches the process boundary like every other
-//     I/O path. Requests are batched per superstep and fanned out: every
-//     device's line is written before any response is read (rpc_all);
+//     I/O path. Requests are batched per superstep: one request line, then
+//     its one response line (rpc);
 //   * reaping: waitpid with typed exit classification —
 //     EngineStalledError (exit 6; a wedged kernel is the worker engine's
 //     watchdog's to catch), injected torn-write crash (exit 86), death by
@@ -27,22 +25,21 @@
 //     request and replayed to exactly the pre-crash state. Journals are
 //     truncated at stage boundaries, so replay cost is bounded by one
 //     stage. The run's only resume record is the controller's
-//     pipeline.ckpt; workers keep no state on disk;
+//     pipeline.ckpt; the worker keeps no state on disk;
 //   * degrade: when the restart budget is exhausted the supervisor throws
-//     ProcPoolDegradedError and the pipeline falls back to in-process
-//     DeviceShards — a typed, logged transition, bit-identical output.
+//     ProcPoolDegradedError and the pipeline falls back to the in-process
+//     DeviceShard — a typed, logged transition, bit-identical output.
 //
-// Determinism: a worker's device state is a pure function of its request
-// journal, and the parent merges all cross-shard data by shard index and
-// folds it in logical flat order, so a run with K worker crashes is
-// bit-identical to a crash-free run (and to the in-process run).
+// Determinism: the worker's device state is a pure function of its request
+// journal, and the parent folds statistics in logical flat order, so a run
+// with K worker crashes is bit-identical to a crash-free run (and to the
+// in-process run).
 #pragma once
 
 #include <sys/types.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -80,91 +77,79 @@ struct WireVerb {
 const WireVerb& wire_verb(std::string_view op);
 
 /// Raised when the restart budget is exhausted: the signal to degrade to
-/// in-process DeviceShards. Carries the final crash's identity for the
+/// the in-process DeviceShard. Carries the final crash's class for the
 /// pipeline's fallback log event.
 class ProcPoolDegradedError : public SimulationError {
  public:
-  ProcPoolDegradedError(std::size_t device, WorkerExitClass exit_class,
-                        const std::string& detail)
-      : SimulationError("device worker " + std::to_string(device) +
-                        " failed (" + runtime::to_string(exit_class) +
+  ProcPoolDegradedError(WorkerExitClass exit_class, const std::string& detail)
+      : SimulationError(std::string("device worker failed (") +
+                        runtime::to_string(exit_class) +
                         ") with the restart budget exhausted: " + detail),
-        device_(device),
         exit_class_(exit_class) {}
 
-  std::size_t device() const { return device_; }
   WorkerExitClass exit_class() const { return exit_class_; }
 
  private:
-  std::size_t device_;
   WorkerExitClass exit_class_;
 };
 
 struct ProcPoolOptions {
-  std::size_t devices = 1;
   /// Path of the pima_devd binary. Empty = $PIMA_DEVD_PATH, then
   /// alongside /proc/self/exe, then ../tools relative to it.
   std::string devd_path;
-  /// Total restarts allowed across all workers before degrading.
+  /// Restarts allowed before degrading.
   std::size_t restart_budget = 3;
   /// False keeps the full journal for the whole run (required when the
   /// run captures a trace: a restarted worker must replay every command).
   bool journal_truncation = true;
-  /// PIMA_IOFAULT spec installed in the children's environment; empty
+  /// PIMA_IOFAULT spec installed in the child's environment; empty
   /// inherits the parent's environment unchanged. Lets chaos tests aim a
-  /// fault plan at the workers while the parent stays clean (the parent
+  /// fault plan at the worker while the parent stays clean (the parent
   /// uses the process-local install_plan for its own faults).
   std::string child_iofault;
 };
 
-/// Owns the worker processes of one isolated run. Single-threaded use by
+/// Owns the worker process of one isolated run. Single-threaded use by
 /// the pipeline (the parent is the only controller; concurrency lives in
-/// the workers' engines).
+/// the worker's engine).
 class ProcSupervisor {
  public:
-  /// `make_init` builds the init request for a device; it is re-sent
-  /// verbatim on every restart of that worker.
-  ProcSupervisor(ProcPoolOptions options,
-                 std::function<net::Json(std::size_t)> make_init);
+  /// `init` is the worker's init request; it is re-sent verbatim on every
+  /// restart.
+  ProcSupervisor(ProcPoolOptions options, net::Json init);
   ~ProcSupervisor();
 
   ProcSupervisor(const ProcSupervisor&) = delete;
   ProcSupervisor& operator=(const ProcSupervisor&) = delete;
 
-  /// Spawns and initializes every worker.
+  /// Spawns and initializes the worker.
   void start();
 
-  std::size_t devices() const { return options_.devices; }
+  /// State-mutating request, journaled for crash replay: one line out, one
+  /// response in, with a span + flow id and a journal append on ok. A
+  /// child-side typed error is rethrown as its original exception type (no
+  /// restart — it is deterministic). A transport failure triggers
+  /// classify → restart → replay → resend, bounded by the restart budget
+  /// (ProcPoolDegradedError thereafter).
+  net::Json rpc(const net::Json& request);
 
-  /// State-mutating fan-out, journaled for crash replay: `requests[d]`
-  /// goes to device d; a null entry skips the device (its response slot
-  /// stays null). Every request is written before any response is read,
-  /// then responses are read in device order, each with a span + flow id
-  /// and a journal append on ok. Child-side typed errors are rethrown as
-  /// their original exception types (no restart — they are
-  /// deterministic); they are collected until every response is in and
-  /// the lowest device's is rethrown. Transport failures trigger
-  /// classify → restart → replay → resend for that worker, without
-  /// disturbing the others' responses, bounded by the restart budget
-  /// (ProcPoolDegradedError thereafter, aborting at once).
-  std::vector<net::Json> rpc_all(const std::vector<net::Json>& requests);
+  /// Read-only request: the failure handling of rpc, not journaled.
+  net::Json query(const net::Json& request);
 
-  /// Read-only fan-out: the failure handling of rpc_all, not journaled.
-  std::vector<net::Json> query_all(const std::vector<net::Json>& requests);
-
-  /// Stage boundary: harvests worker span buffers (when the controller
-  /// tracer is live) and truncates journals (when enabled).
+  /// Stage boundary: harvests the worker's span buffer (when the
+  /// controller tracer is live) and truncates the journal (when enabled).
   void mark_stage_done(std::uint32_t stage);
 
-  /// Fetches every live worker's cumulative span buffer over the
+  /// Fetches the live worker's cumulative span buffer over the
   /// `telemetry` verb and installs it in the controller tracer as that
   /// incarnation's ProcessTrace (timestamps shifted by the clock offset
-  /// sampled at init). No-op when tracing is disabled. Uses the normal
-  /// rpc failure handling, so a dead worker is restarted (and its spans
-  /// since the last harvest are lost — restarts appear as new tracks).
+  /// sampled at init). No-op when tracing is disabled or the worker is
+  /// dead. Uses the normal rpc failure handling, so a worker that dies
+  /// mid-harvest is restarted (and its spans since the last harvest are
+  /// lost — restarts appear as new tracks).
   void collect_telemetry();
 
-  /// Graceful shutdown handshake with every live worker, then reap.
+  /// Graceful shutdown handshake with the live worker, then reap.
   /// Idempotent; also run by the destructor.
   void shutdown() noexcept;
 
@@ -183,27 +168,26 @@ class ProcSupervisor {
     std::thread stderr_relay;           ///< prefixes child stderr lines
   };
 
-  void spawn(std::size_t d);
-  void respawn(std::size_t d);
-  net::Json transact(Worker& w, const std::string& line);
+  void spawn();
+  void respawn();
+  net::Json transact(const std::string& line);
   /// Reads the next response line; `bytes` gets its wire size.
-  net::Json read_response(Worker& w, std::size_t& bytes);
+  net::Json read_response(std::size_t& bytes);
   /// Classify + reap + log; throws ProcPoolDegradedError past the budget,
   /// otherwise sleeps the backoff and leaves the worker dead for respawn.
-  void on_worker_failure(std::size_t d, const std::string& what);
+  void on_worker_failure(const std::string& what);
   /// Closes the worker's stream and reaps it. With `grace` a worker that
   /// exits on its own within 500 ms is classified by its own status,
   /// and one the parent then has to kill is kTorn; without it the worker
   /// is killed at once (shutdown and discard paths, which ignore the
   /// class).
-  WorkerExitClass reap_worker(std::size_t d, bool grace = false) noexcept;
-  std::vector<net::Json> fan_out(const std::vector<net::Json>& requests,
-                                 bool journaled);
+  WorkerExitClass reap_worker(bool grace = false) noexcept;
+  net::Json call(const net::Json& request, bool journaled);
 
   ProcPoolOptions options_;
-  std::function<net::Json(std::size_t)> make_init_;
+  net::Json init_;
   std::string resolved_devd_;
-  std::vector<Worker> workers_;
+  Worker worker_;
   std::uint32_t stages_done_ = 0;
   std::size_t restarts_used_ = 0;
   std::uint64_t flow_seq_ = 0;  ///< rpc flow-event ids (traced runs)

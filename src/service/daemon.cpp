@@ -35,9 +35,9 @@ namespace {
 
 constexpr const char* kContigsFile = "contigs.fa";
 
-/// What a job charges against the daemon's --channel-budget: a sharded job
-/// runs one engine of `devices` × `channels` workers (or, isolated,
-/// `devices` workers of `channels` each), so it occupies the full product
+/// What a job charges against the daemon's --channel-budget: a job runs
+/// one engine of `devices` × `channels` channels, in the daemon or, when
+/// isolated, in its one pima_devd worker, so it occupies the full product
 /// while running.
 std::size_t channel_cost(const JobSpec& spec) {
   return spec.devices * spec.channels;
@@ -234,8 +234,8 @@ void Daemon::run_job(JobEntry& entry) {
     opt.euler_contigs = spec.euler;
     opt.threads = spec.channels;
     opt.devices = spec.devices;
-    // "process" isolation: the job's device shards run in pima_devd
-    // children of the daemon; a crashing shard is restarted (or the job
+    // "process" isolation: the job's device shard runs in a pima_devd
+    // child of the daemon; a crashing worker is restarted (or the job
     // degrades to in-process) instead of taking the daemon down.
     opt.isolate = spec.isolation == "process";
     opt.stall_timeout_ms = spec.stall_timeout_ms;

@@ -58,11 +58,12 @@ struct JobSpec {
   bool euler = false;              ///< Euler walks vs unitigs
   int priority = 0;                ///< higher runs first; FIFO within equal
   double stall_timeout_ms = 0.0;   ///< per-job watchdog budget (0 = off)
-  /// "none" runs the job's device shards in the daemon's address space;
-  /// "process" runs each shard in a pima_devd worker process under the
-  /// crash-containing supervisor (runtime/procpool.hpp). Either way the
-  /// job charges devices × channels against --channel-budget — isolation
-  /// moves the work, it does not multiply it.
+  /// "none" runs the job's device shard in the daemon's address space;
+  /// "process" runs it in one pima_devd worker process under the
+  /// crash-containing supervisor (runtime/procpool.hpp), whose engine has
+  /// the same devices × channels channels. Either way the job charges
+  /// devices × channels against --channel-budget — isolation moves the
+  /// work, it does not multiply it.
   std::string isolation = "none";
 
   /// Field-by-field validation; throws InputFormatError on the first bad

@@ -71,6 +71,17 @@ expect_flag_rejected(max-retries ${CLI} pim-run --reads ${WORK}/r.fa
                      --max-retries -1)
 expect_flag_rejected(fault-variation ${CLI} pim-run --reads ${WORK}/r.fa
                      --fault-variation -3)
+# The run's one engine has --devices x --threads channel threads: a
+# product above 1024 -> 3 naming both flags, before any engine exists.
+# 2 x 513 is the smallest product past the bound.
+execute_process(COMMAND ${CLI} pim-run --reads ${WORK}/r.fa --devices 2
+                        --threads 513
+                RESULT_VARIABLE rc TIMEOUT 60
+                OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 3 OR NOT err MATCHES "--devices x --threads must be <= 1024")
+  message(FATAL_ERROR "expected exit 3 naming --devices and --threads, "
+                      "got '${rc}'\nstderr: ${err}")
+endif()
 expect_flag_rejected(k ${CLI} spectrum --reads ${WORK}/r.fa --k abc)
 expect_flag_rejected(k ${CLI} project --k 100)
 expect_flag_rejected(rows ${CLI} serve --state-dir ${WORK}/serve --rows 16)

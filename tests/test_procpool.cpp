@@ -1,11 +1,11 @@
 // Process-isolation battery (ctest -L procpool, DESIGN.md §15).
 //
-// The contract under test: a pipeline run whose device shards live in
-// pima_devd worker processes is bit-identical to the in-process run — and
-// stays bit-identical when workers are SIGKILLed, SIGSEGV, crash-exited,
+// The contract under test: a pipeline run whose device shard lives in a
+// pima_devd worker process is bit-identical to the in-process run — and
+// stays bit-identical when the worker is SIGKILLed, SIGSEGV, crash-exited,
 // torn mid-write, or chaos-injected mid-stage, because the supervisor
-// restarts them and replays their journals — and a pipeline.ckpt cut on
-// either transport resumes on the other. Plus the seams: WorkerInit and
+// restarts it and replays its journal — and a pipeline.ckpt cut on either
+// transport resumes on the other. Plus the seams: WorkerInit and
 // typed-error wire round-trips, exit classification, and the degrade path
 // when the restart budget runs dry.
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -47,7 +48,7 @@ namespace fs = std::filesystem;
 using test_support::expect_bit_identical;
 
 // RAII environment-variable override (the devd test hook travels to the
-// workers through the environment they inherit).
+// worker through the environment it inherits).
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const std::string& value) : name_(name) {
@@ -139,8 +140,8 @@ TEST(ProcPoolIdentity, IsolatedMatchesInProcessAndSingleDevice) {
   const auto single = run_config(reads, /*isolate=*/false, 1);
   const auto pooled = run_config(reads, /*isolate=*/false, 4);
   const auto isolated = run_config(reads, /*isolate=*/true, 4);
-  // threads = 0: one channel per hardware thread, resolved inside each
-  // worker — the worker routes its k-mers to its own channels.
+  // threads = 0: one channel per hardware thread for the whole run,
+  // resolved inside the worker.
   const auto isolated_hw = run_config(reads, /*isolate=*/true, 4, {}, false,
                                       false, /*threads=*/0);
   ASSERT_FALSE(isolated.result.contigs.empty());
@@ -167,7 +168,7 @@ TEST(ProcPoolIdentity, CapturedTraceMatchesInProcess) {
 
 TEST(ProcPoolIdentity, MultiplicityOnRepeatRichGenomeMatchesInProcess) {
   // Planted repeats plus --multiplicity give edges with multiplicity > 1,
-  // so the workers rebuild duplicate adjacency rows from the edge triples.
+  // so the worker rebuilds duplicate adjacency rows from the edge triples.
   dna::GenomeParams gp;
   gp.length = 900;
   gp.repeat_length = 60;
@@ -203,9 +204,10 @@ TEST(ProcPoolRecovery, CrashedWorkersRestartAndOutputIsBitIdentical) {
   for (const char* action : {"sigkill", "segv", "exit86", "torn"}) {
     SCOPED_TRACE(action);
     const auto flag = (scratch / (std::string("flag_") + action)).string();
-    // Device 2 dies after its 8th request — early in stage 2 on this
-    // input — then the flag file makes the respawned worker healthy.
-    ScopedEnv hook("PIMA_DEVD_TEST_HOOK", std::string("dev=2:after=8:action=") +
+    // The worker dies on its 6th request — stage 2's first program slice
+    // on this input — then the flag file makes the respawned worker
+    // healthy.
+    ScopedEnv hook("PIMA_DEVD_TEST_HOOK", std::string("after=6:action=") +
                                               action + ":flag=" + flag);
     const auto run = run_config(reads, /*isolate=*/true, 4);
     EXPECT_TRUE(fs::exists(flag)) << "hook never fired";
@@ -218,10 +220,9 @@ TEST(ProcPoolRecovery, CrashedWorkersRestartAndOutputIsBitIdentical) {
 }
 
 TEST(ProcPoolRecovery, KillOnTheDegreeBatchIsBitIdentical) {
-  // The crash lands on the batched stage itself: device 1 dies after
-  // executing its degree_block batch, before answering. Its peers'
-  // responses are already in flight; the supervisor restarts device 1,
-  // replays its journal and resends the batch.
+  // The crash lands on the batched stage itself: the worker dies after
+  // executing its degree_block batch, before answering. The supervisor
+  // restarts it, replays its journal and resends the batch.
   const auto reads = workload_reads(18);
   const auto baseline =
       run_config(reads, /*isolate=*/false, 4, {}, /*capture=*/true);
@@ -232,7 +233,7 @@ TEST(ProcPoolRecovery, KillOnTheDegreeBatchIsBitIdentical) {
     SCOPED_TRACE(action);
     const auto flag = (scratch / (std::string("flag_") + action)).string();
     ScopedEnv hook("PIMA_DEVD_TEST_HOOK",
-                   std::string("dev=1:op=degree_block:after=1:action=") +
+                   std::string("op=degree_block:after=1:action=") +
                        action + ":flag=" + flag);
     const auto run =
         run_config(reads, /*isolate=*/true, 4, {}, /*capture=*/true);
@@ -246,7 +247,7 @@ TEST(ProcPoolRecovery, KillOnTheDegreeBatchIsBitIdentical) {
 }
 
 TEST(ProcPoolRecovery, KillOnTheStatsAnswerIsBitIdentical) {
-  // The crash lands on the stage boundary: device 1 takes its stage-2
+  // The crash lands on the stage boundary: the worker takes its stage-2
   // stats (which clears them), then dies before answering. The restarted
   // worker replays its journal without the in-flight line and is asked
   // again. Untraced, the journal holds stage 2 alone; traced, it keeps
@@ -262,7 +263,7 @@ TEST(ProcPoolRecovery, KillOnTheStatsAnswerIsBitIdentical) {
     const auto flag =
         (scratch / (capture ? "flag_traced" : "flag_untraced")).string();
     ScopedEnv hook("PIMA_DEVD_TEST_HOOK",
-                   "dev=1:op=stats:after=2:action=sigkill:flag=" + flag);
+                   "op=stats:after=2:action=sigkill:flag=" + flag);
     const auto run = run_config(reads, /*isolate=*/true, 4, {}, capture);
     EXPECT_TRUE(fs::exists(flag)) << "hook never fired";
     EXPECT_EQ(run.fallbacks, 0.0);
@@ -282,7 +283,7 @@ TEST(ProcPoolRecovery, RecoveryPreservesCapturedTrace) {
   fs::create_directories(scratch);
   const auto flag = (scratch / "flag").string();
   ScopedEnv hook("PIMA_DEVD_TEST_HOOK",
-                 "dev=1:after=6:action=sigkill:flag=" + flag);
+                 "after=6:action=sigkill:flag=" + flag);
   // capture_trace disables journal truncation: the respawned worker must
   // replay every command so its trace capture is complete.
   const auto run = run_config(reads, /*isolate=*/true, 4, {}, /*capture=*/true);
@@ -300,7 +301,6 @@ TEST(ProcPoolChaos, ChildIofaultTornWriteIsSurvivedWithReplay) {
   // still happens because stage boundaries truncate the journal, so each
   // respawned worker replays less than its predecessor wrote.
   runtime::ProcPoolOptions opt;
-  opt.devices = 1;
   opt.restart_budget = 30;
   opt.child_iofault = "send@wire:nth=4:crash";
   core::WorkerInit init;
@@ -308,20 +308,18 @@ TEST(ProcPoolChaos, ChildIofaultTornWriteIsSurvivedWithReplay) {
   init.k = 15;
   init.hash_shards = 4;
   init.engine.channels = 1;
-  runtime::ProcSupervisor sup(
-      opt, [&](std::size_t) { return core::worker_init_to_json(init); });
+  runtime::ProcSupervisor sup(opt, core::worker_init_to_json(init));
   sup.start();
   net::Json stats = net::Json::object();
   stats.set("op", "stats");
   for (std::uint32_t i = 1; i <= 10; ++i) {
-    const auto responses = sup.rpc_all({stats});
-    EXPECT_TRUE(responses[0].get_bool("ok", false));
+    EXPECT_TRUE(sup.rpc(stats).get_bool("ok", false));
     sup.mark_stage_done(i);  // truncate: bounds the next replay
   }
   EXPECT_GE(sup.restarts_used(), 1u);
   net::Json drain = net::Json::object();
   drain.set("op", "drain");
-  EXPECT_TRUE(sup.query_all({drain})[0].get_bool("ok", false));
+  EXPECT_TRUE(sup.query(drain).get_bool("ok", false));
   sup.shutdown();
 }
 
@@ -330,8 +328,9 @@ TEST(ProcPoolChaos, ChildIofaultTornWriteIsSurvivedWithReplay) {
 TEST(ProcPoolDegrade, BudgetExhaustionFallsBackToInProcessPool) {
   const auto reads = workload_reads(15);
   const auto baseline = run_config(reads, /*isolate=*/false, 4);
-  // No flag file: device 0 dies after every respawn, exhausting the budget.
-  ScopedEnv hook("PIMA_DEVD_TEST_HOOK", "dev=0:after=4:action=exit86");
+  // No flag file: the worker dies after every respawn, exhausting the
+  // budget.
+  ScopedEnv hook("PIMA_DEVD_TEST_HOOK", "after=4:action=exit86");
   core::PipelineOptions::IsolateOptions iso;
   iso.restart_budget = 2;
   const auto run = run_config(reads, /*isolate=*/true, 4, iso);
@@ -438,10 +437,10 @@ TEST(ProcPoolObservability, StitchedTraceHasWorkerSpansFlowsAndRestartTracks) {
   fs::remove_all(scratch);
   fs::create_directories(scratch);
   const auto flag = (scratch / "flag").string();
-  // Worker 1 dies mid stage 1; its replacement appears as a new process
-  // track with a restart-suffixed name.
+  // The worker dies mid stage 1, on its drain; its replacement appears as
+  // a new process track with a restart-suffixed name.
   ScopedEnv hook("PIMA_DEVD_TEST_HOOK",
-                 "dev=1:after=6:action=sigkill:flag=" + flag);
+                 "after=3:action=sigkill:flag=" + flag);
   dram::Device device(pipeline_geometry());
   core::PipelineOptions opt;
   opt.k = 15;
@@ -459,11 +458,9 @@ TEST(ProcPoolObservability, StitchedTraceHasWorkerSpansFlowsAndRestartTracks) {
             baseline.model_snapshot);
 
   const std::string json = session.tracer().chrome_json();
-  // One track group per live worker.
-  EXPECT_NE(json.find("\"pima_devd d=0\""), std::string::npos);
-  EXPECT_NE(json.find("\"pima_devd d=1"), std::string::npos);
-  EXPECT_NE(json.find("\"pima_devd d=2\""), std::string::npos);
-  EXPECT_NE(json.find("(restart 1)"), std::string::npos);
+  // The first incarnation died before its first harvest: the one track
+  // group is the restarted worker's.
+  EXPECT_NE(json.find("\"pima_devd (restart 1)\""), std::string::npos);
   EXPECT_NE(json.find("devd:kmers"), std::string::npos);  // worker-side span
   EXPECT_NE(json.find("rpc:kmers"), std::string::npos);   // controller span
   // Flow links tie each controller rpc span to its worker execution.
@@ -473,6 +470,48 @@ TEST(ProcPoolObservability, StitchedTraceHasWorkerSpansFlowsAndRestartTracks) {
   EXPECT_NE(json.find("\"cat\": \"rpc\""), std::string::npos);
   test_support::idle_telemetry_session();
   fs::remove_all(scratch);
+}
+
+// --devices 2 --threads 2 --isolate runs one worker whose engine has the
+// in-process run's four channels, and the stitched trace shows every one of
+// them retiring tasks.
+TEST(ProcPoolObservability, OneWorkerWithEveryChannelBusy) {
+  const auto reads = workload_reads(16);
+  auto& tracer = telemetry::tracer();
+  test_support::idle_telemetry_session();
+  tracer.enable();
+  (void)run_config(reads, /*isolate=*/true, /*devices=*/2, {}, false, false,
+                   /*threads=*/2);
+  const net::Json trace = net::Json::parse(tracer.chrome_json());
+  test_support::idle_telemetry_session();
+
+  // (pid, tid) of every channel track of a pima_devd process -> its name,
+  // and the `task` spans on each.
+  std::vector<double> workers;
+  std::map<std::pair<double, double>, std::string> channels;
+  std::map<std::pair<double, double>, std::size_t> tasks;
+  const auto& events = trace.get("traceEvents").items();
+  for (const auto& e : events)
+    if (e.get_string("name") == "process_name" &&
+        e.get("args").get_string("name").starts_with("pima_devd"))
+      workers.push_back(e.get_number("pid"));
+  for (const auto& e : events) {
+    if (std::find(workers.begin(), workers.end(), e.get_number("pid")) ==
+        workers.end())
+      continue;
+    const std::pair<double, double> track = {e.get_number("pid"),
+                                             e.get_number("tid", -1.0)};
+    if (e.get_string("name") == "thread_name" &&
+        e.get("args").get_string("name").starts_with("channel "))
+      channels[track] = e.get("args").get_string("name");
+    if (e.get_string("ph") == "X" && e.get_string("name") == "task")
+      ++tasks[track];
+  }
+  EXPECT_EQ(workers.size(), 1u);
+  EXPECT_EQ(channels.size(), 4u);
+  for (const auto& [track, name] : channels)
+    EXPECT_GE(tasks[track], 1u)
+        << "worker " << track.first << " " << name << " retired no task";
 }
 
 TEST(ProcPoolObservability, WorkerCrashDumpsSchemaValidCrashReport) {
@@ -485,7 +524,7 @@ TEST(ProcPoolObservability, WorkerCrashDumpsSchemaValidCrashReport) {
   flight.set_output_path(report_path);
   const auto flag = (scratch / "flag").string();
   ScopedEnv hook("PIMA_DEVD_TEST_HOOK",
-                 "dev=2:after=8:action=sigkill:flag=" + flag);
+                 "after=8:action=sigkill:flag=" + flag);
   const auto reads = workload_reads(17);
   const auto run = run_config(reads, /*isolate=*/true, 4);
   ASSERT_FALSE(run.result.contigs.empty());
@@ -622,7 +661,6 @@ TEST(ProcPoolWire, WorkerListsRoundTripAndRejectMalformedEntries) {
       InputFormatError)
       << "fewer shards than requested";
 
-  // Worker 1 of 3 over 24 sub-arrays owns flats 1, 4, 7, ...
   const std::size_t total = 24;
   dram::CommandStats st;
   st.counts[0] = 2;
@@ -632,7 +670,7 @@ TEST(ProcPoolWire, WorkerListsRoundTripAndRejectMalformedEntries) {
   const net::Json stats_list =
       net::Json::parse(core::subarray_stats_to_json(stats).dump());
   const dram::SubarrayStats back =
-      core::subarray_stats_from_json(stats_list, 1, 3, total);
+      core::subarray_stats_from_json(stats_list, total);
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[1].first, 7u);
   EXPECT_EQ(back[1].second.busy_ns, st.busy_ns);
@@ -641,14 +679,13 @@ TEST(ProcPoolWire, WorkerListsRoundTripAndRejectMalformedEntries) {
   // Each bad flat in a stats list.
   for (const std::vector<std::uint64_t>& flats :
        {std::vector<std::uint64_t>{1, total + 1},  // out of range
-        std::vector<std::uint64_t>{1, 3},          // worker 0's
         std::vector<std::uint64_t>{4, 4}}) {       // repeated
     SCOPED_TRACE("flats " + std::to_string(flats[0]) + ", " +
                  std::to_string(flats[1]));
     net::Json bad_stats = net::Json::array();
     for (const std::uint64_t flat : flats)
       bad_stats.push_back(core::stats_entry_to_json(flat, st));
-    EXPECT_THROW(core::subarray_stats_from_json(bad_stats, 1, 3, total),
+    EXPECT_THROW(core::subarray_stats_from_json(bad_stats, total),
                  InputFormatError);
   }
 
@@ -1275,33 +1312,20 @@ TEST(ProcPoolWire, ProgramRequestsCostAtMost32BytesPerInstruction) {
       << bytes << " bytes for " << instructions << " instructions";
 }
 
-TEST(ProcPoolWire, RpcAllRethrowsTheLowestDevicesTypedError) {
-  runtime::ProcPoolOptions opt;
-  opt.devices = 3;
-  runtime::ProcSupervisor sup(opt, [](std::size_t) {
-    return core::worker_init_to_json(degree_worker_init());
-  });
+TEST(ProcPoolWire, RpcRethrowsTheWorkersTypedError) {
+  runtime::ProcSupervisor sup(runtime::ProcPoolOptions{},
+                              core::worker_init_to_json(degree_worker_init()));
   sup.start();
   // An unknown verb is an InputFormatError; a block needing more rows than
   // a sub-array holds is a PreconditionError.
   core::EdgeBlock huge;
   huge.edges = {{0, 0, 100000}};
-  const net::Json precondition = degree_batch({encode_block(0, 1, huge)});
-  const net::Json input_format = op_request("no_such_verb");
-  {
-    const std::vector<net::Json> requests = {op_request("drain"),
-                                             input_format, precondition};
-    EXPECT_THROW((void)sup.rpc_all(requests), InputFormatError);
-  }
-  {
-    const std::vector<net::Json> requests = {op_request("drain"),
-                                             precondition, input_format};
-    EXPECT_THROW((void)sup.rpc_all(requests), PreconditionError);
-  }
-  // Every response was consumed: the streams stay in step.
-  const auto drained =
-      sup.query_all(std::vector<net::Json>(3, op_request("drain")));
-  for (const auto& d : drained) EXPECT_TRUE(d.get_bool("ok", false));
+  EXPECT_THROW((void)sup.rpc(op_request("no_such_verb")), InputFormatError);
+  EXPECT_THROW((void)sup.rpc(degree_batch({encode_block(0, 1, huge)})),
+               PreconditionError);
+  // Each response was consumed: the stream stays in step, and a typed
+  // error restarts nothing.
+  EXPECT_TRUE(sup.query(op_request("drain")).get_bool("ok", false));
   EXPECT_EQ(sup.restarts_used(), 0u);
   sup.shutdown();
 }
@@ -1326,9 +1350,7 @@ runtime::WorkerExitClass standin_failure_class(const std::string& name,
   runtime::ProcPoolOptions opt;
   opt.devd_path = script.string();
   opt.restart_budget = 0;
-  runtime::ProcSupervisor sup(opt, [](std::size_t) {
-    return core::worker_init_to_json(core::WorkerInit{});
-  });
+  runtime::ProcSupervisor sup(opt, core::worker_init_to_json(core::WorkerInit{}));
   runtime::WorkerExitClass cls = runtime::WorkerExitClass::kStalled;
   try {
     sup.start();

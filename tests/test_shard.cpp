@@ -240,24 +240,20 @@ dram::Geometry tiny_geometry() {
   return g;
 }
 
-// The same command sequence issued on three devices (each flat on its
-// owner) and on one bare device must produce identical roll-ups: the
-// shared fold takes each device's per-sub-array list in logical flat
-// order, not device order, so even the doubles agree.
+// The same command sequence issued through a DeviceShard and on a bare
+// device must produce identical roll-ups: the stage-boundary fold takes the
+// shard's per-sub-array list in logical flat order, whatever order the list
+// arrives in (an isolated run's comes over the wire), so even the doubles
+// agree.
 TEST(DevicePoolFolds, MatchSingleDeviceBitForBit) {
   const auto geom = tiny_geometry();
   dram::Device single(geom);
-  std::vector<std::unique_ptr<dram::Device>> devices;
-  std::vector<std::unique_ptr<core::DeviceShard>> shards;
-  for (std::size_t d = 0; d < 3; ++d) {
-    devices.push_back(std::make_unique<dram::Device>(geom));
-    shards.push_back(std::make_unique<core::DeviceShard>(
-        *devices.back(), runtime::EngineOptions{}, 1, 15, 1));
-  }
+  dram::Device device(geom);
+  core::DeviceShard shard(device, runtime::EngineOptions{}, 1, 15, 1);
 
-  const auto issue = [&](auto&& subarray_of) {
+  const auto issue = [&](dram::Device& target) {
     for (const std::size_t flat : {0u, 1u, 2u, 5u, 7u}) {
-      auto& sa = subarray_of(flat);
+      auto& sa = target.subarray(flat);
       sa.write_row(0, BitVector(geom.columns));
       sa.write_row(1, BitVector(geom.columns));
       sa.aap_copy(0, sa.compute_row(0));
@@ -265,37 +261,26 @@ TEST(DevicePoolFolds, MatchSingleDeviceBitForBit) {
       sa.aap_xor(sa.compute_row(0), sa.compute_row(1), 2);
     }
   };
-  issue([&](std::size_t flat) -> dram::Subarray& {
-    return single.subarray(flat);
-  });
-  issue([&](std::size_t flat) -> dram::Subarray& {
-    return devices[dram::owner_of(flat, 3)]->subarray(flat);
-  });
+  issue(single);
+  issue(device);
 
-  const auto instantiated_in = [&](const dram::Device& device) {
-    std::size_t n = 0;
-    for (std::size_t flat = 0; flat < geom.total_subarrays(); ++flat)
-      if (device.subarray_if(flat) != nullptr) ++n;
-    return n;
-  };
-  std::vector<dram::SubarrayStats> per_device;
-  std::size_t instantiated = 0;
-  for (std::size_t d = 0; d < 3; ++d) {
-    per_device.push_back(shards[d]->take_stats());
-    EXPECT_FALSE(per_device.back().empty()) << "device " << d;
-    instantiated += instantiated_in(*devices[d]);
-  }
-  const dram::StatsFold pf = dram::fold_in_flat_order(per_device);
+  dram::SubarrayStats stats = shard.take_stats();
+  ASSERT_EQ(stats.size(), 5u);
+  EXPECT_TRUE(shard.take_stats().empty()) << "take_stats clears";
   const dram::StatsFold sf = single.fold();
-  EXPECT_EQ(pf.device, sf.device);
-  EXPECT_EQ(instantiated, instantiated_in(single));
-  const auto& pc = pf.commands;
-  const auto& sc = sf.commands;
-  EXPECT_EQ(pc.total_commands(), sc.total_commands());
-  EXPECT_EQ(pc.busy_ns, sc.busy_ns);
-  EXPECT_EQ(pc.energy_pj, sc.energy_pj);
-  for (std::size_t k = 0; k < dram::kCommandKindCount; ++k)
-    EXPECT_EQ(pc.counts[k], sc.counts[k]) << "command kind " << k;
+  for (const bool reversed : {false, true}) {
+    SCOPED_TRACE(reversed ? "reversed list" : "flat-order list");
+    if (reversed) std::reverse(stats.begin(), stats.end());
+    const dram::StatsFold pf = dram::fold_in_flat_order(stats);
+    EXPECT_EQ(pf.device, sf.device);
+    const auto& pc = pf.commands;
+    const auto& sc = sf.commands;
+    EXPECT_EQ(pc.total_commands(), sc.total_commands());
+    EXPECT_EQ(pc.busy_ns, sc.busy_ns);
+    EXPECT_EQ(pc.energy_pj, sc.energy_pj);
+    for (std::size_t k = 0; k < dram::kCommandKindCount; ++k)
+      EXPECT_EQ(pc.counts[k], sc.counts[k]) << "command kind " << k;
+  }
 }
 
 // ---- fold algebra -----------------------------------------------------------

@@ -160,6 +160,9 @@ constexpr std::size_t kNoMax = std::numeric_limits<std::size_t>::max();
 constexpr double kNoMaxReal = std::numeric_limits<double>::max();
 constexpr std::size_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 constexpr std::size_t kMaxK = assembly::Kmer::kMaxK;
+/// Engine channel threads one run may ask for (--threads, and
+/// --devices x --threads).
+constexpr std::size_t kMaxChannels = 1024;
 
 /// Smallest --rows that holds a hash shard: core::ShardLayout needs more
 /// than 10 data rows above the compute rows.
@@ -278,6 +281,21 @@ int cmd_assemble(const Args& args) {
 }
 
 int cmd_pim_run(const Args& args) {
+  core::PipelineOptions opt;
+  // 0 = resolve to hardware concurrency inside the runtime engine.
+  opt.threads = get_bounded_size(args, "threads", 0, 0, kMaxChannels);
+  // Simulated devices the run shards over (owner = flat % N). Contigs,
+  // stats and model metrics are bit-identical for every value, so the
+  // checkpoint does not pin it: --resume may change --devices.
+  opt.devices = get_bounded_size(args, "devices", 1, 1, 64);
+  // The run's one engine has devices × threads channel threads; bounded
+  // here, before any device or engine exists.
+  if (opt.devices * opt.threads > kMaxChannels)
+    throw InputFormatError(
+        "--devices x --threads must be <= " + std::to_string(kMaxChannels) +
+        " engine channels, got " + std::to_string(opt.devices) + " x " +
+        std::to_string(opt.threads));
+
   const auto reads = load_reads(args.require("reads"));
   dram::Geometry geom;
   geom.rows = get_bounded_size(args, "rows", 512, min_rows(geom), kNoMax);
@@ -286,22 +304,14 @@ int cmd_pim_run(const Args& args) {
   geom.mats_per_bank = 4;
   geom.banks = 2;
   dram::Device device(geom);
-
-  core::PipelineOptions opt;
   opt.k = get_bounded_size(args, "k", 17, 2, kMaxK);
   // Stage 2 stores the graph in the sub-arrays after the hash shards.
   opt.hash_shards =
       get_bounded_size(args, "shards", 16, 1, geom.total_subarrays() - 1);
   opt.euler_contigs = args.has("euler");
-  // 0 = resolve to hardware concurrency inside the runtime engine.
-  opt.threads = get_bounded_size(args, "threads", 0, 0, 1024);
-  // Simulated devices the run shards over (owner = flat % N). Contigs,
-  // stats and model metrics are bit-identical for every value, so the
-  // checkpoint does not pin it: --resume may change --devices.
-  opt.devices = get_bounded_size(args, "devices", 1, 1, 64);
-  // Process isolation: each device shard in its own pima_devd worker under
-  // the crash-containing supervisor (DESIGN.md §15). Outputs stay
-  // bit-identical, even when workers are killed mid-stage and restarted.
+  // Process isolation: the run's device shard in one pima_devd worker
+  // under the crash-containing supervisor (DESIGN.md §15). Outputs stay
+  // bit-identical, even when the worker is killed mid-stage and restarted.
   opt.isolate = args.has("isolate");
   opt.isolate_opts.restart_budget =
       get_bounded_size(args, "restart-budget", 3, 0, 1000);
@@ -705,8 +715,8 @@ int cmd_submit(const Args& args) {
   req.set("shards", get_bounded_size(args, "shards", 16, 1, 4096));
   req.set("threads", get_bounded_size(args, "threads", 1, 1, 1024));
   req.set("devices", get_bounded_size(args, "devices", 1, 1, 64));
-  // --isolate asks the daemon to run the job's device shards in pima_devd
-  // worker processes ("isolation": "process"); the job still charges the
+  // --isolate asks the daemon to run the job's device shard in a pima_devd
+  // worker process ("isolation": "process"); the job still charges the
   // same admission budgets.
   if (args.has("isolate")) req.set("isolation", "process");
   if (args.has("euler")) req.set("euler", true);
@@ -825,13 +835,12 @@ void usage() {
       "           [--euler] [--out contigs.fa] [--reference genome.fa]\n"
       "  pim-run  --reads <in.fa> [--k K] [--shards N] [--euler]\n"
       "           [--threads N (channels per device; default 0: one\n"
-      "            per hardware thread, per run in process and per\n"
-      "            worker with --isolate)]\n"
-      "           [--devices N (shard over N simulated devices; in\n"
-      "            process, one engine of N x threads channels; outputs\n"
+      "            per hardware thread for the whole run)]\n"
+      "           [--devices N (shard over N simulated devices: one\n"
+      "            engine of N x threads channels, at most 1024; outputs\n"
       "            bit-identical for any N, so a resume may change it)]\n"
-      "           [--isolate (each device shard in its own pima_devd\n"
-      "            worker process; crashes are contained + restarted)]\n"
+      "           [--isolate (run the engine in one pima_devd worker\n"
+      "            process; crashes are contained + restarted)]\n"
       "           [--restart-budget N (worker restarts before the run\n"
       "            degrades to in-process; default 3)]\n"
       "           [--devd-path BIN (pima_devd binary; default: alongside\n"
@@ -861,8 +870,8 @@ void usage() {
       "           [--log-json PATH|- (structured NDJSON event log)]\n"
       "  submit   --socket PATH|--tcp PORT --reads <in.fa> [--k K]\n"
       "           [--shards N] [--threads N] [--devices N] [--euler]\n"
-      "           [--isolate (run the job's device shards in worker\n"
-      "            processes: \"isolation\": \"process\")]\n"
+      "           [--isolate (run the job's device shard in a worker\n"
+      "            process: \"isolation\": \"process\")]\n"
       "           [--priority P]\n"
       "           [--stall-timeout MS] [--follow]\n"
       "           [--idempotency-key KEY (dedupe token; default: random)]\n"

@@ -1,7 +1,7 @@
-// pima_devd — one device shard of a process-isolated assembly run.
+// pima_devd — the device worker of a process-isolated assembly run.
 //
 // Spawned by runtime::ProcSupervisor with the request socket on an
-// inherited fd (`--fd N --device D`). The process is a thin I/O loop
+// inherited fd (`--fd N`). The process is a thin I/O loop
 // around core::ShardWorkerCore: read one NDJSON request line, dispatch,
 // write one response line. A wedged kernel is caught by the engine
 // watchdog (`--stall-timeout`), which ends the worker with exit 6.
@@ -13,9 +13,8 @@
 //   else exit_code_for() of whatever escaped main
 //
 // PIMA_DEVD_TEST_HOOK drives the kill-and-recover battery:
-//   dev=<D>:after=<N>:action=<sigkill|segv|exit86|torn>[:op=<verb>]
-//   [:flag=<path>]
-// After handling N requests on device D the action fires, before the Nth
+//   after=<N>:action=<sigkill|segv|exit86|torn>[:op=<verb>][:flag=<path>]
+// After handling N requests the action fires, before the Nth
 // response is written — once, when a flag path is given (the file is
 // created before crashing, so a restarted worker survives the same
 // environment). With op, only requests of that verb count, so a crash can
@@ -48,7 +47,6 @@ using pima::net::LineChannel;
 
 struct TestHook {
   bool armed = false;
-  std::size_t device = 0;
   std::size_t after = 0;
   std::string action;
   std::string op;    ///< only requests of this verb count; empty = all
@@ -70,9 +68,7 @@ TestHook parse_test_hook(const char* spec) {
                                    "'");
     const std::string key = field.substr(0, eq);
     const std::string value = field.substr(eq + 1);
-    if (key == "dev")
-      hook.device = static_cast<std::size_t>(std::stoull(value));
-    else if (key == "after")
+    if (key == "after")
       hook.after = static_cast<std::size_t>(std::stoull(value));
     else if (key == "action")
       hook.action = value;
@@ -129,7 +125,7 @@ bool hook_already_fired(const TestHook& hook) {
   return ::access(hook.flag.c_str(), F_OK) == 0;
 }
 
-int run(int fd, std::size_t device_arg) {
+int run(int fd) {
 #ifdef __linux__
   // Die with the supervisor: an abandoned worker must not outlive the run.
   ::prctl(PR_SET_PDEATHSIG, SIGKILL);
@@ -137,8 +133,7 @@ int run(int fd, std::size_t device_arg) {
   ::signal(SIGPIPE, SIG_IGN);
   pima::fsio::load_env_plan();
   TestHook hook = parse_test_hook(std::getenv("PIMA_DEVD_TEST_HOOK"));
-  if (hook.armed && (hook.device != device_arg || hook_already_fired(hook)))
-    hook.armed = false;
+  if (hook.armed && hook_already_fired(hook)) hook.armed = false;
 
   LineChannel channel(fd);
   std::unique_ptr<pima::core::ShardWorkerCore> core;
@@ -211,29 +206,26 @@ int run(int fd, std::size_t device_arg) {
 
 int main(int argc, char** argv) {
   int fd = -1;
-  long long device = -1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--fd" && i + 1 < argc) {
       fd = std::atoi(argv[++i]);
-    } else if (arg == "--device" && i + 1 < argc) {
-      device = std::atoll(argv[++i]);
     } else {
       std::fprintf(stderr,
-                   "usage: pima_devd --fd <fd> --device <index>\n"
+                   "usage: pima_devd --fd <fd>\n"
                    "(internal worker of `pima_asm pim-run --isolate`; not "
                    "meant to be run by hand)\n");
       return pima::kExitUsage;
     }
   }
-  if (fd < 0 || device < 0) {
-    std::fprintf(stderr, "pima_devd: --fd and --device are required\n");
+  if (fd < 0) {
+    std::fprintf(stderr, "pima_devd: --fd is required\n");
     return pima::kExitUsage;
   }
   try {
-    return run(fd, static_cast<std::size_t>(device));
+    return run(fd);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "pima_devd[%lld]: %s\n", device, e.what());
+    std::fprintf(stderr, "pima_devd: %s\n", e.what());
     return pima::exit_code_for(e);
   }
 }
