@@ -27,7 +27,7 @@ struct MeasuredRun {
 };
 
 MeasuredRun run_measured(const std::vector<dna::Sequence>& reads,
-                         std::size_t threads, std::size_t devices = 1) {
+                         std::size_t threads) {
   dram::Geometry geom;
   geom.rows = 512;
   geom.compute_rows = 8;
@@ -41,7 +41,6 @@ MeasuredRun run_measured(const std::vector<dna::Sequence>& reads,
   opt.k = 17;
   opt.hash_shards = 64;
   opt.threads = threads;
-  opt.devices = devices;
 
   const auto start = std::chrono::steady_clock::now();
   MeasuredRun run;
@@ -91,30 +90,6 @@ void measured_speedup() {
   std::fputs(table.render().c_str(), stdout);
   std::printf("(reads: %zu, k=17, 64 hash shards; host threads: %u)\n",
               reads.size(), hw);
-
-  // Device-scaling axis: the same pipeline sharded over N simulated
-  // devices (one channel each; total workers = N). The load-bearing check
-  // is 'identical' — every sharded output must be bit-equal to 1 device.
-  TextTable dt("\nMeasured multi-device sharding (--devices axis)");
-  dt.set_header({"devices", "wall (ms)", "speedup", "contigs", "N50",
-                 "identical"});
-  MeasuredRun dev_baseline;
-  for (const std::size_t devices : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-    const auto run = run_measured(reads, 1, devices);
-    if (devices == 1) dev_baseline = run;
-    const bool identical =
-        run.result.contig_stats.count ==
-            dev_baseline.result.contig_stats.count &&
-        run.result.contig_stats.n50 == dev_baseline.result.contig_stats.n50 &&
-        run.result.total() == dev_baseline.result.total();
-    dt.add_row({std::to_string(devices), TextTable::num(run.wall_ms, 1),
-                TextTable::num(dev_baseline.wall_ms / run.wall_ms, 2) + "x",
-                std::to_string(run.result.contig_stats.count),
-                std::to_string(run.result.contig_stats.n50),
-                identical ? "yes" : "NO"});
-  }
-  std::fputs(dt.render().c_str(), stdout);
 
   if (hw <= 1) {
     std::printf(

@@ -41,12 +41,6 @@ struct RuntimeSpeedup {
   double serial_wall_ms = 0.0;
   double parallel_wall_ms = 0.0;
   dram::DeviceStats device;  ///< simulated totals (same serial & parallel)
-  // --devices scaling axis: the same pipeline sharded over N simulated
-  // devices at one channel each, against the 1-device serial baseline.
-  std::size_t devices = 0;
-  double devices_wall_ms = 0.0;
-  double devices_speedup = 0.0;
-  bool devices_identical = false;
 };
 
 RuntimeSpeedup measure_runtime_speedup() {
@@ -60,7 +54,7 @@ RuntimeSpeedup measure_runtime_speedup() {
   rp.read_length = 101;
   const auto reads = dna::sample_reads(genome, rp);
 
-  auto run = [&](std::size_t threads, std::size_t devices, double& wall_ms) {
+  auto run = [&](std::size_t threads, double& wall_ms) {
     dram::Geometry geom;
     geom.rows = 512;
     geom.compute_rows = 8;
@@ -73,7 +67,6 @@ RuntimeSpeedup measure_runtime_speedup() {
     opt.k = 17;
     opt.hash_shards = 32;
     opt.threads = threads;
-    opt.devices = devices;
     const auto start = std::chrono::steady_clock::now();
     auto result = core::run_pipeline(device, reads, opt);
     wall_ms = std::chrono::duration<double, std::milli>(
@@ -84,26 +77,14 @@ RuntimeSpeedup measure_runtime_speedup() {
 
   RuntimeSpeedup out;
   out.channels = std::max(4u, std::thread::hardware_concurrency());
-  const auto serial = run(1, 1, out.serial_wall_ms);
-  const auto parallel = run(out.channels, 1, out.parallel_wall_ms);
+  const auto serial = run(1, out.serial_wall_ms);
+  const auto parallel = run(out.channels, out.parallel_wall_ms);
   out.speedup = out.serial_wall_ms / out.parallel_wall_ms;
   out.identical =
       serial.contig_stats.count == parallel.contig_stats.count &&
       serial.contig_stats.n50 == parallel.contig_stats.n50 &&
       serial.total() == parallel.total();
   out.device = serial.total();
-
-  // Device-scaling axis: the pipeline sharded over 4 simulated devices
-  // (1 channel each) against the 1-device serial baseline above.
-  out.devices = 4;
-  double sharded_wall_ms = 0.0;
-  const auto sharded = run(1, out.devices, sharded_wall_ms);
-  out.devices_wall_ms = sharded_wall_ms;
-  out.devices_speedup = out.serial_wall_ms / sharded_wall_ms;
-  out.devices_identical =
-      sharded.contig_stats.count == serial.contig_stats.count &&
-      sharded.contig_stats.n50 == serial.contig_stats.n50 &&
-      sharded.total() == serial.total();
   return out;
 }
 
@@ -130,12 +111,6 @@ void write_headline_json(const char* path, double vs_cpu, double vs_pim,
                : 0.0)
       .set("simulated_time_ns", rt.device.time_ns)
       .set("simulated_energy_pj", rt.device.energy_pj);
-  Json scaling = Json::object();
-  scaling.set("devices", rt.devices)
-      .set("serial_wall_ms", rt.serial_wall_ms)
-      .set("sharded_wall_ms", rt.devices_wall_ms)
-      .set("speedup", rt.devices_speedup)
-      .set("identical", rt.devices_identical);
   Json root = Json::object();
   root.set("bench", "headline_claims")
       .set("xnor_throughput_vs_cpu", vs_cpu)
@@ -144,8 +119,7 @@ void write_headline_json(const char* path, double vs_cpu, double vs_pim,
       .set("chr14_power_ratio_vs_gpu", power_ratio)
       .set("area_overhead_percent", area_overhead_percent)
       .set("variation_failure_percent", variation_failure_percent)
-      .set("runtime", std::move(runtime))
-      .set("device_scaling", std::move(scaling));
+      .set("runtime", std::move(runtime));
   std::ofstream out(path);
   out << root.dump() << "\n";
   if (!out)
@@ -213,11 +187,6 @@ int main(int argc, char** argv) {
                      " channels",
                  "scales", TextTable::num(rt.speedup, 2) + "x" +
                      (rt.identical ? " (bit-identical)" : " (MISMATCH)")});
-  table.add_row({"sharded speedup, " + std::to_string(rt.devices) +
-                     " devices",
-                 "scales", TextTable::num(rt.devices_speedup, 2) + "x" +
-                     (rt.devices_identical ? " (bit-identical)"
-                                           : " (MISMATCH)")});
 
   std::fputs(table.render().c_str(), stdout);
   write_headline_json(argc > 1 ? argv[1] : "BENCH_headline.json", vs_cpu,

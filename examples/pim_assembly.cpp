@@ -13,7 +13,7 @@
 #include "dna/genome.hpp"
 
 // A fixed demo run; `pima_asm pim-run` takes the same pipeline with
-// threads, devices, isolation, fault injection, recovery, checkpoints and
+// engine channels, isolation, fault injection, recovery, checkpoints and
 // telemetry as range-checked flags.
 int main() {
   using namespace pima;

@@ -51,7 +51,7 @@ class CorruptCheckpointError : public IoError {
   using IoError::IoError;
 };
 
-/// Thrown when user-supplied input data (FASTA/FASTQ) or a command-line
+/// Thrown when user-supplied input data (FASTA) or a command-line
 /// value is malformed. The message carries source:line (or --flag) context.
 class InputFormatError : public std::runtime_error {
  public:
@@ -132,7 +132,7 @@ enum ExitCode : int {
   kExitOk = 0,                ///< success
   kExitFailure = 1,           ///< unclassified runtime/logic error
   kExitUsage = 2,             ///< bad command line
-  kExitInputFormat = 3,       ///< malformed FASTA/FASTQ input
+  kExitInputFormat = 3,       ///< malformed FASTA input
   kExitIo = 4,                ///< OS-level I/O failure
   kExitCorruptCheckpoint = 5, ///< checkpoint rejected (checksum/version/compat)
   kExitEngineStalled = 6,     ///< watchdog converted a hang into a failure

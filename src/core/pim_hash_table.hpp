@@ -59,9 +59,8 @@ enum class MappingPolicy {
 using KmerEntries = std::vector<std::pair<assembly::Kmer, std::uint32_t>>;
 
 /// The hash router: the shard a k-mer counts in, of `shards`. Every
-/// transport routes by this rule; with shard s at flat s and owner
-/// dram::owner_of(flat, devices), a sharded run places k-mers by the
-/// paper-style owner = hash(kmer) % N.
+/// transport routes by this rule; shard s sits at flat s, so engine
+/// channel dram::owner_of(s, channels) counts it.
 inline std::size_t hash_shard_of(const assembly::Kmer& kmer,
                                  std::size_t shards) {
   return static_cast<std::size_t>(kmer.hash() % shards);

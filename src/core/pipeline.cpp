@@ -2,7 +2,7 @@
 // the whole controller — k-mer routing, graph construction, partition
 // choice, walks, checkpoints and every stat/metric fold — written once
 // against ShardBackend, the device operations the stages need. A run has
-// one core::DeviceShard whose engine runs devices × threads channels
+// one core::DeviceShard whose engine runs `threads` channels
 // (engine_options); where it executes is the backend's business:
 //
 //   * InProcessShards: the shard over the caller's device, called
@@ -16,7 +16,7 @@
 // Both fold statistics through dram::fold_in_flat_order and append each
 // sub-array's trace in logical flat order, so contigs, per-stage
 // DeviceStats, model-class metrics and trace bytes are identical across
-// transports, device counts, channel counts and worker crashes.
+// transports, channel counts and worker crashes.
 #include "core/pipeline.hpp"
 
 #include <algorithm>
@@ -120,13 +120,11 @@ class ShardBackend {
 // ---- In-process transport --------------------------------------------------
 
 // The run's one engine, in process and in the pima_devd worker alike:
-// devices × threads channels. Channel c serves the flats ≡ c (mod
-// channels), so simulated device d's flats (≡ d mod devices) spread over
-// the channels ≡ d (mod devices) and every channel gets work; threads 0
-// keeps one channel per hardware thread for the whole run.
+// `threads` channels, channel c serving the flats ≡ c (mod channels);
+// threads 0 is one channel per hardware thread.
 runtime::EngineOptions engine_options(const PipelineOptions& o) {
   runtime::EngineOptions e;
-  e.channels = o.threads == 0 ? 0 : o.devices * o.threads;
+  e.channels = o.threads;
   e.capture_trace = o.capture_trace;
   e.stall_timeout_ms = o.stall_timeout_ms;
   return e;
@@ -662,7 +660,6 @@ PipelineResult run_stages(ShardBackend& shards, const dram::Device& device,
 PipelineResult run_pipeline(dram::Device& device,
                             const std::vector<dna::Sequence>& reads,
                             const PipelineOptions& options) {
-  PIMA_CHECK(options.devices >= 1, "need at least one device");
   // Stage 2a places the graph sub-arrays after the hash shards: at least
   // one must remain, or the MEM_inserts would address past the device.
   const std::size_t total = device.geometry().total_subarrays();

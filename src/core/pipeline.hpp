@@ -54,20 +54,15 @@ struct PipelineOptions {
   std::size_t hash_shards = 4;
   bool use_multiplicity = false;   ///< Euler over edge multiplicities
   bool euler_contigs = true;       ///< Euler walks vs unitigs
-  /// Runtime channel executors per device. 1 = single-threaded fallback
-  /// for one device (tasks run inline on the caller, the pre-runtime
-  /// behaviour); 0 = one channel per hardware thread for the whole run.
-  /// The run has one engine of devices × threads channels, in process and
-  /// in the isolated worker alike. Not part of the checkpoint fingerprint:
-  /// a resume may change it.
+  /// Runtime channel executors: the run has one engine of this many
+  /// channels, in process and in the isolated worker alike. 1 =
+  /// single-threaded fallback (tasks run inline on the caller, the
+  /// pre-runtime behaviour); 0 = one channel per hardware thread. Channel
+  /// c serves the sub-arrays whose flat index is ≡ c (mod channels). Every
+  /// output (contigs, per-stage DeviceStats, model-class metrics,
+  /// checkpoints) is bit-identical for any value, so it is not part of the
+  /// checkpoint fingerprint: a resume may change it.
   std::size_t threads = 1;
-  /// Simulated devices the run is sharded over. Sub-arrays are
-  /// partitioned owner = flat % devices — for the hash table that is
-  /// owner = hash(kmer) % devices. Every device is a slice of the run's one
-  /// device, served by the engine channels ≡ d (mod devices). Every output
-  /// (contigs, per-stage DeviceStats, model-class metrics, checkpoints) is
-  /// bit-identical for any value, so, like threads, a resume may change it.
-  std::size_t devices = 1;
   /// Process isolation (runtime/procpool.hpp, DESIGN.md §15): run the
   /// device shard in one `pima_devd` child process under the
   /// fault-tolerant supervisor. A crashed/stalled/chaos-killed worker is

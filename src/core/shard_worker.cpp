@@ -58,9 +58,9 @@ DeviceShard::DeviceShard(dram::Device& device,
   // Fault-aware execution: attach the Table-I-calibrated fault model and
   // route the table's critical probes through the recovery layer. With
   // faults off and recovery kOff (the default) nothing here runs and the
-  // run is bit-identical to the unfaulted build. Every device seeds its
+  // run is bit-identical to the unfaulted build. The device seeds its
   // injectors from (model, flat, geometry), so the fault process of a
-  // given logical flat does not depend on the device count.
+  // given logical flat does not depend on the channel count or transport.
   device_.enable_faults(fault);
   if (fault.enabled() || recovery.mode != runtime::RecoveryMode::kOff)
     recovery_ = std::make_unique<runtime::RecoveryManager>(device_, recovery);

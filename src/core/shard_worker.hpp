@@ -2,19 +2,18 @@
 // k-mer PimHashTable and, with faults or recovery on, a RecoveryManager —
 // and the wire that lets it live in a worker process (DESIGN.md §14–15).
 // PAPER.md §1 maps hash-table shards and edge blocks to chips, then
-// sub-arrays; here a chip is a set of engine channels, and the map is
+// sub-arrays; here a chip is an engine channel, and the map is
 // dram::owner_of(flat, channels).
 //
-// A run has one DeviceShard over one device, whose engine has devices ×
-// threads channels, so channel c serves chip c mod devices. In process the
-// shard drives the caller's device; isolated, it lives in the run's one
-// pima_devd worker behind ShardWorkerCore, the transport-free verb
-// dispatcher (so tests exercise the protocol in-process and the pima_devd
-// main() stays a thin I/O loop; its engine runs the watchdog, so a wedged
-// kernel becomes a typed EngineStalledError). The rpc side decodes the
-// worker's answers with the *_from_json functions below, which reject what
-// no worker sends, before dram::fold_in_flat_order and the flat-order
-// trace append.
+// A run has one DeviceShard over one device, whose engine has the run's
+// `threads` channels. In process the shard drives the caller's device;
+// isolated, it lives in the run's one pima_devd worker behind
+// ShardWorkerCore, the transport-free verb dispatcher (so tests exercise
+// the protocol in-process and the pima_devd main() stays a thin I/O loop;
+// its engine runs the watchdog, so a wedged kernel becomes a typed
+// EngineStalledError). The rpc side decodes the worker's answers with the
+// *_from_json functions below, which reject what no worker sends, before
+// dram::fold_in_flat_order and the flat-order trace append.
 //
 // Verbs (one request object per line, one response object per request).
 // The bulk payloads — kmers, program, degree_block and the extract answer —

@@ -11,17 +11,10 @@
 namespace pima::dna {
 namespace {
 
-// Deterministic substitute for an ambiguous call: cycles A,C,G,T by position
-// so repeated runs produce identical sequences.
-Base substitute_base(std::size_t pos) {
-  static constexpr Base kCycle[4] = {Base::A, Base::C, Base::G, Base::T};
-  return kCycle[pos % 4];
-}
-
 // IUPAC nucleotide ambiguity codes (everything sequencers legitimately
 // emit beyond ACGT, plus U for RNA-style input and '-'/'.' gap characters
-// some aligners leave in). These are subject to AmbiguityPolicy; anything
-// else in a sequence line is a hard format error.
+// some aligners leave in). These drop the record; anything else in a
+// sequence line is a hard format error.
 bool is_ambiguity_char(char c) {
   switch (c) {
     case 'N': case 'n': case 'U': case 'u': case 'R': case 'r':
@@ -40,29 +33,21 @@ bool is_ambiguity_char(char c) {
   throw InputFormatError(source + ":" + std::to_string(line) + ": " + msg);
 }
 
-// Appends `line` to `seq`; returns false if the record must be skipped.
+// Appends `line`'s bases to `seq`; returns false if the line holds an
+// ambiguity code, so the record must be skipped. Every character is
+// checked either way.
 bool append_bases(Sequence& seq, const std::string& line,
-                  AmbiguityPolicy policy, const std::string& source,
-                  std::size_t line_no) {
+                  const std::string& source, std::size_t line_no) {
+  bool unambiguous = true;
   for (const char c : line) {
     if (c == '\r' || c == ' ' || c == '\t') continue;
     if (is_valid_char(c)) {
       seq.push_back(from_char(c));
     } else if (is_ambiguity_char(c)) {
-      switch (policy) {
-        case AmbiguityPolicy::kSkipRecord:
-          return false;
-        case AmbiguityPolicy::kSubstitute:
-          seq.push_back(substitute_base(seq.size()));
-          break;
-        case AmbiguityPolicy::kThrow:
-          fail_at(source, line_no,
-                  std::string("ambiguous nucleotide '") + c +
-                      "' rejected by policy");
-      }
+      unambiguous = false;
     } else {
       // Outside the IUPAC alphabet entirely: binary junk, digits, stray
-      // '>' glued mid-line… never valid under any policy.
+      // '>' glued mid-line… never valid.
       const bool printable = c >= 0x20 && c < 0x7f;
       const std::string shown =
           printable ? std::string(1, c)
@@ -71,13 +56,12 @@ bool append_bases(Sequence& seq, const std::string& line,
               "invalid character '" + shown + "' in sequence data");
     }
   }
-  return true;
+  return unambiguous;
 }
 
 }  // namespace
 
-std::vector<Record> read_fasta(std::istream& in, AmbiguityPolicy policy,
-                               const std::string& source) {
+std::vector<Record> read_fasta(std::istream& in, const std::string& source) {
   std::vector<Record> records;
   std::string line;
   Record current;
@@ -89,7 +73,7 @@ std::vector<Record> read_fasta(std::istream& in, AmbiguityPolicy policy,
 
   auto flush = [&] {
     // A header followed by no sequence lines at all is a truncated record
-    // (policy-skipped records had data — they don't count as truncated).
+    // (skipped ambiguous records had data — they don't count as truncated).
     if (in_record && data_lines == 0)
       fail_at(source, header_line, "truncated record '" + current.id +
                                        "': header with no sequence");
@@ -116,9 +100,7 @@ std::vector<Record> read_fasta(std::istream& in, AmbiguityPolicy policy,
       fail_at(source, line_no, "sequence data before first '>' header");
     } else {
       ++data_lines;
-      if (!skip &&
-          !append_bases(current.seq, line, policy, source, line_no))
-        skip = true;
+      if (!append_bases(current.seq, line, source, line_no)) skip = true;
     }
   }
   flush();
@@ -128,44 +110,10 @@ std::vector<Record> read_fasta(std::istream& in, AmbiguityPolicy policy,
   return records;
 }
 
-std::vector<Record> read_fasta_file(const std::string& path,
-                                    AmbiguityPolicy policy) {
+std::vector<Record> read_fasta_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw IoError("cannot open FASTA file: " + path);
-  return read_fasta(in, policy, path);
-}
-
-std::vector<Record> read_fastq(std::istream& in, AmbiguityPolicy policy,
-                               const std::string& source) {
-  std::vector<Record> records;
-  std::string header, bases, plus, qual;
-  std::size_t line_no = 0;
-  auto next = [&](std::string& out) {
-    if (!std::getline(in, out)) return false;
-    ++line_no;
-    if (!out.empty() && out.back() == '\r') out.pop_back();
-    return true;
-  };
-  while (next(header)) {
-    if (header.empty()) continue;
-    if (header[0] != '@')
-      fail_at(source, line_no, "FASTQ record must start with '@'");
-    const std::size_t record_line = line_no;
-    if (!next(bases) || !next(plus) || !next(qual))
-      fail_at(source, line_no, "truncated FASTQ record: " + header);
-    if (plus.empty() || plus[0] != '+')
-      fail_at(source, record_line + 2, "FASTQ separator must be '+'");
-    if (qual.size() != bases.size())
-      fail_at(source, record_line + 3,
-              "FASTQ quality length mismatch: " + header);
-    Record rec;
-    rec.id = header.substr(1);
-    if (append_bases(rec.seq, bases, policy, source, record_line + 1))
-      records.push_back(std::move(rec));
-  }
-  if (line_no == 0)
-    fail_at(source, 1, "no FASTQ records found (empty input)");
-  return records;
+  return read_fasta(in, path);
 }
 
 void write_fasta(std::ostream& out, const std::vector<Record>& records,

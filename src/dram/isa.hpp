@@ -46,8 +46,8 @@ std::string to_text(const Program& program);
 Program parse_program(std::istream& in);
 
 /// Owner of logical flat sub-array `flat` among `owners` — the
-/// controller's one routing rule, for the devices of a sharded run and the
-/// channels of an engine alike (interleaved chip assignment).
+/// controller's one routing rule, for the channels of an engine
+/// (interleaved chip assignment).
 constexpr std::size_t owner_of(std::size_t flat, std::size_t owners) {
   return flat % owners;
 }
@@ -78,6 +78,6 @@ ExecutionResults execute(Device& device, const Program& program);
 // --dump-trace` → `pima_fuzz --replay`). Sub-arrays share no state, so any
 // interleaving that preserves per-sub-array order is an exact replay; the
 // canonical one appends the captures in logical flat order, which makes a
-// sharded run's capture byte-identical to one device's.
+// multi-channel run's capture byte-identical to a single-channel run's.
 
 }  // namespace pima::dram

@@ -29,11 +29,10 @@
 // The fingerprint pins every input that the remaining stages' command
 // streams depend on — geometry, k, sharding, multiplicity, fault seed —
 // so a resumed run is provably bit-identical to an uninterrupted one
-// (contigs, per-stage DeviceStats and FaultStats). Channel and device
-// counts are deliberately NOT part of the fingerprint: the determinism
-// contract makes results identical for any --threads and --devices value,
-// so a run checkpointed at --devices 4 --threads 4 may resume at
-// --devices 1 --threads 1 and vice versa.
+// (contigs, per-stage DeviceStats and FaultStats). The channel count is
+// deliberately NOT part of the fingerprint: the determinism contract makes
+// results identical for any --threads value, so a run checkpointed at
+// --threads 16 may resume at --threads 1 and vice versa.
 #pragma once
 
 #include <cstdint>

@@ -35,14 +35,6 @@ namespace {
 
 constexpr const char* kContigsFile = "contigs.fa";
 
-/// What a job charges against the daemon's --channel-budget: a job runs
-/// one engine of `devices` × `channels` channels, in the daemon or, when
-/// isolated, in its one pima_devd worker, so it occupies the full product
-/// while running.
-std::size_t channel_cost(const JobSpec& spec) {
-  return spec.devices * spec.channels;
-}
-
 /// Idempotency keys travel in JSON and become part of job.json; keep them
 /// to a safe charset and a sane length so a hostile key cannot smuggle
 /// structure into logs or filenames.
@@ -142,7 +134,7 @@ void Daemon::recover_jobs() {
       // resume path continues from the last snapshot.
       try {
         queue_.restore(id, entry->record.spec.priority, entry->record.seq,
-                       channel_cost(entry->record.spec));
+                       entry->record.spec.channels);
         entry->record.state = JobState::kQueued;
         service_registry_
             .counter("pima_service_jobs_recovered_total",
@@ -194,7 +186,7 @@ void Daemon::maybe_dispatch() {
     entry.record.state = JobState::kAdmitted;
     persist(entry);
     ++running_jobs_;
-    used_channels_ += channel_cost(entry.record.spec);
+    used_channels_ += entry.record.spec.channels;
     if (entry.runner.joinable()) entry.runner.join();  // prior incarnation
     entry.runner = std::thread([this, &entry] { run_job(entry); });
   }
@@ -233,7 +225,6 @@ void Daemon::run_job(JobEntry& entry) {
     opt.hash_shards = spec.hash_shards;
     opt.euler_contigs = spec.euler;
     opt.threads = spec.channels;
-    opt.devices = spec.devices;
     // "process" isolation: the job's device shard runs in a pima_devd
     // child of the daemon; a crashing worker is restarted (or the job
     // degrades to in-process) instead of taking the daemon down.
@@ -293,7 +284,7 @@ void Daemon::run_job(JobEntry& entry) {
                telemetry::MetricClass::kHost)
       .increment();
   --running_jobs_;
-  used_channels_ -= channel_cost(entry.record.spec);
+  used_channels_ -= entry.record.spec.channels;
   maybe_dispatch();  // a finished job may unblock the queue head
 }
 
@@ -368,7 +359,7 @@ net::Json Daemon::verb_submit(const net::Json& request) {
   const std::string id = id_buf;
   const std::uint64_t seq = next_seq_;
   try {
-    queue_.push(id, spec.priority, seq, channel_cost(spec));
+    queue_.push(id, spec.priority, seq, spec.channels);
   } catch (const AdmissionRejectedError& e) {
     reject(e.what());
   }

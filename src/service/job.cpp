@@ -56,7 +56,6 @@ void JobSpec::validate() const {
               static_cast<double>(assembly::Kmer::kMaxK), true);
   check_range("shards", static_cast<double>(hash_shards), 1, 4096, true);
   check_range("threads", static_cast<double>(channels), 1, 1024, true);
-  check_range("devices", static_cast<double>(devices), 1, 64, true);
   check_range("priority", priority, -1000, 1000, true);
   check_range("stall-timeout", stall_timeout_ms, 0.0, 86'400'000.0, false);
   if (isolation != "none" && isolation != "process")
@@ -71,7 +70,6 @@ net::Json JobSpec::to_json() const {
   j.set("k", k);
   j.set("shards", hash_shards);
   j.set("threads", channels);
-  j.set("devices", devices);
   j.set("euler", euler);
   j.set("priority", priority);
   j.set("stall_timeout_ms", stall_timeout_ms);
@@ -85,7 +83,6 @@ JobSpec JobSpec::from_json(const net::Json& j) {
   spec.k = static_cast<std::size_t>(j.get_number("k", 17));
   spec.hash_shards = static_cast<std::size_t>(j.get_number("shards", 16));
   spec.channels = static_cast<std::size_t>(j.get_number("threads", 1));
-  spec.devices = static_cast<std::size_t>(j.get_number("devices", 1));
   spec.euler = j.get_bool("euler", false);
   spec.priority = static_cast<int>(j.get_number("priority", 0));
   spec.stall_timeout_ms = j.get_number("stall_timeout_ms", 0.0);

@@ -50,10 +50,8 @@ struct JobSpec {
   std::string reads_path;          ///< FASTA file the daemon reads
   std::size_t k = 17;              ///< k-mer length (4..Kmer::kMaxK)
   std::size_t hash_shards = 16;    ///< hash-table sub-arrays (1..4096)
-  std::size_t channels = 1;        ///< per-device channel quota (1..1024)
-  std::size_t devices = 1;         ///< simulated devices the job shards
-                                   ///< over (1..64); admission charges
-                                   ///< devices × channels against the
+  std::size_t channels = 1;        ///< engine channels (1..1024); what
+                                   ///< admission charges against the
                                    ///< daemon's --channel-budget
   bool euler = false;              ///< Euler walks vs unitigs
   int priority = 0;                ///< higher runs first; FIFO within equal
@@ -61,9 +59,9 @@ struct JobSpec {
   /// "none" runs the job's device shard in the daemon's address space;
   /// "process" runs it in one pima_devd worker process under the
   /// crash-containing supervisor (runtime/procpool.hpp), whose engine has
-  /// the same devices × channels channels. Either way the job charges
-  /// devices × channels against --channel-budget — isolation moves the
-  /// work, it does not multiply it.
+  /// the same `channels` channels. Either way the job charges `channels`
+  /// against --channel-budget — isolation moves the work, it does not
+  /// multiply it.
   std::string isolation = "none";
 
   /// Field-by-field validation; throws InputFormatError on the first bad

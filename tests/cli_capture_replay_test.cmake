@@ -1,6 +1,6 @@
 # Pins a real pipeline capture and replays it on the golden model:
-# generate -> pim-run --dump-trace (in process, then isolated on one and
-# two workers) -> digest check -> pima_fuzz --replay.
+# generate -> pim-run --dump-trace (in process, then isolated at one and
+# two channels) -> digest check -> pima_fuzz --replay.
 # The digest is the capture's SHA-256; a change that moves any captured
 # command (a model-output change) must re-record it here.
 set(EXPECTED_SHA256
@@ -26,25 +26,26 @@ if(NOT digest STREQUAL EXPECTED_SHA256)
                       "expected ${EXPECTED_SHA256}")
 endif()
 # The isolated transport fetches the same capture from its pima_devd
-# workers one sub-array per request: the bytes must not move, and no
-# worker may fail or the run fall back to in-process shards on the way.
-foreach(devices 1 2)
+# worker one sub-array per request: the bytes must not move at any channel
+# count, and the worker may not fail or the run fall back to in-process on
+# the way.
+foreach(channels 1 2)
   execute_process(
     COMMAND ${CLI} pim-run --reads ${WORK}/r.fa --k 15 --shards 4
-            --devices ${devices} --isolate
-            --dump-trace ${WORK}/cap_isolated${devices}.aap
+            --threads ${channels} --isolate
+            --dump-trace ${WORK}/cap_isolated${channels}.aap
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "isolated pim-run (--devices ${devices}) failed: "
+    message(FATAL_ERROR "isolated pim-run (--threads ${channels}) failed: "
                         "${rc}\n${out}${err}")
   endif()
   if(err MATCHES "worker\\.failed|pool\\.fallback")
-    message(FATAL_ERROR "isolated pim-run (--devices ${devices}) lost a "
+    message(FATAL_ERROR "isolated pim-run (--threads ${channels}) lost a "
                         "worker:\n${err}")
   endif()
-  file(SHA256 ${WORK}/cap_isolated${devices}.aap digest)
+  file(SHA256 ${WORK}/cap_isolated${channels}.aap digest)
   if(NOT digest STREQUAL EXPECTED_SHA256)
-    message(FATAL_ERROR "isolated capture (--devices ${devices}) digest "
+    message(FATAL_ERROR "isolated capture (--threads ${channels}) digest "
                         "${digest}, expected ${EXPECTED_SHA256}")
   endif()
 endforeach()

@@ -31,7 +31,7 @@ endfunction()
 expect_exit(2 ${CLI})
 expect_exit(2 ${CLI} pim-run)
 expect_exit(2 ${FUZZ} --ops abc)
-expect_exit(2 ${FUZZ} --devices x)
+expect_exit(2 ${FUZZ} --threads x)
 
 # Missing input file -> 4 (I/O).
 expect_exit(4 ${CLI} pim-run --reads ${WORK}/nonexistent.fa)
@@ -71,9 +71,9 @@ expect_flag_rejected(max-retries ${CLI} pim-run --reads ${WORK}/r.fa
                      --max-retries -1)
 expect_flag_rejected(fault-variation ${CLI} pim-run --reads ${WORK}/r.fa
                      --fault-variation -3)
-# The run's one engine has --devices x --threads channel threads: a
-# product above 1024 -> 3 naming both flags, before any engine exists.
-# 2 x 513 is the smallest product past the bound.
+# --devices D multiplies --threads at parse: the run's one engine has
+# D x T channel threads, so a product above 1024 -> 3 naming both flags,
+# before any engine exists. 2 x 513 is the smallest product past the bound.
 execute_process(COMMAND ${CLI} pim-run --reads ${WORK}/r.fa --devices 2
                         --threads 513
                 RESULT_VARIABLE rc TIMEOUT 60
@@ -140,25 +140,50 @@ expect_exit(0 ${CLI} pim-run --reads ${WORK}/r.fa --k 15 --threads 1
 expect_exit(5 ${CLI} pim-run --reads ${WORK}/r.fa --k 17
             --checkpoint-dir ${WORK}/ckpt --resume)
 
-# Sharded checkpointed run, resumed at a different thread count and at a
-# different --devices -> 0 both times: the fingerprint pins neither, and
-# the resumed stdout equals the uninterrupted run's.
+# An 8-channel checkpointed run, resumed at 4 channels and at the default
+# channel count -> 0 both times: the fingerprint does not pin the channel
+# count, and the resumed stdout equals the uninterrupted run's.
 execute_process(COMMAND ${CLI} pim-run --reads ${WORK}/r.fa --k 15
-                --threads 2 --devices 4 --checkpoint-dir ${WORK}/ckpt_dev
+                --threads 8 --checkpoint-dir ${WORK}/ckpt_ch
                 RESULT_VARIABLE rc OUTPUT_VARIABLE uninterrupted
                 ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "sharded checkpointed run exited '${rc}'\n${err}")
+  message(FATAL_ERROR "8-channel checkpointed run exited '${rc}'\n${err}")
 endif()
-expect_exit(0 ${CLI} pim-run --reads ${WORK}/r.fa --k 15 --threads 1
-            --devices 4 --checkpoint-dir ${WORK}/ckpt_dev --resume)
+expect_exit(0 ${CLI} pim-run --reads ${WORK}/r.fa --k 15 --threads 4
+            --checkpoint-dir ${WORK}/ckpt_ch --resume)
 execute_process(COMMAND ${CLI} pim-run --reads ${WORK}/r.fa --k 15
-                --checkpoint-dir ${WORK}/ckpt_dev --resume
+                --checkpoint-dir ${WORK}/ckpt_ch --resume
                 RESULT_VARIABLE rc OUTPUT_VARIABLE resumed ERROR_VARIABLE err)
 if(NOT rc EQUAL 0 OR NOT resumed STREQUAL uninterrupted)
-  message(FATAL_ERROR "resume at --devices 1 exited '${rc}' or its stdout "
-                      "differs\nresumed:\n${resumed}\nuninterrupted:\n"
-                      "${uninterrupted}\nstderr: ${err}")
+  message(FATAL_ERROR "resume at the default --threads exited '${rc}' or "
+                      "its stdout differs\nresumed:\n${resumed}\n"
+                      "uninterrupted:\n${uninterrupted}\nstderr: ${err}")
+endif()
+
+# --devices 2 --threads 2 is --threads 4: the same capture, byte for byte,
+# and the same stdout apart from the capture path.
+execute_process(COMMAND ${CLI} pim-run --reads ${WORK}/r.fa --k 15
+                --devices 2 --threads 2 --dump-trace ${WORK}/fold_d2t2.aap
+                RESULT_VARIABLE rc1 OUTPUT_VARIABLE out1 ERROR_VARIABLE err1)
+execute_process(COMMAND ${CLI} pim-run --reads ${WORK}/r.fa --k 15
+                --threads 4 --dump-trace ${WORK}/fold_t4.aap
+                RESULT_VARIABLE rc2 OUTPUT_VARIABLE out2 ERROR_VARIABLE err2)
+if(NOT rc1 EQUAL 0 OR NOT rc2 EQUAL 0)
+  message(FATAL_ERROR "fold runs exited '${rc1}' and '${rc2}'\n"
+                      "${err1}\n${err2}")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${WORK}/fold_d2t2.aap ${WORK}/fold_t4.aap RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--devices 2 --threads 2 and --threads 4 captured "
+                      "different traces")
+endif()
+string(REPLACE "${WORK}/fold_d2t2.aap" "" out1 "${out1}")
+string(REPLACE "${WORK}/fold_t4.aap" "" out2 "${out2}")
+if(NOT out1 STREQUAL out2)
+  message(FATAL_ERROR "--devices 2 --threads 2 and --threads 4 printed "
+                      "different stdout:\n${out1}\n---\n${out2}")
 endif()
 
 # Damaged checkpoint -> 5. Trailing garbage breaks the header's payload

@@ -34,35 +34,10 @@ TEST(Fasta, SkipsBlankLinesAndCarriageReturns) {
 
 TEST(Fasta, SkipRecordPolicyDropsAmbiguous) {
   std::istringstream in(">good\nACGT\n>bad\nACNT\n>good2\nTTTT\n");
-  const auto recs = read_fasta(in, AmbiguityPolicy::kSkipRecord);
+  const auto recs = read_fasta(in);
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[0].id, "good");
   EXPECT_EQ(recs[1].id, "good2");
-}
-
-TEST(Fasta, SubstitutePolicyKeepsRecord) {
-  std::istringstream in(">r\nANNT\n");
-  const auto recs = read_fasta(in, AmbiguityPolicy::kSubstitute);
-  ASSERT_EQ(recs.size(), 1u);
-  EXPECT_EQ(recs[0].seq.size(), 4u);
-  EXPECT_EQ(recs[0].seq.at(0), Base::A);
-  EXPECT_EQ(recs[0].seq.at(3), Base::T);
-  // Substitution is deterministic.
-  std::istringstream in2(">r\nANNT\n");
-  const auto recs2 = read_fasta(in2, AmbiguityPolicy::kSubstitute);
-  EXPECT_EQ(recs[0].seq, recs2[0].seq);
-}
-
-TEST(Fasta, ThrowPolicyRejects) {
-  std::istringstream in(">r\nACNT\n");
-  try {
-    read_fasta(in, AmbiguityPolicy::kThrow);
-    FAIL() << "expected InputFormatError";
-  } catch (const InputFormatError& e) {
-    // Errors carry source:line context for operators.
-    EXPECT_NE(std::string(e.what()).find("<fasta>:2"), std::string::npos)
-        << e.what();
-  }
 }
 
 TEST(Fasta, MalformedInputTable) {
@@ -77,21 +52,29 @@ TEST(Fasta, MalformedInputTable) {
       ">a\nAC*GT\n",               // illegal character (not IUPAC)
       ">a\nACGT\x01\n",            // non-printable byte in data
       ">a\nacgq\n",                // lowercase non-IUPAC
+      ">a\nNA*T\n",                // illegal character after an ambiguity
+      ">a\nACNT\nAC*T\n",          // ...and on a later line of the record
   };
   for (const char* text : kMalformed) {
     std::istringstream in(text);
-    EXPECT_THROW(read_fasta(in, AmbiguityPolicy::kSubstitute),
-                 InputFormatError)
-        << "input: " << text;
+    EXPECT_THROW(read_fasta(in), InputFormatError) << "input: " << text;
+  }
+  // Errors carry source:line context for operators.
+  std::istringstream in(">r\nACGT\nAC*T\n");
+  try {
+    read_fasta(in);
+    FAIL() << "expected InputFormatError";
+  } catch (const InputFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("<fasta>:3"), std::string::npos)
+        << e.what();
   }
 }
 
 TEST(Fasta, CrlfAndAmbiguityCodesAccepted) {
-  // CRLF endings and the full IUPAC ambiguity set are tolerated (policy
-  // decides what happens to ambiguous records; they are never a format
-  // error).
+  // CRLF endings and the full IUPAC ambiguity set are tolerated (an
+  // ambiguous record is dropped; it is never a format error).
   std::istringstream in(">r1\r\nACGT\r\n>r2\r\nRYSWKM\r\n>r3\r\nACGT\r\n");
-  const auto recs = read_fasta(in, AmbiguityPolicy::kSkipRecord);
+  const auto recs = read_fasta(in);
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[0].id, "r1");
   EXPECT_EQ(recs[1].id, "r3");
@@ -113,33 +96,6 @@ TEST(Fasta, WriteReadRoundTrip) {
 
 TEST(Fasta, MissingFileThrows) {
   EXPECT_THROW(read_fasta_file("/nonexistent/path.fa"), IoError);
-}
-
-TEST(Fastq, ParsesRecords) {
-  std::istringstream in("@r1\nACGT\n+\nIIII\n@r2\nGG\n+r2\nII\n");
-  const auto recs = read_fastq(in);
-  ASSERT_EQ(recs.size(), 2u);
-  EXPECT_EQ(recs[0].id, "r1");
-  EXPECT_EQ(recs[0].seq.to_string(), "ACGT");
-  EXPECT_EQ(recs[1].seq.to_string(), "GG");
-}
-
-TEST(Fastq, RejectsMalformed) {
-  std::istringstream truncated("@r1\nACGT\n+\n");
-  EXPECT_THROW(read_fastq(truncated), InputFormatError);
-  std::istringstream bad_sep("@r1\nACGT\nX\nIIII\n");
-  EXPECT_THROW(read_fastq(bad_sep), InputFormatError);
-  std::istringstream bad_qual("@r1\nACGT\n+\nII\n");
-  EXPECT_THROW(read_fastq(bad_qual), InputFormatError);
-  std::istringstream empty("");
-  EXPECT_THROW(read_fastq(empty), InputFormatError);
-}
-
-TEST(Fastq, AmbiguousReadSkipped) {
-  std::istringstream in("@r1\nACNT\n+\nIIII\n@r2\nAAAA\n+\nIIII\n");
-  const auto recs = read_fastq(in, AmbiguityPolicy::kSkipRecord);
-  ASSERT_EQ(recs.size(), 1u);
-  EXPECT_EQ(recs[0].id, "r2");
 }
 
 }  // namespace

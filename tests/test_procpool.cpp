@@ -106,10 +106,9 @@ double fallbacks_in(telemetry::MetricsRegistry& registry) {
 }
 
 RunOutput run_config(const std::vector<dna::Sequence>& reads, bool isolate,
-                     std::size_t devices,
+                     std::size_t channels,
                      const core::PipelineOptions::IsolateOptions& iso = {},
                      bool capture = false, bool use_multiplicity = false,
-                     std::size_t threads = 2,
                      const std::function<void(core::PipelineOptions&)>&
                          configure = {}) {
   telemetry::MetricsRegistry registry;
@@ -119,8 +118,7 @@ RunOutput run_config(const std::vector<dna::Sequence>& reads, bool isolate,
   core::PipelineOptions opt;
   opt.k = 15;
   opt.hash_shards = 8;
-  opt.devices = devices;
-  opt.threads = threads;
+  opt.threads = channels;
   opt.isolate = isolate;
   opt.isolate_opts = iso;
   opt.capture_trace = capture;
@@ -137,13 +135,12 @@ RunOutput run_config(const std::vector<dna::Sequence>& reads, bool isolate,
 
 TEST(ProcPoolIdentity, IsolatedMatchesInProcessAndSingleDevice) {
   const auto reads = workload_reads(11);
-  const auto single = run_config(reads, /*isolate=*/false, 1);
-  const auto pooled = run_config(reads, /*isolate=*/false, 4);
-  const auto isolated = run_config(reads, /*isolate=*/true, 4);
+  const auto single = run_config(reads, /*isolate=*/false, 2);
+  const auto pooled = run_config(reads, /*isolate=*/false, 8);
+  const auto isolated = run_config(reads, /*isolate=*/true, 8);
   // threads = 0: one channel per hardware thread for the whole run,
   // resolved inside the worker.
-  const auto isolated_hw = run_config(reads, /*isolate=*/true, 4, {}, false,
-                                      false, /*threads=*/0);
+  const auto isolated_hw = run_config(reads, /*isolate=*/true, 0);
   ASSERT_FALSE(isolated.result.contigs.empty());
   expect_bit_identical(isolated.result, pooled.result);
   expect_bit_identical(isolated.result, single.result);
@@ -159,9 +156,9 @@ TEST(ProcPoolIdentity, IsolatedMatchesInProcessAndSingleDevice) {
 TEST(ProcPoolIdentity, CapturedTraceMatchesInProcess) {
   const auto reads = workload_reads(12);
   const auto pooled =
-      run_config(reads, /*isolate=*/false, 3, {}, /*capture=*/true);
+      run_config(reads, /*isolate=*/false, 6, {}, /*capture=*/true);
   const auto isolated =
-      run_config(reads, /*isolate=*/true, 3, {}, /*capture=*/true);
+      run_config(reads, /*isolate=*/true, 6, {}, /*capture=*/true);
   ASSERT_FALSE(isolated.result.trace.empty());
   EXPECT_EQ(isolated.result.trace, pooled.result.trace);
 }
@@ -179,9 +176,9 @@ TEST(ProcPoolIdentity, MultiplicityOnRepeatRichGenomeMatchesInProcess) {
   rp.read_length = 70;
   rp.seed = 20;
   const auto reads = dna::sample_reads(dna::generate_genome(gp), rp);
-  const auto pooled = run_config(reads, /*isolate=*/false, 3, {},
+  const auto pooled = run_config(reads, /*isolate=*/false, 6, {},
                                  /*capture=*/true, /*use_multiplicity=*/true);
-  const auto isolated = run_config(reads, /*isolate=*/true, 3, {},
+  const auto isolated = run_config(reads, /*isolate=*/true, 6, {},
                                    /*capture=*/true, /*use_multiplicity=*/true);
   const auto& edges = isolated.result.graph.edges();
   ASSERT_TRUE(std::any_of(edges.begin(), edges.end(),
@@ -197,7 +194,7 @@ TEST(ProcPoolIdentity, MultiplicityOnRepeatRichGenomeMatchesInProcess) {
 
 TEST(ProcPoolRecovery, CrashedWorkersRestartAndOutputIsBitIdentical) {
   const auto reads = workload_reads(13);
-  const auto baseline = run_config(reads, /*isolate=*/false, 4);
+  const auto baseline = run_config(reads, /*isolate=*/false, 8);
   const auto scratch = fs::temp_directory_path() / "procpool_hooks";
   fs::remove_all(scratch);
   fs::create_directories(scratch);
@@ -209,7 +206,7 @@ TEST(ProcPoolRecovery, CrashedWorkersRestartAndOutputIsBitIdentical) {
     // healthy.
     ScopedEnv hook("PIMA_DEVD_TEST_HOOK", std::string("after=6:action=") +
                                               action + ":flag=" + flag);
-    const auto run = run_config(reads, /*isolate=*/true, 4);
+    const auto run = run_config(reads, /*isolate=*/true, 8);
     EXPECT_TRUE(fs::exists(flag)) << "hook never fired";
     // A fallback here would mask a replay bug.
     EXPECT_EQ(run.fallbacks, 0.0);
@@ -225,7 +222,7 @@ TEST(ProcPoolRecovery, KillOnTheDegreeBatchIsBitIdentical) {
   // restarts it, replays its journal and resends the batch.
   const auto reads = workload_reads(18);
   const auto baseline =
-      run_config(reads, /*isolate=*/false, 4, {}, /*capture=*/true);
+      run_config(reads, /*isolate=*/false, 8, {}, /*capture=*/true);
   const auto scratch = fs::temp_directory_path() / "procpool_degree_hook";
   fs::remove_all(scratch);
   fs::create_directories(scratch);
@@ -236,7 +233,7 @@ TEST(ProcPoolRecovery, KillOnTheDegreeBatchIsBitIdentical) {
                    std::string("op=degree_block:after=1:action=") +
                        action + ":flag=" + flag);
     const auto run =
-        run_config(reads, /*isolate=*/true, 4, {}, /*capture=*/true);
+        run_config(reads, /*isolate=*/true, 8, {}, /*capture=*/true);
     EXPECT_TRUE(fs::exists(flag)) << "hook never fired";
     EXPECT_EQ(run.fallbacks, 0.0);
     expect_bit_identical(run.result, baseline.result);
@@ -259,12 +256,12 @@ TEST(ProcPoolRecovery, KillOnTheStatsAnswerIsBitIdentical) {
   fs::create_directories(scratch);
   for (const bool capture : {false, true}) {
     SCOPED_TRACE(capture ? "traced" : "untraced");
-    const auto baseline = run_config(reads, /*isolate=*/false, 4, {}, capture);
+    const auto baseline = run_config(reads, /*isolate=*/false, 8, {}, capture);
     const auto flag =
         (scratch / (capture ? "flag_traced" : "flag_untraced")).string();
     ScopedEnv hook("PIMA_DEVD_TEST_HOOK",
                    "op=stats:after=2:action=sigkill:flag=" + flag);
-    const auto run = run_config(reads, /*isolate=*/true, 4, {}, capture);
+    const auto run = run_config(reads, /*isolate=*/true, 8, {}, capture);
     EXPECT_TRUE(fs::exists(flag)) << "hook never fired";
     EXPECT_EQ(run.fallbacks, 0.0);
     expect_bit_identical(run.result, baseline.result);
@@ -277,7 +274,7 @@ TEST(ProcPoolRecovery, KillOnTheStatsAnswerIsBitIdentical) {
 TEST(ProcPoolRecovery, RecoveryPreservesCapturedTrace) {
   const auto reads = workload_reads(14);
   const auto baseline =
-      run_config(reads, /*isolate=*/false, 4, {}, /*capture=*/true);
+      run_config(reads, /*isolate=*/false, 8, {}, /*capture=*/true);
   const auto scratch = fs::temp_directory_path() / "procpool_trace_hook";
   fs::remove_all(scratch);
   fs::create_directories(scratch);
@@ -286,7 +283,7 @@ TEST(ProcPoolRecovery, RecoveryPreservesCapturedTrace) {
                  "after=6:action=sigkill:flag=" + flag);
   // capture_trace disables journal truncation: the respawned worker must
   // replay every command so its trace capture is complete.
-  const auto run = run_config(reads, /*isolate=*/true, 4, {}, /*capture=*/true);
+  const auto run = run_config(reads, /*isolate=*/true, 8, {}, /*capture=*/true);
   EXPECT_TRUE(fs::exists(flag)) << "hook never fired";
   EXPECT_EQ(run.fallbacks, 0.0);
   EXPECT_EQ(run.result.trace, baseline.result.trace);
@@ -327,13 +324,13 @@ TEST(ProcPoolChaos, ChildIofaultTornWriteIsSurvivedWithReplay) {
 
 TEST(ProcPoolDegrade, BudgetExhaustionFallsBackToInProcessPool) {
   const auto reads = workload_reads(15);
-  const auto baseline = run_config(reads, /*isolate=*/false, 4);
+  const auto baseline = run_config(reads, /*isolate=*/false, 8);
   // No flag file: the worker dies after every respawn, exhausting the
   // budget.
   ScopedEnv hook("PIMA_DEVD_TEST_HOOK", "after=4:action=exit86");
   core::PipelineOptions::IsolateOptions iso;
   iso.restart_budget = 2;
-  const auto run = run_config(reads, /*isolate=*/true, 4, iso);
+  const auto run = run_config(reads, /*isolate=*/true, 8, iso);
   expect_bit_identical(run.result, baseline.result);
   EXPECT_EQ(run.fallbacks, 1.0);
 }
@@ -347,14 +344,14 @@ TEST(ProcPoolDegrade, BudgetExhaustionFallsBackToInProcessPool) {
 // model-only snapshot is held to the in-process stop + resume.
 TEST(ProcPoolResume, CrossTransportResumeIsBitIdentical) {
   const auto reads = workload_reads(15);
-  const auto baseline = run_config(reads, /*isolate=*/false, 2);
+  const auto baseline = run_config(reads, /*isolate=*/false, 4);
   struct Stopped {};
   const auto stop_then_resume = [&](bool stop_isolated, bool resume_isolated) {
     const fs::path dir = fs::temp_directory_path() / "procpool_cross_resume";
     fs::remove_all(dir);
     fs::create_directories(dir);
     EXPECT_THROW(
-        (void)run_config(reads, stop_isolated, 2, {}, false, false, 2,
+        (void)run_config(reads, stop_isolated, 4, {}, false, false,
                          [&](core::PipelineOptions& opt) {
                            opt.checkpoint_dir = dir.string();
                            opt.on_checkpoint = [](std::uint32_t stage,
@@ -363,7 +360,7 @@ TEST(ProcPoolResume, CrossTransportResumeIsBitIdentical) {
                            };
                          }),
         Stopped);
-    auto resumed = run_config(reads, resume_isolated, 2, {}, false, false, 2,
+    auto resumed = run_config(reads, resume_isolated, 4, {}, false, false,
                               [&](core::PipelineOptions& opt) {
                                 opt.checkpoint_dir = dir.string();
                                 opt.resume = true;
@@ -406,8 +403,7 @@ TEST(ProcPoolFailure, ShardOverflowSurfacesTheRootFailureOnBothTransports) {
     core::PipelineOptions opt;
     opt.k = 15;
     opt.hash_shards = 1;
-    opt.devices = 2;
-    opt.threads = 2;
+    opt.threads = 4;
     opt.isolate = isolate;
     try {
       (void)core::run_pipeline(device, reads, opt);
@@ -426,7 +422,7 @@ TEST(ProcPoolFailure, ShardOverflowSurfacesTheRootFailureOnBothTransports) {
 
 TEST(ProcPoolObservability, StitchedTraceHasWorkerSpansFlowsAndRestartTracks) {
   const auto reads = workload_reads(16);
-  const auto baseline = run_config(reads, /*isolate=*/false, 3);
+  const auto baseline = run_config(reads, /*isolate=*/false, 6);
   auto& session = telemetry::TelemetrySession::instance();
   test_support::idle_telemetry_session();
   telemetry::MetricsRegistry registry;
@@ -445,8 +441,7 @@ TEST(ProcPoolObservability, StitchedTraceHasWorkerSpansFlowsAndRestartTracks) {
   core::PipelineOptions opt;
   opt.k = 15;
   opt.hash_shards = 8;
-  opt.devices = 3;
-  opt.threads = 2;
+  opt.threads = 6;
   opt.isolate = true;
   const auto result = core::run_pipeline(device, reads, opt);
   EXPECT_TRUE(fs::exists(flag)) << "hook never fired";
@@ -472,16 +467,15 @@ TEST(ProcPoolObservability, StitchedTraceHasWorkerSpansFlowsAndRestartTracks) {
   fs::remove_all(scratch);
 }
 
-// --devices 2 --threads 2 --isolate runs one worker whose engine has the
-// in-process run's four channels, and the stitched trace shows every one of
-// them retiring tasks.
+// A 4-channel isolated run has one worker whose engine has the in-process
+// run's four channels, and the stitched trace shows every one of them
+// retiring tasks.
 TEST(ProcPoolObservability, OneWorkerWithEveryChannelBusy) {
   const auto reads = workload_reads(16);
   auto& tracer = telemetry::tracer();
   test_support::idle_telemetry_session();
   tracer.enable();
-  (void)run_config(reads, /*isolate=*/true, /*devices=*/2, {}, false, false,
-                   /*threads=*/2);
+  (void)run_config(reads, /*isolate=*/true, /*channels=*/4);
   const net::Json trace = net::Json::parse(tracer.chrome_json());
   test_support::idle_telemetry_session();
 
@@ -526,7 +520,7 @@ TEST(ProcPoolObservability, WorkerCrashDumpsSchemaValidCrashReport) {
   ScopedEnv hook("PIMA_DEVD_TEST_HOOK",
                  "after=8:action=sigkill:flag=" + flag);
   const auto reads = workload_reads(17);
-  const auto run = run_config(reads, /*isolate=*/true, 4);
+  const auto run = run_config(reads, /*isolate=*/true, 8);
   ASSERT_FALSE(run.result.contigs.empty());
   EXPECT_EQ(run.fallbacks, 0.0);
   EXPECT_GE(flight.dump_count(), 1u);
@@ -1294,7 +1288,7 @@ TEST(ProcPoolWire, ProgramRequestsCostAtMost32BytesPerInstruction) {
   core::PipelineOptions opt;
   opt.k = 15;
   opt.hash_shards = 8;
-  opt.devices = 2;
+  opt.threads = 2;
   opt.isolate = true;
   const core::PipelineResult result =
       core::run_pipeline(device, workload_reads(11), opt);

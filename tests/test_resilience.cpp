@@ -65,28 +65,23 @@ std::string fresh_dir(const std::string& name) {
 // the hardest crash there is: no stack unwinding, no flushes. Then
 // resumes in-process and compares against the golden uninterrupted run.
 void kill_and_resume(std::size_t kill_threads, std::size_t resume_threads,
-                     std::uint32_t kill_after_stage,
-                     std::size_t devices = 1) {
+                     std::uint32_t kill_after_stage) {
   const auto reads = workload_reads();
   const std::string dir =
       fresh_dir("kill_s" + std::to_string(kill_after_stage) + "_t" +
                 std::to_string(kill_threads) + "_" +
-                std::to_string(resume_threads) + "_d" +
-                std::to_string(devices));
+                std::to_string(resume_threads));
 
-  // Golden: uninterrupted, no checkpointing at all, sharded like the
-  // killed run.
-  PipelineOptions golden_opt = base_options(resume_threads);
-  golden_opt.devices = devices;
+  // Golden: uninterrupted, no checkpointing at all.
   dram::Device golden_dev(pipeline_geometry());
-  const auto golden = run_pipeline(golden_dev, reads, golden_opt);
+  const auto golden =
+      run_pipeline(golden_dev, reads, base_options(resume_threads));
 
   const pid_t pid = fork();
   ASSERT_GE(pid, 0) << "fork failed";
   if (pid == 0) {
     // Child: die the moment the target stage's checkpoint hits disk.
     PipelineOptions opt = base_options(kill_threads);
-    opt.devices = devices;
     opt.checkpoint_dir = dir;
     opt.on_checkpoint = [&](std::uint32_t stage, const std::string&) {
       if (stage == kill_after_stage) raise(SIGKILL);
@@ -106,7 +101,6 @@ void kill_and_resume(std::size_t kill_threads, std::size_t resume_threads,
   // Resume — possibly at a different thread count than the killed run; the
   // runtime's determinism contract makes that legal.
   PipelineOptions opt = base_options(resume_threads);
-  opt.devices = devices;
   opt.checkpoint_dir = dir;
   opt.resume = true;
   dram::Device dev(pipeline_geometry());
@@ -130,26 +124,24 @@ TEST(Resilience, KillAfterStage2ResumesAcrossThreadCounts) {
 }
 
 TEST(Resilience, KillShardedRunResumesAcrossThreadCounts) {
-  // A 4-device sharded run killed after stage 1 and resumed at a
-  // different per-device channel count: the fingerprint pins neither
-  // devices nor threads, and the resumed output must still be
-  // bit-identical to the uninterrupted sharded run.
-  kill_and_resume(/*kill_threads=*/2, /*resume_threads=*/1, 1,
-                  /*devices=*/4);
+  // An 8-channel run killed after stage 1 and resumed at 4 channels: the
+  // fingerprint does not pin the channel count, and the resumed output
+  // must still be bit-identical to the uninterrupted run.
+  kill_and_resume(/*kill_threads=*/8, /*resume_threads=*/4, 1);
 }
 
 TEST(Resilience, ResumeAtAnotherDeviceCountMatchesGolden) {
   // The snapshot's (shard, slot)-ordered table and stage stats are the
-  // same for every device count and transport, so a 4-device snapshot
-  // resumes at one device, or at two isolated workers, bit-identically.
+  // same for every channel count and transport, so a 4-channel snapshot
+  // resumes at one channel, or at two channels in the isolated worker,
+  // bit-identically.
   const auto reads = workload_reads();
-  const std::string dir = fresh_dir("resume_devices");
+  const std::string dir = fresh_dir("resume_channels");
 
   dram::Device golden_dev(pipeline_geometry());
   const auto golden = run_pipeline(golden_dev, reads, base_options(1));
 
-  PipelineOptions record = base_options(1);
-  record.devices = 4;
+  PipelineOptions record = base_options(4);
   record.checkpoint_dir = dir;
   record.on_checkpoint = [&](std::uint32_t stage, const std::string& path) {
     fs::copy_file(path, dir + "/stage" + std::to_string(stage) + ".ckpt",
@@ -165,8 +157,7 @@ TEST(Resilience, ResumeAtAnotherDeviceCountMatchesGolden) {
       fs::copy_file(dir + "/stage" + std::to_string(stage) + ".ckpt",
                     dir + "/pipeline.ckpt",
                     fs::copy_options::overwrite_existing);
-      PipelineOptions resume = base_options(1);
-      resume.devices = isolate ? 2 : 1;
+      PipelineOptions resume = base_options(isolate ? 2 : 1);
       resume.isolate = isolate;
       resume.checkpoint_dir = dir;
       resume.resume = true;

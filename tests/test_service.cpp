@@ -169,8 +169,16 @@ TEST(ServiceJob, SpecValidationNamesTheBadField) {
     }
   }
   spec.k = 17;
-  spec.channels = 0;
-  EXPECT_THROW(spec.validate(), InputFormatError);
+  for (const std::size_t bad_channels : {std::size_t{0}, std::size_t{1025}}) {
+    spec.channels = bad_channels;
+    try {
+      spec.validate();
+      FAIL() << "expected InputFormatError for channels = " << bad_channels;
+    } catch (const InputFormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("threads must be"),
+                std::string::npos);
+    }
+  }
 }
 
 TEST(ServiceJob, SpecJsonRoundTrip) {
@@ -183,6 +191,13 @@ TEST(ServiceJob, SpecJsonRoundTrip) {
   spec.priority = -2;
   spec.stall_timeout_ms = 1500.0;
   EXPECT_EQ(JobSpec::from_json(spec.to_json()), spec);
+  // A record written when jobs had a device count still parses: the key
+  // is ignored like any unknown key (outputs are identical for any
+  // channel count), and it is not written back.
+  net::Json legacy = spec.to_json();
+  EXPECT_FALSE(legacy.has("devices"));
+  legacy.set("devices", 4);
+  EXPECT_EQ(JobSpec::from_json(legacy), spec);
 }
 
 TEST(ServiceJob, RecordPersistsAtomically) {

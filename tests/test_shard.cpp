@@ -1,10 +1,10 @@
 // Cross-shard determinism battery (ctest -L shard, DESIGN.md §14).
 //
-// The multi-device contract: a run sharded over any number of simulated
-// devices is indistinguishable — bit for bit — from the single-device run.
-// The battery pins every observable surface: contigs, per-stage DeviceStats
+// The channel contract: a run on an engine of any number of channels is
+// indistinguishable — bit for bit — from the single-channel run. The
+// battery pins every observable surface: contigs, per-stage DeviceStats
 // roll-ups, the model-class Prometheus snapshot, the merged command trace,
-// and the per-device command sub-streams replayed through the golden model.
+// and the per-channel command sub-streams replayed through the golden model.
 // Plus the algebra the stats folds rely on: DeviceStats / FaultStats fold
 // properties.
 #include <gtest/gtest.h>
@@ -65,8 +65,7 @@ struct RunOutput {
 };
 
 RunOutput run_config(const std::vector<dna::Sequence>& reads,
-                     std::size_t devices, std::size_t threads,
-                     bool capture = false,
+                     std::size_t channels, bool capture = false,
                      const dram::FaultConfig& fault = {},
                      const runtime::RecoveryOptions& recovery = {}) {
   telemetry::MetricsRegistry registry;
@@ -76,8 +75,7 @@ RunOutput run_config(const std::vector<dna::Sequence>& reads,
   core::PipelineOptions opt;
   opt.k = 15;
   opt.hash_shards = 8;
-  opt.devices = devices;
-  opt.threads = threads;
+  opt.threads = channels;
   opt.capture_trace = capture;
   opt.fault = fault;
   opt.recovery = recovery;
@@ -88,34 +86,29 @@ RunOutput run_config(const std::vector<dna::Sequence>& reads,
   return out;
 }
 
-// ---- the battery: devices × threads × seeds --------------------------------
+// ---- the battery: channels × seeds ------------------------------------------
 
 TEST(ShardBattery, OutputsBitIdenticalAcrossDeviceAndThreadCounts) {
   for (const std::uint64_t seed : {std::uint64_t{101}, std::uint64_t{202}}) {
     const auto reads = workload_reads(seed);
-    const auto baseline = run_config(reads, 1, 1);
+    const auto baseline = run_config(reads, 1);
     ASSERT_FALSE(baseline.result.contigs.empty());
     ASSERT_FALSE(baseline.model_snapshot.empty());
-    for (const std::size_t devices : {1u, 2u, 4u, 16u}) {
-      for (const std::size_t threads : {1u, 4u}) {
-        if (devices == 1 && threads == 1) continue;
-        const auto run = run_config(reads, devices, threads);
-        SCOPED_TRACE("seed=" + std::to_string(seed) +
-                     " devices=" + std::to_string(devices) +
-                     " threads=" + std::to_string(threads));
-        expect_bit_identical(run.result, baseline.result);
-        // The model-class metrics snapshot derives only from simulated
-        // state — equal bytes for every (devices, threads) combination.
-        EXPECT_EQ(run.model_snapshot, baseline.model_snapshot);
-      }
+    for (const std::size_t channels : {2u, 4u, 8u, 16u, 64u}) {
+      const auto run = run_config(reads, channels);
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " channels=" + std::to_string(channels));
+      expect_bit_identical(run.result, baseline.result);
+      // The model-class metrics snapshot derives only from simulated
+      // state — equal bytes for every channel count.
+      EXPECT_EQ(run.model_snapshot, baseline.model_snapshot);
     }
   }
 }
 
 // Fault injection state is per sub-array: each injector is seeded from
 // (model, flat), so the fault process of a flat does not depend on the
-// device or channel count, and the recovery counters must be the
-// one-device run's.
+// channel count, and the recovery counters must be the one-channel run's.
 TEST(ShardBattery, FaultedRunsBitIdenticalAcrossDeviceCounts) {
   const auto reads = workload_reads(101);
   dram::FaultConfig fault;
@@ -123,24 +116,19 @@ TEST(ShardBattery, FaultedRunsBitIdenticalAcrossDeviceCounts) {
   fault.seed = 7;
   runtime::RecoveryOptions recovery;
   recovery.mode = runtime::RecoveryMode::kVote;
-  const auto baseline = run_config(reads, 1, 1, false, fault, recovery);
+  const auto baseline = run_config(reads, 1, false, fault, recovery);
   ASSERT_FALSE(baseline.result.contigs.empty());
   EXPECT_GT(baseline.result.fault_stats.injected, 0u);
   EXPECT_GT(baseline.result.fault_stats.detected, 0u);
-  for (const std::size_t devices : {1u, 2u, 4u}) {
-    for (const std::size_t threads : {1u, 4u}) {
-      if (devices == 1 && threads == 1) continue;
-      const auto run = run_config(reads, devices, threads, false, fault,
-                                  recovery);
-      SCOPED_TRACE("devices=" + std::to_string(devices) +
-                   " threads=" + std::to_string(threads));
-      expect_bit_identical(run.result, baseline.result);
-      EXPECT_EQ(run.model_snapshot, baseline.model_snapshot);
-    }
+  for (const std::size_t channels : {2u, 4u, 8u, 16u}) {
+    const auto run = run_config(reads, channels, false, fault, recovery);
+    SCOPED_TRACE("channels=" + std::to_string(channels));
+    expect_bit_identical(run.result, baseline.result);
+    EXPECT_EQ(run.model_snapshot, baseline.model_snapshot);
   }
 }
 
-// ---- one in-process engine of devices × threads channels -------------------
+// ---- one in-process engine of `threads` channels ----------------------------
 
 // The values of every series of `metric` in a Prometheus text exposition.
 std::vector<double> series_values(const std::string& text,
@@ -155,15 +143,15 @@ std::vector<double> series_values(const std::string& text,
 
 TEST(ShardEngine, EveryInProcessChannelRetiresTasks) {
   const auto reads = workload_reads(101);
-  for (const std::size_t devices : {2u, 4u}) {
-    SCOPED_TRACE("devices=" + std::to_string(devices));
-    const auto run = run_config(reads, devices, /*threads=*/2);
-    const auto channels = series_values(run.prometheus, "pima_engine_channels");
-    ASSERT_EQ(channels.size(), 1u);
-    EXPECT_EQ(channels[0], static_cast<double>(devices * 2));
+  for (const std::size_t channels : {4u, 8u}) {
+    SCOPED_TRACE("channels=" + std::to_string(channels));
+    const auto run = run_config(reads, channels);
+    const auto gauge = series_values(run.prometheus, "pima_engine_channels");
+    ASSERT_EQ(gauge.size(), 1u);
+    EXPECT_EQ(gauge[0], static_cast<double>(channels));
     const auto retired =
         series_values(run.prometheus, "pima_engine_tasks_retired_total");
-    EXPECT_EQ(retired.size(), devices * 2);
+    EXPECT_EQ(retired.size(), channels);
     for (std::size_t c = 0; c < retired.size(); ++c)
       EXPECT_GT(retired[c], 0.0) << "channel " << c;
   }
@@ -174,7 +162,7 @@ TEST(ShardEngine, EveryInProcessChannelOwnsItsTraceTrack) {
   auto& tracer = telemetry::tracer();
   test_support::idle_telemetry_session();
   tracer.enable();
-  (void)run_config(reads, /*devices=*/4, /*threads=*/1);
+  (void)run_config(reads, /*channels=*/4);
   tracer.disable();
   const auto names = tracer.track_names();
   const auto events = tracer.export_events();
@@ -200,14 +188,14 @@ TEST(ShardEngine, EveryInProcessChannelOwnsItsTraceTrack) {
   for (const auto& [track, name] : names) EXPECT_NE(name, "watchdog");
 }
 
-// ---- per-device differential: captured sub-streams vs golden model ---------
+// ---- per-channel differential: captured sub-streams vs golden model --------
 
 TEST(ShardDifferential, PerDeviceTraceReplaysThroughGoldenModel) {
   const auto reads = workload_reads(303);
-  const auto single = run_config(reads, 1, 1, /*capture=*/true);
-  const auto sharded = run_config(reads, 4, 1, /*capture=*/true);
+  const auto single = run_config(reads, 1, /*capture=*/true);
+  const auto sharded = run_config(reads, 4, /*capture=*/true);
   // The merged capture is itself a determinism oracle: logical flat order,
-  // so equal streams for any device count.
+  // so equal streams for any channel count.
   ASSERT_FALSE(sharded.result.trace.empty());
   EXPECT_EQ(sharded.result.trace, single.result.trace);
 
@@ -216,14 +204,14 @@ TEST(ShardDifferential, PerDeviceTraceReplaysThroughGoldenModel) {
   // Every captured command already executed once on the production pool,
   // so a rejection during replay is a divergence, not an agreement.
   opts.diff.accept_symmetric_rejection = false;
-  for (std::size_t d = 0; d < 4; ++d) {
+  for (std::size_t c = 0; c < 4; ++c) {
     dram::Program part;
     for (const auto& inst : sharded.result.trace)
-      if (inst.subarray % 4 == d) part.push_back(inst);
-    ASSERT_FALSE(part.empty()) << "device " << d << " ran nothing";
+      if (inst.subarray % 4 == c) part.push_back(inst);
+    ASSERT_FALSE(part.empty()) << "channel " << c << " ran nothing";
     const auto divergence = verify::run_candidate(part, opts);
     EXPECT_FALSE(divergence.has_value())
-        << "device " << d << ": " << divergence->report();
+        << "channel " << c << ": " << divergence->report();
   }
 }
 

@@ -282,19 +282,18 @@ int cmd_assemble(const Args& args) {
 
 int cmd_pim_run(const Args& args) {
   core::PipelineOptions opt;
-  // 0 = resolve to hardware concurrency inside the runtime engine.
-  opt.threads = get_bounded_size(args, "threads", 0, 0, kMaxChannels);
-  // Simulated devices the run shards over (owner = flat % N). Contigs,
-  // stats and model metrics are bit-identical for every value, so the
-  // checkpoint does not pin it: --resume may change --devices.
-  opt.devices = get_bounded_size(args, "devices", 1, 1, 64);
-  // The run's one engine has devices × threads channel threads; bounded
-  // here, before any device or engine exists.
-  if (opt.devices * opt.threads > kMaxChannels)
+  // Engine channels; 0 = one per hardware thread. --devices D is kept as
+  // a multiplier: --devices D --threads T is the same run as
+  // --threads D x T (outputs are identical for any channel count).
+  const std::size_t threads =
+      get_bounded_size(args, "threads", 0, 0, kMaxChannels);
+  const std::size_t devices = get_bounded_size(args, "devices", 1, 1, 64);
+  if (devices * threads > kMaxChannels)
     throw InputFormatError(
         "--devices x --threads must be <= " + std::to_string(kMaxChannels) +
-        " engine channels, got " + std::to_string(opt.devices) + " x " +
-        std::to_string(opt.threads));
+        " engine channels, got " + std::to_string(devices) + " x " +
+        std::to_string(threads));
+  opt.threads = devices * threads;
 
   const auto reads = load_reads(args.require("reads"));
   dram::Geometry geom;
@@ -481,8 +480,8 @@ int cmd_pim_run(const Args& args) {
   std::printf("contigs: %zu, N50 %zu bp\n", result.contig_stats.count,
               result.contig_stats.n50);
   if (dump_trace) {
-    // result.trace is the pool-merged capture (logical flat order) — for
-    // any --devices value it replays like a single-device run.
+    // result.trace is the merged capture (logical flat order) — for any
+    // channel count it replays like a single-channel run.
     fsio::atomic_write_file(*dump_trace, dram::to_text(result.trace),
                             "artifact");
     std::printf("trace: %zu commands -> %s\n", result.trace.size(),
@@ -714,7 +713,6 @@ int cmd_submit(const Args& args) {
   req.set("k", get_bounded_size(args, "k", 17, 4, kMaxK));
   req.set("shards", get_bounded_size(args, "shards", 16, 1, 4096));
   req.set("threads", get_bounded_size(args, "threads", 1, 1, 1024));
-  req.set("devices", get_bounded_size(args, "devices", 1, 1, 64));
   // --isolate asks the daemon to run the job's device shard in a pima_devd
   // worker process ("isolation": "process"); the job still charges the
   // same admission budgets.
@@ -834,11 +832,11 @@ void usage() {
       "  assemble --reads <in.fa> [--k K] [--min-freq N] [--simplify]\n"
       "           [--euler] [--out contigs.fa] [--reference genome.fa]\n"
       "  pim-run  --reads <in.fa> [--k K] [--shards N] [--euler]\n"
-      "           [--threads N (channels per device; default 0: one\n"
-      "            per hardware thread for the whole run)]\n"
-      "           [--devices N (shard over N simulated devices: one\n"
-      "            engine of N x threads channels, at most 1024; outputs\n"
-      "            bit-identical for any N, so a resume may change it)]\n"
+      "           [--threads N (engine channels; default 0: one per\n"
+      "            hardware thread; outputs bit-identical for any N, so\n"
+      "            a resume may change it)]\n"
+      "           [--devices D (multiplies --threads: the engine runs\n"
+      "            D x threads channels, at most 1024)]\n"
       "           [--isolate (run the engine in one pima_devd worker\n"
       "            process; crashes are contained + restarted)]\n"
       "           [--restart-budget N (worker restarts before the run\n"
@@ -869,7 +867,7 @@ void usage() {
       "            loopback; /metrics == the metrics verb, byte for byte)]\n"
       "           [--log-json PATH|- (structured NDJSON event log)]\n"
       "  submit   --socket PATH|--tcp PORT --reads <in.fa> [--k K]\n"
-      "           [--shards N] [--threads N] [--devices N] [--euler]\n"
+      "           [--shards N] [--threads N] [--euler]\n"
       "           [--isolate (run the job's device shard in a worker\n"
       "            process: \"isolation\": \"process\")]\n"
       "           [--priority P]\n"

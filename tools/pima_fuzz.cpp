@@ -74,11 +74,11 @@ void usage() {
       "       pima_fuzz --replay trace.aap [--rows N] [--columns N]\n"
       "       pima_fuzz --inject-latch-flip [--ops N] [--seed S]\n"
       "       pima_fuzz --service [--seeds N] [--seed S]\n"
-      "       pima_fuzz --devices N [--seeds N] [--seed S]\n"
-      "--devices runs full pipelines sharded over N simulated devices\n"
-      "(random reads per seed), checks the capture is bit-identical to a\n"
-      "1-device run, and replays every device's command sub-stream through\n"
-      "the golden model; exits with the number of diverging devices.\n"
+      "       pima_fuzz --threads N [--seeds N] [--seed S]\n"
+      "--threads runs full pipelines on an engine of N channels (random\n"
+      "reads per seed), checks the capture and contigs are bit-identical\n"
+      "to a 1-channel run, and replays the capture through the golden\n"
+      "model; exits with the number of diverging seeds.\n"
       "--service fuzzes the daemon's NDJSON request parser (in-process\n"
       "daemon on a temp dir); exits with the number of protocol-invariant\n"
       "violations (every request line -> one parseable response, daemon\n"
@@ -175,19 +175,20 @@ std::vector<std::string> service_corpus() {
       R"({"verb":"submit","reads":"","k":17})",
       R"({"verb":"submit","reads":"/r.fa","k":"seventeen"})",
       R"({"verb":"submit","reads":"/r.fa","idempotency_key":"bad key!"})",
-      // Multi-device and process-isolation job fields: in-range, zero,
-      // over the clamp, and wrong-typed devices; every isolation spelling
-      // the validator must accept or reject with one typed error line.
-      R"({"verb":"submit","reads":"/no/such.fa","devices":4})",
-      R"({"verb":"submit","reads":"/r.fa","devices":0})",
-      R"({"verb":"submit","reads":"/r.fa","devices":65})",
-      R"({"verb":"submit","reads":"/r.fa","devices":"four"})",
-      R"({"verb":"submit","reads":"/no/such.fa","devices":2,"isolation":"process"})",
+      // Channel-count and process-isolation job fields: zero, over the
+      // clamp and wrong-typed threads (and an old client's `devices` key,
+      // ignored like any unknown key); every isolation spelling the
+      // validator must accept or reject with one typed error line.
+      R"({"verb":"submit","reads":"/no/such.fa","threads":4,"devices":4})",
+      R"({"verb":"submit","reads":"/r.fa","threads":0})",
+      R"({"verb":"submit","reads":"/r.fa","threads":1025})",
+      R"({"verb":"submit","reads":"/r.fa","threads":"four"})",
+      R"({"verb":"submit","reads":"/no/such.fa","isolation":"process"})",
       R"({"verb":"submit","reads":"/no/such.fa","isolation":"none"})",
       R"({"verb":"submit","reads":"/r.fa","isolation":"container"})",
       R"({"verb":"submit","reads":"/r.fa","isolation":42})",
       R"({"verb":"submit","reads":"/r.fa","isolation":null})",
-      R"({"verb":"submit","reads":"/r.fa","devices":4,"isolation":"PROCESS"})",
+      R"({"verb":"submit","reads":"/r.fa","isolation":"PROCESS"})",
       // Truncated / structurally broken JSON.
       R"({"verb":"ping")",
       R"({"verb":)",
@@ -347,13 +348,13 @@ std::vector<dna::Sequence> synth_reads(std::uint64_t seed) {
   return reads;
 }
 
-/// End-to-end sharded differential: run the full pipeline sharded over
-/// `devices` simulated devices with trace capture on, then (a) check the
-/// merged capture is bit-identical to a single-device run of the same
-/// reads, and (b) replay each device's per-shard command sub-stream
-/// through the golden model. Exit code = number of diverging devices.
-int run_sharded_fuzz(std::size_t devices, std::size_t seeds,
-                     verify::FuzzOptions opts) {
+/// End-to-end channel differential: run the full pipeline on an engine of
+/// `threads` channels with trace capture on, then (a) check the capture
+/// and the contigs are bit-identical to a 1-channel run of the same reads,
+/// and (b) replay the capture through the golden model. Exit code = number
+/// of diverging seeds.
+int run_channels_fuzz(std::size_t threads, std::size_t seeds,
+                      verify::FuzzOptions opts) {
   dram::Geometry geom;  // pima_asm pim-run default geometry
   geom.rows = 512;
   geom.columns = 256;
@@ -361,8 +362,8 @@ int run_sharded_fuzz(std::size_t devices, std::size_t seeds,
   geom.mats_per_bank = 4;
   geom.banks = 2;
   opts.geometry = geom;
-  // Captured traces already executed once on the production pool — every
-  // command must execute in the replay too.
+  // Captured traces already executed once on the production engine —
+  // every command must execute in the replay too.
   opts.diff.accept_symmetric_rejection = false;
 
   int diverging = 0;
@@ -373,54 +374,41 @@ int run_sharded_fuzz(std::size_t devices, std::size_t seeds,
     core::PipelineOptions popt;
     popt.k = 17;
     popt.hash_shards = 16;
-    popt.threads = 1;
     popt.capture_trace = true;
 
-    popt.devices = devices;
-    dram::Device sharded_dev(geom);
-    const auto sharded = core::run_pipeline(sharded_dev, reads, popt);
+    popt.threads = threads;
+    dram::Device multi_dev(geom);
+    const auto multi = core::run_pipeline(multi_dev, reads, popt);
 
-    popt.devices = 1;
+    popt.threads = 1;
     dram::Device single_dev(geom);
     const auto single = core::run_pipeline(single_dev, reads, popt);
 
-    if (sharded.trace != single.trace ||
-        sharded.contigs != single.contigs) {
+    if (multi.trace != single.trace || multi.contigs != single.contigs) {
       std::printf(
-          "seed %llu: DIVERGENCE: %zu-device run differs from 1-device "
+          "seed %llu: DIVERGENCE: %zu-channel run differs from 1-channel "
           "(trace %zu vs %zu commands, %zu vs %zu contigs)\n",
-          static_cast<unsigned long long>(seed), devices,
-          sharded.trace.size(), single.trace.size(),
-          sharded.contigs.size(), single.contigs.size());
+          static_cast<unsigned long long>(seed), threads, multi.trace.size(),
+          single.trace.size(), multi.contigs.size(), single.contigs.size());
       ++diverging;
       continue;
     }
-
-    // Per-device golden replay: owner d's sub-stream keeps per-sub-array
-    // order (owners partition the flat space), so each is a standalone
-    // replayable program.
-    std::size_t bad_devices = 0;
-    const auto parts = dram::split_by_owner(sharded.trace, devices);
-    for (std::size_t d = 0; d < devices; ++d) {
-      const dram::Program& part = parts[d];
-      if (auto div = verify::run_candidate(part, opts)) {
-        std::printf("seed %llu device %zu (%zu commands): ",
-                    static_cast<unsigned long long>(seed), d, part.size());
-        print_divergence(*div);
-        ++bad_devices;
-      }
+    if (auto div = verify::run_candidate(multi.trace, opts)) {
+      std::printf("seed %llu (%zu commands): ",
+                  static_cast<unsigned long long>(seed), multi.trace.size());
+      print_divergence(*div);
+      ++diverging;
+      continue;
     }
-    diverging += static_cast<int>(bad_devices);
-    if (bad_devices == 0)
-      std::printf("seed %llu: OK (%zu devices, %zu captured commands)\n",
-                  static_cast<unsigned long long>(seed), devices,
-                  sharded.trace.size());
+    std::printf("seed %llu: OK (%zu channels, %zu captured commands)\n",
+                static_cast<unsigned long long>(seed), threads,
+                multi.trace.size());
   }
   if (diverging == 0)
     std::printf(
-        "all %zu seed(s): sharded capture matches 1-device and the golden "
-        "model\n",
-        seeds);
+        "all %zu seed(s): %zu-channel capture matches 1-channel and the "
+        "golden model\n",
+        seeds, threads);
   return diverging;
 }
 
@@ -454,7 +442,7 @@ int main(int argc, char** argv) {
   std::optional<std::string> replay;
   bool inject = false;
   bool service = false;
-  std::size_t devices = 0;
+  std::size_t threads = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -480,9 +468,9 @@ int main(int argc, char** argv) {
       inject = true;
     else if (arg == "--service")
       service = true;
-    else if (arg == "--devices") {
-      devices = parse_count(arg, value());
-      if (devices < 1 || devices > 64) fail("--devices must be in [1, 64]");
+    else if (arg == "--threads") {
+      threads = parse_count(arg, value());
+      if (threads < 1 || threads > 64) fail("--threads must be in [1, 64]");
     }
     else if (arg == "--help" || arg == "-h") {
       usage();
@@ -496,7 +484,7 @@ int main(int argc, char** argv) {
     if (replay) return run_replay(*replay, opts);
     if (inject) return run_inject_demo(opts);
     if (service) return run_service_fuzz(seeds, opts.seed);
-    if (devices > 0) return run_sharded_fuzz(devices, seeds, opts);
+    if (threads > 0) return run_channels_fuzz(threads, seeds, opts);
     return run_fuzz(seeds, opts);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "pima_fuzz: %s\n", e.what());
